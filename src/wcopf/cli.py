@@ -280,10 +280,12 @@ def cmd_finetune(args):
                meta={"mode": "finetune", "seed": config.seed,
                      "arch": list(tuned.layer_dims[1:-1]), "grid": grid_label})
     save_report(report, report_path)
-    v_before = report.records[0].v_g if report.records else float("nan")
-    print(f"finetune stopped on {report.stopped}: v_g {v_before:.6f} -> "
-          f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW), "
-          f"val MAE {report.final_val_mae:.6f}")
+    v_before = report.records[0].v_g if report.records else None
+    v_before = "unknown" if v_before is None else f"{v_before:.6f}"
+    v_after = ("unknown" if report.final_v_g is None else
+               f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW)")
+    print(f"finetune stopped on {report.stopped}: v_g {v_before} -> "
+          f"{v_after}, val MAE {report.final_val_mae:.6f}")
     return 0
 
 

@@ -2,10 +2,9 @@ from .checkpoint import (file_checksum, load_model, model_json,
                          params_checksum, save_model)
 from .fisher import FisherDiag, fisher_diag
 from .losses import (Gradients, LossSpec, backprop_from_output_grad, gradient,
-                     loss_ewc, loss_gen_penalty, loss_mae, mae_of_outputs,
-                     total_loss)
+                     loss_ewc, loss_gen_penalty, loss_mae, total_loss)
 from .network import (ForwardTrace, MlpParams, forward, forward_batch,
-                      init_params, predict)
+                      init_params)
 from .optimizer import AdamState, adam_init, adam_step
 
 __all__ = [
@@ -13,6 +12,5 @@ __all__ = [
     "MlpParams", "adam_init", "adam_step", "backprop_from_output_grad",
     "file_checksum", "fisher_diag", "forward", "forward_batch", "gradient",
     "init_params", "load_model", "loss_ewc", "loss_gen_penalty", "loss_mae",
-    "mae_of_outputs", "model_json", "params_checksum", "predict",
-    "save_model", "total_loss",
+    "model_json", "params_checksum", "save_model", "total_loss",
 ]

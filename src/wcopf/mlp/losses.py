@@ -67,10 +67,6 @@ def loss_mae(params, x, y):
     return float(np.mean(np.abs(out - y)))
 
 
-def mae_of_outputs(out, y):
-    return float(np.mean(np.abs(np.asarray(out) - np.asarray(y))))
-
-
 def loss_gen_penalty(params, x, gen_lo, gen_hi):
     """Mean over samples of the summed squared hinge excesses.
 

@@ -110,7 +110,3 @@ def forward_batch(params, x):
         acts.append(z)
     out = z @ params.weights[-1].T + params.biases[-1]
     return preacts, acts, out
-
-
-def predict(params, x):
-    return forward_batch(params, x)[2]

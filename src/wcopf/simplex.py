@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex for small dense LPs.
+"""Bounded-variable simplex for small dense LPs.
 
 Solves
 
@@ -7,17 +7,33 @@ Solves
                 a_ub @ x <= b_ub
                 lo <= x <= hi        (entries may be -inf / +inf)
 
-with a two-phase method: phase 1 minimizes the sum of artificial
-variables (no big-M constants), phase 2 optimizes the user objective.
-Nonbasic variables rest at one of their finite bounds; bound flips are
-pivots that change no basis column.  All ties break toward the lowest
-variable index, so repeated solves of the same problem are bit
-identical.  After 1000 consecutive degenerate pivots the entering rule
-switches to Bland's rule, which guarantees termination.
+Every <= row gets a slack; nonbasic variables rest at one of their
+finite bounds and bound flips are pivots that change no basis column.
+
+A cold solve starts each variable at a finite bound (lower preferred).
+A <= row whose residual is nonnegative there starts with its slack
+basic; only equality rows and violated rows get a basic artificial.
+Phase 1 minimizes the sum of those artificials (no big-M constants)
+and is skipped when there are none; phase 2 optimizes the objective.
+
+A warm solve takes the (basis, stat) that an earlier optimal solve left
+on LpSolution.basis.  When the rows and objective are unchanged and only
+variable bounds moved, that basis is still dual feasible: the tableau is
+rebuilt with one linear solve, a dual simplex restores primal
+feasibility (or proves the LP infeasible from a tableau row), and the
+primal simplex finishes.  A start that is singular, not dual feasible
+or numerically unusable falls back to the cold path.
+
+iteration_count counts dual pivots, primal pivots and bound flips, plus
+the closing pricing pass of each primal phase.  All ties break toward
+the lowest variable index, so repeated solves of the same problem (and
+start) are bit identical.  After 1000 consecutive degenerate primal
+pivots the entering rule switches to Bland's rule, which guarantees
+termination.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,40 +103,41 @@ class LpSolution:
     x: np.ndarray = None
     objective_value: float = float("nan")
     iteration_count: int = 0
+    basis: tuple = None    # (basic indices, statuses) of an optimal solve
 
 
-def solve_lp(problem: LpProblem, tol: Tolerances = DEFAULT_TOL) -> LpSolution:
-    """Solve an LpProblem; returns a deterministic LpSolution."""
-    n = problem.c.shape[0]
-    m_eq = problem.a_eq.shape[0]
-    m_ub = problem.a_ub.shape[0]
-    m = m_eq + m_ub
+def solve_lp(problem: LpProblem, tol: Tolerances = DEFAULT_TOL,
+             start=None) -> LpSolution:
+    """Solve an LpProblem; returns a deterministic LpSolution.
 
-    if m == 0:
+    start is the basis of an earlier optimal solve of a problem with the
+    same rows and objective (LpSolution.basis); only bounds may differ.
+    """
+    if problem.a_eq.shape[0] + problem.a_ub.shape[0] == 0:
         return _solve_bounds_only(problem, tol)
 
-    # standardize: append a slack per <= row, all rows become equalities
-    n_sl = m_ub
-    a = np.zeros((m, n + n_sl))
-    a[:m_eq, :n] = problem.a_eq
-    a[m_eq:, :n] = problem.a_ub
-    a[m_eq:, n:] = np.eye(n_sl)
-    b = np.concatenate([problem.b_eq, problem.b_ub])
-    lo = np.concatenate([problem.lo, np.zeros(n_sl)])
-    hi = np.concatenate([problem.hi, np.full(n_sl, np.inf)])
+    spent = 0
+    if start is not None:
+        core = _Core(problem, tol)
+        try:
+            status = core.warm(*start)
+            if status is not None:
+                return _solution(problem, core, status, 0)
+        except (np.linalg.LinAlgError, NumericalBreakdown):
+            pass
+        spent = core.iterations
+    core = _Core(problem, tol)
+    return _solution(problem, core, core.cold(), spent)
 
-    core = _Core(a, b, lo, hi, tol)
-    feasible = core.phase1()
-    if not feasible:
-        return LpSolution(LpStatus.INFEASIBLE, iteration_count=core.iterations)
-    c_full = np.zeros(core.n_total)
-    c_full[:n] = problem.c
-    bounded = core.phase2(c_full)
-    if not bounded:
-        return LpSolution(LpStatus.UNBOUNDED, iteration_count=core.iterations)
-    x = core.final_values()[:n]
+
+def _solution(problem, core, status, spent):
+    """LpSolution of a finished core; spent counts abandoned warm iterations."""
+    if status != LpStatus.OPTIMAL:
+        return LpSolution(status, iteration_count=spent + core.iterations)
+    x = core.final_values()[:core.n]
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(problem.c @ x),
-                      iteration_count=core.iterations)
+                      iteration_count=spent + core.iterations,
+                      basis=(core.basis.copy(), core.stat.copy()))
 
 
 def _solve_bounds_only(problem, tol):
@@ -140,44 +157,186 @@ def _solve_bounds_only(problem, tol):
 
 
 class _Core:
-    """Tableau-based bounded-variable simplex over equality rows a z = b."""
+    """Tableau-based bounded-variable simplex over equality rows a z = b.
 
-    def __init__(self, a, b, lo, hi, tol):
-        m, n_real = a.shape
+    Columns are [structural | one slack per <= row | one artificial per
+    row].  Artificials are pinned at zero unless the cold start makes
+    them basic.
+    """
+
+    def __init__(self, problem, tol):
+        n = problem.c.shape[0]
+        m_eq = problem.a_eq.shape[0]
+        m_ub = problem.a_ub.shape[0]
+        m = m_eq + m_ub
+        self.n = n
         self.m = m
-        self.n_real = n_real
-        self.n_total = n_real + m  # artificials appended
+        self.m_eq = m_eq
+        self.n_real = n + m_ub
+        self.n_total = self.n_real + m
         self.tol = tol
         self.iterations = 0
         self.max_iterations = 50 * (self.n_total + m)
 
-        # start every real variable at a finite bound (lower preferred)
-        x = np.zeros(self.n_total)
-        stat = np.full(self.n_total, _FREE, dtype=np.int8)
-        for j in range(n_real):
-            if np.isfinite(lo[j]):
-                x[j] = lo[j]
-                stat[j] = _AT_LO
-            elif np.isfinite(hi[j]):
-                x[j] = hi[j]
-                stat[j] = _AT_UP
+        a = np.zeros((m, self.n_total))
+        a[:m_eq, :n] = problem.a_eq
+        a[m_eq:, :n] = problem.a_ub
+        a[m_eq:, n:self.n_real] = np.eye(m_ub)
+        a[:, self.n_real:] = np.eye(m)
+        self.a = a
+        self.b = np.concatenate([problem.b_eq, problem.b_ub])
+        self.lo = np.concatenate([problem.lo, np.zeros(m_ub + m)])
+        self.hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m)])
+        self.c = np.zeros(self.n_total)
+        self.c[:n] = problem.c
 
-        resid = b - a @ x[:n_real]
+    # -- starting bases ------------------------------------------------------
+
+    def cold(self):
+        """Slack/artificial start, phase 1 if needed, then phase 2."""
+        m, n_real = self.m, self.n_real
+        lo, hi = self.lo, self.hi
+        fin_lo = np.isfinite(lo)
+        fin_hi = np.isfinite(hi)
+        x = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
+        stat = np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_UP, _FREE)).astype(np.int8)
+
+        resid = self.b - self.a[:, :n_real] @ x[:n_real]
+        rows = np.arange(m)
+        slack = np.zeros(m, dtype=bool)
+        slack[self.m_eq:] = resid[self.m_eq:] >= 0.0
         sign = np.where(resid >= 0.0, 1.0, -1.0)
-
-        self.a = np.hstack([a, np.diag(sign)])
-        self.b = b
-        self.lo = np.concatenate([lo, np.zeros(m)])
-        self.hi = np.concatenate([hi, np.full(m, np.inf)])
-        x[n_real:] = np.abs(resid)
-        stat[n_real:] = _BASIC
+        art = n_real + rows
+        self.a[rows, art] = sign
+        hi[art[~slack]] = np.inf
+        self.basis = np.where(slack, self.n + rows - self.m_eq, art)
+        x[self.basis] = np.abs(resid)
+        stat[self.basis] = _BASIC
         self.x = x
         self.stat = stat
-        self.basis = np.arange(n_real, self.n_total)
-        # initial tableau Binv @ a with Binv = diag(sign)
+        # B = diag(sign) (slack rows have sign +1), so Binv @ a is a row scaling
         self.t = self.a * sign[:, None]
 
-    # -- main pivoting loop ------------------------------------------------
+        if not slack.all() and not self._phase1():
+            return LpStatus.INFEASIBLE
+        return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
+
+    def warm(self, basis, stat):
+        """Dual simplex from an earlier optimal basis; None if it is unusable.
+
+        Raises LinAlgError when the basis matrix is singular.
+        """
+        basis = np.array(basis, dtype=int)
+        stat = np.array(stat, dtype=np.int8)
+        if basis.shape != (self.m,) or stat.shape != (self.n_total,):
+            raise ValueError("start basis does not match the problem's shape")
+        lo, hi = self.lo, self.hi
+        # nonbasics keep their bound where it is still finite
+        fin_lo = np.isfinite(lo)
+        fin_hi = np.isfinite(hi)
+        stat = np.where((stat == _AT_UP) & fin_hi, _AT_UP,
+                        np.where(fin_lo, _AT_LO,
+                                 np.where(fin_hi, _AT_UP, _FREE))).astype(np.int8)
+        stat[basis] = _BASIC
+
+        tab = np.linalg.solve(self.a[:, basis], np.column_stack([self.a, self.b]))
+        if not np.all(np.isfinite(tab)):
+            return None
+        t = np.ascontiguousarray(tab[:, :-1])
+
+        # boxed nonbasics move to the bound their reduced cost favors
+        tol = self.tol
+        d = self.c - self.c[basis] @ t
+        movable = hi > lo
+        stat[movable & (stat == _AT_LO) & fin_hi & (d > tol.objective)] = _AT_UP
+        stat[movable & (stat == _AT_UP) & fin_lo & (d < -tol.objective)] = _AT_LO
+        rises = (stat == _AT_LO) | (stat == _FREE)
+        falls = (stat == _AT_UP) | (stat == _FREE)
+        if np.any(movable & ((rises & (d > tol.objective)) | (falls & (d < -tol.objective)))):
+            return None  # not dual feasible
+
+        x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
+        x[basis] = 0.0
+        x[basis] = tab[:, -1] - t @ x
+        self.basis = basis
+        self.stat = stat
+        self.x = x
+        self.t = t
+
+        if not self._dual():
+            return LpStatus.INFEASIBLE
+        return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
+
+    # -- dual simplex --------------------------------------------------------
+
+    def _dual(self):
+        """Pivot out bound-violating basics; False when the LP is infeasible.
+
+        Assumes a dual feasible basis, so the leaving row's ratio test keeps
+        every reduced cost on its optimal side.
+        """
+        tol = self.tol
+        while True:
+            xb = self.x[self.basis]
+            below = self.lo[self.basis] - xb
+            above = xb - self.hi[self.basis]
+            excess = np.maximum(below, above)
+            r = int(np.argmax(excess))
+            if excess[r] <= tol.feas:
+                return True
+            self.iterations += 1
+            if self.iterations > self.max_iterations:
+                raise NumericalBreakdown(
+                    f"simplex iteration cap {self.max_iterations} exceeded")
+
+            # x_r = beta - sum t_rj x_j moves toward its bound when x_j
+            # moves in the direction of alpha_j
+            g = 1.0 if below[r] > 0.0 else -1.0
+            alpha = -g * self.t[r]
+            movable = self.hi > self.lo
+            inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (alpha > tol.pivot)
+            dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (alpha < -tol.pivot)
+            elig = inc | dec
+            if not elig.any():
+                if self._row_proves_infeasible(r):
+                    return False
+                raise NumericalBreakdown("dual ratio test disagrees with its row")
+
+            d = self.c - self.c[self.basis] @ self.t
+            aabs = np.abs(alpha)
+            room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
+            # Harris two-pass ratio test, as in the primal _run
+            theta = np.min((room[elig] + tol.objective) / aabs[elig])
+            cand = np.flatnonzero(elig & (room <= theta * aabs))
+            j = int(cand[np.argmax(aabs[cand])])
+
+            leaving = self.basis[r]
+            target = self.lo[leaving] if g > 0 else self.hi[leaving]
+            step = (xb[r] - target) / self.t[r, j]
+            self.x[self.basis] = xb - self.t[:, j] * step
+            self.x[j] += step
+            self.x[leaving] = target
+            self.stat[leaving] = _AT_LO if g > 0 else _AT_UP
+            self.stat[j] = _BASIC
+            self.basis[r] = j
+            self._pivot(r, j)
+
+    def _row_proves_infeasible(self, r):
+        """Recheck from the problem data that row r of Binv @ a z = Binv @ b
+        cannot hold inside the bounds.  Artificial columns are the identity
+        in a warm start, so the row of Binv sits in those columns."""
+        u = self.t[r, self.n_real:]
+        coef = u @ self.a[:, :self.n_real]
+        rhs = float(u @ self.b)
+        coef[np.abs(coef) <= self.tol.pivot] = 0.0  # as in the ratio test
+        pos = coef > 0.0
+        neg = coef < 0.0
+        top = coef[pos] @ self.hi[:self.n_real][pos] + coef[neg] @ self.lo[:self.n_real][neg]
+        low = coef[pos] @ self.lo[:self.n_real][pos] + coef[neg] @ self.hi[:self.n_real][neg]
+        pad = self.tol.feas * (1.0 + np.abs(u) @ np.abs(self.b))
+        return rhs > top + pad or rhs < low - pad
+
+    # -- primal simplex ------------------------------------------------------
 
     def _run(self, c):
         tol = self.tol
@@ -285,23 +444,19 @@ class _Core:
         t[:, j] = 0.0
         t[r, j] = 1.0
 
-    # -- phases ------------------------------------------------------------
-
-    def phase1(self):
+    def _phase1(self):
+        """Drive the basic artificials to zero, then pin every artificial."""
+        art = slice(self.n_real, None)
         c = np.zeros(self.n_total)
-        c[self.n_real:] = -1.0
+        c[art] = -1.0
         self._run(c)  # bounded by construction
-        infeas = self.x[self.n_real:].sum()
-        if infeas > self.tol.feas:
+        if self.x[art].sum() > self.tol.feas:
             return False
         self._drive_out_artificials()
-        # pin artificials at zero for phase 2
-        self.lo[self.n_real:] = 0.0
-        self.hi[self.n_real:] = 0.0
-        nb_art = (self.stat[self.n_real:] != _BASIC)
-        self.stat[self.n_real:][nb_art] = _AT_LO
-        self.x[self.n_real:] = np.where(self.stat[self.n_real:] == _BASIC,
-                                        self.x[self.n_real:], 0.0)
+        self.hi[art] = 0.0
+        nb_art = self.stat[art] != _BASIC
+        self.stat[art][nb_art] = _AT_LO
+        self.x[art] = np.where(nb_art, 0.0, self.x[art])
         return True
 
     def _drive_out_artificials(self):
@@ -320,9 +475,6 @@ class _Core:
             self.stat[j] = _BASIC
             self.basis[r] = j
             self._pivot(r, j)
-
-    def phase2(self, c):
-        return self._run(c)
 
     # -- solution extraction -------------------------------------------------
 

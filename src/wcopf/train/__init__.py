@@ -9,7 +9,8 @@ from .report_io import (load_report_records, load_summary, render_json,
                         summary_path_for)
 from .sensitivity import SensitivityReport, layer_sensitivity
 from .sequential import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
-                         STOP_VALIDATION_GUARD, finetune_sequential)
+                         STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
+                         finetune_sequential)
 
 __all__ = [
     "TrainConfig", "config_from_dict", "load_config",
@@ -18,6 +19,7 @@ __all__ = [
     "load_report_records", "load_summary", "render_json", "save_report",
     "save_sensitivity", "summary_document", "summary_path_for",
     "SensitivityReport", "layer_sensitivity",
-    "STOP_MAX_ITERS", "STOP_NO_VIOLATION", "STOP_VALIDATION_GUARD",
+    "STOP_MAX_ITERS", "STOP_NO_VIOLATION", "STOP_SOLVER_FAILURE",
+    "STOP_VALIDATION_GUARD",
     "finetune_sequential",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingDiverged
+from ..errors import NumericalBreakdown, TrainingDiverged
 from ..mlp.checkpoint import params_checksum
 from ..mlp.losses import LossSpec, gradient, loss_mae
 from ..mlp.network import init_params
@@ -137,14 +137,19 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
         wc_grads = None
         if use_wc and epoch >= config.warmup \
                 and (epoch - config.warmup) % config.wc_every == 0:
-            cert = solve_worst_case(params, box, gen_bounds,
-                                    node_limit=config.node_limit)
-            v_g = cert.value
-            if not cert.certified:
-                warning = ("verifier stopped at the node limit with gap "
-                           f"{cert.gap:.3e}; using the incumbent witness")
-            wc_grads = worst_case_gradient(params, cert,
-                                           config.last_layer_only)
+            try:
+                cert = solve_worst_case(params, box, gen_bounds,
+                                        node_limit=config.node_limit)
+            except NumericalBreakdown as exc:
+                warning = (f"verifier failed ({exc}); "
+                           "no worst-case gradient this epoch")
+            else:
+                v_g = cert.value
+                if not cert.certified:
+                    warning = ("verifier stopped at the node limit with gap "
+                               f"{cert.gap:.3e}; using the incumbent witness")
+                wc_grads = worst_case_gradient(params, cert,
+                                               config.last_layer_only)
         for i, idx in enumerate(_epoch_batches(xs.shape[0], config.batch_size,
                                                config.seed, epoch)):
             grads = gradient(params, xs[idx], ys[idx], spec)
@@ -193,7 +198,9 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     wc_every-th epoch solves the verification problem on the current
     parameters and adds lambda_wc times the envelope gradient to the
     update.  An uncertified solve (node limit) is recorded as a warning
-    on that epoch and its incumbent gradient is still used.
+    on that epoch and its incumbent gradient is still used; a solver
+    breakdown is recorded as a warning and that epoch runs the plain
+    loss.
     """
     return _run_training(dataset, arch, config, "wcnn",
                          gen_bounds=gen_bounds, box=box)

@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from ..errors import NumericalBreakdown
 from ..mlp.fisher import fisher_diag
 from ..mlp.losses import loss_mae
 from ..mlp.network import MlpParams
@@ -30,6 +31,7 @@ from ..mlp.checkpoint import params_checksum
 STOP_NO_VIOLATION = "no violation"
 STOP_VALIDATION_GUARD = "validation guard"
 STOP_MAX_ITERS = "max iterations"
+STOP_SOLVER_FAILURE = "solver failure"
 
 
 def _anchor_step(params, wc_grads, fisher, config: TrainConfig):
@@ -63,8 +65,10 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
 
     Stops when the violation hits zero, when validation MAE rises more
     than early_stop_rel above its starting value (that update is
-    discarded), or after max_iters updates.  Records v_g and validation
-    MAE at the top of every iteration.
+    discarded), when the verifier breaks down (the current parameters
+    are kept and the final violation is left unknown, None), or after
+    max_iters updates.  Records v_g and validation MAE at the top of
+    every iteration.
     """
     xs, ys = dataset.scaled("train")
     xv, yv = dataset.scaled("val")
@@ -81,9 +85,17 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     stopped = STOP_MAX_ITERS
     for it in range(config.max_iters):
         started = time.perf_counter()
-        cert = solve_worst_case(params, box, gen_bounds,
-                                node_limit=config.node_limit)
         val_mae = loss_mae(params, xv, yv)
+        try:
+            cert = solve_worst_case(params, box, gen_bounds,
+                                    node_limit=config.node_limit)
+        except NumericalBreakdown as exc:
+            records.append(EpochRecord(
+                epoch=it, train_l0=loss_mae(params, xs, ys), val_mae=val_mae,
+                warning=f"verifier failed ({exc}); stopping",
+                wall_time=time.perf_counter() - started))
+            stopped = STOP_SOLVER_FAILURE
+            break
         warning = None
         if not cert.certified:
             warning = ("verifier stopped at the node limit with gap "
@@ -102,16 +114,20 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
             break
         params = candidate
 
-    final_cert = solve_worst_case(params, box, gen_bounds,
-                                  node_limit=config.node_limit)
+    final_v_g = None
+    final_v_g_raw = None
+    if stopped != STOP_SOLVER_FAILURE:
+        final_cert = solve_worst_case(params, box, gen_bounds,
+                                      node_limit=config.node_limit)
+        final_v_g = final_cert.value
+        final_v_g_raw = raw_violation(final_cert, dataset.output_scaler)
     report = TrainReport(mode="finetune", records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),
-                         final_v_g=final_cert.value,
+                         final_v_g=final_v_g,
                          params_sha256=params_checksum(params),
                          layer_dims=tuple(params.layer_dims),
                          config=config.to_dict(), stopped=stopped,
                          final_test_mae=_test_mae(params, dataset),
-                         final_v_g_raw=raw_violation(final_cert,
-                                                     dataset.output_scaler))
+                         final_v_g_raw=final_v_g_raw)
     return params, report

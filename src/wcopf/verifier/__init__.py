@@ -8,8 +8,8 @@ from .gradient import margin_param_gradient, worst_case_gradient
 from .milp import (CERTIFIED, DEFAULT_NODE_LIMIT, GAP_REMAINING, GAP_TOL,
                    WorstCaseCert, solve_worst_case)
 from .patterns import (SIDES, candidate_constraints, margin_of_output,
-                       masked_affine_forms, pattern_from_trace,
-                       violation_of_output, worst_case_fixed_pattern)
+                       masked_affine_forms, violation_of_output,
+                       worst_case_fixed_pattern)
 
 __all__ = [
     "Box", "PreactBounds", "interval_bounds",
@@ -19,6 +19,5 @@ __all__ = [
     "CERTIFIED", "DEFAULT_NODE_LIMIT", "GAP_REMAINING", "GAP_TOL",
     "WorstCaseCert", "solve_worst_case",
     "SIDES", "candidate_constraints", "margin_of_output",
-    "masked_affine_forms", "pattern_from_trace", "violation_of_output",
-    "worst_case_fixed_pattern",
+    "masked_affine_forms", "violation_of_output", "worst_case_fixed_pattern",
 ]

@@ -176,7 +176,7 @@ class _Encoding:
             return float(self.out_up[g] - self.gen_bounds.hi[g])
         return float(self.gen_bounds.lo[g] - self.out_dn[g])
 
-    def solve_node(self, c, y_fix):
+    def solve_node(self, c, y_fix, start=None):
         lo = self.var_lo.copy()
         hi = self.var_hi.copy()
         ys = self.y_off
@@ -184,7 +184,8 @@ class _Encoding:
         hi[ys:] = np.where(y_fix == 0, 0.0, 1.0)
         a_ub = self.rows if self.h_total else None
         b_ub = self.rhs if self.h_total else None
-        return solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi))
+        return solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi),
+                        start=start)
 
     def margin_at(self, d, constraint_id):
         """Exact forward-pass margin; any point in the box is a valid witness."""
@@ -237,12 +238,13 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
 
     heap = []
     seq = 0
-    heapq.heappush(heap, (-np.inf, seq, enc.base_fix.copy()))
+    # entries: (-parent bound, seq, y_fix, parent's optimal LP basis)
+    heapq.heappush(heap, (-np.inf, seq, enc.base_fix.copy(), None))
     nodes = 0
     at_root = True
 
     while heap:
-        neg_bound, _, y_fix = heap[0]
+        neg_bound, _, y_fix, start = heap[0]
         if -neg_bound <= cutoff():
             heap = []
             break
@@ -251,7 +253,9 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
         heapq.heappop(heap)
         nodes += 1
 
-        sol = enc.solve_node(c, y_fix)
+        # children differ from their parent only in y bounds, so the
+        # parent's basis stays dual feasible and warm-starts the child
+        sol = enc.solve_node(c, y_fix, start)
         if sol.status == LpStatus.INFEASIBLE:
             at_root = False
             continue
@@ -286,7 +290,7 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
             child = y_fix.copy()
             child[j] = bit
             seq += 1
-            heapq.heappush(heap, (-val, seq, child))
+            heapq.heappush(heap, (-val, seq, child, sol.basis))
 
     remaining = -np.inf
     if heap:

@@ -20,10 +20,6 @@ def candidate_constraints(n_outputs):
     return [(g, side) for g in range(n_outputs) for side in SIDES]
 
 
-def pattern_from_trace(trace):
-    return [p.copy() for p in trace.pattern]
-
-
 def check_pattern(params, pattern):
     if len(pattern) != params.n_hidden_layers:
         raise ShapeMismatch("pattern layer count does not match network")

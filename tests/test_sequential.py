@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import grid_fixture, midband_dataset
+from wcopf.errors import NumericalBreakdown
 from wcopf.mlp import fisher_diag, loss_mae, params_checksum
 from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
-                         STOP_VALIDATION_GUARD, TrainConfig,
-                         finetune_sequential, train_standard)
+                         STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
+                         TrainConfig, finetune_sequential, sequential,
+                         train_standard)
 from wcopf.verifier import solve_worst_case, worst_case_gradient
 
 _CACHE = {}
@@ -162,6 +164,34 @@ def test_report_shape_and_reproducibility():
     # the reported final violation reproduces from the returned params
     assert solve_worst_case(tuned, box, gen_box).value == report.final_v_g
     assert report.params_sha256 == params_checksum(tuned)
+
+
+def test_solver_breakdown_stops_and_keeps_parameters(monkeypatch):
+    data, gen_box, box = _case3()
+    params, _ = _trained(0, epochs=200)
+    config = TrainConfig(alpha=7e-4, lambda_wc=1.0, max_iters=5, seed=0)
+    one_step, _ = finetune_sequential(params, data, gen_box,
+                                      config.replaced(max_iters=1), box=box)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalBreakdown("solution fails feasibility recheck")
+        return solve_worst_case(*args, **kwargs)
+
+    monkeypatch.setattr(sequential, "solve_worst_case", flaky)
+    tuned, report = finetune_sequential(params, data, gen_box, config, box=box)
+    assert report.stopped == STOP_SOLVER_FAILURE
+    assert len(report.records) == 2
+    assert report.records[0].v_g is not None
+    assert report.records[1].v_g is None
+    assert "feasibility recheck" in report.records[1].warning
+    # the parameters after the one accepted update are kept
+    assert params_checksum(tuned) == params_checksum(one_step)
+    assert report.params_sha256 == params_checksum(tuned)
+    assert report.final_v_g is None and report.final_v_g_raw is None
+    assert len(calls) == 2
 
 
 def test_full_parameter_mode_touches_hidden_layers():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import lp_vertex_enumeration
+from wcopf import simplex
 from wcopf.simplex import LpProblem, LpSolution, LpStatus, solve_lp
 
 
@@ -142,6 +143,80 @@ def test_property_feasible_solutions_respect_constraints(seed):
             assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
         if len(b_eq):
             assert np.max(np.abs(a_eq @ sol.x - b_eq)) <= 1e-7
+
+
+def _children(sol, lo, hi, k):
+    """Bound changes a branch-and-bound child makes on variable k: fix it
+    at either bound, or cut the parent's optimum out of its range."""
+    xk = sol.x[k]
+    return [(lo[k], lo[k]), (hi[k], hi[k]),
+            (lo[k], lo[k] + 0.5 * (xk - lo[k])),
+            (xk + 0.5 * (hi[k] - xk), hi[k])]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_warm_start_matches_cold_and_enumeration(seed, monkeypatch):
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+    parent = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    if parent.status != LpStatus.OPTIMAL or len(b_eq) + len(b_ub) == 0:
+        assert parent.basis is None
+        return
+    # every warm solve below must finish on the dual path, not the fallback
+    cold_calls = []
+    cold_path = simplex._Core.cold
+    monkeypatch.setattr(simplex._Core, "cold",
+                        lambda core: cold_calls.append(core) or cold_path(core))
+    k = seed % len(c)
+    for new_lo, new_hi in _children(parent, lo, hi, k):
+        lo2 = lo.copy()
+        hi2 = hi.copy()
+        lo2[k], hi2[k] = new_lo, new_hi
+        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                            lo=lo2, hi=hi2)
+        warm = solve_lp(problem, start=parent.basis)
+        again = solve_lp(problem, start=parent.basis)
+        assert not cold_calls
+        cold = solve_lp(problem)
+        cold_calls.clear()
+        status, _, ref_val = lp_vertex_enumeration(c, a_eq, b_eq, a_ub, b_ub, lo2, hi2)
+        assert warm.status == cold.status
+        assert again.status == warm.status
+        assert again.iteration_count == warm.iteration_count
+        if status == "infeasible":
+            assert warm.status == LpStatus.INFEASIBLE
+            continue
+        assert warm.status == LpStatus.OPTIMAL
+        assert warm.objective_value == pytest.approx(ref_val, abs=1e-7)
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+        assert np.all(warm.x >= lo2 - 1e-9) and np.all(warm.x <= hi2 + 1e-9)
+        if len(b_ub):
+            assert np.all(a_ub @ warm.x <= b_ub + 1e-7)
+        if len(b_eq):
+            assert np.max(np.abs(a_eq @ warm.x - b_eq)) <= 1e-7
+        assert again.x.tobytes() == warm.x.tobytes()
+        assert again.objective_value == warm.objective_value
+
+
+def test_singular_start_falls_back_to_cold():
+    # identical structural columns make any basis holding both singular
+    problem = LpProblem(c=np.array([1.0, 2.0]),
+                        a_ub=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                        b_ub=np.array([3.0, 5.0]),
+                        lo=np.zeros(2), hi=np.full(2, 4.0))
+    cold = solve_lp(problem)
+    stat = np.full(6, simplex._AT_LO, dtype=np.int8)
+    stat[:2] = simplex._BASIC
+    warm = solve_lp(problem, start=(np.array([0, 1]), stat))
+    assert cold.status == warm.status == LpStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(5.0, abs=1e-9)
+    assert warm.x.tobytes() == cold.x.tobytes()
+
+
+def test_start_of_wrong_shape_is_rejected():
+    problem = LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
+                        lo=np.zeros(2), hi=np.ones(2))
+    with pytest.raises(ValueError):
+        solve_lp(problem, start=(np.array([0, 1]), np.zeros(4, dtype=np.int8)))
 
 
 def test_validation_rejects_bad_bounds():

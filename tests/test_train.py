@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import toy_dataset
-from wcopf.errors import SchemaError, TrainingDiverged
+from wcopf.errors import NumericalBreakdown, SchemaError, TrainingDiverged
 from wcopf.mlp import MlpParams, init_params, loss_mae, params_checksum
 from wcopf.train import (TrainConfig, config_from_dict, load_config,
                          load_report_records, load_summary, render_json,
                          save_report, summary_document, summary_path_for,
                          train_gennn, train_standard, train_wcnn)
+from wcopf.train import loops
 from wcopf.verifier import Box, solve_worst_case
 
 
@@ -112,6 +113,31 @@ def test_wcnn_verification_schedule():
                              Box(np.zeros(2), np.ones(2)),
                              node_limit=config.node_limit)
     assert again.value == report.final_v_g
+
+
+def test_wcnn_survives_solver_breakdown(monkeypatch):
+    data = toy_dataset(6, response=2.0 * np.eye(2))
+    config = TrainConfig(epochs=9, warmup=3, wc_every=2, seed=1, lambda_wc=0.2)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+        return solve_worst_case(*args, **kwargs)
+
+    monkeypatch.setattr(loops, "solve_worst_case", flaky)
+    params, report = train_wcnn(data, None, (4,), config)
+    failed = report.records[3]
+    assert failed.v_g is None
+    assert "verifier failed" in failed.warning and "iteration cap" in failed.warning
+    assert report.v_g_epochs() == [5, 7]
+    assert report.final_v_g is not None
+    # the failed epoch ran the plain update: through it, wcnn tracks nn exactly
+    calls.clear()
+    early, _ = train_wcnn(data, None, (4,), config.replaced(epochs=4))
+    plain, _ = train_standard(data, (4,), config.replaced(epochs=4))
+    assert params_checksum(early) == params_checksum(plain)
 
 
 def test_divergence_raises():
