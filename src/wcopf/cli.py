@@ -21,8 +21,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .errors import (SchemaError, TooManyInfeasible, TrainingDiverged,
-                     WcopfError)
+from .errors import (NumericalBreakdown, SchemaError, TooManyInfeasible,
+                     TrainingDiverged, WcopfError)
 from .grid import (BUILTIN_CASES, generate_dataset, load_dataset, load_grid,
                    rescale_with_grid, save_dataset)
 from .grid.dataset import DATA_BOX, split_sizes
@@ -147,6 +147,12 @@ def _strip_wall_times(report):
     return dataclasses.replace(report, records=records)
 
 
+def _v_g_text(report):
+    if report.final_v_g is None:
+        return "unknown"
+    return f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW)"
+
+
 def _write_manifest(command, inputs, outputs, seed=None, config=None):
     doc = {"command": command,
            "version": __version__,
@@ -202,22 +208,28 @@ def cmd_train(args):
     else:
         params, report = train_wcnn(dataset, gen_box, arch, config,
                                     box=demand_box)
-    if report.final_v_g is None:
+    if args.mode != "wcnn":
         # modes that never verify still get a final certificate in the report
-        cert = solve_worst_case(params, demand_box, gen_box,
-                                node_limit=config.node_limit)
-        report = dataclasses.replace(
-            report, final_v_g=cert.value,
-            final_v_g_raw=raw_violation(cert, dataset.output_scaler))
+        try:
+            cert = solve_worst_case(params, demand_box, gen_box,
+                                    node_limit=config.node_limit)
+        except NumericalBreakdown as exc:
+            report = dataclasses.replace(
+                report, warning=f"final verification failed ({exc})")
+        else:
+            report = dataclasses.replace(
+                report, final_v_g=cert.value,
+                final_v_g_raw=raw_violation(cert, dataset.output_scaler))
     report = _strip_wall_times(report)
 
     save_model(args.out, params, dataset.input_scaler, dataset.output_scaler,
                meta={"mode": args.mode, "seed": config.seed,
                      "arch": list(arch), "grid": grid_label})
     save_report(report, report_path)
+    if report.warning is not None:
+        print(f"warning: {report.warning}", file=sys.stderr)
     print(f"trained {args.mode} {list(report.layer_dims)}: "
-          f"val MAE {report.final_val_mae:.6f}, v_g {report.final_v_g:.6f} "
-          f"({report.final_v_g_raw:.3f} MW)")
+          f"val MAE {report.final_val_mae:.6f}, v_g {_v_g_text(report)}")
     return 0
 
 
@@ -282,10 +294,8 @@ def cmd_finetune(args):
     save_report(report, report_path)
     v_before = report.records[0].v_g if report.records else None
     v_before = "unknown" if v_before is None else f"{v_before:.6f}"
-    v_after = ("unknown" if report.final_v_g is None else
-               f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW)")
     print(f"finetune stopped on {report.stopped}: v_g {v_before} -> "
-          f"{v_after}, val MAE {report.final_val_mae:.6f}")
+          f"{_v_g_text(report)}, val MAE {report.final_val_mae:.6f}")
     return 0
 
 

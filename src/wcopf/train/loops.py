@@ -57,6 +57,7 @@ class TrainReport:
     stopped: str = None        # sequential phase stop reason
     final_test_mae: float = None   # None when the test split is empty
     final_v_g_raw: float = None    # final_v_g in raw output units
+    warning: str = None        # why final_v_g is None although verified
 
     def v_g_epochs(self):
         return [r.epoch for r in self.records if r.v_g is not None]
@@ -165,11 +166,16 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
 
     final_v_g = None
     final_v_g_raw = None
+    warning = None
     if mode == "wcnn":
-        cert = solve_worst_case(params, box, gen_bounds,
-                                node_limit=config.node_limit)
-        final_v_g = cert.value
-        final_v_g_raw = raw_violation(cert, dataset.output_scaler)
+        try:
+            cert = solve_worst_case(params, box, gen_bounds,
+                                    node_limit=config.node_limit)
+        except NumericalBreakdown as exc:
+            warning = f"final verification failed ({exc})"
+        else:
+            final_v_g = cert.value
+            final_v_g_raw = raw_violation(cert, dataset.output_scaler)
     report = TrainReport(mode=mode, records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),
@@ -177,7 +183,7 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
                          params_sha256=params_checksum(params),
                          layer_dims=dims, config=config.to_dict(),
                          final_test_mae=_test_mae(params, dataset),
-                         final_v_g_raw=final_v_g_raw)
+                         final_v_g_raw=final_v_g_raw, warning=warning)
     return params, report
 
 
@@ -200,7 +206,8 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     update.  An uncertified solve (node limit) is recorded as a warning
     on that epoch and its incumbent gradient is still used; a solver
     breakdown is recorded as a warning and that epoch runs the plain
-    loss.
+    loss.  A breakdown in the final certificate leaves final_v_g None
+    and sets the report's warning.
     """
     return _run_training(dataset, arch, config, "wcnn",
                          gen_bounds=gen_bounds, box=box)

@@ -45,18 +45,21 @@ def render_json(obj):
 
 
 def summary_document(report):
-    return {"mode": report.mode,
-            "layer_dims": list(report.layer_dims),
-            "n_epochs": len(report.records),
-            "final_train_l0": report.final_train_l0,
-            "final_val_mae": report.final_val_mae,
-            "final_test_mae": report.final_test_mae,
-            "final_v_g": report.final_v_g,
-            "final_v_g_raw": report.final_v_g_raw,
-            "params_sha256": report.params_sha256,
-            "stopped": report.stopped,
-            "v_g_epochs": report.v_g_epochs(),
-            "config": report.config}
+    doc = {"mode": report.mode,
+           "layer_dims": list(report.layer_dims),
+           "n_epochs": len(report.records),
+           "final_train_l0": report.final_train_l0,
+           "final_val_mae": report.final_val_mae,
+           "final_test_mae": report.final_test_mae,
+           "final_v_g": report.final_v_g,
+           "final_v_g_raw": report.final_v_g_raw,
+           "params_sha256": report.params_sha256,
+           "stopped": report.stopped,
+           "v_g_epochs": report.v_g_epochs(),
+           "config": report.config}
+    if report.warning is not None:
+        doc["warning"] = report.warning
+    return doc
 
 
 def summary_path_for(jsonl_path):

@@ -67,8 +67,9 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     than early_stop_rel above its starting value (that update is
     discarded), when the verifier breaks down (the current parameters
     are kept and the final violation is left unknown, None), or after
-    max_iters updates.  Records v_g and validation MAE at the top of
-    every iteration.
+    max_iters updates.  A breakdown in the final certificate also
+    leaves the final violation None and sets the report's warning.
+    Records v_g and validation MAE at the top of every iteration.
     """
     xs, ys = dataset.scaled("train")
     xv, yv = dataset.scaled("val")
@@ -116,11 +117,16 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
 
     final_v_g = None
     final_v_g_raw = None
+    warning = None
     if stopped != STOP_SOLVER_FAILURE:
-        final_cert = solve_worst_case(params, box, gen_bounds,
-                                      node_limit=config.node_limit)
-        final_v_g = final_cert.value
-        final_v_g_raw = raw_violation(final_cert, dataset.output_scaler)
+        try:
+            final_cert = solve_worst_case(params, box, gen_bounds,
+                                          node_limit=config.node_limit)
+        except NumericalBreakdown as exc:
+            warning = f"final verification failed ({exc})"
+        else:
+            final_v_g = final_cert.value
+            final_v_g_raw = raw_violation(final_cert, dataset.output_scaler)
     report = TrainReport(mode="finetune", records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),
@@ -129,5 +135,5 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
                          layer_dims=tuple(params.layer_dims),
                          config=config.to_dict(), stopped=stopped,
                          final_test_mae=_test_mae(params, dataset),
-                         final_v_g_raw=final_v_g_raw)
+                         final_v_g_raw=final_v_g_raw, warning=warning)
     return params, report

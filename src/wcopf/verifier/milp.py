@@ -1,11 +1,14 @@
 """Branch-and-bound search for the worst generator-bound violation.
 
-Each ReLU unit gets an activation variable z and an on/off variable y;
-three big-M rows per unit (with interval preactivation bounds as the
-constants) make the LP relaxation exact once every y is integral.  Each
-(generator, side) candidate is maximized in its own best-bound tree and
-the largest certified margin wins.  Every tie-break is by index, so
-repeated runs explore identical trees and return identical witnesses.
+Each ReLU unit that interval analysis cannot prove stable gets an
+activation variable z and an on/off variable y; three big-M rows per
+such unit (with interval preactivation bounds as the constants) make
+the LP relaxation exact once every y is integral.  Stable units enter
+the rows as affine forms of the encoded variables and are never
+branched on.  Each (generator, side) candidate is maximized in its own
+best-bound tree and the largest certified margin wins.  Every tie-break
+is by index, so repeated runs explore identical trees and return
+identical witnesses.
 """
 
 import heapq
@@ -59,16 +62,24 @@ class WorstCaseCert:
 class _Encoding:
     """Shared LP rows for one (network, box) pair.
 
-    Variable layout: [d (inputs) | z (all hidden units) | y (one per
-    hidden unit)].  Rows, listed per unit with preactivation s = w@prev + b
-    and interval bounds zlo <= s <= zhi:
+    Interval analysis splits the hidden units into stable-inactive
+    (upper bound <= 0; this test wins when both apply), stable-active
+    (lower bound >= 0) and unstable units, and only the unstable ones
+    are encoded.  Variable layout: [d (inputs) | z (one per unstable
+    unit) | y (one per unstable unit)].  Each layer's activation is an
+    affine form act @ x + off in these variables: an unstable unit's is
+    its own z, a stable-active unit's is its preactivation and a
+    stable-inactive unit's is 0.  Rows, listed per unstable unit with
+    preactivation s = w@act_prev + b and interval bounds zlo < s < zhi:
 
-        z - w@prev - zlo*y <= b - zlo      (z <= s - zlo*(1-y))
-        w@prev - z         <= -b           (z >= s)
-        z - zhi*y          <= 0            (z <= zhi*y)
+        z - s - zlo*y <= -zlo      (z <= s - zlo*(1-y))
+        s - z         <= 0         (z >= s)
+        z - zhi*y     <= 0         (z <= zhi*y)
 
-    with z in [0, max(zhi, 0)].  y = 1 forces z = s >= 0, y = 0 forces
-    z = 0 and s <= 0.
+    with z in [0, zhi].  y = 1 forces z = s >= 0, y = 0 forces z = 0
+    and s <= 0.  Interval bounds hold for any relaxed activations within
+    their variable bounds, so a stable unit's rows are implied and
+    dropping them leaves every node LP's optimum unchanged.
     """
 
     def __init__(self, params, box: Box, gen_bounds: Box):
@@ -81,93 +92,70 @@ class _Encoding:
         self.gen_bounds = gen_bounds
         self.n_in = params.n_inputs
         self.widths = list(params.hidden_dims)
-        self.h_total = int(sum(self.widths))
-        offs = np.concatenate([[0], np.cumsum(self.widths)])[:-1]
-        self.z_off = (offs + self.n_in).astype(int)
-        self.y_off = self.n_in + self.h_total
-        self.n_vars = self.n_in + 2 * self.h_total
 
         pre, out_dn, out_up = interval_bounds(params, box)
-        self.pre = pre
         self.out_dn = out_dn
         self.out_up = out_up
-        self._build_rows()
-        self._build_bounds()
+        inactive = [pre.stable_inactive(k) for k in range(len(self.widths))]
+        active = [pre.stable_active(k) & ~dead for k, dead in enumerate(inactive)]
+        unstable = [~(live | dead) for live, dead in zip(active, inactive)]
+        # the fixed bit of every stable unit, 0 at the unstable ones
+        self.stable_bits = np.concatenate([[]] + active).astype(int)
+        self.unstable = np.concatenate([[]] + unstable).astype(bool)
+        self.n_unstable = int(np.sum(self.unstable))
+        self.y_off = self.n_in + self.n_unstable
+        self.n_vars = self.n_in + 2 * self.n_unstable
+        self._build(pre, active, unstable)
 
-    def _build_rows(self):
-        rows = np.zeros((3 * self.h_total, self.n_vars))
-        rhs = np.zeros(3 * self.h_total)
-        r = 0
-        unit = 0
-        for k, width in enumerate(self.widths):
-            w = self.params.weights[k]
-            b = self.params.biases[k]
-            zlo = self.pre.lower[k]
-            zhi = self.pre.upper[k]
-            if k == 0:
-                prev = slice(0, self.n_in)
-            else:
-                prev = slice(self.z_off[k - 1], self.z_off[k - 1] + self.widths[k - 1])
-            for j in range(width):
-                zv = self.z_off[k] + j
-                yv = self.y_off + unit
+    def _build(self, pre, active, unstable):
+        n_in, n_vars = self.n_in, self.n_vars
+        rows = np.zeros((3 * self.n_unstable, n_vars))
+        rhs = np.zeros(3 * self.n_unstable)
+        lo = np.zeros(n_vars)
+        hi = np.ones(n_vars)
+        lo[:n_in] = self.box.lo
+        hi[:n_in] = self.box.hi
+        act = np.eye(n_in, n_vars)
+        off = np.zeros(n_in)
+        u = 0
+        for k in range(len(self.widths)):
+            s_act = self.params.weights[k] @ act
+            s_off = self.params.weights[k] @ off + self.params.biases[k]
+            zlo = pre.lower[k]
+            zhi = pre.upper[k]
+            act = np.where(active[k][:, None], s_act, 0.0)
+            off = np.where(active[k], s_off, 0.0)
+            for j in np.flatnonzero(unstable[k]):
+                zv = n_in + u
+                yv = self.y_off + u
+                r = 3 * u
+                rows[r] = -s_act[j]
                 rows[r, zv] = 1.0
-                rows[r, prev] = -w[j]
                 rows[r, yv] = -zlo[j]
-                rhs[r] = b[j] - zlo[j]
-                r += 1
-                rows[r, zv] = -1.0
-                rows[r, prev] = w[j]
-                rhs[r] = -b[j]
-                r += 1
-                rows[r, zv] = 1.0
-                rows[r, yv] = -zhi[j]
-                rhs[r] = 0.0
-                r += 1
-                unit += 1
+                rhs[r] = s_off[j] - zlo[j]
+                rows[r + 1] = s_act[j]
+                rows[r + 1, zv] = -1.0
+                rhs[r + 1] = -s_off[j]
+                rows[r + 2, zv] = 1.0
+                rows[r + 2, yv] = -zhi[j]
+                hi[zv] = zhi[j]
+                act[j, zv] = 1.0
+                u += 1
         self.rows = rows
         self.rhs = rhs
-
-    def _build_bounds(self):
-        lo = np.zeros(self.n_vars)
-        hi = np.zeros(self.n_vars)
-        lo[: self.n_in] = self.box.lo
-        hi[: self.n_in] = self.box.hi
-        # -1 free, 0/1 pinned; units stable by interval analysis start pinned
-        y_fix = np.full(self.h_total, -1, dtype=np.int8)
-        unit = 0
-        for k, width in enumerate(self.widths):
-            zlo = self.pre.lower[k]
-            zhi = self.pre.upper[k]
-            zs = self.z_off[k]
-            lo[zs : zs + width] = 0.0
-            hi[zs : zs + width] = np.maximum(zhi, 0.0)
-            for j in range(width):
-                if zhi[j] <= 0.0:
-                    y_fix[unit] = 0
-                elif zlo[j] >= 0.0:
-                    y_fix[unit] = 1
-                unit += 1
         self.var_lo = lo
         self.var_hi = hi
-        self.base_fix = y_fix
+        self.out_act = act
+        self.out_off = off
 
     def objective(self, constraint_id):
         g, side = constraint_id
         w_out = self.params.weights[-1][g]
-        b_out = float(self.params.biases[-1][g])
-        if self.widths:
-            last = slice(self.z_off[-1], self.z_off[-1] + self.widths[-1])
-        else:
-            last = slice(0, self.n_in)
-        c = np.zeros(self.n_vars)
+        out_off = float(w_out @ self.out_off + self.params.biases[-1][g])
+        c = w_out @ self.out_act
         if side == "upper":
-            c[last] = w_out
-            const = b_out - float(self.gen_bounds.hi[g])
-        else:
-            c[last] = -w_out
-            const = float(self.gen_bounds.lo[g]) - b_out
-        return c, const
+            return c, out_off - float(self.gen_bounds.hi[g])
+        return -c, float(self.gen_bounds.lo[g]) - out_off
 
     def interval_margin_bound(self, constraint_id):
         """Cheap upper bound on the candidate's margin over the box."""
@@ -179,12 +167,9 @@ class _Encoding:
     def solve_node(self, c, y_fix, start=None):
         lo = self.var_lo.copy()
         hi = self.var_hi.copy()
-        ys = self.y_off
-        lo[ys:] = np.where(y_fix == 1, 1.0, 0.0)
-        hi[ys:] = np.where(y_fix == 0, 0.0, 1.0)
-        a_ub = self.rows if self.h_total else None
-        b_ub = self.rhs if self.h_total else None
-        return solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi),
+        lo[self.y_off :] = y_fix == 1
+        hi[self.y_off :] = y_fix != 0
+        return solve_lp(LpProblem(c=c, a_ub=self.rows, b_ub=self.rhs, lo=lo, hi=hi),
                         start=start)
 
     def margin_at(self, d, constraint_id):
@@ -192,13 +177,11 @@ class _Encoding:
         out = forward(self.params, d).output
         return margin_of_output(out, self.gen_bounds, constraint_id)
 
-    def split_pattern(self, bits):
-        out = []
-        at = 0
-        for width in self.widths:
-            out.append(np.asarray(bits[at : at + width], dtype=bool))
-            at += width
-        return out
+    def split_pattern(self, y_bits):
+        """Per-layer pattern from 0/1 bits of the unstable units."""
+        bits = self.stable_bits.copy()
+        bits[self.unstable] = y_bits
+        return np.split(bits.astype(bool), np.cumsum(self.widths)[:-1])
 
 
 class _Incumbent:
@@ -239,7 +222,7 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
     heap = []
     seq = 0
     # entries: (-parent bound, seq, y_fix, parent's optimal LP basis)
-    heapq.heappush(heap, (-np.inf, seq, enc.base_fix.copy(), None))
+    heapq.heappush(heap, (-np.inf, seq, np.full(enc.n_unstable, -1, dtype=np.int8), None))
     nodes = 0
     at_root = True
 
@@ -260,18 +243,18 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
             at_root = False
             continue
         val = float(sol.objective_value) + const
-        d = sol.x[: enc.n_in]
+        # a basic variable at a bound can come back an ulp outside it
+        d = np.clip(sol.x[: enc.n_in], enc.box.lo, enc.box.hi)
         inc.offer(enc.margin_at(d, constraint_id), d)
 
-        if at_root and enc.h_total:
+        if at_root and enc.widths:
             # round the relaxation and polish inside that linear region
             at_root = False
-            y_rel = sol.x[enc.y_off :]
-            bits = np.where(y_fix >= 0, y_fix, (y_rel >= 0.5).astype(int))
-            rv, rw = worst_case_fixed_pattern(
-                enc.params, enc.split_pattern(bits), enc.box, enc.gen_bounds,
-                constraint_id)
+            _, rw = worst_case_fixed_pattern(
+                enc.params, enc.split_pattern(sol.x[enc.y_off :] >= 0.5),
+                enc.box, enc.gen_bounds, constraint_id)
             if rw is not None:
+                rw = np.clip(rw, enc.box.lo, enc.box.hi)
                 inc.offer(enc.margin_at(rw, constraint_id), rw)
 
         if val <= cutoff():
@@ -279,7 +262,6 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
 
         y_rel = sol.x[enc.y_off :]
         frac = np.abs(y_rel - np.round(y_rel))
-        frac[y_fix >= 0] = 0.0
         free_frac = (frac > INT_TOL) & (y_fix < 0)
         if not np.any(free_frac):
             # integral node: the LP already maximized over this region

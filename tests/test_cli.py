@@ -5,6 +5,7 @@ import pytest
 
 from oracles import seeded_net
 from wcopf import cli
+from wcopf.errors import NumericalBreakdown
 from wcopf.grid import (box_input_scaler, builtin_grid, gen_output_scaler,
                         load_dataset)
 from wcopf.mlp import MlpParams, load_model, save_model
@@ -198,6 +199,24 @@ def test_finetune_writes_tuned_model(tmp_path, capsys):
     assert summary["mode"] == "finetune"
     assert summary["stopped"] is not None
     assert out.exists()
+
+
+def test_train_saves_run_when_recertification_breaks_down(tmp_path, capsys,
+                                                         monkeypatch):
+    data = _gen_data(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+
+    monkeypatch.setattr(cli, "solve_worst_case", broken)
+    model = _train(tmp_path, data)
+    out = capsys.readouterr()
+    assert "v_g unknown" in out.out
+    assert "final verification failed" in out.err
+    load_model(model)
+    summary = json.load(open(model.replace(".json", ".report.summary.json")))
+    assert summary["final_v_g"] is None and summary["final_v_g_raw"] is None
+    assert "iteration cap" in summary["warning"]
 
 
 def test_sensitivity_writes_normalized_profile(tmp_path):

@@ -3,11 +3,14 @@
 The interval bounds and the big-M encoding below are written here from
 scratch, so no verifier code is shared with the engine under test.  A
 branch-and-bound node wrongly declared infeasible prunes a subtree and
-overclaims the bound; HiGHS's optimum then exceeds that bound.
+overclaims the bound; HiGHS's optimum then exceeds that bound.  This
+encoding keeps every unit, so narrow boxes, where the verifier drops
+the units interval analysis proves stable, check that substitution.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from oracles import bounds_around_outputs, naive_forward, seeded_net
@@ -102,6 +105,28 @@ def _margin(params, gen, d, constraint_id):
     return out[g] - gen.hi[g] if side == "upper" else gen.lo[g] - out[g]
 
 
+def _check_against_highs(params, box, gen):
+    cert = solve_worst_case(params, box, gen)
+    optimum, true_at_optimum = _highs_worst_case(params, box, gen)
+    optimum = max(optimum, 0.0)
+
+    assert cert.status == CERTIFIED
+    assert cert.value <= optimum + 1e-6 <= cert.bound + 2e-6
+    assert true_at_optimum <= cert.bound + 1e-6
+    if cert.value > 0.0:
+        assert box.contains(cert.witness, tol=0.0)
+        assert _margin(params, gen, cert.witness, cert.constraint_id) == \
+            pytest.approx(cert.value, abs=1e-9)
+
+
+def _seeded_case(seed, dims, radius, frac_hi, frac_lo):
+    params = seeded_net(seed, dims)
+    box = Box(-radius * np.ones(dims[0]), radius * np.ones(dims[0]))
+    gen = bounds_around_outputs(params, box, seed=seed,
+                                frac_hi=frac_hi, frac_lo=frac_lo)
+    return params, box, gen
+
+
 _CASES = [
     (0, (3, 24, 2), 0.6, -10.0),
     (1, (4, 32, 3), 0.7, -10.0),
@@ -115,18 +140,60 @@ _CASES = [
 @pytest.mark.parametrize("seed,dims,frac_hi,frac_lo", _CASES)
 def test_milp_matches_highs_past_brute_force(seed, dims, frac_hi, frac_lo):
     assert sum(dims[1:-1]) > MAX_HIDDEN_UNITS
-    params = seeded_net(seed, dims)
-    box = Box(-np.ones(dims[0]), np.ones(dims[0]))
-    gen = bounds_around_outputs(params, box, seed=seed,
-                                frac_hi=frac_hi, frac_lo=frac_lo)
-    cert = solve_worst_case(params, box, gen)
-    optimum, true_at_optimum = _highs_worst_case(params, box, gen)
-    optimum = max(optimum, 0.0)
+    _check_against_highs(*_seeded_case(seed, dims, 1.0, frac_hi, frac_lo))
 
-    assert cert.status == CERTIFIED
-    assert cert.value <= optimum + 1e-6 <= cert.bound + 2e-6
-    assert true_at_optimum <= cert.bound + 1e-6
-    if cert.value > 0.0:
-        assert box.contains(cert.witness, tol=0.0)
-        assert _margin(params, gen, cert.witness, cert.constraint_id) == \
-            pytest.approx(cert.value, abs=1e-9)
+
+# boxes of half-width `radius` narrow enough that interval analysis proves
+# many units stable, so the verifier substitutes them out of its encoding
+_NARROW_CASES = [
+    (10, (3, 12, 12, 2), 0.3, 0.6, -10.0),
+    (12, (3, 16, 12, 1), 0.2, 0.5, -10.0),
+    (17, (4, 14, 12, 2), 0.25, 0.7, 0.15),
+    (18, (2, 20, 2), 0.3, 0.4, 0.2),
+    (16, (3, 12, 10, 2), 0.02, 0.5, 0.2),     # every unit stable
+    (15, (3, 32, 32, 2), 0.2, 0.6, -10.0),    # 64 hidden units
+]
+
+
+def _stability(params, box):
+    """(stable-active, stable-inactive, unstable) unit counts per layer."""
+    out = []
+    for lo, hi in _preactivation_bounds(params, box):
+        dead = hi <= 0.0
+        live = (lo >= 0.0) & ~dead
+        out.append((int(np.sum(live)), int(np.sum(dead)),
+                    int(np.sum(~(live | dead)))))
+    return out
+
+
+@pytest.mark.parametrize("seed,dims,radius,frac_hi,frac_lo", _NARROW_CASES)
+def test_milp_matches_highs_with_stable_units(seed, dims, radius, frac_hi,
+                                              frac_lo):
+    assert sum(dims[1:-1]) > MAX_HIDDEN_UNITS
+    params, box, gen = _seeded_case(seed, dims, radius, frac_hi, frac_lo)
+    layers = _stability(params, box)
+    assert sum(live for live, _, _ in layers) > 0
+    assert sum(dead for _, dead, _ in layers) > 0
+    _check_against_highs(params, box, gen)
+
+
+def test_narrow_cases_cover_the_substitutions():
+    layers = {seed: _stability(*_seeded_case(seed, dims, radius, hi, lo)[:2])
+              for seed, dims, radius, hi, lo in _NARROW_CASES}
+    # two-layer nets whose stable-active layer-1 units feed unstable layer-2 units
+    assert sum(len(v) == 2 and v[0][0] > 0 and v[1][2] > 0
+               for v in layers.values()) >= 3
+    assert all(unstable == 0 for _, _, unstable in layers[16])
+    assert any(sum(map(sum, v)) == 64 for v in layers.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000),
+       widths=st.lists(st.integers(2, 8), min_size=1, max_size=2),
+       n_in=st.integers(1, 3), n_out=st.integers(1, 2),
+       radius=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+       frac_hi=st.floats(0.3, 1.2), frac_lo=st.sampled_from([-10.0, 0.1]))
+def test_drawn_nets_match_highs(seed, widths, n_in, n_out, radius, frac_hi,
+                                frac_lo):
+    dims = (n_in, *widths, n_out)
+    _check_against_highs(*_seeded_case(seed, dims, radius, frac_hi, frac_lo))

@@ -194,6 +194,32 @@ def test_solver_breakdown_stops_and_keeps_parameters(monkeypatch):
     assert len(calls) == 2
 
 
+def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
+    data, gen_box, box = _case3()
+    params, _ = _trained(0, epochs=200)
+    config = TrainConfig(alpha=7e-4, lambda_wc=1.0, max_iters=2, seed=0)
+    reference, ref_report = finetune_sequential(params, data, gen_box, config,
+                                                box=box)
+    assert ref_report.stopped == STOP_MAX_ITERS
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:   # the final certificate after two iterations
+            raise NumericalBreakdown("solution fails feasibility recheck")
+        return solve_worst_case(*args, **kwargs)
+
+    monkeypatch.setattr(sequential, "solve_worst_case", flaky)
+    tuned, report = finetune_sequential(params, data, gen_box, config, box=box)
+    assert len(calls) == 3
+    assert report.stopped == STOP_MAX_ITERS
+    assert [r.v_g for r in report.records] == [r.v_g for r in ref_report.records]
+    assert params_checksum(tuned) == params_checksum(reference)
+    assert report.final_v_g is None and report.final_v_g_raw is None
+    assert "final verification failed" in report.warning
+    assert "feasibility recheck" in report.warning
+
+
 def test_full_parameter_mode_touches_hidden_layers():
     data, gen_box, box = _case3()
     params, _ = _trained(3)

@@ -140,6 +140,31 @@ def test_wcnn_survives_solver_breakdown(monkeypatch):
     assert params_checksum(early) == params_checksum(plain)
 
 
+def test_wcnn_final_certificate_survives_solver_breakdown(monkeypatch):
+    data = toy_dataset(6, response=2.0 * np.eye(2))
+    config = TrainConfig(epochs=9, warmup=3, wc_every=2, seed=1, lambda_wc=0.2)
+    reference, ref_report = train_wcnn(data, None, (4,), config)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:   # after the verified epochs 3, 5 and 7
+            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+        return solve_worst_case(*args, **kwargs)
+
+    monkeypatch.setattr(loops, "solve_worst_case", flaky)
+    params, report = train_wcnn(data, None, (4,), config)
+    assert len(calls) == 4
+    assert report.final_v_g is None and report.final_v_g_raw is None
+    assert "final verification failed" in report.warning
+    assert "iteration cap" in report.warning
+    # the finished run is kept: same parameters and epochs as without the fault
+    assert params_checksum(params) == params_checksum(reference)
+    assert _records_equal(report.records, ref_report.records)
+    assert summary_document(report)["warning"] == report.warning
+    assert "warning" not in summary_document(ref_report)
+
+
 def test_divergence_raises():
     data = toy_dataset(7)
     config = TrainConfig(alpha=1e155, epochs=6, seed=0)

@@ -4,10 +4,12 @@ import pytest
 from oracles import bounds_around_outputs, seeded_net
 from wcopf.errors import BoundsUnavailable, TooLarge
 from wcopf.mlp import MlpParams, forward
+from wcopf.simplex import solve_lp
 from wcopf.verifier import (Box, brute_force_worst_case, candidate_constraints,
                             interval_bounds, margin_of_output,
                             solve_worst_case, violation_of_output,
                             worst_case_fixed_pattern)
+from wcopf.verifier import milp
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING
 
 
@@ -210,3 +212,30 @@ def test_small_box_prefixes_everything():
     assert cert.status == CERTIFIED
     # one LP per candidate that survives the interval check
     assert cert.nodes_explored <= 2 * params.n_outputs
+
+
+@pytest.mark.parametrize("seed,dims,lo,hi", [
+    (2, (2, 6, 6, 2), 0.30, 0.31),   # every unit stable, as above
+    (4, (2, 8, 6, 2), -0.3, 0.3),
+    (7, (3, 10, 2), -0.4, 0.4),
+])
+def test_node_lps_encode_only_unstable_units(monkeypatch, seed, dims, lo, hi):
+    params = seeded_net(seed, dims)
+    box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
+    pre, _, _ = interval_bounds(params, box)
+    unstable = sum(int(np.sum((pre.lower[k] < 0.0) & (pre.upper[k] > 0.0)))
+                   for k in range(params.n_hidden_layers))
+    assert unstable < sum(params.hidden_dims)
+    shapes = []
+
+    def recording(problem, *args, **kwargs):
+        shapes.append(problem.a_ub.shape)
+        return solve_lp(problem, *args, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_lp", recording)
+    cert = solve_worst_case(params, box,
+                            bounds_around_outputs(params, box, seed=seed,
+                                                  frac_hi=0.5))
+    assert cert.status == CERTIFIED
+    assert len(shapes) == cert.nodes_explored > 0
+    assert set(shapes) == {(3 * unstable, dims[0] + 2 * unstable)}
