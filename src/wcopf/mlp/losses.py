@@ -4,12 +4,12 @@ Subgradient conventions at kinks: d|r|/dr = 0 at r = 0 and the ReLU
 derivative is 0 at a preactivation of exactly 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .network import MlpParams, forward_batch
+from .network import forward_batch
 
 
 @dataclass
@@ -23,10 +23,6 @@ class Gradients:
     def zeros_like(cls, params):
         return cls(weights=[np.zeros_like(w) for w in params.weights],
                    biases=[np.zeros_like(b) for b in params.biases])
-
-    def scaled(self, factor):
-        return Gradients(weights=[factor * w for w in self.weights],
-                         biases=[factor * b for b in self.biases])
 
     def add(self, other, factor=1.0):
         """In-place self += factor * other."""
@@ -46,18 +42,14 @@ class LossSpec:
 
     mae_weight: float = 1.0
     gen_weight: float = 0.0
-    ewc_weight: float = 0.0
     gen_lo: np.ndarray = None    # per-output lower bounds (scaled units)
     gen_hi: np.ndarray = None
-    fisher: object = None        # FisherDiag, required when ewc_weight > 0
 
     def __post_init__(self):
-        if min(self.mae_weight, self.gen_weight, self.ewc_weight) < 0:
+        if min(self.mae_weight, self.gen_weight) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.gen_weight > 0 and (self.gen_lo is None or self.gen_hi is None):
             raise ValueError("gen penalty requires generator bounds")
-        if self.ewc_weight > 0 and self.fisher is None:
-            raise ValueError("ewc term requires a FisherDiag")
 
 
 def loss_mae(params, x, y):
@@ -78,27 +70,12 @@ def loss_gen_penalty(params, x, gen_lo, gen_hi):
     return float(np.mean(np.sum(over ** 2 + under ** 2, axis=1)))
 
 
-def loss_ewc(params, fisher):
-    """sum_i F_i (theta_i - anchor_i)^2 over all parameters."""
-    total = 0.0
-    anchor = fisher.anchor
-    if [w.shape for w in params.weights] != [w.shape for w in anchor.weights]:
-        raise ShapeMismatch("fisher anchor does not match parameter shapes")
-    for w, wa, f in zip(params.weights, anchor.weights, fisher.weights):
-        total += float(np.sum(f * (w - wa) ** 2))
-    for b, ba, f in zip(params.biases, anchor.biases, fisher.biases):
-        total += float(np.sum(f * (b - ba) ** 2))
-    return total
-
-
 def total_loss(params, x, y, spec: LossSpec):
     val = 0.0
     if spec.mae_weight:
         val += spec.mae_weight * loss_mae(params, x, y)
     if spec.gen_weight:
         val += spec.gen_weight * loss_gen_penalty(params, x, spec.gen_lo, spec.gen_hi)
-    if spec.ewc_weight:
-        val += spec.ewc_weight * loss_ewc(params, spec.fisher)
     return val
 
 
@@ -134,17 +111,7 @@ def gradient(params, x, y, spec: LossSpec) -> Gradients:
         under = np.maximum(spec.gen_lo - out, 0.0)
         dloss_dout += spec.gen_weight * (2.0 * over - 2.0 * under) / n
 
-    grads = backprop_from_output_grad(params, x, dloss_dout, preacts, acts)
-
-    if spec.ewc_weight:
-        fisher = spec.fisher
-        anchor = fisher.anchor
-        for k in range(params.n_layers):
-            grads.weights[k] += spec.ewc_weight * 2.0 * fisher.weights[k] \
-                * (params.weights[k] - anchor.weights[k])
-            grads.biases[k] += spec.ewc_weight * 2.0 * fisher.biases[k] \
-                * (params.biases[k] - anchor.biases[k])
-    return grads
+    return backprop_from_output_grad(params, x, dloss_dout, preacts, acts)
 
 
 def _check_targets(out, y):

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .tolerances import DEFAULT_TOL, Tolerances
 
 # nonbasic/basic status codes
 _BASIC = 0
@@ -47,6 +46,10 @@ _AT_UP = 2
 _FREE = 3
 
 _BLAND_TRIGGER = 1000
+
+_FEAS_TOL = 1e-7     # slack allowed on constraints and bounds
+_PIVOT_TOL = 1e-12   # magnitude below which a pivot element counts as zero
+_OBJ_TOL = 1e-9      # reduced-cost threshold for optimality
 
 
 class LpStatus(enum.Enum):
@@ -106,19 +109,18 @@ class LpSolution:
     basis: tuple = None    # (basic indices, statuses) of an optimal solve
 
 
-def solve_lp(problem: LpProblem, tol: Tolerances = DEFAULT_TOL,
-             start=None) -> LpSolution:
+def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     """Solve an LpProblem; returns a deterministic LpSolution.
 
     start is the basis of an earlier optimal solve of a problem with the
     same rows and objective (LpSolution.basis); only bounds may differ.
     """
     if problem.a_eq.shape[0] + problem.a_ub.shape[0] == 0:
-        return _solve_bounds_only(problem, tol)
+        return _solve_bounds_only(problem)
 
     spent = 0
     if start is not None:
-        core = _Core(problem, tol)
+        core = _Core(problem)
         try:
             status = core.warm(*start)
             if status is not None:
@@ -126,7 +128,7 @@ def solve_lp(problem: LpProblem, tol: Tolerances = DEFAULT_TOL,
         except (np.linalg.LinAlgError, NumericalBreakdown):
             pass
         spent = core.iterations
-    core = _Core(problem, tol)
+    core = _Core(problem)
     return _solution(problem, core, core.cold(), spent)
 
 
@@ -140,16 +142,16 @@ def _solution(problem, core, status, spent):
                       basis=(core.basis.copy(), core.stat.copy()))
 
 
-def _solve_bounds_only(problem, tol):
+def _solve_bounds_only(problem):
     """No constraint rows: each variable sits at its favorable bound."""
     c, lo, hi = problem.c, problem.lo, problem.hi
     x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     for j in range(c.shape[0]):
-        if c[j] > tol.objective:
+        if c[j] > _OBJ_TOL:
             if not np.isfinite(hi[j]):
                 return LpSolution(LpStatus.UNBOUNDED)
             x[j] = hi[j]
-        elif c[j] < -tol.objective:
+        elif c[j] < -_OBJ_TOL:
             if not np.isfinite(lo[j]):
                 return LpSolution(LpStatus.UNBOUNDED)
             x[j] = lo[j]
@@ -164,7 +166,7 @@ class _Core:
     them basic.
     """
 
-    def __init__(self, problem, tol):
+    def __init__(self, problem):
         n = problem.c.shape[0]
         m_eq = problem.a_eq.shape[0]
         m_ub = problem.a_ub.shape[0]
@@ -174,7 +176,6 @@ class _Core:
         self.m_eq = m_eq
         self.n_real = n + m_ub
         self.n_total = self.n_real + m
-        self.tol = tol
         self.iterations = 0
         self.max_iterations = 50 * (self.n_total + m)
 
@@ -245,14 +246,13 @@ class _Core:
         t = np.ascontiguousarray(tab[:, :-1])
 
         # boxed nonbasics move to the bound their reduced cost favors
-        tol = self.tol
         d = self.c - self.c[basis] @ t
         movable = hi > lo
-        stat[movable & (stat == _AT_LO) & fin_hi & (d > tol.objective)] = _AT_UP
-        stat[movable & (stat == _AT_UP) & fin_lo & (d < -tol.objective)] = _AT_LO
+        stat[movable & (stat == _AT_LO) & fin_hi & (d > _OBJ_TOL)] = _AT_UP
+        stat[movable & (stat == _AT_UP) & fin_lo & (d < -_OBJ_TOL)] = _AT_LO
         rises = (stat == _AT_LO) | (stat == _FREE)
         falls = (stat == _AT_UP) | (stat == _FREE)
-        if np.any(movable & ((rises & (d > tol.objective)) | (falls & (d < -tol.objective)))):
+        if np.any(movable & ((rises & (d > _OBJ_TOL)) | (falls & (d < -_OBJ_TOL)))):
             return None  # not dual feasible
 
         x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
@@ -275,14 +275,13 @@ class _Core:
         Assumes a dual feasible basis, so the leaving row's ratio test keeps
         every reduced cost on its optimal side.
         """
-        tol = self.tol
         while True:
             xb = self.x[self.basis]
             below = self.lo[self.basis] - xb
             above = xb - self.hi[self.basis]
             excess = np.maximum(below, above)
             r = int(np.argmax(excess))
-            if excess[r] <= tol.feas:
+            if excess[r] <= _FEAS_TOL:
                 return True
             self.iterations += 1
             if self.iterations > self.max_iterations:
@@ -294,8 +293,8 @@ class _Core:
             g = 1.0 if below[r] > 0.0 else -1.0
             alpha = -g * self.t[r]
             movable = self.hi > self.lo
-            inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (alpha > tol.pivot)
-            dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (alpha < -tol.pivot)
+            inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (alpha > _PIVOT_TOL)
+            dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (alpha < -_PIVOT_TOL)
             elig = inc | dec
             if not elig.any():
                 if self._row_proves_infeasible(r):
@@ -306,7 +305,7 @@ class _Core:
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run
-            theta = np.min((room[elig] + tol.objective) / aabs[elig])
+            theta = np.min((room[elig] + _OBJ_TOL) / aabs[elig])
             cand = np.flatnonzero(elig & (room <= theta * aabs))
             j = int(cand[np.argmax(aabs[cand])])
 
@@ -328,18 +327,17 @@ class _Core:
         u = self.t[r, self.n_real:]
         coef = u @ self.a[:, :self.n_real]
         rhs = float(u @ self.b)
-        coef[np.abs(coef) <= self.tol.pivot] = 0.0  # as in the ratio test
+        coef[np.abs(coef) <= _PIVOT_TOL] = 0.0  # as in the ratio test
         pos = coef > 0.0
         neg = coef < 0.0
         top = coef[pos] @ self.hi[:self.n_real][pos] + coef[neg] @ self.lo[:self.n_real][neg]
         low = coef[pos] @ self.lo[:self.n_real][pos] + coef[neg] @ self.hi[:self.n_real][neg]
-        pad = self.tol.feas * (1.0 + np.abs(u) @ np.abs(self.b))
+        pad = _FEAS_TOL * (1.0 + np.abs(u) @ np.abs(self.b))
         return rhs > top + pad or rhs < low - pad
 
     # -- primal simplex ------------------------------------------------------
 
     def _run(self, c):
-        tol = self.tol
         bland = False
         stalled = 0
         while True:
@@ -349,8 +347,8 @@ class _Core:
                     f"simplex iteration cap {self.max_iterations} exceeded")
             d = c - c[self.basis] @ self.t
             movable = self.hi > self.lo
-            can_inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (d > tol.objective)
-            can_dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (d < -tol.objective)
+            can_inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (d > _OBJ_TOL)
+            can_dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (d < -_OBJ_TOL)
             if not (can_inc.any() or can_dec.any()):
                 return True  # optimal for this phase
             if bland:
@@ -367,8 +365,8 @@ class _Core:
             hi_b = self.hi[self.basis]
 
             adelta = np.abs(delta)
-            pos = delta > tol.pivot
-            neg = delta < -tol.pivot
+            pos = delta > _PIVOT_TOL
+            neg = delta < -_PIVOT_TOL
             lim = pos | neg
             room = np.full(self.m, np.inf)
             room[pos] = np.maximum(hi_b[pos] - xb[pos], 0.0)
@@ -391,12 +389,12 @@ class _Core:
                     ties = np.flatnonzero(t_arr == t_min)
                     r = int(ties[np.argmin(self.basis[ties])])
                 else:
-                    # Harris two-pass ratio test: allow tol.feas of bound
+                    # Harris two-pass ratio test: allow _FEAS_TOL of bound
                     # slack when shortlisting leaving rows, then take the
                     # largest pivot so near-zero elements never enter the
                     # basis.  Any overshoot of another row's bound is at
-                    # most tol.feas by the definition of theta.
-                    theta = np.min((room[lim] + tol.feas) / adelta[lim])
+                    # most _FEAS_TOL by the definition of theta.
+                    theta = np.min((room[lim] + _FEAS_TOL) / adelta[lim])
                     cand = np.flatnonzero(lim & (t_arr <= theta))
                     r = int(cand[np.argmax(adelta[cand])])
                 t_step = t_arr[r]
@@ -426,7 +424,7 @@ class _Core:
                 self._pivot(r, j)
                 gain = abs(d[j]) * t_step
 
-            if gain <= tol.objective:
+            if gain <= _OBJ_TOL:
                 stalled += 1
                 if stalled >= _BLAND_TRIGGER:
                     bland = True
@@ -450,7 +448,7 @@ class _Core:
         c = np.zeros(self.n_total)
         c[art] = -1.0
         self._run(c)  # bounded by construction
-        if self.x[art].sum() > self.tol.feas:
+        if self.x[art].sum() > _FEAS_TOL:
             return False
         self._drive_out_artificials()
         self.hi[art] = 0.0

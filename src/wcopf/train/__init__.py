@@ -5,8 +5,8 @@ from .loops import (MODES, EpochRecord, TrainReport, raw_violation,
                     scaled_gen_box, train_gennn, train_standard,
                     train_wcnn, unit_box)
 from .report_io import (load_report_records, load_summary, render_json,
-                        save_report, save_sensitivity, summary_document,
-                        summary_path_for)
+                        save_report, summary_document, summary_path_for,
+                        write_json)
 from .sensitivity import SensitivityReport, layer_sensitivity
 from .sequential import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
                          STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
@@ -17,7 +17,7 @@ __all__ = [
     "MODES", "EpochRecord", "TrainReport", "raw_violation", "scaled_gen_box",
     "train_gennn", "train_standard", "train_wcnn", "unit_box",
     "load_report_records", "load_summary", "render_json", "save_report",
-    "save_sensitivity", "summary_document", "summary_path_for",
+    "summary_document", "summary_path_for", "write_json",
     "SensitivityReport", "layer_sensitivity",
     "STOP_MAX_ITERS", "STOP_NO_VIOLATION", "STOP_SOLVER_FAILURE",
     "STOP_VALIDATION_GUARD",

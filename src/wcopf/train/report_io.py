@@ -44,6 +44,12 @@ def render_json(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def write_json(path, doc):
+    """Write doc to path as one render_json line."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(render_json(doc) + "\n")
+
+
 def summary_document(report):
     doc = {"mode": report.mode,
            "layer_dims": list(report.layer_dims),
@@ -69,15 +75,13 @@ def summary_path_for(jsonl_path):
     return base + ".summary.json"
 
 
-def save_report(report, jsonl_path, summary_path=None):
+def save_report(report, jsonl_path):
     """Write per-epoch lines and the summary; returns the summary path."""
-    if summary_path is None:
-        summary_path = summary_path_for(jsonl_path)
+    summary_path = summary_path_for(jsonl_path)
     with open(jsonl_path, "w", newline="\n") as fh:
         for record in report.records:
             fh.write(render_json(record.to_dict()) + "\n")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write(render_json(summary_document(report)) + "\n")
+    write_json(summary_path, summary_document(report))
     return summary_path
 
 
@@ -93,8 +97,3 @@ def load_report_records(jsonl_path):
 def load_summary(summary_path):
     with open(summary_path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def save_sensitivity(report, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_json(report.to_dict()) + "\n")

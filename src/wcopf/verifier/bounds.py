@@ -48,8 +48,12 @@ class PreactBounds:
         return self.upper[k] <= 0.0
 
 
-def _propagate(params, box):
-    """Interval propagation; returns hidden bounds and output bounds."""
+def interval_bounds(params, box):
+    """Bounds valid over the whole input box.
+
+    Returns (PreactBounds, out_lower, out_upper) where the output
+    bounds are per-dimension intervals on the network output.
+    """
     if box.dim != params.n_inputs:
         raise ShapeMismatch(f"box dimension {box.dim} does not match inputs {params.n_inputs}")
     lo = box.lo
@@ -77,12 +81,3 @@ def _propagate(params, box):
         if not np.all(np.isfinite(arr)):
             raise BoundsUnavailable("interval propagation produced nonfinite bounds")
     return PreactBounds(lower=lower, upper=upper), out_dn, out_up
-
-
-def interval_bounds(params, box):
-    """Bounds valid over the whole input box.
-
-    Returns (PreactBounds, out_lower, out_upper) where the output
-    bounds are per-dimension intervals on the network output.
-    """
-    return _propagate(params, box)

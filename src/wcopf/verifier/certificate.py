@@ -7,7 +7,8 @@ identical runs write byte-identical files.
 import json
 
 
-def certificate_document(cert, model_sha256=None, extras=None):
+def save_certificate(path, cert, model_sha256=None, extras=None):
+    """Write the certificate of one verification as a JSON document."""
     doc = {
         "v_g": float(cert.value),
         "bound": float(cert.bound),
@@ -27,16 +28,5 @@ def certificate_document(cert, model_sha256=None, extras=None):
         doc["model_sha256"] = model_sha256
     if extras:
         doc.update(extras)
-    return doc
-
-
-def certificate_json(cert, model_sha256=None, extras=None):
-    doc = certificate_document(cert, model_sha256=model_sha256, extras=extras)
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
-def save_certificate(path, cert, model_sha256=None, extras=None):
-    text = certificate_json(cert, model_sha256=model_sha256, extras=extras)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return text
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -21,7 +21,7 @@ from wcopf import cli
 from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
                         grid_from_dict, injection_matrices,
                         sample_demands_lhs, solve_dcopf)
-from wcopf.mlp import LossSpec, fisher_diag, forward, gradient, total_loss
+from wcopf.mlp import LossSpec, forward, gradient, total_loss
 from wcopf.simplex import LpStatus
 from wcopf.train import (TrainConfig, finetune_sequential, layer_sensitivity,
                          scaled_gen_box, train_standard, train_wcnn, unit_box)
@@ -124,20 +124,12 @@ def _grad_case(kind, seed):
     y = rng.uniform(size=(6, 3))
     if kind == "error":
         return params, x, y, LossSpec(mae_weight=1.0)
-    if kind == "bound_penalty":
-        return params, x, y, LossSpec(mae_weight=0.0, gen_weight=1.0,
-                                      gen_lo=np.full(3, -0.05),
-                                      gen_hi=np.full(3, 0.05))
-    fisher = fisher_diag(params, x, y)
-    moved = params.copy()
-    for w in moved.weights:
-        w += rng.normal(scale=0.05, size=w.shape)
-    for b in moved.biases:
-        b += rng.normal(scale=0.05, size=b.shape)
-    return moved, x, y, LossSpec(mae_weight=0.0, ewc_weight=1.0, fisher=fisher)
+    return params, x, y, LossSpec(mae_weight=0.0, gen_weight=1.0,
+                                  gen_lo=np.full(3, -0.05),
+                                  gen_hi=np.full(3, 0.05))
 
 
-@pytest.mark.parametrize("kind", ["error", "bound_penalty", "anchor"])
+@pytest.mark.parametrize("kind", ["error", "bound_penalty"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_loss_gradients_match_central_differences(kind, seed):
     params, x, y, spec = _grad_case(kind, seed)

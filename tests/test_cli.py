@@ -1,11 +1,13 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import wcopf.train.sensitivity as sensitivity_module
 from oracles import seeded_net
 from wcopf import cli
-from wcopf.errors import NumericalBreakdown
+from wcopf.errors import NumericalBreakdown, TooManyInfeasible, TrainingDiverged
 from wcopf.grid import (box_input_scaler, builtin_grid, gen_output_scaler,
                         load_dataset)
 from wcopf.mlp import MlpParams, load_model, save_model
@@ -233,6 +235,30 @@ def test_sensitivity_writes_normalized_profile(tmp_path):
     assert doc["n_seeds"] >= 1
 
 
+def test_sensitivity_warns_about_a_skipped_seed(tmp_path, capsys, monkeypatch):
+    real = sensitivity_module.solve_worst_case
+    calls = []
+
+    def first_breaks(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+        return real(*args, **kwargs)
+
+    data = _gen_data(tmp_path)
+    cfg = _write_config(tmp_path / "s.json", epochs=60, alpha=3e-3)
+    out = tmp_path / "sens.json"
+    monkeypatch.setattr(sensitivity_module, "solve_worst_case", first_breaks)
+    rc = cli.main(["sensitivity", "--dataset", data, "--grid", "case3",
+                   "--arch", "6,6", "--seeds", "0,1,2", "--config", cfg,
+                   "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "warning: seed 0 skipped: verification failed "
+        "(simplex iteration cap 10 exceeded)\n")
+    assert [s["seed"] for s in json.load(open(out))["skipped"]] == [0]
+
+
 def test_report_tabulates_summaries_and_certificates(tmp_path, capsys):
     nn = tmp_path / "nn.summary.json"
     wc = tmp_path / "wcnn.summary.json"
@@ -272,3 +298,102 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = cli.main(["verify", "--model", str(tmp_path / "nope.json"),
                    "--grid", "case3", "--out", str(tmp_path / "c.json")])
     assert rc == 2
+
+
+def _raises(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+def test_gen_data_out_of_feasible_samples_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_dataset",
+                        _raises(TooManyInfeasible("only 3 of 10 feasible")))
+    rc = cli.main(["gen-data", "--grid", "case3", "--n", "10",
+                   "--out", str(tmp_path / "d.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: only 3 of 10 feasible\n"
+
+
+def test_train_divergence_exits_4(tmp_path, capsys, monkeypatch):
+    data = _gen_data(tmp_path, n=20)
+    monkeypatch.setattr(cli, "train_standard",
+                        _raises(TrainingDiverged("nonfinite loss at epoch 3")))
+    rc = cli.main(["train", "--dataset", data, "--grid", "case3",
+                   "--out", str(tmp_path / "m.json")])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: nonfinite loss at epoch 3\n"
+
+
+def test_verify_solver_breakdown_exits_1(tmp_path, capsys, monkeypatch):
+    grid = builtin_grid("case3")
+    model = tmp_path / "net.json"
+    save_model(model, seeded_net(0, (2, 4, 2)),
+               box_input_scaler(grid), gen_output_scaler(grid))
+    monkeypatch.setattr(cli, "solve_worst_case",
+                        _raises(NumericalBreakdown("simplex iteration cap 10 exceeded")))
+    rc = cli.main(["verify", "--model", str(model), "--grid", "case3",
+                   "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: simplex iteration cap 10 exceeded\n"
+
+
+def _manifest_inputs(path):
+    with open(str(path) + ".manifest.json") as fh:
+        return sorted(json.load(fh)["inputs"])
+
+
+def test_manifest_inputs_of_each_command(tmp_path):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(
+        resources.files("wcopf.grid").joinpath("cases/case3.json").read_text())
+    data = str(tmp_path / "file-grid.csv")
+    assert cli.main(["gen-data", "--grid", str(grid_file), "--n", "40",
+                     "--out", data]) == 0
+    assert _manifest_inputs(data) == [str(grid_file)]
+
+    model = _train(tmp_path, data)
+    cert = tmp_path / "cert.json"
+    assert cli.main(["verify", "--model", model, "--grid", "case3",
+                     "--out", str(cert)]) == 0
+    assert _manifest_inputs(cert) == sorted([model, "builtin:case3"])
+
+    tuned = tmp_path / "tuned.json"
+    assert cli.main(["finetune", "--model", model, "--dataset", data,
+                     "--grid", "case3", "--out", str(tuned)]) == 0
+    assert _manifest_inputs(tuned) == sorted([model, data, "builtin:case3"])
+
+    cfg = _write_config(tmp_path / "sens.json", epochs=5)
+    sens = tmp_path / "sens-out.json"
+    cli.main(["sensitivity", "--dataset", data, "--grid", str(grid_file),
+              "--arch", "2", "--seeds", "0", "--config", cfg, "--out", str(sens)])
+    assert _manifest_inputs(sens) == sorted([data, str(grid_file), cfg])
+
+
+_TRAIN_DEFAULTS = {"config": None, "seed": None, "last_layer_only": None,
+                   "report": None}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gen-data", "--grid", "g", "--n", "5", "--out", "o"],
+     {"grid": "g", "n": 5, "seed": 0, "out": "o"}),
+    (["train", "--dataset", "d", "--grid", "g", "--out", "o"],
+     {"dataset": "d", "grid": "g", "mode": "nn", "arch": "8",
+      "wc_every": None, "out": "o", **_TRAIN_DEFAULTS}),
+    (["verify", "--model", "m", "--grid", "g", "--out", "o"],
+     {"model": "m", "grid": "g", "box": "0.6:1.0", "node_limit": 200_000,
+      "out": "o"}),
+    (["finetune", "--model", "m", "--dataset", "d", "--grid", "g", "--out", "o"],
+     {"model": "m", "dataset": "d", "grid": "g", "box": "0.6:1.0", "out": "o",
+      **_TRAIN_DEFAULTS}),
+    (["sensitivity", "--dataset", "d", "--grid", "g", "--out", "o"],
+     {"dataset": "d", "grid": "g", "arch": "8,8", "seeds": "0,1,2,3,4",
+      "config": None, "out": "o"}),
+    (["report", "a.json", "b.json", "--grid", "g"],
+     {"reports": ["a.json", "b.json"], "grid": "g", "out": None}),
+])
+def test_parsed_defaults(argv, expected):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    func = parsed.pop("func")
+    assert func is getattr(cli, "cmd_" + argv[0].replace("-", "_"))
+    assert parsed == {"command": argv[0], **expected}

@@ -8,7 +8,7 @@ from wcopf.errors import SchemaError, ShapeMismatch
 from wcopf.grid.dataset import Scaler
 from wcopf.mlp import (FisherDiag, Gradients, LossSpec, adam_init, adam_step,
                        file_checksum, fisher_diag, forward, forward_batch,
-                       gradient, init_params, load_model, loss_ewc,
+                       gradient, init_params, load_model,
                        loss_gen_penalty, loss_mae, model_json,
                        params_checksum, save_model, total_loss)
 from wcopf.mlp.network import MlpParams
@@ -116,29 +116,6 @@ def test_gen_penalty_zero_inside_bounds():
     assert loss_gen_penalty(p, x, lo, hi) == 0.0
 
 
-def test_ewc_frozen_example():
-    p = small_net(4)
-    x = np.random.default_rng(4).uniform(size=(6, 2))
-    y = forward_batch(p, x)[2]
-    fisher = fisher_diag(p, x, y + 0.3)
-    # displace one parameter by 0.5: penalty = F * 0.25
-    q = p.copy()
-    q.weights[0][0, 0] += 0.5
-    expected = fisher.weights[0][0, 0] * 0.25
-    assert loss_ewc(q, fisher) == pytest.approx(expected, rel=1e-12)
-    assert loss_ewc(p, fisher) == 0.0
-
-
-def test_ewc_shape_mismatch():
-    p = small_net(4)
-    x = np.random.default_rng(4).uniform(size=(6, 2))
-    y = forward_batch(p, x)[2]
-    fisher = fisher_diag(p, x, y)
-    other = init_params([2, 3, 2], seed=0)
-    with pytest.raises(ShapeMismatch):
-        loss_ewc(other, fisher)
-
-
 # ---------------------------------------------------------------- gradients
 
 
@@ -198,12 +175,11 @@ def test_gradient_combined_finite_difference():
     rng = np.random.default_rng(9)
     x = rng.uniform(size=(8, 2))
     y = rng.uniform(size=(8, 2))
-    fisher = fisher_diag(p, x, y)
     q = p.copy()
     for w in q.weights:
         w += rng.normal(scale=0.05, size=w.shape)
-    spec = LossSpec(mae_weight=1.0, gen_weight=0.5, ewc_weight=0.7,
-                    gen_lo=np.full(2, 0.0), gen_hi=np.full(2, 0.2), fisher=fisher)
+    spec = LossSpec(mae_weight=1.0, gen_weight=0.5,
+                    gen_lo=np.full(2, 0.0), gen_hi=np.full(2, 0.2))
     _fd_check(q, x, y, spec)
 
 

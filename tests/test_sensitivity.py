@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import wcopf.train.sensitivity as sensitivity_module
 from oracles import grid_fixture, midband_dataset, toy_dataset
+from wcopf.errors import NumericalBreakdown
 from wcopf.train import TrainConfig, layer_sensitivity, scaled_gen_box
 
 _CFG = TrainConfig(alpha=3e-3, epochs=400)
@@ -51,3 +53,39 @@ def test_deterministic_across_runs():
     a = layer_sensitivity((6,), data, gen_box, seeds=range(2), config=_CFG)
     b = layer_sensitivity((6,), data, gen_box, seeds=range(2), config=_CFG)
     assert a.to_dict() == b.to_dict()
+
+
+def test_solver_breakdown_skips_only_its_seed(monkeypatch):
+    data, gen_box, _ = grid_fixture("case3")
+    ref = layer_sensitivity((6,), data, gen_box, seeds=[0, 2], config=_CFG)
+    assert "skipped" not in ref.to_dict()
+
+    real = sensitivity_module.solve_worst_case
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity_module, "solve_worst_case", flaky)
+    report = layer_sensitivity((6,), data, gen_box, seeds=range(3), config=_CFG)
+    assert len(calls) == 3
+    assert report.layer_values == ref.layer_values
+    assert report.n_seeds == ref.n_seeds == 2
+    assert report.to_dict()["skipped"] == [
+        {"seed": 1,
+         "warning": "verification failed (simplex iteration cap 10 exceeded)"}]
+
+
+def test_error_names_solver_failures_when_every_seed_breaks_down(monkeypatch):
+    data, gen_box, _ = grid_fixture("case3")
+
+    def broken(*args, **kwargs):
+        raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+
+    monkeypatch.setattr(sensitivity_module, "solve_worst_case", broken)
+    with pytest.raises(ValueError, match="2 of 2 seeds failed verification"):
+        layer_sensitivity((4,), data, gen_box, seeds=range(2),
+                          config=TrainConfig(epochs=20))
