@@ -138,7 +138,8 @@ def _v_g_text(report):
 
 def _write_manifest(command, args, grid_entry, outputs, seed=None, config=None):
     """Write the manifest next to outputs[0]; inputs are the grid and every
-    --model, --dataset and --config the command received."""
+    --model, --dataset and --config the command received.  Returns those
+    inputs' digests by path."""
     inputs = dict([grid_entry])
     for path in (getattr(args, name, None) for name in ("model", "dataset", "config")):
         if path:
@@ -147,6 +148,7 @@ def _write_manifest(command, args, grid_entry, outputs, seed=None, config=None):
                {"command": command, "version": __version__, "seed": seed,
                 "config": config, "inputs": inputs,
                 "outputs": [str(p) for p in outputs]})
+    return inputs
 
 
 def _save_run(outputs, params, dataset, report, meta):
@@ -214,12 +216,14 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
+    if args.node_limit < 1:
+        raise SchemaError(f"bad --node-limit {args.node_limit}; must be at least 1")
     grid, grid_entry = _resolve_grid(args.grid)
     params, in_scaler, out_scaler = _load_model_for(grid, args.model)
     fractions = _parse_box(args.box)
-    _write_manifest("verify", args, grid_entry, [args.out],
-                    config={"box": list(fractions),
-                            "node_limit": args.node_limit})
+    inputs = _write_manifest("verify", args, grid_entry, [args.out],
+                             config={"box": list(fractions),
+                                     "node_limit": args.node_limit})
 
     box, gen_box = _boxes(grid, in_scaler, out_scaler, fractions)
     cert = solve_worst_case(params, box, gen_box, node_limit=args.node_limit)
@@ -227,7 +231,7 @@ def cmd_verify(args):
     max_load = float(np.sum(grid.nominal_demand()))
     pct = 100.0 * v_mw / max_load
     save_certificate(args.out, cert,
-                     model_sha256=file_checksum(args.model),
+                     model_sha256=inputs[args.model],
                      extras={"v_g_mw": v_mw, "pct_max_loading": pct,
                              "box": list(fractions)})
     print(f"v_g = {v_mw:.6f} MW ({pct:.2f}% of max loading)")

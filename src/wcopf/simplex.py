@@ -16,13 +16,17 @@ basic; only equality rows and violated rows get a basic artificial.
 Phase 1 minimizes the sum of those artificials (no big-M constants)
 and is skipped when there are none; phase 2 optimizes the objective.
 
-A warm solve takes the (basis, stat) that an earlier optimal solve left
-on LpSolution.basis.  When the rows and objective are unchanged and only
-variable bounds moved, that basis is still dual feasible: the tableau is
-rebuilt with one linear solve, a dual simplex restores primal
-feasibility (or proves the LP infeasible from a tableau row), and the
-primal simplex finishes.  A start that is singular, not dual feasible
-or numerically unusable falls back to the cold path.
+A warm solve takes the (basis, stat, binv) that an earlier optimal solve
+left on LpSolution.basis; binv is that basis's inverse, read off the
+artificial columns of the final tableau.  When the rows and objective
+are unchanged and only variable bounds moved, that basis is still dual
+feasible: the tableau is rebuilt as binv @ [a | b], a dual simplex
+restores primal feasibility (or proves the LP infeasible from a tableau
+row), and the primal simplex finishes.  The basis columns of that
+product must come back as the identity; when they do not, or the start
+carries only (basis, stat), the tableau is rebuilt with one linear
+solve instead.  A start that is singular, not dual feasible or
+numerically unusable falls back to the cold path.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
 the closing pricing pass of each primal phase.  All ties break toward
@@ -106,7 +110,7 @@ class LpSolution:
     x: np.ndarray = None
     objective_value: float = float("nan")
     iteration_count: int = 0
-    basis: tuple = None    # (basic indices, statuses) of an optimal solve
+    basis: tuple = None    # (basic indices, statuses, Binv) of an optimal solve
 
 
 def solve_lp(problem: LpProblem, start=None) -> LpSolution:
@@ -139,7 +143,7 @@ def _solution(problem, core, status, spent):
     x = core.final_values()[:core.n]
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(problem.c @ x),
                       iteration_count=spent + core.iterations,
-                      basis=(core.basis.copy(), core.stat.copy()))
+                      basis=(core.basis.copy(), core.stat.copy(), core.basis_inverse()))
 
 
 def _solve_bounds_only(problem):
@@ -163,7 +167,8 @@ class _Core:
 
     Columns are [structural | one slack per <= row | one artificial per
     row].  Artificials are pinned at zero unless the cold start makes
-    them basic.
+    them basic; a cold start gives row i's artificial the column
+    sign[i] * e_i, every other core the identity.
     """
 
     def __init__(self, problem):
@@ -190,6 +195,7 @@ class _Core:
         self.hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m)])
         self.c = np.zeros(self.n_total)
         self.c[:n] = problem.c
+        self.sign = np.ones(m)
 
     # -- starting bases ------------------------------------------------------
 
@@ -209,6 +215,7 @@ class _Core:
         sign = np.where(resid >= 0.0, 1.0, -1.0)
         art = n_real + rows
         self.a[rows, art] = sign
+        self.sign = sign
         hi[art[~slack]] = np.inf
         self.basis = np.where(slack, self.n + rows - self.m_eq, art)
         x[self.basis] = np.abs(resid)
@@ -222,14 +229,18 @@ class _Core:
             return LpStatus.INFEASIBLE
         return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
 
-    def warm(self, basis, stat):
+    def warm(self, basis, stat, binv=None):
         """Dual simplex from an earlier optimal basis; None if it is unusable.
 
+        binv, the inverse of that basis's matrix, rebuilds the tableau with
+        one product; without it, or when the product's basis columns miss
+        the identity by more than _FEAS_TOL, the basis is refactorized.
         Raises LinAlgError when the basis matrix is singular.
         """
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
-        if basis.shape != (self.m,) or stat.shape != (self.n_total,):
+        if (basis.shape != (self.m,) or stat.shape != (self.n_total,)
+                or (binv is not None and np.shape(binv) != (self.m, self.m))):
             raise ValueError("start basis does not match the problem's shape")
         lo, hi = self.lo, self.hi
         # nonbasics keep their bound where it is still finite
@@ -240,7 +251,11 @@ class _Core:
                                  np.where(fin_hi, _AT_UP, _FREE))).astype(np.int8)
         stat[basis] = _BASIC
 
-        tab = np.linalg.solve(self.a[:, basis], np.column_stack([self.a, self.b]))
+        ab = np.column_stack([self.a, self.b])
+        tab = None if binv is None else binv @ ab
+        if tab is None or not np.all(np.abs(tab[:, basis] - np.eye(self.m)) <= _FEAS_TOL):
+            # no inverse, or it drifted from this basis: refactorize
+            tab = np.linalg.solve(self.a[:, basis], ab)
         if not np.all(np.isfinite(tab)):
             return None
         t = np.ascontiguousarray(tab[:, :-1])
@@ -475,6 +490,13 @@ class _Core:
             self._pivot(r, j)
 
     # -- solution extraction -------------------------------------------------
+
+    def basis_inverse(self):
+        """Binv, un-scaled from the tableau's artificial block, which holds
+        Binv @ diag(sign).  A warm start's core has identity artificial
+        columns, so an artificial left basic with sign -1 (a redundant
+        row) fails that start's identity check, and it refactorizes."""
+        return self.t[:, self.n_real:] * self.sign
 
     def final_values(self):
         """Recompute basic values exactly from the current basis."""

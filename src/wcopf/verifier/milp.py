@@ -221,7 +221,8 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
 
     heap = []
     seq = 0
-    # entries: (-parent bound, seq, y_fix, parent's optimal LP basis)
+    # entries: (-parent bound, seq, y_fix, parent's optimal LP basis);
+    # both children share the parent's basis inverse
     heapq.heappush(heap, (-np.inf, seq, np.full(enc.n_unstable, -1, dtype=np.int8), None))
     nodes = 0
     at_root = True
@@ -289,6 +290,8 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
     skipped.  node_limit caps the nodes per candidate; when it is hit
     the certificate reports the remaining gap instead of raising.
     """
+    if node_limit < 1:
+        raise ValueError("node_limit must be positive")
     enc = _Encoding(params, box, gen_bounds)
     best_value = -np.inf
     best_witness = None

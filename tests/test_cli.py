@@ -168,6 +168,19 @@ def test_verify_gap_exits_5(tmp_path, capsys):
     assert cert["gap"] > 0.0
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_verify_node_limit_below_one_exits_2(tmp_path, capsys, limit):
+    grid = builtin_grid("case3")
+    model = tmp_path / "net.json"
+    save_model(model, seeded_net(0, (2, 4, 2)),
+               box_input_scaler(grid), gen_output_scaler(grid))
+    rc = cli.main(["verify", "--model", str(model), "--grid", "case3",
+                   "--node-limit", limit, "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    assert "--node-limit" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
+
 def test_verify_bad_box_exits_2(tmp_path):
     data = _gen_data(tmp_path, n=20)
     model = _train(tmp_path, data)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,8 @@ def test_start_of_wrong_shape_is_rejected():
                         lo=np.zeros(2), hi=np.ones(2))
     with pytest.raises(ValueError):
         solve_lp(problem, start=(np.array([0, 1]), np.zeros(4, dtype=np.int8)))
+    with pytest.raises(ValueError):
+        solve_lp(problem, start=(np.array([2]), np.zeros(4, dtype=np.int8), np.eye(2)))
 
 
 def test_validation_rejects_bad_bounds():
@@ -227,3 +231,122 @@ def test_validation_rejects_bad_bounds():
 def test_validation_rejects_nan():
     with pytest.raises(ValueError):
         LpProblem(c=np.array([np.nan, 1.0]))
+
+
+def _warm_refactorizations(monkeypatch):
+    """List that grows by one each time _Core.warm refactorizes its basis."""
+    calls = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        if sys._getframe(1).f_code.co_name == "warm":
+            calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return calls
+
+
+def test_two_generations_of_warm_starts_use_the_carried_inverse(monkeypatch):
+    # children start from the parent's carried inverse, grandchildren from
+    # the child's; many parents' cold starts gave artificials sign -1
+    proofs = []
+    prove = simplex._Core._row_proves_infeasible
+    monkeypatch.setattr(simplex._Core, "_row_proves_infeasible",
+                        lambda core, r: proofs.append(prove(core, r)) or proofs[-1])
+    cold_cores = []
+    cold_path = simplex._Core.cold
+    monkeypatch.setattr(simplex._Core, "cold",
+                        lambda core: cold_cores.append(core) or cold_path(core))
+    refactorized = _warm_refactorizations(monkeypatch)
+    negative_parents = grandchildren = infeasible = 0
+    for seed in range(30):
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+
+        def solve(lo2, hi2, start=None):
+            problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                                lo=lo2, hi=hi2)
+            return solve_lp(problem, start=start)
+
+        parent = solve(lo, hi)
+        if parent.basis is None:
+            continue
+        negative_parents += bool(np.any(cold_cores[-1].sign < 0.0))
+        cold_cores.clear()
+        k = seed % len(c)
+        k2 = (seed + 1) % len(c)
+        for new_lo, new_hi in _children(parent, lo, hi, k):
+            lo1, hi1 = lo.copy(), hi.copy()
+            lo1[k], hi1[k] = new_lo, new_hi
+            child = solve(lo1, hi1, parent.basis)
+            assert not cold_cores
+            if child.status != LpStatus.OPTIMAL:
+                continue
+            for g_lo, g_hi in _children(child, lo1, hi1, k2):
+                lo2, hi2 = lo1.copy(), hi1.copy()
+                lo2[k2], hi2[k2] = max(g_lo, lo1[k2]), min(g_hi, hi1[k2])
+                proofs.clear()
+                warm = solve(lo2, hi2, child.basis)
+                assert not cold_cores
+                cold = solve(lo2, hi2)
+                cold_cores.clear()
+                status, _, ref_val = lp_vertex_enumeration(c, a_eq, b_eq, a_ub, b_ub,
+                                                           lo2, hi2)
+                grandchildren += 1
+                assert warm.status == cold.status
+                if status == "infeasible":
+                    assert warm.status == LpStatus.INFEASIBLE
+                    assert proofs and proofs[-1]
+                    infeasible += 1
+                    continue
+                assert warm.status == LpStatus.OPTIMAL
+                assert warm.objective_value == pytest.approx(ref_val, abs=1e-7)
+                assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                             abs=1e-7)
+                assert np.all(warm.x >= lo2 - 1e-9) and np.all(warm.x <= hi2 + 1e-9)
+    assert not refactorized
+    assert negative_parents >= 5 and grandchildren >= 100 and infeasible >= 10
+
+
+def test_warm_start_from_a_basic_artificial_matches_cold(monkeypatch):
+    # the cold start violates both rows; one artificial (sign -1) stays basic
+    lo, hi = np.full(2, 1.0), np.full(2, 5.0)
+    problem = LpProblem(c=np.array([1.0, 2.0]),
+                        a_eq=np.array([[-1.0, -1.0], [-2.0, -2.0]]),
+                        b_eq=np.array([-6.0, -12.0]), lo=lo, hi=hi)
+    parent = solve_lp(problem)
+    assert parent.status == LpStatus.OPTIMAL
+    assert np.any(parent.basis[0] >= 2)  # columns 2 and 3 are the artificials
+    refactorized = _warm_refactorizations(monkeypatch)
+    child = LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=problem.b_eq,
+                      lo=np.array([1.0, 2.5]), hi=hi)
+    warm = solve_lp(child, start=parent.basis)
+    assert len(refactorized) == 1  # that artificial's column is e_i here
+    assert warm.status == LpStatus.OPTIMAL
+    assert warm.x.tobytes() == solve_lp(child).x.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2, 7, 21])
+def test_drifted_inverse_falls_back_to_refactorizing(seed, monkeypatch):
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+    parent = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    assert parent.status == LpStatus.OPTIMAL and parent.basis is not None
+    basis, stat, binv = parent.basis
+    drifted = binv.copy()
+    drifted[0] *= 1.0 + 1e-5
+    k = seed % len(c)
+    lo2 = lo.copy()
+    lo2[k] = 0.5 * (parent.x[k] + hi[k])
+    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo2, hi=hi)
+    refactorized = _warm_refactorizations(monkeypatch)
+    fallback = solve_lp(problem, start=(basis, stat, drifted))
+    assert len(refactorized) == 1
+    plain = solve_lp(problem, start=(basis, stat))
+    assert len(refactorized) == 2
+    assert fallback.status == plain.status
+    assert fallback.iteration_count == plain.iteration_count
+    assert fallback.objective_value == plain.objective_value
+    if plain.status == LpStatus.OPTIMAL:
+        assert fallback.x.tobytes() == plain.x.tobytes()
+        for got, want in zip(fallback.basis, plain.basis):
+            assert got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -214,11 +216,14 @@ def test_small_box_prefixes_everything():
     assert cert.nodes_explored <= 2 * params.n_outputs
 
 
-@pytest.mark.parametrize("seed,dims,lo,hi", [
+_ENCODING_CASES = [
     (2, (2, 6, 6, 2), 0.30, 0.31),   # every unit stable, as above
     (4, (2, 8, 6, 2), -0.3, 0.3),
     (7, (3, 10, 2), -0.4, 0.4),
-])
+]
+
+
+@pytest.mark.parametrize("seed,dims,lo,hi", _ENCODING_CASES)
 def test_node_lps_encode_only_unstable_units(monkeypatch, seed, dims, lo, hi):
     params = seeded_net(seed, dims)
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
@@ -239,3 +244,49 @@ def test_node_lps_encode_only_unstable_units(monkeypatch, seed, dims, lo, hi):
     assert cert.status == CERTIFIED
     assert len(shapes) == cert.nodes_explored > 0
     assert set(shapes) == {(3 * unstable, dims[0] + 2 * unstable)}
+
+
+def _cert_bytes(cert):
+    return (cert.value, cert.bound, cert.gap, cert.status, cert.nodes_explored,
+            cert.constraint_id, None if cert.witness is None else cert.witness.tobytes(),
+            None if cert.pattern is None else [p.tobytes() for p in cert.pattern])
+
+
+@pytest.mark.parametrize("seed,dims,lo,hi", _ENCODING_CASES)
+def test_node_lps_warm_start_without_refactorizing(monkeypatch, seed, dims, lo, hi):
+    params = seeded_net(seed, dims)
+    box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
+    gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
+    refactorized = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        if sys._getframe(1).f_code.co_name == "warm":
+            refactorized.append(a.shape)
+        return solve(a, b)
+
+    warm_starts = []
+
+    def stripped(problem, start=None):
+        # drop the carried inverse: every warm start refactorizes its basis
+        if start is not None and problem.a_ub.shape[0]:
+            warm_starts.append(len(start))
+        return solve_lp(problem, start=None if start is None else start[:2])
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    cert = solve_worst_case(params, box, gen)
+    assert refactorized == []
+    monkeypatch.setattr(milp, "solve_lp", stripped)
+    plain = solve_worst_case(params, box, gen)
+    assert len(refactorized) == len(warm_starts)
+    assert set(warm_starts) <= {3}
+    assert _cert_bytes(cert) == _cert_bytes(plain)
+
+
+@pytest.mark.parametrize("node_limit", [0, -5])
+def test_node_limit_below_one_is_rejected(node_limit):
+    params = seeded_net(_BRANCHY_SEED, _BRANCHY_DIMS)
+    box = Box(-np.ones(_BRANCHY_DIMS[0]), np.ones(_BRANCHY_DIMS[0]))
+    gen = bounds_around_outputs(params, box, seed=_BRANCHY_SEED, frac_hi=0.6)
+    with pytest.raises(ValueError, match="node_limit"):
+        solve_worst_case(params, box, gen, node_limit=node_limit)
