@@ -33,9 +33,5 @@ class BoundsUnavailable(WcopfError):
     """Interval bound propagation produced nonfinite bounds."""
 
 
-class TooLarge(WcopfError):
-    """Network too large for exhaustive pattern enumeration."""
-
-
 class TrainingDiverged(WcopfError):
     """Training produced a nonfinite loss."""

@@ -1,6 +1,7 @@
 """Grid description and strict JSON loading."""
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -142,6 +143,8 @@ def _number(obj, key, where):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key}: expected a number")
+    if not math.isfinite(v):
+        raise SchemaError(f"{where}.{key}: expected a finite number, got {v}")
     return float(v)
 
 

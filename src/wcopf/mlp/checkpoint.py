@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import SchemaError, ShapeMismatch
 from ..grid.dataset import Scaler
 from .network import MlpParams
 
@@ -55,7 +55,7 @@ def load_model(path):
                            scale=np.array(doc["input_scaler"]["scale"], dtype=float))
         out_scaler = Scaler(offset=np.array(doc["output_scaler"]["offset"], dtype=float),
                             scale=np.array(doc["output_scaler"]["scale"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise SchemaError(f"{path}: malformed checkpoint: {exc}") from exc
     return params, in_scaler, out_scaler, doc["meta"]
 

@@ -12,9 +12,11 @@ finite bounds and bound flips are pivots that change no basis column.
 
 A cold solve starts each variable at a finite bound (lower preferred).
 A <= row whose residual is nonnegative there starts with its slack
-basic; only equality rows and violated rows get a basic artificial.
-Phase 1 minimizes the sum of those artificials (no big-M constants)
-and is skipped when there are none; phase 2 optimizes the objective.
+basic; every other row starts with its artificial basic at the row's
+residual, bounded on that residual's side of zero.  Every artificial
+column is e_i, so the starting basis is the identity.  Phase 1 drives
+the basic artificials to zero (no big-M constants) and is skipped when
+there are none; phase 2 optimizes the objective.
 
 A warm solve takes the (basis, stat, binv) that an earlier optimal solve
 left on LpSolution.basis; binv is that basis's inverse, read off the
@@ -22,11 +24,11 @@ artificial columns of the final tableau.  When the rows and objective
 are unchanged and only variable bounds moved, that basis is still dual
 feasible: the tableau is rebuilt as binv @ [a | b], a dual simplex
 restores primal feasibility (or proves the LP infeasible from a tableau
-row), and the primal simplex finishes.  The basis columns of that
-product must come back as the identity; when they do not, or the start
-carries only (basis, stat), the tableau is rebuilt with one linear
-solve instead.  A start that is singular, not dual feasible or
-numerically unusable falls back to the cold path.
+row), and the primal simplex finishes.  A start whose product is not
+finite or whose basis columns miss the identity by more than _FEAS_TOL,
+or that is not dual feasible or breaks down numerically, falls back to
+the cold path.  An LP without rows takes the same path with an empty
+basis: each variable flips to the bound its cost favors.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
 the closing pricing pass of each primal phase.  All ties break toward
@@ -110,7 +112,7 @@ class LpSolution:
     x: np.ndarray = None
     objective_value: float = float("nan")
     iteration_count: int = 0
-    basis: tuple = None    # (basic indices, statuses, Binv) of an optimal solve
+    basis: tuple = None    # (basic indices, statuses, Binv); set by every optimal solve
 
 
 def solve_lp(problem: LpProblem, start=None) -> LpSolution:
@@ -119,9 +121,6 @@ def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     start is the basis of an earlier optimal solve of a problem with the
     same rows and objective (LpSolution.basis); only bounds may differ.
     """
-    if problem.a_eq.shape[0] + problem.a_ub.shape[0] == 0:
-        return _solve_bounds_only(problem)
-
     spent = 0
     if start is not None:
         core = _Core(problem)
@@ -129,7 +128,7 @@ def solve_lp(problem: LpProblem, start=None) -> LpSolution:
             status = core.warm(*start)
             if status is not None:
                 return _solution(problem, core, status, 0)
-        except (np.linalg.LinAlgError, NumericalBreakdown):
+        except NumericalBreakdown:
             pass
         spent = core.iterations
     core = _Core(problem)
@@ -146,29 +145,12 @@ def _solution(problem, core, status, spent):
                       basis=(core.basis.copy(), core.stat.copy(), core.basis_inverse()))
 
 
-def _solve_bounds_only(problem):
-    """No constraint rows: each variable sits at its favorable bound."""
-    c, lo, hi = problem.c, problem.lo, problem.hi
-    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    for j in range(c.shape[0]):
-        if c[j] > _OBJ_TOL:
-            if not np.isfinite(hi[j]):
-                return LpSolution(LpStatus.UNBOUNDED)
-            x[j] = hi[j]
-        elif c[j] < -_OBJ_TOL:
-            if not np.isfinite(lo[j]):
-                return LpSolution(LpStatus.UNBOUNDED)
-            x[j] = lo[j]
-    return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(c @ x), iteration_count=0)
-
-
 class _Core:
     """Tableau-based bounded-variable simplex over equality rows a z = b.
 
     Columns are [structural | one slack per <= row | one artificial per
-    row].  Artificials are pinned at zero unless the cold start makes
-    them basic; a cold start gives row i's artificial the column
-    sign[i] * e_i, every other core the identity.
+    row], and row i's artificial column is e_i.  Artificials are pinned
+    at zero except while phase 1 of a cold start drives them there.
     """
 
     def __init__(self, problem):
@@ -195,7 +177,6 @@ class _Core:
         self.hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m)])
         self.c = np.zeros(self.n_total)
         self.c[:n] = problem.c
-        self.sign = np.ones(m)
 
     # -- starting bases ------------------------------------------------------
 
@@ -212,35 +193,34 @@ class _Core:
         rows = np.arange(m)
         slack = np.zeros(m, dtype=bool)
         slack[self.m_eq:] = resid[self.m_eq:] >= 0.0
-        sign = np.where(resid >= 0.0, 1.0, -1.0)
+        below = resid < 0.0
         art = n_real + rows
-        self.a[rows, art] = sign
-        self.sign = sign
-        hi[art[~slack]] = np.inf
+        lo[art[below]] = -np.inf
+        hi[art[~(slack | below)]] = np.inf
         self.basis = np.where(slack, self.n + rows - self.m_eq, art)
-        x[self.basis] = np.abs(resid)
+        x[self.basis] = resid
         stat[self.basis] = _BASIC
         self.x = x
         self.stat = stat
-        # B = diag(sign) (slack rows have sign +1), so Binv @ a is a row scaling
-        self.t = self.a * sign[:, None]
+        self.t = self.a.copy()  # B = I
 
         if not slack.all() and not self._phase1():
             return LpStatus.INFEASIBLE
         return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
 
-    def warm(self, basis, stat, binv=None):
+    def warm(self, basis, stat, binv):
         """Dual simplex from an earlier optimal basis; None if it is unusable.
 
-        binv, the inverse of that basis's matrix, rebuilds the tableau with
-        one product; without it, or when the product's basis columns miss
-        the identity by more than _FEAS_TOL, the basis is refactorized.
-        Raises LinAlgError when the basis matrix is singular.
+        binv, the inverse of that basis's matrix, rebuilds the tableau as
+        binv @ [a | b]; the start is unusable when that product is not
+        finite or its basis columns miss the identity by more than
+        _FEAS_TOL (binv does not invert this basis), and when the basis
+        is not dual feasible.
         """
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
         if (basis.shape != (self.m,) or stat.shape != (self.n_total,)
-                or (binv is not None and np.shape(binv) != (self.m, self.m))):
+                or np.shape(binv) != (self.m, self.m)):
             raise ValueError("start basis does not match the problem's shape")
         lo, hi = self.lo, self.hi
         # nonbasics keep their bound where it is still finite
@@ -251,32 +231,27 @@ class _Core:
                                  np.where(fin_hi, _AT_UP, _FREE))).astype(np.int8)
         stat[basis] = _BASIC
 
-        ab = np.column_stack([self.a, self.b])
-        tab = None if binv is None else binv @ ab
-        if tab is None or not np.all(np.abs(tab[:, basis] - np.eye(self.m)) <= _FEAS_TOL):
-            # no inverse, or it drifted from this basis: refactorize
-            tab = np.linalg.solve(self.a[:, basis], ab)
-        if not np.all(np.isfinite(tab)):
+        tab = binv @ np.column_stack([self.a, self.b])
+        if not (np.all(np.isfinite(tab))
+                and np.all(np.abs(tab[:, basis] - np.eye(self.m)) <= _FEAS_TOL)):
             return None
-        t = np.ascontiguousarray(tab[:, :-1])
+        self.t = np.ascontiguousarray(tab[:, :-1])
+        self.basis = basis
+        self.stat = stat
 
         # boxed nonbasics move to the bound their reduced cost favors
-        d = self.c - self.c[basis] @ t
-        movable = hi > lo
-        stat[movable & (stat == _AT_LO) & fin_hi & (d > _OBJ_TOL)] = _AT_UP
-        stat[movable & (stat == _AT_UP) & fin_lo & (d < -_OBJ_TOL)] = _AT_LO
-        rises = (stat == _AT_LO) | (stat == _FREE)
-        falls = (stat == _AT_UP) | (stat == _FREE)
-        if np.any(movable & ((rises & (d > _OBJ_TOL)) | (falls & (d < -_OBJ_TOL)))):
+        d = self._reduced_costs(self.c)
+        rises, falls = self._movable()
+        stat[rises & (stat == _AT_LO) & fin_hi & (d > _OBJ_TOL)] = _AT_UP
+        stat[falls & (stat == _AT_UP) & fin_lo & (d < -_OBJ_TOL)] = _AT_LO
+        rises, falls = self._movable()
+        if np.any((rises & (d > _OBJ_TOL)) | (falls & (d < -_OBJ_TOL))):
             return None  # not dual feasible
 
         x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
         x[basis] = 0.0
-        x[basis] = tab[:, -1] - t @ x
-        self.basis = basis
-        self.stat = stat
+        x[basis] = tab[:, -1] - self.t @ x
         self.x = x
-        self.t = t
 
         if not self._dual():
             return LpStatus.INFEASIBLE
@@ -295,9 +270,9 @@ class _Core:
             below = self.lo[self.basis] - xb
             above = xb - self.hi[self.basis]
             excess = np.maximum(below, above)
-            r = int(np.argmax(excess))
-            if excess[r] <= _FEAS_TOL:
+            if np.max(excess, initial=0.0) <= _FEAS_TOL:
                 return True
+            r = int(np.argmax(excess))
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown(
@@ -307,16 +282,14 @@ class _Core:
             # moves in the direction of alpha_j
             g = 1.0 if below[r] > 0.0 else -1.0
             alpha = -g * self.t[r]
-            movable = self.hi > self.lo
-            inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (alpha > _PIVOT_TOL)
-            dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (alpha < -_PIVOT_TOL)
-            elig = inc | dec
+            rises, falls = self._movable()
+            elig = (rises & (alpha > _PIVOT_TOL)) | (falls & (alpha < -_PIVOT_TOL))
             if not elig.any():
                 if self._row_proves_infeasible(r):
                     return False
                 raise NumericalBreakdown("dual ratio test disagrees with its row")
 
-            d = self.c - self.c[self.basis] @ self.t
+            d = self._reduced_costs(self.c)
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run
@@ -337,8 +310,8 @@ class _Core:
 
     def _row_proves_infeasible(self, r):
         """Recheck from the problem data that row r of Binv @ a z = Binv @ b
-        cannot hold inside the bounds.  Artificial columns are the identity
-        in a warm start, so the row of Binv sits in those columns."""
+        cannot hold inside the bounds.  Artificial columns are the identity,
+        so the row of Binv sits in those columns."""
         u = self.t[r, self.n_real:]
         coef = u @ self.a[:, :self.n_real]
         rhs = float(u @ self.b)
@@ -360,10 +333,10 @@ class _Core:
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown(
                     f"simplex iteration cap {self.max_iterations} exceeded")
-            d = c - c[self.basis] @ self.t
-            movable = self.hi > self.lo
-            can_inc = movable & ((self.stat == _AT_LO) | (self.stat == _FREE)) & (d > _OBJ_TOL)
-            can_dec = movable & ((self.stat == _AT_UP) | (self.stat == _FREE)) & (d < -_OBJ_TOL)
+            d = self._reduced_costs(c)
+            rises, falls = self._movable()
+            can_inc = rises & (d > _OBJ_TOL)
+            can_dec = falls & (d < -_OBJ_TOL)
             if not (can_inc.any() or can_dec.any()):
                 return True  # optimal for this phase
             if bland:
@@ -446,6 +419,16 @@ class _Core:
             else:
                 stalled = 0
 
+    def _reduced_costs(self, c):
+        return c - c[self.basis] @ self.t
+
+    def _movable(self):
+        """(rises, falls): nonbasics free to move up, and down, from their bound."""
+        movable = self.hi > self.lo
+        rises = movable & ((self.stat == _AT_LO) | (self.stat == _FREE))
+        falls = movable & ((self.stat == _AT_UP) | (self.stat == _FREE))
+        return rises, falls
+
     def _pivot(self, r, j):
         t = self.t
         piv = t[r, j]
@@ -461,11 +444,12 @@ class _Core:
         """Drive the basic artificials to zero, then pin every artificial."""
         art = slice(self.n_real, None)
         c = np.zeros(self.n_total)
-        c[art] = -1.0
+        c[art] = np.where(self.lo[art] < 0.0, 1.0, -1.0)  # maximize -|x_art|
         self._run(c)  # bounded by construction
-        if self.x[art].sum() > _FEAS_TOL:
+        if np.abs(self.x[art]).sum() > _FEAS_TOL:
             return False
         self._drive_out_artificials()
+        self.lo[art] = 0.0
         self.hi[art] = 0.0
         nb_art = self.stat[art] != _BASIC
         self.stat[art][nb_art] = _AT_LO
@@ -492,11 +476,8 @@ class _Core:
     # -- solution extraction -------------------------------------------------
 
     def basis_inverse(self):
-        """Binv, un-scaled from the tableau's artificial block, which holds
-        Binv @ diag(sign).  A warm start's core has identity artificial
-        columns, so an artificial left basic with sign -1 (a redundant
-        row) fails that start's identity check, and it refactorizes."""
-        return self.t[:, self.n_real:] * self.sign
+        """Binv: the tableau's artificial block, as every artificial column is e_i."""
+        return self.t[:, self.n_real:].copy()
 
     def final_values(self):
         """Recompute basic values exactly from the current basis."""

@@ -1,4 +1,5 @@
-"""Suite-wide set-up that must run before numpy is imported.
+"""Suite-wide set-up that must run before numpy is imported, and shared
+fixtures.
 
 numpy's BLAS would otherwise run the simplex's small dense solves on one
 thread per core; beside any other busy process that oversubscription
@@ -8,5 +9,18 @@ caller exported.
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture
+def cold_cores(monkeypatch):
+    """List that grows by the simplex core of each cold-path solve."""
+    from wcopf import simplex
+
+    cores = []
+    cold = simplex._Core.cold
+    monkeypatch.setattr(simplex._Core, "cold", lambda core: cores.append(core) or cold(core))
+    return cores

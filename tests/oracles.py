@@ -220,3 +220,100 @@ def midband_dataset(seed=11, n=120):
     ident = Scaler(np.zeros(2), np.ones(2))
     return Dataset(inputs=d, targets=g, split=split,
                    input_scaler=ident, output_scaler=ident)
+
+
+MAX_HIDDEN_UNITS = 16
+
+
+class TooLarge(Exception):
+    """Network too large for exhaustive pattern enumeration."""
+
+
+def brute_force_worst_case(params, box, gen_bounds):
+    """Exact (value, witness, constraint_id) of the worst margin.
+
+    Ground truth for small networks: ReLU on/off patterns are enumerated
+    neuron by neuron, carrying the affine form of each layer along the
+    recursion, and the margin is maximized by LP inside every nonempty
+    linear region.  A prefix whose region is already empty prunes its
+    whole subtree, so the work scales with the number of linear regions
+    that meet the box rather than with 2^H.
+
+    value is the unclipped maximum margin over the box; negative means
+    no constraint can be violated anywhere.  Raises TooLarge past
+    MAX_HIDDEN_UNITS hidden units.
+    """
+    from wcopf.simplex import LpProblem, LpStatus, solve_lp
+    from wcopf.verifier import candidate_constraints
+
+    h_total = int(sum(params.hidden_dims))
+    if h_total > MAX_HIDDEN_UNITS:
+        raise TooLarge(f"{h_total} hidden units exceed the brute-force "
+                       f"limit of {MAX_HIDDEN_UNITS}")
+    if box.dim != params.n_inputs:
+        raise ValueError("box dimension does not match network inputs")
+    if gen_bounds.dim != params.n_outputs:
+        raise ValueError("generator bounds do not match network outputs")
+
+    n = box.dim
+    candidates = candidate_constraints(params.n_outputs)
+    best = [-np.inf, None, None]
+    rows = []
+    rhs = []
+
+    def region_nonempty():
+        sol = solve_lp(LpProblem(c=np.zeros(n), a_ub=np.array(rows),
+                                 b_ub=np.array(rhs), lo=box.lo, hi=box.hi))
+        return sol.status == LpStatus.OPTIMAL
+
+    def leaf(a_act, c_act):
+        a_out = params.weights[-1] @ a_act
+        c_out = params.weights[-1] @ c_act + params.biases[-1]
+        a_ub = np.array(rows) if rows else None
+        b_ub = np.array(rhs) if rows else None
+        for g, side in candidates:
+            if side == "upper":
+                c_vec = a_out[g]
+                const = float(c_out[g] - gen_bounds.hi[g])
+            else:
+                c_vec = -a_out[g]
+                const = float(gen_bounds.lo[g] - c_out[g])
+            sol = solve_lp(LpProblem(c=c_vec, a_ub=a_ub, b_ub=b_ub,
+                                     lo=box.lo, hi=box.hi))
+            if sol.status != LpStatus.OPTIMAL:
+                continue
+            val = float(sol.objective_value) + const
+            if val > best[0]:
+                best[0], best[1], best[2] = val, sol.x, (g, side)
+
+    def descend_layer(k, a_act, c_act):
+        if k == params.n_hidden_layers:
+            leaf(a_act, c_act)
+            return
+        a_pre = params.weights[k] @ a_act
+        c_pre = params.weights[k] @ c_act + params.biases[k]
+        width = a_pre.shape[0]
+        mask = np.zeros(width, dtype=bool)
+
+        def descend_neuron(j):
+            if j == width:
+                m = mask.astype(float)
+                descend_layer(k + 1, m[:, None] * a_pre, m * c_pre)
+                return
+            for bit in (False, True):
+                mask[j] = bit
+                if bit:
+                    rows.append(-a_pre[j])
+                    rhs.append(float(c_pre[j]))
+                else:
+                    rows.append(a_pre[j])
+                    rhs.append(float(-c_pre[j]))
+                if region_nonempty():
+                    descend_neuron(j + 1)
+                rows.pop()
+                rhs.pop()
+
+        descend_neuron(0)
+
+    descend_layer(0, np.eye(n), np.zeros(n))
+    return best[0], best[1], best[2]

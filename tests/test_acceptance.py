@@ -16,7 +16,8 @@ from statistics import median
 import numpy as np
 import pytest
 
-from oracles import bounds_around_outputs, lp_vertex_enumeration, seeded_net
+from oracles import (bounds_around_outputs, brute_force_worst_case, lp_vertex_enumeration,
+                     seeded_net)
 from wcopf import cli
 from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
                         grid_from_dict, injection_matrices,
@@ -25,8 +26,8 @@ from wcopf.mlp import LossSpec, forward, gradient, total_loss
 from wcopf.simplex import LpStatus
 from wcopf.train import (TrainConfig, finetune_sequential, layer_sensitivity,
                          scaled_gen_box, train_standard, train_wcnn, unit_box)
-from wcopf.verifier import (Box, brute_force_worst_case, margin_of_output,
-                            solve_worst_case, worst_case_gradient)
+from wcopf.verifier import (Box, margin_of_output, solve_worst_case,
+                            worst_case_gradient)
 
 _DATASETS = {}
 

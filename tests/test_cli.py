@@ -313,6 +313,22 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_verify_malformed_checkpoint_exits_2(tmp_path, capsys):
+    # layer 0 cut to 2 of its 4 rows: a shape error inside the parameters
+    grid = builtin_grid("case3")
+    model = tmp_path / "cut.json"
+    save_model(model, seeded_net(0, (2, 4, 2)),
+               box_input_scaler(grid), gen_output_scaler(grid))
+    doc = json.loads(model.read_text())
+    doc["weights"][0] = doc["weights"][0][:2]
+    model.write_text(json.dumps(doc))
+    rc = cli.main(["verify", "--model", str(model), "--grid", "case3",
+                   "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    assert "malformed checkpoint: layer 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.json"]
+
+
 def _raises(exc):
     def broken(*args, **kwargs):
         raise exc

@@ -1,4 +1,4 @@
-"""solve_worst_case against HiGHS on nets past brute force's reach.
+"""solve_worst_case and solve_lp against HiGHS, past brute force's reach.
 
 The interval bounds and the big-M encoding below are written here from
 scratch, so no verifier code is shared with the engine under test.  A
@@ -6,15 +6,19 @@ branch-and-bound node wrongly declared infeasible prunes a subtree and
 overclaims the bound; HiGHS's optimum then exceeds that bound.  This
 encoding keeps every unit, so narrow boxes, where the verifier drops
 the units interval analysis proves stable, check that substitution.
+
+The LP core is checked on its own on seeded LPs far larger than vertex
+enumeration can solve, cold and warm-started from a parent's basis.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from oracles import bounds_around_outputs, naive_forward, seeded_net
-from wcopf.verifier import MAX_HIDDEN_UNITS, Box, solve_worst_case
+from oracles import MAX_HIDDEN_UNITS, bounds_around_outputs, naive_forward, seeded_net
+from wcopf.simplex import LpProblem, LpStatus, solve_lp
+from wcopf.verifier import Box, solve_worst_case
 from wcopf.verifier.milp import CERTIFIED
 
 
@@ -197,3 +201,78 @@ def test_drawn_nets_match_highs(seed, widths, n_in, n_out, radius, frac_hi,
                                 frac_lo):
     dims = (n_in, *widths, n_out)
     _check_against_highs(*_seeded_case(seed, dims, radius, frac_hi, frac_lo))
+
+
+def _random_lp(seed):
+    """Seeded LP of 30-60 variables and 25-40 rows, maximize c @ x.
+
+    Rows are built around the middle of the box, so many of them are
+    violated at the all-lower-bounds start.  Three variables are free
+    (kept bounded by rows |x_j| <= 5), one <= row and one equality row
+    are duplicated, and a floor row keeps x_0 in the top quarter of its
+    range.  Every third seed adds a row that contradicts another, which
+    makes the LP infeasible.
+    """
+    rng = np.random.default_rng((seed, 41))
+    n = int(rng.integers(30, 61))
+    m_eq = int(rng.integers(1, 6))
+    m_ub = int(rng.integers(16, 31)) - m_eq
+    lo = rng.uniform(-3.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 4.0, n)
+    x0 = 0.5 * (lo + hi)
+    free = 1 + rng.choice(n - 1, size=3, replace=False)
+    lo[free], hi[free], x0[free] = -np.inf, np.inf, 0.0
+    a_eq = rng.normal(size=(m_eq, n))
+    a_ub = rng.normal(size=(m_ub, n))
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, m_ub)
+    extra = np.zeros((7, n))
+    extra[np.arange(6), np.repeat(free, 2)] = np.tile([1.0, -1.0], 3)
+    extra[6, 0] = -1.0
+    a_ub = np.vstack([a_ub, extra, a_ub[:1]])
+    b_ub = np.concatenate([b_ub, np.full(6, 5.0), [-lo[0] - 0.75 * (hi[0] - lo[0])],
+                           b_ub[:1]])
+    a_eq = np.vstack([a_eq, -2.0 * a_eq[:1]])
+    b_eq = a_eq @ x0
+    if seed % 3 == 2:
+        a_ub = np.vstack([a_ub, -a_ub[:1]])
+        b_ub = np.append(b_ub, -b_ub[0] - 1.0)
+    return rng.normal(size=n), a_eq, b_eq, a_ub, b_ub, lo, hi
+
+
+def _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi, start=None):
+    sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                             lo=lo, hi=hi), start=start)
+    ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=np.column_stack([lo, hi]), method="highs")
+    assert ref.status in (0, 2), ref.message
+    if ref.status == 2:
+        assert sol.status == LpStatus.INFEASIBLE
+        return sol
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6 * (1.0 + abs(ref.fun)))
+    assert np.all(sol.x >= lo - 1e-9) and np.all(sol.x <= hi + 1e-9)
+    assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
+    assert np.max(np.abs(a_eq @ sol.x - b_eq)) <= 1e-7
+    return sol
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lp_matches_highs_cold_and_warm(seed):
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_lp(seed)
+    parent = _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi)
+    assert (parent.status == LpStatus.OPTIMAL) == (seed % 3 != 2)
+    if parent.status != LpStatus.OPTIMAL:
+        return
+    # one branch-and-bound-like child: a boxed variable that is basic
+    # strictly inside its range is fixed at a bound or has the parent's
+    # optimum cut out of its range; or x_0 is fixed below its floor row
+    inside = np.isfinite(lo) & (parent.x > lo + 1e-6) & (parent.x < hi - 1e-6)
+    inside[0] = False
+    k = 0 if seed % 3 == 1 else int(np.flatnonzero(inside)[seed % inside.sum()])
+    xk = parent.x[k]
+    lo2, hi2 = lo.copy(), hi.copy()
+    lo2[k], hi2[k] = [(lo[k], lo[k]), (hi[k], hi[k]),
+                      (lo[k], lo[k] + 0.5 * (xk - lo[k])),
+                      (xk + 0.5 * (hi[k] - xk), hi[k])][0 if k == 0 else seed % 4]
+    child = _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo2, hi2, start=parent.basis)
+    assert (child.status == LpStatus.OPTIMAL) == (k > 0)

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_invalid_json_reports_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{\n "buses": [1,]\n}\n')
     with pytest.raises(SchemaError, match="line"):
+        load_grid(p)
+
+
+@pytest.mark.parametrize("section,key,text", [("generators", "p_max", "NaN"),
+                                              ("lines", "susceptance", "Infinity"),
+                                              ("generators", "cost", "-Infinity")])
+def test_nonfinite_number_rejected(tmp_path, section, key, text):
+    # Python's json parses these literals; the grid loader must not take them
+    doc = json.loads((resources.files("wcopf.grid") / "cases/case9.json").read_text())
+    doc[section][0][key] = "PLACEHOLDER"
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text))
+    with pytest.raises(SchemaError, match=rf"{section}\[0\]\.{key}: expected a finite"):
         load_grid(p)
 
 

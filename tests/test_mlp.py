@@ -308,6 +308,22 @@ def test_checkpoint_rejects_malformed(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("damage", ["nan", "rows"])
+def test_checkpoint_rejects_bad_parameters(tmp_path, damage):
+    # a NaN weight, or layer 0 cut to 2 of its 5 rows
+    path = tmp_path / "bad.json"
+    save_model(path, small_net(21), Scaler(np.zeros(2), np.ones(2)),
+               Scaler(np.zeros(2), np.ones(2)))
+    doc = json.loads(path.read_text())
+    if damage == "nan":
+        doc["weights"][1][0][0] = float("nan")
+    else:
+        doc["weights"][0] = doc["weights"][0][:2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="layer"):
+        load_model(path)
+
+
 def test_params_checksum_changes_with_params():
     p = small_net(20)
     c1 = params_checksum(p)

@@ -1,16 +1,13 @@
-import sys
-
 import numpy as np
 import pytest
 
-from oracles import bounds_around_outputs, seeded_net
-from wcopf.errors import BoundsUnavailable, TooLarge
+from oracles import TooLarge, bounds_around_outputs, brute_force_worst_case, seeded_net
+from wcopf.errors import BoundsUnavailable
 from wcopf.mlp import MlpParams, forward
 from wcopf.simplex import solve_lp
-from wcopf.verifier import (Box, brute_force_worst_case, candidate_constraints,
-                            interval_bounds, margin_of_output,
-                            solve_worst_case, violation_of_output,
-                            worst_case_fixed_pattern)
+from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
+                            margin_of_output, solve_worst_case,
+                            violation_of_output, worst_case_fixed_pattern)
 from wcopf.verifier import milp
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING
 
@@ -253,34 +250,24 @@ def _cert_bytes(cert):
 
 
 @pytest.mark.parametrize("seed,dims,lo,hi", _ENCODING_CASES)
-def test_node_lps_warm_start_without_refactorizing(monkeypatch, seed, dims, lo, hi):
+def test_node_lps_warm_start_without_refactorizing(monkeypatch, cold_cores, seed, dims,
+                                                   lo, hi):
     params = seeded_net(seed, dims)
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
-    refactorized = []
-    solve = np.linalg.solve
+    warm_cold = []  # cold-path solves inside each warm-started node LP
 
-    def recording_solve(a, b):
-        if sys._getframe(1).f_code.co_name == "warm":
-            refactorized.append(a.shape)
-        return solve(a, b)
+    def recording(problem, start=None):
+        before = len(cold_cores)
+        sol = solve_lp(problem, start=start)
+        if start is not None:
+            warm_cold.append(len(cold_cores) - before)
+        return sol
 
-    warm_starts = []
-
-    def stripped(problem, start=None):
-        # drop the carried inverse: every warm start refactorizes its basis
-        if start is not None and problem.a_ub.shape[0]:
-            warm_starts.append(len(start))
-        return solve_lp(problem, start=None if start is None else start[:2])
-
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(milp, "solve_lp", recording)
     cert = solve_worst_case(params, box, gen)
-    assert refactorized == []
-    monkeypatch.setattr(milp, "solve_lp", stripped)
-    plain = solve_worst_case(params, box, gen)
-    assert len(refactorized) == len(warm_starts)
-    assert set(warm_starts) <= {3}
-    assert _cert_bytes(cert) == _cert_bytes(plain)
+    assert not any(warm_cold)
+    assert _cert_bytes(cert) == _cert_bytes(solve_worst_case(params, box, gen))
 
 
 @pytest.mark.parametrize("node_limit", [0, -5])
