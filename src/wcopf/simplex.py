@@ -99,6 +99,8 @@ class LpProblem:
             raise ValueError("constraint matrix / rhs shape mismatch")
         if self.lo.shape[0] != n or self.hi.shape[0] != n:
             raise ValueError("bound vectors must match the number of variables")
+        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+            raise ValueError("NaN in variable bounds")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
         for arr in (self.c, self.a_eq, self.a_ub, self.b_eq, self.b_ub):

@@ -231,6 +231,15 @@ def test_validation_rejects_nan():
         LpProblem(c=np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("lo,hi", [([np.nan, 0.0], [np.nan, 2.0]),
+                                   ([np.nan, 0.0], [1.0, 2.0]),
+                                   ([0.0, 0.0], [1.0, np.nan])])
+def test_validation_rejects_nan_bounds(lo, hi):
+    # every comparison with NaN is false, so lo > hi alone lets these through
+    with pytest.raises(ValueError, match="NaN"):
+        LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=lo, hi=hi)
+
+
 def test_two_generations_of_warm_starts_use_the_carried_inverse(monkeypatch, cold_cores):
     # children start from the parent's carried inverse, grandchildren from
     # the child's; many parents' cold starts had nonpositive artificials

@@ -277,3 +277,45 @@ def test_node_limit_below_one_is_rejected(node_limit):
     gen = bounds_around_outputs(params, box, seed=_BRANCHY_SEED, frac_hi=0.6)
     with pytest.raises(ValueError, match="node_limit"):
         solve_worst_case(params, box, gen, node_limit=node_limit)
+
+
+@pytest.mark.parametrize("y_rel,y_fix,y_range,unit", [
+    # the nearest to 0.5 has the narrower range: 1.0 * 0.5 < 4.0 * 0.2
+    ([0.5, 0.2, 0.0], [-1, -1, -1], [1.0, 4.0, 9.0], 1),
+    # exact tie, 2.0 * 0.25 == 1.0 * 0.5: the lower index wins
+    ([0.25, 0.5], [-1, -1], [2.0, 1.0], 0),
+    ([0.5, 0.75], [-1, -1], [1.0, 2.0], 0),
+    # fixed and integral units are never picked, however wide
+    ([0.5, 0.3, 1.0, 0.1], [1, -1, -1, -1], [50.0, 1.0, 50.0, 2.0], 1),
+    ([0.5, 1.0, 0.0], [0, -1, -1], [1.0, 1.0, 1.0], None),
+], ids=["wider", "tie", "tie-at-half", "skips-fixed", "integral"])
+def test_branch_unit_scores_range_times_fractionality(y_rel, y_fix, y_range, unit):
+    assert milp._branch_unit(np.array(y_rel), np.array(y_fix, dtype=np.int8),
+                             np.array(y_range)) == unit
+
+
+def test_encoding_ranges_follow_the_y_variables():
+    params = seeded_net(0, (3, 8, 8, 2))
+    box = Box(-np.ones(3), np.ones(3))
+    pre, _, _ = interval_bounds(params, box)
+    enc = milp._Encoding(params, box, bounds_around_outputs(params, box, seed=0))
+    ranges = [(pre.upper[k] - pre.lower[k])[(pre.lower[k] < 0.0) & (pre.upper[k] > 0.0)]
+              for k in range(params.n_hidden_layers)]
+    assert enc.y_range.tobytes() == np.concatenate(ranges).tobytes()
+    assert enc.y_range.shape == (enc.n_unstable,)
+
+
+# Counts of the widest-fractional-unit rule.  A change to branching,
+# bounds or the node LP that moves them must update them on purpose.
+@pytest.mark.parametrize("seed,dims,nodes,constraint_id", [
+    (0, (3, 12, 2), 22, (1, "upper")),
+    (2, (4, 20, 3), 61, (0, "upper")),
+    (0, (3, 8, 8, 2), 162, (1, "upper")),
+])
+def test_branching_node_counts_are_pinned(seed, dims, nodes, constraint_id):
+    params = seeded_net(seed, dims)
+    box = Box(-np.ones(dims[0]), np.ones(dims[0]))
+    cert = solve_worst_case(params, box,
+                            bounds_around_outputs(params, box, seed=seed, frac_hi=0.6))
+    assert cert.status == CERTIFIED
+    assert (cert.nodes_explored, cert.constraint_id) == (nodes, constraint_id)
