@@ -20,7 +20,7 @@ there are none; phase 2 optimizes the objective.
 
 A warm solve takes the (basis, stat, binv) that an earlier optimal solve
 left on LpSolution.basis; binv is that basis's inverse, read off the
-artificial columns of the final tableau.  When the rows and objective
+artificial columns of the final tableau when .basis is first read.  When the rows and objective
 are unchanged and only variable bounds moved, that basis is still dual
 feasible: the tableau is rebuilt as binv @ [a | b], a dual simplex
 restores primal feasibility (or proves the LP infeasible from a tableau
@@ -39,7 +39,8 @@ termination.
 """
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +115,20 @@ class LpSolution:
     x: np.ndarray = None
     objective_value: float = float("nan")
     iteration_count: int = 0
-    basis: tuple = None    # (basic indices, statuses, Binv); set by every optimal solve
+    _core: "_Core" = field(default=None, repr=False, compare=False)  # set by an optimal solve
+
+    @functools.cached_property
+    def basis(self):
+        """(basic indices, statuses, Binv) of an optimal solve, else None.
+
+        Copied out of the finished core on first use, which then lets the
+        core and its tableau go; solves that never warm-start another LP
+        skip the copy.
+        """
+        core, self._core = self._core, None
+        if core is None:
+            return None
+        return core.basis.copy(), core.stat.copy(), core.basis_inverse()
 
 
 def solve_lp(problem: LpProblem, start=None) -> LpSolution:
@@ -143,8 +157,7 @@ def _solution(problem, core, status, spent):
         return LpSolution(status, iteration_count=spent + core.iterations)
     x = core.final_values()[:core.n]
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(problem.c @ x),
-                      iteration_count=spent + core.iterations,
-                      basis=(core.basis.copy(), core.stat.copy(), core.basis_inverse()))
+                      iteration_count=spent + core.iterations, _core=core)
 
 
 class _Core:

@@ -5,12 +5,16 @@ activation variable z and an on/off variable y; three big-M rows per
 such unit (with interval preactivation bounds as the constants) make
 the LP relaxation exact once every y is integral.  Stable units enter
 the rows as affine forms of the encoded variables and are never
-branched on.  Each (generator, side) candidate is maximized in its own
-best-bound tree and the largest certified margin wins.  A node branches
-on the free fractional unit with the largest big-M range times
-fractionality, (zhi - zlo) * min(y, 1 - y), a cheap relative of the
-BaBSR score of Bunel et al. (JMLR 2020).  Every tie-break is by index,
-so repeated runs explore identical trees and return identical witnesses.
+branched on.  Every (generator, side) candidate is maximized in one
+best-first tree over the disjunction of their subproblems, as in Bunel
+et al. (JMLR 2020): the node with the largest bound of any candidate is
+expanded next, and every point evaluated in the box raises the
+incumbent of every candidate, so a loser is fathomed against the
+winner's margin however early it is searched.  A node branches on the
+free fractional unit with the largest big-M range times fractionality,
+(zhi - zlo) * min(y, 1 - y), a cheap relative of their BaBSR score.
+Every tie-break is by index, so repeated runs explore identical trees
+and return identical witnesses.
 """
 
 import heapq
@@ -179,10 +183,11 @@ class _Encoding:
         return solve_lp(LpProblem(c=c, a_ub=self.rows, b_ub=self.rhs, lo=lo, hi=hi),
                         start=start)
 
-    def margin_at(self, d, constraint_id):
-        """Exact forward-pass margin; any point in the box is a valid witness."""
+    def margins_at(self, d, cids):
+        """Exact forward-pass margin of each candidate; any point in the
+        box is a valid witness for all of them."""
         out = forward(self.params, d).output
-        return margin_of_output(out, self.gen_bounds, constraint_id)
+        return [margin_of_output(out, self.gen_bounds, cid) for cid in cids]
 
     def split_pattern(self, y_bits):
         """Per-layer pattern from 0/1 bits of the unstable units."""
@@ -222,65 +227,71 @@ def _branch_unit(y_rel, y_fix, y_range):
     return int(np.argmax(np.where(free_frac, y_range * frac, -np.inf)))
 
 
-def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
-    """Maximize one candidate margin.
+def _branch_and_bound(enc: _Encoding, cids, node_limit):
+    """Maximize every candidate margin in one best-first tree.
 
-    target is the best value found by earlier candidates; subtrees that
-    cannot beat max(target, incumbent, 0) by more than FATHOM_PAD are
-    fathomed.  A node that survives branches on the free fractional
-    unit whose big-M range zhi - zlo times min(y, 1 - y) is largest,
-    the lowest index on ties (_branch_unit).  Returns (value, witness,
-    nodes_used, remaining_bound) where remaining_bound > -inf only if
-    the node budget ran out first.
+    Heap entries are (-bound, seq, candidate index, y_fix, parent's LP
+    basis).  A root is keyed by its candidate's interval margin bound and
+    every other node by its parent's LP value, so the node with the
+    largest bound over all candidates is expanded first, and a root
+    whose interval bound is already beaten is never solved.  Every point
+    the search evaluates (the box midpoint, each clipped node-LP point,
+    each root polish witness) lies in the box and so attains its margin
+    for every candidate; each is offered to every candidate's incumbent,
+    and a node is fathomed once it cannot beat max(best margin of any
+    candidate, 0) by more than FATHOM_PAD.  A surviving node branches on
+    the unit _branch_unit picks.  A node popped after its candidate has
+    solved node_limit node LPs is set aside unexplored.  Returns
+    (incumbents, nodes, remaining): an _Incumbent and a node count per
+    candidate, and the largest bound set aside (-inf if none was).
     """
-    c, const = enc.objective(constraint_id)
-    inc = _Incumbent()
-    inc.offer(enc.margin_at(enc.box.midpoint(), constraint_id), enc.box.midpoint())
+    objectives = [enc.objective(cid) for cid in cids]
+    incs = [_Incumbent() for _ in cids]
+
+    def offer(d):
+        for inc, margin in zip(incs, enc.margins_at(d, cids)):
+            inc.offer(margin, d)
 
     def cutoff():
-        return max(inc.value, target, 0.0) + FATHOM_PAD
+        return max(max(inc.value for inc in incs), 0.0) + FATHOM_PAD
 
-    if enc.interval_margin_bound(constraint_id) <= cutoff():
-        return inc.value, inc.witness, 0, -np.inf
+    offer(enc.box.midpoint())
+    free = np.full(enc.n_unstable, -1, dtype=np.int8)
+    heap = [(-enc.interval_margin_bound(cid), k, k, free, None)
+            for k, cid in enumerate(cids)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    nodes = [0] * len(cids)
+    remaining = -np.inf
 
-    heap = []
-    seq = 0
-    # entries: (-parent bound, seq, y_fix, parent's optimal LP basis);
-    # both children share the parent's basis inverse
-    heapq.heappush(heap, (-np.inf, seq, np.full(enc.n_unstable, -1, dtype=np.int8), None))
-    nodes = 0
-    at_root = True
+    while heap and -heap[0][0] > cutoff():
+        neg_bound, _, k, y_fix, start = heapq.heappop(heap)
+        if nodes[k] >= node_limit:
+            remaining = max(remaining, -neg_bound)
+            continue
+        nodes[k] += 1
 
-    while heap:
-        neg_bound, _, y_fix, start = heap[0]
-        if -neg_bound <= cutoff():
-            heap = []
-            break
-        if nodes >= node_budget:
-            break
-        heapq.heappop(heap)
-        nodes += 1
-
+        c, const = objectives[k]
+        # a node that did not branch left its whole finished LP core on
+        # sol, unread; let it go before this solve
+        sol = None
         # children differ from their parent only in y bounds, so the
         # parent's basis stays dual feasible and warm-starts the child
         sol = enc.solve_node(c, y_fix, start)
         if sol.status == LpStatus.INFEASIBLE:
-            at_root = False
             continue
         val = float(sol.objective_value) + const
         # a basic variable at a bound can come back an ulp outside it
-        d = np.clip(sol.x[: enc.n_in], enc.box.lo, enc.box.hi)
-        inc.offer(enc.margin_at(d, constraint_id), d)
+        offer(np.clip(sol.x[: enc.n_in], enc.box.lo, enc.box.hi))
 
-        if at_root and enc.widths:
-            # round the relaxation and polish inside that linear region
-            at_root = False
+        if start is None and enc.widths:
+            # at a root, round the relaxation and polish inside that
+            # linear region
             _, rw = worst_case_fixed_pattern(
                 enc.params, enc.split_pattern(sol.x[enc.y_off :] >= 0.5),
-                enc.box, enc.gen_bounds, constraint_id)
+                enc.box, enc.gen_bounds, cids[k])
             if rw is not None:
-                rw = np.clip(rw, enc.box.lo, enc.box.hi)
-                inc.offer(enc.margin_at(rw, constraint_id), rw)
+                offer(np.clip(rw, enc.box.lo, enc.box.hi))
 
         if val <= cutoff():
             continue
@@ -293,49 +304,39 @@ def _branch_and_bound(enc: _Encoding, constraint_id, target, node_budget):
             child = y_fix.copy()
             child[j] = bit
             seq += 1
-            heapq.heappush(heap, (-val, seq, child, sol.basis))
+            # both children share the parent's basis inverse
+            heapq.heappush(heap, (-val, seq, k, child, sol.basis))
 
-    remaining = -np.inf
-    if heap:
-        remaining = -heap[0][0]
-    return inc.value, inc.witness, nodes, remaining
+    return incs, nodes, remaining
 
 
 def solve_worst_case(params, box: Box, gen_bounds: Box,
                      node_limit: int = DEFAULT_NODE_LIMIT) -> WorstCaseCert:
     """Certified worst-case generator-bound violation over an input box.
 
-    Scans every (generator, side) candidate with its own branch-and-bound
-    run; candidates whose interval bound already rules them out are
-    skipped.  node_limit caps the nodes per candidate; when it is hit
+    Searches every (generator, side) candidate in one shared best-first
+    branch-and-bound tree (_branch_and_bound); candidates whose interval
+    bound already rules them out are never solved.  The winner is the
+    first candidate, in candidate_constraints order, with the largest
+    margin.  node_limit caps the nodes per candidate; when it is hit
     the certificate reports the remaining gap instead of raising.
     """
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
     enc = _Encoding(params, box, gen_bounds)
-    best_value = -np.inf
-    best_witness = None
-    best_cid = None
-    nodes_total = 0
-    remaining_max = -np.inf
-
-    for cid in candidate_constraints(params.n_outputs):
-        value, witness, nodes, remaining = _branch_and_bound(
-            enc, cid, best_value, node_limit)
-        nodes_total += nodes
-        remaining_max = max(remaining_max, remaining)
-        if value > best_value:
-            best_value = value
-            best_witness = witness
-            best_cid = cid
+    cids = candidate_constraints(params.n_outputs)
+    incs, nodes, remaining = _branch_and_bound(enc, cids, node_limit)
+    # max keeps the first of equal values
+    win = max(range(len(cids)), key=lambda k: incs[k].value)
+    best_value = incs[win].value
 
     value = max(best_value, 0.0)
-    bound = max(value, remaining_max)
+    bound = max(value, remaining)
     gap = bound - value
     status = CERTIFIED if gap <= GAP_TOL else GAP_REMAINING
     if best_value > 0.0:
-        witness = best_witness
-        cid = best_cid
+        witness = incs[win].witness
+        cid = cids[win]
         pattern = [p.copy() for p in forward(params, witness).pattern]
     else:
         witness = None
@@ -343,4 +344,4 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
         pattern = None
     return WorstCaseCert(value=value, witness=witness, constraint_id=cid,
                          pattern=pattern, bound=float(bound), gap=float(gap),
-                         status=status, nodes_explored=nodes_total)
+                         status=status, nodes_explored=sum(nodes))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
 from wcopf.verifier import milp
-from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING
+from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
 
 
 def _ramp_net(out_w=1.0, out_b=0.0):
@@ -173,6 +175,22 @@ def test_candidate_order_and_ties():
                                         (1, "upper"), (1, "lower")]
 
 
+def test_tied_candidates_name_the_earlier_one():
+    # generators 0 and 1 share their output row and their bounds, so every
+    # point gives both the same margin and every incumbent ties
+    params = seeded_net(5, (3, 8, 2))
+    params.weights[-1][1] = params.weights[-1][0]
+    params.biases[-1][1] = params.biases[-1][0]
+    box = Box(-np.ones(3), np.ones(3))
+    gen = bounds_around_outputs(params, box, seed=5, frac_hi=0.6)
+    gen = Box(np.full(2, gen.lo[0]), np.full(2, gen.hi[0]))
+    cert = solve_worst_case(params, box, gen)
+    assert cert.status == CERTIFIED and cert.value > 0.0
+    assert cert.constraint_id[0] == 0
+    out = forward(params, cert.witness).output
+    assert margin_of_output(out, gen, cert.constraint_id) == cert.value
+
+
 def test_brute_force_size_guard():
     params = seeded_net(0, (2, 17, 1))
     with pytest.raises(TooLarge):
@@ -180,22 +198,40 @@ def test_brute_force_size_guard():
                                Box([-1.0], [1.0]))
 
 
-def test_node_limit_leaves_gap():
-    # found by scanning seeds for a run that needs several branchings
-    params = seeded_net(_BRANCHY_SEED, _BRANCHY_DIMS)
-    box = Box(-np.ones(_BRANCHY_DIMS[0]), np.ones(_BRANCHY_DIMS[0]))
-    gen = bounds_around_outputs(params, box, seed=_BRANCHY_SEED, frac_hi=0.6)
-    full = solve_worst_case(params, box, gen)
-    assert full.nodes_explored >= 4
-    capped = solve_worst_case(params, box, gen, node_limit=1)
-    assert capped.status == GAP_REMAINING
-    assert capped.gap > 1e-6
-    assert capped.bound >= capped.value
-    assert capped.value <= full.value + 1e-9
-
-
+# found by scanning seeds for a run that needs several branchings
 _BRANCHY_SEED = 3
 _BRANCHY_DIMS = (3, 4, 4, 2)
+
+
+@pytest.mark.parametrize("seed,dims", [(_BRANCHY_SEED, _BRANCHY_DIMS), (0, (3, 12, 2))])
+def test_node_limit_caps_each_candidate(monkeypatch, seed, dims):
+    params = seeded_net(seed, dims)
+    box = Box(-np.ones(dims[0]), np.ones(dims[0]))
+    gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.6)
+    enc = milp._Encoding(params, box, gen)
+    # node LPs of different candidates differ in their objective
+    by_objective = {enc.objective(cid)[0].tobytes(): cid
+                    for cid in candidate_constraints(params.n_outputs)}
+    counts = Counter()
+
+    def counting(problem, start=None):
+        counts[by_objective[problem.c.tobytes()]] += 1
+        return solve_lp(problem, start=start)
+
+    monkeypatch.setattr(milp, "solve_lp", counting)
+    full = solve_worst_case(params, box, gen)
+    # some candidate needs more node LPs than any cap below allows
+    assert max(counts.values()) > 4
+    for node_limit in range(1, 5):
+        counts.clear()
+        capped = solve_worst_case(params, box, gen, node_limit=node_limit)
+        assert max(counts.values()) <= node_limit
+        assert sum(counts.values()) == capped.nodes_explored
+        # a node set aside unexplored still bounds the certificate
+        assert capped.bound >= full.value
+        assert capped.value <= full.value
+        assert capped.status == GAP_REMAINING
+        assert capped.gap > GAP_TOL
 
 
 def test_small_box_prefixes_everything():
@@ -305,12 +341,13 @@ def test_encoding_ranges_follow_the_y_variables():
     assert enc.y_range.shape == (enc.n_unstable,)
 
 
-# Counts of the widest-fractional-unit rule.  A change to branching,
-# bounds or the node LP that moves them must update them on purpose.
+# Counts of the widest-fractional-unit rule in one tree shared by every
+# candidate.  A change to branching, bounds, the node LP or the search
+# order that moves them must update them on purpose.
 @pytest.mark.parametrize("seed,dims,nodes,constraint_id", [
-    (0, (3, 12, 2), 22, (1, "upper")),
+    (0, (3, 12, 2), 16, (1, "upper")),
     (2, (4, 20, 3), 61, (0, "upper")),
-    (0, (3, 8, 8, 2), 162, (1, "upper")),
+    (0, (3, 8, 8, 2), 156, (1, "upper")),
 ])
 def test_branching_node_counts_are_pinned(seed, dims, nodes, constraint_id):
     params = seeded_net(seed, dims)
