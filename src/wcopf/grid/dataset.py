@@ -90,13 +90,15 @@ def generate_dataset(grid, n, seed) -> Dataset:
 
     Infeasible samples are discarded and replaced with fresh LHS batches
     drawn from follow-up seeds (seed + 1, seed + 2, ...).  Raises
-    TooManyInfeasible once 10 n candidate samples have been tried.
+    TooManyInfeasible once 10 n candidate samples have been tried.  Each
+    dispatch LP warm-starts from the basis of the last optimal one.
     """
     ptdf = compute_ptdf(grid)
     inputs = []
     targets = []
     tried = 0
     attempt = 0
+    basis = None
     while len(inputs) < n:
         if tried >= RESAMPLE_FACTOR * n:
             raise TooManyInfeasible(
@@ -107,8 +109,9 @@ def generate_dataset(grid, n, seed) -> Dataset:
             if tried >= RESAMPLE_FACTOR * n:
                 break
             tried += 1
-            sol = solve_dcopf(grid, ptdf, demands)
+            sol = solve_dcopf(grid, ptdf, demands, start=basis)
             if sol.status == LpStatus.OPTIMAL:
+                basis = sol.basis
                 inputs.append(demands)
                 targets.append(sol.p)
                 if len(inputs) == n:

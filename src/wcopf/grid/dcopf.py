@@ -13,6 +13,7 @@ class DispatchSolution:
     p: np.ndarray = None          # per-generator setpoints (MW)
     cost: float = float("nan")
     line_flows: np.ndarray = None  # (n_lines,) MW, from_bus -> to_bus
+    basis: tuple = None            # the LP's LpSolution.basis; None unless optimal
 
 
 def injection_matrices(grid):
@@ -26,13 +27,18 @@ def injection_matrices(grid):
     return m_gen, m_load
 
 
-def solve_dcopf(grid, ptdf, demands) -> DispatchSolution:
+def solve_dcopf(grid, ptdf, demands, start=None) -> DispatchSolution:
     """Minimize generation cost subject to balance, limits and line flows.
 
     minimize    sum_g cost_g * p_g
     subject to  sum_g p_g == sum_d demand_d
                 p_min <= p <= p_max
                 |ptdf @ (m_gen p - m_load d)| <= line limits
+
+    Demands enter only the right-hand sides, so the rows and the cost
+    vector are the grid's alone.  start, the basis of an earlier optimal
+    dispatch of the same grid (DispatchSolution.basis), is passed to
+    solve_lp as a warm start; the returned basis is the one to pass on.
     """
     demands = np.asarray(demands, dtype=float).reshape(-1)
     if demands.shape[0] != grid.n_load:
@@ -56,9 +62,9 @@ def solve_dcopf(grid, ptdf, demands) -> DispatchSolution:
         b_ub = None
 
     sol = solve_lp(LpProblem(c=-costs, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                             lo=p_min, hi=p_max))
+                             lo=p_min, hi=p_max), start=start)
     if sol.status != LpStatus.OPTIMAL:
         return DispatchSolution(status=sol.status)
     flows = flow_gen @ sol.x - flow_load if grid.lines else np.zeros(0)
     return DispatchSolution(status=LpStatus.OPTIMAL, p=sol.x,
-                            cost=float(costs @ sol.x), line_flows=flows)
+                            cost=float(costs @ sol.x), line_flows=flows, basis=sol.basis)

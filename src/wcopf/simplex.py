@@ -20,15 +20,19 @@ there are none; phase 2 optimizes the objective.
 
 A warm solve takes the (basis, stat, binv) that an earlier optimal solve
 left on LpSolution.basis; binv is that basis's inverse, read off the
-artificial columns of the final tableau when .basis is first read.  When the rows and objective
-are unchanged and only variable bounds moved, that basis is still dual
-feasible: the tableau is rebuilt as binv @ [a | b], a dual simplex
-restores primal feasibility (or proves the LP infeasible from a tableau
-row), and the primal simplex finishes.  A start whose product is not
-finite or whose basis columns miss the identity by more than _FEAS_TOL,
-or that is not dual feasible or breaks down numerically, falls back to
-the cold path.  An LP without rows takes the same path with an empty
-basis: each variable flips to the bound its cost favors.
+artificial columns of the final tableau when .basis is first read.  The
+rows and objective must be unchanged; variable bounds and the
+right-hand sides b_eq and b_ub may differ.  The basis stays dual
+feasible because its reduced costs c - c_B binv a involve neither b nor
+the bounds (each boxed nonbasic moves to the bound its reduced cost
+favors).  The tableau is rebuilt as binv @ [a | b] from the new b, a
+dual simplex restores primal feasibility (or proves the LP infeasible
+from a tableau row), and the primal simplex finishes.  A start whose
+product is not finite or whose basis columns miss the identity by more
+than _FEAS_TOL, or that is not dual feasible or breaks down
+numerically, falls back to the cold path.  An LP without rows takes
+the same path with an empty basis: each variable flips to the bound its
+cost favors.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
 the closing pricing pass of each primal phase.  All ties break toward
@@ -135,7 +139,10 @@ def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     """Solve an LpProblem; returns a deterministic LpSolution.
 
     start is the basis of an earlier optimal solve of a problem with the
-    same rows and objective (LpSolution.basis); only bounds may differ.
+    same rows and objective (LpSolution.basis).  Variable bounds and the
+    right-hand sides b_eq and b_ub may differ: the start's dual
+    feasibility does not depend on them, as its reduced costs involve
+    only a and c.
     """
     spent = 0
     if start is not None:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from wcopf.errors import SchemaError, TooManyInfeasible
 from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
                         grid_from_dict, load_dataset, rescale_with_grid,
                         save_dataset, solve_dcopf)
+from wcopf.grid import dataset, dcopf
 from wcopf.grid.dataset import split_sizes
 from wcopf.simplex import LpStatus
 
@@ -30,6 +33,55 @@ def test_targets_solve_the_dcopf(ds100):
         costs = np.array([x.cost for x in g.generators])
         assert costs @ ds100.targets[i] == pytest.approx(sol.cost, abs=1e-6)
         assert ds100.targets[i].sum() == pytest.approx(ds100.inputs[i].sum(), abs=1e-5)
+
+
+def _congested_case9():
+    """case9 with line limits cut to 45% and p_min raised to 10% of p_max,
+    so that some demand samples have no feasible dispatch."""
+    g = builtin_grid("case9")
+    return replace(g, lines=tuple(replace(ln, limit=0.45 * ln.limit) for ln in g.lines),
+                   generators=tuple(replace(gen, p_min=0.1 * gen.p_max)
+                                    for gen in g.generators))
+
+
+@pytest.mark.parametrize("case", ["case3", "case5", "case9", "case9-congested"])
+def test_chained_dataset_matches_per_sample_cold_solves(case, monkeypatch):
+    g = _congested_case9() if case == "case9-congested" else builtin_grid(case)
+    ptdf = compute_ptdf(g)
+    tried = []    # demands of every sample generate_dataset solved
+    chained = []  # (status, warm-started) of each of its dispatch LPs
+    solve = dcopf.solve_lp
+    dispatch = dataset.solve_dcopf
+
+    def counted_solve(problem, start=None):
+        sol = solve(problem, start=start)
+        chained.append((sol, start is not None))
+        return sol
+
+    def recorded_dispatch(grid, ptdf_, demands, start=None):
+        tried.append(demands)
+        return dispatch(grid, ptdf_, demands, start=start)
+
+    monkeypatch.setattr(dcopf, "solve_lp", counted_solve)
+    monkeypatch.setattr(dataset, "solve_dcopf", recorded_dispatch)
+    ds = generate_dataset(g, 300, seed=0)
+    monkeypatch.undo()
+
+    cold = [solve_dcopf(g, ptdf, d) for d in tried]
+    assert [lp.status for lp, _ in chained] == [sol.status for sol in cold]
+    # every LP after the first optimal one starts from the last optimal basis
+    optimal = [sol.status == LpStatus.OPTIMAL for sol in cold]
+    assert [warm for _, warm in chained] == [any(optimal[:i]) for i in range(len(cold))]
+    kept = [i for i in range(len(cold)) if optimal[i]]
+    assert np.array_equal(ds.inputs, np.array([tried[i] for i in kept]))
+    want = np.array([cold[i].p for i in kept])
+    if case == "case9-congested":
+        assert not all(optimal)
+        # the same basis set in another order: final_values's LU solve may
+        # round differently
+        np.testing.assert_allclose(ds.targets, want, rtol=1e-12, atol=0.0)
+    else:
+        assert ds.targets.tobytes() == want.tobytes()
 
 
 def test_grid_scalers_map_box_to_unit(ds100):

@@ -194,6 +194,40 @@ def test_warm_start_matches_cold_and_enumeration(seed, cold_cores):
         assert again.objective_value == warm.objective_value
 
 
+def _dispatch_like(demand, b_ub=(2.0, 7.0)):
+    """Cheapest three-unit dispatch: one balance row, two flow-limit rows."""
+    return LpProblem(c=-np.array([1.0, 2.0, 3.0]), a_eq=np.ones((1, 3)), b_eq=[demand],
+                     a_ub=np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]]), b_ub=list(b_ub),
+                     lo=np.zeros(3), hi=np.full(3, 5.0))
+
+
+@pytest.mark.parametrize("demand,b_ub,kind", [
+    (6.5, (2.0, 7.5), "same_basis"),
+    (8.0, (1.0, 7.0), "dual_pivots"),
+    (13.0, (2.0, 7.0), "infeasible"),
+], ids=["same_basis", "dual_pivots", "infeasible"])
+def test_warm_start_after_a_rhs_change_matches_cold(demand, b_ub, kind, cold_cores):
+    # only b_eq and b_ub move, so the parent's basis stays dual feasible
+    parent = solve_lp(_dispatch_like(6.0))
+    assert parent.status == LpStatus.OPTIMAL
+    cold_cores.clear()
+    warm = solve_lp(_dispatch_like(demand, b_ub), start=parent.basis)
+    assert not cold_cores  # finished on the dual path, not the fallback
+    cold = solve_lp(_dispatch_like(demand, b_ub))
+    assert warm.status == cold.status
+    if kind == "infeasible":
+        assert warm.status == LpStatus.INFEASIBLE
+        return
+    assert warm.status == LpStatus.OPTIMAL
+    moved = set(warm.basis[0]) != set(parent.basis[0])
+    if kind == "same_basis":
+        assert not moved and warm.iteration_count == 1  # the closing pricing pass
+        assert warm.x.tobytes() == cold.x.tobytes()
+    else:
+        assert moved and warm.iteration_count > 1
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+
+
 def test_singular_start_falls_back_to_cold(cold_cores):
     # identical structural columns make any basis holding both singular,
     # so no inverse can turn its columns into the identity

@@ -348,7 +348,7 @@ def test_encoding_ranges_follow_the_y_variables():
     (0, (3, 12, 2), 16, (1, "upper")),
     (2, (4, 20, 3), 61, (0, "upper")),
     (0, (3, 8, 8, 2), 156, (1, "upper")),
-])
+], ids=["3-12-2_s0", "4-20-3_s2", "3-8-8-2_s0"])
 def test_branching_node_counts_are_pinned(seed, dims, nodes, constraint_id):
     params = seeded_net(seed, dims)
     box = Box(-np.ones(dims[0]), np.ones(dims[0]))
