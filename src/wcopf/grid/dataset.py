@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import SchemaError, TooManyInfeasible
 from ..simplex import LpStatus
-from .dcopf import solve_dcopf
+from .dcopf import dispatch_rows, solve_dcopf
 from .ptdf import compute_ptdf
 from .sampling import sample_demands_lhs
 
@@ -90,10 +90,12 @@ def generate_dataset(grid, n, seed) -> Dataset:
 
     Infeasible samples are discarded and replaced with fresh LHS batches
     drawn from follow-up seeds (seed + 1, seed + 2, ...).  Raises
-    TooManyInfeasible once 10 n candidate samples have been tried.  Each
-    dispatch LP warm-starts from the basis of the last optimal one.
+    TooManyInfeasible once 10 n candidate samples have been tried.  The
+    dispatch rows are built once, and each dispatch LP warm-starts from
+    the basis of the last optimal one.
     """
     ptdf = compute_ptdf(grid)
+    rows = dispatch_rows(grid, ptdf)
     inputs = []
     targets = []
     tried = 0
@@ -109,7 +111,7 @@ def generate_dataset(grid, n, seed) -> Dataset:
             if tried >= RESAMPLE_FACTOR * n:
                 break
             tried += 1
-            sol = solve_dcopf(grid, ptdf, demands, start=basis)
+            sol = solve_dcopf(grid, ptdf, demands, start=basis, rows=rows)
             if sol.status == LpStatus.OPTIMAL:
                 basis = sol.basis
                 inputs.append(demands)

@@ -27,7 +27,36 @@ def injection_matrices(grid):
     return m_gen, m_load
 
 
-def solve_dcopf(grid, ptdf, demands, start=None) -> DispatchSolution:
+@dataclass(frozen=True)
+class DispatchRows:
+    """The grid's part of every dispatch LP; demands enter only the
+    right-hand sides, so one instance serves every sample."""
+
+    costs: np.ndarray      # (n_gen,)
+    p_min: np.ndarray
+    p_max: np.ndarray
+    limits: np.ndarray     # (n_lines,)
+    flow_gen: np.ndarray   # ptdf @ m_gen, (n_lines, n_gen)
+    flow_load: np.ndarray  # ptdf @ m_load, (n_lines, n_load)
+    a_eq: np.ndarray
+    a_ub: np.ndarray       # None without lines
+
+
+def dispatch_rows(grid, ptdf) -> DispatchRows:
+    m_gen, m_load = injection_matrices(grid)
+    flow_gen = ptdf.matrix @ m_gen
+    return DispatchRows(
+        costs=np.array([g.cost for g in grid.generators]),
+        p_min=np.array([g.p_min for g in grid.generators]),
+        p_max=np.array([g.p_max for g in grid.generators]),
+        limits=np.array([ln.limit for ln in grid.lines]),
+        flow_gen=flow_gen,
+        flow_load=ptdf.matrix @ m_load,
+        a_eq=np.ones((1, grid.n_gen)),
+        a_ub=np.vstack([flow_gen, -flow_gen]) if grid.lines else None)
+
+
+def solve_dcopf(grid, ptdf, demands, start=None, rows=None) -> DispatchSolution:
     """Minimize generation cost subject to balance, limits and line flows.
 
     minimize    sum_g cost_g * p_g
@@ -36,35 +65,28 @@ def solve_dcopf(grid, ptdf, demands, start=None) -> DispatchSolution:
                 |ptdf @ (m_gen p - m_load d)| <= line limits
 
     Demands enter only the right-hand sides, so the rows and the cost
-    vector are the grid's alone.  start, the basis of an earlier optimal
-    dispatch of the same grid (DispatchSolution.basis), is passed to
-    solve_lp as a warm start; the returned basis is the one to pass on.
+    vector are the grid's alone: rows, dispatch_rows(grid, ptdf), is
+    built here unless the caller passes the one it built for every
+    sample.  start, the basis of an earlier optimal dispatch of the same
+    grid (DispatchSolution.basis), is passed to solve_lp as a warm
+    start; the returned basis is the one to pass on.
     """
     demands = np.asarray(demands, dtype=float).reshape(-1)
     if demands.shape[0] != grid.n_load:
         raise ValueError(f"expected {grid.n_load} demand values, got {demands.shape[0]}")
-    m_gen, m_load = injection_matrices(grid)
-    costs = np.array([g.cost for g in grid.generators])
-    p_min = np.array([g.p_min for g in grid.generators])
-    p_max = np.array([g.p_max for g in grid.generators])
-    limits = np.array([ln.limit for ln in grid.lines])
-
-    flow_gen = ptdf.matrix @ m_gen              # (n_lines, n_gen)
-    flow_load = ptdf.matrix @ m_load @ demands  # (n_lines,)
-
-    a_eq = np.ones((1, grid.n_gen))
+    if rows is None:
+        rows = dispatch_rows(grid, ptdf)
+    flow_load = rows.flow_load @ demands  # (n_lines,)
     b_eq = np.array([demands.sum()])
+    b_ub = None
     if grid.lines:
-        a_ub = np.vstack([flow_gen, -flow_gen])
-        b_ub = np.concatenate([limits + flow_load, limits - flow_load])
-    else:
-        a_ub = None
-        b_ub = None
+        b_ub = np.concatenate([rows.limits + flow_load, rows.limits - flow_load])
 
-    sol = solve_lp(LpProblem(c=-costs, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                             lo=p_min, hi=p_max), start=start)
+    sol = solve_lp(LpProblem(c=-rows.costs, a_eq=rows.a_eq, b_eq=b_eq, a_ub=rows.a_ub,
+                             b_ub=b_ub, lo=rows.p_min, hi=rows.p_max), start=start)
     if sol.status != LpStatus.OPTIMAL:
         return DispatchSolution(status=sol.status)
-    flows = flow_gen @ sol.x - flow_load if grid.lines else np.zeros(0)
+    flows = rows.flow_gen @ sol.x - flow_load if grid.lines else np.zeros(0)
     return DispatchSolution(status=LpStatus.OPTIMAL, p=sol.x,
-                            cost=float(costs @ sol.x), line_flows=flows, basis=sol.basis)
+                            cost=float(rows.costs @ sol.x), line_flows=flows,
+                            basis=sol.basis)

@@ -18,11 +18,12 @@ column is e_i, so the starting basis is the identity.  Phase 1 drives
 the basic artificials to zero (no big-M constants) and is skipped when
 there are none; phase 2 optimizes the objective.
 
-A warm solve takes the (basis, stat, binv) that an earlier optimal solve
-left on LpSolution.basis; binv is that basis's inverse, read off the
-artificial columns of the final tableau when .basis is first read.  The
-rows and objective must be unchanged; variable bounds and the
-right-hand sides b_eq and b_ub may differ.  The basis stays dual
+solve_lp takes two kinds of start.  A warm start is the (basis, stat,
+binv) that an earlier optimal solve left on LpSolution.basis; binv is
+that basis's inverse, read off the artificial columns of the final
+tableau when .basis is first read.  The rows and objective must be
+unchanged; variable bounds and the right-hand sides b_eq and b_ub may
+differ.  The basis stays dual
 feasible because its reduced costs c - c_B binv a involve neither b nor
 the bounds (each boxed nonbasic moves to the bound its reduced cost
 favors).  The tableau is rebuilt as binv @ [a | b] from the new b, a
@@ -33,6 +34,17 @@ than _FEAS_TOL, or that is not dual feasible or breaks down
 numerically, falls back to the cold path.  An LP without rows takes
 the same path with an empty basis: each variable flips to the bound its
 cost favors.
+
+A SharedPhase1 start serves LPs that differ only in c: phase 1 never
+reads the objective, so the first of them runs the cold path and keeps
+a copy of its state after phase 1, and each later one runs only phase
+2 from a copy of that state, with the same result as a cold solve.
+The rows, right-hand sides and bounds must be equal.
+
+The dual and primal loops keep their per-iteration state (the movable
+masks and the basic variables' bounds and costs) and update it at the
+variables each pivot or bound flip moves; reduced costs are recomputed
+as c - c_B @ t on every iteration.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
 the closing pricing pass of each primal phase.  All ties break toward
@@ -104,12 +116,12 @@ class LpProblem:
             raise ValueError("constraint matrix / rhs shape mismatch")
         if self.lo.shape[0] != n or self.hi.shape[0] != n:
             raise ValueError("bound vectors must match the number of variables")
-        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
             raise ValueError("NaN in variable bounds")
-        if np.any(self.lo > self.hi):
+        if (self.lo > self.hi).any():
             raise ValueError("lower bound exceeds upper bound")
         for arr in (self.c, self.a_eq, self.a_ub, self.b_eq, self.b_ub):
-            if arr.size and not np.all(np.isfinite(arr)):
+            if arr.size and not np.isfinite(arr).all():
                 raise ValueError("nonfinite entries in LP data")
 
 
@@ -135,17 +147,37 @@ class LpSolution:
         return core.basis.copy(), core.stat.copy(), core.basis_inverse()
 
 
+class SharedPhase1:
+    """A start shared by LPs that differ only in their objective.
+
+    Phase 1 of a cold start depends on the rows, the right-hand sides
+    and the bounds, never on c.  The first solve_lp given a SharedPhase1
+    solves cold and leaves here a copy of its core's state just after
+    phase 1; every later one resumes phase 2 from a copy of that state,
+    so it returns what a cold solve would, bit for bit, without
+    repeating phase 1.  Its iteration_count counts only its own pivots.
+    """
+
+    def __init__(self):
+        self.state = None
+
+
 def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     """Solve an LpProblem; returns a deterministic LpSolution.
 
-    start is the basis of an earlier optimal solve of a problem with the
-    same rows and objective (LpSolution.basis).  Variable bounds and the
-    right-hand sides b_eq and b_ub may differ: the start's dual
-    feasibility does not depend on them, as its reduced costs involve
-    only a and c.
+    start is one of two kinds:
+    - the basis of an earlier optimal solve (LpSolution.basis) of a
+      problem with the same rows and objective.  Variable bounds and the
+      right-hand sides b_eq and b_ub may differ: the start's dual
+      feasibility does not depend on them, as its reduced costs involve
+      only a and c.
+    - a SharedPhase1 passed to LPs with the same rows, right-hand sides
+      and bounds; only c may differ.  The first of them runs phase 1,
+      the others resume after it.
     """
+    shared = start if isinstance(start, SharedPhase1) else None
     spent = 0
-    if start is not None:
+    if start is not None and shared is None:
         core = _Core(problem)
         try:
             status = core.warm(*start)
@@ -155,7 +187,9 @@ def solve_lp(problem: LpProblem, start=None) -> LpSolution:
             pass
         spent = core.iterations
     core = _Core(problem)
-    return _solution(problem, core, core.cold(), spent)
+    if shared is not None and shared.state is not None:
+        return _solution(problem, core, core.resume(shared.state), 0)
+    return _solution(problem, core, core.cold(shared), spent)
 
 
 def _solution(problem, core, status, spent):
@@ -173,6 +207,11 @@ class _Core:
     Columns are [structural | one slack per <= row | one artificial per
     row], and row i's artificial column is e_i.  Artificials are pinned
     at zero except while phase 1 of a cold start drives them there.
+
+    The dual and primal loops carry their per-iteration state instead of
+    rebuilding it: _track sets the rises/falls masks of _movable and the
+    basic variables' bounds and costs at loop entry, and _move updates
+    them at the variables each pivot or bound flip moves.
     """
 
     def __init__(self, problem):
@@ -191,8 +230,9 @@ class _Core:
         a = np.zeros((m, self.n_total))
         a[:m_eq, :n] = problem.a_eq
         a[m_eq:, :n] = problem.a_ub
-        a[m_eq:, n:self.n_real] = np.eye(m_ub)
-        a[:, self.n_real:] = np.eye(m)
+        rows = np.arange(m)
+        a[rows[m_eq:], rows[:m_ub] + n] = 1.0
+        a[rows, rows + self.n_real] = 1.0
         self.a = a
         self.b = np.concatenate([problem.b_eq, problem.b_ub])
         self.lo = np.concatenate([problem.lo, np.zeros(m_ub + m)])
@@ -202,8 +242,11 @@ class _Core:
 
     # -- starting bases ------------------------------------------------------
 
-    def cold(self):
-        """Slack/artificial start, phase 1 if needed, then phase 2."""
+    def cold(self, shared=None):
+        """Slack/artificial start, phase 1 if needed, then phase 2.
+
+        A SharedPhase1 passed as shared receives the state after phase 1.
+        """
         m, n_real = self.m, self.n_real
         lo, hi = self.lo, self.hi
         fin_lo = np.isfinite(lo)
@@ -228,7 +271,23 @@ class _Core:
 
         if not slack.all() and not self._phase1():
             return LpStatus.INFEASIBLE
-        return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
+        if shared is not None:
+            shared.state = (self.a, self.b) + tuple(
+                v.copy() for v in (self.t, self.x, self.stat, self.basis, self.lo, self.hi))
+        return self._phase2()
+
+    def resume(self, state):
+        """Phase 2 from the state that a cold start of an LP with equal
+        rows, right-hand sides and bounds left after phase 1."""
+        a, b, t, x, stat, basis, lo, hi = state
+        real = slice(None, self.n_real)
+        if not (np.array_equal(self.a, a) and np.array_equal(self.b, b)
+                and np.array_equal(self.lo[real], lo[real])
+                and np.array_equal(self.hi[real], hi[real])):
+            raise ValueError("a shared phase 1 needs equal rows, right-hand sides and bounds")
+        self.t, self.x, self.stat, self.basis, self.lo, self.hi = (
+            v.copy() for v in (t, x, stat, basis, lo, hi))
+        return self._phase2()
 
     def warm(self, basis, stat, binv):
         """Dual simplex from an earlier optimal basis; None if it is unusable.
@@ -241,8 +300,9 @@ class _Core:
         """
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
-        if (basis.shape != (self.m,) or stat.shape != (self.n_total,)
-                or np.shape(binv) != (self.m, self.m)):
+        m = self.m
+        if (basis.shape != (m,) or stat.shape != (self.n_total,)
+                or np.shape(binv) != (m, m)):
             raise ValueError("start basis does not match the problem's shape")
         lo, hi = self.lo, self.hi
         # nonbasics keep their bound where it is still finite
@@ -254,21 +314,26 @@ class _Core:
         stat[basis] = _BASIC
 
         tab = binv @ np.column_stack([self.a, self.b])
-        if not (np.all(np.isfinite(tab))
-                and np.all(np.abs(tab[:, basis] - np.eye(self.m)) <= _FEAS_TOL)):
+        if not np.isfinite(tab).all():
+            return None
+        gap = tab[:, basis]
+        gap.flat[::m + 1] -= 1.0  # minus the identity
+        if not (np.abs(gap) <= _FEAS_TOL).all():
             return None
         self.t = np.ascontiguousarray(tab[:, :-1])
         self.basis = basis
         self.stat = stat
 
-        # boxed nonbasics move to the bound their reduced cost favors
-        d = self._reduced_costs(self.c)
-        rises, falls = self._movable()
-        stat[rises & (stat == _AT_LO) & fin_hi & (d > _OBJ_TOL)] = _AT_UP
-        stat[falls & (stat == _AT_UP) & fin_lo & (d < -_OBJ_TOL)] = _AT_LO
-        rises, falls = self._movable()
-        if np.any((rises & (d > _OBJ_TOL)) | (falls & (d < -_OBJ_TOL))):
+        # boxed nonbasics move to the bound their reduced cost favors; a
+        # favored move toward an infinite bound is a dual infeasibility
+        self._track(self.c)
+        d = self._reduced_costs()
+        up = self.rises & (d > _OBJ_TOL)
+        down = self.falls & (d < -_OBJ_TOL)
+        if (up & ~fin_hi).any() or (down & ~fin_lo).any():
             return None  # not dual feasible
+        stat[up] = _AT_UP
+        stat[down] = _AT_LO
 
         x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
         x[basis] = 0.0
@@ -277,7 +342,42 @@ class _Core:
 
         if not self._dual():
             return LpStatus.INFEASIBLE
+        return self._phase2()
+
+    def _phase2(self):
         return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
+
+    # -- carried loop state --------------------------------------------------
+
+    def _track(self, c):
+        """Start carrying the state of a loop on objective c."""
+        self.cost = c
+        self.rises, self.falls = self._movable()
+        self.lo_b = self.lo[self.basis]
+        self.hi_b = self.hi[self.basis]
+        self.c_b = c[self.basis]
+
+    def _move(self, j, s, r=None):
+        """Bound flip, or with a row r a pivot.
+
+        A flip gives nonbasic j status s; a pivot enters j at row r and
+        that row's basic variable leaves with status s.  Only the moved
+        variables' entries of the carried state change.
+        """
+        if r is None:
+            moved = ((j, s),)
+        else:
+            moved = ((self.basis[r], s), (j, _BASIC))
+            self.basis[r] = j
+            self.lo_b[r] = self.lo[j]
+            self.hi_b[r] = self.hi[j]
+            self.c_b[r] = self.cost[j]
+            self._pivot(r, j)
+        for k, s_k in moved:
+            self.stat[k] = s_k
+            movable = self.hi[k] > self.lo[k]
+            self.rises[k] = movable and (s_k == _AT_LO or s_k == _FREE)
+            self.falls[k] = movable and (s_k == _AT_UP or s_k == _FREE)
 
     # -- dual simplex --------------------------------------------------------
 
@@ -287,14 +387,18 @@ class _Core:
         Assumes a dual feasible basis, so the leaving row's ratio test keeps
         every reduced cost on its optimal side.
         """
+        if not self.m:
+            return True
+        self._track(self.c)
+        t, x, basis = self.t, self.x, self.basis
+        lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
         while True:
-            xb = self.x[self.basis]
-            below = self.lo[self.basis] - xb
-            above = xb - self.hi[self.basis]
-            excess = np.maximum(below, above)
-            if np.max(excess, initial=0.0) <= _FEAS_TOL:
+            xb = x[basis]
+            below = lo_b - xb
+            excess = np.maximum(below, xb - hi_b)
+            r = int(excess.argmax())
+            if excess[r] <= _FEAS_TOL:
                 return True
-            r = int(np.argmax(excess))
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown(
@@ -303,32 +407,27 @@ class _Core:
             # x_r = beta - sum t_rj x_j moves toward its bound when x_j
             # moves in the direction of alpha_j
             g = 1.0 if below[r] > 0.0 else -1.0
-            alpha = -g * self.t[r]
-            rises, falls = self._movable()
+            alpha = -g * t[r]
             elig = (rises & (alpha > _PIVOT_TOL)) | (falls & (alpha < -_PIVOT_TOL))
             if not elig.any():
                 if self._row_proves_infeasible(r):
                     return False
                 raise NumericalBreakdown("dual ratio test disagrees with its row")
 
-            d = self._reduced_costs(self.c)
+            d = self._reduced_costs()
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run
-            theta = np.min((room[elig] + _OBJ_TOL) / aabs[elig])
+            theta = ((room[elig] + _OBJ_TOL) / aabs[elig]).min()
             cand = np.flatnonzero(elig & (room <= theta * aabs))
-            j = int(cand[np.argmax(aabs[cand])])
+            j = int(cand[aabs[cand].argmax()])
 
-            leaving = self.basis[r]
-            target = self.lo[leaving] if g > 0 else self.hi[leaving]
-            step = (xb[r] - target) / self.t[r, j]
-            self.x[self.basis] = xb - self.t[:, j] * step
-            self.x[j] += step
-            self.x[leaving] = target
-            self.stat[leaving] = _AT_LO if g > 0 else _AT_UP
-            self.stat[j] = _BASIC
-            self.basis[r] = j
-            self._pivot(r, j)
+            target = lo_b[r] if g > 0 else hi_b[r]
+            step = (xb[r] - target) / t[r, j]
+            x[basis] = xb - t[:, j] * step
+            x[j] += step
+            x[basis[r]] = target
+            self._move(j, _AT_LO if g > 0 else _AT_UP, r)
 
     def _row_proves_infeasible(self, r):
         """Recheck from the problem data that row r of Binv @ a z = Binv @ b
@@ -348,6 +447,11 @@ class _Core:
     # -- primal simplex ------------------------------------------------------
 
     def _run(self, c):
+        """Primal simplex on objective c from a primal feasible basis;
+        False when c @ x is unbounded above."""
+        self._track(c)
+        t, x, basis, lo, hi, m = self.t, self.x, self.basis, self.lo, self.hi, self.m
+        lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
         bland = False
         stalled = 0
         while True:
@@ -355,83 +459,67 @@ class _Core:
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown(
                     f"simplex iteration cap {self.max_iterations} exceeded")
-            d = self._reduced_costs(c)
-            rises, falls = self._movable()
-            can_inc = rises & (d > _OBJ_TOL)
-            can_dec = falls & (d < -_OBJ_TOL)
-            if not (can_inc.any() or can_dec.any()):
+            d = self._reduced_costs()
+            elig = (rises & (d > _OBJ_TOL)) | (falls & (d < -_OBJ_TOL))
+            if not elig.any():
                 return True  # optimal for this phase
             if bland:
-                j = int(np.flatnonzero(can_inc | can_dec)[0])
+                j = int(elig.argmax())
             else:
-                score = np.where(can_inc, d, 0.0) + np.where(can_dec, -d, 0.0)
-                j = int(np.argmax(score))
-            sigma = 1.0 if can_inc[j] else -1.0
+                j = int(np.where(elig, np.abs(d), 0.0).argmax())
+            sigma = 1.0 if d[j] > 0.0 else -1.0
 
-            u = self.t[:, j]
-            delta = -sigma * u  # basic variable rate of change per unit step
-            xb = self.x[self.basis]
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
-
+            delta = -sigma * t[:, j]  # basic variable rate of change per unit step
+            xb = x[basis]
             adelta = np.abs(delta)
             pos = delta > _PIVOT_TOL
             neg = delta < -_PIVOT_TOL
-            lim = pos | neg
-            room = np.full(self.m, np.inf)
-            room[pos] = np.maximum(hi_b[pos] - xb[pos], 0.0)
-            room[neg] = np.maximum(xb[neg] - lo_b[neg], 0.0)
-            t_arr = np.full(self.m, np.inf)
-            t_arr[lim] = room[lim] / adelta[lim]
+            room = np.where(pos, hi_b - xb, np.where(neg, xb - lo_b, np.inf))
+            np.maximum(room, 0.0, out=room)
+            t_arr = room / adelta  # inf wherever the row does not limit the step
 
-            t_flip = np.inf
-            if np.isfinite(self.lo[j]) and np.isfinite(self.hi[j]):
-                t_flip = self.hi[j] - self.lo[j]
-
-            t_min = t_arr.min() if self.m else np.inf
-            if not (np.isfinite(t_flip) or np.isfinite(t_min)):
+            t_flip = hi[j] - lo[j]  # inf unless j is boxed
+            t_min = t_arr.min() if m else np.inf
+            if t_flip == np.inf and t_min == np.inf:
                 return False  # unbounded direction
 
             r = -1
             t_step = np.inf
-            if np.isfinite(t_min):
+            if t_min < np.inf:
                 if bland:
                     ties = np.flatnonzero(t_arr == t_min)
-                    r = int(ties[np.argmin(self.basis[ties])])
+                    r = int(ties[basis[ties].argmin()])
                 else:
                     # Harris two-pass ratio test: allow _FEAS_TOL of bound
                     # slack when shortlisting leaving rows, then take the
                     # largest pivot so near-zero elements never enter the
                     # basis.  Any overshoot of another row's bound is at
                     # most _FEAS_TOL by the definition of theta.
-                    theta = np.min((room[lim] + _FEAS_TOL) / adelta[lim])
-                    cand = np.flatnonzero(lim & (t_arr <= theta))
-                    r = int(cand[np.argmax(adelta[cand])])
+                    theta = ((room + _FEAS_TOL) / adelta).min()
+                    cand = np.flatnonzero(t_arr <= theta)
+                    r = int(cand[adelta[cand].argmax()])
                 t_step = t_arr[r]
 
             if t_flip <= t_step:
                 # bound flip: no basis change
-                self.x[self.basis] = xb + delta * t_flip
+                x[basis] = xb + delta * t_flip
                 if sigma > 0:
-                    self.x[j] = self.hi[j]
-                    self.stat[j] = _AT_UP
+                    x[j] = hi[j]
+                    self._move(j, _AT_UP)
                 else:
-                    self.x[j] = self.lo[j]
-                    self.stat[j] = _AT_LO
+                    x[j] = lo[j]
+                    self._move(j, _AT_LO)
                 gain = abs(d[j]) * t_flip
             else:
-                leaving = self.basis[r]
-                self.x[self.basis] = xb + delta * t_step
+                x[basis] = xb + delta * t_step
                 if delta[r] > 0:
-                    self.x[leaving] = self.hi[leaving]
-                    self.stat[leaving] = _AT_UP
+                    x[basis[r]] = hi_b[r]
+                    s = _AT_UP
                 else:
-                    self.x[leaving] = self.lo[leaving]
-                    self.stat[leaving] = _AT_LO
-                self.x[j] = self.x[j] + sigma * t_step
-                self.stat[j] = _BASIC
-                self.basis[r] = j
-                self._pivot(r, j)
+                    x[basis[r]] = lo_b[r]
+                    s = _AT_LO
+                x[j] = x[j] + sigma * t_step
+                self._move(j, s, r)
                 gain = abs(d[j]) * t_step
 
             if gain <= _OBJ_TOL:
@@ -441,8 +529,9 @@ class _Core:
             else:
                 stalled = 0
 
-    def _reduced_costs(self, c):
-        return c - c[self.basis] @ self.t
+    def _reduced_costs(self):
+        """Reduced costs of the tracked objective."""
+        return self.cost - self.c_b @ self.t
 
     def _movable(self):
         """(rises, falls): nonbasics free to move up, and down, from their bound."""
@@ -453,11 +542,10 @@ class _Core:
 
     def _pivot(self, r, j):
         t = self.t
-        piv = t[r, j]
-        t[r] = t[r] / piv
+        t[r] /= t[r, j]
         col = t[:, j].copy()
         col[r] = 0.0
-        t -= np.outer(col, t[r])
+        t -= col[:, None] * t[r]
         # keep the entering column numerically exact
         t[:, j] = 0.0
         t[r, j] = 1.0
@@ -514,6 +602,6 @@ class _Core:
             pass  # keep tableau-propagated values
         resid = np.abs(self.a @ self.x - self.b)
         scale = 1.0 + np.abs(self.b)
-        if np.any(resid > 1e-6 * scale):
+        if (resid > 1e-6 * scale).any():
             raise NumericalBreakdown("solution fails feasibility recheck")
         return self.x

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mlp.network import forward
-from ..simplex import LpProblem, LpStatus, solve_lp
+from ..simplex import LpProblem, LpStatus, SharedPhase1, solve_lp
 from .bounds import Box, interval_bounds
 from .patterns import (candidate_constraints, margin_of_output,
                        worst_case_fixed_pattern)
@@ -244,6 +244,8 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     solved node_limit node LPs is set aside unexplored.  Returns
     (incumbents, nodes, remaining): an _Incumbent and a node count per
     candidate, and the largest bound set aside (-inf if none was).
+    Root LPs differ only in their objective, so they share one phase 1
+    (a SharedPhase1 that lives as long as the search).
     """
     objectives = [enc.objective(cid) for cid in cids]
     incs = [_Incumbent() for _ in cids]
@@ -256,6 +258,7 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         return max(max(inc.value for inc in incs), 0.0) + FATHOM_PAD
 
     offer(enc.box.midpoint())
+    phase1 = SharedPhase1()
     free = np.full(enc.n_unstable, -1, dtype=np.int8)
     heap = [(-enc.interval_margin_bound(cid), k, k, free, None)
             for k, cid in enumerate(cids)]
@@ -276,8 +279,9 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         # sol, unread; let it go before this solve
         sol = None
         # children differ from their parent only in y bounds, so the
-        # parent's basis stays dual feasible and warm-starts the child
-        sol = enc.solve_node(c, y_fix, start)
+        # parent's basis stays dual feasible and warm-starts the child;
+        # roots differ only in c, so they share one phase 1
+        sol = enc.solve_node(c, y_fix, phase1 if start is None else start)
         if sol.status == LpStatus.INFEASIBLE:
             continue
         val = float(sol.objective_value) + const

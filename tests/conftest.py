@@ -22,5 +22,6 @@ def cold_cores(monkeypatch):
 
     cores = []
     cold = simplex._Core.cold
-    monkeypatch.setattr(simplex._Core, "cold", lambda core: cores.append(core) or cold(core))
+    monkeypatch.setattr(simplex._Core, "cold",
+                        lambda core, *args: cores.append(core) or cold(core, *args))
     return cores

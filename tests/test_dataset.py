@@ -58,9 +58,9 @@ def test_chained_dataset_matches_per_sample_cold_solves(case, monkeypatch):
         chained.append((sol, start is not None))
         return sol
 
-    def recorded_dispatch(grid, ptdf_, demands, start=None):
+    def recorded_dispatch(grid, ptdf_, demands, **kwargs):
         tried.append(demands)
-        return dispatch(grid, ptdf_, demands, start=start)
+        return dispatch(grid, ptdf_, demands, **kwargs)
 
     monkeypatch.setattr(dcopf, "solve_lp", counted_solve)
     monkeypatch.setattr(dataset, "solve_dcopf", recorded_dispatch)

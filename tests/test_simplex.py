@@ -376,3 +376,117 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
         assert fallback.x.tobytes() == cold.x.tobytes()
         for got, want in zip(fallback.basis, cold.basis):
             assert got.tobytes() == want.tobytes()
+
+
+def _checked_moves(monkeypatch):
+    """Wrap _Core._move so that after every pivot and bound flip the carried
+    loop state is compared with one rebuilt from scratch; returns a counter
+    of (loop, 'pivot' or 'flip') and the list of (row, entering) pivots."""
+    moves = {}
+    pivots = []
+    loop = ["primal"]
+    move = simplex._Core._move
+
+    def checked(core, j, s, r=None):
+        move(core, j, s, r)
+        rises, falls = core._movable()
+        assert core.rises.tobytes() == rises.tobytes()
+        assert core.falls.tobytes() == falls.tobytes()
+        assert core.lo_b.tobytes() == core.lo[core.basis].tobytes()
+        assert core.hi_b.tobytes() == core.hi[core.basis].tobytes()
+        assert core.c_b.tobytes() == core.cost[core.basis].tobytes()
+        key = (loop[0], "flip" if r is None else "pivot")
+        moves[key] = moves.get(key, 0) + 1
+        if r is not None:
+            pivots.append((r, j))
+
+    def in_loop(name, method):
+        def run(core, *args):
+            outer, loop[0] = loop[0], name
+            try:
+                return method(core, *args)
+            finally:
+                loop[0] = outer
+        return run
+
+    monkeypatch.setattr(simplex._Core, "_move", checked)
+    monkeypatch.setattr(simplex._Core, "_dual", in_loop("dual", simplex._Core._dual))
+    monkeypatch.setattr(simplex._Core, "_phase1", in_loop("phase1", simplex._Core._phase1))
+    return moves, pivots
+
+
+def test_carried_loop_state_never_drifts(monkeypatch):
+    moves, _ = _checked_moves(monkeypatch)
+    for seed in range(60):
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+        parent = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        k = seed % len(c)
+        for new_lo, new_hi in _children(parent, lo, hi, k):
+            lo2, hi2 = lo.copy(), hi.copy()
+            lo2[k], hi2[k] = new_lo, new_hi
+            solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                               lo=lo2, hi=hi2), start=parent.basis)
+    # cold starts with phase 1, warm starts with dual pivots, and primal
+    # phase 2 all pivoted, and the primal loops flipped bounds
+    for key in [("phase1", "pivot"), ("dual", "pivot"), ("primal", "pivot"),
+                ("phase1", "flip"), ("primal", "flip")]:
+        assert moves.get(key, 0) >= 10, (key, moves)
+
+
+def test_carried_loop_state_never_drifts_under_blands_rule(monkeypatch):
+    moves, pivots = _checked_moves(monkeypatch)
+    paths = {}
+    values = {}
+    default = simplex._BLAND_TRIGGER
+    for trigger in (default, 1):
+        # from the first degenerate pivot on, enter and leave by Bland's rule
+        monkeypatch.setattr(simplex, "_BLAND_TRIGGER", trigger)
+        for seed in range(60):
+            c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+            # every row is tight at the cold start's vertex lo: degenerate
+            pivots.clear()
+            sol = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=a_ub @ lo, lo=lo, hi=hi)
+            paths[trigger, seed] = list(pivots)
+            values[trigger, seed] = (sol.status, sol.objective_value)
+    for seed in range(60):
+        status, value = values[default, seed]
+        assert values[1, seed][0] == status
+        if status == LpStatus.OPTIMAL:
+            assert values[1, seed][1] == pytest.approx(value, abs=1e-7)
+    changed = sum(paths[default, s] != paths[1, s] for s in range(60))
+    assert changed >= 10  # Bland's rule took over on these paths
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 3))
+def test_shared_phase1_matches_cold_solves(seed, cold_cores):
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+    rng = np.random.default_rng(seed)
+    shared = simplex.SharedPhase1()
+    for k in range(4):
+        problem = LpProblem(c=c if k == 0 else rng.normal(size=len(c)), a_eq=a_eq, b_eq=b_eq,
+                            a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        cold_cores.clear()
+        got = solve_lp(problem, start=shared)
+        # only the first LP runs phase 1, unless it never got past it
+        assert len(cold_cores) == (k == 0 or got.status == LpStatus.INFEASIBLE)
+        want = solve_lp(problem)
+        assert got.status == want.status
+        assert got.iteration_count <= want.iteration_count
+        if want.status == LpStatus.OPTIMAL:
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.objective_value == want.objective_value
+            for g, w in zip(got.basis, want.basis):
+                assert g.tobytes() == w.tobytes()
+
+
+def test_shared_phase1_rejects_other_bounds():
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(0)
+    shared = simplex.SharedPhase1()
+    solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi),
+             start=shared)
+    assert shared.state is not None
+    with pytest.raises(ValueError, match="shared phase 1"):
+        solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                           lo=lo, hi=hi + 1.0), start=shared)

@@ -6,7 +6,7 @@ import pytest
 from oracles import TooLarge, bounds_around_outputs, brute_force_worst_case, seeded_net
 from wcopf.errors import BoundsUnavailable
 from wcopf.mlp import MlpParams, forward
-from wcopf.simplex import solve_lp
+from wcopf.simplex import LpStatus, SharedPhase1, solve_lp
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
@@ -296,7 +296,7 @@ def test_node_lps_warm_start_without_refactorizing(monkeypatch, cold_cores, seed
     def recording(problem, start=None):
         before = len(cold_cores)
         sol = solve_lp(problem, start=start)
-        if start is not None:
+        if start is not None and not isinstance(start, SharedPhase1):
             warm_cold.append(len(cold_cores) - before)
         return sol
 
@@ -304,6 +304,49 @@ def test_node_lps_warm_start_without_refactorizing(monkeypatch, cold_cores, seed
     cert = solve_worst_case(params, box, gen)
     assert not any(warm_cold)
     assert _cert_bytes(cert) == _cert_bytes(solve_worst_case(params, box, gen))
+
+
+@pytest.mark.parametrize("seed,dims,lo,hi", _ENCODING_CASES)
+def test_roots_share_one_phase1_that_equals_a_cold_solve(monkeypatch, cold_cores, seed, dims,
+                                                        lo, hi):
+    params = seeded_net(seed, dims)
+    box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
+    gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
+    roots = []     # (problem, solution, resumed) of every root LP
+    node_cold = [0]  # cold-path solves inside node LPs
+
+    def recording(problem, start=None):
+        before = len(cold_cores)
+        resumed = isinstance(start, SharedPhase1) and start.state is not None
+        sol = solve_lp(problem, start=start)
+        node_cold[0] += len(cold_cores) - before
+        if start is None or isinstance(start, SharedPhase1):
+            roots.append((problem, sol, resumed))
+        return sol
+
+    monkeypatch.setattr(milp, "solve_lp", recording)
+    shared = solve_worst_case(params, box, gen)
+    # one encoding, so one phase 1 for all its roots
+    assert node_cold == [1]
+    assert not roots[0][2] and all(resumed for _, _, resumed in roots[1:])
+    assert len(roots) >= 2
+    for problem, sol, resumed in roots[1:]:
+        cold = solve_lp(problem)
+        assert sol.status == cold.status == LpStatus.OPTIMAL
+        assert sol.x.tobytes() == cold.x.tobytes()
+        assert sol.objective_value == cold.objective_value
+        for got, want in zip(sol.basis, cold.basis):
+            assert got.tobytes() == want.tobytes()
+        # a resumed root counts only its phase 2; these nets' roots need a phase 1
+        assert sol.iteration_count < cold.iteration_count or not problem.a_ub.size
+
+    # without sharing every root solves cold, to the same certificate
+    roots.clear()
+    node_cold[0] = 0
+    monkeypatch.setattr(milp, "SharedPhase1", lambda: None)
+    unshared = solve_worst_case(params, box, gen)
+    assert node_cold == [len(roots)]
+    assert _cert_bytes(unshared) == _cert_bytes(shared)
 
 
 @pytest.mark.parametrize("node_limit", [0, -5])
