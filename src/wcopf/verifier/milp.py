@@ -25,8 +25,9 @@ import numpy as np
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, SharedPhase1, solve_lp
 from .bounds import Box, interval_bounds
-from .patterns import (candidate_constraints, margin_of_output,
-                       worst_case_fixed_pattern)
+from .patterns import candidate_constraints, margin_of_output
+# not called here; bound only for perfbench/tracing.py's verifier.polish site
+from .patterns import worst_case_fixed_pattern
 
 # fathom a node once it cannot beat the incumbent by more than this
 FATHOM_PAD = 1e-7
@@ -99,18 +100,14 @@ class _Encoding:
         self.box = box
         self.gen_bounds = gen_bounds
         self.n_in = params.n_inputs
-        self.widths = list(params.hidden_dims)
 
         pre, out_dn, out_up = interval_bounds(params, box)
         self.out_dn = out_dn
         self.out_up = out_up
-        inactive = [pre.stable_inactive(k) for k in range(len(self.widths))]
+        inactive = [pre.stable_inactive(k) for k in range(params.n_hidden_layers)]
         active = [pre.stable_active(k) & ~dead for k, dead in enumerate(inactive)]
         unstable = [~(live | dead) for live, dead in zip(active, inactive)]
-        # the fixed bit of every stable unit, 0 at the unstable ones
-        self.stable_bits = np.concatenate([[]] + active).astype(int)
-        self.unstable = np.concatenate([[]] + unstable).astype(bool)
-        self.n_unstable = int(np.sum(self.unstable))
+        self.n_unstable = int(sum(np.sum(u) for u in unstable))
         self.y_off = self.n_in + self.n_unstable
         self.n_vars = self.n_in + 2 * self.n_unstable
         self._build(pre, active, unstable)
@@ -127,7 +124,7 @@ class _Encoding:
         act = np.eye(n_in, n_vars)
         off = np.zeros(n_in)
         u = 0
-        for k in range(len(self.widths)):
+        for k in range(len(unstable)):
             s_act = self.params.weights[k] @ act
             s_off = self.params.weights[k] @ off + self.params.biases[k]
             zlo = pre.lower[k]
@@ -189,12 +186,6 @@ class _Encoding:
         out = forward(self.params, d).output
         return [margin_of_output(out, self.gen_bounds, cid) for cid in cids]
 
-    def split_pattern(self, y_bits):
-        """Per-layer pattern from 0/1 bits of the unstable units."""
-        bits = self.stable_bits.copy()
-        bits[self.unstable] = y_bits
-        return np.split(bits.astype(bool), np.cumsum(self.widths)[:-1])
-
 
 class _Incumbent:
     """Best exactly-achieved margin so far; value ties keep the
@@ -235,15 +226,18 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     every other node by its parent's LP value, so the node with the
     largest bound over all candidates is expanded first, and a root
     whose interval bound is already beaten is never solved.  Every point
-    the search evaluates (the box midpoint, each clipped node-LP point,
-    each root polish witness) lies in the box and so attains its margin
-    for every candidate; each is offered to every candidate's incumbent,
-    and a node is fathomed once it cannot beat max(best margin of any
+    the search evaluates (the box midpoint and each clipped node-LP
+    point) lies in the box and so attains its margin for every
+    candidate; each is offered to every candidate's incumbent, and a
+    node is fathomed once it cannot beat max(best margin of any
     candidate, 0) by more than FATHOM_PAD.  A surviving node branches on
     the unit _branch_unit picks.  A node popped after its candidate has
     solved node_limit node LPs is set aside unexplored.  Returns
-    (incumbents, nodes, remaining): an _Incumbent and a node count per
-    candidate, and the largest bound set aside (-inf if none was).
+    (incumbents, nodes, leaf_bound): an _Incumbent and a node count per
+    candidate, and the largest bound on any leaf of the tree, so on any
+    margin in the box: the LP value of each fathomed or integral node
+    and the key of each node set aside or left in the heap (-inf if
+    there is none).
     Root LPs differ only in their objective, so they share one phase 1
     (a SharedPhase1 that lives as long as the search).
     """
@@ -265,12 +259,12 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     heapq.heapify(heap)
     seq = len(heap)
     nodes = [0] * len(cids)
-    remaining = -np.inf
+    leaf_bound = -np.inf
 
     while heap and -heap[0][0] > cutoff():
         neg_bound, _, k, y_fix, start = heapq.heappop(heap)
         if nodes[k] >= node_limit:
-            remaining = max(remaining, -neg_bound)
+            leaf_bound = max(leaf_bound, -neg_bound)
             continue
         nodes[k] += 1
 
@@ -288,21 +282,14 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         # a basic variable at a bound can come back an ulp outside it
         offer(np.clip(sol.x[: enc.n_in], enc.box.lo, enc.box.hi))
 
-        if start is None and enc.widths:
-            # at a root, round the relaxation and polish inside that
-            # linear region
-            _, rw = worst_case_fixed_pattern(
-                enc.params, enc.split_pattern(sol.x[enc.y_off :] >= 0.5),
-                enc.box, enc.gen_bounds, cids[k])
-            if rw is not None:
-                offer(np.clip(rw, enc.box.lo, enc.box.hi))
-
         if val <= cutoff():
+            leaf_bound = max(leaf_bound, val)
             continue
 
         j = _branch_unit(sol.x[enc.y_off :], y_fix, enc.y_range)
         if j is None:
             # integral node: the LP already maximized over this region
+            leaf_bound = max(leaf_bound, val)
             continue
         for bit in (0, 1):
             child = y_fix.copy()
@@ -311,7 +298,10 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
             # both children share the parent's basis inverse
             heapq.heappush(heap, (-val, seq, k, child, sol.basis))
 
-    return incs, nodes, remaining
+    if heap:
+        # every node still queued is keyed at most the heap's top
+        leaf_bound = max(leaf_bound, -heap[0][0])
+    return incs, nodes, leaf_bound
 
 
 def solve_worst_case(params, box: Box, gen_bounds: Box,
@@ -329,13 +319,13 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
         raise ValueError("node_limit must be positive")
     enc = _Encoding(params, box, gen_bounds)
     cids = candidate_constraints(params.n_outputs)
-    incs, nodes, remaining = _branch_and_bound(enc, cids, node_limit)
+    incs, nodes, leaf_bound = _branch_and_bound(enc, cids, node_limit)
     # max keeps the first of equal values
     win = max(range(len(cids)), key=lambda k: incs[k].value)
     best_value = incs[win].value
 
     value = max(best_value, 0.0)
-    bound = max(value, remaining)
+    bound = max(value, leaf_bound)
     gap = bound - value
     status = CERTIFIED if gap <= GAP_TOL else GAP_REMAINING
     if best_value > 0.0:

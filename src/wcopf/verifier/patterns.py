@@ -1,9 +1,11 @@
-"""Activation patterns and the fixed-pattern worst-case LP.
+"""Candidate constraints, violation margins and the fixed-pattern LP.
 
 With every ReLU pinned to a side, the network is affine in its input,
 and maximizing a single output-bound violation over the input box is a
 small LP in the input variables only: the pattern-consistency rows keep
-each pinned preactivation on its side of zero.
+each pinned preactivation on its side of zero.  worst_case_fixed_pattern
+solves that LP as a standalone public helper.  The branch-and-bound
+search (milp.py) does not call it: a verification solves only node LPs.
 """
 
 import numpy as np

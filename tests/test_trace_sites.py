@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` lists in ``SITES`` each traced function's home
 module and the modules whose binding of it the tracer replaces.  A
 deleted or renamed import there breaks traced runs with an
-AttributeError, so every entry is checked here against the package.
+AttributeError, so every entry is checked here against the package,
+and a tracer installed and removed again must leave every binding as it
+found it.
 """
 
 import importlib
@@ -15,14 +17,14 @@ import pytest
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _sites():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SITES
+    return module
 
 
-_SITES = _sites()
+_SITES = _tracing().SITES
 
 
 @pytest.mark.parametrize("name,home,attr,callers", _SITES,
@@ -34,3 +36,12 @@ def test_callers_bind_the_traced_function(name, home, attr, callers):
         module = importlib.import_module(caller)
         assert getattr(module, attr, None) is getattr(home_module, attr), \
             f"{caller}.{attr} does not bind {home}.{attr}"
+
+
+def test_tracer_installs_and_restores_every_site():
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install()
+    finally:
+        broken = tracer.uninstall()
+    assert broken == []

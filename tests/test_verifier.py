@@ -10,7 +10,7 @@ from wcopf.simplex import LpStatus, SharedPhase1, solve_lp
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
-from wcopf.verifier import milp
+from wcopf.verifier import milp, patterns
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
 
 
@@ -234,6 +234,20 @@ def test_node_limit_caps_each_candidate(monkeypatch, seed, dims):
         assert capped.gap > GAP_TOL
 
 
+def test_bound_covers_nodes_fathomed_within_the_pad(monkeypatch):
+    # a pad this wide fathoms the node holding the optimum, 0.2746, once
+    # the incumbent reaches 0.2499; its LP value must still reach bound
+    monkeypatch.setattr(milp, "FATHOM_PAD", 0.05)
+    params = seeded_net(6, (3, 4, 4, 2))
+    box = Box(-np.ones(3), np.ones(3))
+    gen = bounds_around_outputs(params, box, seed=6, frac_hi=0.6)
+    cert = solve_worst_case(params, box, gen)
+    raw, _, _ = brute_force_worst_case(params, box, gen)
+    assert cert.value < raw - 0.01
+    assert cert.bound >= raw
+    assert cert.status == GAP_REMAINING
+
+
 def test_small_box_prefixes_everything():
     # a tiny box keeps every unit stable, so no branching is ever needed
     params = seeded_net(2, (2, 6, 6, 2))
@@ -270,7 +284,11 @@ def test_node_lps_encode_only_unstable_units(monkeypatch, seed, dims, lo, hi):
         shapes.append(problem.a_ub.shape)
         return solve_lp(problem, *args, **kwargs)
 
+    def outside_the_tree(problem, *args, **kwargs):
+        raise AssertionError("the search solved an LP that is not a node LP")
+
     monkeypatch.setattr(milp, "solve_lp", recording)
+    monkeypatch.setattr(patterns, "solve_lp", outside_the_tree)
     cert = solve_worst_case(params, box,
                             bounds_around_outputs(params, box, seed=seed,
                                                   frac_hi=0.5))
