@@ -163,6 +163,8 @@ def _save_run(outputs, params, dataset, report, meta):
 # -- commands ----------------------------------------------------------------
 
 def cmd_gen_data(args):
+    if args.n < 1:
+        raise SchemaError(f"bad --n {args.n}; must be at least 1")
     grid, grid_entry = _resolve_grid(args.grid)
     _write_manifest("gen-data", args, grid_entry, [args.out], seed=args.seed,
                     config={"n": args.n, "box": list(DATA_BOX)})

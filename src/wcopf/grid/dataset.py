@@ -92,8 +92,10 @@ def generate_dataset(grid, n, seed) -> Dataset:
     drawn from follow-up seeds (seed + 1, seed + 2, ...).  Raises
     TooManyInfeasible once 10 n candidate samples have been tried.  The
     dispatch rows are built once, and each dispatch LP warm-starts from
-    the basis of the last optimal one.
+    the basis of the last optimal one.  Raises ValueError for n < 1.
     """
+    if n < 1:
+        raise ValueError("need at least one sample")
     ptdf = compute_ptdf(grid)
     rows = dispatch_rows(grid, ptdf)
     inputs = []

@@ -14,10 +14,6 @@ class Ptdf:
 
     matrix: np.ndarray  # (n_lines, n_bus)
 
-    @property
-    def n_lines(self):
-        return self.matrix.shape[0]
-
 
 def compute_ptdf(grid) -> Ptdf:
     """Build the PTDF matrix by inverting the reduced susceptance matrix.

@@ -9,31 +9,35 @@ Solves
 
 Every <= row gets a slack; nonbasic variables rest at one of their
 finite bounds and bound flips are pivots that change no basis column.
+This is the revised simplex method: the only state a solve carries
+besides x and the statuses is binv, the inverse of the basis matrix.
+Each iteration computes what it reads from binv (the reduced costs
+c - (c_B @ binv) @ a, the entering column binv @ a_j and, in the dual
+loop, the leaving row binv[r] @ a), and a pivot updates binv in place
+in O(m^2).
 
 A cold solve starts each variable at a finite bound (lower preferred).
 A <= row whose residual is nonnegative there starts with its slack
 basic; every other row starts with its artificial basic at the row's
 residual, bounded on that residual's side of zero.  Every artificial
-column is e_i, so the starting basis is the identity.  Phase 1 drives
+column is e_i, so the starting binv is the identity.  Phase 1 drives
 the basic artificials to zero (no big-M constants) and is skipped when
 there are none; phase 2 optimizes the objective.
 
 solve_lp takes two kinds of start.  A warm start is the (basis, stat,
-binv) that an earlier optimal solve left on LpSolution.basis; binv is
-that basis's inverse, read off the artificial columns of the final
-tableau when .basis is first read.  The rows and objective must be
-unchanged; variable bounds and the right-hand sides b_eq and b_ub may
-differ.  The basis stays dual
-feasible because its reduced costs c - c_B binv a involve neither b nor
-the bounds (each boxed nonbasic moves to the bound its reduced cost
-favors).  The tableau is rebuilt as binv @ [a | b] from the new b, a
-dual simplex restores primal feasibility (or proves the LP infeasible
-from a tableau row), and the primal simplex finishes.  A start whose
-product is not finite or whose basis columns miss the identity by more
-than _FEAS_TOL, or that is not dual feasible or breaks down
-numerically, falls back to the cold path.  An LP without rows takes
-the same path with an empty basis: each variable flips to the bound its
-cost favors.
+binv) that an earlier optimal solve left on LpSolution.basis.  The rows
+and objective must be unchanged; variable bounds and the right-hand
+sides b_eq and b_ub may differ.  The basis stays dual feasible because
+its reduced costs c - c_B binv a involve neither b nor the bounds (each
+boxed nonbasic moves to the bound its reduced cost favors).  The warm
+core copies binv, sets the basic values to binv @ (b - a_N x_N), and
+a dual simplex restores primal feasibility (or proves the LP
+infeasible from a row of binv); the primal simplex finishes.  A start
+for which binv @ a[:, basis] misses the identity by more than
+_FEAS_TOL (a test that NaN also fails), or that is not dual feasible
+or breaks down numerically, falls back to the cold path.  An LP
+without rows takes the same path with an empty basis: each variable
+flips to the bound its cost favors.
 
 A SharedPhase1 start serves LPs that differ only in c: phase 1 never
 reads the objective, so the first of them runs the cold path and keeps
@@ -44,7 +48,7 @@ The rows, right-hand sides and bounds must be equal.
 The dual and primal loops keep their per-iteration state (the movable
 masks and the basic variables' bounds and costs) and update it at the
 variables each pivot or bound flip moves; reduced costs are recomputed
-as c - c_B @ t on every iteration.
+on every iteration.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
 the closing pricing pass of each primal phase.  All ties break toward
@@ -55,8 +59,7 @@ termination.
 """
 
 import enum
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,20 +134,7 @@ class LpSolution:
     x: np.ndarray = None
     objective_value: float = float("nan")
     iteration_count: int = 0
-    _core: "_Core" = field(default=None, repr=False, compare=False)  # set by an optimal solve
-
-    @functools.cached_property
-    def basis(self):
-        """(basic indices, statuses, Binv) of an optimal solve, else None.
-
-        Copied out of the finished core on first use, which then lets the
-        core and its tableau go; solves that never warm-start another LP
-        skip the copy.
-        """
-        core, self._core = self._core, None
-        if core is None:
-            return None
-        return core.basis.copy(), core.stat.copy(), core.basis_inverse()
+    basis: tuple = None  # (basic indices, statuses, binv) of an optimal solve
 
 
 class SharedPhase1:
@@ -198,15 +188,21 @@ def _solution(problem, core, status, spent):
         return LpSolution(status, iteration_count=spent + core.iterations)
     x = core.final_values()[:core.n]
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(problem.c @ x),
-                      iteration_count=spent + core.iterations, _core=core)
+                      iteration_count=spent + core.iterations,
+                      basis=(core.basis, core.stat, core.binv))
 
 
 class _Core:
-    """Tableau-based bounded-variable simplex over equality rows a z = b.
+    """Revised bounded-variable simplex over equality rows a z = b.
 
     Columns are [structural | one slack per <= row | one artificial per
     row], and row i's artificial column is e_i.  Artificials are pinned
     at zero except while phase 1 of a cold start drives them there.
+
+    Besides x and stat, the core's state is the basic indices and binv,
+    the m x m inverse of a[:, basis]; no tableau is kept.  _pivot(r,
+    col) updates binv in place when the variable whose column binv maps
+    to col enters at row r.
 
     The dual and primal loops carry their per-iteration state instead of
     rebuilding it: _track sets the rises/falls masks of _movable and the
@@ -267,36 +263,35 @@ class _Core:
         stat[self.basis] = _BASIC
         self.x = x
         self.stat = stat
-        self.t = self.a.copy()  # B = I
+        self.binv = np.eye(m)
 
         if not slack.all() and not self._phase1():
             return LpStatus.INFEASIBLE
         if shared is not None:
             shared.state = (self.a, self.b) + tuple(
-                v.copy() for v in (self.t, self.x, self.stat, self.basis, self.lo, self.hi))
+                v.copy() for v in (self.binv, self.x, self.stat, self.basis, self.lo, self.hi))
         return self._phase2()
 
     def resume(self, state):
         """Phase 2 from the state that a cold start of an LP with equal
         rows, right-hand sides and bounds left after phase 1."""
-        a, b, t, x, stat, basis, lo, hi = state
+        a, b, binv, x, stat, basis, lo, hi = state
         real = slice(None, self.n_real)
         if not (np.array_equal(self.a, a) and np.array_equal(self.b, b)
                 and np.array_equal(self.lo[real], lo[real])
                 and np.array_equal(self.hi[real], hi[real])):
             raise ValueError("a shared phase 1 needs equal rows, right-hand sides and bounds")
-        self.t, self.x, self.stat, self.basis, self.lo, self.hi = (
-            v.copy() for v in (t, x, stat, basis, lo, hi))
+        self.binv, self.x, self.stat, self.basis, self.lo, self.hi = (
+            v.copy() for v in (binv, x, stat, basis, lo, hi))
         return self._phase2()
 
     def warm(self, basis, stat, binv):
         """Dual simplex from an earlier optimal basis; None if it is unusable.
 
-        binv, the inverse of that basis's matrix, rebuilds the tableau as
-        binv @ [a | b]; the start is unusable when that product is not
-        finite or its basis columns miss the identity by more than
-        _FEAS_TOL (binv does not invert this basis), and when the basis
-        is not dual feasible.
+        binv, the inverse of that basis's matrix, is copied; the start is
+        unusable when binv @ a[:, basis] misses the identity by more than
+        _FEAS_TOL (binv does not invert this basis, or is not finite),
+        and when the basis is not dual feasible.
         """
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
@@ -313,14 +308,12 @@ class _Core:
                                  np.where(fin_hi, _AT_UP, _FREE))).astype(np.int8)
         stat[basis] = _BASIC
 
-        tab = binv @ np.column_stack([self.a, self.b])
-        if not np.isfinite(tab).all():
-            return None
-        gap = tab[:, basis]
+        binv = np.array(binv, dtype=float)
+        gap = binv @ self.a[:, basis]
         gap.flat[::m + 1] -= 1.0  # minus the identity
         if not (np.abs(gap) <= _FEAS_TOL).all():
             return None
-        self.t = np.ascontiguousarray(tab[:, :-1])
+        self.binv = binv
         self.basis = basis
         self.stat = stat
 
@@ -337,7 +330,7 @@ class _Core:
 
         x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
         x[basis] = 0.0
-        x[basis] = tab[:, -1] - self.t @ x
+        x[basis] = binv @ (self.b - self.a @ x)
         self.x = x
 
         if not self._dual():
@@ -357,8 +350,8 @@ class _Core:
         self.hi_b = self.hi[self.basis]
         self.c_b = c[self.basis]
 
-    def _move(self, j, s, r=None):
-        """Bound flip, or with a row r a pivot.
+    def _move(self, j, s, r=None, col=None):
+        """Bound flip, or with a row r and j's column col = binv @ a_j a pivot.
 
         A flip gives nonbasic j status s; a pivot enters j at row r and
         that row's basic variable leaves with status s.  Only the moved
@@ -372,7 +365,7 @@ class _Core:
             self.lo_b[r] = self.lo[j]
             self.hi_b[r] = self.hi[j]
             self.c_b[r] = self.cost[j]
-            self._pivot(r, j)
+            self._pivot(r, col)
         for k, s_k in moved:
             self.stat[k] = s_k
             movable = self.hi[k] > self.lo[k]
@@ -390,7 +383,7 @@ class _Core:
         if not self.m:
             return True
         self._track(self.c)
-        t, x, basis = self.t, self.x, self.basis
+        binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
         while True:
             xb = x[basis]
@@ -404,10 +397,10 @@ class _Core:
                 raise NumericalBreakdown(
                     f"simplex iteration cap {self.max_iterations} exceeded")
 
-            # x_r = beta - sum t_rj x_j moves toward its bound when x_j
-            # moves in the direction of alpha_j
+            # x_r = beta - sum t_rj x_j, with row t_r = binv[r] @ a, moves
+            # toward its bound when x_j moves in the direction of alpha_j
             g = 1.0 if below[r] > 0.0 else -1.0
-            alpha = -g * t[r]
+            alpha = -g * (binv[r] @ a)
             elig = (rises & (alpha > _PIVOT_TOL)) | (falls & (alpha < -_PIVOT_TOL))
             if not elig.any():
                 if self._row_proves_infeasible(r):
@@ -422,18 +415,18 @@ class _Core:
             cand = np.flatnonzero(elig & (room <= theta * aabs))
             j = int(cand[aabs[cand].argmax()])
 
+            col = binv @ a[:, j]
             target = lo_b[r] if g > 0 else hi_b[r]
-            step = (xb[r] - target) / t[r, j]
-            x[basis] = xb - t[:, j] * step
+            step = (xb[r] - target) / col[r]
+            x[basis] = xb - col * step
             x[j] += step
             x[basis[r]] = target
-            self._move(j, _AT_LO if g > 0 else _AT_UP, r)
+            self._move(j, _AT_LO if g > 0 else _AT_UP, r, col)
 
     def _row_proves_infeasible(self, r):
-        """Recheck from the problem data that row r of Binv @ a z = Binv @ b
-        cannot hold inside the bounds.  Artificial columns are the identity,
-        so the row of Binv sits in those columns."""
-        u = self.t[r, self.n_real:]
+        """Recheck from the problem data that row r of binv @ a z = binv @ b
+        cannot hold inside the bounds."""
+        u = self.binv[r]
         coef = u @ self.a[:, :self.n_real]
         rhs = float(u @ self.b)
         coef[np.abs(coef) <= _PIVOT_TOL] = 0.0  # as in the ratio test
@@ -450,7 +443,8 @@ class _Core:
         """Primal simplex on objective c from a primal feasible basis;
         False when c @ x is unbounded above."""
         self._track(c)
-        t, x, basis, lo, hi, m = self.t, self.x, self.basis, self.lo, self.hi, self.m
+        binv, a, x, basis = self.binv, self.a, self.x, self.basis
+        lo, hi, m = self.lo, self.hi, self.m
         lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
         bland = False
         stalled = 0
@@ -469,7 +463,8 @@ class _Core:
                 j = int(np.where(elig, np.abs(d), 0.0).argmax())
             sigma = 1.0 if d[j] > 0.0 else -1.0
 
-            delta = -sigma * t[:, j]  # basic variable rate of change per unit step
+            col = binv @ a[:, j]
+            delta = -sigma * col  # basic variable rate of change per unit step
             xb = x[basis]
             adelta = np.abs(delta)
             pos = delta > _PIVOT_TOL
@@ -519,7 +514,7 @@ class _Core:
                     x[basis[r]] = lo_b[r]
                     s = _AT_LO
                 x[j] = x[j] + sigma * t_step
-                self._move(j, s, r)
+                self._move(j, s, r, col)
                 gain = abs(d[j]) * t_step
 
             if gain <= _OBJ_TOL:
@@ -531,7 +526,7 @@ class _Core:
 
     def _reduced_costs(self):
         """Reduced costs of the tracked objective."""
-        return self.cost - self.c_b @ self.t
+        return self.cost - (self.c_b @ self.binv) @ self.a
 
     def _movable(self):
         """(rises, falls): nonbasics free to move up, and down, from their bound."""
@@ -540,15 +535,13 @@ class _Core:
         falls = movable & ((self.stat == _AT_UP) | (self.stat == _FREE))
         return rises, falls
 
-    def _pivot(self, r, j):
-        t = self.t
-        t[r] /= t[r, j]
-        col = t[:, j].copy()
+    def _pivot(self, r, col):
+        """Enter the column that binv maps to col at row r: update binv."""
+        binv = self.binv
+        binv[r] /= col[r]
+        col = col.copy()
         col[r] = 0.0
-        t -= col[:, None] * t[r]
-        # keep the entering column numerically exact
-        t[:, j] = 0.0
-        t[r, j] = 1.0
+        binv -= col[:, None] * binv[r]
 
     def _phase1(self):
         """Drive the basic artificials to zero, then pin every artificial."""
@@ -572,7 +565,7 @@ class _Core:
             v = self.basis[r]
             if v < self.n_real:
                 continue
-            row = self.t[r, :self.n_real]
+            row = self.binv[r] @ self.a[:, :self.n_real]
             cand = np.flatnonzero((np.abs(row) > 1e-9) & (self.stat[:self.n_real] != _BASIC))
             if cand.size == 0:
                 continue  # redundant row; artificial stays basic at zero
@@ -581,13 +574,9 @@ class _Core:
             self.x[v] = 0.0
             self.stat[j] = _BASIC
             self.basis[r] = j
-            self._pivot(r, j)
+            self._pivot(r, self.binv @ self.a[:, j])
 
     # -- solution extraction -------------------------------------------------
-
-    def basis_inverse(self):
-        """Binv: the tableau's artificial block, as every artificial column is e_i."""
-        return self.t[:, self.n_real:].copy()
 
     def final_values(self):
         """Recompute basic values exactly from the current basis."""
@@ -599,7 +588,7 @@ class _Core:
             xb = np.linalg.solve(bmat, rhs)
             self.x[self.basis] = xb
         except np.linalg.LinAlgError:
-            pass  # keep tableau-propagated values
+            pass  # keep the values the pivots carried
         resid = np.abs(self.a @ self.x - self.b)
         scale = 1.0 + np.abs(self.b)
         if (resid > 1e-6 * scale).any():

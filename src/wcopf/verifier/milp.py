@@ -269,9 +269,6 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         nodes[k] += 1
 
         c, const = objectives[k]
-        # a node that did not branch left its whole finished LP core on
-        # sol, unread; let it go before this solve
-        sol = None
         # children differ from their parent only in y bounds, so the
         # parent's basis stays dual feasible and warm-starts the child;
         # roots differ only in c, so they share one phase 1

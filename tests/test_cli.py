@@ -181,6 +181,15 @@ def test_verify_node_limit_below_one_exits_2(tmp_path, capsys, limit):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_gen_data_n_below_one_exits_2(tmp_path, capsys, n):
+    rc = cli.main(["gen-data", "--grid", "case3", "--n", n,
+                   "--seed", "0", "--out", str(tmp_path / "data.csv")])
+    assert rc == 2
+    assert "--n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_bad_box_exits_2(tmp_path):
     data = _gen_data(tmp_path, n=20)
     model = _train(tmp_path, data)

@@ -100,6 +100,12 @@ def test_generation_deterministic():
     assert np.array_equal(a.split, b.split)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_generation_needs_a_sample(n):
+    with pytest.raises(ValueError, match="at least one sample"):
+        generate_dataset(builtin_grid("case3"), n, seed=0)
+
+
 def test_csv_roundtrip_bit_exact(ds100, tmp_path):
     p = tmp_path / "data.csv"
     save_dataset(ds100, p)

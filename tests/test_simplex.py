@@ -380,15 +380,16 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
 
 def _checked_moves(monkeypatch):
     """Wrap _Core._move so that after every pivot and bound flip the carried
-    loop state is compared with one rebuilt from scratch; returns a counter
-    of (loop, 'pivot' or 'flip') and the list of (row, entering) pivots."""
+    loop state is compared with one rebuilt from scratch, and after every
+    pivot binv is checked to still invert the basis; returns a counter of
+    (loop, 'pivot' or 'flip') and the list of (row, entering) pivots."""
     moves = {}
     pivots = []
     loop = ["primal"]
     move = simplex._Core._move
 
-    def checked(core, j, s, r=None):
-        move(core, j, s, r)
+    def checked(core, j, s, r=None, col=None):
+        move(core, j, s, r, col)
         rises, falls = core._movable()
         assert core.rises.tobytes() == rises.tobytes()
         assert core.falls.tobytes() == falls.tobytes()
@@ -399,6 +400,8 @@ def _checked_moves(monkeypatch):
         moves[key] = moves.get(key, 0) + 1
         if r is not None:
             pivots.append((r, j))
+            eye = np.eye(core.m)
+            assert np.abs(core.binv @ core.a[:, core.basis] - eye).max() <= 1e-9
 
     def in_loop(name, method):
         def run(core, *args):
