@@ -123,6 +123,8 @@ class LpProblem:
             raise ValueError("NaN in variable bounds")
         if (self.lo > self.hi).any():
             raise ValueError("lower bound exceeds upper bound")
+        if (self.lo == np.inf).any() or (self.hi == -np.inf).any():
+            raise ValueError("infinite bound leaves a variable no value")
         for arr in (self.c, self.a_eq, self.a_ub, self.b_eq, self.b_ub):
             if arr.size and not np.isfinite(arr).all():
                 raise ValueError("nonfinite entries in LP data")

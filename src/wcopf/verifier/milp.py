@@ -1,14 +1,23 @@
 """Branch-and-bound search for the worst generator-bound violation.
 
-Each ReLU unit that interval analysis cannot prove stable gets an
-activation variable z and an on/off variable y; three big-M rows per
-such unit (with interval preactivation bounds as the constants) make
-the LP relaxation exact once every y is integral.  Stable units enter
-the rows as affine forms of the encoded variables and are never
-branched on.  Every (generator, side) candidate is maximized in one
-best-first tree over the disjunction of their subproblems, as in Bunel
-et al. (JMLR 2020): the node with the largest bound of any candidate is
-expanded next, and every point evaluated in the box raises the
+Each ReLU unit that its preactivation bounds cannot prove stable gets
+an activation variable z and an on/off variable y; three big-M rows per
+such unit (with those bounds as the constants) make the LP relaxation
+exact once every y is integral.  Stable units enter the rows as affine
+forms of the encoded variables and are never branched on.
+
+The bounds are interval bounds, tightened before the search in every
+hidden layer past the first by bound LPs over the big-M rows of the
+layers before it (bounds.lp_bounds, after Tjeng et al., ICLR 2019):
+fewer unstable units and narrower big-M ranges make a smaller tree of
+smaller node LPs.  A one-hidden-layer net solves no bound LP.  Bound LPs
+are solved in bounds.py, never in the search, whose every LP is a node
+LP.
+
+Every (generator, side) candidate is maximized in one best-first tree
+over the disjunction of their subproblems, as in Bunel et al. (JMLR
+2020): the node with the largest bound of any candidate is expanded
+next, and every point evaluated in the box raises the
 incumbent of every candidate, so a loser is fathomed against the
 winner's margin however early it is searched.  A node branches on the
 free fractional unit with the largest big-M range times fractionality,
@@ -24,7 +33,7 @@ import numpy as np
 
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, SharedPhase1, solve_lp
-from .bounds import Box, interval_bounds
+from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
 from .patterns import candidate_constraints, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
 from .patterns import worst_case_fixed_pattern
@@ -69,7 +78,15 @@ class WorstCaseCert:
 class _Encoding:
     """Shared LP rows for one (network, box) pair.
 
-    Interval analysis splits the hidden units into stable-inactive
+    The preactivation bounds pre start as interval bounds.  For each
+    hidden layer k >= 1 in turn, lp_bounds tightens layer k's bounds by
+    bound LPs over the rows of the layers before k (_build with depth
+    k), and narrow_deeper re-propagates intervals from layer k to the
+    deeper layers and the output (out_dn, out_up), never loosening a
+    bound.  The first layer's interval bounds are already exact.  pre
+    keeps the bounds the final rows use.
+
+    These bounds split the hidden units into stable-inactive
     (upper bound <= 0; this test wins when both apply), stable-active
     (lower bound >= 0) and unstable units, and only the unstable ones
     are encoded.  Variable layout: [d (inputs) | z (one per unstable
@@ -77,16 +94,16 @@ class _Encoding:
     affine form act @ x + off in these variables: an unstable unit's is
     its own z, a stable-active unit's is its preactivation and a
     stable-inactive unit's is 0.  Rows, listed per unstable unit with
-    preactivation s = w@act_prev + b and interval bounds zlo < s < zhi:
+    preactivation s = w@act_prev + b and bounds zlo < s < zhi:
 
         z - s - zlo*y <= -zlo      (z <= s - zlo*(1-y))
         s - z         <= 0         (z >= s)
         z - zhi*y     <= 0         (z <= zhi*y)
 
     with z in [0, zhi].  y = 1 forces z = s >= 0, y = 0 forces z = 0
-    and s <= 0.  Interval bounds hold for any relaxed activations within
-    their variable bounds, so a stable unit's rows are implied and
-    dropping them leaves every node LP's optimum unchanged.  y_range
+    and s <= 0.  The bounds hold for any relaxed activations that satisfy
+    the rows of the layers before, so a stable unit's rows are implied
+    and dropping them leaves every node LP's optimum unchanged.  y_range
     holds each unstable unit's big-M range zhi - zlo, in the order of
     the y variables.
     """
@@ -102,21 +119,41 @@ class _Encoding:
         self.n_in = params.n_inputs
 
         pre, out_dn, out_up = interval_bounds(params, box)
-        self.out_dn = out_dn
-        self.out_up = out_up
-        inactive = [pre.stable_inactive(k) for k in range(params.n_hidden_layers)]
+        n_layers = params.n_hidden_layers
+        lower = pre.lower + [out_dn]
+        upper = pre.upper + [out_up]
+        for k in range(1, n_layers):
+            rows, rhs, lo, hi, _, act, off = self._build(PreactBounds(lower, upper), k)
+            w, b = params.weights[k], params.biases[k]
+            lower[k], upper[k] = lp_bounds(rows, rhs, lo, hi, (w @ act, w @ off + b),
+                                           lower[k], upper[k])
+            narrow_deeper(params, lower, upper, k)
+        self.pre = PreactBounds(lower[:n_layers], upper[:n_layers])
+        self.out_dn = lower[-1]
+        self.out_up = upper[-1]
+        (self.rows, self.rhs, self.var_lo, self.var_hi, self.y_range,
+         self.out_act, self.out_off) = self._build(self.pre, n_layers)
+        self.n_unstable = self.y_range.shape[0]
+        self.y_off = self.n_in + self.n_unstable
+        self.n_vars = self.rows.shape[1]
+
+    def _build(self, pre, depth):
+        """Rows of the hidden layers before depth, from the bounds pre.
+
+        Returns (rows, rhs, var_lo, var_hi, y_range, act, off), where
+        act @ x + off is the activation of layer depth - 1 (the input at
+        depth 0).
+        """
+        inactive = [pre.stable_inactive(k) for k in range(depth)]
         active = [pre.stable_active(k) & ~dead for k, dead in enumerate(inactive)]
         unstable = [~(live | dead) for live, dead in zip(active, inactive)]
-        self.n_unstable = int(sum(np.sum(u) for u in unstable))
-        self.y_off = self.n_in + self.n_unstable
-        self.n_vars = self.n_in + 2 * self.n_unstable
-        self._build(pre, active, unstable)
-
-    def _build(self, pre, active, unstable):
-        n_in, n_vars = self.n_in, self.n_vars
-        rows = np.zeros((3 * self.n_unstable, n_vars))
-        rhs = np.zeros(3 * self.n_unstable)
-        y_range = np.zeros(self.n_unstable)
+        n_in = self.n_in
+        n_unstable = int(sum(np.sum(u) for u in unstable))
+        y_off = n_in + n_unstable
+        n_vars = n_in + 2 * n_unstable
+        rows = np.zeros((3 * n_unstable, n_vars))
+        rhs = np.zeros(3 * n_unstable)
+        y_range = np.zeros(n_unstable)
         lo = np.zeros(n_vars)
         hi = np.ones(n_vars)
         lo[:n_in] = self.box.lo
@@ -124,7 +161,7 @@ class _Encoding:
         act = np.eye(n_in, n_vars)
         off = np.zeros(n_in)
         u = 0
-        for k in range(len(unstable)):
+        for k in range(depth):
             s_act = self.params.weights[k] @ act
             s_off = self.params.weights[k] @ off + self.params.biases[k]
             zlo = pre.lower[k]
@@ -133,7 +170,7 @@ class _Encoding:
             off = np.where(active[k], s_off, 0.0)
             for j in np.flatnonzero(unstable[k]):
                 zv = n_in + u
-                yv = self.y_off + u
+                yv = y_off + u
                 r = 3 * u
                 rows[r] = -s_act[j]
                 rows[r, zv] = 1.0
@@ -148,13 +185,7 @@ class _Encoding:
                 y_range[u] = zhi[j] - zlo[j]
                 act[j, zv] = 1.0
                 u += 1
-        self.rows = rows
-        self.rhs = rhs
-        self.var_lo = lo
-        self.var_hi = hi
-        self.y_range = y_range
-        self.out_act = act
-        self.out_off = off
+        return rows, rhs, lo, hi, y_range, act, off
 
     def objective(self, constraint_id):
         g, side = constraint_id

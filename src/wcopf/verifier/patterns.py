@@ -5,7 +5,8 @@ and maximizing a single output-bound violation over the input box is a
 small LP in the input variables only: the pattern-consistency rows keep
 each pinned preactivation on its side of zero.  worst_case_fixed_pattern
 solves that LP as a standalone public helper.  The branch-and-bound
-search (milp.py) does not call it: a verification solves only node LPs.
+search (milp.py) does not call it: a verification solves only bound
+LPs (bounds.lp_bounds) and node LPs.
 """
 
 import numpy as np

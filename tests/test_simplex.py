@@ -274,6 +274,15 @@ def test_validation_rejects_nan_bounds(lo, hi):
         LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=lo, hi=hi)
 
 
+@pytest.mark.parametrize("lo,hi", [([np.inf, 0.0], [np.inf, 2.0]),
+                                   ([0.0, -np.inf], [1.0, -np.inf]),
+                                   ([np.inf, 0.0], [np.inf, np.inf])])
+def test_validation_rejects_empty_infinite_domains(lo, hi):
+    # inf > inf is false, so lo > hi alone lets these through as free variables
+    with pytest.raises(ValueError, match="infinite bound"):
+        LpProblem(c=[-1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=lo, hi=hi)
+
+
 def test_two_generations_of_warm_starts_use_the_carried_inverse(monkeypatch, cold_cores):
     # children start from the parent's carried inverse, grandchildren from
     # the child's; many parents' cold starts had nonpositive artificials
