@@ -1,20 +1,18 @@
 """Empirical diagonal Fisher information for the anchoring penalty."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .network import forward_batch
+from .network import FlatStack, forward_batch
 
 
-@dataclass
-class FisherDiag:
-    """Per-parameter curvature estimates plus the anchor they refer to."""
+class FisherDiag(FlatStack):
+    """Per-parameter curvature estimates, laid out like MlpParams.vec,
+    plus the anchor (an MlpParams snapshot) they refer to."""
 
-    weights: list
-    biases: list
-    anchor: object  # MlpParams snapshot
+    def __init__(self, layer_dims, vec, anchor):
+        super().__init__(layer_dims, vec)
+        self.anchor = anchor
 
 
 def fisher_diag(params, x, y) -> FisherDiag:
@@ -32,11 +30,10 @@ def fisher_diag(params, x, y) -> FisherDiag:
     n = x.shape[0]
     layer_inputs = [x] + acts
     delta = 2.0 * (out - y)
-    f_w = [None] * params.n_layers
-    f_b = [None] * params.n_layers
+    fisher = FisherDiag(params.layer_dims, np.zeros(params.vec.size), params.copy())
     for k in range(params.n_layers - 1, -1, -1):
-        f_w[k] = (delta ** 2).T @ (layer_inputs[k] ** 2) / n
-        f_b[k] = np.mean(delta ** 2, axis=0)
+        fisher.weights[k][:] = (delta ** 2).T @ (layer_inputs[k] ** 2) / n
+        fisher.biases[k][:] = np.mean(delta ** 2, axis=0)
         if k > 0:
             delta = (delta @ params.weights[k]) * (preacts[k - 1] > 0.0)
-    return FisherDiag(weights=f_w, biases=f_b, anchor=params.copy())
+    return fisher

@@ -1,7 +1,8 @@
 """Training losses and their exact reverse-mode gradients.
 
 Subgradient conventions at kinks: d|r|/dr = 0 at r = 0 and the ReLU
-derivative is 0 at a preactivation of exactly 0.
+derivative is 0 at a preactivation of exactly 0.  A reverse pass fills
+the per-layer views of one zeroed Gradients.vec, laid out like MlpParams.vec.
 """
 
 from dataclasses import dataclass
@@ -9,31 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .network import forward_batch
+from .network import FlatStack, forward_batch
 
 
-@dataclass
-class Gradients:
-    """Parameter-shaped gradient stack (same layout as MlpParams)."""
-
-    weights: list
-    biases: list
+class Gradients(FlatStack):
+    """Parameter-shaped gradient stack in the flat layout of MlpParams."""
 
     @classmethod
     def zeros_like(cls, params):
-        return cls(weights=[np.zeros_like(w) for w in params.weights],
-                   biases=[np.zeros_like(b) for b in params.biases])
+        return cls(params.layer_dims, np.zeros(params.vec.size))
 
     def add(self, other, factor=1.0):
         """In-place self += factor * other."""
-        for w, ow in zip(self.weights, other.weights):
-            w += factor * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += factor * ob
+        self.vec += factor * other.vec
         return self
-
-    def flat(self):
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
 
 
 @dataclass

@@ -1,4 +1,10 @@
-"""Small dense ReLU networks with a linear output layer."""
+"""Small dense ReLU networks with a linear output layer.
+
+A parameter-shaped stack (parameters, gradients, Fisher diagonals) is one
+contiguous float64 vector ``vec``: every weight matrix in layer order,
+row-major, then every bias.  ``weights[k]`` and ``biases[k]`` are views
+of it, so per-layer code sees layers and Adam sees one vector.
+"""
 
 from dataclasses import dataclass
 
@@ -7,25 +13,52 @@ import numpy as np
 from ..errors import ShapeMismatch
 
 
-@dataclass
-class MlpParams:
-    """Weights and biases; weights[k] has shape (dims[k+1], dims[k])."""
+class FlatStack:
+    """layer_dims plus the flat vector and its per-layer views."""
 
-    layer_dims: list
-    weights: list
-    biases: list
+    def __init__(self, layer_dims, vec):
+        self.layer_dims = list(layer_dims)
+        self.vec = vec
+        self.weights = []
+        self.biases = []
+        at = 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            self.weights.append(vec[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+            at += fan_out * fan_in
+        for fan_out in self.layer_dims[1:]:
+            self.biases.append(vec[at:at + fan_out])
+            at += fan_out
 
-    def __post_init__(self):
-        dims = self.layer_dims
+    def layer_parts(self, first):
+        """Two slices of vec: the weights, then the biases, of layers first..last."""
+        n_w = sum(w.size for w in self.weights)
+        return (slice(sum(w.size for w in self.weights[:first]), n_w),
+                slice(n_w + sum(b.size for b in self.biases[:first]), None))
+
+
+class MlpParams(FlatStack):
+    """Network parameters; weights[k] has shape (dims[k+1], dims[k]).  Per-layer
+    lists are checked and packed into vec; from_vec wraps a checked vector."""
+
+    def __init__(self, layer_dims, weights, biases):
+        dims = layer_dims
         if len(dims) < 2:
             raise ShapeMismatch("need at least input and output dimensions")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
+        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
             raise ShapeMismatch("parameter count does not match layer_dims")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
                 raise ShapeMismatch(f"layer {k}: bad shapes {w.shape}, {b.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ShapeMismatch(f"layer {k}: nonfinite parameters")
+        super().__init__(dims, np.concatenate([np.ravel(a) for a in (*weights, *biases)],
+                                              dtype=float))
+
+    @classmethod
+    def from_vec(cls, layer_dims, vec):
+        params = cls.__new__(cls)
+        FlatStack.__init__(params, layer_dims, vec)
+        return params
 
     @property
     def n_layers(self):
@@ -48,9 +81,7 @@ class MlpParams:
         return self.layer_dims[-1]
 
     def copy(self):
-        return MlpParams(layer_dims=list(self.layer_dims),
-                         weights=[w.copy() for w in self.weights],
-                         biases=[b.copy() for b in self.biases])
+        return MlpParams.from_vec(self.layer_dims, self.vec.copy())
 
 
 @dataclass

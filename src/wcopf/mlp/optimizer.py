@@ -1,9 +1,11 @@
-"""Adam updates on parameter stacks."""
+"""Adam (Kingma & Ba, arXiv:1412.6980), elementwise over the flat vectors
+MlpParams.vec, Gradients.vec and the two moments, which share one layout."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import TrainingDiverged
 from .network import MlpParams
 
 BETA1 = 0.9
@@ -13,39 +15,25 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m_weights: list
-    m_biases: list
-    v_weights: list
-    v_biases: list
+    m: np.ndarray    # first moment, laid out like MlpParams.vec
+    v: np.ndarray    # second moment
     step: int = 0
 
 
 def adam_init(params) -> AdamState:
-    return AdamState(m_weights=[np.zeros_like(w) for w in params.weights],
-                     m_biases=[np.zeros_like(b) for b in params.biases],
-                     v_weights=[np.zeros_like(w) for w in params.weights],
-                     v_biases=[np.zeros_like(b) for b in params.biases])
+    return AdamState(m=np.zeros_like(params.vec), v=np.zeros_like(params.vec))
 
 
 def adam_step(params, grads, state, alpha):
-    """One Adam descent step; returns (new_params, new_state)."""
+    """One Adam descent step; returns (new_params, new_state), or raises
+    TrainingDiverged when a new parameter is nonfinite."""
     t = state.step + 1
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
+    g = grads.vec
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for w, g, m, v in zip(params.weights, grads.weights, state.m_weights, state.v_weights):
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        new_w.append(w - alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS))
-        m_w.append(m)
-        v_w.append(v)
-    for b, g, m, v in zip(params.biases, grads.biases, state.m_biases, state.v_biases):
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        new_b.append(b - alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS))
-        m_b.append(m)
-        v_b.append(v)
-    new_params = MlpParams(layer_dims=list(params.layer_dims), weights=new_w, biases=new_b)
-    return new_params, AdamState(m_weights=m_w, m_biases=m_b,
-                                 v_weights=v_w, v_biases=v_b, step=t)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    vec = params.vec - alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    if not np.isfinite(vec).all():
+        raise TrainingDiverged(f"nonfinite parameters after Adam step {t}")
+    return MlpParams.from_vec(params.layer_dims, vec), AdamState(m=m, v=v, step=t)

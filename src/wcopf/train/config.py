@@ -1,10 +1,17 @@
 """Training configuration shared by every training mode."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 
 from ..errors import SchemaError
 from ..verifier.milp import DEFAULT_NODE_LIMIT
+
+_REALS = ("alpha", "lambda0", "lambda_wc", "lambda_g", "lambda_ewc", "early_stop_rel")
+# integer fields and their least value; batch_size may also be None (full batch)
+_COUNTS = {"epochs": 0, "warmup": 0, "seed": 0, "batch_size": 1,
+           "wc_every": 1, "max_iters": 1, "node_limit": 1}
 
 
 @dataclass(frozen=True)
@@ -34,22 +41,18 @@ class TrainConfig:
     node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.epochs < 0 or self.warmup < 0:
-            raise ValueError("epochs and warmup must be nonnegative")
-        for name in ("lambda0", "lambda_wc", "lambda_g", "lambda_ewc",
-                     "early_stop_rel"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when set")
-        if self.wc_every < 1:
-            raise ValueError("wc_every must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be positive")
+        for name in _REALS:
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        for name, least in _COUNTS.items():
+            value = getattr(self, name)
+            if value is None and name == "batch_size":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def replaced(self, **kw):
         return replace(self, **kw)

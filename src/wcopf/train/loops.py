@@ -99,14 +99,6 @@ def _epoch_batches(n, batch_size, seed, epoch):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _check_finite(params, value, epoch):
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"nonfinite loss at epoch {epoch}")
-    for arr in params.weights + params.biases:
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDiverged(f"nonfinite parameters at epoch {epoch}")
-
-
 def _run_training(dataset, arch, config: TrainConfig, mode,
                   gen_bounds=None, box=None):
     if mode not in MODES:
@@ -156,10 +148,14 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
             grads = gradient(params, xs[idx], ys[idx], spec)
             if wc_grads is not None and i == 0:
                 grads.add(wc_grads, config.lambda_wc)
-            params, state = adam_step(params, grads, state, config.alpha)
+            try:
+                params, state = adam_step(params, grads, state, config.alpha)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
         train_l0 = loss_mae(params, xs, ys)
         val_mae = loss_mae(params, xv, yv)
-        _check_finite(params, train_l0 + val_mae, epoch)
+        if not np.isfinite(train_l0 + val_mae):
+            raise TrainingDiverged(f"nonfinite loss at epoch {epoch}")
         records.append(EpochRecord(epoch=epoch, train_l0=train_l0,
                                    val_mae=val_mae, v_g=v_g, warning=warning,
                                    wall_time=time.perf_counter() - started))

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from ..errors import NumericalBreakdown
+from ..errors import NumericalBreakdown, TrainingDiverged
 from ..mlp.fisher import fisher_diag
 from ..mlp.losses import loss_mae
 from ..mlp.network import MlpParams
@@ -40,23 +40,15 @@ def _anchor_step(params, wc_grads, fisher, config: TrainConfig):
     lam_w = config.lambda_wc
     lam_e = config.lambda_ewc
     first = params.n_layers - 1 if config.last_layer_only else 0
-
-    def move(theta, g, f, anchor):
-        denom = 1.0 + 2.0 * a * lam_e * f
-        return (theta - a * lam_w * g + 2.0 * a * lam_e * f * anchor) / denom
-
-    weights = []
-    biases = []
-    for k in range(params.n_layers):
-        if k < first:
-            weights.append(params.weights[k].copy())
-            biases.append(params.biases[k].copy())
-        else:
-            weights.append(move(params.weights[k], wc_grads.weights[k],
-                                fisher.weights[k], fisher.anchor.weights[k]))
-            biases.append(move(params.biases[k], wc_grads.biases[k],
-                               fisher.biases[k], fisher.anchor.biases[k]))
-    return MlpParams(params.layer_dims, weights, biases)
+    vec = params.vec.copy()
+    for part in params.layer_parts(first):
+        f = fisher.vec[part]
+        vec[part] = ((params.vec[part] - a * lam_w * wc_grads.vec[part]
+                      + 2.0 * a * lam_e * f * fisher.anchor.vec[part])
+                     / (1.0 + 2.0 * a * lam_e * f))
+    if not np.isfinite(vec).all():
+        raise TrainingDiverged("nonfinite parameters after a fine-tune step")
+    return MlpParams.from_vec(params.layer_dims, vec)
 
 
 def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,

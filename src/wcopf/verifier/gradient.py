@@ -26,17 +26,14 @@ def margin_param_gradient(params, witness, pattern, constraint_id,
     delta = np.zeros(params.n_outputs)
     delta[g] = 1.0 if side == "upper" else -1.0
 
+    # with last_layer_only the hidden layers keep their zeros
+    first = params.n_layers - 1 if last_layer_only else 0
     grads = Gradients.zeros_like(params)
-    for k in range(params.n_layers - 1, -1, -1):
+    for k in range(params.n_layers - 1, first - 1, -1):
         grads.weights[k][:] = np.outer(delta, acts[k])
         grads.biases[k][:] = delta
-        if k > 0:
+        if k > first:
             delta = (params.weights[k].T @ delta) * pattern[k - 1]
-
-    if last_layer_only:
-        for k in range(params.n_layers - 1):
-            grads.weights[k][:] = 0.0
-            grads.biases[k][:] = 0.0
     return grads
 
 

@@ -317,3 +317,21 @@ def brute_force_worst_case(params, box, gen_bounds):
 
     descend_layer(0, np.eye(n), np.zeros(n))
     return best[0], best[1], best[2]
+
+
+def adam_per_array(weights, biases, grad_w, grad_b, moments, step, alpha,
+                   beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step array by array, as the textbook writes it.
+
+    moments is a list of (m, v) pairs, weights first and then biases in
+    layer order.  Returns (new weights, new biases, new moments).
+    """
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    new, new_moments = [], []
+    for theta, g, (m, v) in zip(weights + biases, grad_w + grad_b, moments):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        new.append(theta - alpha * (m / bc1) / (np.sqrt(v / bc2) + eps))
+        new_moments.append((m, v))
+    return new[:len(weights)], new[len(weights):], new_moments

@@ -134,7 +134,7 @@ def _grad_case(kind, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_loss_gradients_match_central_differences(kind, seed):
     params, x, y, spec = _grad_case(kind, seed)
-    flat_g = gradient(params, x, y, spec).flat()
+    flat_g = gradient(params, x, y, spec).vec
     theta = _pack(params)
     h = 1e-6
     fd = np.zeros_like(theta)
@@ -196,7 +196,7 @@ def test_envelope_gradient_matches_directional_differences():
         if not stable:
             continue
         fd = (up.value - dn.value) / (2 * h)
-        along = float(worst_case_gradient(params, cert).flat() @ direction)
+        along = float(worst_case_gradient(params, cert).vec @ direction)
         rel = abs(fd - along) / max(abs(fd), 1e-10)
         assert rel <= 1e-4, f"seed {seed} {dims}: rel err {rel:.3e}"
         accepted += 1

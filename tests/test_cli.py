@@ -363,6 +363,29 @@ def test_train_divergence_exits_4(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: nonfinite loss at epoch 3\n"
 
 
+def test_train_minibatch_divergence_exits_4(tmp_path, capsys):
+    data = _gen_data(tmp_path, n=20)
+    cfg = _write_config(tmp_path / "cfg.json", alpha=1e155, batch_size=4, epochs=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["train", "--dataset", data, "--grid", "case3", "--arch", "4",
+                       "--config", cfg, "--out", str(tmp_path / "m.json")])
+    assert rc == 4
+    assert "epoch 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("fields", [{"epochs": 2.5}, {"batch_size": 2.5},
+                                    {"alpha": float("nan")}])
+def test_train_bad_config_value_exits_2(tmp_path, capsys, fields):
+    data = _gen_data(tmp_path, n=20)
+    cfg = _write_config(tmp_path / "cfg.json", **fields)
+    rc = cli.main(["train", "--dataset", data, "--grid", "case3",
+                   "--config", cfg, "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "bad config value" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_verify_solver_breakdown_exits_1(tmp_path, capsys, monkeypatch):
     grid = builtin_grid("case3")
     model = tmp_path / "net.json"

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import naive_forward
-from wcopf.errors import SchemaError, ShapeMismatch
+from oracles import adam_per_array, naive_forward
+from wcopf.errors import SchemaError, ShapeMismatch, TrainingDiverged
 from wcopf.grid.dataset import Scaler
 from wcopf.mlp import (FisherDiag, Gradients, LossSpec, adam_init, adam_step,
                        file_checksum, fisher_diag, forward, forward_batch,
@@ -121,7 +121,7 @@ def test_gen_penalty_zero_inside_bounds():
 
 def _fd_check(p, x, y, spec, h=1e-6, rel_tol=1e-5):
     g = gradient(p, x, y, spec)
-    flat_g = g.flat()
+    flat_g = g.vec
 
     def pack(q):
         return np.concatenate([a.ravel() for a in q.weights + q.biases])
@@ -188,7 +188,7 @@ def test_gradient_zero_at_exact_fit():
     x = np.random.default_rng(10).uniform(size=(5, 2))
     y = forward_batch(p, x)[2]
     g = gradient(p, x, y, LossSpec(mae_weight=1.0))
-    assert np.all(g.flat() == 0.0)
+    assert np.all(g.vec == 0.0)
 
 
 # ---------------------------------------------------------------- adam
@@ -234,6 +234,56 @@ def test_adam_deterministic():
 
     a, b = run(), run()
     assert all(np.array_equal(x1, x2) for x1, x2 in zip(a.weights, b.weights))
+
+
+@pytest.mark.parametrize("dims", [(2, 5, 2), (3, 4, 6, 2), (2, 3, 5, 4, 3)])
+def test_adam_matches_per_array_oracle_bit_for_bit(dims):
+    p = small_net(21, dims=dims)
+    rng = np.random.default_rng(21)
+    x = rng.uniform(size=(9, dims[0]))
+    y = rng.uniform(size=(9, dims[-1]))
+    spec = LossSpec(mae_weight=1.0, gen_weight=0.5,
+                    gen_lo=np.full(dims[-1], 0.1), gen_hi=np.full(dims[-1], 0.4))
+    state = adam_init(p)
+    ref_w = [w.copy() for w in p.weights]
+    ref_b = [b.copy() for b in p.biases]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref_w + ref_b]
+    for t in range(1, 61):
+        g = gradient(p, x, y, spec)
+        p, state = adam_step(p, g, state, alpha=0.01)
+        ref_w, ref_b, moments = adam_per_array(ref_w, ref_b, g.weights, g.biases,
+                                               moments, t, alpha=0.01)
+        for a, ref in zip(p.weights + p.biases, ref_w + ref_b):
+            assert a.tobytes() == ref.tobytes()
+    assert state.step == 60
+    for a in p.weights + p.biases:
+        assert np.shares_memory(a, p.vec)
+    assert p.vec.size == sum(a.size for a in p.weights + p.biases)
+
+
+def test_adam_nonfinite_step_raises_training_diverged():
+    p = small_net(22)
+    g = Gradients.zeros_like(p)
+    g.weights[0][0, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="Adam step 1"):
+        adam_step(p, g, adam_init(p), alpha=0.01)
+
+
+def test_views_share_the_flat_vector():
+    p = small_net(23, dims=(3, 4, 2))
+    assert p.vec.dtype == np.float64 and p.vec.flags.c_contiguous
+    # layout: every weight matrix in layer order, then every bias
+    packed = np.concatenate([a.ravel() for a in p.weights + p.biases])
+    assert np.array_equal(p.vec, packed)
+    p.vec[0] = 7.0
+    assert p.weights[0][0, 0] == 7.0
+    p.biases[1][1] = -3.0
+    assert p.vec[-1] == -3.0
+    q = p.copy()
+    assert not np.shares_memory(q.vec, p.vec)
+    assert all(np.shares_memory(a, q.vec) for a in q.weights + q.biases)
+    g = Gradients.zeros_like(p)
+    assert all(np.shares_memory(a, g.vec) for a in g.weights + g.biases)
 
 
 # ---------------------------------------------------------------- fisher

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import grid_fixture, midband_dataset
-from wcopf.errors import NumericalBreakdown
-from wcopf.mlp import fisher_diag, loss_mae, params_checksum
+from wcopf.errors import NumericalBreakdown, TrainingDiverged
+from wcopf.mlp import Gradients, fisher_diag, loss_mae, params_checksum
 from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
                          STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
                          TrainConfig, finetune_sequential, sequential,
@@ -107,6 +107,19 @@ def test_huge_anchor_freezes_parameters():
     free, free_report = finetune_sequential(
         params, data, gen_box, config.replaced(lambda_ewc=0.0), box=box)
     assert abs(free_report.final_v_g - v0) >= 1e-4
+
+
+def test_nonfinite_update_raises_training_diverged():
+    data, _, _ = _case3()
+    params, _ = _trained(0)
+    xs, ys = data.scaled("train")
+    grads = Gradients.zeros_like(params)
+    grads.vec[:] = 1.0
+    config = TrainConfig(alpha=1e300, lambda_wc=1e10, lambda_ewc=0.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrainingDiverged, match="fine-tune step"):
+            sequential._anchor_step(params, grads, fisher_diag(params, xs, ys),
+                                    config)
 
 
 def test_stops_immediately_without_violation():

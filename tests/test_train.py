@@ -173,6 +173,29 @@ def test_divergence_raises():
             train_standard(data, (4,), config)
 
 
+def test_minibatch_divergence_raises_naming_the_epoch():
+    # with several batches per epoch the parameters go nonfinite inside
+    # the epoch, before its loss is evaluated
+    data = toy_dataset(7)
+    config = TrainConfig(alpha=1e155, epochs=3, seed=0, batch_size=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match="nonfinite parameters .* epoch 0"):
+            train_standard(data, (4,), config)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.0), ("wc_every", True),
+    ("seed", -1), ("epochs", -1),
+    ("max_iters", "3"), ("alpha", float("nan")), ("lambda_wc", float("inf")),
+    ("early_stop_rel", float("-inf")),
+])
+def test_config_rejects_bad_counts_and_nonfinite_reals(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    with pytest.raises(SchemaError, match=field):
+        config_from_dict({field: value})
+
+
 def test_config_validation_and_file_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         TrainConfig(alpha=-1.0)

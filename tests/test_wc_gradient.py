@@ -53,7 +53,7 @@ def test_gradient_matches_frozen_margin_fd(seed, dims):
     cert = solve_worst_case(params, box, gen)
     assert cert.value > 0.0
     grads = worst_case_gradient(params, cert)
-    flat = grads.flat()
+    flat = grads.vec
     rng = np.random.default_rng((seed, 13))
     h = 1e-6
     for _ in range(3):
@@ -79,7 +79,7 @@ def test_gradient_tracks_reverified_value():
     trace_margins = [np.min(np.abs(s))
                      for s in forward(params, cert.witness).preactivations]
     assert min(trace_margins) > 1e-4   # pattern locally stable at the witness
-    flat = worst_case_gradient(params, cert).flat()
+    flat = worst_case_gradient(params, cert).vec
     rng = np.random.default_rng((seed, 17))
     direction = rng.standard_normal(flat.size)
     direction /= np.linalg.norm(direction)
@@ -115,7 +115,7 @@ def test_gradient_direction_reduces_violation():
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
     cert = solve_worst_case(params, box, gen)
     assert cert.value > 0.0
-    flat = worst_case_gradient(params, cert).flat()
+    flat = worst_case_gradient(params, cert).vec
     step = 1e-3 / np.linalg.norm(flat)
     moved = solve_worst_case(_perturbed(params, flat, -step), box, gen)
     assert moved.value < cert.value
@@ -127,4 +127,4 @@ def test_margin_param_gradient_signs():
     pattern = forward(params, witness).pattern
     up = margin_param_gradient(params, witness, pattern, (0, "upper"))
     dn = margin_param_gradient(params, witness, pattern, (0, "lower"))
-    assert np.allclose(up.flat(), -dn.flat())
+    assert np.allclose(up.vec, -dn.vec)
