@@ -1,9 +1,10 @@
 """Command line entry point for datasets, training, verification and reports.
 
-Every command except report resolves its inputs, writes a run manifest
+Every command except report resolves its inputs and checksums them
+before computing, and once its outputs are saved writes a run manifest
 (command, resolved configuration, input checksums, output paths, seed,
-tool version) next to the primary output, and only then starts
-computing.  Identical invocations produce byte-identical output files;
+tool version) next to the primary output; a command that fails writes
+none.  Identical invocations produce byte-identical output files;
 wall-clock timings never enter the files.
 
 Exit codes: 0 success, 2 malformed input, 3 dataset generation ran out
@@ -136,19 +137,22 @@ def _v_g_text(report):
     return f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW)"
 
 
-def _write_manifest(command, args, grid_entry, outputs, seed=None, config=None):
-    """Write the manifest next to outputs[0]; inputs are the grid and every
-    --model, --dataset and --config the command received.  Returns those
-    inputs' digests by path."""
+def _input_digests(args, grid_entry):
+    """Digests by path of the grid and of every --model, --dataset and
+    --config the command received."""
     inputs = dict([grid_entry])
     for path in (getattr(args, name, None) for name in ("model", "dataset", "config")):
         if path:
             inputs[path] = file_checksum(path)
+    return inputs
+
+
+def _write_manifest(command, inputs, outputs, seed=None, config=None):
+    """Write the manifest next to outputs[0], once the outputs are saved."""
     write_json(str(outputs[0]) + ".manifest.json",
                {"command": command, "version": __version__, "seed": seed,
                 "config": config, "inputs": inputs,
                 "outputs": [str(p) for p in outputs]})
-    return inputs
 
 
 def _save_run(outputs, params, dataset, report, meta):
@@ -166,10 +170,11 @@ def cmd_gen_data(args):
     if args.n < 1:
         raise SchemaError(f"bad --n {args.n}; must be at least 1")
     grid, grid_entry = _resolve_grid(args.grid)
-    _write_manifest("gen-data", args, grid_entry, [args.out], seed=args.seed,
-                    config={"n": args.n, "box": list(DATA_BOX)})
+    inputs = _input_digests(args, grid_entry)
     dataset = generate_dataset(grid, args.n, args.seed)
     save_dataset(dataset, args.out)
+    _write_manifest("gen-data", inputs, [args.out], seed=args.seed,
+                    config={"n": args.n, "box": list(DATA_BOX)})
     n_tr, n_va, n_te = split_sizes(args.n)
     print(f"wrote {args.out}: {args.n} samples "
           f"({n_tr} train / {n_va} val / {n_te} test)")
@@ -181,9 +186,7 @@ def cmd_train(args):
     dataset, config = _dataset_and_config(args, grid)
     arch = _parse_arch(args.arch)
     outputs = _run_outputs(args)
-    _write_manifest("train", args, grid_entry, outputs, seed=config.seed,
-                    config={"mode": args.mode, "arch": list(arch),
-                            **config.to_dict()})
+    inputs = _input_digests(args, grid_entry)
 
     demand_box, gen_box = _boxes(grid, dataset.input_scaler,
                                  dataset.output_scaler, DATA_BOX)
@@ -210,6 +213,9 @@ def cmd_train(args):
     report = _save_run(outputs, params, dataset, report,
                        meta={"mode": args.mode, "seed": config.seed,
                              "arch": list(arch), "grid": grid_entry[0]})
+    _write_manifest("train", inputs, outputs, seed=config.seed,
+                    config={"mode": args.mode, "arch": list(arch),
+                            **config.to_dict()})
     if report.warning is not None:
         print(f"warning: {report.warning}", file=sys.stderr)
     print(f"trained {args.mode} {list(report.layer_dims)}: "
@@ -223,9 +229,7 @@ def cmd_verify(args):
     grid, grid_entry = _resolve_grid(args.grid)
     params, in_scaler, out_scaler = _load_model_for(grid, args.model)
     fractions = _parse_box(args.box)
-    inputs = _write_manifest("verify", args, grid_entry, [args.out],
-                             config={"box": list(fractions),
-                                     "node_limit": args.node_limit})
+    inputs = _input_digests(args, grid_entry)
 
     box, gen_box = _boxes(grid, in_scaler, out_scaler, fractions)
     cert = solve_worst_case(params, box, gen_box, node_limit=args.node_limit)
@@ -236,6 +240,8 @@ def cmd_verify(args):
                      model_sha256=inputs[args.model],
                      extras={"v_g_mw": v_mw, "pct_max_loading": pct,
                              "box": list(fractions)})
+    _write_manifest("verify", inputs, [args.out],
+                    config={"box": list(fractions), "node_limit": args.node_limit})
     print(f"v_g = {v_mw:.6f} MW ({pct:.2f}% of max loading)")
     if not cert.certified:
         print(f"verification incomplete: bound gap {cert.gap:.6e} after "
@@ -250,8 +256,7 @@ def cmd_finetune(args):
     dataset, config = _dataset_and_config(args, grid)
     fractions = _parse_box(args.box)
     outputs = _run_outputs(args)
-    _write_manifest("finetune", args, grid_entry, outputs, seed=config.seed,
-                    config={"box": list(fractions), **config.to_dict()})
+    inputs = _input_digests(args, grid_entry)
 
     box, gen_box = _boxes(grid, dataset.input_scaler, dataset.output_scaler,
                           fractions)
@@ -261,6 +266,8 @@ def cmd_finetune(args):
                        meta={"mode": "finetune", "seed": config.seed,
                              "arch": list(tuned.hidden_dims),
                              "grid": grid_entry[0]})
+    _write_manifest("finetune", inputs, outputs, seed=config.seed,
+                    config={"box": list(fractions), **config.to_dict()})
     v_before = report.records[0].v_g if report.records else None
     v_before = "unknown" if v_before is None else f"{v_before:.6f}"
     print(f"finetune stopped on {report.stopped}: v_g {v_before} -> "
@@ -273,14 +280,15 @@ def cmd_sensitivity(args):
     dataset, config = _dataset_and_config(args, grid)
     arch = _parse_arch(args.arch)
     seeds = _parse_ints(args.seeds, "seed list", "s1,s2,...")
-    _write_manifest("sensitivity", args, grid_entry, [args.out],
-                    config={"arch": list(arch), "seeds": list(seeds),
-                            **config.to_dict()})
+    inputs = _input_digests(args, grid_entry)
     box, gen_box = _boxes(grid, dataset.input_scaler, dataset.output_scaler,
                           DATA_BOX)
     report = layer_sensitivity(arch, dataset, gen_box, seeds, config=config,
                                box=box)
     write_json(args.out, report.to_dict())
+    _write_manifest("sensitivity", inputs, [args.out],
+                    config={"arch": list(arch), "seeds": list(seeds),
+                            **config.to_dict()})
     for seed, warning in report.skipped:
         print(f"warning: seed {seed} skipped: {warning}", file=sys.stderr)
     values = ", ".join(f"{v:.4f}" for v in report.layer_values)

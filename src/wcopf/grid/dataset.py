@@ -7,13 +7,14 @@ import numpy as np
 
 from ..errors import SchemaError, TooManyInfeasible
 from ..simplex import LpStatus
-from .dcopf import dispatch_rows, solve_dcopf
+from .dcopf import basis_dispatch, dispatch_rows, solve_dcopf
 from .ptdf import compute_ptdf
 from .sampling import sample_demands_lhs
 
 SPLITS = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 RESAMPLE_FACTOR = 10
+COVER_BLOCK = 128  # samples a basis covers at once; bounds the stacked arrays
 
 DATA_BOX = (0.6, 1.0)  # demand range as a fraction of nominal
 
@@ -90,9 +91,17 @@ def generate_dataset(grid, n, seed) -> Dataset:
 
     Infeasible samples are discarded and replaced with fresh LHS batches
     drawn from follow-up seeds (seed + 1, seed + 2, ...).  Raises
-    TooManyInfeasible once 10 n candidate samples have been tried.  The
-    dispatch rows are built once, and each dispatch LP warm-starts from
-    the basis of the last optimal one.  Raises ValueError for n < 1.
+    TooManyInfeasible once 10 n candidate samples have been tried.  Raises
+    ValueError for n < 1.
+
+    The dispatch rows are built once, and a pool keeps every optimal
+    basis found so far: an optimal basis stays optimal for every demand
+    vector it keeps primal feasible.  Each batch is first covered by the
+    pool, each sample taking the solution of the first basis in
+    discovery order that serves it (basis_dispatch, which solves no LP).
+    Only a sample that no basis serves gets a dispatch LP, warm-started
+    from the newest basis; an optimal one joins the pool and covers the
+    rest of the batch.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -102,24 +111,33 @@ def generate_dataset(grid, n, seed) -> Dataset:
     targets = []
     tried = 0
     attempt = 0
-    basis = None
+    pool = []
     while len(inputs) < n:
         if tried >= RESAMPLE_FACTOR * n:
             raise TooManyInfeasible(
                 f"{tried} samples tried, only {len(inputs)} of {n} feasible")
         batch = sample_demands_lhs(grid, n, seed + attempt, box=DATA_BOX)
         attempt += 1
-        for demands in batch:
+        p = np.empty((len(batch), grid.n_gen))
+        served = np.zeros(len(batch), dtype=bool)
+        for basis in pool:
+            _cover(rows, basis, batch, p, served, 0)
+        for i, demands in enumerate(batch):
             if tried >= RESAMPLE_FACTOR * n:
                 break
             tried += 1
-            sol = solve_dcopf(grid, ptdf, demands, start=basis, rows=rows)
-            if sol.status == LpStatus.OPTIMAL:
-                basis = sol.basis
-                inputs.append(demands)
-                targets.append(sol.p)
-                if len(inputs) == n:
-                    break
+            if not served[i]:
+                sol = solve_dcopf(grid, ptdf, demands, start=pool[-1] if pool else None,
+                                  rows=rows)
+                if sol.status != LpStatus.OPTIMAL:
+                    continue
+                pool.append(sol.basis)
+                p[i] = sol.p
+                _cover(rows, sol.basis, batch, p, served, i + 1)
+            inputs.append(demands)
+            targets.append(p[i])
+            if len(inputs) == n:
+                break
     inputs = np.array(inputs)
     targets = np.array(targets)
 
@@ -133,6 +151,17 @@ def generate_dataset(grid, n, seed) -> Dataset:
     return Dataset(inputs=inputs, targets=targets, split=split,
                    input_scaler=box_input_scaler(grid),
                    output_scaler=gen_output_scaler(grid))
+
+
+def _cover(rows, basis, batch, p, served, start):
+    """Serve the unserved samples of batch[start:] that basis serves,
+    COVER_BLOCK at a time, writing their dispatch into p."""
+    todo = start + np.flatnonzero(~served[start:])
+    for lo in range(0, len(todo), COVER_BLOCK):
+        block = todo[lo:lo + COVER_BLOCK]
+        x, ok = basis_dispatch(rows, basis, batch[block])
+        p[block[ok]] = x[ok]
+        served[block[ok]] = True
 
 
 def _fit_scalers_from_train(inputs, targets, split):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simplex import LpProblem, LpStatus, solve_lp
+from ..simplex import LpProblem, LpStatus, basis_solutions, solve_lp
 
 
 @dataclass
@@ -56,6 +56,25 @@ def dispatch_rows(grid, ptdf) -> DispatchRows:
         a_ub=np.vstack([flow_gen, -flow_gen]) if grid.lines else None)
 
 
+def _dispatch_rhs(rows, demands):
+    """(b_eq, b_ub) of the dispatch LP of one demand vector, or of each
+    row of a (k, n_load) stack; b_ub is None without lines.  A stack's
+    rows come out bit for bit as if each went alone (each contiguous row
+    is its own BLAS matrix-vector product)."""
+    demands = np.ascontiguousarray(demands, dtype=float)
+    b_eq = demands.sum(axis=-1, keepdims=True)
+    if rows.a_ub is None:
+        return b_eq, None
+    flow_load = np.matmul(rows.flow_load, demands[..., None])[..., 0]
+    return b_eq, np.concatenate([rows.limits + flow_load, rows.limits - flow_load], axis=-1)
+
+
+def _dispatch_lp(rows, demands):
+    b_eq, b_ub = _dispatch_rhs(rows, demands)
+    return LpProblem(c=-rows.costs, a_eq=rows.a_eq, b_eq=b_eq, a_ub=rows.a_ub, b_ub=b_ub,
+                     lo=rows.p_min, hi=rows.p_max)
+
+
 def solve_dcopf(grid, ptdf, demands, start=None, rows=None) -> DispatchSolution:
     """Minimize generation cost subject to balance, limits and line flows.
 
@@ -76,17 +95,20 @@ def solve_dcopf(grid, ptdf, demands, start=None, rows=None) -> DispatchSolution:
         raise ValueError(f"expected {grid.n_load} demand values, got {demands.shape[0]}")
     if rows is None:
         rows = dispatch_rows(grid, ptdf)
-    flow_load = rows.flow_load @ demands  # (n_lines,)
-    b_eq = np.array([demands.sum()])
-    b_ub = None
-    if grid.lines:
-        b_ub = np.concatenate([rows.limits + flow_load, rows.limits - flow_load])
-
-    sol = solve_lp(LpProblem(c=-rows.costs, a_eq=rows.a_eq, b_eq=b_eq, a_ub=rows.a_ub,
-                             b_ub=b_ub, lo=rows.p_min, hi=rows.p_max), start=start)
+    sol = solve_lp(_dispatch_lp(rows, demands), start=start)
     if sol.status != LpStatus.OPTIMAL:
         return DispatchSolution(status=sol.status)
-    flows = rows.flow_gen @ sol.x - flow_load if grid.lines else np.zeros(0)
+    flows = rows.flow_gen @ sol.x - rows.flow_load @ demands if grid.lines else np.zeros(0)
     return DispatchSolution(status=LpStatus.OPTIMAL, p=sol.x,
                             cost=float(rows.costs @ sol.x), line_flows=flows,
                             basis=sol.basis)
+
+
+def basis_dispatch(rows, basis, demands):
+    """(p, ok) for a (k, n_load) stack of demands, k >= 1: the dispatch
+    of each sample that basis, an earlier optimal dispatch's, serves
+    without a pivot, as simplex.basis_solutions says.  Where ok, p is
+    bit for bit what solve_dcopf(..., start=basis, rows=rows) returns;
+    the other samples need solve_dcopf."""
+    return basis_solutions(_dispatch_lp(rows, demands[0]), basis,
+                           *_dispatch_rhs(rows, demands))

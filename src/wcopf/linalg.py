@@ -3,7 +3,6 @@
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeMismatch, SingularMatrix
 
@@ -15,8 +14,11 @@ def solve_linear_system(a, b):
 
     `a` is a square matrix, `b` a vector or matrix of right hand sides.
     Raises SingularMatrix when any pivot of U falls below the
-    singularity threshold in magnitude.
+    singularity threshold in magnitude.  scipy is imported here, not at
+    module load, so commands that build no PTDF never pay for it.
     """
+    import scipy.linalg
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

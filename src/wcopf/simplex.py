@@ -39,6 +39,14 @@ or breaks down numerically, falls back to the cold path.  An LP
 without rows takes the same path with an empty basis: each variable
 flips to the bound its cost favors.
 
+A warm start whose basis is already primal feasible for the new
+right-hand sides takes no pivot: its x is the nonbasics at their bounds
+and the basics solved for exactly (final_values).  basis_solutions
+computes that x for a whole stack of right-hand sides at once, without
+solving an LP, and says which of them the basis serves; the others
+need solve_lp.  A dispatch dataset's samples share a handful of optimal
+bases, so most of them never reach solve_lp.
+
 A SharedPhase1 start serves LPs that differ only in c: phase 1 never
 reads the objective, so the first of them runs the cold path and keeps
 a copy of its state after phase 1, and each later one runs only phase
@@ -184,6 +192,41 @@ def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     return _solution(problem, core, core.cold(shared), spent)
 
 
+def basis_solutions(problem, basis, b_eq, b_ub):
+    """What a warm start from basis returns without a pivot, for each of a
+    stack of right-hand sides; solves no LP.
+
+    problem gives the rows, objective and bounds (its own b_eq and b_ub
+    are not read); b_eq (k, m_eq) and b_ub (k, m_ub) stack k right-hand
+    sides, and b_ub may be None when problem has no <= rows.  basis is
+    an earlier optimal solve's LpSolution.basis, as for solve_lp.
+    Returns (x, ok), x of shape (k, n): where ok[i], basis is primal
+    feasible within _FEAS_TOL for the i-th right-hand sides and x[i] is,
+    bit for bit, solve_lp(problem with b_eq[i] and b_ub[i], start=basis).x,
+    which takes no pivot there.  Where not ok[i] (basis not primal
+    feasible, not dual feasible or no inverse of its matrix, or a
+    solution that fails the feasibility recheck), x[i] is meaningless
+    and the LP needs solve_lp.  Numerical trouble never raises.
+    """
+    core = _Core(problem)
+    b_eq = np.asarray(b_eq, dtype=float)
+    k = b_eq.shape[0]
+    b_ub = np.zeros((k, 0)) if b_ub is None else np.asarray(b_ub, dtype=float)
+    b = np.concatenate([b_eq.reshape(k, core.m_eq), b_ub.reshape(k, core.m - core.m_eq)],
+                       axis=1)
+    if not core._adopt(*basis):
+        return np.zeros((k, core.n)), np.zeros(k, dtype=bool)
+    # the basic values warm sets, and _dual's stopping test
+    xb = core._basic_values(b)
+    x = np.repeat(core.x[None], k, axis=0)
+    x[:, core.basis] = xb
+    lo_b = core.lo[core.basis]
+    hi_b = core.hi[core.basis]
+    ok = (np.maximum(lo_b - xb, xb - hi_b) <= _FEAS_TOL).all(axis=1)
+    x, bad = core._exact(x, b)
+    return x[:, :core.n], ok & ~bad
+
+
 def _solution(problem, core, status, spent):
     """LpSolution of a finished core; spent counts abandoned warm iterations."""
     if status != LpStatus.OPTIMAL:
@@ -288,12 +331,23 @@ class _Core:
         return self._phase2()
 
     def warm(self, basis, stat, binv):
-        """Dual simplex from an earlier optimal basis; None if it is unusable.
+        """Dual simplex from an earlier optimal basis; None if it is unusable."""
+        if not self._adopt(basis, stat, binv):
+            return None
+        self.x[self.basis] = self._basic_values(self.b)
+        if not self._dual():
+            return LpStatus.INFEASIBLE
+        return self._phase2()
+
+    def _adopt(self, basis, stat, binv):
+        """Take over an earlier optimal basis; False if it is unusable.
 
         binv, the inverse of that basis's matrix, is copied; the start is
         unusable when binv @ a[:, basis] misses the identity by more than
         _FEAS_TOL (binv does not invert this basis, or is not finite),
-        and when the basis is not dual feasible.
+        and when the basis is not dual feasible.  Neither test reads b.
+        On success x holds the nonbasics at their bounds and zero at the
+        basics.
         """
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
@@ -314,7 +368,7 @@ class _Core:
         gap = binv @ self.a[:, basis]
         gap.flat[::m + 1] -= 1.0  # minus the identity
         if not (np.abs(gap) <= _FEAS_TOL).all():
-            return None
+            return False
         self.binv = binv
         self.basis = basis
         self.stat = stat
@@ -326,18 +380,19 @@ class _Core:
         up = self.rises & (d > _OBJ_TOL)
         down = self.falls & (d < -_OBJ_TOL)
         if (up & ~fin_hi).any() or (down & ~fin_lo).any():
-            return None  # not dual feasible
+            return False  # not dual feasible
         stat[up] = _AT_UP
         stat[down] = _AT_LO
 
         x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
         x[basis] = 0.0
-        x[basis] = binv @ (self.b - self.a @ x)
         self.x = x
+        return True
 
-        if not self._dual():
-            return LpStatus.INFEASIBLE
-        return self._phase2()
+    def _basic_values(self, b):
+        """binv @ (b - a_N x_N) for one b or a stack, read while x holds
+        zero at the basics."""
+        return _matvec(self.binv, b - self.a @ self.x)
 
     def _phase2(self):
         return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
@@ -582,17 +637,37 @@ class _Core:
 
     def final_values(self):
         """Recompute basic values exactly from the current basis."""
-        nonbasic = np.ones(self.n_total, dtype=bool)
-        nonbasic[self.basis] = False
-        rhs = self.b - self.a[:, nonbasic] @ self.x[nonbasic]
-        bmat = self.a[:, self.basis]
-        try:
-            xb = np.linalg.solve(bmat, rhs)
-            self.x[self.basis] = xb
-        except np.linalg.LinAlgError:
-            pass  # keep the values the pivots carried
-        resid = np.abs(self.a @ self.x - self.b)
-        scale = 1.0 + np.abs(self.b)
-        if (resid > 1e-6 * scale).any():
+        self.x, bad = self._exact(self.x, self.b)
+        if bad:
             raise NumericalBreakdown("solution fails feasibility recheck")
         return self.x
+
+    def _exact(self, x, b):
+        """x with its basic values solved for from b and its nonbasic values,
+        and whether it fails the feasibility recheck.
+
+        x (..., n_total) and b (..., m) are one point or a stack; a
+        stack's points come out bit for bit as if each went alone.  A
+        singular basis matrix keeps the values x carries.
+        """
+        nonbasic = np.ones(self.n_total, dtype=bool)
+        nonbasic[self.basis] = False
+        rhs = b - _matvec(self.a[:, nonbasic], x[..., nonbasic])
+        bmat = self.a[:, self.basis]
+        try:
+            x[..., self.basis] = np.linalg.solve(bmat, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            pass  # keep the values the pivots carried
+        resid = np.abs(_matvec(self.a, x) - b)
+        scale = 1.0 + np.abs(b)
+        return x, (resid > 1e-6 * scale).any(axis=-1)
+
+
+def _matvec(a, x):
+    """a @ x for one vector x or each row of a stack, computed alike.
+
+    Each row goes to BLAS on its own; a row read with a stride other
+    than one (as a column mask of a stack leaves it) would sum in
+    another order, so the rows are made contiguous first.
+    """
+    return np.matmul(a, np.ascontiguousarray(x)[..., None])[..., 0]

@@ -363,6 +363,33 @@ def test_train_divergence_exits_4(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: nonfinite loss at epoch 3\n"
 
 
+def test_failed_gen_data_leaves_no_manifest(tmp_path, capsys):
+    # 2 MW of capacity against a demand box of 90-150 MW: no sample is feasible
+    doc = json.loads(resources.files("wcopf.grid").joinpath("cases/case3.json").read_text())
+    for gen in doc["generators"]:
+        gen["p_max"] = 1.0
+    grid_file = tmp_path / "weak.json"
+    grid_file.write_text(json.dumps(doc))
+    rc = cli.main(["gen-data", "--grid", str(grid_file), "--n", "5",
+                   "--out", str(tmp_path / "d.csv")])
+    assert rc == 3
+    assert "feasible" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["weak.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_diverged_run_leaves_no_manifest(command, tmp_path, capsys, monkeypatch):
+    data = _gen_data(tmp_path, n=20)
+    argv = ["--dataset", data, "--grid", "case3", "--out", str(tmp_path / "out.json")]
+    if command == "finetune":
+        argv += ["--model", _train(tmp_path, data)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(cli, "train_standard" if command == "train" else "finetune_sequential",
+                        _raises(TrainingDiverged("nonfinite loss at epoch 3")))
+    assert cli.main([command, *argv]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_train_minibatch_divergence_exits_4(tmp_path, capsys):
     data = _gen_data(tmp_path, n=20)
     cfg = _write_config(tmp_path / "cfg.json", alpha=1e155, batch_size=4, epochs=3)
@@ -426,8 +453,10 @@ def test_manifest_inputs_of_each_command(tmp_path):
 
     cfg = _write_config(tmp_path / "sens.json", epochs=5)
     sens = tmp_path / "sens-out.json"
-    cli.main(["sensitivity", "--dataset", data, "--grid", str(grid_file),
-              "--arch", "2", "--seeds", "0", "--config", cfg, "--out", str(sens)])
+    # a manifest needs a run that succeeds: width 2 trains no violating net
+    assert cli.main(["sensitivity", "--dataset", data, "--grid", str(grid_file),
+                     "--arch", "4", "--seeds", "0", "--config", cfg,
+                     "--out", str(sens)]) == 0
     assert _manifest_inputs(sens) == sorted([data, str(grid_file), cfg])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from wcopf.errors import SchemaError, TooManyInfeasible
 from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
                         grid_from_dict, load_dataset, rescale_with_grid,
-                        save_dataset, solve_dcopf)
+                        sample_demands_lhs, save_dataset, solve_dcopf)
 from wcopf.grid import dataset, dcopf
 from wcopf.grid.dataset import split_sizes
 from wcopf.simplex import LpStatus
@@ -44,44 +45,96 @@ def _congested_case9():
                                     for gen in g.generators))
 
 
+def _cold_walk(g, batches, n):
+    """(kept inputs, their cold dispatches, infeasible count): the first n
+    samples of batches, in order, that a cold solve_dcopf finds feasible."""
+    ptdf = compute_ptdf(g)
+    kept, p, infeasible = [], [], 0
+    for d in (d for batch in batches for d in batch):
+        if len(kept) == n:
+            break
+        sol = solve_dcopf(g, ptdf, d)
+        if sol.status == LpStatus.OPTIMAL:
+            kept.append(d)
+            p.append(sol.p)
+        else:
+            infeasible += 1
+    return np.array(kept), np.array(p), infeasible
+
+
 @pytest.mark.parametrize("case", ["case3", "case5", "case9", "case9-congested"])
 def test_chained_dataset_matches_per_sample_cold_solves(case, monkeypatch):
     g = _congested_case9() if case == "case9-congested" else builtin_grid(case)
-    ptdf = compute_ptdf(g)
-    tried = []    # demands of every sample generate_dataset solved
-    chained = []  # (status, warm-started) of each of its dispatch LPs
+    batches = []  # every LHS batch generate_dataset drew
+    lps = []      # every dispatch LP it solved
     solve = dcopf.solve_lp
-    dispatch = dataset.solve_dcopf
+    sample = dataset.sample_demands_lhs
 
     def counted_solve(problem, start=None):
-        sol = solve(problem, start=start)
-        chained.append((sol, start is not None))
-        return sol
+        lps.append(solve(problem, start=start))
+        return lps[-1]
 
-    def recorded_dispatch(grid, ptdf_, demands, **kwargs):
-        tried.append(demands)
-        return dispatch(grid, ptdf_, demands, **kwargs)
+    def recorded_sample(*args, **kwargs):
+        batches.append(sample(*args, **kwargs))
+        return batches[-1]
 
     monkeypatch.setattr(dcopf, "solve_lp", counted_solve)
-    monkeypatch.setattr(dataset, "solve_dcopf", recorded_dispatch)
+    monkeypatch.setattr(dataset, "sample_demands_lhs", recorded_sample)
     ds = generate_dataset(g, 300, seed=0)
     monkeypatch.undo()
 
-    cold = [solve_dcopf(g, ptdf, d) for d in tried]
-    assert [lp.status for lp, _ in chained] == [sol.status for sol in cold]
-    # every LP after the first optimal one starts from the last optimal basis
-    optimal = [sol.status == LpStatus.OPTIMAL for sol in cold]
-    assert [warm for _, warm in chained] == [any(optimal[:i]) for i in range(len(cold))]
-    kept = [i for i in range(len(cold)) if optimal[i]]
-    assert np.array_equal(ds.inputs, np.array([tried[i] for i in kept]))
-    want = np.array([cold[i].p for i in kept])
+    # kept samples, and so the dropped ones, are those cold solves keep
+    inputs, want, infeasible = _cold_walk(g, batches, 300)
+    assert np.array_equal(ds.inputs, inputs)
     if case == "case9-congested":
-        assert not all(optimal)
-        # the same basis set in another order: final_values's LU solve may
-        # round differently
+        assert infeasible > 0
+        # a sample that two bases serve may take the other one's solution,
+        # whose LU solve in final_values can round differently
         np.testing.assert_allclose(ds.targets, want, rtol=1e-12, atol=0.0)
     else:
+        assert infeasible == 0
         assert ds.targets.tobytes() == want.tobytes()
+    # an LP runs only for a sample no known basis serves: each optimal one
+    # finds a new basis, each other one is an infeasible sample
+    bases = {(tuple(sorted(lp.basis[0])), lp.basis[1].tobytes())
+             for lp in lps if lp.status == LpStatus.OPTIMAL}
+    assert len(lps) <= len(bases) + infeasible
+
+
+def test_line_free_grid_matches_cold_solves():
+    # one bus and two generators: the dispatch LPs have no <= rows
+    g = grid_from_dict({
+        "buses": [1], "slack": 1,
+        "generators": [{"bus": 1, "p_min": 10.0, "p_max": 80.0, "cost": 1.0},
+                       {"bus": 1, "p_min": 0.0, "p_max": 80.0, "cost": 2.0}],
+        "loads": [{"bus": 1, "nominal": 100.0}],
+        "lines": [],
+    })
+    ds = generate_dataset(g, 50, seed=2)
+    inputs, want, infeasible = _cold_walk(
+        g, [sample_demands_lhs(g, 50, 2, box=dataset.DATA_BOX)], 50)
+    assert infeasible == 0
+    assert np.array_equal(ds.inputs, inputs)
+    assert ds.targets.tobytes() == want.tobytes()
+    # the cheap unit alone covers demand up to 80, the second one beyond
+    assert len(np.unique(ds.targets[:, 1] > 0.0)) == 2
+
+
+# sha256 of save_dataset(generate_dataset(builtin_grid(case), 1500, 0)),
+# recorded before bases were pooled; the CI workflow checks the installed
+# wcopf gen-data against the case9 entry
+DATASET_SHA256 = {
+    "case3": "ba9e5b9bd09fb9c4355d2cb5e9c8277a3041cf2a93c69c847c7d70bb083a3ae5",
+    "case5": "41e75f67d55de232290e97812e697f518a7f3e53c8b8e9c98bc719a4087bb9c0",
+    "case9": "fc446afe9ebf0be0526e5c3269adafef240612b9a2ae230f91b0559a681a831e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_SHA256))
+def test_dataset_bytes_are_pinned(case, tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset(generate_dataset(builtin_grid(case), 1500, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_SHA256[case]
 
 
 def test_grid_scalers_map_box_to_unit(ds100):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wcopf
 from wcopf.errors import ShapeMismatch, SingularMatrix
 from wcopf.linalg import solve_linear_system
 
@@ -57,3 +62,14 @@ def test_many_seeds_residual_bound():
         except SingularMatrix:
             continue
         assert np.max(np.abs(a @ x - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy costs more to import than the rest of the package; only the
+    # PTDF's LU solve needs it, and it imports it when called
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wcopf.__file__)))
+    code = ("import sys, wcopf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

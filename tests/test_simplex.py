@@ -228,6 +228,90 @@ def test_warm_start_after_a_rhs_change_matches_cold(demand, b_ub, kind, cold_cor
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
 
 
+def _rhs_stack(rng, b, k, scale):
+    """k right-hand sides around b: half nudged by 1e-3 scale, half by scale."""
+    size = np.array([1e-3 * scale] * (k // 2) + [scale] * (k - k // 2))
+    return b + size[:, None] * rng.normal(size=(k, len(b)))
+
+
+def test_basis_solutions_are_zero_pivot_warm_starts(cold_cores):
+    served = unserved = 0
+    for seed in range(60):
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+        parent = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        rng = np.random.default_rng(seed)
+        beqs = _rhs_stack(rng, b_eq, 16, 1.0)
+        bubs = _rhs_stack(rng, b_ub, 16, 1.0)
+        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        cold_cores.clear()
+        x, ok = simplex.basis_solutions(problem, parent.basis, beqs, bubs)
+        assert not cold_cores  # no LP solved
+        assert x.shape == (16, len(c)) and ok.shape == (16,)
+        for i in range(16):
+            warm = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=beqs[i], a_ub=a_ub,
+                                      b_ub=bubs[i], lo=lo, hi=hi), start=parent.basis)
+            if ok[i]:
+                served += 1
+                assert warm.status == LpStatus.OPTIMAL
+                assert warm.iteration_count == 1  # the closing pricing pass
+                assert warm.x.tobytes() == x[i].tobytes()
+            else:
+                unserved += 1
+                assert warm.status != LpStatus.OPTIMAL or warm.iteration_count > 1
+    assert served > 200 and unserved > 50
+
+
+def _balance_only(demand, b_ub=None):
+    """_dispatch_like without its <= rows."""
+    return LpProblem(c=-np.array([1.0, 2.0, 3.0]), a_eq=np.ones((1, 3)), b_eq=[demand],
+                     lo=np.zeros(3), hi=np.full(3, 5.0))
+
+
+# (LP family, [(demand, b_ub, served)]): the basis optimal at demand 6
+# stays primal feasible up to demand 7 (the second <= row's slack leaves
+# the basis) and 10 (the second unit reaches its bound) respectively
+_RHS_CASES = {
+    "rows": (_dispatch_like, [(6.5, (2.0, 7.5), True), (7.0 + 5e-8, (2.0, 7.0), True),
+                              (7.0 + 3e-7, (2.0, 7.0), False), (8.0, (1.0, 7.0), False),
+                              (13.0, (2.0, 7.0), False)]),
+    "bounds-only": (_balance_only, [(7.0, None, True), (10.0 + 5e-8, None, True),
+                                    (10.0 + 3e-7, None, False), (11.0, None, False),
+                                    (16.0, None, False)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RHS_CASES))
+def test_basis_solutions_serve_exactly_the_feasible_rhs(family):
+    lp, cases = _RHS_CASES[family]
+    parent = solve_lp(lp(6.0))
+    x, ok = simplex.basis_solutions(
+        lp(6.0), parent.basis, [[d] for d, _, _ in cases],
+        None if family == "bounds-only" else [b for _, b, _ in cases])
+    # served within _FEAS_TOL; a hair beyond it, a pivot, infeasible
+    assert ok.tolist() == [served for _, _, served in cases]
+    for (demand, b_ub, served), xi in zip(cases, x):
+        warm = solve_lp(lp(demand, b_ub), start=parent.basis)
+        if served:
+            assert warm.iteration_count == 1 and warm.x.tobytes() == xi.tobytes()
+        else:
+            assert warm.status != LpStatus.OPTIMAL or warm.iteration_count > 1
+
+
+def test_basis_solutions_without_a_usable_basis_serve_nothing():
+    parent = solve_lp(_dispatch_like(6.0))
+    basis, stat, binv = parent.basis
+    problem = _dispatch_like(6.0)
+    for start in ((basis, stat, 2.0 * binv), (basis, stat, np.full_like(binv, np.nan))):
+        x, ok = simplex.basis_solutions(problem, start, [[6.0], [6.5]],
+                                        [[2.0, 7.0], [2.0, 7.5]])
+        assert x.shape == (2, 3) and not ok.any()
+    _, ok = simplex.basis_solutions(problem, parent.basis, [[6.0], [6.5]],
+                                    [[2.0, 7.0], [2.0, 7.5]])
+    assert ok.all()
+
+
 def test_singular_start_falls_back_to_cold(cold_cores):
     # identical structural columns make any basis holding both singular,
     # so no inverse can turn its columns into the identity
