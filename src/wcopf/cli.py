@@ -23,16 +23,15 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .errors import (NumericalBreakdown, SchemaError, TooManyInfeasible,
-                     TrainingDiverged, WcopfError)
+from .errors import SchemaError, TooManyInfeasible, TrainingDiverged, WcopfError
 from .grid import (BUILTIN_CASES, generate_dataset, grid_from_dict,
                    load_dataset, load_grid, rescale_with_grid, save_dataset)
 from .grid.dataset import DATA_BOX, split_sizes
 from .mlp import file_checksum, load_model, save_model
-from .train import (config_from_dict, finetune_sequential, layer_sensitivity,
-                    load_config, load_summary, raw_violation, save_report,
-                    summary_path_for, train_gennn, train_standard, train_wcnn,
-                    write_json)
+from .train import (config_from_dict, final_verification, finetune_sequential,
+                    layer_sensitivity, load_config, load_summary, raw_violation,
+                    save_report, summary_path_for, train_gennn, train_standard,
+                    train_wcnn, write_json)
 from .verifier import (DEFAULT_NODE_LIMIT, Box, save_certificate,
                        solve_worst_case)
 
@@ -134,7 +133,11 @@ def _boxes(grid, input_scaler, output_scaler, fractions):
 def _v_g_text(report):
     if report.final_v_g is None:
         return "unknown"
-    return f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW)"
+    text = f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW"
+    if report.warning is not None:
+        # the final certificate stopped at the node limit
+        return f">= {text}, lower bound)"
+    return text + ")"
 
 
 def _input_digests(args, grid_entry):
@@ -199,16 +202,11 @@ def cmd_train(args):
                                     box=demand_box)
     if args.mode != "wcnn":
         # modes that never verify still get a final certificate in the report
-        try:
-            cert = solve_worst_case(params, demand_box, gen_box,
-                                    node_limit=config.node_limit)
-        except NumericalBreakdown as exc:
-            report = dataclasses.replace(
-                report, warning=f"final verification failed ({exc})")
-        else:
-            report = dataclasses.replace(
-                report, final_v_g=cert.value,
-                final_v_g_raw=raw_violation(cert, dataset.output_scaler))
+        final_v_g, final_v_g_raw, warning = final_verification(
+            solve_worst_case, params, demand_box, gen_box, config.node_limit,
+            dataset.output_scaler)
+        report = dataclasses.replace(report, final_v_g=final_v_g,
+                                     final_v_g_raw=final_v_g_raw, warning=warning)
 
     report = _save_run(outputs, params, dataset, report,
                        meta={"mode": args.mode, "seed": config.seed,
@@ -268,6 +266,8 @@ def cmd_finetune(args):
                              "grid": grid_entry[0]})
     _write_manifest("finetune", inputs, outputs, seed=config.seed,
                     config={"box": list(fractions), **config.to_dict()})
+    if report.warning is not None:
+        print(f"warning: {report.warning}", file=sys.stderr)
     v_before = report.records[0].v_g if report.records else None
     v_before = "unknown" if v_before is None else f"{v_before:.6f}"
     print(f"finetune stopped on {report.stopped}: v_g {v_before} -> "

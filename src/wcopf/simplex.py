@@ -227,6 +227,20 @@ def basis_solutions(problem, basis, b_eq, b_ub):
     return x[:, :core.n], ok & ~bad
 
 
+def row_duals(c, basis):
+    """Row duals c_B @ binv of a basis of the LP maximizing c @ x.
+
+    basis is an LpSolution.basis; its columns past c are slacks and
+    artificials, which cost 0.  One entry per row, equality rows first.
+    At an optimal basis the dual of a <= row is the objective's rate of
+    change per unit of its right-hand side, so it is nonnegative up to
+    the simplex's tolerances.
+    """
+    basic, _, binv = basis
+    c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
+    return c_b @ binv
+
+
 def _solution(problem, core, status, spent):
     """LpSolution of a finished core; spent counts abandoned warm iterations."""
     if status != LpStatus.OPTIMAL:

@@ -1,9 +1,9 @@
 """Training orchestration: plain, penalty, worst-case and sequential."""
 
 from .config import TrainConfig, config_from_dict, load_config
-from .loops import (MODES, EpochRecord, TrainReport, raw_violation,
-                    scaled_gen_box, train_gennn, train_standard,
-                    train_wcnn, unit_box)
+from .loops import (MODES, EpochRecord, TrainReport, final_verification,
+                    raw_violation, scaled_gen_box, train_gennn,
+                    train_standard, train_wcnn, unit_box)
 from .report_io import (load_report_records, load_summary, render_json,
                         save_report, summary_document, summary_path_for,
                         write_json)
@@ -14,7 +14,8 @@ from .sequential import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
 
 __all__ = [
     "TrainConfig", "config_from_dict", "load_config",
-    "MODES", "EpochRecord", "TrainReport", "raw_violation", "scaled_gen_box",
+    "MODES", "EpochRecord", "TrainReport", "final_verification",
+    "raw_violation", "scaled_gen_box",
     "train_gennn", "train_standard", "train_wcnn", "unit_box",
     "load_report_records", "load_summary", "render_json", "save_report",
     "summary_document", "summary_path_for", "write_json",

@@ -57,7 +57,8 @@ class TrainReport:
     stopped: str = None        # sequential phase stop reason
     final_test_mae: float = None   # None when the test split is empty
     final_v_g_raw: float = None    # final_v_g in raw output units
-    warning: str = None        # why final_v_g is None although verified
+    warning: str = None        # why final_v_g is None although verified, or
+                               # why it is only a lower bound
 
     def v_g_epochs(self):
         return [r.epoch for r in self.records if r.v_g is not None]
@@ -85,6 +86,29 @@ def raw_violation(cert, output_scaler):
         return 0.0
     g, _ = cert.constraint_id
     return cert.value * float(output_scaler.scale[g])
+
+
+def final_verification(solve, params, box, gen_bounds, node_limit,
+                       output_scaler):
+    """(final_v_g, final_v_g_raw, warning) of a run's final certificate.
+
+    solve is the caller's own binding of solve_worst_case, so a patch of
+    that module's name (a test's, or perfbench's tracer) sees the call.
+    A solver breakdown gives (None, None, warning).  A certificate that
+    stopped at the node limit keeps its incumbent value, which is only a
+    lower bound on the worst violation, and its warning gives the
+    certified upper bound; a certified one has no warning.
+    """
+    try:
+        cert = solve(params, box, gen_bounds, node_limit=node_limit)
+    except NumericalBreakdown as exc:
+        return None, None, f"final verification failed ({exc})"
+    warning = None
+    if not cert.certified:
+        warning = (f"final verification stopped at the node limit: v_g "
+                   f"{cert.value:.6g} is a lower bound; the worst violation "
+                   f"is at most bound {cert.bound:.6g}")
+    return cert.value, raw_violation(cert, output_scaler), warning
 
 
 def _test_mae(params, dataset):
@@ -160,18 +184,11 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
                                    val_mae=val_mae, v_g=v_g, warning=warning,
                                    wall_time=time.perf_counter() - started))
 
-    final_v_g = None
-    final_v_g_raw = None
-    warning = None
+    final_v_g = final_v_g_raw = warning = None
     if mode == "wcnn":
-        try:
-            cert = solve_worst_case(params, box, gen_bounds,
-                                    node_limit=config.node_limit)
-        except NumericalBreakdown as exc:
-            warning = f"final verification failed ({exc})"
-        else:
-            final_v_g = cert.value
-            final_v_g_raw = raw_violation(cert, dataset.output_scaler)
+        final_v_g, final_v_g_raw, warning = final_verification(
+            solve_worst_case, params, box, gen_bounds, config.node_limit,
+            dataset.output_scaler)
     report = TrainReport(mode=mode, records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),
@@ -203,7 +220,9 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     on that epoch and its incumbent gradient is still used; a solver
     breakdown is recorded as a warning and that epoch runs the plain
     loss.  A breakdown in the final certificate leaves final_v_g None
-    and sets the report's warning.
+    and sets the report's warning; so does a final certificate that
+    stops at the node limit, whose final_v_g is then a lower bound
+    (final_verification).
     """
     return _run_training(dataset, arch, config, "wcnn",
                          gen_bounds=gen_bounds, box=box)

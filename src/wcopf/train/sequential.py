@@ -24,8 +24,8 @@ from ..mlp.network import MlpParams
 from ..verifier.gradient import worst_case_gradient
 from ..verifier.milp import solve_worst_case
 from .config import TrainConfig
-from .loops import (EpochRecord, TrainReport, _test_mae,
-                    raw_violation, scaled_gen_box, unit_box)
+from .loops import (EpochRecord, TrainReport, _test_mae, final_verification,
+                    scaled_gen_box, unit_box)
 from ..mlp.checkpoint import params_checksum
 
 STOP_NO_VIOLATION = "no violation"
@@ -60,7 +60,9 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     discarded), when the verifier breaks down (the current parameters
     are kept and the final violation is left unknown, None), or after
     max_iters updates.  A breakdown in the final certificate also
-    leaves the final violation None and sets the report's warning.
+    leaves the final violation None and sets the report's warning, and a
+    final certificate stopped at the node limit sets it too
+    (final_verification).
     Records v_g and validation MAE at the top of every iteration.
     """
     xs, ys = dataset.scaled("train")
@@ -107,18 +109,11 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
             break
         params = candidate
 
-    final_v_g = None
-    final_v_g_raw = None
-    warning = None
+    final_v_g = final_v_g_raw = warning = None
     if stopped != STOP_SOLVER_FAILURE:
-        try:
-            final_cert = solve_worst_case(params, box, gen_bounds,
-                                          node_limit=config.node_limit)
-        except NumericalBreakdown as exc:
-            warning = f"final verification failed ({exc})"
-        else:
-            final_v_g = final_cert.value
-            final_v_g_raw = raw_violation(final_cert, dataset.output_scaler)
+        final_v_g, final_v_g_raw, warning = final_verification(
+            solve_worst_case, params, box, gen_bounds, config.node_limit,
+            dataset.output_scaler)
     report = TrainReport(mode="finetune", records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundsUnavailable, NumericalBreakdown, ShapeMismatch
-from ..simplex import LpProblem, LpStatus, SharedPhase1, solve_lp
+from ..simplex import LpProblem, LpStatus, SharedPhase1, row_duals, solve_lp
 
 # relative pad on a safe bound: covers the rounding of its dot products
 _SAFE_PAD = 1e-12
@@ -147,17 +147,15 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
 def _safe_max(basis, c, off, rows, rhs, lo, hi):
     """Rigorous upper bound on c @ x + off over rows @ x <= rhs, lo <= x <= hi.
 
-    basis is an LpSolution.basis of that LP, whose row duals are
-    y = c_B @ binv, clipped at 0.  For any y >= 0 and any feasible x,
+    basis is an LpSolution.basis of that LP, whose row duals
+    y = c_B @ binv (row_duals) are clipped at 0.  For any y >= 0 and
+    any feasible x,
     c @ x = y @ rows @ x + r @ x <= y @ rhs + sum_j max(r_j lo_j, r_j hi_j)
     with r = c - rows.T @ y, so the bound holds whatever the simplex's
     tolerances, and is tight when the basis is optimal.  A pad relative
     to the magnitudes summed covers the rounding of its own arithmetic.
     """
-    basic, _, binv = basis
-    # the simplex's columns past c are slacks and artificials, which cost 0
-    c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
-    y = np.maximum(c_b @ binv, 0.0)
+    y = np.maximum(row_duals(c, basis), 0.0)
     r = c - rows.T @ y
     bound = y @ rhs + np.maximum(r * lo, r * hi).sum() + off
     scale = (y @ np.abs(rhs)

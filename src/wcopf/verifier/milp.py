@@ -20,8 +20,12 @@ over the disjunction of their subproblems, as in Bunel et al. (JMLR
 next, and every point evaluated in the box raises the
 incumbent of every candidate, so a loser is fathomed against the
 winner's margin however early it is searched.  A node branches on the
-free fractional unit with the largest big-M range times fractionality,
-(zhi - zlo) * min(y, 1 - y), a cheap relative of their BaBSR score.
+free fractional unit with the largest weighted big-M range times
+fractionality, nu+ * (zhi - zlo) * min(y, 1 - y), after their BaBSR
+score: nu+ is the objective's marginal value on the unit's activation,
+read from the node LP's row duals on the unit's three rows (falling back
+to the unweighted score when no candidate unit has a positive weight).
+The rule only picks which tree proves the bound, never what it proves.
 Every tie-break is by index, so repeated runs explore identical trees
 and return identical witnesses.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mlp.network import forward
-from ..simplex import LpProblem, LpStatus, SharedPhase1, solve_lp
+from ..simplex import LpProblem, LpStatus, SharedPhase1, row_duals, solve_lp
 from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
 from .patterns import candidate_constraints, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
@@ -211,6 +215,17 @@ class _Encoding:
         return solve_lp(LpProblem(c=c, a_ub=self.rows, b_ub=self.rhs, lo=lo, hi=hi),
                         start=start)
 
+    def unit_weights(self, c, basis):
+        """Objective weight of each unstable unit at a node LP's basis.
+
+        With u = row_duals(c, basis), nu = u[3k] - u[3k+1] + u[3k+2] is
+        the price that unit k's three rows put on its z: the objective's
+        marginal value on z downstream.  Returns max(nu, 0), in the order
+        of the y variables.
+        """
+        u = row_duals(c, basis)
+        return np.maximum(u[0::3] - u[1::3] + u[2::3], 0.0)
+
     def margins_at(self, d, cids):
         """Exact forward-pass margin of each candidate; any point in the
         box is a valid witness for all of them."""
@@ -235,18 +250,24 @@ class _Incumbent:
                 self.witness = np.array(witness, dtype=float)
 
 
-def _branch_unit(y_rel, y_fix, y_range):
+def _branch_unit(y_rel, y_fix, y_range, weight):
     """Unit to branch on at a node, or None when the node is integral.
 
     Among the free units (y_fix < 0) whose relaxed y is more than
     INT_TOL from 0 and 1, picks the one with the largest
-    y_range * min(y, 1 - y); ties go to the lowest index.
+    weight * y_range * min(y, 1 - y), where weight is each unit's
+    nonnegative objective weight (_Encoding.unit_weights); when no such
+    unit has a positive weight, the largest y_range * min(y, 1 - y).
+    Ties go to the lowest index.
     """
     frac = np.abs(y_rel - np.round(y_rel))  # min(y, 1 - y) for y in [0, 1]
     free_frac = (frac > INT_TOL) & (y_fix < 0)
     if not np.any(free_frac):
         return None
-    return int(np.argmax(np.where(free_frac, y_range * frac, -np.inf)))
+    score = y_range * frac
+    if np.any(free_frac & (weight > 0.0)):
+        score = weight * score
+    return int(np.argmax(np.where(free_frac, score, -np.inf)))
 
 
 def _branch_and_bound(enc: _Encoding, cids, node_limit):
@@ -314,7 +335,8 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
             leaf_bound = max(leaf_bound, val)
             continue
 
-        j = _branch_unit(sol.x[enc.y_off :], y_fix, enc.y_range)
+        j = _branch_unit(sol.x[enc.y_off :], y_fix, enc.y_range,
+                         enc.unit_weights(c, sol.basis))
         if j is None:
             # integral node: the LP already maximized over this region
             leaf_bound = max(leaf_bound, val)

@@ -225,6 +225,30 @@ def test_finetune_writes_tuned_model(tmp_path, capsys):
     assert out.exists()
 
 
+def test_uncertified_final_certificates_are_reported_as_lower_bounds(tmp_path, capsys):
+    data = _gen_data(tmp_path)
+    cfg = _write_config(tmp_path / "cfg.json", epochs=30, alpha=3e-3, node_limit=1)
+    model = str(tmp_path / "model.json")
+    assert cli.main(["train", "--dataset", data, "--grid", "case3", "--arch", "8",
+                     "--config", cfg, "--out", model]) == 0
+    ft_cfg = _write_config(tmp_path / "ft.json", alpha=7e-4, lambda_wc=1.0,
+                           max_iters=1, node_limit=1)
+    tuned = str(tmp_path / "tuned.json")
+    assert cli.main(["finetune", "--model", model, "--dataset", data,
+                     "--grid", "case3", "--config", ft_cfg, "--out", tuned]) == 0
+    out = capsys.readouterr()
+    warnings = out.err.splitlines()
+    assert len(warnings) == 2
+    lines = out.out.splitlines()
+    for path, warning, line in zip((model, tuned), warnings, lines[-2:]):
+        summary = json.load(open(path.replace(".json", ".report.summary.json")))
+        assert warning == f"warning: {summary['warning']}"
+        assert f"v_g {summary['final_v_g']:.6g} is a lower bound" in warning
+        assert "at most bound" in warning
+        assert f">= {summary['final_v_g']:.6f} ({summary['final_v_g_raw']:.3f} MW, " \
+            "lower bound)" in line
+
+
 def test_train_saves_run_when_recertification_breaks_down(tmp_path, capsys,
                                                          monkeypatch):
     data = _gen_data(tmp_path)

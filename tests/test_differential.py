@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from oracles import MAX_HIDDEN_UNITS, bounds_around_outputs, naive_forward, seeded_net
-from wcopf.simplex import LpProblem, LpStatus, solve_lp
+from wcopf.simplex import LpProblem, LpStatus, row_duals, solve_lp
 from wcopf.verifier import Box, solve_worst_case
 from wcopf.verifier.milp import CERTIFIED
 
@@ -276,3 +276,35 @@ def test_lp_matches_highs_cold_and_warm(seed):
                       (xk + 0.5 * (hi[k] - xk), hi[k])][0 if k == 0 else seed % 4]
     child = _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo2, hi2, start=parent.basis)
     assert (child.status == LpStatus.OPTIMAL) == (k > 0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_duals_match_highs_marginals(seed):
+    # boxed LPs with random dense rows: generically primal and dual
+    # nondegenerate, so the optimum and its row duals are unique (both
+    # checked below); HiGHS minimizes -c, so its marginals flip sign
+    rng = np.random.default_rng((seed, 43))
+    n = int(rng.integers(8, 25))
+    m_eq = int(rng.integers(1, 3))
+    m_ub = int(rng.integers(4, 16))
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 3.0, n)
+    x0 = rng.uniform(lo, hi)
+    a_eq = rng.normal(size=(m_eq, n))
+    a_ub = rng.normal(size=(m_ub, n))
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 0.5, m_ub)
+    c = rng.normal(size=n)
+    sol = _check_lp_against_highs(c, a_eq, a_eq @ x0, a_ub, b_ub, lo, hi)
+    basic, stat, binv = sol.basis
+    real = basic < n + m_ub
+    values = np.concatenate([sol.x, b_ub - a_ub @ sol.x])[basic[real]]
+    floor = np.concatenate([lo, np.zeros(m_ub)])[basic[real]]
+    ceil = np.concatenate([hi, np.full(m_ub, np.inf)])[basic[real]]
+    assert real.all() and np.minimum(values - floor, ceil - values).min() > 1e-6
+    ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=a_eq @ x0,
+                  bounds=np.column_stack([lo, hi]), method="highs")
+    assert np.allclose(sol.x, ref.x, atol=1e-7)
+    duals = row_duals(c, sol.basis)
+    assert duals.shape == (m_eq + m_ub,)
+    assert np.allclose(duals[:m_eq], -ref.eqlin.marginals, atol=1e-7)
+    assert np.allclose(duals[m_eq:], -ref.ineqlin.marginals, atol=1e-7)

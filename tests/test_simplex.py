@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import lp_vertex_enumeration
 from wcopf import simplex
+from wcopf.errors import NumericalBreakdown
 from wcopf.simplex import LpProblem, LpSolution, LpStatus, solve_lp
 
 
@@ -310,6 +311,36 @@ def test_basis_solutions_without_a_usable_basis_serve_nothing():
     _, ok = simplex.basis_solutions(problem, parent.basis, [[6.0], [6.5]],
                                     [[2.0, 7.0], [2.0, 7.5]])
     assert ok.all()
+
+
+def test_basis_solutions_reject_what_fails_the_equality_recheck():
+    # free x0, x1 with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1 = b1: the
+    # basis of both columns is ill-conditioned, but its inverse is exact,
+    # so it passes every test of _adopt and, its basics being free, the
+    # _FEAS_TOL bound test for any b.  Where b1 - b0 is not a multiple of
+    # 2**-40 the basics are about 2**40 (b1 - b0) and round at 1e-4, and
+    # the rows miss b by more than 1e-6 (1 + |b|): only the recheck in
+    # _exact turns those right-hand sides away.
+    t = 2.0 ** 40
+    problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, 1.0 + 1.0 / t]]),
+                        b_eq=np.zeros(2))
+    basis = (np.array([0, 1]), np.array([0, 0, 1, 1], dtype=np.int8),
+             np.array([[t + 1.0, -t], [-t, t]]))
+    b_eqs = [[0.0, 0.0], [0.0, 1.0], [0.1, 0.3], [0.3, 0.7]]
+    x, ok = simplex.basis_solutions(problem, basis, b_eqs, None)
+    assert ok.tolist() == [True, True, False, False]
+    for b_eq, xi, served in zip(b_eqs, x, ok):
+        lp = LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=b_eq)
+        warm = solve_lp(lp, start=basis)
+        if served:
+            assert warm.iteration_count == 1 and warm.x.tobytes() == xi.tobytes()
+        else:
+            # the warm start's own recheck fails too, and the cold path runs
+            assert warm.status != LpStatus.OPTIMAL or warm.iteration_count > 1
+            core = simplex._Core(lp)
+            assert core.warm(*basis) == LpStatus.OPTIMAL
+            with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
+                core.final_values()
 
 
 def test_singular_start_falls_back_to_cold(cold_cores):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import toy_dataset
+from oracles import grid_fixture, toy_dataset
 from wcopf.errors import NumericalBreakdown, SchemaError, TrainingDiverged
 from wcopf.mlp import MlpParams, init_params, loss_mae, params_checksum
 from wcopf.train import (TrainConfig, config_from_dict, load_config,
@@ -163,6 +163,23 @@ def test_wcnn_final_certificate_survives_solver_breakdown(monkeypatch):
     assert _records_equal(report.records, ref_report.records)
     assert summary_document(report)["warning"] == report.warning
     assert "warning" not in summary_document(ref_report)
+
+
+def test_uncertified_final_certificate_is_reported_as_a_lower_bound():
+    # a final certificate stopped at the node limit once reported its
+    # incumbent 0.3729 as final_v_g with no warning; its bound is 0.914
+    data, gen_box, box = grid_fixture("case9")
+    config = TrainConfig(alpha=3e-3, lambda_wc=0.1, epochs=60, warmup=50,
+                         wc_every=5, node_limit=1)
+    params, report = train_wcnn(data, gen_box, (16, 16), config, box=box)
+    cert = solve_worst_case(params, box, gen_box, node_limit=1)
+    assert not cert.certified
+    assert report.final_v_g == cert.value == pytest.approx(0.3729, abs=1e-4)
+    assert cert.bound == pytest.approx(0.914, abs=1e-3)
+    assert "lower bound" in report.warning
+    assert f"{cert.value:.6g}" in report.warning
+    assert f"bound {cert.bound:.6g}" in report.warning
+    assert summary_document(report)["warning"] == report.warning
 
 
 def test_divergence_raises():

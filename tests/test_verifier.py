@@ -3,10 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import TooLarge, bounds_around_outputs, brute_force_worst_case, seeded_net
+from oracles import (TooLarge, bounds_around_outputs, brute_force_worst_case, grid_fixture,
+                     seeded_net)
 from wcopf.errors import BoundsUnavailable
 from wcopf.mlp import MlpParams, forward
 from wcopf.simplex import LpStatus, SharedPhase1, solve_lp
+from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
@@ -382,19 +384,54 @@ def test_node_limit_below_one_is_rejected(node_limit):
         solve_worst_case(params, box, gen, node_limit=node_limit)
 
 
-@pytest.mark.parametrize("y_rel,y_fix,y_range,unit", [
+@pytest.mark.parametrize("y_rel,y_fix,y_range,weight,unit", [
     # the nearest to 0.5 has the narrower range: 1.0 * 0.5 < 4.0 * 0.2
-    ([0.5, 0.2, 0.0], [-1, -1, -1], [1.0, 4.0, 9.0], 1),
+    ([0.5, 0.2, 0.0], [-1, -1, -1], [1.0, 4.0, 9.0], [1.0, 1.0, 1.0], 1),
     # exact tie, 2.0 * 0.25 == 1.0 * 0.5: the lower index wins
-    ([0.25, 0.5], [-1, -1], [2.0, 1.0], 0),
-    ([0.5, 0.75], [-1, -1], [1.0, 2.0], 0),
+    ([0.25, 0.5], [-1, -1], [2.0, 1.0], [1.0, 1.0], 0),
+    ([0.5, 0.75], [-1, -1], [1.0, 2.0], [1.0, 1.0], 0),
     # fixed and integral units are never picked, however wide
-    ([0.5, 0.3, 1.0, 0.1], [1, -1, -1, -1], [50.0, 1.0, 50.0, 2.0], 1),
-    ([0.5, 1.0, 0.0], [0, -1, -1], [1.0, 1.0, 1.0], None),
-], ids=["wider", "tie", "tie-at-half", "skips-fixed", "integral"])
-def test_branch_unit_scores_range_times_fractionality(y_rel, y_fix, y_range, unit):
+    ([0.5, 0.3, 1.0, 0.1], [1, -1, -1, -1], [50.0, 1.0, 50.0, 2.0], [1.0] * 4, 1),
+    ([0.5, 1.0, 0.0], [0, -1, -1], [1.0, 1.0, 1.0], [1.0] * 3, None),
+    # the weight turns "wider": 3.0 * 1.0 * 0.5 > 1.0 * 4.0 * 0.2
+    ([0.5, 0.2, 0.0], [-1, -1, -1], [1.0, 4.0, 9.0], [3.0, 1.0, 9.0], 0),
+    # a unit of weight 0 loses to any weighted one, however wide
+    ([0.5, 0.5], [-1, -1], [100.0, 1.0], [0.0, 1e-9], 1),
+    # exact weighted tie, 2.0 * 1.0 * 0.5 == 1.0 * 4.0 * 0.25: the lower index
+    ([0.5, 0.25], [-1, -1], [1.0, 4.0], [2.0, 1.0], 0),
+    # no free fractional unit has a positive weight (a fixed or integral
+    # one may): the unweighted score decides
+    ([0.5, 0.2, 0.5, 1.0], [1, -1, -1, -1], [9.0, 1.0, 4.0, 9.0],
+     [5.0, 0.0, 0.0, 5.0], 2),
+    ([0.5, 0.2], [-1, -1], [1.0, 4.0], [0.0, 0.0], 1),
+], ids=["wider", "tie", "tie-at-half", "skips-fixed", "integral", "weighted",
+        "zero-weight-loses", "weighted-tie", "all-zero-fallback",
+        "all-zero-everywhere"])
+def test_branch_unit_scores_range_times_fractionality(y_rel, y_fix, y_range, weight,
+                                                      unit):
     assert milp._branch_unit(np.array(y_rel), np.array(y_fix, dtype=np.int8),
-                             np.array(y_range)) == unit
+                             np.array(y_range), np.array(weight)) == unit
+
+
+def test_unit_weights_price_each_basic_z_at_its_objective_coefficient():
+    # one hidden layer: z_k enters only its own three rows, so where z_k
+    # is basic its reduced cost c_z - nu_k is zero and nu_k = c_z
+    params = seeded_net(2, (4, 20, 3))
+    box = Box(-np.ones(4), np.ones(4))
+    enc = milp._Encoding(params, box, bounds_around_outputs(params, box, seed=2))
+    n_in, n_un = enc.n_in, enc.n_unstable
+    seen = 0
+    for cid in candidate_constraints(params.n_outputs):
+        c, _ = enc.objective(cid)
+        sol = enc.solve_node(c, np.full(n_un, -1, dtype=np.int8))
+        weight = enc.unit_weights(c, sol.basis)
+        assert weight.shape == (n_un,) and np.all(weight >= 0.0)
+        z_basic = np.isin(n_in + np.arange(n_un), sol.basis[0])
+        c_z = c[n_in:n_in + n_un]
+        assert weight[z_basic] == pytest.approx(np.maximum(c_z[z_basic], 0.0),
+                                                abs=1e-9)
+        seen += int(z_basic.sum())
+    assert seen > 0
 
 
 def test_encoding_ranges_follow_the_y_variables():
@@ -408,14 +445,17 @@ def test_encoding_ranges_follow_the_y_variables():
     assert enc.y_range.shape == (enc.n_unstable,)
 
 
-# Counts of the widest-fractional-unit rule in one tree shared by every
-# candidate.  A change to branching, bounds, the node LP or the search
-# order that moves them must update them on purpose.
+# Counts of the dual-weighted branching rule (_branch_unit with
+# _Encoding.unit_weights) in one tree shared by every candidate; the
+# unweighted rule took 16, 61, 152 and 1367 nodes.  A change to
+# branching, bounds, the node LP or the search order that moves them
+# must update them on purpose.
 @pytest.mark.parametrize("seed,dims,nodes,constraint_id", [
     (0, (3, 12, 2), 16, (1, "upper")),
-    (2, (4, 20, 3), 61, (0, "upper")),
-    (0, (3, 8, 8, 2), 152, (1, "upper")),
-], ids=["3-12-2_s0", "4-20-3_s2", "3-8-8-2_s0"])
+    (2, (4, 20, 3), 31, (0, "upper")),
+    (0, (3, 8, 8, 2), 88, (1, "upper")),
+    (1, (8, 16, 16, 3), 169, (1, "upper")),
+], ids=["3-12-2_s0", "4-20-3_s2", "3-8-8-2_s0", "8-16-16-3_s1"])
 def test_branching_node_counts_are_pinned(seed, dims, nodes, constraint_id):
     params = seeded_net(seed, dims)
     box = Box(-np.ones(dims[0]), np.ones(dims[0]))
@@ -423,3 +463,30 @@ def test_branching_node_counts_are_pinned(seed, dims, nodes, constraint_id):
                             bounds_around_outputs(params, box, seed=seed, frac_hi=0.6))
     assert cert.status == CERTIFIED
     assert (cert.nodes_explored, cert.constraint_id) == (nodes, constraint_id)
+
+
+@pytest.fixture(scope="module")
+def case9_fixture():
+    return grid_fixture("case9", n=400, seed=0)
+
+
+# The fixture set: nn-trained case9 nets (400 samples, data seed 0, 400
+# epochs, alpha 3e-3) certified over the unit box.  The unweighted
+# branching rule took 605, 581, 815, 55, 11, 84, 27 and 18 nodes.
+@pytest.mark.parametrize("arch,seed,nodes,constraint_id", [
+    ((16, 16), 0, 189, (1, "lower")),
+    ((16, 16), 1, 165, (0, "upper")),
+    ((24, 24), 0, 129, (0, "upper")),
+    ((12, 12), 2, 27, (1, "lower")),
+    ((8, 8), 4, 9, (1, "lower")),
+    ((24,), 4, 40, (1, "lower")),
+    ((8,), 0, 17, (1, "lower")),
+    ((8,), 1, 14, (1, "lower")),
+], ids=["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4", "24_s4", "8_s0",
+        "8_s1"])
+def test_case9_fixture_trees_are_pinned(case9_fixture, arch, seed, nodes, constraint_id):
+    data, gen, box = case9_fixture
+    params, _ = train_standard(data, arch, TrainConfig(alpha=3e-3, epochs=400, seed=seed))
+    cert = solve_worst_case(params, box, gen)
+    assert (cert.nodes_explored, cert.status, cert.constraint_id) == \
+        (nodes, CERTIFIED, constraint_id)
