@@ -24,6 +24,11 @@ column is e_i, so the starting binv is the identity.  Phase 1 drives
 the basic artificials to zero (no big-M constants) and is skipped when
 there are none; phase 2 optimizes the objective.
 
+LPs that share their rows share one validated LpProblem: sibling
+derives one with a new objective or new bounds and validates only
+those, and every core of a row set reads one [a | slacks | artificials]
+matrix (_RowSet), laid out once.
+
 solve_lp takes two kinds of start.  A warm start is the (basis, stat,
 binv) that an earlier optimal solve left on LpSolution.basis.  The rows
 and objective must be unchanged; variable bounds and the right-hand
@@ -39,6 +44,24 @@ or breaks down numerically, falls back to the cold path.  An LP
 without rows takes the same path with an empty basis: each variable
 flips to the bound its cost favors.
 
+The identity test runs for every warm start; the rest of the work of
+taking one over (_adopt: re-deriving the statuses, a reduced-cost pass
+and the dual feasibility test) is skipped when nothing can come of it.
+That is when the start is an LpSolution.basis, which remembers the
+problem it solved, of a sibling with the same objective whose bounds
+this problem only tightens (as a branch-and-bound child's are): its
+statuses stand and its reduced costs favor no move, so the dual simplex
+starts directly.  A plain (basis, stat, binv) tuple always takes _adopt.
+
+A warm start may come with a cutoff.  After each dual pivot the row
+duals c_B @ binv then become a rigorous upper bound on the objective
+(safe_max, after Neumaier & Shcherbina, Math. Prog. 99, 2004; it is the
+only implementation, and the verifier's bound LPs use it too), and the
+solve stops as soon as that bound is at or below the cutoff, with
+status CUTOFF and the bound on LpSolution.bound: no x, no phase 2, no
+refactorization.  A solve that the cutoff does not stop returns what it
+would without one.
+
 A warm start whose basis is already primal feasible for the new
 right-hand sides takes no pivot: its x is the nonbasics at their bounds
 and the basics solved for exactly (final_values).  basis_solutions
@@ -51,7 +74,8 @@ A SharedPhase1 start serves LPs that differ only in c: phase 1 never
 reads the objective, so the first of them runs the cold path and keeps
 a copy of its state after phase 1, and each later one runs only phase
 2 from a copy of that state, with the same result as a cold solve.
-The rows, right-hand sides and bounds must be equal.
+The rows, right-hand sides and bounds must be equal; siblings' shared
+rows are recognized as such, and other rows are compared in full.
 
 The dual and primal loops keep their per-iteration state (the movable
 masks and the basic variables' bounds and costs) and update it at the
@@ -84,17 +108,24 @@ _BLAND_TRIGGER = 1000
 _FEAS_TOL = 1e-7     # slack allowed on constraints and bounds
 _PIVOT_TOL = 1e-12   # magnitude below which a pivot element counts as zero
 _OBJ_TOL = 1e-9      # reduced-cost threshold for optimality
+_SAFE_PAD = 1e-12    # relative pad on a safe bound: covers its own rounding
 
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+    CUTOFF = "cutoff"
 
 
 @dataclass
 class LpProblem:
-    """Dense LP data.  Missing constraint blocks may be passed as None."""
+    """Dense LP data.  Missing constraint blocks may be passed as None.
+
+    The rows and right-hand sides are validated and laid out for the
+    simplex once, on construction (row_set); sibling derives problems
+    that share them.  They must not change afterwards.
+    """
 
     c: np.ndarray
     a_eq: np.ndarray = None
@@ -117,25 +148,82 @@ class LpProblem:
         self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n)
         self.b_eq = np.asarray(self.b_eq, dtype=float).reshape(-1)
         self.b_ub = np.asarray(self.b_ub, dtype=float).reshape(-1)
+        if self.b_eq.shape[0] != self.a_eq.shape[0] or self.b_ub.shape[0] != self.a_ub.shape[0]:
+            raise ValueError("constraint matrix / rhs shape mismatch")
+        self._check_variables()
+        for arr in (self.a_eq, self.a_ub, self.b_eq, self.b_ub):
+            if arr.size and not np.isfinite(arr).all():
+                raise ValueError("nonfinite entries in LP data")
+        self.row_set = _RowSet(self)
+
+    def sibling(self, c=None, lo=None, hi=None):
+        """This problem with a new objective c or new bounds lo and hi
+        (each one left None is kept).  The rows and right-hand sides are
+        shared, not copied or checked again, so LPs over one row set
+        validate and lay out their rows once."""
+        sib = object.__new__(LpProblem)
+        sib.__dict__.update(self.__dict__)
+        if c is not None:
+            sib.c = np.asarray(c, dtype=float)
+        sib.lo = self.lo if lo is None else lo
+        sib.hi = self.hi if hi is None else hi
+        sib._check_variables()
+        return sib
+
+    def _check_variables(self):
+        """Validate c and the bounds; None bounds make a variable free."""
+        n = self.a_ub.shape[1]
+        if self.c.shape != (n,):
+            raise ValueError("objective must match the number of variables")
         if self.lo is None:
             self.lo = np.full(n, -np.inf)
         if self.hi is None:
             self.hi = np.full(n, np.inf)
         self.lo = np.asarray(self.lo, dtype=float).reshape(-1)
         self.hi = np.asarray(self.hi, dtype=float).reshape(-1)
-        if self.b_eq.shape[0] != self.a_eq.shape[0] or self.b_ub.shape[0] != self.a_ub.shape[0]:
-            raise ValueError("constraint matrix / rhs shape mismatch")
-        if self.lo.shape[0] != n or self.hi.shape[0] != n:
+        lo, hi = self.lo, self.hi
+        if lo.shape[0] != n or hi.shape[0] != n:
             raise ValueError("bound vectors must match the number of variables")
-        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
-            raise ValueError("NaN in variable bounds")
-        if (self.lo > self.hi).any():
-            raise ValueError("lower bound exceeds upper bound")
-        if (self.lo == np.inf).any() or (self.hi == -np.inf).any():
+        # one pass for the valid case; a NaN fails every comparison
+        if not ((lo <= hi).all() and (lo < np.inf).all() and (hi > -np.inf).all()):
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("NaN in variable bounds")
+            if (lo > hi).any():
+                raise ValueError("lower bound exceeds upper bound")
             raise ValueError("infinite bound leaves a variable no value")
-        for arr in (self.c, self.a_eq, self.a_ub, self.b_eq, self.b_ub):
-            if arr.size and not np.isfinite(arr).all():
-                raise ValueError("nonfinite entries in LP data")
+        if not np.isfinite(self.c).all():
+            raise ValueError("nonfinite entries in LP data")
+
+
+class _RowSet:
+    """The rows of an LpProblem and its siblings in the simplex's layout.
+
+    a = [a_eq; a_ub | one slack per <= row | one artificial per row],
+    b = [b_eq; b_ub], and rows = [a_eq; a_ub], the structural block of
+    a, for safe_max.  Nothing writes to them.
+    """
+
+    def __init__(self, problem):
+        n = problem.c.shape[0]
+        m_eq = problem.a_eq.shape[0]
+        m_ub = problem.a_ub.shape[0]
+        m = m_eq + m_ub
+        self.n = n
+        self.m = m
+        self.m_eq = m_eq
+        self.n_real = n + m_ub
+        self.n_total = self.n_real + m
+        self.rows = np.concatenate([problem.a_eq, problem.a_ub])
+        a = np.zeros((m, self.n_total))
+        a[:, :n] = self.rows
+        rows = np.arange(m)
+        a[rows[m_eq:], rows[:m_ub] + n] = 1.0
+        a[rows, rows + self.n_real] = 1.0
+        self.a = a
+        self.b = np.concatenate([problem.b_eq, problem.b_ub])
+        # bounds of the slacks and artificials, and their zero costs
+        self.lo_tail = np.zeros(self.n_total - n)
+        self.hi_tail = np.concatenate([np.full(m_ub, np.inf), np.zeros(m)])
 
 
 @dataclass
@@ -145,6 +233,17 @@ class LpSolution:
     objective_value: float = float("nan")
     iteration_count: int = 0
     basis: tuple = None  # (basic indices, statuses, binv) of an optimal solve
+    bound: float = float("nan")  # a CUTOFF's safe bound on the objective
+
+
+class _Basis(tuple):
+    """LpSolution.basis: the (basic indices, statuses, binv) of an optimal
+    solve, which also keeps the problem it solved (see _Core._inherits)."""
+
+    def __new__(cls, basic, stat, binv, problem):
+        basis = super().__new__(cls, (basic, stat, binv))
+        basis.problem = problem
+        return basis
 
 
 class SharedPhase1:
@@ -162,7 +261,7 @@ class SharedPhase1:
         self.state = None
 
 
-def solve_lp(problem: LpProblem, start=None) -> LpSolution:
+def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     """Solve an LpProblem; returns a deterministic LpSolution.
 
     start is one of two kinds:
@@ -174,13 +273,22 @@ def solve_lp(problem: LpProblem, start=None) -> LpSolution:
     - a SharedPhase1 passed to LPs with the same rows, right-hand sides
       and bounds; only c may differ.  The first of them runs phase 1,
       the others resume after it.
+
+    With a cutoff (every variable must be boxed), the dual simplex of a
+    warm start gives up as soon as the row duals after one of its pivots
+    prove c @ x <= cutoff (safe_max): the result is CUTOFF, its bound
+    that proof's bound, and it has no x.  Every other result is the one
+    without a cutoff.
     """
     shared = start if isinstance(start, SharedPhase1) else None
+    if cutoff is not None and not (np.isfinite(problem.lo).all()
+                                   and np.isfinite(problem.hi).all()):
+        raise ValueError("a cutoff needs every variable boxed")
     spent = 0
     if start is not None and shared is None:
         core = _Core(problem)
         try:
-            status = core.warm(*start)
+            status = core.warm(*start, cutoff=cutoff, source=getattr(start, "problem", None))
             if status is not None:
                 return _solution(problem, core, status, 0)
         except NumericalBreakdown:
@@ -241,14 +349,43 @@ def row_duals(c, basis):
     return c_b @ binv
 
 
+def safe_max(y, c, off, rows, rhs, lo, hi, m_eq=0, cutoff=np.inf):
+    """Rigorous upper bound on c @ x + off over the x with lo <= x <= hi
+    (every bound finite) whose first m_eq rows @ x equal rhs and whose
+    others are at most rhs, from any row multipliers y.  Where the bound
+    is sure to exceed cutoff, the trivial bound inf is returned instead.
+
+    The multipliers of the <= rows are clipped at 0.  For any feasible x,
+    c @ x = y @ rows @ x + r @ x <= y @ rhs + sum_j max(r_j lo_j, r_j hi_j)
+    with r = c - rows.T @ y, so the bound holds whatever the simplex's
+    tolerances, and is tight when y are an optimal basis's row duals
+    (row_duals).  A pad relative to the magnitudes summed covers the
+    rounding of its own arithmetic (Neumaier & Shcherbina, "Safe bounds
+    in linear and mixed-integer linear programming", Math. Prog. 99,
+    2004).
+    """
+    y = np.concatenate([y[:m_eq], np.maximum(y[m_eq:], 0.0)]) if m_eq else np.maximum(y, 0.0)
+    r = c - rows.T @ y
+    bound = y @ rhs + np.maximum(r * lo, r * hi).sum() + off
+    if bound > cutoff:
+        return np.inf  # the pad would only raise it
+    scale = (y @ np.abs(rhs)
+             + (np.abs(c) + np.abs(rows).T @ y) @ np.maximum(np.abs(lo), np.abs(hi))
+             + abs(off))
+    return bound + _SAFE_PAD * scale
+
+
 def _solution(problem, core, status, spent):
     """LpSolution of a finished core; spent counts abandoned warm iterations."""
+    iterations = spent + core.iterations
+    if status == LpStatus.CUTOFF:
+        return LpSolution(status, iteration_count=iterations, bound=core.bound)
     if status != LpStatus.OPTIMAL:
-        return LpSolution(status, iteration_count=spent + core.iterations)
+        return LpSolution(status, iteration_count=iterations)
     x = core.final_values()[:core.n]
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(problem.c @ x),
-                      iteration_count=spent + core.iterations,
-                      basis=(core.basis, core.stat, core.binv))
+                      iteration_count=iterations,
+                      basis=_Basis(core.basis, core.stat, core.binv, problem))
 
 
 class _Core:
@@ -270,30 +407,21 @@ class _Core:
     """
 
     def __init__(self, problem):
-        n = problem.c.shape[0]
-        m_eq = problem.a_eq.shape[0]
-        m_ub = problem.a_ub.shape[0]
-        m = m_eq + m_ub
-        self.n = n
-        self.m = m
-        self.m_eq = m_eq
-        self.n_real = n + m_ub
-        self.n_total = self.n_real + m
+        rs = problem.row_set
+        self.problem = problem
+        self.n = rs.n
+        self.m = rs.m
+        self.m_eq = rs.m_eq
+        self.n_real = rs.n_real
+        self.n_total = rs.n_total
         self.iterations = 0
-        self.max_iterations = 50 * (self.n_total + m)
+        self.max_iterations = 50 * (self.n_total + self.m)
 
-        a = np.zeros((m, self.n_total))
-        a[:m_eq, :n] = problem.a_eq
-        a[m_eq:, :n] = problem.a_ub
-        rows = np.arange(m)
-        a[rows[m_eq:], rows[:m_ub] + n] = 1.0
-        a[rows, rows + self.n_real] = 1.0
-        self.a = a
-        self.b = np.concatenate([problem.b_eq, problem.b_ub])
-        self.lo = np.concatenate([problem.lo, np.zeros(m_ub + m)])
-        self.hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m)])
-        self.c = np.zeros(self.n_total)
-        self.c[:n] = problem.c
+        self.a = rs.a
+        self.b = rs.b
+        self.lo = np.concatenate([problem.lo, rs.lo_tail])
+        self.hi = np.concatenate([problem.hi, rs.hi_tail])
+        self.c = np.concatenate([problem.c, rs.lo_tail])
 
     # -- starting bases ------------------------------------------------------
 
@@ -327,16 +455,18 @@ class _Core:
         if not slack.all() and not self._phase1():
             return LpStatus.INFEASIBLE
         if shared is not None:
-            shared.state = (self.a, self.b) + tuple(
+            shared.state = (self.problem.row_set,) + tuple(
                 v.copy() for v in (self.binv, self.x, self.stat, self.basis, self.lo, self.hi))
         return self._phase2()
 
     def resume(self, state):
         """Phase 2 from the state that a cold start of an LP with equal
-        rows, right-hand sides and bounds left after phase 1."""
-        a, b, binv, x, stat, basis, lo, hi = state
+        rows, right-hand sides and bounds left after phase 1.  Siblings
+        share their rows, which are then not compared."""
+        rs, binv, x, stat, basis, lo, hi = state
         real = slice(None, self.n_real)
-        if not (np.array_equal(self.a, a) and np.array_equal(self.b, b)
+        if not ((rs is self.problem.row_set
+                 or (np.array_equal(self.a, rs.a) and np.array_equal(self.b, rs.b)))
                 and np.array_equal(self.lo[real], lo[real])
                 and np.array_equal(self.hi[real], hi[real])):
             raise ValueError("a shared phase 1 needs equal rows, right-hand sides and bounds")
@@ -344,48 +474,56 @@ class _Core:
             v.copy() for v in (binv, x, stat, basis, lo, hi))
         return self._phase2()
 
-    def warm(self, basis, stat, binv):
-        """Dual simplex from an earlier optimal basis; None if it is unusable."""
-        if not self._adopt(basis, stat, binv):
+    def warm(self, basis, stat, binv, cutoff=None, source=None):
+        """Dual simplex from an earlier optimal basis, then phase 2; None if
+        the start is unusable.  source is the problem whose optimal solve
+        left the basis, when known (_Basis.problem)."""
+        if self._inherits(source, stat):
+            # of _adopt's work only the identity test can fail such a start
+            if not self._invert(basis, stat, binv):
+                return None
+            self._rest()
+        elif not self._adopt(basis, stat, binv):
             return None
         self.x[self.basis] = self._basic_values(self.b)
-        if not self._dual():
-            return LpStatus.INFEASIBLE
-        return self._phase2()
+        status = self._dual(cutoff)
+        return self._phase2() if status is None else status
+
+    def _inherits(self, source, stat):
+        """Whether a start with statuses stat, optimal for the problem
+        source, is one for this problem's rows and objective under bounds
+        that this problem only tightens, with no free nonbasic that gains
+        a finite bound.
+
+        Such a start's nonbasics keep the statuses _adopt would give them,
+        and its reduced costs, the ones its solve ended on, favor no
+        variable that can still move: so _adopt's status re-derivation,
+        reduced-cost pass and dual-feasibility test would change nothing.
+        """
+        p = self.problem
+        if source is None or source.row_set is not p.row_set:
+            return False
+        if not ((source.c is p.c or np.array_equal(source.c, p.c))
+                and (p.lo >= source.lo).all() and (p.hi <= source.hi).all()):
+            return False
+        free = stat[:self.n] == _FREE
+        return not (free.any() and (free & (np.isfinite(p.lo) | np.isfinite(p.hi))).any())
 
     def _adopt(self, basis, stat, binv):
         """Take over an earlier optimal basis; False if it is unusable.
 
-        binv, the inverse of that basis's matrix, is copied; the start is
-        unusable when binv @ a[:, basis] misses the identity by more than
-        _FEAS_TOL (binv does not invert this basis, or is not finite),
+        The start is unusable when binv fails the identity test (_invert)
         and when the basis is not dual feasible.  Neither test reads b.
-        On success x holds the nonbasics at their bounds and zero at the
-        basics.
         """
-        basis = np.array(basis, dtype=int)
-        stat = np.array(stat, dtype=np.int8)
-        m = self.m
-        if (basis.shape != (m,) or stat.shape != (self.n_total,)
-                or np.shape(binv) != (m, m)):
-            raise ValueError("start basis does not match the problem's shape")
-        lo, hi = self.lo, self.hi
+        if not self._invert(basis, stat, binv):
+            return False
+        lo, hi, stat = self.lo, self.hi, self.stat
         # nonbasics keep their bound where it is still finite
         fin_lo = np.isfinite(lo)
         fin_hi = np.isfinite(hi)
-        stat = np.where((stat == _AT_UP) & fin_hi, _AT_UP,
-                        np.where(fin_lo, _AT_LO,
-                                 np.where(fin_hi, _AT_UP, _FREE))).astype(np.int8)
-        stat[basis] = _BASIC
-
-        binv = np.array(binv, dtype=float)
-        gap = binv @ self.a[:, basis]
-        gap.flat[::m + 1] -= 1.0  # minus the identity
-        if not (np.abs(gap) <= _FEAS_TOL).all():
-            return False
-        self.binv = binv
-        self.basis = basis
-        self.stat = stat
+        stat[:] = np.where((stat == _AT_UP) & fin_hi, _AT_UP,
+                           np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_UP, _FREE)))
+        stat[self.basis] = _BASIC
 
         # boxed nonbasics move to the bound their reduced cost favors; a
         # favored move toward an infinite bound is a dual infeasibility
@@ -397,11 +535,35 @@ class _Core:
             return False  # not dual feasible
         stat[up] = _AT_UP
         stat[down] = _AT_LO
-
-        x = np.where(stat == _AT_UP, hi, np.where(stat == _AT_LO, lo, 0.0))
-        x[basis] = 0.0
-        self.x = x
+        self._rest()
         return True
+
+    def _invert(self, basis, stat, binv):
+        """Copy a start's basis, statuses and inverse into the core; False
+        if binv @ a[:, basis] misses the identity by more than _FEAS_TOL
+        (binv does not invert this basis, or is not finite)."""
+        basis = np.array(basis, dtype=int)
+        stat = np.array(stat, dtype=np.int8)
+        m = self.m
+        if (basis.shape != (m,) or stat.shape != (self.n_total,)
+                or np.shape(binv) != (m, m)):
+            raise ValueError("start basis does not match the problem's shape")
+        binv = np.array(binv, dtype=float)
+        gap = binv @ self.a[:, basis]
+        gap.flat[::m + 1] -= 1.0  # minus the identity
+        if not (np.abs(gap) <= _FEAS_TOL).all():
+            return False
+        self.basis = basis
+        self.stat = stat
+        self.binv = binv
+        return True
+
+    def _rest(self):
+        """x with each nonbasic at the bound its status names and zero at
+        the basics."""
+        stat = self.stat
+        self.x = np.where(stat == _AT_UP, self.hi, np.where(stat == _AT_LO, self.lo, 0.0))
+        self.x[self.basis] = 0.0
 
     def _basic_values(self, b):
         """binv @ (b - a_N x_N) for one b or a stack, read while x holds
@@ -445,24 +607,40 @@ class _Core:
 
     # -- dual simplex --------------------------------------------------------
 
-    def _dual(self):
-        """Pivot out bound-violating basics; False when the LP is infeasible.
+    def _dual(self, cutoff=None):
+        """Pivot out bound-violating basics.
 
+        Returns None once the basis is primal feasible, and INFEASIBLE
+        when a row of binv proves it never will be.  With a cutoff, each
+        iteration after a pivot first turns the current row duals into a
+        safe bound on the objective (safe_max, into self.bound) and
+        returns CUTOFF without pivoting again once that bound is at or
+        below the cutoff.  The start's own bound is not tested: it is
+        its earlier solve's optimum, up to rounding, whenever its bounds
+        only differ at basic variables, as a branch-and-bound child's do
+        (their reduced costs are zero).
         Assumes a dual feasible basis, so the leaving row's ratio test keeps
         every reduced cost on its optimal side.
         """
         if not self.m:
-            return True
+            return None
         self._track(self.c)
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
+        p, rs = self.problem, self.problem.row_set
         while True:
             xb = x[basis]
             below = lo_b - xb
             excess = np.maximum(below, xb - hi_b)
             r = int(excess.argmax())
             if excess[r] <= _FEAS_TOL:
-                return True
+                return None
+            y = self.c_b @ binv  # the row duals
+            if cutoff is not None and self.iterations:
+                self.bound = safe_max(y, p.c, 0.0, rs.rows, rs.b, p.lo, p.hi, self.m_eq,
+                                      cutoff)
+                if self.bound <= cutoff:
+                    return LpStatus.CUTOFF
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown(
@@ -475,10 +653,10 @@ class _Core:
             elig = (rises & (alpha > _PIVOT_TOL)) | (falls & (alpha < -_PIVOT_TOL))
             if not elig.any():
                 if self._row_proves_infeasible(r):
-                    return False
+                    return LpStatus.INFEASIBLE
                 raise NumericalBreakdown("dual ratio test disagrees with its row")
 
-            d = self._reduced_costs()
+            d = self.cost - y @ a  # _reduced_costs
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run

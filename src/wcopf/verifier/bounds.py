@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundsUnavailable, NumericalBreakdown, ShapeMismatch
-from ..simplex import LpProblem, LpStatus, SharedPhase1, row_duals, solve_lp
-
-# relative pad on a safe bound: covers the rounding of its dot products
-_SAFE_PAD = 1e-12
+from ..simplex import LpProblem, LpStatus, SharedPhase1, row_duals, safe_max, solve_lp
 
 
 @dataclass(frozen=True)
@@ -117,20 +114,21 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
     Each unit is the affine form a[j] @ x + b[j] of x in the polytope
     rows @ x <= rhs, lo <= x <= hi (every bound finite).  Only units with
     lower < 0 < upper are solved: first their maximum, then their minimum
-    unless the maximum already proves them inactive.  All LPs share one
-    SharedPhase1.  Each optimal LP yields a safe bound (_safe_max); an LP
-    that is not optimal or breaks down numerically leaves its bound as it
-    was.  Returns new arrays (lower, upper), never looser than the ones
-    given.
+    unless the maximum already proves them inactive.  All LPs are
+    siblings of one LpProblem and share one SharedPhase1.  Each optimal
+    LP yields a safe bound (_safe_max); an LP that is not optimal or
+    breaks down numerically leaves its bound as it was.  Returns new
+    arrays (lower, upper), never looser than the ones given.
     """
     a, b = forms
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
     phase1 = SharedPhase1()
+    lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
 
-    def safe_max(c, off):
+    def upper_bound(c, off):
         try:
-            sol = solve_lp(LpProblem(c=c, a_ub=rows, b_ub=rhs, lo=lo, hi=hi), start=phase1)
+            sol = solve_lp(lp.sibling(c=c), start=phase1)
         except NumericalBreakdown:
             return np.inf
         if sol.status != LpStatus.OPTIMAL:
@@ -138,27 +136,14 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
         return _safe_max(sol.basis, c, off, rows, rhs, lo, hi)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):
-        upper[j] = min(upper[j], safe_max(a[j], b[j]))
+        upper[j] = min(upper[j], upper_bound(a[j], b[j]))
         if upper[j] > 0.0:
-            lower[j] = max(lower[j], -safe_max(-a[j], -b[j]))
+            lower[j] = max(lower[j], -upper_bound(-a[j], -b[j]))
     return lower, upper
 
 
 def _safe_max(basis, c, off, rows, rhs, lo, hi):
-    """Rigorous upper bound on c @ x + off over rows @ x <= rhs, lo <= x <= hi.
-
-    basis is an LpSolution.basis of that LP, whose row duals
-    y = c_B @ binv (row_duals) are clipped at 0.  For any y >= 0 and
-    any feasible x,
-    c @ x = y @ rows @ x + r @ x <= y @ rhs + sum_j max(r_j lo_j, r_j hi_j)
-    with r = c - rows.T @ y, so the bound holds whatever the simplex's
-    tolerances, and is tight when the basis is optimal.  A pad relative
-    to the magnitudes summed covers the rounding of its own arithmetic.
-    """
-    y = np.maximum(row_duals(c, basis), 0.0)
-    r = c - rows.T @ y
-    bound = y @ rhs + np.maximum(r * lo, r * hi).sum() + off
-    scale = (y @ np.abs(rhs)
-             + (np.abs(c) + np.abs(rows).T @ y) @ np.maximum(np.abs(lo), np.abs(hi))
-             + abs(off))
-    return bound + _SAFE_PAD * scale
+    """Rigorous upper bound on c @ x + off over rows @ x <= rhs, lo <= x <= hi,
+    from the row duals of basis, an LpSolution.basis of that LP
+    (simplex.safe_max); tight when the basis is optimal."""
+    return safe_max(row_duals(c, basis), c, off, rows, rhs, lo, hi)

@@ -28,6 +28,15 @@ to the unweighted score when no candidate unit has a positive weight).
 The rule only picks which tree proves the bound, never what it proves.
 Every tie-break is by index, so repeated runs explore identical trees
 and return identical witnesses.
+
+Every node LP is a sibling of one LpProblem per encoding (the same
+rows, its own objective and y bounds).  A child's LP starts from its
+parent's optimal basis with the incumbent's cutoff: its dual simplex
+stops as soon as the row duals prove that the child cannot beat the
+cutoff (simplex.safe_max), and the child is then a fathomed leaf whose
+safe bound counts toward the certificate's bound.  Such a child takes
+a pivot or two, and no primal phase, refactorization or forward pass
+of its point.
 """
 
 import heapq
@@ -140,6 +149,9 @@ class _Encoding:
         self.n_unstable = self.y_range.shape[0]
         self.y_off = self.n_in + self.n_unstable
         self.n_vars = self.rows.shape[1]
+        # every node LP is a sibling of this one: same rows, own c and bounds
+        self.node_lp = LpProblem(c=np.zeros(self.n_vars), a_ub=self.rows, b_ub=self.rhs,
+                                 lo=self.var_lo, hi=self.var_hi)
 
     def _build(self, pre, depth):
         """Rows of the hidden layers before depth, from the bounds pre.
@@ -207,13 +219,12 @@ class _Encoding:
             return float(self.out_up[g] - self.gen_bounds.hi[g])
         return float(self.gen_bounds.lo[g] - self.out_dn[g])
 
-    def solve_node(self, c, y_fix, start=None):
+    def solve_node(self, c, y_fix, start=None, cutoff=None):
         lo = self.var_lo.copy()
         hi = self.var_hi.copy()
         lo[self.y_off :] = y_fix == 1
         hi[self.y_off :] = y_fix != 0
-        return solve_lp(LpProblem(c=c, a_ub=self.rows, b_ub=self.rhs, lo=lo, hi=hi),
-                        start=start)
+        return solve_lp(self.node_lp.sibling(c=c, lo=lo, hi=hi), start=start, cutoff=cutoff)
 
     def unit_weights(self, c, basis):
         """Objective weight of each unstable unit at a node LP's basis.
@@ -281,17 +292,21 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     the search evaluates (the box midpoint and each clipped node-LP
     point) lies in the box and so attains its margin for every
     candidate; each is offered to every candidate's incumbent, and a
-    node is fathomed once it cannot beat max(best margin of any
-    candidate, 0) by more than FATHOM_PAD.  A surviving node branches on
-    the unit _branch_unit picks.  A node popped after its candidate has
+    node is fathomed once it cannot beat the cutoff, max(best margin of
+    any candidate, 0) + FATHOM_PAD.  A surviving node branches on the
+    unit _branch_unit picks.  A node popped after its candidate has
     solved node_limit node LPs is set aside unexplored.  Returns
     (incumbents, nodes, leaf_bound): an _Incumbent and a node count per
     candidate, and the largest bound on any leaf of the tree, so on any
-    margin in the box: the LP value of each fathomed or integral node
-    and the key of each node set aside or left in the heap (-inf if
-    there is none).
+    margin in the box: the LP value of each fathomed or integral node,
+    the safe bound of each child whose LP stopped at the cutoff, and the
+    key of each node set aside or left in the heap (-inf if there is
+    none).
     Root LPs differ only in their objective, so they share one phase 1
-    (a SharedPhase1 that lives as long as the search).
+    (a SharedPhase1 that lives as long as the search).  A child's LP
+    warm-starts from its parent's basis with the cutoff at the time it
+    is solved; one that stops there (LpStatus.CUTOFF) has no point, so
+    it offers none, and it never branches.
     """
     objectives = [enc.objective(cid) for cid in cids]
     incs = [_Incumbent() for _ in cids]
@@ -321,11 +336,18 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         nodes[k] += 1
 
         c, const = objectives[k]
-        # children differ from their parent only in y bounds, so the
-        # parent's basis stays dual feasible and warm-starts the child;
-        # roots differ only in c, so they share one phase 1
-        sol = enc.solve_node(c, y_fix, phase1 if start is None else start)
+        if start is None:
+            # roots differ only in c, so they share one phase 1
+            sol = enc.solve_node(c, y_fix, phase1)
+        else:
+            # children differ from their parent only in y bounds, so the
+            # parent's basis stays dual feasible and warm-starts the child,
+            # whose dual simplex stops once it proves the child fathomed
+            sol = enc.solve_node(c, y_fix, start, cutoff() - const)
         if sol.status == LpStatus.INFEASIBLE:
+            continue
+        if sol.status == LpStatus.CUTOFF:
+            leaf_bound = max(leaf_bound, sol.bound + const)
             continue
         val = float(sol.objective_value) + const
         # a basic variable at a bound can come back an ulp outside it

@@ -617,3 +617,41 @@ def test_shared_phase1_rejects_other_bounds():
     with pytest.raises(ValueError, match="shared phase 1"):
         solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                            lo=lo, hi=hi + 1.0), start=shared)
+
+
+@pytest.mark.xfail(strict=True, reason="the cold path calls this feasible ill-conditioned LP "
+                                       "infeasible (ROADMAP item 7)")
+@pytest.mark.parametrize("b_eq", [(0.0, 1.0), (0.1, 0.3), (0.3, 0.7)])
+def test_cold_path_solves_a_feasible_ill_conditioned_lp(b_eq):
+    # free x0, x1 with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1 = b1: the
+    # solution x1 = 2**40 (b1 - b0), x0 = b0 - x1 exists for every b (for
+    # b = (0, 1) it is (-2**40, 2**40), exact in floats)
+    problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -40]]),
+                        b_eq=np.array(b_eq))
+    assert solve_lp(problem).status != LpStatus.INFEASIBLE
+
+
+def test_sibling_shares_the_rows_and_checks_what_is_new():
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(4)
+    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    sib = problem.sibling(c=-c, hi=hi + 1.0)
+    assert sib.row_set is problem.row_set and sib.lo.tobytes() == problem.lo.tobytes()
+    want = solve_lp(LpProblem(c=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo,
+                              hi=hi + 1.0))
+    got = solve_lp(sib)
+    assert got.status == want.status and got.x.tobytes() == want.x.tobytes()
+    with pytest.raises(ValueError, match="NaN"):
+        problem.sibling(lo=np.full_like(lo, np.nan))
+    with pytest.raises(ValueError, match="lower bound exceeds"):
+        problem.sibling(hi=lo - 1.0)
+    with pytest.raises(ValueError, match="number of variables"):
+        problem.sibling(c=np.ones(len(c) + 1))
+    with pytest.raises(ValueError, match="nonfinite"):
+        problem.sibling(c=np.full_like(c, np.inf))
+
+
+def test_cutoff_needs_boxed_variables():
+    problem = LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
+                        lo=np.zeros(2), hi=np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="boxed"):
+        solve_lp(problem, cutoff=0.0)

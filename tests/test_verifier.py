@@ -2,9 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from oracles import (TooLarge, bounds_around_outputs, brute_force_worst_case, grid_fixture,
                      seeded_net)
+from wcopf import simplex
 from wcopf.errors import BoundsUnavailable
 from wcopf.mlp import MlpParams, forward
 from wcopf.simplex import LpStatus, SharedPhase1, solve_lp
@@ -218,9 +220,9 @@ def test_node_limit_caps_each_candidate(monkeypatch, seed, dims):
                     for cid in candidate_constraints(params.n_outputs)}
     counts = Counter()
 
-    def counting(problem, start=None):
+    def counting(problem, *args, **kwargs):
         counts[by_objective[problem.c.tobytes()]] += 1
-        return solve_lp(problem, start=start)
+        return solve_lp(problem, *args, **kwargs)
 
     monkeypatch.setattr(milp, "solve_lp", counting)
     full = solve_worst_case(params, box, gen)
@@ -313,17 +315,28 @@ def test_node_lps_warm_start_without_refactorizing(monkeypatch, cold_cores, seed
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
     warm_cold = []  # cold-path solves inside each warm-started node LP
+    adopted = []     # cores that ran _Core._adopt
+    adopt = simplex._Core._adopt
+    monkeypatch.setattr(simplex._Core, "_adopt",
+                        lambda core, *args: adopted.append(core) or adopt(core, *args))
+    warm_adopted = []  # _adopt calls inside each warm-started node LP
 
-    def recording(problem, start=None):
+    def recording(problem, *args, **kwargs):
+        start = kwargs.get("start", args[0] if args else None)
         before = len(cold_cores)
-        sol = solve_lp(problem, start=start)
+        before_adopt = len(adopted)
+        sol = solve_lp(problem, *args, **kwargs)
         if start is not None and not isinstance(start, SharedPhase1):
             warm_cold.append(len(cold_cores) - before)
+            warm_adopted.append(len(adopted) - before_adopt)
         return sol
 
     monkeypatch.setattr(milp, "solve_lp", recording)
     cert = solve_worst_case(params, box, gen)
     assert not any(warm_cold)
+    # a child's start is its parent's optimal basis under tighter bounds,
+    # so it enters the dual simplex directly
+    assert not any(warm_adopted)
     assert _cert_bytes(cert) == _cert_bytes(solve_worst_case(params, box, gen))
 
 
@@ -341,10 +354,11 @@ def test_roots_share_one_phase1_that_equals_a_cold_solve(monkeypatch, cold_cores
     roots = []     # (problem, solution, resumed) of every root LP
     node_cold = [0]  # cold-path solves inside node LPs
 
-    def recording(problem, start=None):
+    def recording(problem, *args, **kwargs):
+        start = kwargs.get("start", args[0] if args else None)
         before = len(cold_cores)
         resumed = isinstance(start, SharedPhase1) and start.state is not None
-        sol = solve_lp(problem, start=start)
+        sol = solve_lp(problem, *args, **kwargs)
         node_cold[0] += len(cold_cores) - before
         if start is None or isinstance(start, SharedPhase1):
             roots.append((problem, sol, resumed))
@@ -490,3 +504,90 @@ def test_case9_fixture_trees_are_pinned(case9_fixture, arch, seed, nodes, constr
     cert = solve_worst_case(params, box, gen)
     assert (cert.nodes_explored, cert.status, cert.constraint_id) == \
         (nodes, CERTIFIED, constraint_id)
+
+
+@pytest.fixture(scope="module")
+def child_lps(case9_fixture):
+    """(problem, start, cutoff) of every child node LP that the searches of
+    the case9 fixture nets (24,) s4 and (12, 12) s2 and of one seeded
+    wide-input net pass to solve_lp."""
+    data, gen, box = case9_fixture
+    cases = []
+    for arch, seed in [((24,), 4), ((12, 12), 2)]:
+        params, _ = train_standard(data, arch, TrainConfig(alpha=3e-3, epochs=400, seed=seed))
+        cases.append((params, box, gen))
+    params = seeded_net(1, (8, 16, 16, 3))
+    wide = Box(-np.ones(8), np.ones(8))
+    cases.append((params, wide, bounds_around_outputs(params, wide, seed=1, frac_hi=0.6)))
+    children = []
+
+    def recording(problem, start=None, cutoff=None):
+        if cutoff is not None:
+            children.append((problem, start, cutoff))
+        return solve_lp(problem, start=start, cutoff=cutoff)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(milp, "solve_lp", recording)
+        for case in cases:
+            solve_worst_case(*case)
+    return children
+
+
+def _lp_bytes(sol):
+    return (sol.status, sol.iteration_count, np.float64(sol.objective_value).tobytes(),
+            np.float64(sol.bound).tobytes(), None if sol.x is None else sol.x.tobytes(),
+            None if sol.basis is None else [v.tobytes() for v in sol.basis])
+
+
+def test_direct_warm_start_equals_adopting_a_plain_copy(monkeypatch, child_lps):
+    # the start as the search passes it skips _adopt; a plain copy of it
+    # runs _adopt, whose passes must then have changed nothing
+    adopted = []
+    adopt = simplex._Core._adopt
+    monkeypatch.setattr(simplex._Core, "_adopt",
+                        lambda core, *args: adopted.append(core) or adopt(core, *args))
+    statuses = Counter()
+    for problem, start, _ in child_lps:
+        direct = solve_lp(problem, start=start)
+        assert not adopted
+        plain = solve_lp(problem, start=tuple(v.copy() for v in start))
+        assert len(adopted) == 1
+        adopted.clear()
+        assert _lp_bytes(direct) == _lp_bytes(plain)
+        statuses[direct.status] += 1
+    assert statuses[LpStatus.OPTIMAL] > 200 and statuses[LpStatus.INFEASIBLE] > 0
+
+
+def _highs(problem):
+    return linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                   bounds=list(zip(problem.lo, problem.hi)), method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
+
+
+def test_cutoff_bounds_agree_with_highs(child_lps):
+    # around each child's optimum (or, when it is infeasible, the cutoff
+    # the search gave it), a CUTOFF must carry a bound between HiGHS's
+    # optimum and the cutoff; any other result is the one without a cutoff
+    cut = Counter()
+    for problem, start, searched in child_lps:
+        plain = solve_lp(problem, start=start)
+        feasible = plain.status == LpStatus.OPTIMAL
+        centre = plain.objective_value if feasible else searched
+        highs = None
+        for delta in (-1e-3, -1e-9, 1e-9, 1e-3):
+            cutoff = centre + delta
+            got = solve_lp(problem, start=start, cutoff=cutoff)
+            if got.status != LpStatus.CUTOFF:
+                assert _lp_bytes(got) == _lp_bytes(plain)
+                continue
+            cut[feasible, delta] += 1
+            assert got.x is None and got.basis is None and got.bound <= cutoff
+            if highs is None:
+                highs = _highs(problem)
+            if highs.status == 2:
+                assert not feasible
+            else:
+                assert highs.status == 0 and -highs.fun - 1e-9 <= got.bound
+    assert cut[True, 1e-3] > 50 and cut[False, 1e-3] > 0
+    assert cut[True, -1e-3] == cut[True, -1e-9] == 0
