@@ -110,5 +110,4 @@ def basis_dispatch(rows, basis, demands):
     without a pivot, as simplex.basis_solutions says.  Where ok, p is
     bit for bit what solve_dcopf(..., start=basis, rows=rows) returns;
     the other samples need solve_dcopf."""
-    return basis_solutions(_dispatch_lp(rows, demands[0]), basis,
-                           *_dispatch_rhs(rows, demands))
+    return basis_solutions(basis, *_dispatch_rhs(rows, demands))

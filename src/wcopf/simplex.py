@@ -27,40 +27,38 @@ there are none; phase 2 optimizes the objective.
 LPs that share their rows share one validated LpProblem: sibling
 derives one with a new objective or new bounds and validates only
 those, and every core of a row set reads one [a | slacks | artificials]
-matrix (_RowSet), laid out once.
+matrix (_RowSet), laid out once.  Phase 1 never reads the objective,
+so the row set also keeps a copy of the state that the first phase 1
+run over it left, and a later cold solve of a sibling under equal
+bounds resumes phase 2 from a copy of that state.  It returns what a
+cold solve would, bit for bit, but its iteration_count counts only
+phase 2.
 
-solve_lp takes two kinds of start.  A warm start is the (basis, stat,
-binv) that an earlier optimal solve left on LpSolution.basis.  The rows
-and objective must be unchanged; variable bounds and the right-hand
-sides b_eq and b_ub may differ.  The basis stays dual feasible because
-its reduced costs c - c_B binv a involve neither b nor the bounds (each
-boxed nonbasic moves to the bound its reduced cost favors).  The warm
-core copies binv, sets the basic values to binv @ (b - a_N x_N), and
-a dual simplex restores primal feasibility (or proves the LP
-infeasible from a row of binv); the primal simplex finishes.  A start
-for which binv @ a[:, basis] misses the identity by more than
-_FEAS_TOL (a test that NaN also fails), or that is not dual feasible
-or breaks down numerically, falls back to the cold path.  An LP
-without rows takes the same path with an empty basis: each variable
-flips to the bound its cost favors.
+solve_lp takes one kind of start: the basis of an earlier optimal
+solve, LpSolution.basis, which remembers the problem it solved.  It is
+used when it is one for this problem's rows and objective (_inherits):
+the rows equal the source's (siblings share theirs, other rows are
+compared in full), c is the same, the bounds only tighten and no free
+nonbasic gains a finite bound; the right-hand sides b_eq and b_ub may
+differ.  Such a start's statuses stand, and its reduced costs c - c_B
+binv a, which involve neither b nor the bounds, favor no move, so it is
+dual feasible as it is.  The warm core copies binv, sets the basic
+values to binv @ (b - a_N x_N), and a dual simplex restores primal
+feasibility (or proves the LP infeasible from a row of binv); the
+primal simplex finishes.  Any other start solves cold, and so does one
+for which binv @ a[:, basis] misses the identity by more than _FEAS_TOL
+(a test that NaN also fails) or whose dual simplex breaks down
+numerically.  An LP without rows takes the same path with an empty
+basis.
 
-The identity test runs for every warm start; the rest of the work of
-taking one over (_adopt: re-deriving the statuses, a reduced-cost pass
-and the dual feasibility test) is skipped when nothing can come of it.
-That is when the start is an LpSolution.basis, which remembers the
-problem it solved, of a sibling with the same objective whose bounds
-this problem only tightens (as a branch-and-bound child's are): its
-statuses stand and its reduced costs favor no move, so the dual simplex
-starts directly.  A plain (basis, stat, binv) tuple always takes _adopt.
-
-A warm start may come with a cutoff.  After each dual pivot the row
-duals c_B @ binv then become a rigorous upper bound on the objective
-(safe_max, after Neumaier & Shcherbina, Math. Prog. 99, 2004; it is the
-only implementation, and the verifier's bound LPs use it too), and the
-solve stops as soon as that bound is at or below the cutoff, with
-status CUTOFF and the bound on LpSolution.bound: no x, no phase 2, no
-refactorization.  A solve that the cutoff does not stop returns what it
-would without one.
+A warm start may come with a cutoff (a cold solve ignores it).  After
+each dual pivot the row duals c_B @ binv then become a rigorous upper
+bound on the objective (safe_max, after Neumaier & Shcherbina, Math.
+Prog. 99, 2004; it is the only implementation, and the verifier's bound
+LPs use it too), and the solve stops as soon as that bound is at or
+below the cutoff, with status CUTOFF and the bound on LpSolution.bound:
+no x, no phase 2, no refactorization.  A solve that the cutoff does not
+stop returns what it would without one.
 
 A warm start whose basis is already primal feasible for the new
 right-hand sides takes no pivot: its x is the nonbasics at their bounds
@@ -69,13 +67,6 @@ computes that x for a whole stack of right-hand sides at once, without
 solving an LP, and says which of them the basis serves; the others
 need solve_lp.  A dispatch dataset's samples share a handful of optimal
 bases, so most of them never reach solve_lp.
-
-A SharedPhase1 start serves LPs that differ only in c: phase 1 never
-reads the objective, so the first of them runs the cold path and keeps
-a copy of its state after phase 1, and each later one runs only phase
-2 from a copy of that state, with the same result as a cold solve.
-The rows, right-hand sides and bounds must be equal; siblings' shared
-rows are recognized as such, and other rows are compared in full.
 
 The dual and primal loops keep their per-iteration state (the movable
 masks and the basic variables' bounds and costs) and update it at the
@@ -200,7 +191,10 @@ class _RowSet:
 
     a = [a_eq; a_ub | one slack per <= row | one artificial per row],
     b = [b_eq; b_ub], and rows = [a_eq; a_ub], the structural block of
-    a, for safe_max.  Nothing writes to them.
+    a, for safe_max.  Nothing writes to them.  The one slot that changes
+    is phase1: None until a phase 1 run over these rows succeeds, and
+    from then on a copy of the state that the first such run left
+    (_Core.cold).
     """
 
     def __init__(self, problem):
@@ -224,6 +218,7 @@ class _RowSet:
         # bounds of the slacks and artificials, and their zero costs
         self.lo_tail = np.zeros(self.n_total - n)
         self.hi_tail = np.concatenate([np.full(m_ub, np.inf), np.zeros(m)])
+        self.phase1 = None
 
 
 @dataclass
@@ -246,33 +241,18 @@ class _Basis(tuple):
         return basis
 
 
-class SharedPhase1:
-    """A start shared by LPs that differ only in their objective.
-
-    Phase 1 of a cold start depends on the rows, the right-hand sides
-    and the bounds, never on c.  The first solve_lp given a SharedPhase1
-    solves cold and leaves here a copy of its core's state just after
-    phase 1; every later one resumes phase 2 from a copy of that state,
-    so it returns what a cold solve would, bit for bit, without
-    repeating phase 1.  Its iteration_count counts only its own pivots.
-    """
-
-    def __init__(self):
-        self.state = None
-
-
 def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     """Solve an LpProblem; returns a deterministic LpSolution.
 
-    start is one of two kinds:
-    - the basis of an earlier optimal solve (LpSolution.basis) of a
-      problem with the same rows and objective.  Variable bounds and the
-      right-hand sides b_eq and b_ub may differ: the start's dual
-      feasibility does not depend on them, as its reduced costs involve
-      only a and c.
-    - a SharedPhase1 passed to LPs with the same rows, right-hand sides
-      and bounds; only c may differ.  The first of them runs phase 1,
-      the others resume after it.
+    start, if given, is the basis of an earlier optimal solve
+    (LpSolution.basis); anything else raises TypeError.  It warm-starts
+    the solve when the problem it solved has this one's rows and
+    objective and bounds that this one only tightens (_Core._inherits);
+    the right-hand sides b_eq and b_ub may differ.  Otherwise the solve
+    is cold.  A cold solve of a sibling whose bounds equal those of an
+    earlier one over the same rows resumes after the phase 1 that the
+    earlier one ran (_RowSet.phase1), and its iteration_count then
+    counts only phase 2.
 
     With a cutoff (every variable must be boxed), the dual simplex of a
     warm start gives up as soon as the row duals after one of its pivots
@@ -280,50 +260,49 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     that proof's bound, and it has no x.  Every other result is the one
     without a cutoff.
     """
-    shared = start if isinstance(start, SharedPhase1) else None
     if cutoff is not None and not (np.isfinite(problem.lo).all()
                                    and np.isfinite(problem.hi).all()):
         raise ValueError("a cutoff needs every variable boxed")
     spent = 0
-    if start is not None and shared is None:
+    if start is not None:
         core = _Core(problem)
         try:
-            status = core.warm(*start, cutoff=cutoff, source=getattr(start, "problem", None))
+            status = core.warm(start, cutoff)
             if status is not None:
                 return _solution(problem, core, status, 0)
         except NumericalBreakdown:
             pass
         spent = core.iterations
     core = _Core(problem)
-    if shared is not None and shared.state is not None:
-        return _solution(problem, core, core.resume(shared.state), 0)
-    return _solution(problem, core, core.cold(shared), spent)
+    return _solution(problem, core, core.cold(), spent)
 
 
-def basis_solutions(problem, basis, b_eq, b_ub):
+def basis_solutions(basis, b_eq, b_ub):
     """What a warm start from basis returns without a pivot, for each of a
     stack of right-hand sides; solves no LP.
 
-    problem gives the rows, objective and bounds (its own b_eq and b_ub
-    are not read); b_eq (k, m_eq) and b_ub (k, m_ub) stack k right-hand
-    sides, and b_ub may be None when problem has no <= rows.  basis is
-    an earlier optimal solve's LpSolution.basis, as for solve_lp.
-    Returns (x, ok), x of shape (k, n): where ok[i], basis is primal
-    feasible within _FEAS_TOL for the i-th right-hand sides and x[i] is,
-    bit for bit, solve_lp(problem with b_eq[i] and b_ub[i], start=basis).x,
-    which takes no pivot there.  Where not ok[i] (basis not primal
-    feasible, not dual feasible or no inverse of its matrix, or a
-    solution that fails the feasibility recheck), x[i] is meaningless
-    and the LP needs solve_lp.  Numerical trouble never raises.
+    basis is an earlier optimal solve's LpSolution.basis, as for
+    solve_lp; the problem it solved gives the rows, objective and bounds
+    (its own b_eq and b_ub are not read).  b_eq (k, m_eq) and b_ub
+    (k, m_ub) stack k right-hand sides, and b_ub may be None when that
+    problem has no <= rows.  Returns (x, ok), x of shape (k, n): where
+    ok[i], basis is primal feasible within _FEAS_TOL for the i-th
+    right-hand sides and x[i] is, bit for bit, solve_lp(problem with
+    b_eq[i] and b_ub[i], start=basis).x, which takes no pivot there.
+    Where not ok[i] (basis not primal feasible, binv no inverse of its
+    matrix, or a solution that fails the feasibility recheck), x[i] is
+    meaningless and the LP needs solve_lp.  Numerical trouble never
+    raises.
     """
-    core = _Core(problem)
+    core = _Core(_source(basis))
     b_eq = np.asarray(b_eq, dtype=float)
     k = b_eq.shape[0]
     b_ub = np.zeros((k, 0)) if b_ub is None else np.asarray(b_ub, dtype=float)
     b = np.concatenate([b_eq.reshape(k, core.m_eq), b_ub.reshape(k, core.m - core.m_eq)],
                        axis=1)
-    if not core._adopt(*basis):
+    if not core._invert(*basis):
         return np.zeros((k, core.n)), np.zeros(k, dtype=bool)
+    core._rest()
     # the basic values warm sets, and _dual's stopping test
     xb = core._basic_values(b)
     x = np.repeat(core.x[None], k, axis=0)
@@ -333,6 +312,13 @@ def basis_solutions(problem, basis, b_eq, b_ub):
     ok = (np.maximum(lo_b - xb, xb - hi_b) <= _FEAS_TOL).all(axis=1)
     x, bad = core._exact(x, b)
     return x[:, :core.n], ok & ~bad
+
+
+def _source(start):
+    """The problem whose optimal solve left start, an LpSolution.basis."""
+    if not isinstance(start, _Basis):
+        raise TypeError("a start must be an LpSolution.basis")
+    return start.problem
 
 
 def row_duals(c, basis):
@@ -425,11 +411,23 @@ class _Core:
 
     # -- starting bases ------------------------------------------------------
 
-    def cold(self, shared=None):
+    def cold(self):
         """Slack/artificial start, phase 1 if needed, then phase 2.
 
-        A SharedPhase1 passed as shared receives the state after phase 1.
+        The first successful phase 1 run over a row set leaves a copy of
+        its state there (_RowSet.phase1).  Phase 1 reads only the rows,
+        the right-hand sides and the bounds, so a later cold solve of a
+        sibling with equal bounds would reach that same state; it resumes
+        phase 2 from a copy of it instead.
         """
+        rs = self.problem.row_set
+        if rs.phase1 is not None:
+            lo, hi, binv, x, stat, basis = rs.phase1
+            # phase 1 leaves the artificials pinned, as a new core has them
+            if np.array_equal(self.lo, lo) and np.array_equal(self.hi, hi):
+                self.binv, self.x, self.stat, self.basis = (
+                    v.copy() for v in (binv, x, stat, basis))
+                return self._phase2()
         m, n_real = self.m, self.n_real
         lo, hi = self.lo, self.hi
         fin_lo = np.isfinite(lo)
@@ -452,91 +450,47 @@ class _Core:
         self.stat = stat
         self.binv = np.eye(m)
 
-        if not slack.all() and not self._phase1():
-            return LpStatus.INFEASIBLE
-        if shared is not None:
-            shared.state = (self.problem.row_set,) + tuple(
-                v.copy() for v in (self.binv, self.x, self.stat, self.basis, self.lo, self.hi))
+        if not slack.all():
+            if not self._phase1():
+                return LpStatus.INFEASIBLE
+            if rs.phase1 is None:
+                rs.phase1 = tuple(v.copy() for v in (
+                    self.lo, self.hi, self.binv, self.x, self.stat, self.basis))
         return self._phase2()
 
-    def resume(self, state):
-        """Phase 2 from the state that a cold start of an LP with equal
-        rows, right-hand sides and bounds left after phase 1.  Siblings
-        share their rows, which are then not compared."""
-        rs, binv, x, stat, basis, lo, hi = state
-        real = slice(None, self.n_real)
-        if not ((rs is self.problem.row_set
-                 or (np.array_equal(self.a, rs.a) and np.array_equal(self.b, rs.b)))
-                and np.array_equal(self.lo[real], lo[real])
-                and np.array_equal(self.hi[real], hi[real])):
-            raise ValueError("a shared phase 1 needs equal rows, right-hand sides and bounds")
-        self.binv, self.x, self.stat, self.basis, self.lo, self.hi = (
-            v.copy() for v in (binv, x, stat, basis, lo, hi))
-        return self._phase2()
-
-    def warm(self, basis, stat, binv, cutoff=None, source=None):
-        """Dual simplex from an earlier optimal basis, then phase 2; None if
-        the start is unusable.  source is the problem whose optimal solve
-        left the basis, when known (_Basis.problem)."""
-        if self._inherits(source, stat):
-            # of _adopt's work only the identity test can fail such a start
-            if not self._invert(basis, stat, binv):
-                return None
-            self._rest()
-        elif not self._adopt(basis, stat, binv):
+    def warm(self, start, cutoff=None):
+        """Dual simplex from start, an earlier optimal solve's
+        LpSolution.basis, then phase 2; None if the start is unusable:
+        not one for this problem (_inherits), or its binv fails _invert's
+        identity test."""
+        basis, stat, binv = start
+        if not (self._inherits(_source(start), stat) and self._invert(basis, stat, binv)):
             return None
+        self._rest()
         self.x[self.basis] = self._basic_values(self.b)
         status = self._dual(cutoff)
         return self._phase2() if status is None else status
 
     def _inherits(self, source, stat):
         """Whether a start with statuses stat, optimal for the problem
-        source, is one for this problem's rows and objective under bounds
-        that this problem only tightens, with no free nonbasic that gains
-        a finite bound.
+        source, is one for this problem: equal rows (the same row set, or
+        equal [a | slacks | artificials] matrices), the same objective,
+        bounds that this problem only tightens, and no free nonbasic that
+        gains a finite bound.
 
-        Such a start's nonbasics keep the statuses _adopt would give them,
-        and its reduced costs, the ones its solve ended on, favor no
-        variable that can still move: so _adopt's status re-derivation,
-        reduced-cost pass and dual-feasibility test would change nothing.
+        Such a start is dual feasible here as it is: each nonbasic still
+        rests at the bound its status names, and its reduced costs, which
+        involve neither b nor the bounds, are the ones its solve ended on,
+        so they favor no variable that can still move.
         """
-        p = self.problem
-        if source is None or source.row_set is not p.row_set:
+        p, rs = self.problem, self.problem.row_set
+        if not (source.row_set is rs or np.array_equal(source.row_set.a, rs.a)):
             return False
         if not ((source.c is p.c or np.array_equal(source.c, p.c))
                 and (p.lo >= source.lo).all() and (p.hi <= source.hi).all()):
             return False
         free = stat[:self.n] == _FREE
         return not (free.any() and (free & (np.isfinite(p.lo) | np.isfinite(p.hi))).any())
-
-    def _adopt(self, basis, stat, binv):
-        """Take over an earlier optimal basis; False if it is unusable.
-
-        The start is unusable when binv fails the identity test (_invert)
-        and when the basis is not dual feasible.  Neither test reads b.
-        """
-        if not self._invert(basis, stat, binv):
-            return False
-        lo, hi, stat = self.lo, self.hi, self.stat
-        # nonbasics keep their bound where it is still finite
-        fin_lo = np.isfinite(lo)
-        fin_hi = np.isfinite(hi)
-        stat[:] = np.where((stat == _AT_UP) & fin_hi, _AT_UP,
-                           np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_UP, _FREE)))
-        stat[self.basis] = _BASIC
-
-        # boxed nonbasics move to the bound their reduced cost favors; a
-        # favored move toward an infinite bound is a dual infeasibility
-        self._track(self.c)
-        d = self._reduced_costs()
-        up = self.rises & (d > _OBJ_TOL)
-        down = self.falls & (d < -_OBJ_TOL)
-        if (up & ~fin_hi).any() or (down & ~fin_lo).any():
-            return False  # not dual feasible
-        stat[up] = _AT_UP
-        stat[down] = _AT_LO
-        self._rest()
-        return True
 
     def _invert(self, basis, stat, binv):
         """Copy a start's basis, statuses and inverse into the core; False

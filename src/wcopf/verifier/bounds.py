@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundsUnavailable, NumericalBreakdown, ShapeMismatch
-from ..simplex import LpProblem, LpStatus, SharedPhase1, row_duals, safe_max, solve_lp
+from ..simplex import LpProblem, LpStatus, row_duals, safe_max, solve_lp
 
 
 @dataclass(frozen=True)
@@ -115,35 +115,28 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
     rows @ x <= rhs, lo <= x <= hi (every bound finite).  Only units with
     lower < 0 < upper are solved: first their maximum, then their minimum
     unless the maximum already proves them inactive.  All LPs are
-    siblings of one LpProblem and share one SharedPhase1.  Each optimal
-    LP yields a safe bound (_safe_max); an LP that is not optimal or
-    breaks down numerically leaves its bound as it was.  Returns new
-    arrays (lower, upper), never looser than the ones given.
+    siblings of one LpProblem under equal bounds, so only the first runs
+    phase 1 (simplex._RowSet.phase1).  Each optimal LP yields a safe
+    bound from its row duals (simplex.safe_max); an LP that is not
+    optimal or breaks down numerically leaves its bound as it was.
+    Returns new arrays (lower, upper), never looser than the ones given.
     """
     a, b = forms
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
-    phase1 = SharedPhase1()
     lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
 
     def upper_bound(c, off):
         try:
-            sol = solve_lp(lp.sibling(c=c), start=phase1)
+            sol = solve_lp(lp.sibling(c=c))
         except NumericalBreakdown:
             return np.inf
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
-        return _safe_max(sol.basis, c, off, rows, rhs, lo, hi)
+        return safe_max(row_duals(c, sol.basis), c, off, rows, rhs, lo, hi)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):
         upper[j] = min(upper[j], upper_bound(a[j], b[j]))
         if upper[j] > 0.0:
             lower[j] = max(lower[j], -upper_bound(-a[j], -b[j]))
     return lower, upper
-
-
-def _safe_max(basis, c, off, rows, rhs, lo, hi):
-    """Rigorous upper bound on c @ x + off over rows @ x <= rhs, lo <= x <= hi,
-    from the row duals of basis, an LpSolution.basis of that LP
-    (simplex.safe_max); tight when the basis is optimal."""
-    return safe_max(row_duals(c, basis), c, off, rows, rhs, lo, hi)

@@ -30,8 +30,11 @@ Every tie-break is by index, so repeated runs explore identical trees
 and return identical witnesses.
 
 Every node LP is a sibling of one LpProblem per encoding (the same
-rows, its own objective and y bounds).  A child's LP starts from its
-parent's optimal basis with the incumbent's cutoff: its dual simplex
+rows, its own objective and y bounds), and every one is solved through
+one call with the incumbent's cutoff.  A root LP has no start and
+solves cold; the roots differ only in their objective, so they run one
+phase 1 between them (simplex._RowSet.phase1).  A child's LP starts
+from its parent's optimal basis with that cutoff: its dual simplex
 stops as soon as the row duals prove that the child cannot beat the
 cutoff (simplex.safe_max), and the child is then a fathomed leaf whose
 safe bound counts toward the certificate's bound.  Such a child takes
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mlp.network import forward
-from ..simplex import LpProblem, LpStatus, SharedPhase1, row_duals, solve_lp
+from ..simplex import LpProblem, LpStatus, row_duals, solve_lp
 from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
 from .patterns import candidate_constraints, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
@@ -302,11 +305,12 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     the safe bound of each child whose LP stopped at the cutoff, and the
     key of each node set aside or left in the heap (-inf if there is
     none).
-    Root LPs differ only in their objective, so they share one phase 1
-    (a SharedPhase1 that lives as long as the search).  A child's LP
-    warm-starts from its parent's basis with the cutoff at the time it
-    is solved; one that stops there (LpStatus.CUTOFF) has no point, so
-    it offers none, and it never branches.
+    Every node LP is solved with the cutoff at the time it is solved.
+    A root has no start, so it solves cold and ignores the cutoff; roots
+    differ only in their objective, so the first one's phase 1 serves
+    them all (simplex._RowSet.phase1).  A child warm-starts from its
+    parent's basis; one that stops at the cutoff (LpStatus.CUTOFF) has
+    no point, so it offers none, and it never branches.
     """
     objectives = [enc.objective(cid) for cid in cids]
     incs = [_Incumbent() for _ in cids]
@@ -319,7 +323,6 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         return max(max(inc.value for inc in incs), 0.0) + FATHOM_PAD
 
     offer(enc.box.midpoint())
-    phase1 = SharedPhase1()
     free = np.full(enc.n_unstable, -1, dtype=np.int8)
     heap = [(-enc.interval_margin_bound(cid), k, k, free, None)
             for k, cid in enumerate(cids)]
@@ -336,14 +339,10 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         nodes[k] += 1
 
         c, const = objectives[k]
-        if start is None:
-            # roots differ only in c, so they share one phase 1
-            sol = enc.solve_node(c, y_fix, phase1)
-        else:
-            # children differ from their parent only in y bounds, so the
-            # parent's basis stays dual feasible and warm-starts the child,
-            # whose dual simplex stops once it proves the child fathomed
-            sol = enc.solve_node(c, y_fix, start, cutoff() - const)
+        # a child differs from its parent only in y bounds, so the parent's
+        # basis stays dual feasible and warm-starts it, and its dual
+        # simplex stops once it proves the child fathomed
+        sol = enc.solve_node(c, y_fix, start, cutoff() - const)
         if sol.status == LpStatus.INFEASIBLE:
             continue
         if sol.status == LpStatus.CUTOFF:

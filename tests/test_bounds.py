@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 from oracles import bounds_around_outputs, seeded_net
 from wcopf.errors import NumericalBreakdown
 from wcopf.mlp import forward
-from wcopf.simplex import LpProblem, LpSolution, LpStatus, solve_lp
+from wcopf.simplex import LpProblem, LpSolution, LpStatus, row_duals, safe_max, solve_lp
 from wcopf.verifier import Box, bounds, interval_bounds, milp
 
 # 1, 2 and 3 hidden layers; boxes wide enough to leave deep units unstable
@@ -124,7 +124,7 @@ def test_safe_bound_holds_for_any_basis(seed):
     c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
     assert (c_b @ binv < -1e-3).any()
     best = _highs_max(c, rows, rhs, lo, hi)
-    assert bounds._safe_max(sol.basis, c, 0.25, rows, rhs, lo, hi) >= best + 0.25
+    assert safe_max(row_duals(c, sol.basis), c, 0.25, rows, rhs, lo, hi) >= best + 0.25
 
 
 @pytest.mark.parametrize("failure", ["breakdown", "unbounded"])

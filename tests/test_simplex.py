@@ -207,12 +207,20 @@ def _dispatch_like(demand, b_ub=(2.0, 7.0)):
     (8.0, (1.0, 7.0), "dual_pivots"),
     (13.0, (2.0, 7.0), "infeasible"),
 ], ids=["same_basis", "dual_pivots", "infeasible"])
-def test_warm_start_after_a_rhs_change_matches_cold(demand, b_ub, kind, cold_cores):
+def test_warm_start_after_a_rhs_change_matches_cold(demand, b_ub, kind, cold_cores,
+                                                    monkeypatch):
     # only b_eq and b_ub move, so the parent's basis stays dual feasible
     parent = solve_lp(_dispatch_like(6.0))
     assert parent.status == LpStatus.OPTIMAL
+    duals = []
+    dual = simplex._Core._dual
+    monkeypatch.setattr(simplex._Core, "_dual",
+                        lambda core, *args: duals.append(core) or dual(core, *args))
     cold_cores.clear()
+    # a fresh LpProblem, as each dispatch LP is: its rows are equal to the
+    # parent's, not shared, and the start still enters the dual simplex
     warm = solve_lp(_dispatch_like(demand, b_ub), start=parent.basis)
+    assert len(duals) == 1
     assert not cold_cores  # finished on the dual path, not the fallback
     cold = solve_lp(_dispatch_like(demand, b_ub))
     assert warm.status == cold.status
@@ -245,9 +253,8 @@ def test_basis_solutions_are_zero_pivot_warm_starts(cold_cores):
         rng = np.random.default_rng(seed)
         beqs = _rhs_stack(rng, b_eq, 16, 1.0)
         bubs = _rhs_stack(rng, b_ub, 16, 1.0)
-        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
         cold_cores.clear()
-        x, ok = simplex.basis_solutions(problem, parent.basis, beqs, bubs)
+        x, ok = simplex.basis_solutions(parent.basis, beqs, bubs)
         assert not cold_cores  # no LP solved
         assert x.shape == (16, len(c)) and ok.shape == (16,)
         for i in range(16):
@@ -288,7 +295,7 @@ def test_basis_solutions_serve_exactly_the_feasible_rhs(family):
     lp, cases = _RHS_CASES[family]
     parent = solve_lp(lp(6.0))
     x, ok = simplex.basis_solutions(
-        lp(6.0), parent.basis, [[d] for d, _, _ in cases],
+        parent.basis, [[d] for d, _, _ in cases],
         None if family == "bounds-only" else [b for _, b, _ in cases])
     # served within _FEAS_TOL; a hair beyond it, a pivot, infeasible
     assert ok.tolist() == [served for _, _, served in cases]
@@ -304,19 +311,18 @@ def test_basis_solutions_without_a_usable_basis_serve_nothing():
     parent = solve_lp(_dispatch_like(6.0))
     basis, stat, binv = parent.basis
     problem = _dispatch_like(6.0)
-    for start in ((basis, stat, 2.0 * binv), (basis, stat, np.full_like(binv, np.nan))):
-        x, ok = simplex.basis_solutions(problem, start, [[6.0], [6.5]],
-                                        [[2.0, 7.0], [2.0, 7.5]])
+    for bad in (2.0 * binv, np.full_like(binv, np.nan)):
+        start = simplex._Basis(basis, stat, bad, problem)
+        x, ok = simplex.basis_solutions(start, [[6.0], [6.5]], [[2.0, 7.0], [2.0, 7.5]])
         assert x.shape == (2, 3) and not ok.any()
-    _, ok = simplex.basis_solutions(problem, parent.basis, [[6.0], [6.5]],
-                                    [[2.0, 7.0], [2.0, 7.5]])
+    _, ok = simplex.basis_solutions(parent.basis, [[6.0], [6.5]], [[2.0, 7.0], [2.0, 7.5]])
     assert ok.all()
 
 
 def test_basis_solutions_reject_what_fails_the_equality_recheck():
     # free x0, x1 with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1 = b1: the
     # basis of both columns is ill-conditioned, but its inverse is exact,
-    # so it passes every test of _adopt and, its basics being free, the
+    # so it passes _invert's identity test and, its basics being free, the
     # _FEAS_TOL bound test for any b.  Where b1 - b0 is not a multiple of
     # 2**-40 the basics are about 2**40 (b1 - b0) and round at 1e-4, and
     # the rows miss b by more than 1e-6 (1 + |b|): only the recheck in
@@ -324,10 +330,10 @@ def test_basis_solutions_reject_what_fails_the_equality_recheck():
     t = 2.0 ** 40
     problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, 1.0 + 1.0 / t]]),
                         b_eq=np.zeros(2))
-    basis = (np.array([0, 1]), np.array([0, 0, 1, 1], dtype=np.int8),
-             np.array([[t + 1.0, -t], [-t, t]]))
+    basis = simplex._Basis(np.array([0, 1]), np.array([0, 0, 1, 1], dtype=np.int8),
+                           np.array([[t + 1.0, -t], [-t, t]]), problem)
     b_eqs = [[0.0, 0.0], [0.0, 1.0], [0.1, 0.3], [0.3, 0.7]]
-    x, ok = simplex.basis_solutions(problem, basis, b_eqs, None)
+    x, ok = simplex.basis_solutions(basis, b_eqs, None)
     assert ok.tolist() == [True, True, False, False]
     for b_eq, xi, served in zip(b_eqs, x, ok):
         lp = LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=b_eq)
@@ -338,7 +344,7 @@ def test_basis_solutions_reject_what_fails_the_equality_recheck():
             # the warm start's own recheck fails too, and the cold path runs
             assert warm.status != LpStatus.OPTIMAL or warm.iteration_count > 1
             core = simplex._Core(lp)
-            assert core.warm(*basis) == LpStatus.OPTIMAL
+            assert core.warm(basis) == LpStatus.OPTIMAL
             with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
                 core.final_values()
 
@@ -354,7 +360,7 @@ def test_singular_start_falls_back_to_cold(cold_cores):
     stat = np.full(6, simplex._AT_LO, dtype=np.int8)
     stat[:2] = simplex._BASIC
     cold_cores.clear()
-    warm = solve_lp(problem, start=(np.array([0, 1]), stat, np.eye(2)))
+    warm = solve_lp(problem, start=simplex._Basis(np.array([0, 1]), stat, np.eye(2), problem))
     assert len(cold_cores) == 1
     assert cold.status == warm.status == LpStatus.OPTIMAL
     assert warm.objective_value == pytest.approx(5.0, abs=1e-9)
@@ -364,10 +370,10 @@ def test_singular_start_falls_back_to_cold(cold_cores):
 def test_start_of_wrong_shape_is_rejected():
     problem = LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                         lo=np.zeros(2), hi=np.ones(2))
-    with pytest.raises(ValueError):
-        solve_lp(problem, start=(np.array([2]), np.zeros(3, dtype=np.int8), np.eye(1)))
-    with pytest.raises(ValueError):
-        solve_lp(problem, start=(np.array([2]), np.zeros(4, dtype=np.int8), np.eye(2)))
+    for basic, stat, binv in [(np.array([2]), np.zeros(3, dtype=np.int8), np.eye(1)),
+                              (np.array([2]), np.zeros(4, dtype=np.int8), np.eye(2))]:
+        with pytest.raises(ValueError, match="shape"):
+            solve_lp(problem, start=simplex._Basis(basic, stat, binv, problem))
 
 
 def test_validation_rejects_bad_bounds():
@@ -488,11 +494,18 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
     k = seed % len(c)
     lo2 = lo.copy()
     lo2[k] = 0.5 * (parent.x[k] + hi[k])
-    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo2, hi=hi)
+
+    def problem():
+        return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo2, hi=hi)
+
     cold_cores.clear()
-    fallback = solve_lp(problem, start=(basis, stat, drifted))
+    # undrifted, the start is taken; drifted, only the identity test fails it
+    solve_lp(problem(), start=simplex._Basis(basis, stat, binv, parent.basis.problem))
+    assert not cold_cores
+    fallback = solve_lp(problem(), start=simplex._Basis(basis, stat, drifted,
+                                                        parent.basis.problem))
     assert len(cold_cores) == 1
-    cold = solve_lp(problem)
+    cold = solve_lp(problem())
     assert fallback.status == cold.status
     assert fallback.iteration_count == cold.iteration_count
     assert fallback.objective_value == cold.objective_value
@@ -500,6 +513,56 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
         assert fallback.x.tobytes() == cold.x.tobytes()
         for got, want in zip(fallback.basis, cold.basis):
             assert got.tobytes() == want.tobytes()
+
+
+def _free_nonbasic_lp(lo, hi):
+    """max x0 with x0 <= 2 and x1 in no row: at the optimum of the free
+    x1's problem, x1 is a free nonbasic."""
+    return LpProblem(c=np.array([1.0, 0.0]), a_ub=np.array([[1.0, 0.0]]), b_ub=[2.0],
+                     lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("change", ["objective", "looser_bounds", "free_gains_a_bound"])
+def test_start_for_another_problem_solves_cold(change, cold_cores):
+    # such a start is not taken over: the solve is the cold solve, bit for bit
+    def lp(seed, child):
+        if change == "free_gains_a_bound":
+            return _free_nonbasic_lp([0.0, -1.0 if child else -np.inf],
+                                     [1.0, 1.0 if child else np.inf])
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+        if child:
+            c, lo = (c + 1.0, lo) if change == "objective" else (c, lo - 1.0)
+        return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+
+    solved = 0
+    for seed in range(1 if change == "free_gains_a_bound" else 40):
+        parent = solve_lp(lp(seed, False))
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        if change == "free_gains_a_bound":
+            assert parent.basis[1][1] == simplex._FREE
+        cold_cores.clear()
+        got = solve_lp(lp(seed, True), start=parent.basis)
+        assert len(cold_cores) == 1
+        want = solve_lp(lp(seed, True))
+        assert got.status == want.status
+        assert got.iteration_count == want.iteration_count
+        if want.status == LpStatus.OPTIMAL:
+            solved += 1
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.objective_value == want.objective_value
+            for g, w in zip(got.basis, want.basis):
+                assert g.tobytes() == w.tobytes()
+    assert solved >= (1 if change == "free_gains_a_bound" else 10)
+
+
+def test_start_that_is_no_basis_is_rejected():
+    problem = _dispatch_like(6.0)
+    basis = solve_lp(problem).basis
+    with pytest.raises(TypeError):
+        solve_lp(problem, start=tuple(basis))
+    with pytest.raises(TypeError):
+        simplex.basis_solutions(tuple(basis), [[6.0]], [[2.0, 7.0]])
 
 
 def _checked_moves(monkeypatch):
@@ -587,20 +650,30 @@ def test_carried_loop_state_never_drifts_under_blands_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
-def test_shared_phase1_matches_cold_solves(seed, cold_cores):
+def test_shared_phase1_matches_cold_solves(seed, phase1_runs):
+    # siblings that differ only in c, solved with no start: the first
+    # one's phase 1 serves the others
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
     rng = np.random.default_rng(seed)
-    shared = simplex.SharedPhase1()
+    first = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
     for k in range(4):
-        problem = LpProblem(c=c if k == 0 else rng.normal(size=len(c)), a_eq=a_eq, b_eq=b_eq,
-                            a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
-        cold_cores.clear()
-        got = solve_lp(problem, start=shared)
-        # only the first LP runs phase 1, unless it never got past it
-        assert len(cold_cores) == (k == 0 or got.status == LpStatus.INFEASIBLE)
-        want = solve_lp(problem)
+        problem = first if k == 0 else first.sibling(c=rng.normal(size=len(c)))
+        phase1_runs.clear()
+        got = solve_lp(problem)
+        if k == 0:
+            needs_phase1 = bool(phase1_runs)
+        else:
+            # only the first LP runs phase 1, unless it never got past it
+            assert len(phase1_runs) == (needs_phase1 and got.status == LpStatus.INFEASIBLE)
+        resumed = k > 0 and needs_phase1 and got.status != LpStatus.INFEASIBLE
+        want = solve_lp(LpProblem(c=problem.c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                                  lo=lo, hi=hi))
         assert got.status == want.status
-        assert got.iteration_count <= want.iteration_count
+        # a resumed solve counts only its phase 2
+        if resumed:
+            assert got.iteration_count < want.iteration_count
+        else:
+            assert got.iteration_count == want.iteration_count
         if want.status == LpStatus.OPTIMAL:
             assert got.x.tobytes() == want.x.tobytes()
             assert got.objective_value == want.objective_value
@@ -608,15 +681,23 @@ def test_shared_phase1_matches_cold_solves(seed, cold_cores):
                 assert g.tobytes() == w.tobytes()
 
 
-def test_shared_phase1_rejects_other_bounds():
+def test_shared_phase1_rejects_other_bounds(phase1_runs):
+    # a sibling under other bounds runs its own phase 1 and equals a cold
+    # solve of a fresh problem
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(0)
-    shared = simplex.SharedPhase1()
-    solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi),
-             start=shared)
-    assert shared.state is not None
-    with pytest.raises(ValueError, match="shared phase 1"):
-        solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                           lo=lo, hi=hi + 1.0), start=shared)
+    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    solve_lp(problem)
+    assert len(phase1_runs) == 1 and problem.row_set.phase1 is not None
+    phase1_runs.clear()
+    got = solve_lp(problem.sibling(c=-c, hi=hi + 1.0))
+    assert len(phase1_runs) == 1
+    want = solve_lp(LpProblem(c=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo,
+                              hi=hi + 1.0))
+    assert got.status == want.status == LpStatus.OPTIMAL
+    assert got.iteration_count == want.iteration_count
+    assert got.x.tobytes() == want.x.tobytes()
+    for g, w in zip(got.basis, want.basis):
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.xfail(strict=True, reason="the cold path calls this feasible ill-conditioned LP "

@@ -6,10 +6,9 @@ from scipy.optimize import linprog
 
 from oracles import (TooLarge, bounds_around_outputs, brute_force_worst_case, grid_fixture,
                      seeded_net)
-from wcopf import simplex
 from wcopf.errors import BoundsUnavailable
 from wcopf.mlp import MlpParams, forward
-from wcopf.simplex import LpStatus, SharedPhase1, solve_lp
+from wcopf.simplex import LpProblem, LpStatus, solve_lp
 from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
@@ -315,28 +314,20 @@ def test_node_lps_warm_start_without_refactorizing(monkeypatch, cold_cores, seed
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
     warm_cold = []  # cold-path solves inside each warm-started node LP
-    adopted = []     # cores that ran _Core._adopt
-    adopt = simplex._Core._adopt
-    monkeypatch.setattr(simplex._Core, "_adopt",
-                        lambda core, *args: adopted.append(core) or adopt(core, *args))
-    warm_adopted = []  # _adopt calls inside each warm-started node LP
 
     def recording(problem, *args, **kwargs):
         start = kwargs.get("start", args[0] if args else None)
         before = len(cold_cores)
-        before_adopt = len(adopted)
         sol = solve_lp(problem, *args, **kwargs)
-        if start is not None and not isinstance(start, SharedPhase1):
+        if start is not None:
             warm_cold.append(len(cold_cores) - before)
-            warm_adopted.append(len(adopted) - before_adopt)
         return sol
 
     monkeypatch.setattr(milp, "solve_lp", recording)
     cert = solve_worst_case(params, box, gen)
-    assert not any(warm_cold)
     # a child's start is its parent's optimal basis under tighter bounds,
-    # so it enters the dual simplex directly
-    assert not any(warm_adopted)
+    # so it enters the dual simplex and never falls back to a cold solve
+    assert not any(warm_cold)
     assert _cert_bytes(cert) == _cert_bytes(solve_worst_case(params, box, gen))
 
 
@@ -346,46 +337,57 @@ _ROOT_CASES = [_ENCODING_CASES[0], (4, (2, 6, 6, 3), -0.3, 0.3), _ENCODING_CASES
 
 
 @pytest.mark.parametrize("seed,dims,lo,hi", _ROOT_CASES)
-def test_roots_share_one_phase1_that_equals_a_cold_solve(monkeypatch, cold_cores, seed, dims,
+def test_roots_share_one_phase1_that_equals_a_cold_solve(monkeypatch, phase1_runs, seed, dims,
                                                         lo, hi):
     params = seeded_net(seed, dims)
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
-    roots = []     # (problem, solution, resumed) of every root LP
-    node_cold = [0]  # cold-path solves inside node LPs
+    roots = []       # (problem, solution) of every root LP
+    node_runs = [0]  # phase 1 runs inside node LPs
 
     def recording(problem, *args, **kwargs):
         start = kwargs.get("start", args[0] if args else None)
-        before = len(cold_cores)
-        resumed = isinstance(start, SharedPhase1) and start.state is not None
+        before = len(phase1_runs)
         sol = solve_lp(problem, *args, **kwargs)
-        node_cold[0] += len(cold_cores) - before
-        if start is None or isinstance(start, SharedPhase1):
-            roots.append((problem, sol, resumed))
+        node_runs[0] += len(phase1_runs) - before
+        if start is None:
+            roots.append((problem, sol))
         return sol
+
+    def fresh(problem):
+        # the same LP in an LpProblem of its own, which shares no phase 1
+        return LpProblem(c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub, lo=problem.lo,
+                         hi=problem.hi)
 
     monkeypatch.setattr(milp, "solve_lp", recording)
     shared = solve_worst_case(params, box, gen)
-    # one encoding, so one phase 1 for all its roots
-    assert node_cold == [1]
-    assert not roots[0][2] and all(resumed for _, _, resumed in roots[1:])
     assert len(roots) >= 2
-    for problem, sol, resumed in roots[1:]:
-        cold = solve_lp(problem)
+    # one encoding, so one phase 1 for all its roots (none without rows)
+    has_rows = roots[0][0].a_ub.size > 0
+    assert node_runs == [int(has_rows)]
+    for k, (problem, sol) in enumerate(roots):
+        phase1_runs.clear()
+        cold = solve_lp(fresh(problem))
+        assert len(phase1_runs) == int(has_rows)
         assert sol.status == cold.status == LpStatus.OPTIMAL
         assert sol.x.tobytes() == cold.x.tobytes()
         assert sol.objective_value == cold.objective_value
         for got, want in zip(sol.basis, cold.basis):
             assert got.tobytes() == want.tobytes()
-        # a resumed root counts only its phase 2; these nets' roots need a phase 1
-        assert sol.iteration_count < cold.iteration_count or not problem.a_ub.size
+        # a resumed root counts only its phase 2
+        if k and has_rows:
+            assert sol.iteration_count < cold.iteration_count
+        else:
+            assert sol.iteration_count == cold.iteration_count
 
-    # without sharing every root solves cold, to the same certificate
+    # with every root solved from a fresh LpProblem, each runs its own
+    # phase 1, to the same certificate
     roots.clear()
-    node_cold[0] = 0
-    monkeypatch.setattr(milp, "SharedPhase1", lambda: None)
+    node_runs[0] = 0
+    monkeypatch.setattr(milp, "solve_lp", lambda problem, start=None, cutoff=None: recording(
+        fresh(problem) if start is None else problem, start=start, cutoff=cutoff))
     unshared = solve_worst_case(params, box, gen)
-    assert node_cold == [len(roots)]
+    assert node_runs == [len(roots) * has_rows]
     assert _cert_bytes(unshared) == _cert_bytes(shared)
 
 
@@ -522,7 +524,7 @@ def child_lps(case9_fixture):
     children = []
 
     def recording(problem, start=None, cutoff=None):
-        if cutoff is not None:
+        if start is not None:
             children.append((problem, start, cutoff))
         return solve_lp(problem, start=start, cutoff=cutoff)
 
@@ -537,25 +539,6 @@ def _lp_bytes(sol):
     return (sol.status, sol.iteration_count, np.float64(sol.objective_value).tobytes(),
             np.float64(sol.bound).tobytes(), None if sol.x is None else sol.x.tobytes(),
             None if sol.basis is None else [v.tobytes() for v in sol.basis])
-
-
-def test_direct_warm_start_equals_adopting_a_plain_copy(monkeypatch, child_lps):
-    # the start as the search passes it skips _adopt; a plain copy of it
-    # runs _adopt, whose passes must then have changed nothing
-    adopted = []
-    adopt = simplex._Core._adopt
-    monkeypatch.setattr(simplex._Core, "_adopt",
-                        lambda core, *args: adopted.append(core) or adopt(core, *args))
-    statuses = Counter()
-    for problem, start, _ in child_lps:
-        direct = solve_lp(problem, start=start)
-        assert not adopted
-        plain = solve_lp(problem, start=tuple(v.copy() for v in start))
-        assert len(adopted) == 1
-        adopted.clear()
-        assert _lp_bytes(direct) == _lp_bytes(plain)
-        statuses[direct.status] += 1
-    assert statuses[LpStatus.OPTIMAL] > 200 and statuses[LpStatus.INFEASIBLE] > 0
 
 
 def _highs(problem):
