@@ -48,8 +48,10 @@ feasibility (or proves the LP infeasible from a row of binv); the
 primal simplex finishes.  Any other start solves cold, and so does one
 for which binv @ a[:, basis] misses the identity by more than _FEAS_TOL
 (a test that NaN also fails) or whose dual simplex breaks down
-numerically.  An LP without rows takes the same path with an empty
-basis.
+numerically.  A start that passes that test is not tested again for
+the same row set (_Basis.inverts), so the two children of a
+branch-and-bound node pay for one test between them.  An LP without
+rows takes the same path with an empty basis.
 
 A warm start may come with a cutoff (a cold solve ignores it).  After
 each dual pivot the row duals c_B @ binv then become a rigorous upper
@@ -60,18 +62,31 @@ below the cutoff, with status CUTOFF and the bound on LpSolution.bound:
 no x, no phase 2, no refactorization.  A solve that the cutoff does not
 stop returns what it would without one.
 
-A warm start whose basis is already primal feasible for the new
-right-hand sides takes no pivot: its x is the nonbasics at their bounds
-and the basics solved for exactly (final_values).  basis_solutions
-computes that x for a whole stack of right-hand sides at once, without
-solving an LP, and says which of them the basis serves; the others
-need solve_lp.  A dispatch dataset's samples share a handful of optimal
-bases, so most of them never reach solve_lp.
+An optimal solve's x is the nonbasics at their bounds and the basics
+solved for exactly from the final basis (final_values), which is the
+one O(m^3) step of a solve.  LpSolution derives it on first read, so an
+LP read only for its basis, as the verifier's bound LPs are, never
+takes it.  A warm start reads it before it returns: a failed recheck
+sends it down the cold path.
 
-The dual and primal loops keep their per-iteration state (the movable
-masks and the basic variables' bounds and costs) and update it at the
-variables each pivot or bound flip moves; reduced costs are recomputed
-on every iteration.
+A warm start whose basis is already primal feasible for the new
+right-hand sides takes no pivot, and its x is that same refactorized
+point.  basis_solutions computes that x for a whole stack of right-hand
+sides at once, without solving an LP, and says which of them the basis
+serves; the others need solve_lp.  A dispatch dataset's samples share a
+handful of optimal bases, so most of them never reach solve_lp.
+
+The dual and primal loops keep their per-iteration state and update it
+at the variables each pivot or bound flip moves, and a warm start's
+primal phase 2 continues from the state its dual loop leaves.  That
+state is the basic variables' bounds and costs and two direction
+multipliers per variable: up_j = 1.0 where x_j may rise from its bound
+(else 0.0) and dn_j = -1.0 where it may fall (else -0.0).  One fused
+pass, max(d * up, d * dn), is then |d_j| exactly where moving x_j
+helps and at most 0 elsewhere, so its argmax is Dantzig's entering
+variable and its first entry above _OBJ_TOL Bland's.  The dual ratio
+test finds its eligible columns by the same fused pass over its row.
+Reduced costs are recomputed on every iteration.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
 the closing pricing pass of each primal phase.  All ties break toward
@@ -176,7 +191,7 @@ class LpProblem:
         if lo.shape[0] != n or hi.shape[0] != n:
             raise ValueError("bound vectors must match the number of variables")
         # one pass for the valid case; a NaN fails every comparison
-        if not ((lo <= hi).all() and (lo < np.inf).all() and (hi > -np.inf).all()):
+        if not ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
             if np.isnan(lo).any() or np.isnan(hi).any():
                 raise ValueError("NaN in variable bounds")
             if (lo > hi).any():
@@ -221,23 +236,61 @@ class _RowSet:
         self.phase1 = None
 
 
-@dataclass
 class LpSolution:
-    status: LpStatus
-    x: np.ndarray = None
-    objective_value: float = float("nan")
-    iteration_count: int = 0
-    basis: tuple = None  # (basic indices, statuses, binv) of an optimal solve
-    bound: float = float("nan")  # a CUTOFF's safe bound on the objective
+    """What solve_lp returns.
+
+    status, iteration_count, basis (the (basic indices, statuses, binv)
+    of an optimal solve) and bound (a CUTOFF's safe bound on the
+    objective) are set when the solve ends.  An optimal solve's x, with
+    its basic values solved for exactly from the final basis
+    (_Core.final_values), and objective_value = c @ x are derived on
+    first read, so a caller that reads only the basis never pays for
+    them; a failed feasibility recheck raises NumericalBreakdown at that
+    read.  A warm-started solve reads them before it returns, because
+    such a failure sends it down the cold path.  Without an optimum, x is
+    None and objective_value NaN.
+    """
+
+    def __init__(self, status, iteration_count=0, basis=None, bound=float("nan"), core=None):
+        self.status = status
+        self.iteration_count = iteration_count
+        self.basis = basis
+        self.bound = bound
+        self._core = core  # the finished core, until x is derived from it
+        self._x = None
+        self._value = float("nan")
+
+    @property
+    def x(self):
+        self._derive()
+        return self._x
+
+    @property
+    def objective_value(self):
+        self._derive()
+        return self._value
+
+    def _derive(self):
+        core = self._core
+        if core is not None:
+            x = core.final_values()[:core.n]
+            self._x, self._value, self._core = x, float(core.problem.c @ x), None
 
 
 class _Basis(tuple):
     """LpSolution.basis: the (basic indices, statuses, binv) of an optimal
-    solve, which also keeps the problem it solved (see _Core._inherits)."""
+    solve, which also keeps the problem it solved (see _Core._inherits).
+
+    inverts is the _RowSet over whose matrix _Core._invert last found
+    binv to invert a[:, basic], or None: a second start from this basis
+    over those rows, as a branch-and-bound node's second child is, skips
+    the identity test.  Nothing writes to the three arrays.
+    """
 
     def __new__(cls, basic, stat, binv, problem):
         basis = super().__new__(cls, (basic, stat, binv))
         basis.problem = problem
+        basis.inverts = None
         return basis
 
 
@@ -269,12 +322,14 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
         try:
             status = core.warm(start, cutoff)
             if status is not None:
-                return _solution(problem, core, status, 0)
+                sol = _solution(core, status, 0)
+                sol._derive()  # a failed recheck sends the solve down the cold path
+                return sol
         except NumericalBreakdown:
             pass
         spent = core.iterations
     core = _Core(problem)
-    return _solution(problem, core, core.cold(), spent)
+    return _solution(core, core.cold(), spent)
 
 
 def basis_solutions(basis, b_eq, b_ub):
@@ -300,7 +355,7 @@ def basis_solutions(basis, b_eq, b_ub):
     b_ub = np.zeros((k, 0)) if b_ub is None else np.asarray(b_ub, dtype=float)
     b = np.concatenate([b_eq.reshape(k, core.m_eq), b_ub.reshape(k, core.m - core.m_eq)],
                        axis=1)
-    if not core._invert(*basis):
+    if not core._invert(basis):
         return np.zeros((k, core.n)), np.zeros(k, dtype=bool)
     core._rest()
     # the basic values warm sets, and _dual's stopping test
@@ -361,17 +416,15 @@ def safe_max(y, c, off, rows, rhs, lo, hi, m_eq=0, cutoff=np.inf):
     return bound + _SAFE_PAD * scale
 
 
-def _solution(problem, core, status, spent):
+def _solution(core, status, spent):
     """LpSolution of a finished core; spent counts abandoned warm iterations."""
     iterations = spent + core.iterations
     if status == LpStatus.CUTOFF:
-        return LpSolution(status, iteration_count=iterations, bound=core.bound)
+        return LpSolution(status, iterations, bound=core.bound)
     if status != LpStatus.OPTIMAL:
-        return LpSolution(status, iteration_count=iterations)
-    x = core.final_values()[:core.n]
-    return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=float(problem.c @ x),
-                      iteration_count=iterations,
-                      basis=_Basis(core.basis, core.stat, core.binv, problem))
+        return LpSolution(status, iterations)
+    return LpSolution(status, iterations, core=core,
+                      basis=_Basis(core.basis, core.stat, core.binv, core.problem))
 
 
 class _Core:
@@ -387,9 +440,11 @@ class _Core:
     to col enters at row r.
 
     The dual and primal loops carry their per-iteration state instead of
-    rebuilding it: _track sets the rises/falls masks of _movable and the
-    basic variables' bounds and costs at loop entry, and _move updates
-    them at the variables each pivot or bound flip moves.
+    rebuilding it: _track sets the direction multipliers up and dn of
+    _directions and the basic variables' bounds and costs at loop entry,
+    and _move updates them at the two variables a pivot moves, or the
+    one a bound flip does.  A warm start's primal phase 2 continues from
+    the state its dual loop leaves.
     """
 
     def __init__(self, problem):
@@ -460,16 +515,15 @@ class _Core:
 
     def warm(self, start, cutoff=None):
         """Dual simplex from start, an earlier optimal solve's
-        LpSolution.basis, then phase 2; None if the start is unusable:
-        not one for this problem (_inherits), or its binv fails _invert's
-        identity test."""
-        basis, stat, binv = start
-        if not (self._inherits(_source(start), stat) and self._invert(basis, stat, binv)):
+        LpSolution.basis, then primal phase 2 from the state the dual
+        loop leaves; None if the start is unusable: not one for this
+        problem (_inherits), or its binv fails _invert's identity test."""
+        if not (self._inherits(_source(start), start[1]) and self._invert(start)):
             return None
         self._rest()
         self.x[self.basis] = self._basic_values(self.b)
         status = self._dual(cutoff)
-        return self._phase2() if status is None else status
+        return self._run() if status is None else status
 
     def _inherits(self, source, stat):
         """Whether a start with statuses stat, optimal for the problem
@@ -492,10 +546,13 @@ class _Core:
         free = stat[:self.n] == _FREE
         return not (free.any() and (free & (np.isfinite(p.lo) | np.isfinite(p.hi))).any())
 
-    def _invert(self, basis, stat, binv):
+    def _invert(self, start):
         """Copy a start's basis, statuses and inverse into the core; False
         if binv @ a[:, basis] misses the identity by more than _FEAS_TOL
-        (binv does not invert this basis, or is not finite)."""
+        (binv does not invert this basis, or is not finite).  The test
+        runs once per start and row set: a pass is remembered on the
+        start (_Basis.inverts), a failure is not."""
+        basis, stat, binv = start
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
         m = self.m
@@ -503,10 +560,11 @@ class _Core:
                 or np.shape(binv) != (m, m)):
             raise ValueError("start basis does not match the problem's shape")
         binv = np.array(binv, dtype=float)
-        gap = binv @ self.a[:, basis]
-        gap.flat[::m + 1] -= 1.0  # minus the identity
-        if not (np.abs(gap) <= _FEAS_TOL).all():
-            return False
+        rs = self.problem.row_set
+        if start.inverts is not rs:
+            if not _inverts(binv, self.a[:, basis]):
+                return False
+            start.inverts = rs
         self.basis = basis
         self.stat = stat
         self.binv = binv
@@ -525,39 +583,55 @@ class _Core:
         return _matvec(self.binv, b - self.a @ self.x)
 
     def _phase2(self):
-        return LpStatus.OPTIMAL if self._run(self.c) else LpStatus.UNBOUNDED
+        self._track(self.c)
+        return self._run()
 
     # -- carried loop state --------------------------------------------------
 
     def _track(self, c):
         """Start carrying the state of a loop on objective c."""
         self.cost = c
-        self.rises, self.falls = self._movable()
+        self.up, self.dn = self._directions()
         self.lo_b = self.lo[self.basis]
         self.hi_b = self.hi[self.basis]
         self.c_b = c[self.basis]
+
+    def _directions(self):
+        """(up, dn): up_j is 1.0 where x_j may rise from its bound, else
+        0.0, and dn_j is -1.0 where it may fall, else -0.0.
+
+        max(v * up, v * dn) is then |v_j| where x_j may move in the
+        direction of v_j's sign and at most 0 everywhere else, so one
+        pass prices every variable.
+        """
+        movable = self.hi > self.lo
+        stat = self.stat
+        up = np.where(movable & ((stat == _AT_LO) | (stat == _FREE)), 1.0, 0.0)
+        dn = np.where(movable & ((stat == _AT_UP) | (stat == _FREE)), -1.0, -0.0)
+        return up, dn
 
     def _move(self, j, s, r=None, col=None):
         """Bound flip, or with a row r and j's column col = binv @ a_j a pivot.
 
         A flip gives nonbasic j status s; a pivot enters j at row r and
-        that row's basic variable leaves with status s.  Only the moved
-        variables' entries of the carried state change.
+        that row's basic variable leaves with nonbasic status s.  Only the
+        moved variables' entries of the carried state change.
         """
-        if r is None:
-            moved = ((j, s),)
-        else:
-            moved = ((self.basis[r], s), (j, _BASIC))
+        if r is not None:
+            k = self.basis[r]
             self.basis[r] = j
             self.lo_b[r] = self.lo[j]
             self.hi_b[r] = self.hi[j]
             self.c_b[r] = self.cost[j]
             self._pivot(r, col)
-        for k, s_k in moved:
-            self.stat[k] = s_k
-            movable = self.hi[k] > self.lo[k]
-            self.rises[k] = movable and (s_k == _AT_LO or s_k == _FREE)
-            self.falls[k] = movable and (s_k == _AT_UP or s_k == _FREE)
+            self.stat[j] = _BASIC
+            self.up[j] = 0.0
+            self.dn[j] = -0.0
+            j = k
+        self.stat[j] = s
+        movable = self.hi[j] > self.lo[j]
+        self.up[j] = 1.0 if movable and s != _AT_UP else 0.0
+        self.dn[j] = -1.0 if movable and s != _AT_LO else -0.0
 
     # -- dual simplex --------------------------------------------------------
 
@@ -574,13 +648,15 @@ class _Core:
         only differ at basic variables, as a branch-and-bound child's do
         (their reduced costs are zero).
         Assumes a dual feasible basis, so the leaving row's ratio test keeps
-        every reduced cost on its optimal side.
+        every reduced cost on its optimal side.  The loop state it starts
+        carrying on the objective (_track) is current when it returns, for
+        the primal phase 2 that follows.
         """
+        self._track(self.c)
         if not self.m:
             return None
-        self._track(self.c)
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
-        lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
+        lo_b, hi_b, up, dn = self.lo_b, self.hi_b, self.up, self.dn
         p, rs = self.problem, self.problem.row_set
         while True:
             xb = x[basis]
@@ -604,8 +680,9 @@ class _Core:
             # toward its bound when x_j moves in the direction of alpha_j
             g = 1.0 if below[r] > 0.0 else -1.0
             alpha = -g * (binv[r] @ a)
-            elig = (rises & (alpha > _PIVOT_TOL)) | (falls & (alpha < -_PIVOT_TOL))
-            if not elig.any():
+            elig = np.maximum(alpha * up, alpha * dn) > _PIVOT_TOL
+            movers = elig.nonzero()[0]
+            if not movers.size:
                 if self._row_proves_infeasible(r):
                     return LpStatus.INFEASIBLE
                 raise NumericalBreakdown("dual ratio test disagrees with its row")
@@ -614,8 +691,9 @@ class _Core:
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run
-            theta = ((room[elig] + _OBJ_TOL) / aabs[elig]).min()
-            cand = np.flatnonzero(elig & (room <= theta * aabs))
+            ratios = (room[movers] + _OBJ_TOL) / aabs[movers]
+            theta = ratios[ratios.argmin()]
+            cand = (elig & (room <= theta * aabs)).nonzero()[0]
             j = int(cand[aabs[cand].argmax()])
 
             col = binv @ a[:, j]
@@ -642,13 +720,13 @@ class _Core:
 
     # -- primal simplex ------------------------------------------------------
 
-    def _run(self, c):
-        """Primal simplex on objective c from a primal feasible basis;
-        False when c @ x is unbounded above."""
-        self._track(c)
+    def _run(self):
+        """Primal simplex on the tracked objective (_track) from a primal
+        feasible basis: OPTIMAL, or UNBOUNDED when the objective is
+        unbounded above."""
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo, hi, m = self.lo, self.hi, self.m
-        lo_b, hi_b, rises, falls = self.lo_b, self.hi_b, self.rises, self.falls
+        lo_b, hi_b, up, dn = self.lo_b, self.hi_b, self.up, self.dn
         bland = False
         stalled = 0
         while True:
@@ -657,13 +735,11 @@ class _Core:
                 raise NumericalBreakdown(
                     f"simplex iteration cap {self.max_iterations} exceeded")
             d = self._reduced_costs()
-            elig = (rises & (d > _OBJ_TOL)) | (falls & (d < -_OBJ_TOL))
-            if not elig.any():
-                return True  # optimal for this phase
-            if bland:
-                j = int(elig.argmax())
-            else:
-                j = int(np.where(elig, np.abs(d), 0.0).argmax())
+            # |d_j| where moving x_j raises the objective, at most 0 elsewhere
+            score = np.maximum(d * up, d * dn)
+            j = int((score > _OBJ_TOL).argmax() if bland else score.argmax())
+            if not score[j] > _OBJ_TOL:
+                return LpStatus.OPTIMAL  # for this phase
             sigma = 1.0 if d[j] > 0.0 else -1.0
 
             col = binv @ a[:, j]
@@ -677,15 +753,15 @@ class _Core:
             t_arr = room / adelta  # inf wherever the row does not limit the step
 
             t_flip = hi[j] - lo[j]  # inf unless j is boxed
-            t_min = t_arr.min() if m else np.inf
+            t_min = t_arr[t_arr.argmin()] if m else np.inf
             if t_flip == np.inf and t_min == np.inf:
-                return False  # unbounded direction
+                return LpStatus.UNBOUNDED
 
             r = -1
             t_step = np.inf
             if t_min < np.inf:
                 if bland:
-                    ties = np.flatnonzero(t_arr == t_min)
+                    ties = (t_arr == t_min).nonzero()[0]
                     r = int(ties[basis[ties].argmin()])
                 else:
                     # Harris two-pass ratio test: allow _FEAS_TOL of bound
@@ -693,8 +769,9 @@ class _Core:
                     # largest pivot so near-zero elements never enter the
                     # basis.  Any overshoot of another row's bound is at
                     # most _FEAS_TOL by the definition of theta.
-                    theta = ((room + _FEAS_TOL) / adelta).min()
-                    cand = np.flatnonzero(t_arr <= theta)
+                    ratios = (room + _FEAS_TOL) / adelta
+                    theta = ratios[ratios.argmin()]
+                    cand = (t_arr <= theta).nonzero()[0]
                     r = int(cand[adelta[cand].argmax()])
                 t_step = t_arr[r]
 
@@ -731,13 +808,6 @@ class _Core:
         """Reduced costs of the tracked objective."""
         return self.cost - (self.c_b @ self.binv) @ self.a
 
-    def _movable(self):
-        """(rises, falls): nonbasics free to move up, and down, from their bound."""
-        movable = self.hi > self.lo
-        rises = movable & ((self.stat == _AT_LO) | (self.stat == _FREE))
-        falls = movable & ((self.stat == _AT_UP) | (self.stat == _FREE))
-        return rises, falls
-
     def _pivot(self, r, col):
         """Enter the column that binv maps to col at row r: update binv."""
         binv = self.binv
@@ -751,7 +821,8 @@ class _Core:
         art = slice(self.n_real, None)
         c = np.zeros(self.n_total)
         c[art] = np.where(self.lo[art] < 0.0, 1.0, -1.0)  # maximize -|x_art|
-        self._run(c)  # bounded by construction
+        self._track(c)
+        self._run()  # bounded by construction
         if np.abs(self.x[art]).sum() > _FEAS_TOL:
             return False
         self._drive_out_artificials()
@@ -807,6 +878,14 @@ class _Core:
         resid = np.abs(_matvec(self.a, x) - b)
         scale = 1.0 + np.abs(b)
         return x, (resid > 1e-6 * scale).any(axis=-1)
+
+
+def _inverts(binv, bmat):
+    """Whether binv @ bmat misses the identity by at most _FEAS_TOL, a
+    test that NaN fails."""
+    gap = binv @ bmat
+    gap.flat[::gap.shape[0] + 1] -= 1.0  # minus the identity
+    return bool((np.abs(gap) <= _FEAS_TOL).all())
 
 
 def _matvec(a, x):

@@ -117,9 +117,12 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
     unless the maximum already proves them inactive.  All LPs are
     siblings of one LpProblem under equal bounds, so only the first runs
     phase 1 (simplex._RowSet.phase1).  Each optimal LP yields a safe
-    bound from its row duals (simplex.safe_max); an LP that is not
-    optimal or breaks down numerically leaves its bound as it was.
-    Returns new arrays (lower, upper), never looser than the ones given.
+    bound from the row duals of its final basis (simplex.safe_max), which
+    is rigorous for any multipliers; its x is never read, so no LP pays
+    for the refactorization and feasibility recheck behind it.  An LP
+    that ends other than optimal, or whose simplex breaks down (the
+    iteration cap), leaves its bound as it was.  Returns new arrays
+    (lower, upper), never looser than the ones given.
     """
     a, b = forms
     lower = np.array(lower, dtype=float)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import lp_vertex_enumeration, ptdf_reference
-from wcopf.errors import SchemaError, SingularNetwork
+from wcopf import simplex
+from wcopf.errors import NumericalBreakdown, SchemaError, SingularNetwork
 from wcopf.grid import (GridModel, Generator, Line, Load, builtin_grid,
                         compute_ptdf, grid_from_dict, injection_matrices,
                         load_grid, solve_dcopf)
@@ -262,6 +263,21 @@ def test_dcopf_infeasible_demand():
     g = ring3()
     sol = solve_dcopf(g, compute_ptdf(g), np.array([300.0, 100.0]))  # above capacity
     assert sol.status == LpStatus.INFEASIBLE
+
+
+def test_dispatch_whose_recheck_fails_raises(monkeypatch):
+    # a dispatch LP reads its x, so a feasibility recheck that fails
+    # every time raises whether it solves cold or from a start
+    g = builtin_grid("case9")
+    ptdf = compute_ptdf(g)
+    d = g.nominal_demand()
+    start = solve_dcopf(g, ptdf, d).basis
+    refactor = simplex._Core._exact
+    monkeypatch.setattr(simplex._Core, "_exact",
+                        lambda core, x, b: (refactor(core, x, b)[0], np.True_))
+    for basis in (None, start):
+        with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
+            solve_dcopf(g, ptdf, 0.9 * d, start=basis)
 
 
 def test_singular_network_error():

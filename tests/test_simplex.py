@@ -502,17 +502,56 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
     # undrifted, the start is taken; drifted, only the identity test fails it
     solve_lp(problem(), start=simplex._Basis(basis, stat, binv, parent.basis.problem))
     assert not cold_cores
-    fallback = solve_lp(problem(), start=simplex._Basis(basis, stat, drifted,
-                                                        parent.basis.problem))
-    assert len(cold_cores) == 1
+    start = simplex._Basis(basis, stat, drifted, parent.basis.problem)
     cold = solve_lp(problem())
-    assert fallback.status == cold.status
-    assert fallback.iteration_count == cold.iteration_count
-    assert fallback.objective_value == cold.objective_value
-    if cold.status == LpStatus.OPTIMAL:
-        assert fallback.x.tobytes() == cold.x.tobytes()
-        for got, want in zip(fallback.basis, cold.basis):
-            assert got.tobytes() == want.tobytes()
+    # a failed test is not remembered: passed twice, the start solves cold twice
+    for k in (1, 2):
+        fallback = solve_lp(problem(), start=start)
+        assert len(cold_cores) == 1 + k and start.inverts is None
+        assert fallback.status == cold.status
+        assert fallback.iteration_count == cold.iteration_count
+        assert fallback.objective_value == cold.objective_value
+        if cold.status == LpStatus.OPTIMAL:
+            assert fallback.x.tobytes() == cold.x.tobytes()
+            for got, want in zip(fallback.basis, cold.basis):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 15, 21])
+def test_identity_test_runs_once_per_start_and_row_set(monkeypatch, seed, cold_cores):
+    # two children of one row set share their parent's test; a problem
+    # with equal rows in a row set of its own runs its own test
+    tests = []
+    inverts = simplex._inverts
+    monkeypatch.setattr(simplex, "_inverts",
+                        lambda binv, bmat: tests.append(1) or inverts(binv, bmat))
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    parent = solve_lp(problem)
+    assert parent.status == LpStatus.OPTIMAL and not tests
+    cold_cores.clear()
+    k = seed % len(c)
+    children = []
+    for new_lo, new_hi in _children(parent, lo, hi, k)[:2]:
+        lo2, hi2 = lo.copy(), hi.copy()
+        lo2[k], hi2[k] = new_lo, new_hi
+        children.append((lo2, hi2))
+        solve_lp(problem.sibling(lo=lo2, hi=hi2), start=parent.basis)
+        assert len(tests) == 1 and parent.basis.inverts is problem.row_set
+    lo2, hi2 = children[-1]
+    twin = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo2, hi=hi2)
+    got = solve_lp(twin, start=parent.basis)
+    assert len(tests) == 2 and parent.basis.inverts is twin.row_set
+    # each start was taken, and skipping the test changes no bit
+    assert not cold_cores
+    want = solve_lp(problem.sibling(lo=lo2, hi=hi2),
+                    start=simplex._Basis(*parent.basis, parent.basis.problem))
+    assert len(tests) == 3
+    assert (got.status, got.iteration_count) == (want.status, want.iteration_count)
+    if want.status == LpStatus.OPTIMAL:
+        assert got.x.tobytes() == want.x.tobytes()
+        for g, w in zip(got.basis, want.basis):
+            assert g.tobytes() == w.tobytes()
 
 
 def _free_nonbasic_lp(lo, hi):
@@ -577,9 +616,10 @@ def _checked_moves(monkeypatch):
 
     def checked(core, j, s, r=None, col=None):
         move(core, j, s, r, col)
-        rises, falls = core._movable()
-        assert core.rises.tobytes() == rises.tobytes()
-        assert core.falls.tobytes() == falls.tobytes()
+        # bytes, so a stale sign of a zero in dn counts as drift too
+        up, dn = core._directions()
+        assert core.up.tobytes() == up.tobytes()
+        assert core.dn.tobytes() == dn.tobytes()
         assert core.lo_b.tobytes() == core.lo[core.basis].tobytes()
         assert core.hi_b.tobytes() == core.hi[core.basis].tobytes()
         assert core.c_b.tobytes() == core.cost[core.basis].tobytes()

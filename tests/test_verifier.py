@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -6,14 +7,15 @@ from scipy.optimize import linprog
 
 from oracles import (TooLarge, bounds_around_outputs, brute_force_worst_case, grid_fixture,
                      seeded_net)
-from wcopf.errors import BoundsUnavailable
+from wcopf import simplex
+from wcopf.errors import BoundsUnavailable, NumericalBreakdown
 from wcopf.mlp import MlpParams, forward
 from wcopf.simplex import LpProblem, LpStatus, solve_lp
 from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
-from wcopf.verifier import milp, patterns
+from wcopf.verifier import bounds, milp, patterns
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
 
 
@@ -489,7 +491,7 @@ def case9_fixture():
 # The fixture set: nn-trained case9 nets (400 samples, data seed 0, 400
 # epochs, alpha 3e-3) certified over the unit box.  The unweighted
 # branching rule took 605, 581, 815, 55, 11, 84, 27 and 18 nodes.
-@pytest.mark.parametrize("arch,seed,nodes,constraint_id", [
+_CASE9_NETS = [
     ((16, 16), 0, 189, (1, "lower")),
     ((16, 16), 1, 165, (0, "upper")),
     ((24, 24), 0, 129, (0, "upper")),
@@ -498,26 +500,99 @@ def case9_fixture():
     ((24,), 4, 40, (1, "lower")),
     ((8,), 0, 17, (1, "lower")),
     ((8,), 1, 14, (1, "lower")),
-], ids=["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4", "24_s4", "8_s0",
-        "8_s1"])
-def test_case9_fixture_trees_are_pinned(case9_fixture, arch, seed, nodes, constraint_id):
-    data, gen, box = case9_fixture
-    params, _ = train_standard(data, arch, TrainConfig(alpha=3e-3, epochs=400, seed=seed))
-    cert = solve_worst_case(params, box, gen)
-    assert (cert.nodes_explored, cert.status, cert.constraint_id) == \
-        (nodes, CERTIFIED, constraint_id)
+]
+# sha256 over the value, bound and witness bytes of the eight
+# certificates, and over the LP-tightened bounds (_Encoding.pre) of the
+# five two-layer nets, in _CASE9_NETS order
+_CASE9_CERT_SHA256 = "9b8b38125c472c8509de551003c76f0e86c00368995d40ef19867a1faa0f90ae"
+_CASE9_PRE_SHA256 = "97a1b0a3a73280a1e4bcd888362daffe15b0be5d7c1bc17a1e2c4b366e559ea8"
 
 
 @pytest.fixture(scope="module")
-def child_lps(case9_fixture):
+def case9_nets(case9_fixture):
+    """(params, certificate) of every case9 fixture net, keyed (arch, seed)."""
+    data, gen, box = case9_fixture
+    nets = {}
+    for arch, seed, _, _ in _CASE9_NETS:
+        params, _ = train_standard(data, arch, TrainConfig(alpha=3e-3, epochs=400, seed=seed))
+        nets[arch, seed] = params, solve_worst_case(params, box, gen)
+    return nets
+
+
+@pytest.fixture(scope="module")
+def case9_digests(case9_fixture, case9_nets):
+    """The two digests that _CASE9_CERT_SHA256 and _CASE9_PRE_SHA256 pin."""
+    _, gen, box = case9_fixture
+    certs, pre = hashlib.sha256(), hashlib.sha256()
+    for params, cert in case9_nets.values():
+        witness = b"" if cert.witness is None else cert.witness.tobytes()
+        certs.update(np.float64(cert.value).tobytes() + np.float64(cert.bound).tobytes()
+                     + witness)
+        if params.n_hidden_layers == 2:
+            enc = milp._Encoding(params, box, gen)
+            for lower, upper in zip(enc.pre.lower, enc.pre.upper):
+                pre.update(lower.tobytes() + upper.tobytes())
+    return certs.hexdigest(), pre.hexdigest()
+
+
+@pytest.mark.parametrize("arch,seed,nodes,constraint_id", _CASE9_NETS,
+                         ids=["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4",
+                              "24_s4", "8_s0", "8_s1"])
+def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, nodes,
+                                        constraint_id):
+    cert = case9_nets[arch, seed][1]
+    assert (cert.nodes_explored, cert.status, cert.constraint_id) == \
+        (nodes, CERTIFIED, constraint_id)
+    # and what the whole set's certificates and bound LPs say, to the bit
+    assert case9_digests == (_CASE9_CERT_SHA256, _CASE9_PRE_SHA256)
+
+
+def test_each_start_basis_runs_one_identity_test(monkeypatch, case9_fixture, case9_nets):
+    # both children of a node start from its basis; only the first to be
+    # solved tests that binv inverts it
+    _, gen, box = case9_fixture
+    params, pinned = case9_nets[(16, 16), 0]
+    starts = []  # the start of every warm start, in order
+    tests = []   # the start whose warm start ran each identity test
+    warm, inverts = simplex._Core.warm, simplex._inverts
+    monkeypatch.setattr(simplex._Core, "warm", lambda core, start, cutoff=None: (
+        starts.append(start) or warm(core, start, cutoff)))
+    monkeypatch.setattr(simplex, "_inverts", lambda binv, bmat: (
+        tests.append(starts[-1]) or inverts(binv, bmat)))
+    cert = solve_worst_case(params, box, gen)
+    assert cert.nodes_explored == pinned.nodes_explored == 189
+    per_start = Counter(id(start) for start in tests)
+    assert max(per_start.values()) == 1
+    assert len(set(map(id, starts))) == len(per_start) < len(starts)
+
+
+def test_bound_lps_never_refactorize(monkeypatch, case9_fixture, case9_nets):
+    # lp_bounds reads only each bound LP's basis, so none of them derives
+    # an x, and a feasibility recheck that fails every time stops only the
+    # search, at its first node LP
+    _, gen, box = case9_fixture
+    params = case9_nets[(12, 12), 2][0]
+    solved, exact = [], []
+    solve, refactor = bounds.solve_lp, simplex._Core._exact
+    monkeypatch.setattr(bounds, "solve_lp",
+                        lambda problem: solved.append(problem) or solve(problem))
+    monkeypatch.setattr(simplex._Core, "_exact", lambda core, x, b: (
+        exact.append(core) or (refactor(core, x, b)[0], np.True_)))
+    enc = milp._Encoding(params, box, gen)
+    assert len(solved) >= 10 and not exact
+    assert enc.n_unstable > 0
+    with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
+        solve_worst_case(params, box, gen)
+    assert exact
+
+
+@pytest.fixture(scope="module")
+def child_lps(case9_fixture, case9_nets):
     """(problem, start, cutoff) of every child node LP that the searches of
     the case9 fixture nets (24,) s4 and (12, 12) s2 and of one seeded
     wide-input net pass to solve_lp."""
-    data, gen, box = case9_fixture
-    cases = []
-    for arch, seed in [((24,), 4), ((12, 12), 2)]:
-        params, _ = train_standard(data, arch, TrainConfig(alpha=3e-3, epochs=400, seed=seed))
-        cases.append((params, box, gen))
+    _, gen, box = case9_fixture
+    cases = [(case9_nets[key][0], box, gen) for key in [((24,), 4), ((12, 12), 2)]]
     params = seeded_net(1, (8, 16, 16, 3))
     wide = Box(-np.ones(8), np.ones(8))
     cases.append((params, wide, bounds_around_outputs(params, wide, seed=1, frac_hi=0.6)))
