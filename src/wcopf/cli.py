@@ -32,7 +32,7 @@ from .train import (config_from_dict, final_verification, finetune_sequential,
                     layer_sensitivity, load_config, load_summary, raw_violation,
                     save_report, summary_path_for, train_gennn, train_standard,
                     train_wcnn, write_json)
-from .verifier import (DEFAULT_NODE_LIMIT, Box, save_certificate,
+from .verifier import (DEFAULT_NODE_LIMIT, GAP_REMAINING, Box, save_certificate,
                        solve_worst_case)
 
 # (exception type, exit code); the first match wins, so subclasses of
@@ -134,8 +134,7 @@ def _v_g_text(report):
     if report.final_v_g is None:
         return "unknown"
     text = f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW"
-    if report.warning is not None:
-        # the final certificate stopped at the node limit
+    if report.final_status == GAP_REMAINING:
         return f">= {text}, lower bound)"
     return text + ")"
 
@@ -202,11 +201,9 @@ def cmd_train(args):
                                     box=demand_box)
     if args.mode != "wcnn":
         # modes that never verify still get a final certificate in the report
-        final_v_g, final_v_g_raw, warning = final_verification(
+        report = dataclasses.replace(report, **final_verification(
             solve_worst_case, params, demand_box, gen_box, config.node_limit,
-            dataset.output_scaler)
-        report = dataclasses.replace(report, final_v_g=final_v_g,
-                                     final_v_g_raw=final_v_g_raw, warning=warning)
+            dataset.output_scaler))
 
     report = _save_run(outputs, params, dataset, report,
                        meta={"mode": args.mode, "seed": config.seed,

@@ -53,21 +53,25 @@ the same row set (_Basis.inverts), so the two children of a
 branch-and-bound node pay for one test between them.  An LP without
 rows takes the same path with an empty basis.
 
-A warm start may come with a cutoff (a cold solve ignores it).  After
-each dual pivot the row duals c_B @ binv then become a rigorous upper
-bound on the objective (safe_max, after Neumaier & Shcherbina, Math.
-Prog. 99, 2004; it is the only implementation, and the verifier's bound
-LPs use it too), and the solve stops as soon as that bound is at or
-below the cutoff, with status CUTOFF and the bound on LpSolution.bound:
-no x, no phase 2, no refactorization.  A solve that the cutoff does not
-stop returns what it would without one.
+A solve may come with a cutoff, which only a warm start's dual simplex
+tests.  After each dual pivot the row duals c_B @ binv then become a
+rigorous upper bound on the objective (safe_max, after Neumaier &
+Shcherbina, Math. Prog. 99, 2004; it is the only implementation, and
+the verifier's node and bound LPs use it too), and the solve stops as
+soon as that bound is at or below the cutoff, with status CUTOFF and
+the bound on LpSolution.bound: no x, no phase 2, no refactorization.
+A solve that the cutoff does not stop ends where it would without one.
 
-An optimal solve's x is the nonbasics at their bounds and the basics
-solved for exactly from the final basis (final_values), which is the
-one O(m^3) step of a solve.  LpSolution derives it on first read, so an
-LP read only for its basis, as the verifier's bound LPs are, never
-takes it.  A warm start reads it before it returns: a failed recheck
-sends it down the cold path.
+An optimal solve carries its point: the nonbasics at their bounds and
+the basics as the pivots left them, within _FEAS_TOL of feasible
+(LpSolution.point).  Its x is the nonbasics at their bounds and the
+basics solved for exactly from the final basis (final_values), the one
+O(m^3) step of a solve.  LpSolution derives it on first read, so an LP
+read only for its basis and point, as the verifier's node and bound LPs
+are, never takes it.  A warm start without a cutoff reads it before it
+returns: a failed recheck sends it down the cold path.  A solve with a
+cutoff does not: its caller takes the safe bound from the basis and
+reads the carried point.
 
 A warm start whose basis is already primal feasible for the new
 right-hand sides takes no pivot, and its x is that same refactorized
@@ -97,6 +101,7 @@ termination.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,10 +211,11 @@ class _RowSet:
 
     a = [a_eq; a_ub | one slack per <= row | one artificial per row],
     b = [b_eq; b_ub], and rows = [a_eq; a_ub], the structural block of
-    a, for safe_max.  Nothing writes to them.  The one slot that changes
-    is phase1: None until a phase 1 run over these rows succeeds, and
-    from then on a copy of the state that the first such run left
-    (_Core.cold).
+    a, for safe_max, which also reads abs_rows and abs_b, their
+    magnitudes, computed on its first call over these rows.  Nothing
+    writes to them.  The one slot that changes is phase1: None until a
+    phase 1 run over these rows succeeds, and from then on a copy of the
+    state that the first such run left (_Core.cold).
     """
 
     def __init__(self, problem):
@@ -235,27 +241,39 @@ class _RowSet:
         self.hi_tail = np.concatenate([np.full(m_ub, np.inf), np.zeros(m)])
         self.phase1 = None
 
+    @functools.cached_property
+    def abs_rows(self):
+        return np.abs(self.rows)
+
+    @functools.cached_property
+    def abs_b(self):
+        return np.abs(self.b)
+
 
 class LpSolution:
     """What solve_lp returns.
 
     status, iteration_count, basis (the (basic indices, statuses, binv)
-    of an optimal solve) and bound (a CUTOFF's safe bound on the
-    objective) are set when the solve ends.  An optimal solve's x, with
-    its basic values solved for exactly from the final basis
-    (_Core.final_values), and objective_value = c @ x are derived on
-    first read, so a caller that reads only the basis never pays for
-    them; a failed feasibility recheck raises NumericalBreakdown at that
-    read.  A warm-started solve reads them before it returns, because
-    such a failure sends it down the cold path.  Without an optimum, x is
-    None and objective_value NaN.
+    of an optimal solve), point (an optimal solve's structural values as
+    the simplex carried them, within _FEAS_TOL of its bounds and rows)
+    and bound (a CUTOFF's safe bound on the objective) are set when the
+    solve ends.  An optimal solve's x, with its basic values solved for
+    exactly from the final basis (_Core.final_values), and
+    objective_value = c @ x are derived on first read, so a caller that
+    reads only the basis and the point never pays for them; a failed
+    feasibility recheck raises NumericalBreakdown at that read.  A
+    warm-started solve without a cutoff reads them before it returns,
+    because such a failure sends it down the cold path.  Without an
+    optimum, point and x are None and objective_value NaN.
     """
 
-    def __init__(self, status, iteration_count=0, basis=None, bound=float("nan"), core=None):
+    def __init__(self, status, iteration_count=0, basis=None, bound=float("nan"), core=None,
+                 point=None):
         self.status = status
         self.iteration_count = iteration_count
         self.basis = basis
         self.bound = bound
+        self.point = point
         self._core = core  # the finished core, until x is derived from it
         self._x = None
         self._value = float("nan")
@@ -310,8 +328,12 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     With a cutoff (every variable must be boxed), the dual simplex of a
     warm start gives up as soon as the row duals after one of its pivots
     prove c @ x <= cutoff (safe_max): the result is CUTOFF, its bound
-    that proof's bound, and it has no x.  Every other result is the one
-    without a cutoff.
+    that proof's bound, and it has no x.  Every other result ends where
+    it would without a cutoff, but its x is not derived before it
+    returns: a caller with a cutoff reads the basis and the carried
+    point, and a warm start whose feasibility recheck would fail is not
+    sent down the cold path.  Without a cutoff, an optimal warm start
+    derives x before it returns, and solves cold when the recheck fails.
     """
     if cutoff is not None and not (np.isfinite(problem.lo).all()
                                    and np.isfinite(problem.hi).all()):
@@ -323,7 +345,8 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
             status = core.warm(start, cutoff)
             if status is not None:
                 sol = _solution(core, status, 0)
-                sol._derive()  # a failed recheck sends the solve down the cold path
+                if cutoff is None:
+                    sol._derive()  # a failed recheck sends the solve down the cold path
                 return sol
         except NumericalBreakdown:
             pass
@@ -390,30 +413,40 @@ def row_duals(c, basis):
     return c_b @ binv
 
 
-def safe_max(y, c, off, rows, rhs, lo, hi, m_eq=0, cutoff=np.inf):
-    """Rigorous upper bound on c @ x + off over the x with lo <= x <= hi
-    (every bound finite) whose first m_eq rows @ x equal rhs and whose
-    others are at most rhs, from any row multipliers y.  Where the bound
-    is sure to exceed cutoff, the trivial bound inf is returned instead.
+def safe_max(y, problem, off=0.0, cutoff=np.inf):
+    """Rigorous upper bound on problem.c @ x + off over the x that satisfy
+    problem's rows within its bounds (every bound finite), from any row
+    multipliers y, one per row with the equality rows first.  Where the
+    bound is sure to exceed cutoff, the trivial bound inf is returned
+    instead.
 
     The multipliers of the <= rows are clipped at 0.  For any feasible x,
     c @ x = y @ rows @ x + r @ x <= y @ rhs + sum_j max(r_j lo_j, r_j hi_j)
     with r = c - rows.T @ y, so the bound holds whatever the simplex's
     tolerances, and is tight when y are an optimal basis's row duals
     (row_duals).  A pad relative to the magnitudes summed covers the
-    rounding of its own arithmetic (Neumaier & Shcherbina, "Safe bounds
-    in linear and mixed-integer linear programming", Math. Prog. 99,
-    2004).
+    rounding of its own arithmetic, the addition of off included
+    (Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer
+    linear programming", Math. Prog. 99, 2004).  The rows, the
+    right-hand sides and their magnitudes come from problem.row_set.
     """
+    rs = problem.row_set
+    c, lo, hi, m_eq = problem.c, problem.lo, problem.hi, rs.m_eq
     y = np.concatenate([y[:m_eq], np.maximum(y[m_eq:], 0.0)]) if m_eq else np.maximum(y, 0.0)
-    r = c - rows.T @ y
-    bound = y @ rhs + np.maximum(r * lo, r * hi).sum() + off
+    r = c - rs.rows.T @ y
+    bound = y @ rs.b + np.maximum(r * lo, r * hi).sum() + off
     if bound > cutoff:
         return np.inf  # the pad would only raise it
-    scale = (y @ np.abs(rhs)
-             + (np.abs(c) + np.abs(rows).T @ y) @ np.maximum(np.abs(lo), np.abs(hi))
+    scale = (y @ rs.abs_b
+             + (np.abs(c) + rs.abs_rows.T @ y) @ np.maximum(np.abs(lo), np.abs(hi))
              + abs(off))
     return bound + _SAFE_PAD * scale
+
+
+def safe_add(bound, off):
+    """Rigorous upper bound on v + off from a safe_max bound on v: the sum,
+    padded as safe_max pads an off of its own."""
+    return bound + off + _SAFE_PAD * abs(off)
 
 
 def _solution(core, status, spent):
@@ -423,7 +456,7 @@ def _solution(core, status, spent):
         return LpSolution(status, iterations, bound=core.bound)
     if status != LpStatus.OPTIMAL:
         return LpSolution(status, iterations)
-    return LpSolution(status, iterations, core=core,
+    return LpSolution(status, iterations, core=core, point=core.x[:core.n].copy(),
                       basis=_Basis(core.basis, core.stat, core.binv, core.problem))
 
 
@@ -657,7 +690,7 @@ class _Core:
             return None
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo_b, hi_b, up, dn = self.lo_b, self.hi_b, self.up, self.dn
-        p, rs = self.problem, self.problem.row_set
+        p = self.problem
         while True:
             xb = x[basis]
             below = lo_b - xb
@@ -667,8 +700,7 @@ class _Core:
                 return None
             y = self.c_b @ binv  # the row duals
             if cutoff is not None and self.iterations:
-                self.bound = safe_max(y, p.c, 0.0, rs.rows, rs.b, p.lo, p.hi, self.m_eq,
-                                      cutoff)
+                self.bound = safe_max(y, p, 0.0, cutoff)
                 if self.bound <= cutoff:
                     return LpStatus.CUTOFF
             self.iterations += 1

@@ -50,13 +50,17 @@ class TrainReport:
     records: list
     final_train_l0: float
     final_val_mae: float
-    final_v_g: float           # None when the mode never verifies
     params_sha256: str
     layer_dims: tuple
     config: dict
     stopped: str = None        # sequential phase stop reason
     final_test_mae: float = None   # None when the test split is empty
+    # the final certificate (final_verification); all None when the mode
+    # never verifies or the verification broke down
+    final_v_g: float = None
     final_v_g_raw: float = None    # final_v_g in raw output units
+    final_bound: float = None      # certified upper bound on the violation
+    final_status: str = None       # "certified" or "gap_remaining"
     warning: str = None        # why final_v_g is None although verified, or
                                # why it is only a lower bound
 
@@ -90,25 +94,28 @@ def raw_violation(cert, output_scaler):
 
 def final_verification(solve, params, box, gen_bounds, node_limit,
                        output_scaler):
-    """(final_v_g, final_v_g_raw, warning) of a run's final certificate.
+    """The TrainReport fields of a run's final certificate: final_v_g,
+    final_v_g_raw, final_bound, final_status and warning.
 
     solve is the caller's own binding of solve_worst_case, so a patch of
     that module's name (a test's, or perfbench's tracer) sees the call.
-    A solver breakdown gives (None, None, warning).  A certificate that
-    stopped at the node limit keeps its incumbent value, which is only a
-    lower bound on the worst violation, and its warning gives the
-    certified upper bound; a certified one has no warning.
+    A solver breakdown gives only a warning, which leaves the other
+    fields None.  A certificate that stopped at the node limit
+    (final_status "gap_remaining") keeps its incumbent value, which is
+    only a lower bound on the worst violation, and its warning says so; a
+    certified one has no warning.
     """
     try:
         cert = solve(params, box, gen_bounds, node_limit=node_limit)
     except NumericalBreakdown as exc:
-        return None, None, f"final verification failed ({exc})"
+        return {"warning": f"final verification failed ({exc})"}
     warning = None
     if not cert.certified:
         warning = (f"final verification stopped at the node limit: v_g "
                    f"{cert.value:.6g} is a lower bound; the worst violation "
                    f"is at most bound {cert.bound:.6g}")
-    return cert.value, raw_violation(cert, output_scaler), warning
+    return {"final_v_g": cert.value, "final_v_g_raw": raw_violation(cert, output_scaler),
+            "final_bound": cert.bound, "final_status": cert.status, "warning": warning}
 
 
 def _test_mae(params, dataset):
@@ -184,19 +191,16 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
                                    val_mae=val_mae, v_g=v_g, warning=warning,
                                    wall_time=time.perf_counter() - started))
 
-    final_v_g = final_v_g_raw = warning = None
+    final = {}
     if mode == "wcnn":
-        final_v_g, final_v_g_raw, warning = final_verification(
-            solve_worst_case, params, box, gen_bounds, config.node_limit,
-            dataset.output_scaler)
+        final = final_verification(solve_worst_case, params, box, gen_bounds,
+                                   config.node_limit, dataset.output_scaler)
     report = TrainReport(mode=mode, records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),
-                         final_v_g=final_v_g,
                          params_sha256=params_checksum(params),
                          layer_dims=dims, config=config.to_dict(),
-                         final_test_mae=_test_mae(params, dataset),
-                         final_v_g_raw=final_v_g_raw, warning=warning)
+                         final_test_mae=_test_mae(params, dataset), **final)
     return params, report
 
 

@@ -59,6 +59,8 @@ def summary_document(report):
            "final_test_mae": report.final_test_mae,
            "final_v_g": report.final_v_g,
            "final_v_g_raw": report.final_v_g_raw,
+           "final_bound": report.final_bound,
+           "final_status": report.final_status,
            "params_sha256": report.params_sha256,
            "stopped": report.stopped,
            "v_g_epochs": report.v_g_epochs(),

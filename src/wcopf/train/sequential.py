@@ -109,18 +109,15 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
             break
         params = candidate
 
-    final_v_g = final_v_g_raw = warning = None
+    final = {}
     if stopped != STOP_SOLVER_FAILURE:
-        final_v_g, final_v_g_raw, warning = final_verification(
-            solve_worst_case, params, box, gen_bounds, config.node_limit,
-            dataset.output_scaler)
+        final = final_verification(solve_worst_case, params, box, gen_bounds,
+                                   config.node_limit, dataset.output_scaler)
     report = TrainReport(mode="finetune", records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),
-                         final_v_g=final_v_g,
                          params_sha256=params_checksum(params),
                          layer_dims=tuple(params.layer_dims),
                          config=config.to_dict(), stopped=stopped,
-                         final_test_mae=_test_mae(params, dataset),
-                         final_v_g_raw=final_v_g_raw, warning=warning)
+                         final_test_mae=_test_mae(params, dataset), **final)
     return params, report

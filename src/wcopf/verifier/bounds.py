@@ -116,7 +116,8 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
     lower < 0 < upper are solved: first their maximum, then their minimum
     unless the maximum already proves them inactive.  All LPs are
     siblings of one LpProblem under equal bounds, so only the first runs
-    phase 1 (simplex._RowSet.phase1).  Each optimal LP yields a safe
+    phase 1 (simplex._RowSet.phase1), and safe_max takes the rows'
+    magnitudes from that one row set.  Each optimal LP yields a safe
     bound from the row duals of its final basis (simplex.safe_max), which
     is rigorous for any multipliers; its x is never read, so no LP pays
     for the refactorization and feasibility recheck behind it.  An LP
@@ -130,13 +131,14 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
     lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
 
     def upper_bound(c, off):
+        problem = lp.sibling(c=c)
         try:
-            sol = solve_lp(lp.sibling(c=c))
+            sol = solve_lp(problem)
         except NumericalBreakdown:
             return np.inf
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
-        return safe_max(row_duals(c, sol.basis), c, off, rows, rhs, lo, hi)
+        return safe_max(row_duals(c, sol.basis), problem, off)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):
         upper[j] = min(upper[j], upper_bound(a[j], b[j]))

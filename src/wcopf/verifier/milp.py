@@ -38,8 +38,17 @@ from its parent's optimal basis with that cutoff: its dual simplex
 stops as soon as the row duals prove that the child cannot beat the
 cutoff (simplex.safe_max), and the child is then a fathomed leaf whose
 safe bound counts toward the certificate's bound.  Such a child takes
-a pivot or two, and no primal phase, refactorization or forward pass
-of its point.
+a pivot or two, and no primal phase or forward pass of its point.
+
+A node LP that ends optimal is valued by safe_max over its row duals
+too, with its candidate's constant folded in: a rigorous upper bound on
+the candidate's margin over the node, a little above the LP optimum,
+that fathoms the node or keys its children.  The same row duals weigh
+its branching scores.  Its candidate point and its relaxed y are the
+values the simplex carried (LpSolution.point), and the point is clipped
+into the box and evaluated by forward, so a point off by the simplex's
+tolerances weakens the incumbent at worst.  No node LP re-solves its
+basis for an exact x, and every leaf's bound comes from a dual vector.
 """
 
 import heapq
@@ -48,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mlp.network import forward
-from ..simplex import LpProblem, LpStatus, row_duals, solve_lp
+from ..simplex import LpProblem, LpStatus, row_duals, safe_add, safe_max, solve_lp
 from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
 from .patterns import candidate_constraints, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
@@ -229,15 +238,14 @@ class _Encoding:
         hi[self.y_off :] = y_fix != 0
         return solve_lp(self.node_lp.sibling(c=c, lo=lo, hi=hi), start=start, cutoff=cutoff)
 
-    def unit_weights(self, c, basis):
+    def unit_weights(self, u):
         """Objective weight of each unstable unit at a node LP's basis.
 
-        With u = row_duals(c, basis), nu = u[3k] - u[3k+1] + u[3k+2] is
-        the price that unit k's three rows put on its z: the objective's
-        marginal value on z downstream.  Returns max(nu, 0), in the order
-        of the y variables.
+        With u the basis's row duals (simplex.row_duals), nu = u[3k] -
+        u[3k+1] + u[3k+2] is the price that unit k's three rows put on
+        its z: the objective's marginal value on z downstream.  Returns
+        max(nu, 0), in the order of the y variables.
         """
-        u = row_duals(c, basis)
         return np.maximum(u[0::3] - u[1::3] + u[2::3], 0.0)
 
     def margins_at(self, d, cids):
@@ -301,16 +309,20 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     solved node_limit node LPs is set aside unexplored.  Returns
     (incumbents, nodes, leaf_bound): an _Incumbent and a node count per
     candidate, and the largest bound on any leaf of the tree, so on any
-    margin in the box: the LP value of each fathomed or integral node,
-    the safe bound of each child whose LP stopped at the cutoff, and the
-    key of each node set aside or left in the heap (-inf if there is
-    none).
+    margin in the box: the safe bound of each fathomed or integral node,
+    and of each child whose LP stopped at the cutoff, and the key of
+    each node set aside or left in the heap (-inf if there is none).
     Every node LP is solved with the cutoff at the time it is solved.
-    A root has no start, so it solves cold and ignores the cutoff; roots
-    differ only in their objective, so the first one's phase 1 serves
-    them all (simplex._RowSet.phase1).  A child warm-starts from its
-    parent's basis; one that stops at the cutoff (LpStatus.CUTOFF) has
-    no point, so it offers none, and it never branches.
+    A root has no start, so it solves cold and the cutoff stops nothing;
+    roots differ only in their objective, so the first one's phase 1
+    serves them all (simplex._RowSet.phase1).  A child warm-starts from
+    its parent's basis; one that stops at the cutoff (LpStatus.CUTOFF)
+    has no point, so it offers none, and it never branches.  An optimal
+    node's value is safe_max over its row duals plus the candidate's
+    constant, and a CUTOFF child's is its bound plus that constant
+    (safe_add), so the pad covers the addition; the row duals also give
+    _Encoding.unit_weights, and the point offered and branched on is
+    LpSolution.point.
     """
     objectives = [enc.objective(cid) for cid in cids]
     incs = [_Incumbent() for _ in cids]
@@ -346,18 +358,19 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         if sol.status == LpStatus.INFEASIBLE:
             continue
         if sol.status == LpStatus.CUTOFF:
-            leaf_bound = max(leaf_bound, sol.bound + const)
+            leaf_bound = max(leaf_bound, safe_add(sol.bound, const))
             continue
-        val = float(sol.objective_value) + const
-        # a basic variable at a bound can come back an ulp outside it
-        offer(np.clip(sol.x[: enc.n_in], enc.box.lo, enc.box.hi))
+        duals = row_duals(c, sol.basis)
+        val = float(safe_max(duals, sol.basis.problem, const))
+        # a basic variable can sit up to the simplex's tolerance outside
+        # its bounds
+        offer(np.clip(sol.point[: enc.n_in], enc.box.lo, enc.box.hi))
 
         if val <= cutoff():
             leaf_bound = max(leaf_bound, val)
             continue
 
-        j = _branch_unit(sol.x[enc.y_off :], y_fix, enc.y_range,
-                         enc.unit_weights(c, sol.basis))
+        j = _branch_unit(sol.point[enc.y_off :], y_fix, enc.y_range, enc.unit_weights(duals))
         if j is None:
             # integral node: the LP already maximized over this region
             leaf_bound = max(leaf_bound, val)

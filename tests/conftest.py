@@ -38,3 +38,17 @@ def phase1_runs(monkeypatch):
     monkeypatch.setattr(simplex._Core, "_phase1",
                         lambda core: cores.append(core) or phase1(core))
     return cores
+
+
+@pytest.fixture
+def refactorizations(monkeypatch):
+    """List that grows by the simplex core of each exact re-solve of a
+    basis (_Core._exact: a dispatch or other LP whose x is read, and
+    basis_solutions)."""
+    from wcopf import simplex
+
+    cores = []
+    exact = simplex._Core._exact
+    monkeypatch.setattr(simplex._Core, "_exact",
+                        lambda core, x, b: cores.append(core) or exact(core, x, b))
+    return cores

@@ -119,12 +119,13 @@ def test_safe_bound_holds_for_any_basis(seed):
     rows, rhs, lo, hi = enc.rows, enc.rhs, enc.var_lo, enc.var_hi
     rng = np.random.default_rng((seed, 9))
     other, c = rng.standard_normal((2, rows.shape[1]))
-    sol = solve_lp(LpProblem(c=other, a_ub=rows, b_ub=rhs, lo=lo, hi=hi))
+    lp = LpProblem(c=other, a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
+    sol = solve_lp(lp)
     basic, _, binv = sol.basis
     c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
     assert (c_b @ binv < -1e-3).any()
     best = _highs_max(c, rows, rhs, lo, hi)
-    assert safe_max(row_duals(c, sol.basis), c, 0.25, rows, rhs, lo, hi) >= best + 0.25
+    assert safe_max(row_duals(c, sol.basis), lp.sibling(c=c), 0.25) >= best + 0.25
 
 
 @pytest.mark.parametrize("failure", ["breakdown", "unbounded"])

@@ -41,8 +41,8 @@ def _preactivation_bounds(params, box):
 def _highs_worst_case(params, box, gen):
     """Largest margin over every (generator, side), one HiGHS MILP each.
 
-    Returns (optimum, true margin at HiGHS's point).  Variables are
-    [d | z per hidden unit | y per hidden unit].
+    Returns (optimum, true margin at HiGHS's point clipped into the box).
+    Variables are [d | z per hidden unit | y per hidden unit].
     """
     n_in = params.n_inputs
     pre = _preactivation_bounds(params, box)
@@ -99,7 +99,8 @@ def _highs_worst_case(params, box, gen):
             value = -res.fun + const
             if value > best:
                 best = value
-                best_true = _margin(params, gen, res.x[:n_in], (g, side))
+                best_true = _margin(params, gen, np.clip(res.x[:n_in], box.lo, box.hi),
+                                    (g, side))
     return best, best_true
 
 
@@ -115,8 +116,11 @@ def _check_against_highs(params, box, gen):
     optimum = max(optimum, 0.0)
 
     assert cert.status == CERTIFIED
+    assert cert.value <= cert.bound
     assert cert.value <= optimum + 1e-6 <= cert.bound + 2e-6
-    assert true_at_optimum <= cert.bound + 1e-6
+    # a point in the box attains its forward-pass margin, so no bound may
+    # fall below it, by any rounding
+    assert true_at_optimum <= cert.bound
     if cert.value > 0.0:
         assert box.contains(cert.witness, tol=0.0)
         assert _margin(params, gen, cert.witness, cert.constraint_id) == \

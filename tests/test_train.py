@@ -11,7 +11,7 @@ from wcopf.train import (TrainConfig, config_from_dict, load_config,
                          save_report, summary_document, summary_path_for,
                          train_gennn, train_standard, train_wcnn)
 from wcopf.train import loops
-from wcopf.verifier import Box, solve_worst_case
+from wcopf.verifier import GAP_TOL, Box, solve_worst_case
 
 
 def _records_equal(a, b):
@@ -180,6 +180,22 @@ def test_uncertified_final_certificate_is_reported_as_a_lower_bound():
     assert f"{cert.value:.6g}" in report.warning
     assert f"bound {cert.bound:.6g}" in report.warning
     assert summary_document(report)["warning"] == report.warning
+
+
+@pytest.mark.parametrize("node_limit,status", [(1, "gap_remaining"), (10_000, "certified")])
+def test_final_certificate_bound_and_status_are_reported(node_limit, status):
+    data = toy_dataset(31)
+    config = TrainConfig(alpha=3e-3, epochs=12, warmup=4, wc_every=4, seed=0,
+                         lambda_wc=1.0, node_limit=node_limit)
+    _, report = train_wcnn(data, Box(np.zeros(2), np.full(2, 0.5)), (6, 6), config)
+    assert report.final_status == status
+    assert report.final_bound >= report.final_v_g > 0.0
+    if status == "certified":
+        assert report.final_bound - report.final_v_g <= GAP_TOL and report.warning is None
+    else:
+        assert report.final_bound > report.final_v_g and "lower bound" in report.warning
+    doc = summary_document(report)
+    assert (doc["final_bound"], doc["final_status"]) == (report.final_bound, status)
 
 
 def test_divergence_raises():

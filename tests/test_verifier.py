@@ -1,5 +1,7 @@
 import hashlib
+import heapq
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +12,12 @@ from oracles import (TooLarge, bounds_around_outputs, brute_force_worst_case, gr
 from wcopf import simplex
 from wcopf.errors import BoundsUnavailable, NumericalBreakdown
 from wcopf.mlp import MlpParams, forward
-from wcopf.simplex import LpProblem, LpStatus, solve_lp
+from wcopf.simplex import LpProblem, LpStatus, row_duals, solve_lp
 from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
-from wcopf.verifier import bounds, milp, patterns
+from wcopf.verifier import milp, patterns
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
 
 
@@ -442,7 +444,7 @@ def test_unit_weights_price_each_basic_z_at_its_objective_coefficient():
     for cid in candidate_constraints(params.n_outputs):
         c, _ = enc.objective(cid)
         sol = enc.solve_node(c, np.full(n_un, -1, dtype=np.int8))
-        weight = enc.unit_weights(c, sol.basis)
+        weight = enc.unit_weights(row_duals(c, sol.basis))
         assert weight.shape == (n_un,) and np.all(weight >= 0.0)
         z_basic = np.isin(n_in + np.arange(n_un), sol.basis[0])
         c_z = c[n_in:n_in + n_un]
@@ -504,7 +506,7 @@ _CASE9_NETS = [
 # sha256 over the value, bound and witness bytes of the eight
 # certificates, and over the LP-tightened bounds (_Encoding.pre) of the
 # five two-layer nets, in _CASE9_NETS order
-_CASE9_CERT_SHA256 = "9b8b38125c472c8509de551003c76f0e86c00368995d40ef19867a1faa0f90ae"
+_CASE9_CERT_SHA256 = "ccfca4ad5237263f5591e7834b847dd9b07f9849c80ce584d0a4c0970a5c47c1"
 _CASE9_PRE_SHA256 = "97a1b0a3a73280a1e4bcd888362daffe15b0be5d7c1bc17a1e2c4b366e559ea8"
 
 
@@ -566,48 +568,64 @@ def test_each_start_basis_runs_one_identity_test(monkeypatch, case9_fixture, cas
     assert len(set(map(id, starts))) == len(per_start) < len(starts)
 
 
-def test_bound_lps_never_refactorize(monkeypatch, case9_fixture, case9_nets):
-    # lp_bounds reads only each bound LP's basis, so none of them derives
-    # an x, and a feasibility recheck that fails every time stops only the
-    # search, at its first node LP
+@pytest.mark.parametrize("key", [((12, 12), 2), ((16, 16), 0)], ids=["12-12_s2", "16-16_s0"])
+def test_search_never_refactorizes(monkeypatch, refactorizations, case9_fixture, case9_nets,
+                                   key):
+    # bound LPs read only their basis, and node LPs their basis and their
+    # carried point, so no LP of a verification re-solves its basis, and a
+    # feasibility recheck that fails every time changes nothing
     _, gen, box = case9_fixture
-    params = case9_nets[(12, 12), 2][0]
-    solved, exact = [], []
-    solve, refactor = bounds.solve_lp, simplex._Core._exact
-    monkeypatch.setattr(bounds, "solve_lp",
-                        lambda problem: solved.append(problem) or solve(problem))
-    monkeypatch.setattr(simplex._Core, "_exact", lambda core, x, b: (
-        exact.append(core) or (refactor(core, x, b)[0], np.True_)))
+    params, pinned = case9_nets[key]
+    assert _cert_bytes(solve_worst_case(params, box, gen)) == _cert_bytes(pinned)
+    assert not refactorizations
+    exact = simplex._Core._exact
+    monkeypatch.setattr(simplex._Core, "_exact",
+                        lambda core, x, b: (exact(core, x, b)[0], np.True_))
+    assert _cert_bytes(solve_worst_case(params, box, gen)) == _cert_bytes(pinned)
+    assert not refactorizations
+    # the failing recheck is live: a root LP whose x is read raises
     enc = milp._Encoding(params, box, gen)
-    assert len(solved) >= 10 and not exact
-    assert enc.n_unstable > 0
+    c, _ = enc.objective(pinned.constraint_id)
     with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
-        solve_worst_case(params, box, gen)
-    assert exact
+        enc.solve_node(c, np.full(enc.n_unstable, -1, dtype=np.int8)).x
+    assert refactorizations
 
 
 @pytest.fixture(scope="module")
-def child_lps(case9_fixture, case9_nets):
-    """(problem, start, cutoff) of every child node LP that the searches of
-    the case9 fixture nets (24,) s4 and (12, 12) s2 and of one seeded
-    wide-input net pass to solve_lp."""
+def node_lps(case9_fixture, case9_nets):
+    """[problem, start, cutoff, const, value] of every node LP that the
+    searches of the case9 fixture nets (24,) s4 and (12, 12) s2 and of one
+    seeded wide-input net pass to solve_lp: const is its candidate's
+    constant, and value the bound the search keys the node's children by
+    (None for a node that does not branch)."""
     _, gen, box = case9_fixture
     cases = [(case9_nets[key][0], box, gen) for key in [((24,), 4), ((12, 12), 2)]]
     params = seeded_net(1, (8, 16, 16, 3))
     wide = Box(-np.ones(8), np.ones(8))
     cases.append((params, wide, bounds_around_outputs(params, wide, seed=1, frac_hi=0.6)))
-    children = []
+    nodes = []
+    consts = {}
 
     def recording(problem, start=None, cutoff=None):
-        if start is not None:
-            children.append((problem, start, cutoff))
+        nodes.append([problem, start, cutoff, consts[problem.c.tobytes()], None])
         return solve_lp(problem, start=start, cutoff=cutoff)
+
+    def pushing(heap, entry):
+        nodes[-1][4] = -entry[0]  # both children are keyed by their parent's value
+        heapq.heappush(heap, entry)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(milp, "solve_lp", recording)
-        for case in cases:
-            solve_worst_case(*case)
-    return children
+        mp.setattr(milp, "heapq", SimpleNamespace(heappush=pushing, heappop=heapq.heappop,
+                                                  heapify=heapq.heapify))
+        for params, box, gen in cases:
+            enc = milp._Encoding(params, box, gen)
+            consts.clear()
+            for cid in candidate_constraints(params.n_outputs):
+                c, const = enc.objective(cid)
+                consts[c.tobytes()] = const
+            solve_worst_case(params, box, gen)
+    return nodes
 
 
 def _lp_bytes(sol):
@@ -623,12 +641,14 @@ def _highs(problem):
                             "dual_feasibility_tolerance": 1e-10})
 
 
-def test_cutoff_bounds_agree_with_highs(child_lps):
+def test_cutoff_bounds_agree_with_highs(node_lps):
     # around each child's optimum (or, when it is infeasible, the cutoff
     # the search gave it), a CUTOFF must carry a bound between HiGHS's
     # optimum and the cutoff; any other result is the one without a cutoff
     cut = Counter()
-    for problem, start, searched in child_lps:
+    for problem, start, searched, _, _ in node_lps:
+        if start is None:
+            continue
         plain = solve_lp(problem, start=start)
         feasible = plain.status == LpStatus.OPTIMAL
         centre = plain.objective_value if feasible else searched
@@ -649,3 +669,19 @@ def test_cutoff_bounds_agree_with_highs(child_lps):
                 assert highs.status == 0 and -highs.fun - 1e-9 <= got.bound
     assert cut[True, 1e-3] > 50 and cut[False, 1e-3] > 0
     assert cut[True, -1e-3] == cut[True, -1e-9] == 0
+
+
+def test_optimal_node_values_agree_with_highs(node_lps):
+    # the value the search keys a node's children by is the safe bound from
+    # its row duals: at or above HiGHS's optimum of the node LP plus the
+    # candidate's constant, and within 1e-6 of it
+    seen = Counter()
+    for problem, start, _, const, value in node_lps:
+        if value is None:
+            continue
+        seen[start is None] += 1
+        highs = _highs(problem)
+        assert highs.status == 0
+        optimum = -highs.fun + const
+        assert optimum - 1e-9 <= value <= optimum + 1e-6
+    assert seen[True] >= 3 and seen[False] > 50
