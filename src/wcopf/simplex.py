@@ -36,31 +36,43 @@ phase 2.
 
 solve_lp takes one kind of start: the basis of an earlier optimal
 solve, LpSolution.basis, which remembers the problem it solved.  It is
-used when it is one for this problem's rows and objective (_inherits):
-the rows equal the source's (siblings share theirs, other rows are
-compared in full), c is the same, the bounds only tighten and no free
-nonbasic gains a finite bound; the right-hand sides b_eq and b_ub may
-differ.  Such a start's statuses stand, and its reduced costs c - c_B
-binv a, which involve neither b nor the bounds, favor no move, so it is
-dual feasible as it is.  The warm core copies binv, sets the basic
-values to binv @ (b - a_N x_N), and a dual simplex restores primal
-feasibility (or proves the LP infeasible from a row of binv); the
-primal simplex finishes.  Any other start solves cold, and so does one
-for which binv @ a[:, basis] misses the identity by more than _FEAS_TOL
-(a test that NaN also fails) or whose dual simplex breaks down
-numerically.  A start that passes that test is not tested again for
-the same row set (_Basis.inverts), so the two children of a
-branch-and-bound node pay for one test between them.  An LP without
-rows takes the same path with an empty basis.
+taken as it is when it is one for this problem's rows and objective
+(_inherits): the rows equal the source's (siblings share theirs, other
+rows are compared in full), c is the same, the bounds only tighten and
+no free nonbasic gains a finite bound; the right-hand sides b_eq and
+b_ub may differ.  Such a start's statuses stand, and its reduced costs
+c - c_B binv a, which involve neither b nor the bounds, favor no move,
+so it is dual feasible as it is.  The warm core copies binv, sets the
+basic values to binv @ (b - a_N x_N), and a dual simplex restores
+primal feasibility (or proves the LP infeasible from a row of binv);
+the primal simplex finishes.  A start that _inherits accepts must also
+pass the identity test: binv @ a[:, basis] may miss the identity by at
+most _FEAS_TOL (a test that NaN also fails).  A pass is not tested
+again for the same row set (_Basis.inverts), so the two children of a
+branch-and-bound node pay for one test between them.
 
-A solve may come with a cutoff, which only a warm start's dual simplex
-tests.  After each dual pivot the row duals c_B @ binv then become a
-rigorous upper bound on the objective (safe_max, after Neumaier &
-Shcherbina, Math. Prog. 99, 2004; it is the only implementation, and
-the verifier's node and bound LPs use it too), and the solve stops as
-soon as that bound is at or below the cutoff, with status CUTOFF and
-the bound on LpSolution.bound: no x, no phase 2, no refactorization.
-A solve that the cutoff does not stop ends where it would without one.
+Any other start of the problem's shape is refit (_Core._refit), as a
+MIP solver re-solves from an earlier basis (Achterberg, "Constraint
+Integer Programming", 2007): other rows, another objective, looser
+bounds, or a binv that drifted.  Its binv is refactorized from this
+problem's a[:, basis] and must pass the same identity test, and every
+nonbasic moves to the finite bound its reduced cost favors, which makes
+the basis dual feasible; the dual and primal simplex then run as for a
+taken start.  A singular basis matrix, a failed test, or a nonbasic
+whose favored bound is infinite (a slack whose row dual turned
+negative) sends the solve cold, and so does a dual simplex that breaks
+down numerically.  An LP without rows takes the same paths with an
+empty basis.
+
+A solve may come with a cutoff, which only a started solve's dual
+simplex tests.  After each dual pivot, and for a refit start also
+before the first, the row duals c_B @ binv become a rigorous upper
+bound on the objective (safe_max, after Neumaier & Shcherbina, Math.
+Prog. 99, 2004; it is the only implementation, and the verifier's node
+and bound LPs use it too), and the solve stops as soon as that bound is
+at or below the cutoff, with status CUTOFF and the bound on
+LpSolution.bound: no x, no phase 2, no refactorization.  A solve that
+the cutoff does not stop ends where it would without one.
 
 An optimal solve carries its point: the nonbasics at their bounds and
 the basics as the pivots left them, within _FEAS_TOL of feasible
@@ -316,24 +328,27 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     """Solve an LpProblem; returns a deterministic LpSolution.
 
     start, if given, is the basis of an earlier optimal solve
-    (LpSolution.basis); anything else raises TypeError.  It warm-starts
-    the solve when the problem it solved has this one's rows and
-    objective and bounds that this one only tightens (_Core._inherits);
-    the right-hand sides b_eq and b_ub may differ.  Otherwise the solve
-    is cold.  A cold solve of a sibling whose bounds equal those of an
-    earlier one over the same rows resumes after the phase 1 that the
-    earlier one ran (_RowSet.phase1), and its iteration_count then
-    counts only phase 2.
+    (LpSolution.basis); anything else raises TypeError, and one whose
+    arrays do not fit this problem's shape ValueError.  It is taken as
+    it is when the problem it solved has this one's rows and objective
+    and bounds that this one only tightens (_Core._inherits; the
+    right-hand sides b_eq and b_ub may differ) and its binv passes the
+    identity test.  Any other start is refit for this problem
+    (_Core._refit), and the solve is cold only when that fails.  A cold
+    solve of a sibling whose bounds equal those of an earlier one over
+    the same rows resumes after the phase 1 that the earlier one ran
+    (_RowSet.phase1), and its iteration_count then counts only phase 2.
 
     With a cutoff (every variable must be boxed), the dual simplex of a
-    warm start gives up as soon as the row duals after one of its pivots
-    prove c @ x <= cutoff (safe_max): the result is CUTOFF, its bound
-    that proof's bound, and it has no x.  Every other result ends where
-    it would without a cutoff, but its x is not derived before it
-    returns: a caller with a cutoff reads the basis and the carried
-    point, and a warm start whose feasibility recheck would fail is not
-    sent down the cold path.  Without a cutoff, an optimal warm start
-    derives x before it returns, and solves cold when the recheck fails.
+    started solve gives up as soon as the row duals after one of its
+    pivots (or, for a refit start, before the first) prove c @ x <=
+    cutoff (safe_max): the result is CUTOFF, its bound that proof's
+    bound, and it has no x.  Every other result ends where it would
+    without a cutoff, but its x is not derived before it returns: a
+    caller with a cutoff reads the basis and the carried point, and a
+    started solve whose feasibility recheck would fail is not sent down
+    the cold path.  Without a cutoff, an optimal started solve derives x
+    before it returns, and solves cold when the recheck fails.
     """
     if cutoff is not None and not (np.isfinite(problem.lo).all()
                                    and np.isfinite(problem.hi).all()):
@@ -549,13 +564,20 @@ class _Core:
     def warm(self, start, cutoff=None):
         """Dual simplex from start, an earlier optimal solve's
         LpSolution.basis, then primal phase 2 from the state the dual
-        loop leaves; None if the start is unusable: not one for this
-        problem (_inherits), or its binv fails _invert's identity test."""
-        if not (self._inherits(_source(start), start[1]) and self._invert(start)):
+        loop leaves.  A start that is one for this problem (_inherits)
+        and whose binv passes _invert's identity test is taken as it is;
+        any other start of the right shape is refit (_refit), and the
+        dual simplex then tests the cutoff before its first pivot too.
+        None if the refit fails: the solve goes cold."""
+        if self._inherits(_source(start), start[1]) and self._invert(start):
+            refit = False
+        elif self._refit(start):
+            refit = True
+        else:
             return None
         self._rest()
         self.x[self.basis] = self._basic_values(self.b)
-        status = self._dual(cutoff)
+        status = self._dual(cutoff, refit)
         return self._run() if status is None else status
 
     def _inherits(self, source, stat):
@@ -579,12 +601,9 @@ class _Core:
         free = stat[:self.n] == _FREE
         return not (free.any() and (free & (np.isfinite(p.lo) | np.isfinite(p.hi))).any())
 
-    def _invert(self, start):
-        """Copy a start's basis, statuses and inverse into the core; False
-        if binv @ a[:, basis] misses the identity by more than _FEAS_TOL
-        (binv does not invert this basis, or is not finite).  The test
-        runs once per start and row set: a pass is remembered on the
-        start (_Basis.inverts), a failure is not."""
+    def _shaped(self, start):
+        """A start's basic indices and statuses as fresh arrays, and its
+        binv; ValueError unless their shapes are this problem's."""
         basis, stat, binv = start
         basis = np.array(basis, dtype=int)
         stat = np.array(stat, dtype=np.int8)
@@ -592,12 +611,55 @@ class _Core:
         if (basis.shape != (m,) or stat.shape != (self.n_total,)
                 or np.shape(binv) != (m, m)):
             raise ValueError("start basis does not match the problem's shape")
+        return basis, stat, binv
+
+    def _invert(self, start):
+        """Copy a start's basis, statuses and inverse into the core; False
+        if binv @ a[:, basis] misses the identity by more than _FEAS_TOL
+        (binv does not invert this basis, or is not finite).  The test
+        runs once per start and row set: a pass is remembered on the
+        start (_Basis.inverts), a failure is not."""
+        basis, stat, binv = self._shaped(start)
         binv = np.array(binv, dtype=float)
         rs = self.problem.row_set
         if start.inverts is not rs:
             if not _inverts(binv, self.a[:, basis]):
                 return False
             start.inverts = rs
+        self.basis = basis
+        self.stat = stat
+        self.binv = binv
+        return True
+
+    def _refit(self, start):
+        """Make a start that warm cannot take as it is dual feasible here:
+        its basic columns with binv refactorized from this problem's
+        a[:, basis], and every nonbasic at the finite bound its reduced
+        cost favors (the start's own bound where the cost favors
+        neither).  False, and the core unusable, when the basis matrix is
+        singular, the fresh binv fails _invert's identity test, or some
+        nonbasic's favored bound is infinite."""
+        basis, stat, _ = self._shaped(start)
+        bmat = self.a[:, basis]
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:
+            return False
+        if not _inverts(binv, bmat):
+            return False
+        d = self.c - (self.c[basis] @ binv) @ self.a
+        d[basis] = 0.0  # a basic variable rests at no bound
+        up = d > _OBJ_TOL
+        down = d < -_OBJ_TOL
+        no_lo = self.lo == -np.inf
+        no_hi = self.hi == np.inf
+        if (up & no_hi).any() or (down & no_lo).any():
+            return False
+        # where d favors neither bound, the start's upper bound stands, and
+        # so does the upper bound of a variable without a lower one
+        at_up = up | ~down & ~no_hi & ((stat == _AT_UP) | no_lo)
+        stat = np.where(at_up, _AT_UP, np.where(no_lo, _FREE, _AT_LO)).astype(np.int8)
+        stat[basis] = _BASIC
         self.basis = basis
         self.stat = stat
         self.binv = binv
@@ -668,7 +730,7 @@ class _Core:
 
     # -- dual simplex --------------------------------------------------------
 
-    def _dual(self, cutoff=None):
+    def _dual(self, cutoff=None, refit=False):
         """Pivot out bound-violating basics.
 
         Returns None once the basis is primal feasible, and INFEASIBLE
@@ -676,10 +738,11 @@ class _Core:
         iteration after a pivot first turns the current row duals into a
         safe bound on the objective (safe_max, into self.bound) and
         returns CUTOFF without pivoting again once that bound is at or
-        below the cutoff.  The start's own bound is not tested: it is
+        below the cutoff.  A taken start's own bound is not tested: it is
         its earlier solve's optimum, up to rounding, whenever its bounds
         only differ at basic variables, as a branch-and-bound child's do
-        (their reduced costs are zero).
+        (their reduced costs are zero).  A refit start's is (refit): it
+        is no earlier optimum, and may already be below the cutoff.
         Assumes a dual feasible basis, so the leaving row's ratio test keeps
         every reduced cost on its optimal side.  The loop state it starts
         carrying on the objective (_track) is current when it returns, for
@@ -699,7 +762,7 @@ class _Core:
             if excess[r] <= _FEAS_TOL:
                 return None
             y = self.c_b @ binv  # the row duals
-            if cutoff is not None and self.iterations:
+            if cutoff is not None and (self.iterations or refit):
                 self.bound = safe_max(y, p, 0.0, cutoff)
                 if self.bound <= cutoff:
                     return LpStatus.CUTOFF

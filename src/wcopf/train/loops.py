@@ -103,7 +103,10 @@ def final_verification(solve, params, box, gen_bounds, node_limit,
     fields None.  A certificate that stopped at the node limit
     (final_status "gap_remaining") keeps its incumbent value, which is
     only a lower bound on the worst violation, and its warning says so; a
-    certified one has no warning.
+    certified one has no warning.  It solves without a start, unlike the
+    verifications inside a run: a started solve may end at another of
+    the LPs' equal-valued vertices, and the report's certificate must be
+    the one `wcopf verify` gives the returned parameters, bit for bit.
     """
     try:
         cert = solve(params, box, gen_bounds, node_limit=node_limit)
@@ -153,6 +156,7 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
     params = init_params(dims, config.seed)
     state = adam_init(params)
     records = []
+    cert = None  # the last certificate, which starts the next verification
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -163,7 +167,7 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
                 and (epoch - config.warmup) % config.wc_every == 0:
             try:
                 cert = solve_worst_case(params, box, gen_bounds,
-                                        node_limit=config.node_limit)
+                                        node_limit=config.node_limit, start=cert)
             except NumericalBreakdown as exc:
                 warning = (f"verifier failed ({exc}); "
                            "no worst-case gradient this epoch")
@@ -220,7 +224,10 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     The first `warmup` epochs run the plain loss; afterwards every
     wc_every-th epoch solves the verification problem on the current
     parameters and adds lambda_wc times the envelope gradient to the
-    update.  An uncertified solve (node limit) is recorded as a warning
+    update.  Each verification starts from the last one's certificate
+    (solve_worst_case's start): the net has moved by a few Adam steps
+    since, so its root and bound LPs reuse that run's optimal bases.
+    An uncertified solve (node limit) is recorded as a warning
     on that epoch and its incumbent gradient is still used; a solver
     breakdown is recorded as a warning and that epoch runs the plain
     loss.  A breakdown in the final certificate leaves final_v_g None

@@ -63,7 +63,10 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     leaves the final violation None and sets the report's warning, and a
     final certificate stopped at the node limit sets it too
     (final_verification).
-    Records v_g and validation MAE at the top of every iteration.
+    Records v_g and validation MAE at the top of every iteration.  Each
+    iteration's verification starts from the certificate of the one
+    before (solve_worst_case's start), whose LP bases serve the moved
+    parameters' root and bound LPs.
     """
     xs, ys = dataset.scaled("train")
     xv, yv = dataset.scaled("val")
@@ -78,12 +81,13 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
 
     records = []
     stopped = STOP_MAX_ITERS
+    cert = None  # the last certificate, which starts the next verification
     for it in range(config.max_iters):
         started = time.perf_counter()
         val_mae = loss_mae(params, xv, yv)
         try:
             cert = solve_worst_case(params, box, gen_bounds,
-                                    node_limit=config.node_limit)
+                                    node_limit=config.node_limit, start=cert)
         except NumericalBreakdown as exc:
             records.append(EpochRecord(
                 epoch=it, train_l0=loss_mae(params, xs, ys), val_mae=val_mae,

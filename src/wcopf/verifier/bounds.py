@@ -57,6 +57,9 @@ class PreactBounds:
     def stable_inactive(self, k):
         return self.upper[k] <= 0.0
 
+    def unstable(self, k):
+        return (self.lower[k] < 0.0) & (self.upper[k] > 0.0)
+
 
 def interval_bounds(params, box):
     """Bounds valid over the whole input box.
@@ -108,40 +111,67 @@ def narrow_deeper(params, lower, upper, k):
         upper[i] = np.minimum(upper[i], up)
 
 
-def lp_bounds(rows, rhs, lo, hi, forms, lower, upper):
+class BoundLps:
+    """The bases that lp_bounds starts a layer's LPs from and leaves.
+
+    bases maps (unit, "max" or "min") to the last optimal basis of that
+    unit's LP; pivots sums the simplex iterations of every LP solved.
+    """
+
+    def __init__(self, bases=None):
+        self.bases = dict(bases or {})
+        self.pivots = 0
+
+
+def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, lps=None):
     """Tighten lower <= a @ x + b <= upper, for (a, b) = forms, by LP.
 
     Each unit is the affine form a[j] @ x + b[j] of x in the polytope
     rows @ x <= rhs, lo <= x <= hi (every bound finite).  Only units with
     lower < 0 < upper are solved: first their maximum, then their minimum
     unless the maximum already proves them inactive.  All LPs are
-    siblings of one LpProblem under equal bounds, so only the first runs
-    phase 1 (simplex._RowSet.phase1), and safe_max takes the rows'
-    magnitudes from that one row set.  Each optimal LP yields a safe
-    bound from the row duals of its final basis (simplex.safe_max), which
-    is rigorous for any multipliers; its x is never read, so no LP pays
-    for the refactorization and feasibility recheck behind it.  An LP
-    that ends other than optimal, or whose simplex breaks down (the
-    iteration cap), leaves its bound as it was.  Returns new arrays
-    (lower, upper), never looser than the ones given.
+    siblings of one LpProblem under equal bounds, so only the first cold
+    one runs phase 1 (simplex._RowSet.phase1), and safe_max takes the
+    rows' magnitudes from that one row set.
+
+    lps (a BoundLps, or None for one of its own) carries the starts:
+    each LP starts from the basis lps.bases holds for its unit and side,
+    as the same bound LP of an earlier verification of the net left it
+    (rows of the same layout, moved by a few training steps), and solves
+    cold without one.  Such a start is refit (simplex.solve_lp), and its
+    solve derives x for its feasibility recheck; a cold LP's x is never
+    read, so it pays for no refactorization.  Each LP that ends optimal
+    leaves its basis in lps.bases, and every LP adds its iterations to
+    lps.pivots.
+
+    Each optimal LP yields a safe bound from the row duals of its final
+    basis (simplex.safe_max), which is rigorous for any multipliers, so
+    a start changes what an LP proves by the simplex's tolerances at
+    most.  An LP that
+    ends other than optimal, or whose simplex breaks down (the iteration
+    cap), leaves its bound as it was.  Returns new arrays (lower,
+    upper), never looser than the ones given.
     """
     a, b = forms
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
     lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
+    lps = BoundLps() if lps is None else lps
 
-    def upper_bound(c, off):
+    def upper_bound(key, c, off):
         problem = lp.sibling(c=c)
         try:
-            sol = solve_lp(problem)
+            sol = solve_lp(problem, start=lps.bases.get(key))
         except NumericalBreakdown:
             return np.inf
+        lps.pivots += sol.iteration_count
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
+        lps.bases[key] = sol.basis
         return safe_max(row_duals(c, sol.basis), problem, off)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):
-        upper[j] = min(upper[j], upper_bound(a[j], b[j]))
+        upper[j] = min(upper[j], upper_bound((int(j), "max"), a[j], b[j]))
         if upper[j] > 0.0:
-            lower[j] = max(lower[j], -upper_bound(-a[j], -b[j]))
+            lower[j] = max(lower[j], -upper_bound((int(j), "min"), -a[j], -b[j]))
     return lower, upper

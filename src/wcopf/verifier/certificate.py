@@ -15,6 +15,7 @@ def save_certificate(path, cert, model_sha256=None, extras=None):
         "gap": float(cert.gap),
         "status": cert.status,
         "nodes_explored": int(cert.nodes_explored),
+        "lp_pivots": int(cert.lp_pivots),
         "constraint": None,
         "witness": None,
         "pattern": None,

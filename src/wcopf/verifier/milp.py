@@ -31,14 +31,27 @@ and return identical witnesses.
 
 Every node LP is a sibling of one LpProblem per encoding (the same
 rows, its own objective and y bounds), and every one is solved through
-one call with the incumbent's cutoff.  A root LP has no start and
-solves cold; the roots differ only in their objective, so they run one
-phase 1 between them (simplex._RowSet.phase1).  A child's LP starts
-from its parent's optimal basis with that cutoff: its dual simplex
-stops as soon as the row duals prove that the child cannot beat the
-cutoff (simplex.safe_max), and the child is then a fathomed leaf whose
-safe bound counts toward the certificate's bound.  Such a child takes
-a pivot or two, and no primal phase or forward pass of its point.
+one call with the incumbent's cutoff.  A child's LP starts from its
+parent's optimal basis with that cutoff: its dual simplex stops as soon
+as the row duals prove that the child cannot beat the cutoff
+(simplex.safe_max), and the child is then a fathomed leaf whose safe
+bound counts toward the certificate's bound.  Such a child takes a
+pivot or two, and no primal phase or forward pass of its point.
+
+A root LP starts from its candidate's last optimal root basis when the
+search is given an earlier certificate (solve_worst_case's start) whose
+encoding has the same unstable units in every layer: a training loop
+verifies a net that has moved by a few steps since, and its LPs differ
+from the earlier ones only in their numbers.  The simplex refits such a
+start to the moved rows and objective, and a root that its cutoff
+stops is a leaf as a child is.  Bound LPs are started the same way,
+layer by layer (bounds.lp_bounds).  A root without such a start solves
+cold; the roots differ only in their objective, so the cold ones run
+one phase 1 between them (simplex._RowSet.phase1).  Incremental
+verification reuses more than the bases (Ugare et al., "Incremental
+Verification of Neural Networks", PLDI 2023), but trees here average a
+few nodes, and the bases are what carries over from one epoch to the
+next.
 
 A node LP that ends optimal is valued by safe_max over its row duals
 too, with its candidate's constant folded in: a rigorous upper bound on
@@ -52,13 +65,13 @@ basis for an exact x, and every leaf's bound comes from a dual vector.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, row_duals, safe_add, safe_max, solve_lp
-from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
+from .bounds import BoundLps, Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
 from .patterns import candidate_constraints, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
 from .patterns import worst_case_fixed_pattern
@@ -77,13 +90,42 @@ GAP_REMAINING = "gap_remaining"
 
 
 @dataclass(frozen=True)
+class _Bases:
+    """The optimal LP bases a verification leaves for the next one.
+
+    layout is the encoding's (n_inputs, n_outputs, unstable-unit mask of
+    each hidden layer); roots maps a candidate's index to its last
+    optimal root basis; bounds maps a hidden layer to the last optimal
+    basis of each of its bound LPs, keyed (unit, "max" or "min").
+    """
+
+    layout: tuple
+    roots: dict
+    bounds: dict
+
+    def fits(self, layout, depth):
+        """Whether LPs over the rows of the first depth hidden layers of
+        an encoding with this layout have the layout of these bases."""
+        (n_in, n_out, masks), (n_in2, n_out2, masks2) = self.layout, layout
+        return ((n_in, n_out) == (n_in2, n_out2)
+                and [m.shape for m in masks] == [m.shape for m in masks2]
+                and all(np.array_equal(a, b) for a, b in zip(masks[:depth], masks2[:depth])))
+
+
+@dataclass(frozen=True)
 class WorstCaseCert:
     """Outcome of a verification run.
 
     value is the worst violation over the box clipped at zero; witness,
     constraint_id and pattern describe where it is attained (all None
     when no constraint can be violated).  bound is a certified upper
-    bound on the violation; gap = bound - value.
+    bound on the violation; gap = bound - value.  lp_pivots is the total
+    simplex iterations of the run's bound, root and child LPs.
+
+    bases holds the run's optimal LP bases (_Bases), the start of a later
+    verification of the net a few training steps on (solve_worst_case's
+    start).  It takes no part in equality or repr, and no JSON document
+    holds it.
     """
 
     value: float
@@ -94,6 +136,8 @@ class WorstCaseCert:
     gap: float
     status: str
     nodes_explored: int
+    lp_pivots: int = 0
+    bases: _Bases = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self):
@@ -131,9 +175,15 @@ class _Encoding:
     and dropping them leaves every node LP's optimum unchanged.  y_range
     holds each unstable unit's big-M range zhi - zlo, in the order of
     the y variables.
+
+    start, if given, is an earlier verification's _Bases: layer k's
+    bound LPs start from its bases for layer k when it fits the unstable
+    units of the layers before k.  bound_bases keeps this encoding's
+    bound-LP bases in the same form, pivots the simplex iterations of
+    its bound LPs, and layout its unstable units (see _Bases).
     """
 
-    def __init__(self, params, box: Box, gen_bounds: Box):
+    def __init__(self, params, box: Box, gen_bounds: Box, start=None):
         if box.dim != params.n_inputs:
             raise ValueError("box dimension does not match network inputs")
         if gen_bounds.dim != params.n_outputs:
@@ -147,13 +197,23 @@ class _Encoding:
         n_layers = params.n_hidden_layers
         lower = pre.lower + [out_dn]
         upper = pre.upper + [out_up]
+        self.bound_bases = {}
+        self.pivots = 0
         for k in range(1, n_layers):
-            rows, rhs, lo, hi, _, act, off = self._build(PreactBounds(lower, upper), k)
+            bounds = PreactBounds(lower, upper)
+            rows, rhs, lo, hi, _, act, off = self._build(bounds, k)
             w, b = params.weights[k], params.biases[k]
+            earlier = None
+            if start is not None and start.fits(self._layout(bounds), k):
+                earlier = start.bounds.get(k)
+            lps = BoundLps(earlier)
             lower[k], upper[k] = lp_bounds(rows, rhs, lo, hi, (w @ act, w @ off + b),
-                                           lower[k], upper[k])
+                                           lower[k], upper[k], lps)
+            self.bound_bases[k] = lps.bases
+            self.pivots += lps.pivots
             narrow_deeper(params, lower, upper, k)
         self.pre = PreactBounds(lower[:n_layers], upper[:n_layers])
+        self.layout = self._layout(self.pre)
         self.out_dn = lower[-1]
         self.out_up = upper[-1]
         (self.rows, self.rhs, self.var_lo, self.var_hi, self.y_range,
@@ -164,6 +224,12 @@ class _Encoding:
         # every node LP is a sibling of this one: same rows, own c and bounds
         self.node_lp = LpProblem(c=np.zeros(self.n_vars), a_ub=self.rows, b_ub=self.rhs,
                                  lo=self.var_lo, hi=self.var_hi)
+
+    def _layout(self, pre):
+        """(n_inputs, n_outputs, unstable-unit mask of each hidden layer)
+        under the bounds pre (see _Bases)."""
+        return (self.n_in, self.params.n_outputs,
+                [pre.unstable(k) for k in range(self.params.n_hidden_layers)])
 
     def _build(self, pre, depth):
         """Rows of the hidden layers before depth, from the bounds pre.
@@ -292,7 +358,7 @@ def _branch_unit(y_rel, y_fix, y_range, weight):
     return int(np.argmax(np.where(free_frac, score, -np.inf)))
 
 
-def _branch_and_bound(enc: _Encoding, cids, node_limit):
+def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     """Maximize every candidate margin in one best-first tree.
 
     Heap entries are (-bound, seq, candidate index, y_fix, parent's LP
@@ -307,19 +373,24 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     any candidate, 0) + FATHOM_PAD.  A surviving node branches on the
     unit _branch_unit picks.  A node popped after its candidate has
     solved node_limit node LPs is set aside unexplored.  Returns
-    (incumbents, nodes, leaf_bound): an _Incumbent and a node count per
-    candidate, and the largest bound on any leaf of the tree, so on any
-    margin in the box: the safe bound of each fathomed or integral node,
-    and of each child whose LP stopped at the cutoff, and the key of
-    each node set aside or left in the heap (-inf if there is none).
+    (incumbents, nodes, leaf_bound, pivots): an _Incumbent and a node
+    count per candidate, the largest bound on any leaf of the tree, so
+    on any margin in the box (the safe bound of each fathomed or
+    integral node, and of each node whose LP stopped at the cutoff, and
+    the key of each node set aside or left in the heap; -inf if there is
+    none), and the simplex iterations of every node LP.
+
     Every node LP is solved with the cutoff at the time it is solved.
-    A root has no start, so it solves cold and the cutoff stops nothing;
-    roots differ only in their objective, so the first one's phase 1
-    serves them all (simplex._RowSet.phase1).  A child warm-starts from
-    its parent's basis; one that stops at the cutoff (LpStatus.CUTOFF)
+    roots maps a candidate's index to the basis its root LP starts from
+    (an earlier verification's, which the simplex refits); each root LP
+    that ends optimal replaces its entry.  A root without one solves
+    cold and the cutoff stops nothing; such roots differ only in their
+    objective, so the first one's phase 1 serves them all
+    (simplex._RowSet.phase1).  A child warm-starts from its parent's
+    basis.  A started node that stops at the cutoff (LpStatus.CUTOFF)
     has no point, so it offers none, and it never branches.  An optimal
     node's value is safe_max over its row duals plus the candidate's
-    constant, and a CUTOFF child's is its bound plus that constant
+    constant, and a CUTOFF node's is its bound plus that constant
     (safe_add), so the pad covers the addition; the row duals also give
     _Encoding.unit_weights, and the point offered and branched on is
     LpSolution.point.
@@ -336,12 +407,13 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
 
     offer(enc.box.midpoint())
     free = np.full(enc.n_unstable, -1, dtype=np.int8)
-    heap = [(-enc.interval_margin_bound(cid), k, k, free, None)
+    heap = [(-enc.interval_margin_bound(cid), k, k, free, roots.get(k))
             for k, cid in enumerate(cids)]
     heapq.heapify(heap)
     seq = len(heap)
     nodes = [0] * len(cids)
     leaf_bound = -np.inf
+    pivots = 0
 
     while heap and -heap[0][0] > cutoff():
         neg_bound, _, k, y_fix, start = heapq.heappop(heap)
@@ -355,11 +427,14 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
         # basis stays dual feasible and warm-starts it, and its dual
         # simplex stops once it proves the child fathomed
         sol = enc.solve_node(c, y_fix, start, cutoff() - const)
+        pivots += sol.iteration_count
         if sol.status == LpStatus.INFEASIBLE:
             continue
         if sol.status == LpStatus.CUTOFF:
             leaf_bound = max(leaf_bound, safe_add(sol.bound, const))
             continue
+        if y_fix is free:  # a root
+            roots[k] = sol.basis
         duals = row_duals(c, sol.basis)
         val = float(safe_max(duals, sol.basis.problem, const))
         # a basic variable can sit up to the simplex's tolerance outside
@@ -385,11 +460,11 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit):
     if heap:
         # every node still queued is keyed at most the heap's top
         leaf_bound = max(leaf_bound, -heap[0][0])
-    return incs, nodes, leaf_bound
+    return incs, nodes, leaf_bound, pivots
 
 
 def solve_worst_case(params, box: Box, gen_bounds: Box,
-                     node_limit: int = DEFAULT_NODE_LIMIT) -> WorstCaseCert:
+                     node_limit: int = DEFAULT_NODE_LIMIT, start=None) -> WorstCaseCert:
     """Certified worst-case generator-bound violation over an input box.
 
     Searches every (generator, side) candidate in one shared best-first
@@ -398,12 +473,27 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
     first candidate, in candidate_constraints order, with the largest
     margin.  node_limit caps the nodes per candidate; when it is hit
     the certificate reports the remaining gap instead of raising.
+
+    start, if given, is the certificate of an earlier verification, as
+    a training loop has from a few steps back.  Its LP bases (the
+    certificate's bases) start this run's LPs where the layouts agree:
+    a hidden layer's bound LPs when the unstable units of every layer
+    before it are the same, and the root LPs when those of every layer
+    are.  Other LPs solve as without a start, and a start from another
+    architecture or unstable layout changes nothing.  The value, bound
+    and status are as rigorous either way; a started run may end at
+    another of the LPs' equal-valued vertices, so its witness and
+    value's last bits may differ from a run without a start.
     """
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
-    enc = _Encoding(params, box, gen_bounds)
+    earlier = None if start is None else start.bases
+    enc = _Encoding(params, box, gen_bounds, earlier)
     cids = candidate_constraints(params.n_outputs)
-    incs, nodes, leaf_bound = _branch_and_bound(enc, cids, node_limit)
+    roots = {}
+    if earlier is not None and earlier.fits(enc.layout, params.n_hidden_layers):
+        roots = dict(earlier.roots)
+    incs, nodes, leaf_bound, pivots = _branch_and_bound(enc, cids, node_limit, roots)
     # max keeps the first of equal values
     win = max(range(len(cids)), key=lambda k: incs[k].value)
     best_value = incs[win].value
@@ -422,4 +512,6 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
         pattern = None
     return WorstCaseCert(value=value, witness=witness, constraint_id=cid,
                          pattern=pattern, bound=float(bound), gap=float(gap),
-                         status=status, nodes_explored=sum(nodes))
+                         status=status, nodes_explored=sum(nodes),
+                         lp_pivots=enc.pivots + pivots,
+                         bases=_Bases(enc.layout, roots, enc.bound_bases))

@@ -41,6 +41,26 @@ def phase1_runs(monkeypatch):
 
 
 @pytest.fixture
+def refit_cores(monkeypatch):
+    """List that grows by the simplex core of each start taken through
+    refactorization (_Core._refit): a start whose rows, objective or
+    bounds are not its source's, or whose binv drifted."""
+    from wcopf import simplex
+
+    cores = []
+    refit = simplex._Core._refit
+
+    def recording(core, start):
+        taken = refit(core, start)
+        if taken:
+            cores.append(core)
+        return taken
+
+    monkeypatch.setattr(simplex._Core, "_refit", recording)
+    return cores
+
+
+@pytest.fixture
 def refactorizations(monkeypatch):
     """List that grows by the simplex core of each exact re-solve of a
     basis (_Core._exact: a dispatch or other LP whose x is read, and

@@ -93,9 +93,11 @@ def test_lp_bounds_are_safe_and_tight_against_highs(monkeypatch, seed, dims, rad
     monkeypatch.setattr(bounds, "solve_lp", counting)
     _encoding(seed, dims, radius)
     assert len(calls) == len(dims) - 3  # one call per hidden layer past the first
-    for (rows, rhs, lo, hi, (a, b), lower, upper), (new_lo, new_up), n_lps in calls:
+    for (rows, rhs, lo, hi, (a, b), lower, upper, lps), (new_lo, new_up), n_lps in calls:
         unstable = np.flatnonzero((lower < 0.0) & (upper > 0.0))
         assert unstable.size
+        # every LP solved cold, ended optimal and left its basis
+        assert len(lps.bases) == n_lps and lps.pivots > 0
         stable = np.setdiff1d(np.arange(lower.size), unstable)
         assert new_lo[stable].tobytes() == lower[stable].tobytes()
         assert new_up[stable].tobytes() == upper[stable].tobytes()

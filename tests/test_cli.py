@@ -133,6 +133,7 @@ def test_verify_reports_mw_consistently(tmp_path, capsys):
     g = ref.constraint_id[0]
     assert abs(cert["v_g_mw"] - ref.value * out_scaler.scale[g]) <= 1e-6
     assert cert["v_g"] == ref.value
+    assert cert["lp_pivots"] == ref.lp_pivots > 0
     assert cert["pct_max_loading"] == pytest.approx(
         100.0 * cert["v_g_mw"] / float(nominal.sum()))
     assert cert["model_sha256"]

@@ -483,8 +483,40 @@ def test_warm_start_from_a_basic_artificial_matches_cold(cold_cores):
     assert warm.objective_value == cold.objective_value
 
 
+def _agrees_with_cold(got, problem):
+    """got has a cold solve's status and, when optimal, its objective and
+    the vertex oracle's within 1e-9 relative; returns the cold solve."""
+    want = solve_lp(problem)
+    assert got.status == want.status
+    if want.status == LpStatus.OPTIMAL:
+        ref = lp_vertex_enumeration(problem.c, problem.a_eq, problem.b_eq, problem.a_ub,
+                                    problem.b_ub, problem.lo, problem.hi)[2]
+        for value in (want.objective_value, ref):
+            assert abs(got.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+    return want
+
+
+def _repairable(start, problem):
+    """Whether the basis of start, refactorized for problem's rows, leaves
+    every nonbasic's favored bound finite: computed here from the
+    problem's data, apart from the simplex."""
+    m_eq, m_ub, n = len(problem.b_eq), len(problem.b_ub), len(problem.c)
+    m = m_eq + m_ub
+    a = np.hstack([np.vstack([problem.a_eq, problem.a_ub]),
+                   np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)]), np.eye(m)])
+    c = np.concatenate([problem.c, np.zeros(m_ub + m)])
+    lo = np.concatenate([problem.lo, np.zeros(m_ub + m)])
+    hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m)])
+    basic = np.asarray(start[0])
+    d = c - c[basic] @ np.linalg.solve(a[:, basic], np.eye(m)) @ a
+    d[basic] = 0.0
+    return not ((d > 1e-9) & np.isinf(hi) | (d < -1e-9) & np.isinf(lo)).any()
+
+
 @pytest.mark.parametrize("seed", [0, 2, 7, 21])
-def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
+def test_drifted_inverse_falls_back_to_cold(seed, cold_cores, refit_cores):
+    # a start whose binv fails the identity test is no longer thrown away:
+    # its basis is refactorized, and the solve matches a cold one
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
     parent = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
     assert parent.status == LpStatus.OPTIMAL and parent.basis is not None
@@ -499,22 +531,17 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores):
         return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo2, hi=hi)
 
     cold_cores.clear()
-    # undrifted, the start is taken; drifted, only the identity test fails it
+    # undrifted, the start is taken as it is; drifted, only the identity test fails it
     solve_lp(problem(), start=simplex._Basis(basis, stat, binv, parent.basis.problem))
-    assert not cold_cores
+    assert not cold_cores and not refit_cores
     start = simplex._Basis(basis, stat, drifted, parent.basis.problem)
-    cold = solve_lp(problem())
-    # a failed test is not remembered: passed twice, the start solves cold twice
+    # a failed test is not remembered: passed twice, the start is refit twice
     for k in (1, 2):
-        fallback = solve_lp(problem(), start=start)
-        assert len(cold_cores) == 1 + k and start.inverts is None
-        assert fallback.status == cold.status
-        assert fallback.iteration_count == cold.iteration_count
-        assert fallback.objective_value == cold.objective_value
-        if cold.status == LpStatus.OPTIMAL:
-            assert fallback.x.tobytes() == cold.x.tobytes()
-            for got, want in zip(fallback.basis, cold.basis):
-                assert got.tobytes() == want.tobytes()
+        got = solve_lp(problem(), start=start)
+        assert not cold_cores
+        assert len(refit_cores) == k and start.inverts is None
+        _agrees_with_cold(got, problem())
+        cold_cores.clear()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 15, 21])
@@ -562,8 +589,9 @@ def _free_nonbasic_lp(lo, hi):
 
 
 @pytest.mark.parametrize("change", ["objective", "looser_bounds", "free_gains_a_bound"])
-def test_start_for_another_problem_solves_cold(change, cold_cores):
-    # such a start is not taken over: the solve is the cold solve, bit for bit
+def test_start_for_another_problem_solves_cold(change, cold_cores, refit_cores):
+    # such a start is refit, and solves cold only where no finite bound
+    # serves some nonbasic's reduced cost; either way it matches a cold solve
     def lp(seed, child):
         if change == "free_gains_a_bound":
             return _free_nonbasic_lp([0.0, -1.0 if child else -np.inf],
@@ -573,7 +601,7 @@ def test_start_for_another_problem_solves_cold(change, cold_cores):
             c, lo = (c + 1.0, lo) if change == "objective" else (c, lo - 1.0)
         return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
 
-    solved = 0
+    refit = cold = 0
     for seed in range(1 if change == "free_gains_a_bound" else 40):
         parent = solve_lp(lp(seed, False))
         if parent.status != LpStatus.OPTIMAL:
@@ -581,18 +609,71 @@ def test_start_for_another_problem_solves_cold(change, cold_cores):
         if change == "free_gains_a_bound":
             assert parent.basis[1][1] == simplex._FREE
         cold_cores.clear()
+        refit_cores.clear()
         got = solve_lp(lp(seed, True), start=parent.basis)
-        assert len(cold_cores) == 1
-        want = solve_lp(lp(seed, True))
-        assert got.status == want.status
-        assert got.iteration_count == want.iteration_count
-        if want.status == LpStatus.OPTIMAL:
-            solved += 1
-            assert got.x.tobytes() == want.x.tobytes()
-            assert got.objective_value == want.objective_value
-            for g, w in zip(got.basis, want.basis):
-                assert g.tobytes() == w.tobytes()
-    assert solved >= (1 if change == "free_gains_a_bound" else 10)
+        if _repairable(parent.basis, lp(seed, True)):
+            assert len(refit_cores) == 1 and not cold_cores
+            refit += 1
+        else:
+            assert len(cold_cores) == 1 and not refit_cores
+            cold += 1
+        _agrees_with_cold(got, lp(seed, True))
+    assert refit >= (1 if change == "free_gains_a_bound" else 10)
+    # a new objective can make a slack's reduced cost favor its infinite bound
+    assert (cold > 0) == (change == "objective")
+
+
+def _perturbed(rng, c, a_eq, b_eq, a_ub, b_ub, lo, hi):
+    """The LP moved a little: every row and c nudged, each bound tightened
+    or loosened, and b_eq kept at a point inside the new bounds."""
+    c = c + 0.3 * rng.normal(size=c.shape)
+    a_ub = a_ub + 0.05 * rng.normal(size=a_ub.shape)
+    b_ub = b_ub + 0.05 * rng.normal(size=b_ub.shape)
+    lo = lo + rng.uniform(-0.3, 0.3, size=lo.shape)
+    hi = np.maximum(hi + rng.uniform(-0.3, 0.3, size=hi.shape), lo + 0.1)
+    if len(b_eq):
+        a_eq = a_eq + 0.05 * rng.normal(size=a_eq.shape)
+        b_eq = a_eq @ (0.5 * (lo + hi))
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+
+
+def test_property_refit_start_solves_a_moved_lp(monkeypatch, cold_cores, refit_cores):
+    # the parent's basis starts the LP of a net a step later: rows, c and
+    # bounds have all moved.  A refit start enters the dual simplex dual
+    # feasible, and ends as a cold solve does
+    entered = []  # the worst reduced cost on its wrong side, per refit dual simplex
+    dual = simplex._Core._dual
+
+    def checked(core, cutoff=None, refit=False):
+        if refit:
+            d = core.c - (core.c[core.basis] @ core.binv) @ core.a
+            wrong = np.where(core.stat == simplex._AT_UP, -d, d)
+            free = core.stat == simplex._FREE
+            wrong[free] = np.abs(d[free])
+            wrong[(core.stat == simplex._BASIC) | (core.hi == core.lo)] = 0.0
+            entered.append(wrong.max(initial=0.0))
+        return dual(core, cutoff, refit)
+
+    monkeypatch.setattr(simplex._Core, "_dual", checked)
+    refit = cold = 0
+    for seed in range(200):
+        parent = solve_lp(LpProblem(*_random_problem(seed)))
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        child = _perturbed(np.random.default_rng((seed, 1)), *_random_problem(seed))
+        entered.clear()
+        cold_cores.clear()
+        refit_cores.clear()
+        got = solve_lp(child, start=parent.basis)
+        if _repairable(parent.basis, child):
+            assert len(refit_cores) == len(entered) == 1 and not cold_cores
+            assert entered[0] <= simplex._OBJ_TOL
+            refit += 1
+        else:
+            assert len(cold_cores) == 1 and not refit_cores and not entered
+            cold += 1
+        _agrees_with_cold(got, child)
+    assert refit >= 100 and cold > 0
 
 
 def test_start_that_is_no_basis_is_rejected():

@@ -182,6 +182,33 @@ def test_uncertified_final_certificate_is_reported_as_a_lower_bound():
     assert summary_document(report)["warning"] == report.warning
 
 
+def test_wcnn_verifications_start_from_the_last_certificate(monkeypatch, refit_cores):
+    # each verified epoch starts from the certificate before it; the same
+    # epochs solved with their starts withheld take more simplex pivots
+    # and certify the same worst case to within GAP_TOL
+    data, gen_box, box = grid_fixture("case9")
+    calls = []  # (params, start, certificate) of every verification
+
+    def recording(params, *args, **kwargs):
+        cert = solve_worst_case(params, *args, **kwargs)
+        calls.append((params.copy(), kwargs.get("start"), cert))
+        return cert
+
+    monkeypatch.setattr(loops, "solve_worst_case", recording)
+    _, report = train_wcnn(data, gen_box, (4,), TrainConfig(
+        alpha=3e-3, epochs=12, warmup=4, wc_every=2, seed=4, lambda_wc=1.0), box=box)
+    verified = calls[:-1]  # the last call is the final, start-free certificate
+    assert len(verified) == len(report.v_g_epochs()) == 4
+    assert calls[-1][1] is None and verified[0][1] is None
+    assert all(start is cert for (_, start, _), (_, _, cert) in zip(verified[1:], verified))
+    assert refit_cores
+    withheld = [solve_worst_case(params, box, gen_box) for params, _, _ in verified]
+    for (_, _, cert), plain in zip(verified, withheld):
+        assert cert.certified and abs(cert.value - plain.value) <= GAP_TOL
+        assert cert.value <= cert.bound and plain.value <= cert.bound
+    assert sum(c.lp_pivots for _, _, c in verified) < sum(c.lp_pivots for c in withheld)
+
+
 @pytest.mark.parametrize("node_limit,status", [(1, "gap_remaining"), (10_000, "certified")])
 def test_final_certificate_bound_and_status_are_reported(node_limit, status):
     data = toy_dataset(31)

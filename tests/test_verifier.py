@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 from collections import Counter
@@ -503,6 +504,7 @@ _CASE9_NETS = [
     ((8,), 0, 17, (1, "lower")),
     ((8,), 1, 14, (1, "lower")),
 ]
+_CASE9_IDS = ["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4", "24_s4", "8_s0", "8_s1"]
 # sha256 over the value, bound and witness bytes of the eight
 # certificates, and over the LP-tightened bounds (_Encoding.pre) of the
 # five two-layer nets, in _CASE9_NETS order
@@ -537,9 +539,7 @@ def case9_digests(case9_fixture, case9_nets):
     return certs.hexdigest(), pre.hexdigest()
 
 
-@pytest.mark.parametrize("arch,seed,nodes,constraint_id", _CASE9_NETS,
-                         ids=["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4",
-                              "24_s4", "8_s0", "8_s1"])
+@pytest.mark.parametrize("arch,seed,nodes,constraint_id", _CASE9_NETS, ids=_CASE9_IDS)
 def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, nodes,
                                         constraint_id):
     cert = case9_nets[arch, seed][1]
@@ -547,6 +547,58 @@ def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, n
         (nodes, CERTIFIED, constraint_id)
     # and what the whole set's certificates and bound LPs say, to the bit
     assert case9_digests == (_CASE9_CERT_SHA256, _CASE9_PRE_SHA256)
+
+
+def _moved_last_layer(params, seed):
+    """params with the output layer nudged, as a few last-layer training
+    steps move it; no hidden unit changes its stability."""
+    rng = np.random.default_rng((seed, 23))
+    vec = params.vec.copy()
+    for part in params.layer_parts(params.n_layers - 1):
+        vec[part] += 1e-3 * rng.standard_normal(vec[part].shape)
+    return MlpParams.from_vec(params.layer_dims, vec)
+
+
+@pytest.mark.parametrize("arch,seed", [n[:2] for n in _CASE9_NETS], ids=_CASE9_IDS)
+def test_started_search_agrees_with_a_start_free_one(case9_fixture, case9_nets, refit_cores,
+                                                     arch, seed):
+    # a start from the same net takes every root and bound LP basis as it
+    # is; one from the net a step back refits the roots, whose objective
+    # moved.  Either way the certificate is as rigorous as a fresh one
+    _, gen, box = case9_fixture
+    params, fresh = case9_nets[arch, seed]
+    moved = solve_worst_case(_moved_last_layer(params, seed), box, gen)
+    for start in (fresh, moved):
+        refit_cores.clear()
+        got = solve_worst_case(params, box, gen, start=start)
+        assert got.status == CERTIFIED
+        assert abs(got.value - fresh.value) <= GAP_TOL
+        assert got.value <= got.bound and fresh.value <= got.bound and got.value <= fresh.bound
+        assert got.lp_pivots < fresh.lp_pivots
+        assert bool(refit_cores) == (start is moved)
+
+
+@pytest.mark.parametrize("start_key,key", [(((8,), 0), ((24,), 4)),
+                                           (((8, 8), 4), ((12, 12), 2)),
+                                           (((12, 12), 2), ((12, 12), 2))],
+                         ids=["one_layer", "two_layers", "flipped_unit"])
+def test_start_of_another_layout_changes_nothing(case9_fixture, case9_nets, refit_cores,
+                                                 start_key, key):
+    # another architecture, or the same net with one first-layer unit's
+    # stability flipped in the start's layout: no basis of the start is
+    # used, and the certificate is the start-free one, bit for bit
+    _, gen, box = case9_fixture
+    params, fresh = case9_nets[key]
+    start = case9_nets[start_key][1]
+    if start_key == key:
+        n_in, n_out, masks = start.bases.layout
+        flipped = [m.copy() for m in masks]
+        flipped[0][0] = not flipped[0][0]
+        start = dataclasses.replace(start, bases=dataclasses.replace(
+            start.bases, layout=(n_in, n_out, flipped)))
+    got = solve_worst_case(params, box, gen, start=start)
+    assert _cert_bytes(got) == _cert_bytes(fresh)
+    assert got.lp_pivots == fresh.lp_pivots and not refit_cores
 
 
 def test_each_start_basis_runs_one_identity_test(monkeypatch, case9_fixture, case9_nets):
