@@ -1,6 +1,7 @@
 """Dispatch datasets: generation, CSV round-trip, scaling."""
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -188,13 +189,11 @@ def save_dataset(dataset, path):
     header = ([f"d_{i}" for i in range(dataset.n_inputs)]
               + [f"g_{i}" for i in range(dataset.n_outputs)] + ["split"])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.inputs.shape[0]):
-            row = [repr(float(v)) for v in dataset.inputs[i]]
-            row += [repr(float(v)) for v in dataset.targets[i]]
-            row.append(str(dataset.split[i]))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        rows = zip(np.asarray(dataset.inputs, dtype=float).tolist(),
+                   np.asarray(dataset.targets, dtype=float).tolist(), dataset.split)
+        for d, g, split in rows:
+            fh.write(",".join(map(repr, d + g)) + f",{split}\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -221,7 +220,7 @@ def load_dataset(path) -> Dataset:
                 vals = [float(v) for v in row[:n_in + n_out]]
             except ValueError as exc:
                 raise SchemaError(f"{path}: line {ln}: {exc}") from None
-            if not all(np.isfinite(vals)):
+            if not all(map(math.isfinite, vals)):
                 raise SchemaError(f"{path}: line {ln}: nonfinite value")
             if row[-1] not in SPLITS:
                 raise SchemaError(f"{path}: line {ln}: bad split label {row[-1]!r}")

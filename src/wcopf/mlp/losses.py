@@ -1,8 +1,10 @@
 """Training losses and their exact reverse-mode gradients.
 
 Subgradient conventions at kinks: d|r|/dr = 0 at r = 0 and the ReLU
-derivative is 0 at a preactivation of exactly 0.  A reverse pass fills
-the per-layer views of one zeroed Gradients.vec, laid out like MlpParams.vec.
+derivative is 0 at a preactivation of exactly 0.  A reverse pass writes
+every entry of the per-layer views of one Gradients.vec, laid out like
+MlpParams.vec: a fresh one, or a caller's buffer (out) that a training
+run reuses for every step.
 """
 
 from dataclasses import dataclass
@@ -69,39 +71,68 @@ def total_loss(params, x, y, spec: LossSpec):
     return val
 
 
-def backprop_from_output_grad(params, x, dloss_dout, preacts=None, acts=None):
-    """Reverse pass given dLoss/dOutput for a batch; returns Gradients."""
+def backprop_from_output_grad(params, x, dloss_dout, preacts=None, acts=None,
+                              out=None):
+    """Reverse pass given dLoss/dOutput for a batch; returns Gradients.
+
+    out, a Gradients of params' layout, receives the result when given
+    (every entry is overwritten); otherwise a new one does.
+    """
     x = np.asarray(x, dtype=float)
     if preacts is None or acts is None:
         preacts, acts, _ = forward_batch(params, x)
-    grads = Gradients.zeros_like(params)
+    if out is None:
+        out = Gradients.zeros_like(params)
+    elif out.layer_dims != params.layer_dims:
+        raise ShapeMismatch(f"gradient buffer of layout {out.layer_dims} for "
+                            f"parameters of layout {params.layer_dims}")
     layer_inputs = [x] + acts  # input to layer k is layer_inputs[k]
     delta = dloss_dout
     for k in range(params.n_layers - 1, -1, -1):
-        grads.weights[k][:] = delta.T @ layer_inputs[k]
-        grads.biases[k][:] = delta.sum(axis=0)
+        np.matmul(delta.T, layer_inputs[k], out=out.weights[k])
+        np.add.reduce(delta, axis=0, out=out.biases[k])
         if k > 0:
-            delta = (delta @ params.weights[k]) * (preacts[k - 1] > 0.0)
-    return grads
+            delta = delta @ params.weights[k]
+            delta *= preacts[k - 1] > 0.0
+    return out
 
 
-def gradient(params, x, y, spec: LossSpec) -> Gradients:
-    """Exact gradient of the weighted loss combination for one batch."""
+def gradient(params, x, y, spec: LossSpec, out=None) -> Gradients:
+    """Exact gradient of the weighted loss combination for one batch.
+
+    out, a Gradients of params' layout, receives the result when given,
+    so a training loop allocates one for the whole run; the result is
+    bit for bit the one a fresh Gradients would hold.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    preacts, acts, out = forward_batch(params, x)
-    _check_targets(out, y)
-    n, n_out = out.shape
+    preacts, acts, pred = forward_batch(params, x)
+    _check_targets(pred, y)
+    n, n_out = pred.shape
 
-    dloss_dout = np.zeros_like(out)
+    # dLoss/dOutput = 0 + mae term + gen term, each term built in place;
+    # the closing += 0.0 turns a -0.0 into the 0.0 that 0 + term gives
     if spec.mae_weight:
-        dloss_dout += spec.mae_weight * np.sign(out - y) / (n * n_out)
+        delta = np.subtract(pred, y)
+        np.sign(delta, out=delta)
+        delta *= spec.mae_weight
+        delta /= n * n_out
+    else:
+        delta = np.zeros_like(pred)
     if spec.gen_weight:
-        over = np.maximum(out - spec.gen_hi, 0.0)
-        under = np.maximum(spec.gen_lo - out, 0.0)
-        dloss_dout += spec.gen_weight * (2.0 * over - 2.0 * under) / n
+        over = np.subtract(pred, spec.gen_hi)
+        np.maximum(over, 0.0, out=over)
+        under = np.subtract(spec.gen_lo, pred)
+        np.maximum(under, 0.0, out=under)
+        over *= 2.0
+        under *= 2.0
+        over -= under
+        over *= spec.gen_weight
+        over /= n
+        delta += over
+    delta += 0.0
 
-    return backprop_from_output_grad(params, x, dloss_dout, preacts, acts)
+    return backprop_from_output_grad(params, x, delta, preacts, acts, out)
 
 
 def _check_targets(out, y):

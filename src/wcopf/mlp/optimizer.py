@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TrainingDiverged
-from .network import MlpParams
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -25,15 +24,32 @@ def adam_init(params) -> AdamState:
 
 
 def adam_step(params, grads, state, alpha):
-    """One Adam descent step; returns (new_params, new_state), or raises
-    TrainingDiverged when a new parameter is nonfinite."""
+    """One Adam descent step, in place: updates state.m, state.v and
+    params.vec (so every view of it) and returns (params, state).
+
+    Raises TrainingDiverged when a new parameter is nonfinite; params
+    and state then hold that step's values.  A caller that needs the
+    parameters from before a step keeps params.copy().
+    """
     t = state.step + 1
     g = grads.vec
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * g * g
-    vec = params.vec - alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    m, v, vec = state.m, state.v, params.vec
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    tmp = (1.0 - BETA2) * g
+    tmp *= g
+    v *= BETA2
+    v += tmp
+    step = m / bc1
+    step *= alpha
+    den = np.divide(v, bc2, out=tmp)
+    np.sqrt(den, out=den)
+    den += EPS
+    step /= den
+    vec -= step
+    state.step = t
     if not np.isfinite(vec).all():
         raise TrainingDiverged(f"nonfinite parameters after Adam step {t}")
-    return MlpParams.from_vec(params.layer_dims, vec), AdamState(m=m, v=v, step=t)
+    return params, state

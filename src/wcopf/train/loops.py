@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import NumericalBreakdown, TrainingDiverged
 from ..mlp.checkpoint import params_checksum
-from ..mlp.losses import LossSpec, gradient, loss_mae
+from ..mlp.losses import Gradients, LossSpec, gradient, loss_mae
 from ..mlp.network import init_params
 from ..mlp.optimizer import adam_init, adam_step
 from ..verifier.bounds import Box
@@ -126,11 +126,18 @@ def _test_mae(params, dataset):
     return loss_mae(params, xt, yt) if xt.shape[0] else None
 
 
-def _epoch_batches(n, batch_size, seed, epoch):
+def _epoch_batches(xs, ys, batch_size, seed, epoch):
+    """An epoch's minibatches (x, y): the whole split when batch_size is
+    None or covers it, else consecutive slices of the rows in a seeded
+    order, gathered once for the epoch."""
+    n = xs.shape[0]
     if batch_size is None or batch_size >= n:
-        return [slice(None)]
+        yield xs, ys
+        return
     order = np.random.default_rng((seed, 2, epoch)).permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+    xs, ys = xs[order], ys[order]
+    for i in range(0, n, batch_size):
+        yield xs[i:i + batch_size], ys[i:i + batch_size]
 
 
 def _run_training(dataset, arch, config: TrainConfig, mode,
@@ -155,6 +162,7 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
 
     params = init_params(dims, config.seed)
     state = adam_init(params)
+    grads = Gradients.zeros_like(params)  # every step's gradient, overwritten
     records = []
     cert = None  # the last certificate, which starts the next verification
 
@@ -178,9 +186,9 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
                                f"{cert.gap:.3e}; using the incumbent witness")
                 wc_grads = worst_case_gradient(params, cert,
                                                config.last_layer_only)
-        for i, idx in enumerate(_epoch_batches(xs.shape[0], config.batch_size,
-                                               config.seed, epoch)):
-            grads = gradient(params, xs[idx], ys[idx], spec)
+        for i, (xb, yb) in enumerate(_epoch_batches(xs, ys, config.batch_size,
+                                                    config.seed, epoch)):
+            gradient(params, xb, yb, spec, out=grads)
             if wc_grads is not None and i == 0:
                 grads.add(wc_grads, config.lambda_wc)
             try:

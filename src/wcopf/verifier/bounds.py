@@ -138,11 +138,12 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, lps=None):
     each LP starts from the basis lps.bases holds for its unit and side,
     as the same bound LP of an earlier verification of the net left it
     (rows of the same layout, moved by a few training steps), and solves
-    cold without one.  Such a start is refit (simplex.solve_lp), and its
-    solve derives x for its feasibility recheck; a cold LP's x is never
-    read, so it pays for no refactorization.  Each LP that ends optimal
-    leaves its basis in lps.bases, and every LP adds its iterations to
-    lps.pivots.
+    cold without one.  Such a start is taken or refit (simplex.solve_lp).
+    Every LP is solved with the cutoff -inf, which no bound reaches, so a
+    started one, like a cold one, ends without deriving its x and runs
+    no feasibility recheck: only the basis is read, and no LP pays for a
+    refactorization.  Each LP that ends optimal leaves its basis in
+    lps.bases, and every LP adds its iterations to lps.pivots.
 
     Each optimal LP yields a safe bound from the row duals of its final
     basis (simplex.safe_max), which is rigorous for any multipliers, so
@@ -161,7 +162,7 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, lps=None):
     def upper_bound(key, c, off):
         problem = lp.sibling(c=c)
         try:
-            sol = solve_lp(problem, start=lps.bases.get(key))
+            sol = solve_lp(problem, start=lps.bases.get(key), cutoff=-np.inf)
         except NumericalBreakdown:
             return np.inf
         lps.pivots += sol.iteration_count

@@ -85,9 +85,10 @@ def test_lp_bounds_are_safe_and_tight_against_highs(monkeypatch, seed, dims, rad
         calls.append((args, result, len(solved) - before))
         return result
 
-    def counting(problem, start=None):
+    def counting(problem, start=None, cutoff=None):
+        assert cutoff == -np.inf  # no bound reaches it, and no x is derived
         solved.append(problem)
-        return solve_lp(problem, start=start)
+        return solve_lp(problem, start=start, cutoff=cutoff)
 
     monkeypatch.setattr(milp, "lp_bounds", recording)
     monkeypatch.setattr(bounds, "solve_lp", counting)
@@ -132,7 +133,7 @@ def test_safe_bound_holds_for_any_basis(seed):
 
 @pytest.mark.parametrize("failure", ["breakdown", "unbounded"])
 def test_lp_bounds_keep_the_given_bound_when_an_lp_fails(monkeypatch, failure):
-    def failing(problem, start=None):
+    def failing(problem, start=None, cutoff=None):
         if failure == "breakdown":
             raise NumericalBreakdown("simplex iteration cap exceeded")
         return LpSolution(LpStatus.UNBOUNDED)

@@ -90,6 +90,31 @@ def test_train_writes_artifacts_deterministically(tmp_path):
     assert all(r["wall_time"] == 0.0 for r in records)
 
 
+# params_sha256 of the benchmark pipeline's training recipe: case9 data
+# (1500 samples, seed 0), one hidden layer of 8, seed 0, 100 epochs in
+# minibatches of 64; recorded while Adam still returned new arrays.  The
+# CI workflow checks the installed wcopf train against the same digests.
+PIPELINE_TRAIN_CONFIG = {"epochs": 100, "alpha": 0.003, "batch_size": 64}
+PIPELINE_PARAMS_SHA256 = {
+    "nn": "bbea9fe8a45e4e5fe85593bef78214614e86dd7358df577a3e2aba7b4d9c145c",
+    "gennn": "4838dbc5c2b94bc6cfe4e0451494564937984c3080afa261e06118e369fe1452",
+}
+
+
+def test_pipeline_recipe_params_are_pinned(tmp_path):
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["gen-data", "--grid", "case9", "--n", "1500", "--seed", "0",
+                     "--out", data]) == 0
+    cfg = _write_config(tmp_path / "train.json", **PIPELINE_TRAIN_CONFIG)
+    for mode, digest in PIPELINE_PARAMS_SHA256.items():
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["train", "--dataset", data, "--grid", "case9", "--mode", mode,
+                         "--arch", "8", "--seed", "0", "--config", cfg,
+                         "--out", str(out)]) == 0
+        summary = json.load(open(tmp_path / f"{mode}.report.summary.json"))
+        assert summary["params_sha256"] == digest
+
+
 def test_train_flag_overrides_config_seed(tmp_path):
     data = _gen_data(tmp_path)
     cfg = _write_config(tmp_path / "cfg7.json", epochs=10, seed=3)

@@ -197,6 +197,16 @@ def test_load_rejects_bad_float(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_nonfinite_value(tmp_path, value):
+    # the first bad line is named, and on it the value is checked before the label
+    p = tmp_path / "bad.csv"
+    p.write_text(f"d_0,g_0,split\n1.0,2.0,train\n0.5,1e308,val\n3.0,{value},holdout\n"
+                 f"{value},1.0,train\n")
+    with pytest.raises(SchemaError, match=r"bad\.csv: line 4: nonfinite value$"):
+        load_dataset(p)
+
+
 def test_load_rejects_bad_split_label(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("d_0,g_0,split\n1.0,2.0,holdout\n")

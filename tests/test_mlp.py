@@ -7,8 +7,8 @@ from oracles import adam_per_array, naive_forward
 from wcopf.errors import SchemaError, ShapeMismatch, TrainingDiverged
 from wcopf.grid.dataset import Scaler
 from wcopf.mlp import (FisherDiag, Gradients, LossSpec, adam_init, adam_step,
-                       file_checksum, fisher_diag, forward, forward_batch,
-                       gradient, init_params, load_model,
+                       backprop_from_output_grad, file_checksum, fisher_diag,
+                       forward, forward_batch, gradient, init_params, load_model,
                        loss_gen_penalty, loss_mae, model_json,
                        params_checksum, save_model, total_loss)
 from wcopf.mlp.network import MlpParams
@@ -191,6 +191,40 @@ def test_gradient_zero_at_exact_fit():
     assert np.all(g.vec == 0.0)
 
 
+@pytest.mark.parametrize("dims", [(3, 8, 3), (2, 5, 4, 2), (3, 4, 6, 5, 2)])
+def test_gradient_into_a_buffer_is_bit_equal(dims):
+    # one buffer serves every batch size and loss; each call overwrites it all
+    p = small_net(24, dims=dims)
+    rng = np.random.default_rng(24)
+    n_out = dims[-1]
+    lo, hi = np.full(n_out, 0.1), np.full(n_out, 0.4)
+    specs = [LossSpec(), LossSpec(mae_weight=0.0, gen_weight=1.0, gen_lo=lo, gen_hi=hi),
+             LossSpec(mae_weight=2.0, gen_weight=0.5, gen_lo=lo, gen_hi=hi),
+             LossSpec(mae_weight=0.0)]
+    buf = Gradients.zeros_like(p)
+    for n in (1, 7, 64, 3):
+        x = rng.uniform(size=(n, dims[0]))
+        y = rng.uniform(size=(n, n_out))
+        y[0] = forward_batch(p, x[:1])[2][0]  # a zero residual: d|r|/dr is +0.0
+        for spec in specs:
+            buf.vec[:] = np.nan
+            got = gradient(p, x, y, spec, out=buf)
+            assert got is buf
+            assert buf.vec.tobytes() == gradient(p, x, y, spec).vec.tobytes()
+            # dLoss/dOutput built in place is the textbook sum of the terms
+            out = forward_batch(p, x)[2]
+            dloss = np.zeros_like(out)
+            if spec.mae_weight:
+                dloss += spec.mae_weight * np.sign(out - y) / out.size
+            if spec.gen_weight:
+                over, under = np.maximum(out - hi, 0.0), np.maximum(lo - out, 0.0)
+                dloss += spec.gen_weight * (2.0 * over - 2.0 * under) / n
+            ref = backprop_from_output_grad(p, x, dloss)
+            assert buf.vec.tobytes() == ref.vec.tobytes()
+    with pytest.raises(ShapeMismatch, match="layout"):
+        gradient(p, x, y, LossSpec(), out=Gradients.zeros_like(small_net(0, dims=(3, 2))))
+
+
 # ---------------------------------------------------------------- adam
 
 
@@ -200,8 +234,10 @@ def test_adam_first_step_is_signed_alpha():
     for w in g.weights:
         w += np.random.default_rng(0).normal(size=w.shape)
     state = adam_init(p)
+    before = MlpParams.from_vec(p.layer_dims, p.vec.copy())  # the step is in place
     new_p, state = adam_step(p, g, state, alpha=0.01)
-    for wn, wo, gw in zip(new_p.weights, p.weights, g.weights):
+    assert new_p is p
+    for wn, wo, gw in zip(new_p.weights, before.weights, g.weights):
         step = wn - wo
         nz = np.abs(gw) > 1e-6
         assert np.allclose(step[nz], -0.01 * np.sign(gw[nz]), atol=1e-4)
@@ -212,11 +248,11 @@ def test_adam_zero_gradient_keeps_params():
     p = small_net(12)
     g = Gradients.zeros_like(p)
     state = adam_init(p)
+    before = p.vec.copy()  # the step is in place: compare with a snapshot
     q = p
     for _ in range(5):
         q, state = adam_step(q, g, state, alpha=0.1)
-    for wn, wo in zip(q.weights, p.weights):
-        assert np.array_equal(wn, wo)
+    assert q is p and np.array_equal(q.vec, before)
 
 
 def test_adam_deterministic():

@@ -1,9 +1,10 @@
 """Trained parameter bytes, pinned.
 
 Each short toy run's params_checksum was recorded with the per-array
-Adam step that preceded the flat parameter vector.  A change to the
-update's arithmetic, its order, or a BLAS kernel that rounds differently
-on an offset view of the vector moves these digests.
+Adam step that preceded the flat parameter vector (gennn_batched: with
+the step that returned new arrays, before Adam ran in place).  A change
+to the update's arithmetic, its order, or a BLAS kernel that rounds
+differently on an offset view of the vector moves these digests.
 """
 
 import numpy as np
@@ -32,6 +33,12 @@ def _nn_batched(data):
 def _gennn(data):
     return train_gennn(data, (6,), TrainConfig(alpha=3e-3, epochs=30, seed=3,
                                                lambda_g=1.0), gen_bounds=_gen_box())
+
+
+def _gennn_batched(data):
+    return train_gennn(data, (5, 4), TrainConfig(alpha=3e-3, epochs=12, seed=7,
+                                                 lambda_g=1.0, batch_size=16),
+                       gen_bounds=_gen_box())
 
 
 def _wcnn_one_layer(data):
@@ -66,6 +73,8 @@ def _finetune_last_layer(data):
                  id="nn_batched"),
     pytest.param(_gennn, "28b999ec77c0c985322ca6dc8036169300a5d00dbb709270990ec345a5d9c878",
                  id="gennn"),
+    pytest.param(_gennn_batched, "a7b3069900ebdda449e71787935723f856dadaf666133bee78e06413e15ada3c",
+                 id="gennn_batched"),
     pytest.param(_wcnn_one_layer, "60270dede5dded3cd75124dc085b0492bf2e9c82fa670989cd40bcf4c2e7c854",
                  id="wcnn_one_layer"),
     pytest.param(_wcnn_two_layers, "9dae3d903825ce86d0a61cd3432328a96f3ebf9e877a559cc26146ad4a7460a4",

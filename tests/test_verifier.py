@@ -18,7 +18,7 @@ from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
-from wcopf.verifier import milp, patterns
+from wcopf.verifier import bounds, milp, patterns
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
 
 
@@ -559,6 +559,16 @@ def _moved_last_layer(params, seed):
     return MlpParams.from_vec(params.layer_dims, vec)
 
 
+def _moved_past_first_layer(params, seed):
+    """params with every layer after the first nudged by 1e-6: the bound
+    LPs' objectives move, and the first layer's stability stays."""
+    rng = np.random.default_rng((seed, 29))
+    vec = params.vec.copy()
+    for part in params.layer_parts(1):
+        vec[part] += 1e-6 * rng.standard_normal(vec[part].shape)
+    return MlpParams.from_vec(params.layer_dims, vec)
+
+
 @pytest.mark.parametrize("arch,seed", [n[:2] for n in _CASE9_NETS], ids=_CASE9_IDS)
 def test_started_search_agrees_with_a_start_free_one(case9_fixture, case9_nets, refit_cores,
                                                      arch, seed):
@@ -576,6 +586,46 @@ def test_started_search_agrees_with_a_start_free_one(case9_fixture, case9_nets, 
         assert got.value <= got.bound and fresh.value <= got.bound and got.value <= fresh.bound
         assert got.lp_pivots < fresh.lp_pivots
         assert bool(refit_cores) == (start is moved)
+
+
+def _held_arrays(obj, seen=None):
+    """Every numpy array reachable from obj through containers and the
+    attributes of wcopf's own objects (certificate, bases, LP problems)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    found = []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            found += _held_arrays(item, seen)
+    if type(obj).__module__.startswith("wcopf") and hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            found += _held_arrays(item, seen)
+    return found
+
+
+@pytest.mark.parametrize("key", [((24,), 4), ((12, 12), 2), ((16, 16), 0)],
+                         ids=["24_s4", "12-12_s2", "16-16_s0"])
+def test_certificate_shares_no_memory_with_the_parameters(case9_fixture, case9_nets, key):
+    # training steps the parameters in place, so a certificate that kept a
+    # view of them would change under the next verification's start
+    _, gen, box = case9_fixture
+    params, pinned = case9_nets[key]
+    params = params.copy()
+    for start in (None, pinned):
+        cert = solve_worst_case(params, box, gen, start=start)
+        held = _held_arrays(cert)
+        assert cert.witness is not None and any(a is cert.bases.layout[2][0] for a in held)
+        assert len(held) > 10  # witness, pattern, and the bases' binv, rows, c and bounds
+        assert not any(np.shares_memory(a, params.vec) for a in held)
+        before = [a.tobytes() for a in held]
+        params.vec += 1e-3  # an in-place step
+        assert [a.tobytes() for a in held] == before
 
 
 @pytest.mark.parametrize("start_key,key", [(((8,), 0), ((24,), 4)),
@@ -624,12 +674,25 @@ def test_each_start_basis_runs_one_identity_test(monkeypatch, case9_fixture, cas
 def test_search_never_refactorizes(monkeypatch, refactorizations, case9_fixture, case9_nets,
                                    key):
     # bound LPs read only their basis, and node LPs their basis and their
-    # carried point, so no LP of a verification re-solves its basis, and a
-    # feasibility recheck that fails every time changes nothing
+    # carried point, so no LP of a verification re-solves its basis, started
+    # or not, and a feasibility recheck that fails every time changes nothing
     _, gen, box = case9_fixture
     params, pinned = case9_nets[key]
     assert _cert_bytes(solve_worst_case(params, box, gen)) == _cert_bytes(pinned)
     assert not refactorizations
+    # started from its own certificate (every basis taken as it is) and from
+    # that of the net with its later layers moved (bound LP bases refit)
+    started = []  # whether each bound LP had a start
+    lp = bounds.solve_lp
+    monkeypatch.setattr(bounds, "solve_lp", lambda problem, start=None, cutoff=None: (
+        started.append(start is not None) or lp(problem, start=start, cutoff=cutoff)))
+    for start in (pinned, solve_worst_case(_moved_past_first_layer(params, key[1]), box, gen)):
+        refactorizations.clear()
+        started.clear()
+        got = solve_worst_case(params, box, gen, start=start)
+        assert got.status == CERTIFIED and abs(got.value - pinned.value) <= GAP_TOL
+        assert started and all(started)
+        assert not refactorizations
     exact = simplex._Core._exact
     monkeypatch.setattr(simplex._Core, "_exact",
                         lambda core, x, b: (exact(core, x, b)[0], np.True_))
