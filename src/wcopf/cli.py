@@ -16,9 +16,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from importlib import resources
+from numbers import Real
 
 import numpy as np
 
@@ -36,9 +38,10 @@ from .verifier import (DEFAULT_NODE_LIMIT, GAP_REMAINING, Box, save_certificate,
                        solve_worst_case)
 
 # (exception type, exit code); the first match wins, so subclasses of
-# WcopfError come before it
+# WcopfError and ValueError come before them (an input file that is not
+# UTF-8 is malformed input)
 _EXIT_CODES = ((SchemaError, 2), (TooManyInfeasible, 3), (TrainingDiverged, 4),
-               (OSError, 2), ((WcopfError, ValueError), 1))
+               ((OSError, UnicodeDecodeError), 2), ((WcopfError, ValueError), 1))
 
 
 # -- argument helpers --------------------------------------------------------
@@ -171,6 +174,8 @@ def _save_run(outputs, params, dataset, report, meta):
 def cmd_gen_data(args):
     if args.n < 1:
         raise SchemaError(f"bad --n {args.n}; must be at least 1")
+    if args.seed < 0:
+        raise SchemaError(f"bad --seed {args.seed}; must be nonnegative")
     grid, grid_entry = _resolve_grid(args.grid)
     inputs = _input_digests(args, grid_entry)
     dataset = generate_dataset(grid, args.n, args.seed)
@@ -277,6 +282,8 @@ def cmd_sensitivity(args):
     dataset, config = _dataset_and_config(args, grid)
     arch = _parse_arch(args.arch)
     seeds = _parse_ints(args.seeds, "seed list", "s1,s2,...")
+    if any(seed < 0 for seed in seeds):
+        raise SchemaError(f"bad seed list {args.seeds!r}; seeds must be nonnegative")
     inputs = _input_digests(args, grid_entry)
     box, gen_box = _boxes(grid, dataset.input_scaler, dataset.output_scaler,
                           DATA_BOX)
@@ -293,6 +300,15 @@ def cmd_sensitivity(args):
     return 0
 
 
+def _number_field(doc, key, path):
+    """doc[key] if it is a finite number, None if it is missing or null."""
+    value = doc.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, Real)
+                              or not math.isfinite(value)):
+        raise SchemaError(f"{path}: {key} must be a finite number or null, got {value!r}")
+    return value
+
+
 def _report_row(path, max_load):
     doc = load_summary(path)
     name = os.path.basename(path)
@@ -301,13 +317,15 @@ def _report_row(path, max_load):
             name = name[: -len(suffix)]
             break
     if "final_val_mae" in doc:
-        mae = doc.get("final_test_mae")
-        v_mw = doc.get("final_v_g_raw")
+        mae = _number_field(doc, "final_test_mae", path)
+        v_mw = _number_field(doc, "final_v_g_raw", path)
         mode = doc.get("mode", "?")
     elif "v_g_mw" in doc:
-        mae, v_mw, mode = None, doc["v_g_mw"], "verify"
+        mae, v_mw, mode = None, _number_field(doc, "v_g_mw", path), "verify"
     else:
         raise SchemaError(f"{path}: neither a training summary nor a certificate")
+    if not isinstance(mode, str):
+        raise SchemaError(f"{path}: mode must be a string, got {mode!r}")
     return {"name": name, "mode": mode,
             "mae_pct": None if mae is None else 100.0 * mae,
             "v_g_mw": v_mw,

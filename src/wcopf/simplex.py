@@ -76,14 +76,11 @@ the cutoff does not stop ends where it would without one.
 
 An optimal solve carries its point: the nonbasics at their bounds and
 the basics as the pivots left them, within _FEAS_TOL of feasible
-(LpSolution.point).  Its x is the nonbasics at their bounds and the
+(LpSolution.point).  One rule decides whether it also carries x, the
 basics solved for exactly from the final basis (final_values), the one
-O(m^3) step of a solve.  LpSolution derives it on first read, so an LP
-read only for its basis and point, as the verifier's node and bound LPs
-are, never takes it.  A warm start without a cutoff reads it before it
-returns: a failed recheck sends it down the cold path.  A solve with a
-cutoff does not: its caller takes the safe bound from the basis and
-reads the carried point.
+O(m^3) step of a solve: a solve without a cutoff does, and a solve with
+one does not.  A started solve whose x fails the feasibility recheck
+goes cold.
 
 A warm start whose basis is already primal feasible for the new
 right-hand sides takes no pivot, and its x is that same refactorized
@@ -262,49 +259,27 @@ class _RowSet:
         return np.abs(self.b)
 
 
+@dataclass(eq=False)
 class LpSolution:
     """What solve_lp returns.
 
-    status, iteration_count, basis (the (basic indices, statuses, binv)
-    of an optimal solve), point (an optimal solve's structural values as
-    the simplex carried them, within _FEAS_TOL of its bounds and rows)
-    and bound (a CUTOFF's safe bound on the objective) are set when the
-    solve ends.  An optimal solve's x, with its basic values solved for
-    exactly from the final basis (_Core.final_values), and
-    objective_value = c @ x are derived on first read, so a caller that
-    reads only the basis and the point never pays for them; a failed
-    feasibility recheck raises NumericalBreakdown at that read.  A
-    warm-started solve without a cutoff reads them before it returns,
-    because such a failure sends it down the cold path.  Without an
-    optimum, point and x are None and objective_value NaN.
+    basis (the (basic indices, statuses, binv) of the final basis) and
+    point (the structural values as the simplex carried them, within
+    _FEAS_TOL of its bounds and rows) are set when the solve is optimal,
+    and bound (a safe bound on the objective) when it stopped at its
+    cutoff.  x, with its basic values solved for exactly from the final
+    basis (_Core.final_values), and objective_value = c @ x are set when
+    it is optimal and had no cutoff; otherwise x is None and
+    objective_value NaN.
     """
 
-    def __init__(self, status, iteration_count=0, basis=None, bound=float("nan"), core=None,
-                 point=None):
-        self.status = status
-        self.iteration_count = iteration_count
-        self.basis = basis
-        self.bound = bound
-        self.point = point
-        self._core = core  # the finished core, until x is derived from it
-        self._x = None
-        self._value = float("nan")
-
-    @property
-    def x(self):
-        self._derive()
-        return self._x
-
-    @property
-    def objective_value(self):
-        self._derive()
-        return self._value
-
-    def _derive(self):
-        core = self._core
-        if core is not None:
-            x = core.final_values()[:core.n]
-            self._x, self._value, self._core = x, float(core.problem.c @ x), None
+    status: LpStatus
+    iteration_count: int = 0
+    basis: tuple = None
+    point: np.ndarray = None
+    x: np.ndarray = None
+    objective_value: float = float("nan")
+    bound: float = float("nan")
 
 
 class _Basis(tuple):
@@ -343,12 +318,10 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     started solve gives up as soon as the row duals after one of its
     pivots (or, for a refit start, before the first) prove c @ x <=
     cutoff (safe_max): the result is CUTOFF, its bound that proof's
-    bound, and it has no x.  Every other result ends where it would
-    without a cutoff, but its x is not derived before it returns: a
-    caller with a cutoff reads the basis and the carried point, and a
-    started solve whose feasibility recheck would fail is not sent down
-    the cold path.  Without a cutoff, an optimal started solve derives x
-    before it returns, and solves cold when the recheck fails.
+    bound.  Every other result ends where it would without a cutoff.
+    An optimal solve has x exactly when it has no cutoff; a failed
+    feasibility recheck of that x sends a started solve cold and raises
+    NumericalBreakdown from a cold one.
     """
     if cutoff is not None and not (np.isfinite(problem.lo).all()
                                    and np.isfinite(problem.hi).all()):
@@ -359,15 +332,12 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
         try:
             status = core.warm(start, cutoff)
             if status is not None:
-                sol = _solution(core, status, 0)
-                if cutoff is None:
-                    sol._derive()  # a failed recheck sends the solve down the cold path
-                return sol
+                return _solution(core, status, 0, cutoff)
         except NumericalBreakdown:
             pass
         spent = core.iterations
     core = _Core(problem)
-    return _solution(core, core.cold(), spent)
+    return _solution(core, core.cold(), spent, cutoff)
 
 
 def basis_solutions(basis, b_eq, b_ub):
@@ -414,16 +384,16 @@ def _source(start):
     return start.problem
 
 
-def row_duals(c, basis):
-    """Row duals c_B @ binv of a basis of the LP maximizing c @ x.
-
-    basis is an LpSolution.basis; its columns past c are slacks and
+def row_duals(basis):
+    """Row duals c_B @ binv of an LpSolution.basis, with c the objective
+    of the problem it solved; its columns past c are slacks and
     artificials, which cost 0.  One entry per row, equality rows first.
     At an optimal basis the dual of a <= row is the objective's rate of
     change per unit of its right-hand side, so it is nonnegative up to
     the simplex's tolerances.
     """
     basic, _, binv = basis
+    c = basis.problem.c
     c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
     return c_b @ binv
 
@@ -464,15 +434,21 @@ def safe_add(bound, off):
     return bound + off + _SAFE_PAD * abs(off)
 
 
-def _solution(core, status, spent):
-    """LpSolution of a finished core; spent counts abandoned warm iterations."""
+def _solution(core, status, spent, cutoff):
+    """LpSolution of a finished core; spent counts abandoned warm
+    iterations.  Without a cutoff an optimal one derives x, and a failed
+    recheck raises NumericalBreakdown."""
     iterations = spent + core.iterations
     if status == LpStatus.CUTOFF:
         return LpSolution(status, iterations, bound=core.bound)
     if status != LpStatus.OPTIMAL:
         return LpSolution(status, iterations)
-    return LpSolution(status, iterations, core=core, point=core.x[:core.n].copy(),
-                      basis=_Basis(core.basis, core.stat, core.binv, core.problem))
+    sol = LpSolution(status, iterations, point=core.x[:core.n].copy(),
+                     basis=_Basis(core.basis, core.stat, core.binv, core.problem))
+    if cutoff is None:
+        sol.x = core.final_values()[:core.n]
+        sol.objective_value = float(core.problem.c @ sol.x)
+    return sol
 
 
 class _Core:

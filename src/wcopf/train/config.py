@@ -53,6 +53,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not isinstance(self.last_layer_only, bool):
+            raise ValueError(f"last_layer_only must be true or false, "
+                             f"got {self.last_layer_only!r}")
 
     def replaced(self, **kw):
         return replace(self, **kw)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from ..errors import SchemaError
+
 
 def _render_float(v):
     if not math.isfinite(v):
@@ -97,5 +99,14 @@ def load_report_records(jsonl_path):
 
 
 def load_summary(summary_path):
+    """A summary or certificate document; SchemaError unless it is a
+    JSON object."""
     with open(summary_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{summary_path}: invalid JSON at line {exc.lineno}: "
+                              f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{summary_path}: expected a JSON object")
+    return doc

@@ -51,9 +51,6 @@ class PreactBounds:
     lower: list  # per hidden layer
     upper: list
 
-    def stable_active(self, k):
-        return self.lower[k] >= 0.0
-
     def stable_inactive(self, k):
         return self.upper[k] <= 0.0
 
@@ -111,19 +108,7 @@ def narrow_deeper(params, lower, upper, k):
         upper[i] = np.minimum(upper[i], up)
 
 
-class BoundLps:
-    """The bases that lp_bounds starts a layer's LPs from and leaves.
-
-    bases maps (unit, "max" or "min") to the last optimal basis of that
-    unit's LP; pivots sums the simplex iterations of every LP solved.
-    """
-
-    def __init__(self, bases=None):
-        self.bases = dict(bases or {})
-        self.pivots = 0
-
-
-def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, lps=None):
+def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
     """Tighten lower <= a @ x + b <= upper, for (a, b) = forms, by LP.
 
     Each unit is the affine form a[j] @ x + b[j] of x in the polytope
@@ -134,45 +119,44 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, lps=None):
     one runs phase 1 (simplex._RowSet.phase1), and safe_max takes the
     rows' magnitudes from that one row set.
 
-    lps (a BoundLps, or None for one of its own) carries the starts:
-    each LP starts from the basis lps.bases holds for its unit and side,
+    starts maps (unit, "max" or "min") to the basis that LP starts from,
     as the same bound LP of an earlier verification of the net left it
-    (rows of the same layout, moved by a few training steps), and solves
-    cold without one.  Such a start is taken or refit (simplex.solve_lp).
-    Every LP is solved with the cutoff -inf, which no bound reaches, so a
-    started one, like a cold one, ends without deriving its x and runs
-    no feasibility recheck: only the basis is read, and no LP pays for a
-    refactorization.  Each LP that ends optimal leaves its basis in
-    lps.bases, and every LP adds its iterations to lps.pivots.
+    (rows of the same layout, moved by a few training steps); an LP
+    without one solves cold.  Such a start is taken or refit
+    (simplex.solve_lp).  Every LP reads only its basis, so it is solved
+    with the cutoff -inf, which no bound reaches: no x.
 
     Each optimal LP yields a safe bound from the row duals of its final
     basis (simplex.safe_max), which is rigorous for any multipliers, so
     a start changes what an LP proves by the simplex's tolerances at
-    most.  An LP that
-    ends other than optimal, or whose simplex breaks down (the iteration
-    cap), leaves its bound as it was.  Returns new arrays (lower,
-    upper), never looser than the ones given.
+    most.  An LP that ends other than optimal, or whose simplex breaks
+    down (the iteration cap), leaves its bound as it was.  Returns
+    (lower, upper, bases, pivots): new arrays never looser than the ones
+    given, a copy of starts in which each LP that ended optimal has left
+    its basis, and the simplex iterations of every LP solved.
     """
     a, b = forms
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
     lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
-    lps = BoundLps() if lps is None else lps
+    bases = dict(starts or {})
+    pivots = 0
 
     def upper_bound(key, c, off):
+        nonlocal pivots
         problem = lp.sibling(c=c)
         try:
-            sol = solve_lp(problem, start=lps.bases.get(key), cutoff=-np.inf)
+            sol = solve_lp(problem, start=bases.get(key), cutoff=-np.inf)
         except NumericalBreakdown:
             return np.inf
-        lps.pivots += sol.iteration_count
+        pivots += sol.iteration_count
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
-        lps.bases[key] = sol.basis
-        return safe_max(row_duals(c, sol.basis), problem, off)
+        bases[key] = sol.basis
+        return safe_max(row_duals(sol.basis), problem, off)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):
         upper[j] = min(upper[j], upper_bound((int(j), "max"), a[j], b[j]))
         if upper[j] > 0.0:
             lower[j] = max(lower[j], -upper_bound((int(j), "min"), -a[j], -b[j]))
-    return lower, upper
+    return lower, upper, bases, pivots

@@ -71,7 +71,7 @@ import numpy as np
 
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, row_duals, safe_add, safe_max, solve_lp
-from .bounds import BoundLps, Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
+from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
 from .patterns import candidate_constraints, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
 from .patterns import worst_case_fixed_pattern
@@ -206,11 +206,9 @@ class _Encoding:
             earlier = None
             if start is not None and start.fits(self._layout(bounds), k):
                 earlier = start.bounds.get(k)
-            lps = BoundLps(earlier)
-            lower[k], upper[k] = lp_bounds(rows, rhs, lo, hi, (w @ act, w @ off + b),
-                                           lower[k], upper[k], lps)
-            self.bound_bases[k] = lps.bases
-            self.pivots += lps.pivots
+            lower[k], upper[k], self.bound_bases[k], pivots = lp_bounds(
+                rows, rhs, lo, hi, (w @ act, w @ off + b), lower[k], upper[k], earlier)
+            self.pivots += pivots
             narrow_deeper(params, lower, upper, k)
         self.pre = PreactBounds(lower[:n_layers], upper[:n_layers])
         self.layout = self._layout(self.pre)
@@ -238,9 +236,8 @@ class _Encoding:
         act @ x + off is the activation of layer depth - 1 (the input at
         depth 0).
         """
-        inactive = [pre.stable_inactive(k) for k in range(depth)]
-        active = [pre.stable_active(k) & ~dead for k, dead in enumerate(inactive)]
-        unstable = [~(live | dead) for live, dead in zip(active, inactive)]
+        unstable = [pre.unstable(k) for k in range(depth)]
+        active = [~(u | pre.stable_inactive(k)) for k, u in enumerate(unstable)]
         n_in = self.n_in
         n_unstable = int(sum(np.sum(u) for u in unstable))
         y_off = n_in + n_unstable
@@ -435,7 +432,7 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
             continue
         if y_fix is free:  # a root
             roots[k] = sol.basis
-        duals = row_duals(c, sol.basis)
+        duals = row_duals(sol.basis)
         val = float(safe_max(duals, sol.basis.problem, const))
         # a basic variable can sit up to the simplex's tolerance outside
         # its bounds

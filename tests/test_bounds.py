@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 from oracles import bounds_around_outputs, seeded_net
 from wcopf.errors import NumericalBreakdown
 from wcopf.mlp import forward
-from wcopf.simplex import LpProblem, LpSolution, LpStatus, row_duals, safe_max, solve_lp
+from wcopf.simplex import LpProblem, LpSolution, LpStatus, safe_max, solve_lp
 from wcopf.verifier import Box, bounds, interval_bounds, milp
 
 # 1, 2 and 3 hidden layers; boxes wide enough to leave deep units unstable
@@ -94,11 +94,12 @@ def test_lp_bounds_are_safe_and_tight_against_highs(monkeypatch, seed, dims, rad
     monkeypatch.setattr(bounds, "solve_lp", counting)
     _encoding(seed, dims, radius)
     assert len(calls) == len(dims) - 3  # one call per hidden layer past the first
-    for (rows, rhs, lo, hi, (a, b), lower, upper, lps), (new_lo, new_up), n_lps in calls:
+    for (rows, rhs, lo, hi, (a, b), lower, upper, starts), result, n_lps in calls:
+        new_lo, new_up, bases, pivots = result
         unstable = np.flatnonzero((lower < 0.0) & (upper > 0.0))
         assert unstable.size
         # every LP solved cold, ended optimal and left its basis
-        assert len(lps.bases) == n_lps and lps.pivots > 0
+        assert starts is None and len(bases) == n_lps and pivots > 0
         stable = np.setdiff1d(np.arange(lower.size), unstable)
         assert new_lo[stable].tobytes() == lower[stable].tobytes()
         assert new_up[stable].tobytes() == upper[stable].tobytes()
@@ -128,7 +129,7 @@ def test_safe_bound_holds_for_any_basis(seed):
     c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
     assert (c_b @ binv < -1e-3).any()
     best = _highs_max(c, rows, rhs, lo, hi)
-    assert safe_max(row_duals(c, sol.basis), lp.sibling(c=c), 0.25) >= best + 0.25
+    assert safe_max(c_b @ binv, lp.sibling(c=c), 0.25) >= best + 0.25
 
 
 @pytest.mark.parametrize("failure", ["breakdown", "unbounded"])
@@ -143,9 +144,10 @@ def test_lp_bounds_keep_the_given_bound_when_an_lp_fails(monkeypatch, failure):
     lower = np.array([-1.0, -2.0])
     upper = np.array([1.0, 3.0])
     forms = (np.eye(2), np.zeros(2))
-    new_lo, new_up = bounds.lp_bounds(rows, np.array([1.0]), np.zeros(2), np.ones(2),
-                                      forms, lower, upper)
+    new_lo, new_up, bases, pivots = bounds.lp_bounds(rows, np.array([1.0]), np.zeros(2),
+                                                     np.ones(2), forms, lower, upper)
     assert new_lo.tobytes() == lower.tobytes() and new_up.tobytes() == upper.tobytes()
+    assert bases == {} and pivots == 0
 
 
 def _one_layer_reference(params, box):

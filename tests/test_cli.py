@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -101,18 +102,39 @@ PIPELINE_PARAMS_SHA256 = {
 }
 
 
-def test_pipeline_recipe_params_are_pinned(tmp_path):
+# sha256 of the certificate JSON that wcopf verify writes for the
+# recipe's nn model at the default box; its bytes hold lp_pivots and
+# nodes_explored, so a change to any LP's pivots moves it.  The CI
+# workflow checks the installed wcopf verify against it.
+PIPELINE_CERT_SHA256 = "02e3eddb3488409aed891b237ca5fabbb9d9d6f33ddb9e894c6977003df2e73d"
+
+
+def _pipeline_train(tmp_path, modes):
     data = str(tmp_path / "data.csv")
     assert cli.main(["gen-data", "--grid", "case9", "--n", "1500", "--seed", "0",
                      "--out", data]) == 0
     cfg = _write_config(tmp_path / "train.json", **PIPELINE_TRAIN_CONFIG)
-    for mode, digest in PIPELINE_PARAMS_SHA256.items():
-        out = tmp_path / f"{mode}.json"
+    for mode in modes:
         assert cli.main(["train", "--dataset", data, "--grid", "case9", "--mode", mode,
                          "--arch", "8", "--seed", "0", "--config", cfg,
-                         "--out", str(out)]) == 0
+                         "--out", str(tmp_path / f"{mode}.json")]) == 0
+
+
+def test_pipeline_recipe_params_are_pinned(tmp_path):
+    _pipeline_train(tmp_path, PIPELINE_PARAMS_SHA256)
+    for mode, digest in PIPELINE_PARAMS_SHA256.items():
         summary = json.load(open(tmp_path / f"{mode}.report.summary.json"))
         assert summary["params_sha256"] == digest
+
+
+def test_pipeline_recipe_certificate_is_pinned(tmp_path):
+    _pipeline_train(tmp_path, ["nn"])
+    cert = tmp_path / "cert.json"
+    assert cli.main(["verify", "--model", str(tmp_path / "nn.json"), "--grid", "case9",
+                     "--out", str(cert)]) == 0
+    doc = json.load(open(cert))
+    assert (doc["lp_pivots"], doc["nodes_explored"]) == (45, 14)
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_CERT_SHA256
 
 
 def test_train_flag_overrides_config_seed(tmp_path):
@@ -358,6 +380,69 @@ def test_report_tabulates_summaries_and_certificates(tmp_path, capsys):
     # 48 MW of 150 MW max loading
     assert rows["nn"]["pct_max_loading"] == pytest.approx(32.0)
     assert rows["nn.cert"]["mae_pct"] is None
+
+
+@pytest.mark.parametrize("text,what", [
+    ("3.5", "JSON object"),
+    ('["nn"]', "JSON object"),
+    ('{"mode": "nn", "final_val_mae": 0.02,\n "final_test_mae": oops}', "line 2"),
+    ('{"mode": "nn", "final_val_mae": 0.02, "final_test_mae": "0.02"}', "final_test_mae"),
+    ('{"mode": "nn", "final_val_mae": 0.02, "final_v_g_raw": true}', "final_v_g_raw"),
+    ('{"mode": "nn", "final_val_mae": 0.02, "final_v_g_raw": NaN}', "final_v_g_raw"),
+    ('{"v_g_mw": [48.0]}', "v_g_mw"),
+    ('{"mode": 3, "final_val_mae": 0.02}', "mode"),
+], ids=["number", "list", "invalid-json", "string-mae", "bool-v-g", "nan-v-g",
+        "list-v-g-mw", "numeric-mode"])
+def test_report_on_a_malformed_summary_exits_2(tmp_path, capsys, text, what):
+    bad = tmp_path / "bad.summary.json"
+    bad.write_text(text)
+    rc = cli.main(["report", str(bad), "--grid", "case3", "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert what in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["report", str(bad), "--grid", "case3"]) == 2
+    data = _gen_data(tmp_path, n=20)
+    assert cli.main(["train", "--dataset", data, "--grid", "case3", "--config", str(bad),
+                     "--out", str(tmp_path / "m.json")]) == 2
+    assert "utf-8" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_gen_data_negative_seed_exits_2(tmp_path, capsys):
+    rc = cli.main(["gen-data", "--grid", "case3", "--n", "10", "--seed", "-1",
+                   "--out", str(tmp_path / "data.csv")])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sensitivity_negative_seed_exits_2(tmp_path, capsys):
+    data = _gen_data(tmp_path, n=20)
+    out = tmp_path / "sens.json"
+    rc = cli.main(["sensitivity", "--dataset", data, "--grid", "case3", "--arch", "4,4",
+                   "--seeds", "0,-1", "--out", str(out)])
+    assert rc == 2
+    assert "seed list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ['"false"', "null"])
+def test_train_non_bool_last_layer_only_exits_2(tmp_path, capsys, value):
+    data = _gen_data(tmp_path, n=20)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"epochs": 2, "last_layer_only": %s}' % value)
+    out = tmp_path / "m.json"
+    rc = cli.main(["train", "--dataset", data, "--grid", "case3", "--config", str(cfg),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "last_layer_only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_via_argparse():

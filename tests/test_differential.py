@@ -308,7 +308,7 @@ def test_row_duals_match_highs_marginals(seed):
     ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=a_eq @ x0,
                   bounds=np.column_stack([lo, hi]), method="highs")
     assert np.allclose(sol.x, ref.x, atol=1e-7)
-    duals = row_duals(c, sol.basis)
+    duals = row_duals(sol.basis)
     assert duals.shape == (m_eq + m_ub,)
     assert np.allclose(duals[:m_eq], -ref.eqlin.marginals, atol=1e-7)
     assert np.allclose(duals[m_eq:], -ref.ineqlin.marginals, atol=1e-7)

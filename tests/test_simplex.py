@@ -857,3 +857,39 @@ def test_cutoff_needs_boxed_variables():
                         lo=np.zeros(2), hi=np.array([1.0, np.inf]))
     with pytest.raises(ValueError, match="boxed"):
         solve_lp(problem, cutoff=0.0)
+
+
+def test_x_is_derived_exactly_when_there_is_no_cutoff(monkeypatch, refactorizations,
+                                                      cold_cores):
+    # max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, 0 <= x, y <= 10;
+    # the cutoff -inf never stops a solve, so only x and the value differ
+    problem = LpProblem(c=np.array([3.0, 5.0]),
+                        a_ub=np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]]),
+                        b_ub=np.array([4.0, 12.0, 18.0]), lo=np.zeros(2), hi=np.full(2, 10.0))
+    plain = solve_lp(problem)
+    assert isinstance(plain, LpSolution) and plain.status == LpStatus.OPTIMAL
+    assert plain.x.tolist() == [2.0, 6.0] and plain.objective_value == 36.0
+    assert len(refactorizations) == 1
+    for start in (None, plain.basis):
+        refactorizations.clear()
+        cut = solve_lp(problem, start=start, cutoff=-np.inf)
+        assert cut.status == LpStatus.OPTIMAL and not refactorizations
+        assert cut.x is None and np.isnan(cut.objective_value)
+        full = solve_lp(problem, start=start)
+        assert full.x.tobytes() == plain.x.tobytes() and len(refactorizations) == 1
+        assert cut.point.tobytes() == full.point.tobytes()
+        assert [v.tobytes() for v in cut.basis] == [v.tobytes() for v in full.basis]
+    # a recheck that fails raises from a cold solve, sends a started one
+    # cold, and is never run with a cutoff
+    exact = simplex._Core._exact
+    fails = [True]
+    monkeypatch.setattr(simplex._Core, "_exact", lambda core, x, b: (
+        exact(core, x, b)[0], np.bool_(fails.pop() if fails else False)))
+    with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
+        solve_lp(problem)
+    fails.append(True)
+    assert solve_lp(problem, cutoff=-np.inf).x is None and fails
+    cold_cores.clear()
+    warm = solve_lp(problem, start=plain.basis)
+    assert len(cold_cores) == 1 and not fails
+    assert warm.x.tobytes() == plain.x.tobytes() and warm.objective_value == 36.0

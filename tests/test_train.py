@@ -248,6 +248,9 @@ def test_minibatch_divergence_raises_naming_the_epoch():
     ("seed", -1), ("epochs", -1),
     ("max_iters", "3"), ("alpha", float("nan")), ("lambda_wc", float("inf")),
     ("early_stop_rel", float("-inf")),
+    # "false" is truthy: taken as it was, it trained the last layer only
+    ("last_layer_only", "false"), ("last_layer_only", None), ("last_layer_only", 0.5),
+    ("last_layer_only", 1),
 ])
 def test_config_rejects_bad_counts_and_nonfinite_reals(field, value):
     with pytest.raises(ValueError, match=field):

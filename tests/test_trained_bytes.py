@@ -10,6 +10,8 @@ differently on an offset view of the vector moves these digests.
 import numpy as np
 import pytest
 
+import wcopf.train.loops as loops_module
+import wcopf.train.sequential as sequential_module
 from oracles import toy_dataset
 from wcopf.mlp import params_checksum
 from wcopf.train import (TrainConfig, finetune_sequential, train_gennn,
@@ -93,3 +95,28 @@ def test_trained_bytes_are_pinned(run, digest):
         assert any(r.v_g and r.v_g > 0.0 for r in report.records)
     if run in (_finetune_all_layers, _finetune_last_layer):
         assert report.stopped == "max iterations"
+
+
+@pytest.mark.parametrize("run,counters", [
+    pytest.param(_wcnn_one_layer, [(16, 3), (4, 3), (16, 4), (5, 4), (30, 6)],
+                 id="wcnn_one_layer"),
+    pytest.param(_wcnn_two_layers, [(13, 1), (3, 1), (3, 1), (13, 1)], id="wcnn_two_layers"),
+    pytest.param(_finetune_all_layers, [(10, 1), (13, 2), (2, 2), (2, 2), (25, 3)],
+                 id="finetune_all_layers"),
+    pytest.param(_finetune_last_layer, [(60, 5), (13, 5), (13, 5), (60, 5)],
+                 id="finetune_last_layer"),
+])
+def test_verification_counters_are_pinned(monkeypatch, run, counters):
+    """(lp_pivots, nodes_explored) of each verification in the run, in
+    order: cold, started and refit bound and root LPs and the search.
+    The two-layer runs solve bound LPs.  A change to any LP's pivots or
+    to the tree moves these counts."""
+    seen = []
+    for module in (loops_module, sequential_module):
+        def counted(*args, _solve=module.solve_worst_case, **kwargs):
+            cert = _solve(*args, **kwargs)
+            seen.append((cert.lp_pivots, cert.nodes_explored))
+            return cert
+        monkeypatch.setattr(module, "solve_worst_case", counted)
+    run(toy_dataset(31))
+    assert seen == counters

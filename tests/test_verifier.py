@@ -263,7 +263,7 @@ def test_small_box_prefixes_everything():
     params = seeded_net(2, (2, 6, 6, 2))
     box = Box([0.30, 0.30], [0.31, 0.31])
     pre, _, _ = interval_bounds(params, box)
-    stable = sum(int(np.sum(pre.stable_active(k) | pre.stable_inactive(k)))
+    stable = sum(int(np.sum(~pre.unstable(k)))
                  for k in range(params.n_hidden_layers))
     assert stable == sum(params.hidden_dims)
     gen = bounds_around_outputs(params, box, seed=2, frac_hi=0.5)
@@ -375,8 +375,8 @@ def test_roots_share_one_phase1_that_equals_a_cold_solve(monkeypatch, phase1_run
         cold = solve_lp(fresh(problem))
         assert len(phase1_runs) == int(has_rows)
         assert sol.status == cold.status == LpStatus.OPTIMAL
-        assert sol.x.tobytes() == cold.x.tobytes()
-        assert sol.objective_value == cold.objective_value
+        # a root has a cutoff, so it carries its point and no x
+        assert sol.x is None and sol.point.tobytes() == cold.point.tobytes()
         for got, want in zip(sol.basis, cold.basis):
             assert got.tobytes() == want.tobytes()
         # a resumed root counts only its phase 2
@@ -445,7 +445,7 @@ def test_unit_weights_price_each_basic_z_at_its_objective_coefficient():
     for cid in candidate_constraints(params.n_outputs):
         c, _ = enc.objective(cid)
         sol = enc.solve_node(c, np.full(n_un, -1, dtype=np.int8))
-        weight = enc.unit_weights(row_duals(c, sol.basis))
+        weight = enc.unit_weights(row_duals(sol.basis))
         assert weight.shape == (n_un,) and np.all(weight >= 0.0)
         z_basic = np.isin(n_in + np.arange(n_un), sol.basis[0])
         c_z = c[n_in:n_in + n_un]
@@ -698,11 +698,11 @@ def test_search_never_refactorizes(monkeypatch, refactorizations, case9_fixture,
                         lambda core, x, b: (exact(core, x, b)[0], np.True_))
     assert _cert_bytes(solve_worst_case(params, box, gen)) == _cert_bytes(pinned)
     assert not refactorizations
-    # the failing recheck is live: a root LP whose x is read raises
+    # the failing recheck is live: a root LP without a cutoff derives x, and raises
     enc = milp._Encoding(params, box, gen)
     c, _ = enc.objective(pinned.constraint_id)
     with pytest.raises(NumericalBreakdown, match="feasibility recheck"):
-        enc.solve_node(c, np.full(enc.n_unstable, -1, dtype=np.int8)).x
+        enc.solve_node(c, np.full(enc.n_unstable, -1, dtype=np.int8))
     assert refactorizations
 
 
@@ -744,8 +744,10 @@ def node_lps(case9_fixture, case9_nets):
 
 
 def _lp_bytes(sol):
-    return (sol.status, sol.iteration_count, np.float64(sol.objective_value).tobytes(),
-            np.float64(sol.bound).tobytes(), None if sol.x is None else sol.x.tobytes(),
+    """What a node LP's caller reads of a solution; x and objective_value
+    are set only without a cutoff."""
+    return (sol.status, sol.iteration_count, np.float64(sol.bound).tobytes(),
+            None if sol.point is None else sol.point.tobytes(),
             None if sol.basis is None else [v.tobytes() for v in sol.basis])
 
 
