@@ -5,74 +5,73 @@ Solves
     maximize    c @ x
     subject to  a_eq @ x == b_eq
                 a_ub @ x <= b_ub
-                lo <= x <= hi        (entries may be -inf / +inf)
+                lo <= x <= hi        (every bound finite)
 
-Every <= row gets a slack; nonbasic variables rest at one of their
-finite bounds and bound flips are pivots that change no basis column.
-This is the revised simplex method: the only state a solve carries
-besides x and the statuses is binv, the inverse of the basis matrix.
-Each iteration computes what it reads from binv (the reduced costs
-c - (c_B @ binv) @ a, the entering column binv @ a_j and, in the dual
-loop, the leaving row binv[r] @ a), and a pivot updates binv in place
-in O(m^2).
+Every <= row gets a slack and every equality row an artificial pinned
+at zero; nonbasic variables rest at one of their bounds and bound flips
+are pivots that change no basis column.  This is the revised simplex
+method: the only state a solve carries besides x and the statuses is
+binv, the inverse of the basis matrix.  Each iteration computes what it
+reads from binv (the reduced costs c - (c_B @ binv) @ a, the entering
+column binv @ a_j and, in the dual loop, the leaving row binv[r] @ a),
+and a pivot updates binv in place in O(m^2).
 
-A cold solve starts each variable at a finite bound (lower preferred).
-A <= row whose residual is nonnegative there starts with its slack
-basic; every other row starts with its artificial basic at the row's
-residual, bounded on that residual's side of zero.  Every artificial
-column is e_i, so the starting binv is the identity.  Phase 1 drives
-the basic artificials to zero (no big-M constants) and is skipped when
-there are none; phase 2 optimizes the objective.
+Every solve is one algorithm: a dual simplex from a dual feasible basis
+restores primal feasibility, and the primal simplex finishes
+(Koberstein, "The Dual Simplex Method, Techniques for a Fast and Stable
+Implementation", PhD thesis, Paderborn, 2005).  Every variable is
+boxed, so no solve needs a phase 1: a basis is dual feasible once each
+nonbasic rests at the bound its reduced cost favors.  A solve without a
+usable start begins from the slack basis (_Core.cold): each <= row's
+slack and each equality row's artificial is basic, binv is the
+identity, and each structural rests at the bound its cost favors.
 
 LPs that share their rows share one validated LpProblem: sibling
 derives one with a new objective or new bounds and validates only
 those, and every core of a row set reads one [a | slacks | artificials]
-matrix (_RowSet), laid out once.  Phase 1 never reads the objective,
-so the row set also keeps a copy of the state that the first phase 1
-run over it left, and a later cold solve of a sibling under equal
-bounds resumes phase 2 from a copy of that state.  It returns what a
-cold solve would, bit for bit, but its iteration_count counts only
-phase 2.
+matrix (_RowSet), laid out once.
 
 solve_lp takes one kind of start: the basis of an earlier optimal
 solve, LpSolution.basis, which remembers the problem it solved.  It is
-taken as it is when it is one for this problem's rows and objective
-(_inherits): the rows equal the source's (siblings share theirs, other
-rows are compared in full), c is the same, the bounds only tighten and
-no free nonbasic gains a finite bound; the right-hand sides b_eq and
-b_ub may differ.  Such a start's statuses stand, and its reduced costs
-c - c_B binv a, which involve neither b nor the bounds, favor no move,
-so it is dual feasible as it is.  The warm core copies binv, sets the
-basic values to binv @ (b - a_N x_N), and a dual simplex restores
-primal feasibility (or proves the LP infeasible from a row of binv);
-the primal simplex finishes.  A start that _inherits accepts must also
-pass the identity test: binv @ a[:, basis] may miss the identity by at
-most _FEAS_TOL (a test that NaN also fails).  A pass is not tested
-again for the same row set (_Basis.inverts), so the two children of a
+taken as it is when it is one for this problem (_inherits): the rows
+equal the source's (siblings share theirs, other rows are compared in
+full), the bounds only tighten, and either c is the same, or the row set
+and the bounds are.  With the same c the right-hand sides b_eq and b_ub
+may differ: the start's statuses stand, and its reduced costs c - c_B
+binv a, which involve neither b nor the bounds, favor no move, so it is
+dual feasible as it is.  With the same row set and bounds (a sibling
+with another objective) its point is where the earlier solve left it, so
+it is primal feasible as it is.  The warm core copies binv, sets the
+basic values to binv @ (b - a_N x_N), and a dual simplex restores primal
+feasibility (or proves the LP infeasible from a row of binv); the primal
+simplex finishes.  A start that _inherits accepts must also pass the
+identity test: binv @ a[:, basis] may miss the identity by at most
+_FEAS_TOL (a test that NaN also fails).  A pass is not tested again for
+the same row set (_Basis.inverts), so the two children of a
 branch-and-bound node pay for one test between them.
 
 Any other start of the problem's shape is refit (_Core._refit), as a
 MIP solver re-solves from an earlier basis (Achterberg, "Constraint
-Integer Programming", 2007): other rows, another objective, looser
-bounds, or a binv that drifted.  Its binv is refactorized from this
-problem's a[:, basis] and must pass the same identity test, and every
-nonbasic moves to the finite bound its reduced cost favors, which makes
-the basis dual feasible; the dual and primal simplex then run as for a
-taken start.  A singular basis matrix, a failed test, or a nonbasic
-whose favored bound is infinite (a slack whose row dual turned
-negative) sends the solve cold, and so does a dual simplex that breaks
-down numerically.  An LP without rows takes the same paths with an
-empty basis.
+Integer Programming", 2007): other rows, another objective under other
+bounds, looser bounds, or a binv that drifted.  Its binv is
+refactorized from this problem's a[:, basis] and must pass the same
+identity test, and every nonbasic moves to the bound its reduced cost
+favors, which makes the basis dual feasible; the dual and primal
+simplex then run as for a taken start.  A singular basis matrix, a
+failed test, or a slack whose reduced cost favors its infinite upper
+bound (its row dual turned negative) sends the solve to the slack
+basis, and so does a dual simplex that breaks down numerically.  An LP
+without rows takes the same paths with an empty basis.
 
-A solve may come with a cutoff, which only a started solve's dual
-simplex tests.  After each dual pivot, and for a refit start also
-before the first, the row duals c_B @ binv become a rigorous upper
-bound on the objective (safe_max, after Neumaier & Shcherbina, Math.
-Prog. 99, 2004; it is the only implementation, and the verifier's node
-and bound LPs use it too), and the solve stops as soon as that bound is
-at or below the cutoff, with status CUTOFF and the bound on
-LpSolution.bound: no x, no phase 2, no refactorization.  A solve that
-the cutoff does not stop ends where it would without one.
+A solve may come with a cutoff, which its dual simplex tests.  After
+each dual pivot, and for a refit or slack-basis start also before the
+first, the row duals c_B @ binv become a rigorous upper bound on the
+objective (safe_max, after Neumaier & Shcherbina, Math. Prog. 99, 2004;
+it is the only implementation, and the verifier's node and bound LPs
+use it too), and the solve stops as soon as that bound is at or below
+the cutoff, with status CUTOFF and the bound on LpSolution.bound: no x,
+no primal simplex, no refactorization.  A solve that the cutoff does
+not stop ends where it would without one.
 
 An optimal solve carries its point: the nonbasics at their bounds and
 the basics as the pivots left them, within _FEAS_TOL of feasible
@@ -80,7 +79,7 @@ the basics as the pivots left them, within _FEAS_TOL of feasible
 basics solved for exactly from the final basis (final_values), the one
 O(m^3) step of a solve: a solve without a cutoff does, and a solve with
 one does not.  A started solve whose x fails the feasibility recheck
-goes cold.
+starts again from the slack basis.
 
 A warm start whose basis is already primal feasible for the new
 right-hand sides takes no pivot, and its x is that same refactorized
@@ -90,23 +89,24 @@ serves; the others need solve_lp.  A dispatch dataset's samples share a
 handful of optimal bases, so most of them never reach solve_lp.
 
 The dual and primal loops keep their per-iteration state and update it
-at the variables each pivot or bound flip moves, and a warm start's
-primal phase 2 continues from the state its dual loop leaves.  That
-state is the basic variables' bounds and costs and two direction
-multipliers per variable: up_j = 1.0 where x_j may rise from its bound
-(else 0.0) and dn_j = -1.0 where it may fall (else -0.0).  One fused
-pass, max(d * up, d * dn), is then |d_j| exactly where moving x_j
-helps and at most 0 elsewhere, so its argmax is Dantzig's entering
-variable and its first entry above _OBJ_TOL Bland's.  The dual ratio
-test finds its eligible columns by the same fused pass over its row.
-Reduced costs are recomputed on every iteration.
+at the variables each pivot or bound flip moves, and the primal simplex
+continues from the state the dual loop leaves.  That state is the basic
+variables' bounds and costs and two direction multipliers per variable:
+up_j = 1.0 where x_j may rise from its bound (else 0.0) and dn_j = -1.0
+where it may fall (else -0.0).  One fused pass, max(d * up, d * dn), is
+then |d_j| exactly where moving x_j helps and at most 0 elsewhere, so
+its argmax is Dantzig's entering variable and its first entry above
+_OBJ_TOL Bland's.  The dual ratio test finds its eligible columns by the
+same fused pass over its row.  Reduced costs are recomputed on every
+iteration.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
-the closing pricing pass of each primal phase.  All ties break toward
-the lowest variable index, so repeated solves of the same problem (and
+the primal simplex's closing pricing pass.  All ties break toward the
+lowest variable index, so repeated solves of the same problem (and
 start) are bit identical.  After 1000 consecutive degenerate primal
-pivots the entering rule switches to Bland's rule, which guarantees
-termination.
+pivots the entering rule switches to Bland's rule, which guarantees the
+primal simplex terminates.  The dual loop has no such rule; the
+iteration cap bounds it (NumericalBreakdown).
 """
 
 import enum
@@ -121,7 +121,6 @@ from .errors import NumericalBreakdown
 _BASIC = 0
 _AT_LO = 1
 _AT_UP = 2
-_FREE = 3
 
 _BLAND_TRIGGER = 1000
 
@@ -134,13 +133,13 @@ _SAFE_PAD = 1e-12    # relative pad on a safe bound: covers its own rounding
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     CUTOFF = "cutoff"
 
 
 @dataclass
 class LpProblem:
-    """Dense LP data.  Missing constraint blocks may be passed as None.
+    """Dense LP data.  Missing constraint blocks may be passed as None;
+    the bounds lo and hi may not, and every entry must be finite.
 
     The rows and right-hand sides are validated and laid out for the
     simplex once, on construction (row_set); sibling derives problems
@@ -191,26 +190,24 @@ class LpProblem:
         return sib
 
     def _check_variables(self):
-        """Validate c and the bounds; None bounds make a variable free."""
+        """Validate c and the bounds: every variable must be boxed."""
         n = self.a_ub.shape[1]
         if self.c.shape != (n,):
             raise ValueError("objective must match the number of variables")
-        if self.lo is None:
-            self.lo = np.full(n, -np.inf)
-        if self.hi is None:
-            self.hi = np.full(n, np.inf)
+        if self.lo is None or self.hi is None:
+            raise ValueError("missing bound: every variable must be boxed")
         self.lo = np.asarray(self.lo, dtype=float).reshape(-1)
         self.hi = np.asarray(self.hi, dtype=float).reshape(-1)
         lo, hi = self.lo, self.hi
         if lo.shape[0] != n or hi.shape[0] != n:
             raise ValueError("bound vectors must match the number of variables")
         # one pass for the valid case; a NaN fails every comparison
-        if not ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
+        if not ((lo <= hi) & (lo > -np.inf) & (hi < np.inf)).all():
             if np.isnan(lo).any() or np.isnan(hi).any():
                 raise ValueError("NaN in variable bounds")
             if (lo > hi).any():
                 raise ValueError("lower bound exceeds upper bound")
-            raise ValueError("infinite bound leaves a variable no value")
+            raise ValueError("infinite bound: every variable must be boxed")
         if not np.isfinite(self.c).all():
             raise ValueError("nonfinite entries in LP data")
 
@@ -218,13 +215,11 @@ class LpProblem:
 class _RowSet:
     """The rows of an LpProblem and its siblings in the simplex's layout.
 
-    a = [a_eq; a_ub | one slack per <= row | one artificial per row],
-    b = [b_eq; b_ub], and rows = [a_eq; a_ub], the structural block of
-    a, for safe_max, which also reads abs_rows and abs_b, their
-    magnitudes, computed on its first call over these rows.  Nothing
-    writes to them.  The one slot that changes is phase1: None until a
-    phase 1 run over these rows succeeds, and from then on a copy of the
-    state that the first such run left (_Core.cold).
+    a = [a_eq; a_ub | one slack per <= row | one artificial per equality
+    row], b = [b_eq; b_ub], and rows = [a_eq; a_ub], the structural block
+    of a, for safe_max, which also reads abs_rows and abs_b, their
+    magnitudes, computed on its first call over these rows.  Row i's
+    slack or artificial column is e_i.  Nothing writes to them.
     """
 
     def __init__(self, problem):
@@ -236,19 +231,18 @@ class _RowSet:
         self.m = m
         self.m_eq = m_eq
         self.n_real = n + m_ub
-        self.n_total = self.n_real + m
+        self.n_total = self.n_real + m_eq
         self.rows = np.concatenate([problem.a_eq, problem.a_ub])
         a = np.zeros((m, self.n_total))
         a[:, :n] = self.rows
         rows = np.arange(m)
         a[rows[m_eq:], rows[:m_ub] + n] = 1.0
-        a[rows, rows + self.n_real] = 1.0
+        a[rows[:m_eq], rows[:m_eq] + self.n_real] = 1.0
         self.a = a
         self.b = np.concatenate([problem.b_eq, problem.b_ub])
         # bounds of the slacks and artificials, and their zero costs
         self.lo_tail = np.zeros(self.n_total - n)
-        self.hi_tail = np.concatenate([np.full(m_ub, np.inf), np.zeros(m)])
-        self.phase1 = None
+        self.hi_tail = np.concatenate([np.full(m_ub, np.inf), np.zeros(m_eq)])
 
     @functools.cached_property
     def abs_rows(self):
@@ -305,27 +299,22 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     start, if given, is the basis of an earlier optimal solve
     (LpSolution.basis); anything else raises TypeError, and one whose
     arrays do not fit this problem's shape ValueError.  It is taken as
-    it is when the problem it solved has this one's rows and objective
-    and bounds that this one only tightens (_Core._inherits; the
-    right-hand sides b_eq and b_ub may differ) and its binv passes the
-    identity test.  Any other start is refit for this problem
-    (_Core._refit), and the solve is cold only when that fails.  A cold
-    solve of a sibling whose bounds equal those of an earlier one over
-    the same rows resumes after the phase 1 that the earlier one ran
-    (_RowSet.phase1), and its iteration_count then counts only phase 2.
+    it is when the problem it solved has this one's rows, bounds that
+    this one only tightens, and either this one's objective (the
+    right-hand sides b_eq and b_ub may differ) or this one's row set and
+    bounds (_Core._inherits), and its binv passes the identity test.
+    Any other start is refit for this problem (_Core._refit).  A solve
+    without a start, or whose start cannot be refit, is cold: it starts
+    from the slack basis (_Core.cold).
 
-    With a cutoff (every variable must be boxed), the dual simplex of a
-    started solve gives up as soon as the row duals after one of its
-    pivots (or, for a refit start, before the first) prove c @ x <=
-    cutoff (safe_max): the result is CUTOFF, its bound that proof's
-    bound.  Every other result ends where it would without a cutoff.
-    An optimal solve has x exactly when it has no cutoff; a failed
-    feasibility recheck of that x sends a started solve cold and raises
-    NumericalBreakdown from a cold one.
+    With a cutoff, the dual simplex gives up as soon as the row duals
+    after one of its pivots (or, for a refit or cold start, before the
+    first) prove c @ x <= cutoff (safe_max): the result is CUTOFF, its
+    bound that proof's bound.  Every other result ends where it would
+    without a cutoff.  An optimal solve has x exactly when it has no
+    cutoff; a failed feasibility recheck of that x sends a started solve
+    cold and raises NumericalBreakdown from a cold one.
     """
-    if cutoff is not None and not (np.isfinite(problem.lo).all()
-                                   and np.isfinite(problem.hi).all()):
-        raise ValueError("a cutoff needs every variable boxed")
     spent = 0
     if start is not None:
         core = _Core(problem)
@@ -337,7 +326,7 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
             pass
         spent = core.iterations
     core = _Core(problem)
-    return _solution(core, core.cold(), spent, cutoff)
+    return _solution(core, core.cold(cutoff), spent, cutoff)
 
 
 def basis_solutions(basis, b_eq, b_ub):
@@ -455,8 +444,9 @@ class _Core:
     """Revised bounded-variable simplex over equality rows a z = b.
 
     Columns are [structural | one slack per <= row | one artificial per
-    row], and row i's artificial column is e_i.  Artificials are pinned
-    at zero except while phase 1 of a cold start drives them there.
+    equality row], and row i's slack or artificial column is e_i.
+    Artificials are pinned at zero: one that leaves the basis never
+    returns, and one that stays basic marks a redundant row.
 
     Besides x and stat, the core's state is the basic indices and binv,
     the m x m inverse of a[:, basis]; no tableau is kept.  _pivot(r,
@@ -467,8 +457,8 @@ class _Core:
     rebuilding it: _track sets the direction multipliers up and dn of
     _directions and the basic variables' bounds and costs at loop entry,
     and _move updates them at the two variables a pivot moves, or the
-    one a bound flip does.  A warm start's primal phase 2 continues from
-    the state its dual loop leaves.
+    one a bound flip does.  The primal simplex continues from the state
+    the dual loop leaves.
     """
 
     def __init__(self, problem):
@@ -480,7 +470,7 @@ class _Core:
         self.n_real = rs.n_real
         self.n_total = rs.n_total
         self.iterations = 0
-        self.max_iterations = 50 * (self.n_total + self.m)
+        self.max_iterations = 50 * (self.n_real + 2 * self.m)
 
         self.a = rs.a
         self.b = rs.b
@@ -490,92 +480,63 @@ class _Core:
 
     # -- starting bases ------------------------------------------------------
 
-    def cold(self):
-        """Slack/artificial start, phase 1 if needed, then phase 2.
+    def cold(self, cutoff=None):
+        """Dual simplex from the slack basis, then the primal simplex.
 
-        The first successful phase 1 run over a row set leaves a copy of
-        its state there (_RowSet.phase1).  Phase 1 reads only the rows,
-        the right-hand sides and the bounds, so a later cold solve of a
-        sibling with equal bounds would reach that same state; it resumes
-        phase 2 from a copy of it instead.
+        Each <= row's slack and each equality row's artificial is basic,
+        so binv is the identity, and each structural rests at the bound
+        its cost favors (its upper bound where c_j > _OBJ_TOL): every
+        reduced cost c_j is on its optimal side, and the basis is dual
+        feasible.  As for a refit start, the dual simplex tests the
+        cutoff before its first pivot.
         """
-        rs = self.problem.row_set
-        if rs.phase1 is not None:
-            lo, hi, binv, x, stat, basis = rs.phase1
-            # phase 1 leaves the artificials pinned, as a new core has them
-            if np.array_equal(self.lo, lo) and np.array_equal(self.hi, hi):
-                self.binv, self.x, self.stat, self.basis = (
-                    v.copy() for v in (binv, x, stat, basis))
-                return self._phase2()
-        m, n_real = self.m, self.n_real
-        lo, hi = self.lo, self.hi
-        fin_lo = np.isfinite(lo)
-        fin_hi = np.isfinite(hi)
-        x = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
-        stat = np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_UP, _FREE)).astype(np.int8)
-
-        resid = self.b - self.a[:, :n_real] @ x[:n_real]
-        rows = np.arange(m)
-        slack = np.zeros(m, dtype=bool)
-        slack[self.m_eq:] = resid[self.m_eq:] >= 0.0
-        below = resid < 0.0
-        art = n_real + rows
-        lo[art[below]] = -np.inf
-        hi[art[~(slack | below)]] = np.inf
-        self.basis = np.where(slack, self.n + rows - self.m_eq, art)
-        x[self.basis] = resid
-        stat[self.basis] = _BASIC
-        self.x = x
-        self.stat = stat
-        self.binv = np.eye(m)
-
-        if not slack.all():
-            if not self._phase1():
-                return LpStatus.INFEASIBLE
-            if rs.phase1 is None:
-                rs.phase1 = tuple(v.copy() for v in (
-                    self.lo, self.hi, self.binv, self.x, self.stat, self.basis))
-        return self._phase2()
+        m_eq = self.m_eq
+        self.basis = np.concatenate([self.n_real + np.arange(m_eq),
+                                     self.n + np.arange(self.m - m_eq)])
+        self.stat = np.where(self.c > _OBJ_TOL, _AT_UP, _AT_LO).astype(np.int8)
+        self.stat[self.basis] = _BASIC
+        self.binv = np.eye(self.m)
+        return self._finish(cutoff, True)
 
     def warm(self, start, cutoff=None):
         """Dual simplex from start, an earlier optimal solve's
-        LpSolution.basis, then primal phase 2 from the state the dual
+        LpSolution.basis, then the primal simplex from the state the dual
         loop leaves.  A start that is one for this problem (_inherits)
         and whose binv passes _invert's identity test is taken as it is;
         any other start of the right shape is refit (_refit), and the
         dual simplex then tests the cutoff before its first pivot too.
         None if the refit fails: the solve goes cold."""
-        if self._inherits(_source(start), start[1]) and self._invert(start):
+        if self._inherits(_source(start)) and self._invert(start):
             refit = False
         elif self._refit(start):
             refit = True
         else:
             return None
-        self._rest()
-        self.x[self.basis] = self._basic_values(self.b)
-        status = self._dual(cutoff, refit)
-        return self._run() if status is None else status
+        return self._finish(cutoff, refit)
 
-    def _inherits(self, source, stat):
-        """Whether a start with statuses stat, optimal for the problem
-        source, is one for this problem: equal rows (the same row set, or
-        equal [a | slacks | artificials] matrices), the same objective,
-        bounds that this problem only tightens, and no free nonbasic that
-        gains a finite bound.
+    def _inherits(self, source):
+        """Whether a start optimal for the problem source is one for this
+        problem as it is: equal rows (the same row set, or equal [a |
+        slacks | artificials] matrices), bounds that this problem only
+        tightens, and either the same objective, or the same row set and
+        equal bounds.
 
-        Such a start is dual feasible here as it is: each nonbasic still
-        rests at the bound its status names, and its reduced costs, which
-        involve neither b nor the bounds, are the ones its solve ended on,
-        so they favor no variable that can still move.
+        With the same objective the start is dual feasible here: each
+        nonbasic still rests at the bound its status names, and its
+        reduced costs, which involve neither b nor the bounds, are the
+        ones its solve ended on, so they favor no variable that can still
+        move.  With the same row set and bounds, b and every nonbasic's
+        value are the source's too, so the basics take the values the
+        source's solve ended on: the start is primal feasible, and only
+        the primal simplex runs.
         """
         p, rs = self.problem, self.problem.row_set
-        if not (source.row_set is rs or np.array_equal(source.row_set.a, rs.a)):
+        same_rows = source.row_set is rs
+        if not (same_rows or np.array_equal(source.row_set.a, rs.a)):
             return False
-        if not ((source.c is p.c or np.array_equal(source.c, p.c))
-                and (p.lo >= source.lo).all() and (p.hi <= source.hi).all()):
-            return False
-        free = stat[:self.n] == _FREE
-        return not (free.any() and (free & (np.isfinite(p.lo) | np.isfinite(p.hi))).any())
+        if source.c is p.c or np.array_equal(source.c, p.c):
+            return bool((p.lo >= source.lo).all() and (p.hi <= source.hi).all())
+        return same_rows and np.array_equal(p.lo, source.lo) and np.array_equal(p.hi, source.hi)
 
     def _shaped(self, start):
         """A start's basic indices and statuses as fresh arrays, and its
@@ -610,11 +571,11 @@ class _Core:
     def _refit(self, start):
         """Make a start that warm cannot take as it is dual feasible here:
         its basic columns with binv refactorized from this problem's
-        a[:, basis], and every nonbasic at the finite bound its reduced
-        cost favors (the start's own bound where the cost favors
-        neither).  False, and the core unusable, when the basis matrix is
-        singular, the fresh binv fails _invert's identity test, or some
-        nonbasic's favored bound is infinite."""
+        a[:, basis], and every nonbasic at the bound its reduced cost
+        favors (the start's own bound where the cost favors neither).
+        False, and the core unusable, when the basis matrix is singular,
+        the fresh binv fails _invert's identity test, or some nonbasic
+        slack's reduced cost favors its infinite upper bound."""
         basis, stat, _ = self._shaped(start)
         bmat = self.a[:, basis]
         try:
@@ -627,14 +588,12 @@ class _Core:
         d[basis] = 0.0  # a basic variable rests at no bound
         up = d > _OBJ_TOL
         down = d < -_OBJ_TOL
-        no_lo = self.lo == -np.inf
-        no_hi = self.hi == np.inf
-        if (up & no_hi).any() or (down & no_lo).any():
+        no_hi = self.hi == np.inf  # the slacks
+        if (up & no_hi).any():
             return False
-        # where d favors neither bound, the start's upper bound stands, and
-        # so does the upper bound of a variable without a lower one
-        at_up = up | ~down & ~no_hi & ((stat == _AT_UP) | no_lo)
-        stat = np.where(at_up, _AT_UP, np.where(no_lo, _FREE, _AT_LO)).astype(np.int8)
+        # where d favors neither bound, the start's upper bound stands
+        at_up = up | ~down & ~no_hi & (stat == _AT_UP)
+        stat = np.where(at_up, _AT_UP, _AT_LO).astype(np.int8)
         stat[basis] = _BASIC
         self.basis = basis
         self.stat = stat
@@ -644,8 +603,7 @@ class _Core:
     def _rest(self):
         """x with each nonbasic at the bound its status names and zero at
         the basics."""
-        stat = self.stat
-        self.x = np.where(stat == _AT_UP, self.hi, np.where(stat == _AT_LO, self.lo, 0.0))
+        self.x = np.where(self.stat == _AT_UP, self.hi, self.lo)
         self.x[self.basis] = 0.0
 
     def _basic_values(self, b):
@@ -653,9 +611,13 @@ class _Core:
         zero at the basics."""
         return _matvec(self.binv, b - self.a @ self.x)
 
-    def _phase2(self):
-        self._track(self.c)
-        return self._run()
+    def _finish(self, cutoff, check_start):
+        """Solve from the basis and statuses set: the basic values, the
+        dual simplex (check_start as _dual's), then the primal simplex."""
+        self._rest()
+        self.x[self.basis] = self._basic_values(self.b)
+        status = self._dual(cutoff, check_start)
+        return self._run() if status is None else status
 
     # -- carried loop state --------------------------------------------------
 
@@ -677,8 +639,8 @@ class _Core:
         """
         movable = self.hi > self.lo
         stat = self.stat
-        up = np.where(movable & ((stat == _AT_LO) | (stat == _FREE)), 1.0, 0.0)
-        dn = np.where(movable & ((stat == _AT_UP) | (stat == _FREE)), -1.0, -0.0)
+        up = np.where(movable & (stat == _AT_LO), 1.0, 0.0)
+        dn = np.where(movable & (stat == _AT_UP), -1.0, -0.0)
         return up, dn
 
     def _move(self, j, s, r=None, col=None):
@@ -706,7 +668,7 @@ class _Core:
 
     # -- dual simplex --------------------------------------------------------
 
-    def _dual(self, cutoff=None, refit=False):
+    def _dual(self, cutoff=None, check_start=False):
         """Pivot out bound-violating basics.
 
         Returns None once the basis is primal feasible, and INFEASIBLE
@@ -717,12 +679,14 @@ class _Core:
         below the cutoff.  A taken start's own bound is not tested: it is
         its earlier solve's optimum, up to rounding, whenever its bounds
         only differ at basic variables, as a branch-and-bound child's do
-        (their reduced costs are zero).  A refit start's is (refit): it
-        is no earlier optimum, and may already be below the cutoff.
-        Assumes a dual feasible basis, so the leaving row's ratio test keeps
-        every reduced cost on its optimal side.  The loop state it starts
-        carrying on the objective (_track) is current when it returns, for
-        the primal phase 2 that follows.
+        (their reduced costs are zero).  A refit or slack-basis start's
+        is (check_start): it is no earlier optimum, and may already be
+        below the cutoff.  Assumes a dual feasible basis, so the leaving
+        row's ratio test keeps every reduced cost on its optimal side; a
+        start taken for its primal feasibility returns before its first
+        pivot.  The loop state it starts carrying on the objective
+        (_track) is current when it returns, for the primal simplex that
+        follows.
         """
         self._track(self.c)
         if not self.m:
@@ -738,7 +702,7 @@ class _Core:
             if excess[r] <= _FEAS_TOL:
                 return None
             y = self.c_b @ binv  # the row duals
-            if cutoff is not None and (self.iterations or refit):
+            if cutoff is not None and (self.iterations or check_start):
                 self.bound = safe_max(y, p, 0.0, cutoff)
                 if self.bound <= cutoff:
                     return LpStatus.CUTOFF
@@ -793,8 +757,9 @@ class _Core:
 
     def _run(self):
         """Primal simplex on the tracked objective (_track) from a primal
-        feasible basis: OPTIMAL, or UNBOUNDED when the objective is
-        unbounded above."""
+        feasible basis: OPTIMAL.  Every variable but the slacks is boxed,
+        so an entering variable that no bound limits is a numerical
+        breakdown."""
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo, hi, m = self.lo, self.hi, self.m
         lo_b, hi_b, up, dn = self.lo_b, self.hi_b, self.up, self.dn
@@ -810,7 +775,7 @@ class _Core:
             score = np.maximum(d * up, d * dn)
             j = int((score > _OBJ_TOL).argmax() if bland else score.argmax())
             if not score[j] > _OBJ_TOL:
-                return LpStatus.OPTIMAL  # for this phase
+                return LpStatus.OPTIMAL
             sigma = 1.0 if d[j] > 0.0 else -1.0
 
             col = binv @ a[:, j]
@@ -823,10 +788,10 @@ class _Core:
             np.maximum(room, 0.0, out=room)
             t_arr = room / adelta  # inf wherever the row does not limit the step
 
-            t_flip = hi[j] - lo[j]  # inf unless j is boxed
+            t_flip = hi[j] - lo[j]  # inf for a slack
             t_min = t_arr[t_arr.argmin()] if m else np.inf
             if t_flip == np.inf and t_min == np.inf:
-                return LpStatus.UNBOUNDED
+                raise NumericalBreakdown("no bound limits the entering variable")
 
             r = -1
             t_step = np.inf
@@ -886,40 +851,6 @@ class _Core:
         col = col.copy()
         col[r] = 0.0
         binv -= col[:, None] * binv[r]
-
-    def _phase1(self):
-        """Drive the basic artificials to zero, then pin every artificial."""
-        art = slice(self.n_real, None)
-        c = np.zeros(self.n_total)
-        c[art] = np.where(self.lo[art] < 0.0, 1.0, -1.0)  # maximize -|x_art|
-        self._track(c)
-        self._run()  # bounded by construction
-        if np.abs(self.x[art]).sum() > _FEAS_TOL:
-            return False
-        self._drive_out_artificials()
-        self.lo[art] = 0.0
-        self.hi[art] = 0.0
-        nb_art = self.stat[art] != _BASIC
-        self.stat[art][nb_art] = _AT_LO
-        self.x[art] = np.where(nb_art, 0.0, self.x[art])
-        return True
-
-    def _drive_out_artificials(self):
-        """Pivot basic artificials (all at zero) onto real columns where possible."""
-        for r in range(self.m):
-            v = self.basis[r]
-            if v < self.n_real:
-                continue
-            row = self.binv[r] @ self.a[:, :self.n_real]
-            cand = np.flatnonzero((np.abs(row) > 1e-9) & (self.stat[:self.n_real] != _BASIC))
-            if cand.size == 0:
-                continue  # redundant row; artificial stays basic at zero
-            j = int(cand[0])
-            self.stat[v] = _AT_LO
-            self.x[v] = 0.0
-            self.stat[j] = _BASIC
-            self.basis[r] = j
-            self._pivot(r, self.binv @ self.a[:, j])
 
     # -- solution extraction -------------------------------------------------
 

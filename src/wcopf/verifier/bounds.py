@@ -115,16 +115,18 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
     rows @ x <= rhs, lo <= x <= hi (every bound finite).  Only units with
     lower < 0 < upper are solved: first their maximum, then their minimum
     unless the maximum already proves them inactive.  All LPs are
-    siblings of one LpProblem under equal bounds, so only the first cold
-    one runs phase 1 (simplex._RowSet.phase1), and safe_max takes the
+    siblings of one LpProblem under equal bounds, and safe_max takes the
     rows' magnitudes from that one row set.
 
     starts maps (unit, "max" or "min") to the basis that LP starts from,
     as the same bound LP of an earlier verification of the net left it
-    (rows of the same layout, moved by a few training steps); an LP
-    without one solves cold.  Such a start is taken or refit
-    (simplex.solve_lp).  Every LP reads only its basis, so it is solved
-    with the cutoff -inf, which no bound reaches: no x.
+    (rows of the same layout, moved by a few training steps).  Such a
+    start is taken or refit (simplex.solve_lp).  An LP without one
+    starts from the last optimal basis of this call's LPs of its sense,
+    which the simplex takes as it is (the same rows and bounds make it
+    primal feasible), and the first of a sense without one from the
+    slack basis.  Every LP reads only its basis, so it is solved with
+    the cutoff -inf, which no bound reaches: no x.
 
     Each optimal LP yields a safe bound from the row duals of its final
     basis (simplex.safe_max), which is rigorous for any multipliers, so
@@ -140,19 +142,21 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
     upper = np.array(upper, dtype=float)
     lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
     bases = dict(starts or {})
+    last = {}  # sense -> the last optimal basis of that sense
     pivots = 0
 
     def upper_bound(key, c, off):
         nonlocal pivots
         problem = lp.sibling(c=c)
+        start = bases[key] if key in bases else last.get(key[1])
         try:
-            sol = solve_lp(problem, start=bases.get(key), cutoff=-np.inf)
+            sol = solve_lp(problem, start=start, cutoff=-np.inf)
         except NumericalBreakdown:
             return np.inf
         pivots += sol.iteration_count
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
-        bases[key] = sol.basis
+        bases[key] = last[key[1]] = sol.basis
         return safe_max(row_duals(sol.basis), problem, off)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):

@@ -45,9 +45,11 @@ verifies a net that has moved by a few steps since, and its LPs differ
 from the earlier ones only in their numbers.  The simplex refits such a
 start to the moved rows and objective, and a root that its cutoff
 stops is a leaf as a child is.  Bound LPs are started the same way,
-layer by layer (bounds.lp_bounds).  A root without such a start solves
-cold; the roots differ only in their objective, so the cold ones run
-one phase 1 between them (simplex._RowSet.phase1).  Incremental
+layer by layer (bounds.lp_bounds).  A root without such a start starts
+from the last root solved in the search: the roots differ only in their
+objective, so that basis is primal feasible and the simplex takes it as
+it is.  Only the first root solved without one starts from the slack
+basis (simplex.solve_lp).  Incremental
 verification reuses more than the bases (Ugare et al., "Incremental
 Verification of Neural Networks", PLDI 2023), but trees here average a
 few nodes, and the bases are what carries over from one epoch to the
@@ -380,10 +382,11 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     Every node LP is solved with the cutoff at the time it is solved.
     roots maps a candidate's index to the basis its root LP starts from
     (an earlier verification's, which the simplex refits); each root LP
-    that ends optimal replaces its entry.  A root without one solves
-    cold and the cutoff stops nothing; such roots differ only in their
-    objective, so the first one's phase 1 serves them all
-    (simplex._RowSet.phase1).  A child warm-starts from its parent's
+    that ends optimal replaces its entry.  A root without one starts
+    from the last optimal root basis of this search: roots differ only
+    in their objective, so the simplex takes that basis as it is, primal
+    feasible, and the cutoff stops nothing.  The first root without one
+    starts from the slack basis.  A child warm-starts from its parent's
     basis.  A started node that stops at the cutoff (LpStatus.CUTOFF)
     has no point, so it offers none, and it never branches.  An optimal
     node's value is safe_max over its row duals plus the candidate's
@@ -411,6 +414,7 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     nodes = [0] * len(cids)
     leaf_bound = -np.inf
     pivots = 0
+    last_root = None  # the last optimal root basis
 
     while heap and -heap[0][0] > cutoff():
         neg_bound, _, k, y_fix, start = heapq.heappop(heap)
@@ -420,6 +424,9 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
         nodes[k] += 1
 
         c, const = objectives[k]
+        root = y_fix is free
+        if root and start is None:
+            start = last_root
         # a child differs from its parent only in y bounds, so the parent's
         # basis stays dual feasible and warm-starts it, and its dual
         # simplex stops once it proves the child fathomed
@@ -430,8 +437,8 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
         if sol.status == LpStatus.CUTOFF:
             leaf_bound = max(leaf_bound, safe_add(sol.bound, const))
             continue
-        if y_fix is free:  # a root
-            roots[k] = sol.basis
+        if root:
+            roots[k] = last_root = sol.basis
         duals = row_duals(sol.basis)
         val = float(safe_max(duals, sol.basis.problem, const))
         # a basic variable can sit up to the simplex's tolerance outside

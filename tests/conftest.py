@@ -17,26 +17,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 @pytest.fixture
 def cold_cores(monkeypatch):
-    """List that grows by the simplex core of each cold-path solve,
-    including one that resumes after the phase 1 that an earlier solve
-    over its rows ran (simplex._RowSet.phase1)."""
+    """List that grows by the simplex core of each cold-path solve: one
+    that starts from the slack basis (simplex._Core.cold)."""
     from wcopf import simplex
 
     cores = []
     cold = simplex._Core.cold
-    monkeypatch.setattr(simplex._Core, "cold", lambda core: cores.append(core) or cold(core))
-    return cores
-
-
-@pytest.fixture
-def phase1_runs(monkeypatch):
-    """List that grows by the simplex core of each phase 1 run."""
-    from wcopf import simplex
-
-    cores = []
-    phase1 = simplex._Core._phase1
-    monkeypatch.setattr(simplex._Core, "_phase1",
-                        lambda core: cores.append(core) or phase1(core))
+    monkeypatch.setattr(simplex._Core, "cold",
+                        lambda core, cutoff=None: cores.append(core) or cold(core, cutoff))
     return cores
 
 

@@ -98,7 +98,7 @@ def test_lp_bounds_are_safe_and_tight_against_highs(monkeypatch, seed, dims, rad
         new_lo, new_up, bases, pivots = result
         unstable = np.flatnonzero((lower < 0.0) & (upper > 0.0))
         assert unstable.size
-        # every LP solved cold, ended optimal and left its basis
+        # no LP had a start of its own; every one ended optimal and left its basis
         assert starts is None and len(bases) == n_lps and pivots > 0
         stable = np.setdiff1d(np.arange(lower.size), unstable)
         assert new_lo[stable].tobytes() == lower[stable].tobytes()
@@ -132,12 +132,12 @@ def test_safe_bound_holds_for_any_basis(seed):
     assert safe_max(c_b @ binv, lp.sibling(c=c), 0.25) >= best + 0.25
 
 
-@pytest.mark.parametrize("failure", ["breakdown", "unbounded"])
+@pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
 def test_lp_bounds_keep_the_given_bound_when_an_lp_fails(monkeypatch, failure):
     def failing(problem, start=None, cutoff=None):
         if failure == "breakdown":
             raise NumericalBreakdown("simplex iteration cap exceeded")
-        return LpSolution(LpStatus.UNBOUNDED)
+        return LpSolution(LpStatus.INFEASIBLE)
 
     monkeypatch.setattr(bounds, "solve_lp", failing)
     rows = np.array([[1.0, 1.0]])

@@ -211,11 +211,12 @@ def _random_lp(seed):
     """Seeded LP of 30-60 variables and 25-40 rows, maximize c @ x.
 
     Rows are built around the middle of the box, so many of them are
-    violated at the all-lower-bounds start.  Three variables are free
-    (kept bounded by rows |x_j| <= 5), one <= row and one equality row
-    are duplicated, and a floor row keeps x_0 in the top quarter of its
-    range.  Every third seed adds a row that contradicts another, which
-    makes the LP infeasible.
+    violated at the all-lower-bounds start.  Three variables, listed in
+    free, are boxed at +-10, and rows |x_j| <= 5 keep them within bounds
+    that never bind.  One <= row and one equality row are duplicated, and
+    a floor row keeps x_0 in the top quarter of its range.  Every third
+    seed adds a row that contradicts another, which makes the LP
+    infeasible.  Returns (c, a_eq, b_eq, a_ub, b_ub, lo, hi), free.
     """
     rng = np.random.default_rng((seed, 41))
     n = int(rng.integers(30, 61))
@@ -225,7 +226,7 @@ def _random_lp(seed):
     hi = lo + rng.uniform(0.5, 4.0, n)
     x0 = 0.5 * (lo + hi)
     free = 1 + rng.choice(n - 1, size=3, replace=False)
-    lo[free], hi[free], x0[free] = -np.inf, np.inf, 0.0
+    lo[free], hi[free], x0[free] = -10.0, 10.0, 0.0
     a_eq = rng.normal(size=(m_eq, n))
     a_ub = rng.normal(size=(m_ub, n))
     b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, m_ub)
@@ -240,7 +241,7 @@ def _random_lp(seed):
     if seed % 3 == 2:
         a_ub = np.vstack([a_ub, -a_ub[:1]])
         b_ub = np.append(b_ub, -b_ub[0] - 1.0)
-    return rng.normal(size=n), a_eq, b_eq, a_ub, b_ub, lo, hi
+    return (rng.normal(size=n), a_eq, b_eq, a_ub, b_ub, lo, hi), free
 
 
 def _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi, start=None):
@@ -262,16 +263,18 @@ def _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi, start=None):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_lp_matches_highs_cold_and_warm(seed):
-    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_lp(seed)
+    (c, a_eq, b_eq, a_ub, b_ub, lo, hi), free = _random_lp(seed)
     parent = _check_lp_against_highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi)
     assert (parent.status == LpStatus.OPTIMAL) == (seed % 3 != 2)
     if parent.status != LpStatus.OPTIMAL:
         return
-    # one branch-and-bound-like child: a boxed variable that is basic
-    # strictly inside its range is fixed at a bound or has the parent's
-    # optimum cut out of its range; or x_0 is fixed below its floor row
-    inside = np.isfinite(lo) & (parent.x > lo + 1e-6) & (parent.x < hi - 1e-6)
+    # one branch-and-bound-like child: a variable other than the three of
+    # free that is basic strictly inside its range is fixed at a bound or
+    # has the parent's optimum cut out of its range; or x_0 is fixed below
+    # its floor row
+    inside = (parent.x > lo + 1e-6) & (parent.x < hi - 1e-6)
     inside[0] = False
+    inside[free] = False
     k = 0 if seed % 3 == 1 else int(np.flatnonzero(inside)[seed % inside.sum()])
     xk = parent.x[k]
     lo2, hi2 = lo.copy(), hi.copy()

@@ -14,37 +14,30 @@ def _solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, lo=None, hi=None):
 
 
 def test_textbook_production_lp():
-    # max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0
+    # max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, 0 <= x, y <= 100
+    # (the rows keep x <= 4 and y <= 6, so the upper bounds never bind)
     sol = _solve([3.0, 5.0],
                  a_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
                  b_ub=[4.0, 12.0, 18.0],
-                 lo=[0.0, 0.0], hi=[np.inf, np.inf])
+                 lo=[0.0, 0.0], hi=[100.0, 100.0])
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(36.0, abs=1e-9)
     assert np.allclose(sol.x, [2.0, 6.0], atol=1e-9)
 
 
 def test_equality_infeasible():
-    # x + y = 1 with x, y >= 2 is infeasible
-    sol = _solve([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], lo=[2.0, 2.0], hi=[np.inf, np.inf])
+    # x + y = 1 with x, y in [2, 10] is infeasible
+    sol = _solve([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], lo=[2.0, 2.0], hi=[10.0, 10.0])
     assert sol.status == LpStatus.INFEASIBLE
-
-
-def test_unbounded_direction():
-    sol = _solve([1.0], a_ub=[[-1.0]], b_ub=[0.0], lo=[0.0], hi=[np.inf])
-    assert sol.status == LpStatus.UNBOUNDED
 
 
 def test_bounds_only_box():
     sol = _solve([1.0], lo=[0.0], hi=[5.0])
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(5.0, abs=0.0)
-    assert sol.iteration_count == 2  # one bound flip, one closing pricing pass
-
-
-def test_bounds_only_unbounded():
-    sol = _solve([1.0], lo=[0.0], hi=[np.inf])
-    assert sol.status == LpStatus.UNBOUNDED
+    # the slack basis rests x at the bound its cost favors: only the
+    # closing pricing pass remains
+    assert sol.iteration_count == 1
 
 
 def test_negative_cost_prefers_lower_bound():
@@ -54,19 +47,21 @@ def test_negative_cost_prefers_lower_bound():
 
 
 def test_free_variable_with_equality():
-    # max -x1 s.t. x0 + x1 = 2, x0 in [0, 1], x1 free -> x1 = 1 at x0 = 1
+    # max -x1 s.t. x0 + x1 = 2, x0 in [0, 1], x1 in [-10, 10] (the row
+    # keeps it in [1, 2]) -> x1 = 1 at x0 = 1
     sol = _solve([0.0, -1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0],
-                 lo=[0.0, -np.inf], hi=[1.0, np.inf])
+                 lo=[0.0, -10.0], hi=[1.0, 10.0])
     assert sol.status == LpStatus.OPTIMAL
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
 
 def test_degenerate_vertex():
-    # three inequalities meet at the optimum (2, 2)
+    # three inequalities meet at the optimum (2, 2); the upper bounds 10
+    # never bind
     sol = _solve([1.0, 1.0],
                  a_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                  b_ub=[2.0, 2.0, 4.0],
-                 lo=[0.0, 0.0], hi=[np.inf, np.inf])
+                 lo=[0.0, 0.0], hi=[10.0, 10.0])
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
@@ -320,23 +315,25 @@ def test_basis_solutions_without_a_usable_basis_serve_nothing():
 
 
 def test_basis_solutions_reject_what_fails_the_equality_recheck():
-    # free x0, x1 with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1 = b1: the
-    # basis of both columns is ill-conditioned, but its inverse is exact,
-    # so it passes _invert's identity test and, its basics being free, the
-    # _FEAS_TOL bound test for any b.  Where b1 - b0 is not a multiple of
-    # 2**-40 the basics are about 2**40 (b1 - b0) and round at 1e-4, and
-    # the rows miss b by more than 1e-6 (1 + |b|): only the recheck in
-    # _exact turns those right-hand sides away.
+    # x0, x1 in [-1e13, 1e13] with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1
+    # = b1: the basis of both columns is ill-conditioned, but its inverse
+    # is exact, so it passes _invert's identity test and, its basics
+    # staying far inside their bounds, the _FEAS_TOL bound test for these
+    # b.  Where b1 - b0 is not a multiple of 2**-40 the basics are about
+    # 2**40 (b1 - b0) and round at 1e-4, and the rows miss b by more than
+    # 1e-6 (1 + |b|): only the recheck in _exact turns those right-hand
+    # sides away.
     t = 2.0 ** 40
+    box = np.full(2, 1e13)
     problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, 1.0 + 1.0 / t]]),
-                        b_eq=np.zeros(2))
+                        b_eq=np.zeros(2), lo=-box, hi=box)
     basis = simplex._Basis(np.array([0, 1]), np.array([0, 0, 1, 1], dtype=np.int8),
                            np.array([[t + 1.0, -t], [-t, t]]), problem)
     b_eqs = [[0.0, 0.0], [0.0, 1.0], [0.1, 0.3], [0.3, 0.7]]
     x, ok = simplex.basis_solutions(basis, b_eqs, None)
     assert ok.tolist() == [True, True, False, False]
     for b_eq, xi, served in zip(b_eqs, x, ok):
-        lp = LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=b_eq)
+        lp = LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=b_eq, lo=-box, hi=box)
         warm = solve_lp(lp, start=basis)
         if served:
             assert warm.iteration_count == 1 and warm.x.tobytes() == xi.tobytes()
@@ -357,7 +354,7 @@ def test_singular_start_falls_back_to_cold(cold_cores):
                         b_ub=np.array([3.0, 5.0]),
                         lo=np.zeros(2), hi=np.full(2, 4.0))
     cold = solve_lp(problem)
-    stat = np.full(6, simplex._AT_LO, dtype=np.int8)
+    stat = np.full(4, simplex._AT_LO, dtype=np.int8)
     stat[:2] = simplex._BASIC
     cold_cores.clear()
     warm = solve_lp(problem, start=simplex._Basis(np.array([0, 1]), stat, np.eye(2), problem))
@@ -370,8 +367,9 @@ def test_singular_start_falls_back_to_cold(cold_cores):
 def test_start_of_wrong_shape_is_rejected():
     problem = LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                         lo=np.zeros(2), hi=np.ones(2))
-    for basic, stat, binv in [(np.array([2]), np.zeros(3, dtype=np.int8), np.eye(1)),
-                              (np.array([2]), np.zeros(4, dtype=np.int8), np.eye(2))]:
+    # columns [x0, x1, slack]: statuses for 3 variables and a 1 x 1 binv
+    for basic, stat, binv in [(np.array([2]), np.zeros(4, dtype=np.int8), np.eye(1)),
+                              (np.array([2]), np.zeros(3, dtype=np.int8), np.eye(2))]:
         with pytest.raises(ValueError, match="shape"):
             solve_lp(problem, start=simplex._Basis(basic, stat, binv, problem))
 
@@ -382,8 +380,20 @@ def test_validation_rejects_bad_bounds():
 
 
 def test_validation_rejects_nan():
-    with pytest.raises(ValueError):
-        LpProblem(c=np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="nonfinite"):
+        LpProblem(c=np.array([np.nan, 1.0]), lo=np.zeros(2), hi=np.ones(2))
+
+
+@pytest.mark.parametrize("lo,hi,match", [(None, [1.0, 2.0], "missing bound"),
+                                         ([0.0, 0.0], None, "missing bound"),
+                                         ([-np.inf, 0.0], [1.0, 2.0], "infinite bound"),
+                                         ([0.0, 0.0], [1.0, np.inf], "infinite bound")],
+                         ids=["missing_lo", "missing_hi", "infinite_lo", "infinite_hi"])
+def test_validation_rejects_unboxed_variables(lo, hi, match):
+    # every variable must be boxed: the slack basis rests each one at a
+    # bound, and the simplex has no free or half-bounded variables
+    with pytest.raises(ValueError, match=match):
+        LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=lo, hi=hi)
 
 
 @pytest.mark.parametrize("lo,hi", [([np.nan, 0.0], [np.nan, 2.0]),
@@ -406,7 +416,7 @@ def test_validation_rejects_empty_infinite_domains(lo, hi):
 
 def test_two_generations_of_warm_starts_use_the_carried_inverse(monkeypatch, cold_cores):
     # children start from the parent's carried inverse, grandchildren from
-    # the child's; many parents' cold starts had nonpositive artificials
+    # the child's; many parents' slack bases had negative slacks
     proofs = []
     prove = simplex._Core._row_proves_infeasible
     monkeypatch.setattr(simplex._Core, "_row_proves_infeasible",
@@ -423,9 +433,9 @@ def test_two_generations_of_warm_starts_use_the_carried_inverse(monkeypatch, col
         parent = solve(lo, hi)
         if parent.basis is None:
             continue
-        # the cold start puts every variable at lo; a row violated there
-        # starts with its artificial basic at the negative residual
-        resid = np.concatenate([b_eq - a_eq @ lo, b_ub - a_ub @ lo])
+        # the slack basis rests each variable at the bound its cost
+        # favors; a <= row violated there starts with a negative slack
+        resid = b_ub - a_ub @ np.where(c > simplex._OBJ_TOL, hi, lo)
         negative_parents += bool(np.any(resid < 0.0))
         cold_cores.clear()
         k = seed % len(c)
@@ -463,8 +473,8 @@ def test_two_generations_of_warm_starts_use_the_carried_inverse(monkeypatch, col
 
 
 def test_warm_start_from_a_basic_artificial_matches_cold(cold_cores):
-    # the cold start violates both rows; one (nonpositive) artificial of the
-    # redundant pair stays basic
+    # the rows are a redundant pair, so one artificial stays basic (at 0)
+    # in every basis
     lo, hi = np.full(2, 1.0), np.full(2, 5.0)
     problem = LpProblem(c=np.array([1.0, 2.0]),
                         a_eq=np.array([[-1.0, -1.0], [-2.0, -2.0]]),
@@ -502,15 +512,15 @@ def _repairable(start, problem):
     problem's data, apart from the simplex."""
     m_eq, m_ub, n = len(problem.b_eq), len(problem.b_ub), len(problem.c)
     m = m_eq + m_ub
+    # columns [structural | slacks | one artificial per equality row]
     a = np.hstack([np.vstack([problem.a_eq, problem.a_ub]),
-                   np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)]), np.eye(m)])
-    c = np.concatenate([problem.c, np.zeros(m_ub + m)])
-    lo = np.concatenate([problem.lo, np.zeros(m_ub + m)])
-    hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m)])
+                   np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)]), np.eye(m, m_eq)])
+    c = np.concatenate([problem.c, np.zeros(m_ub + m_eq)])
+    hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m_eq)])
     basic = np.asarray(start[0])
     d = c - c[basic] @ np.linalg.solve(a[:, basic], np.eye(m)) @ a
     d[basic] = 0.0
-    return not ((d > 1e-9) & np.isinf(hi) | (d < -1e-9) & np.isinf(lo)).any()
+    return not ((d > 1e-9) & np.isinf(hi)).any()
 
 
 @pytest.mark.parametrize("seed", [0, 2, 7, 21])
@@ -581,33 +591,21 @@ def test_identity_test_runs_once_per_start_and_row_set(monkeypatch, seed, cold_c
             assert g.tobytes() == w.tobytes()
 
 
-def _free_nonbasic_lp(lo, hi):
-    """max x0 with x0 <= 2 and x1 in no row: at the optimum of the free
-    x1's problem, x1 is a free nonbasic."""
-    return LpProblem(c=np.array([1.0, 0.0]), a_ub=np.array([[1.0, 0.0]]), b_ub=[2.0],
-                     lo=lo, hi=hi)
-
-
-@pytest.mark.parametrize("change", ["objective", "looser_bounds", "free_gains_a_bound"])
+@pytest.mark.parametrize("change", ["objective", "looser_bounds"])
 def test_start_for_another_problem_solves_cold(change, cold_cores, refit_cores):
-    # such a start is refit, and solves cold only where no finite bound
-    # serves some nonbasic's reduced cost; either way it matches a cold solve
+    # such a start is refit, and solves cold only where a slack's reduced
+    # cost favors its infinite upper bound; either way it matches a cold solve
     def lp(seed, child):
-        if change == "free_gains_a_bound":
-            return _free_nonbasic_lp([0.0, -1.0 if child else -np.inf],
-                                     [1.0, 1.0 if child else np.inf])
         c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
         if child:
             c, lo = (c + 1.0, lo) if change == "objective" else (c, lo - 1.0)
         return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
 
     refit = cold = 0
-    for seed in range(1 if change == "free_gains_a_bound" else 40):
+    for seed in range(40):
         parent = solve_lp(lp(seed, False))
         if parent.status != LpStatus.OPTIMAL:
             continue
-        if change == "free_gains_a_bound":
-            assert parent.basis[1][1] == simplex._FREE
         cold_cores.clear()
         refit_cores.clear()
         got = solve_lp(lp(seed, True), start=parent.basis)
@@ -618,7 +616,7 @@ def test_start_for_another_problem_solves_cold(change, cold_cores, refit_cores):
             assert len(cold_cores) == 1 and not refit_cores
             cold += 1
         _agrees_with_cold(got, lp(seed, True))
-    assert refit >= (1 if change == "free_gains_a_bound" else 10)
+    assert refit >= 10
     # a new objective can make a slack's reduced cost favor its infinite bound
     assert (cold > 0) == (change == "objective")
 
@@ -639,20 +637,19 @@ def _perturbed(rng, c, a_eq, b_eq, a_ub, b_ub, lo, hi):
 
 def test_property_refit_start_solves_a_moved_lp(monkeypatch, cold_cores, refit_cores):
     # the parent's basis starts the LP of a net a step later: rows, c and
-    # bounds have all moved.  A refit start enters the dual simplex dual
-    # feasible, and ends as a cold solve does
-    entered = []  # the worst reduced cost on its wrong side, per refit dual simplex
+    # bounds have all moved.  A refit start, or the slack basis where the
+    # refit fails, enters the dual simplex dual feasible, and ends as a
+    # cold solve does
+    entered = []  # the worst reduced cost on its wrong side, per checked dual simplex
     dual = simplex._Core._dual
 
-    def checked(core, cutoff=None, refit=False):
-        if refit:
+    def checked(core, cutoff=None, check_start=False):
+        if check_start:
             d = core.c - (core.c[core.basis] @ core.binv) @ core.a
             wrong = np.where(core.stat == simplex._AT_UP, -d, d)
-            free = core.stat == simplex._FREE
-            wrong[free] = np.abs(d[free])
             wrong[(core.stat == simplex._BASIC) | (core.hi == core.lo)] = 0.0
             entered.append(wrong.max(initial=0.0))
-        return dual(core, cutoff, refit)
+        return dual(core, cutoff, check_start)
 
     monkeypatch.setattr(simplex._Core, "_dual", checked)
     refit = cold = 0
@@ -667,11 +664,11 @@ def test_property_refit_start_solves_a_moved_lp(monkeypatch, cold_cores, refit_c
         got = solve_lp(child, start=parent.basis)
         if _repairable(parent.basis, child):
             assert len(refit_cores) == len(entered) == 1 and not cold_cores
-            assert entered[0] <= simplex._OBJ_TOL
             refit += 1
         else:
-            assert len(cold_cores) == 1 and not refit_cores and not entered
+            assert len(cold_cores) == len(entered) == 1 and not refit_cores
             cold += 1
+        assert entered[0] <= simplex._OBJ_TOL
         _agrees_with_cold(got, child)
     assert refit >= 100 and cold > 0
 
@@ -722,7 +719,6 @@ def _checked_moves(monkeypatch):
 
     monkeypatch.setattr(simplex._Core, "_move", checked)
     monkeypatch.setattr(simplex._Core, "_dual", in_loop("dual", simplex._Core._dual))
-    monkeypatch.setattr(simplex._Core, "_phase1", in_loop("phase1", simplex._Core._phase1))
     return moves, pivots
 
 
@@ -730,7 +726,8 @@ def test_carried_loop_state_never_drifts(monkeypatch):
     moves, _ = _checked_moves(monkeypatch)
     for seed in range(60):
         c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
-        parent = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        parent = solve_lp(problem)
         if parent.status != LpStatus.OPTIMAL:
             continue
         k = seed % len(c)
@@ -739,10 +736,11 @@ def test_carried_loop_state_never_drifts(monkeypatch):
             lo2[k], hi2[k] = new_lo, new_hi
             solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                                lo=lo2, hi=hi2), start=parent.basis)
-    # cold starts with phase 1, warm starts with dual pivots, and primal
-    # phase 2 all pivoted, and the primal loops flipped bounds
-    for key in [("phase1", "pivot"), ("dual", "pivot"), ("primal", "pivot"),
-                ("phase1", "flip"), ("primal", "flip")]:
+        # a sibling with another objective takes the basis primal feasible
+        solve_lp(problem.sibling(c=-c), start=parent.basis)
+    # slack-basis and warm starts pivoted in the dual loop, and the primal
+    # loop of the siblings pivoted and flipped bounds
+    for key in [("dual", "pivot"), ("primal", "pivot"), ("primal", "flip")]:
         assert moves.get(key, 0) >= 10, (key, moves)
 
 
@@ -756,9 +754,14 @@ def test_carried_loop_state_never_drifts_under_blands_rule(monkeypatch):
         monkeypatch.setattr(simplex, "_BLAND_TRIGGER", trigger)
         for seed in range(60):
             c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
-            # every row is tight at the cold start's vertex lo: degenerate
+            # every row is tight at lo, where the first objective's slack
+            # basis rests every variable and is optimal: degenerate for the
+            # primal simplex of the second, started from that basis
+            first = LpProblem(c=-1.0 - np.abs(c), a_eq=a_eq, b_eq=a_eq @ lo, a_ub=a_ub,
+                              b_ub=a_ub @ lo, lo=lo, hi=hi)
+            start = solve_lp(first).basis
             pivots.clear()
-            sol = _solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=a_ub @ lo, lo=lo, hi=hi)
+            sol = solve_lp(first.sibling(c=c), start=start)
             paths[trigger, seed] = list(pivots)
             values[trigger, seed] = (sol.status, sol.objective_value)
     for seed in range(60):
@@ -771,65 +774,77 @@ def test_carried_loop_state_never_drifts_under_blands_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
-def test_shared_phase1_matches_cold_solves(seed, phase1_runs):
-    # siblings that differ only in c, solved with no start: the first
-    # one's phase 1 serves the others
+def test_sibling_starts_under_equal_bounds_are_taken_primal_feasible(monkeypatch, seed,
+                                                                     cold_cores,
+                                                                     refit_cores):
+    # siblings that differ only in c, each started from the last one's
+    # optimal basis: the first from the slack basis, every later one taken
+    # as it is, with no dual pivot, to a slack-basis solve's value
+    dual_pivots = []
+    dual = simplex._Core._dual
+
+    def counted(core, *args):
+        status = dual(core, *args)
+        dual_pivots.append(core.iterations)
+        return status
+
+    monkeypatch.setattr(simplex._Core, "_dual", counted)
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
     rng = np.random.default_rng(seed)
     first = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    start = None
     for k in range(4):
         problem = first if k == 0 else first.sibling(c=rng.normal(size=len(c)))
-        phase1_runs.clear()
-        got = solve_lp(problem)
-        if k == 0:
-            needs_phase1 = bool(phase1_runs)
-        else:
-            # only the first LP runs phase 1, unless it never got past it
-            assert len(phase1_runs) == (needs_phase1 and got.status == LpStatus.INFEASIBLE)
-        resumed = k > 0 and needs_phase1 and got.status != LpStatus.INFEASIBLE
-        want = solve_lp(LpProblem(c=problem.c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                                  lo=lo, hi=hi))
-        assert got.status == want.status
-        # a resumed solve counts only its phase 2
-        if resumed:
-            assert got.iteration_count < want.iteration_count
-        else:
-            assert got.iteration_count == want.iteration_count
-        if want.status == LpStatus.OPTIMAL:
-            assert got.x.tobytes() == want.x.tobytes()
-            assert got.objective_value == want.objective_value
-            for g, w in zip(got.basis, want.basis):
-                assert g.tobytes() == w.tobytes()
+        cold_cores.clear()
+        dual_pivots.clear()
+        got = solve_lp(problem, start=start)
+        assert len(cold_cores) == (k == 0) and not refit_cores
+        if k:
+            assert dual_pivots == [0]
+        _agrees_with_cold(got, LpProblem(c=problem.c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
+                                         b_ub=b_ub, lo=lo, hi=hi))
+        if got.status != LpStatus.OPTIMAL:
+            assert k == 0  # the row set is infeasible
+            return
+        start = got.basis
 
 
-def test_shared_phase1_rejects_other_bounds(phase1_runs):
-    # a sibling under other bounds runs its own phase 1 and equals a cold
-    # solve of a fresh problem
-    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(0)
-    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
-    solve_lp(problem)
-    assert len(phase1_runs) == 1 and problem.row_set.phase1 is not None
-    phase1_runs.clear()
-    got = solve_lp(problem.sibling(c=-c, hi=hi + 1.0))
-    assert len(phase1_runs) == 1
-    want = solve_lp(LpProblem(c=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo,
-                              hi=hi + 1.0))
-    assert got.status == want.status == LpStatus.OPTIMAL
-    assert got.iteration_count == want.iteration_count
-    assert got.x.tobytes() == want.x.tobytes()
-    for g, w in zip(got.basis, want.basis):
-        assert g.tobytes() == w.tobytes()
+def test_sibling_start_under_tighter_bounds_is_not_taken(cold_cores, refit_cores):
+    # another objective under tighter bounds: the start is neither dual nor
+    # primal feasible as it is, so it is refit (or, where a slack's reduced
+    # cost favors its infinite bound, solved from the slack basis), and
+    # ends as a slack-basis solve does
+    refit = 0
+    for seed in range(20):
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        parent = solve_lp(problem)
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        tighter = lo + 0.25 * (hi - lo)
+        sibling = problem.sibling(c=-c, lo=tighter)
+        cold_cores.clear()
+        refit_cores.clear()
+        got = solve_lp(sibling, start=parent.basis)
+        repairable = _repairable(parent.basis, sibling)
+        assert (len(refit_cores), len(cold_cores)) == ((1, 0) if repairable else (0, 1))
+        refit += repairable
+        _agrees_with_cold(got, LpProblem(c=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                                         lo=tighter, hi=hi))
+    assert refit >= 5
 
 
 @pytest.mark.xfail(strict=True, reason="the cold path calls this feasible ill-conditioned LP "
                                        "infeasible (ROADMAP item 7)")
 @pytest.mark.parametrize("b_eq", [(0.0, 1.0), (0.1, 0.3), (0.3, 0.7)])
 def test_cold_path_solves_a_feasible_ill_conditioned_lp(b_eq):
-    # free x0, x1 with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1 = b1: the
-    # solution x1 = 2**40 (b1 - b0), x0 = b0 - x1 exists for every b (for
-    # b = (0, 1) it is (-2**40, 2**40), exact in floats)
+    # x0, x1 in [-1e13, 1e13] with rows x0 + x1 = b0, x0 + (1 + 2**-40) x1
+    # = b1: the solution x1 = 2**40 (b1 - b0), x0 = b0 - x1 lies inside
+    # the bounds for these b (for b = (0, 1) it is (-2**40, 2**40), exact
+    # in floats)
+    box = np.full(2, 1e13)
     problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -40]]),
-                        b_eq=np.array(b_eq))
+                        b_eq=np.array(b_eq), lo=-box, hi=box)
     assert solve_lp(problem).status != LpStatus.INFEASIBLE
 
 
@@ -853,10 +868,11 @@ def test_sibling_shares_the_rows_and_checks_what_is_new():
 
 
 def test_cutoff_needs_boxed_variables():
-    problem = LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
-                        lo=np.zeros(2), hi=np.array([1.0, np.inf]))
+    # safe_max sums r_j times a bound of every variable, so an LP with an
+    # unboxed variable is refused before any solve, with a cutoff or not
     with pytest.raises(ValueError, match="boxed"):
-        solve_lp(problem, cutoff=0.0)
+        LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
+                  lo=np.zeros(2), hi=np.array([1.0, np.inf]))
 
 
 def test_x_is_derived_exactly_when_there_is_no_cutoff(monkeypatch, refactorizations,

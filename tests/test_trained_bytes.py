@@ -98,17 +98,18 @@ def test_trained_bytes_are_pinned(run, digest):
 
 
 @pytest.mark.parametrize("run,counters", [
-    pytest.param(_wcnn_one_layer, [(16, 3), (4, 3), (16, 4), (5, 4), (30, 6)],
+    pytest.param(_wcnn_one_layer, [(13, 3), (4, 3), (8, 4), (4, 4), (21, 6)],
                  id="wcnn_one_layer"),
-    pytest.param(_wcnn_two_layers, [(13, 1), (3, 1), (3, 1), (13, 1)], id="wcnn_two_layers"),
-    pytest.param(_finetune_all_layers, [(10, 1), (13, 2), (2, 2), (2, 2), (25, 3)],
+    pytest.param(_wcnn_two_layers, [(11, 1), (3, 1), (3, 1), (11, 1)], id="wcnn_two_layers"),
+    pytest.param(_finetune_all_layers, [(6, 1), (11, 2), (2, 2), (2, 2), (25, 3)],
                  id="finetune_all_layers"),
-    pytest.param(_finetune_last_layer, [(60, 5), (13, 5), (13, 5), (60, 5)],
+    pytest.param(_finetune_last_layer, [(53, 7), (17, 7), (17, 7), (53, 7)],
                  id="finetune_last_layer"),
 ])
 def test_verification_counters_are_pinned(monkeypatch, run, counters):
     """(lp_pivots, nodes_explored) of each verification in the run, in
-    order: cold, started and refit bound and root LPs and the search.
+    order: bound and root LPs from the slack basis, chained, started
+    and refit, and the search.
     The two-layer runs solve bound LPs.  A change to any LP's pivots or
     to the tree moves these counts."""
     seen = []

@@ -336,64 +336,74 @@ def test_node_lps_warm_start_without_refactorizing(monkeypatch, cold_cores, seed
     assert _cert_bytes(cert) == _cert_bytes(solve_worst_case(params, box, gen))
 
 
-# LP-tightened bounds leave (2, 8, 6, 2) at seed 4 one root to solve; this
-# net keeps three
-_ROOT_CASES = [_ENCODING_CASES[0], (4, (2, 6, 6, 3), -0.3, 0.3), _ENCODING_CASES[2]]
+# (seed, dims, lo, hi, whether bound LPs are solved): LP-tightened bounds
+# leave (2, 8, 6, 2) at seed 4 one root to solve; the second net keeps
+# three, and it and the last solve bound LPs of both senses
+_CHAIN_CASES = [(*_ENCODING_CASES[0], False), (4, (2, 6, 6, 3), -0.3, 0.3, True),
+                (*_ENCODING_CASES[2], False), (1, (3, 8, 8, 2), -1.0, 1.0, True)]
 
 
-@pytest.mark.parametrize("seed,dims,lo,hi", _ROOT_CASES)
-def test_roots_share_one_phase1_that_equals_a_cold_solve(monkeypatch, phase1_runs, seed, dims,
-                                                        lo, hi):
+@pytest.mark.parametrize("seed,dims,lo,hi,bound_lps", _CHAIN_CASES)
+def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
+                                                        refit_cores, seed, dims, lo, hi,
+                                                        bound_lps):
+    # a verification without a start: its first root, and its first bound
+    # LP of each layer and sense, start from the slack basis; every other
+    # one starts from the last of its kind, which the simplex takes as it
+    # is, and ends where HiGHS and a slack-basis solve of the same LP do
     params = seeded_net(seed, dims)
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
-    roots = []       # (problem, solution) of every root LP
-    node_runs = [0]  # phase 1 runs inside node LPs
+    solved = []  # (kind, problem, solution, cold, refit) of each root and bound LP
+    forms = []   # the unit forms of each lp_bounds call
 
-    def recording(problem, *args, **kwargs):
-        start = kwargs.get("start", args[0] if args else None)
-        before = len(phase1_runs)
-        sol = solve_lp(problem, *args, **kwargs)
-        node_runs[0] += len(phase1_runs) - before
-        if start is None:
-            roots.append((problem, sol))
+    def tracked(kind, problem, solve):
+        before = len(cold_cores), len(refit_cores)
+        sol = solve()
+        solved.append((kind, problem, sol, len(cold_cores) - before[0],
+                       len(refit_cores) - before[1]))
         return sol
 
-    def fresh(problem):
-        # the same LP in an LpProblem of its own, which shares no phase 1
-        return LpProblem(c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub, lo=problem.lo,
-                         hi=problem.hi)
+    solve_node = milp._Encoding.solve_node
 
-    monkeypatch.setattr(milp, "solve_lp", recording)
-    shared = solve_worst_case(params, box, gen)
-    assert len(roots) >= 2
-    # one encoding, so one phase 1 for all its roots (none without rows)
-    has_rows = roots[0][0].a_ub.size > 0
-    assert node_runs == [int(has_rows)]
-    for k, (problem, sol) in enumerate(roots):
-        phase1_runs.clear()
-        cold = solve_lp(fresh(problem))
-        assert len(phase1_runs) == int(has_rows)
-        assert sol.status == cold.status == LpStatus.OPTIMAL
-        # a root has a cutoff, so it carries its point and no x
-        assert sol.x is None and sol.point.tobytes() == cold.point.tobytes()
-        for got, want in zip(sol.basis, cold.basis):
-            assert got.tobytes() == want.tobytes()
-        # a resumed root counts only its phase 2
-        if k and has_rows:
-            assert sol.iteration_count < cold.iteration_count
-        else:
-            assert sol.iteration_count == cold.iteration_count
+    def node(enc, c, y_fix, start=None, cutoff=None):
+        if (y_fix >= 0).any():
+            return solve_node(enc, c, y_fix, start, cutoff)
+        problem = enc.node_lp.sibling(c=c)
+        return tracked("root", problem, lambda: solve_node(enc, c, y_fix, start, cutoff))
 
-    # with every root solved from a fresh LpProblem, each runs its own
-    # phase 1, to the same certificate
-    roots.clear()
-    node_runs[0] = 0
-    monkeypatch.setattr(milp, "solve_lp", lambda problem, start=None, cutoff=None: recording(
-        fresh(problem) if start is None else problem, start=start, cutoff=cutoff))
-    unshared = solve_worst_case(params, box, gen)
-    assert node_runs == [len(roots) * has_rows]
-    assert _cert_bytes(unshared) == _cert_bytes(shared)
+    def layer(*args):
+        forms.append(args[4][0])
+        return bounds.lp_bounds(*args)
+
+    def bound_lp(problem, start=None, cutoff=None):
+        sense = "max" if any(np.array_equal(problem.c, a) for a in forms[-1]) else "min"
+        return tracked((len(forms), sense), problem,
+                       lambda: solve_lp(problem, start=start, cutoff=cutoff))
+
+    monkeypatch.setattr(milp._Encoding, "solve_node", node)
+    monkeypatch.setattr(milp, "lp_bounds", layer)
+    monkeypatch.setattr(bounds, "solve_lp", bound_lp)
+    solve_worst_case(params, box, gen)
+    kinds = [kind for kind, *_ in solved]
+    assert kinds.count("root") >= 2
+    assert set(kinds) == ({"root", (1, "max"), (1, "min")} if bound_lps else {"root"})
+    for kind in set(kinds):
+        of_kind = [entry for entry in solved if entry[0] == kind]
+        # the first of each kind from the slack basis, and only the first
+        # root or bound LP of it; no LP refit
+        assert [entry[3] for entry in of_kind] == [1] + [0] * (len(of_kind) - 1)
+        assert not any(entry[4] for entry in of_kind)
+    for _, problem, sol, _, _ in solved:
+        assert sol.status == LpStatus.OPTIMAL
+        fresh = solve_lp(LpProblem(c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub,
+                                   lo=problem.lo, hi=problem.hi))
+        ref = linprog(-problem.c, A_ub=problem.a_ub if problem.a_ub.size else None,
+                      b_ub=problem.b_ub if problem.a_ub.size else None,
+                      bounds=np.column_stack([problem.lo, problem.hi]), method="highs")
+        value = problem.c @ sol.point
+        for want in (fresh.objective_value, -ref.fun):
+            assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("node_limit", [0, -5])
@@ -508,8 +518,8 @@ _CASE9_IDS = ["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4", "24_s4",
 # sha256 over the value, bound and witness bytes of the eight
 # certificates, and over the LP-tightened bounds (_Encoding.pre) of the
 # five two-layer nets, in _CASE9_NETS order
-_CASE9_CERT_SHA256 = "ccfca4ad5237263f5591e7834b847dd9b07f9849c80ce584d0a4c0970a5c47c1"
-_CASE9_PRE_SHA256 = "97a1b0a3a73280a1e4bcd888362daffe15b0be5d7c1bc17a1e2c4b366e559ea8"
+_CASE9_CERT_SHA256 = "f3ef671ea0773a14e806f9270dc514bc09b9878c0bc94abdf66e02f32950b92f"
+_CASE9_PRE_SHA256 = "dd06c5611689f7b95917b53c13747b1932b75bc516d62b6cadd0e1f897a8d50a"
 
 
 @pytest.fixture(scope="module")
