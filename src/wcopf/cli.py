@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from numbers import Real
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import SchemaError, TooManyInfeasible, TrainingDiverged, WcopfError
 from .grid import (BUILTIN_CASES, generate_dataset, grid_from_dict,
                    load_dataset, load_grid, rescale_with_grid, save_dataset)
 from .grid.dataset import DATA_BOX, split_sizes
+from .grid.model import builtin_case_text
 from .mlp import file_checksum, load_model, save_model
 from .train import (config_from_dict, final_verification, finetune_sequential,
                     layer_sensitivity, load_config, load_summary, raw_violation,
@@ -51,7 +51,7 @@ def _resolve_grid(value):
     a bundled case's entry is builtin:<name> with its packaged text's sha256."""
     if os.path.exists(value) or value not in BUILTIN_CASES:
         return load_grid(value), (value, file_checksum(value))
-    text = resources.files("wcopf.grid").joinpath(f"cases/{value}.json").read_text("utf-8")
+    text = builtin_case_text(value)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return grid_from_dict(json.loads(text)), (f"builtin:{value}", digest)
 

@@ -198,9 +198,14 @@ def load_grid(path):
     return grid_from_dict(doc)
 
 
-def builtin_grid(name):
-    """Return one of the bundled example grids (case3, case5, case9)."""
+def builtin_case_text(name):
+    """The packaged JSON text of a bundled example grid (case3, case5,
+    case9): what builtin_grid parses, and what a manifest digests."""
     if name not in BUILTIN_CASES:
         raise SchemaError(f"unknown builtin grid {name!r}; choices: {BUILTIN_CASES}")
-    text = resources.files("wcopf.grid").joinpath(f"cases/{name}.json").read_text("utf-8")
-    return grid_from_dict(json.loads(text))
+    return resources.files("wcopf.grid").joinpath(f"cases/{name}.json").read_text("utf-8")
+
+
+def builtin_grid(name):
+    """Return one of the bundled example grids (case3, case5, case9)."""
+    return grid_from_dict(json.loads(builtin_case_text(name)))

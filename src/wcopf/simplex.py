@@ -32,46 +32,45 @@ those, and every core of a row set reads one [a | slacks | artificials]
 matrix (_RowSet), laid out once.
 
 solve_lp takes one kind of start: the basis of an earlier optimal
-solve, LpSolution.basis, which remembers the problem it solved.  It is
-taken as it is when it is one for this problem (_inherits): the rows
-equal the source's (siblings share theirs, other rows are compared in
-full), the bounds only tighten, and either c is the same, or the row set
-and the bounds are.  With the same c the right-hand sides b_eq and b_ub
-may differ: the start's statuses stand, and its reduced costs c - c_B
-binv a, which involve neither b nor the bounds, favor no move, so it is
-dual feasible as it is.  With the same row set and bounds (a sibling
-with another objective) its point is where the earlier solve left it, so
-it is primal feasible as it is.  The warm core copies binv, sets the
-basic values to binv @ (b - a_N x_N), and a dual simplex restores primal
-feasibility (or proves the LP infeasible from a row of binv); the primal
-simplex finishes.  A start that _inherits accepts must also pass the
-identity test: binv @ a[:, basis] may miss the identity by at most
-_FEAS_TOL (a test that NaN also fails).  A pass is not tested again for
-the same row set (_Basis.inverts), so the two children of a
-branch-and-bound node pay for one test between them.
+solve, LpSolution.basis, which remembers the problem it solved, and one
+rule starts from it (_Core.warm).  Its basic indices and statuses stand.
+Its binv is carried when the rows are the source's (siblings share
+theirs, other rows are compared in full) and it passes the identity
+test: binv @ a[:, basis] may miss the identity by at most _FEAS_TOL (a
+test that NaN also fails).  A pass is not tested again for the same row
+set (_Basis.inverts), so the two children of a branch-and-bound node pay
+for one test between them.  Any other binv is refactorized from this
+problem's a[:, basis] (_Core._refit), as a MIP solver re-solves from an
+earlier basis (Achterberg, "Constraint Integer Programming", 2007), and
+must pass the same test.
 
-Any other start of the problem's shape is refit (_Core._refit), as a
-MIP solver re-solves from an earlier basis (Achterberg, "Constraint
-Integer Programming", 2007): other rows, another objective under other
-bounds, looser bounds, or a binv that drifted.  Its binv is
-refactorized from this problem's a[:, basis] and must pass the same
-identity test, and every nonbasic moves to the bound its reduced cost
-favors, which makes the basis dual feasible; the dual and primal
-simplex then run as for a taken start.  A singular basis matrix, a
-failed test, or a slack whose reduced cost favors its infinite upper
-bound (its row dual turned negative) sends the solve to the slack
-basis, and so does a dual simplex that breaks down numerically.  An LP
-without rows takes the same paths with an empty basis.
+The simplex then measures what the start is, instead of inferring it
+from the problem it came from, as the dual simplex over boxed variables
+starts in Koberstein's thesis: the basic values are binv @ (b - a_N
+x_N), and a primal feasible start goes straight to the primal simplex.
+Any other start enters the dual simplex, which first flips each
+nonbasic whose reduced cost favors its other bound there; the basis is
+then dual feasible, and the dual simplex restores primal feasibility
+(or proves the LP infeasible from a row of binv).  A sibling with
+another objective over the same rows and bounds is primal feasible as
+it is; a start whose objective stays, under new right-hand sides or the
+tighter bounds of a branch-and-bound child, has its source's reduced
+costs and flips nothing.  A singular basis matrix, a failed identity
+test, or a flip that needs a slack's infinite upper bound (its row dual
+turned negative) sends the solve to the slack basis, and so does a dual
+simplex that breaks down numerically.  An LP without rows takes the
+same paths with an empty basis.
 
 A solve may come with a cutoff, which its dual simplex tests.  After
-each dual pivot, and for a refit or slack-basis start also before the
-first, the row duals c_B @ binv become a rigorous upper bound on the
-objective (safe_max, after Neumaier & Shcherbina, Math. Prog. 99, 2004;
-it is the only implementation, and the verifier's node and bound LPs
-use it too), and the solve stops as soon as that bound is at or below
-the cutoff, with status CUTOFF and the bound on LpSolution.bound: no x,
-no primal simplex, no refactorization.  A solve that the cutoff does
-not stop ends where it would without one.
+each dual pivot, and before the first when binv is fresh (the slack
+basis or refactorized) or a status flipped, the row duals c_B @ binv
+become a rigorous upper bound on the objective (safe_max, after
+Neumaier & Shcherbina, Math. Prog. 99, 2004; it is the only
+implementation, and the verifier's node and bound LPs use it too), and
+the solve stops as soon as that bound is at or below the cutoff, with
+status CUTOFF and the bound on LpSolution.bound: no x, no primal
+simplex, no refactorization.  A solve that the cutoff does not stop
+ends where it would without one.
 
 An optimal solve carries its point: the nonbasics at their bounds and
 the basics as the pivots left them, within _FEAS_TOL of feasible
@@ -101,12 +100,12 @@ same fused pass over its row.  Reduced costs are recomputed on every
 iteration.
 
 iteration_count counts dual pivots, primal pivots and bound flips, plus
-the primal simplex's closing pricing pass.  All ties break toward the
-lowest variable index, so repeated solves of the same problem (and
-start) are bit identical.  After 1000 consecutive degenerate primal
-pivots the entering rule switches to Bland's rule, which guarantees the
-primal simplex terminates.  The dual loop has no such rule; the
-iteration cap bounds it (NumericalBreakdown).
+the primal simplex's closing pricing pass; a start's flips are not
+counted.  All ties break toward the lowest variable index, so repeated
+solves of the same problem (and start) are bit identical.  After 1000
+consecutive degenerate primal pivots the entering rule switches to
+Bland's rule, which guarantees the primal simplex terminates.  The dual
+loop has no such rule; the iteration cap bounds it (NumericalBreakdown).
 """
 
 import enum
@@ -278,7 +277,7 @@ class LpSolution:
 
 class _Basis(tuple):
     """LpSolution.basis: the (basic indices, statuses, binv) of an optimal
-    solve, which also keeps the problem it solved (see _Core._inherits).
+    solve, which also keeps the problem it solved (see _Core.warm).
 
     inverts is the _RowSet over whose matrix _Core._invert last found
     binv to invert a[:, basic], or None: a second start from this basis
@@ -298,22 +297,24 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
 
     start, if given, is the basis of an earlier optimal solve
     (LpSolution.basis); anything else raises TypeError, and one whose
-    arrays do not fit this problem's shape ValueError.  It is taken as
-    it is when the problem it solved has this one's rows, bounds that
-    this one only tightens, and either this one's objective (the
-    right-hand sides b_eq and b_ub may differ) or this one's row set and
-    bounds (_Core._inherits), and its binv passes the identity test.
-    Any other start is refit for this problem (_Core._refit).  A solve
-    without a start, or whose start cannot be refit, is cold: it starts
-    from the slack basis (_Core.cold).
+    arrays do not fit this problem's shape ValueError.  Its binv is
+    carried when the problem it solved has this one's rows and binv
+    passes the identity test, and refactorized otherwise (_Core._refit).
+    A primal feasible start then runs the primal simplex; any other runs
+    the dual simplex first, once each nonbasic whose reduced cost favors
+    its other bound has flipped there.  A solve without a
+    start, or whose start is singular, fails the identity test or needs
+    a slack at its infinite bound, starts from the slack basis
+    (_Core.cold).
 
     With a cutoff, the dual simplex gives up as soon as the row duals
-    after one of its pivots (or, for a refit or cold start, before the
-    first) prove c @ x <= cutoff (safe_max): the result is CUTOFF, its
-    bound that proof's bound.  Every other result ends where it would
-    without a cutoff.  An optimal solve has x exactly when it has no
-    cutoff; a failed feasibility recheck of that x sends a started solve
-    cold and raises NumericalBreakdown from a cold one.
+    after one of its pivots (or, for a fresh binv or a flipped status,
+    before the first) prove c @ x <= cutoff (safe_max): the result is
+    CUTOFF, its bound that proof's bound.  Every other result ends where
+    it would without a cutoff.  An optimal solve has x exactly when it
+    has no cutoff; a failed feasibility recheck of that x sends a
+    started solve to the slack basis and raises NumericalBreakdown from
+    a slack-basis one.
     """
     spent = 0
     if start is not None:
@@ -486,9 +487,9 @@ class _Core:
         Each <= row's slack and each equality row's artificial is basic,
         so binv is the identity, and each structural rests at the bound
         its cost favors (its upper bound where c_j > _OBJ_TOL): every
-        reduced cost c_j is on its optimal side, and the basis is dual
-        feasible.  As for a refit start, the dual simplex tests the
-        cutoff before its first pivot.
+        reduced cost c_j is on its optimal side, so the basis is dual
+        feasible and the dual simplex flips nothing.  As for every fresh
+        binv, it tests the cutoff before its first pivot.
         """
         m_eq = self.m_eq
         self.basis = np.concatenate([self.n_real + np.arange(m_eq),
@@ -501,42 +502,17 @@ class _Core:
     def warm(self, start, cutoff=None):
         """Dual simplex from start, an earlier optimal solve's
         LpSolution.basis, then the primal simplex from the state the dual
-        loop leaves.  A start that is one for this problem (_inherits)
-        and whose binv passes _invert's identity test is taken as it is;
-        any other start of the right shape is refit (_refit), and the
-        dual simplex then tests the cutoff before its first pivot too.
-        None if the refit fails: the solve goes cold."""
-        if self._inherits(_source(start)) and self._invert(start):
-            refit = False
-        elif self._refit(start):
-            refit = True
-        else:
+        loop leaves.  The start's basic indices and statuses stand; its
+        binv is carried when its rows are this problem's (the same row
+        set, or an equal [a | slacks | artificials]) and it passes
+        _invert's identity test, and is refactorized (_refit) otherwise.
+        None if that fails: the solve goes to the slack basis."""
+        rows = _source(start).row_set
+        same_rows = rows is self.problem.row_set or np.array_equal(rows.a, self.a)
+        fresh = not (same_rows and self._invert(start))
+        if fresh and not self._refit(start):
             return None
-        return self._finish(cutoff, refit)
-
-    def _inherits(self, source):
-        """Whether a start optimal for the problem source is one for this
-        problem as it is: equal rows (the same row set, or equal [a |
-        slacks | artificials] matrices), bounds that this problem only
-        tightens, and either the same objective, or the same row set and
-        equal bounds.
-
-        With the same objective the start is dual feasible here: each
-        nonbasic still rests at the bound its status names, and its
-        reduced costs, which involve neither b nor the bounds, are the
-        ones its solve ended on, so they favor no variable that can still
-        move.  With the same row set and bounds, b and every nonbasic's
-        value are the source's too, so the basics take the values the
-        source's solve ended on: the start is primal feasible, and only
-        the primal simplex runs.
-        """
-        p, rs = self.problem, self.problem.row_set
-        same_rows = source.row_set is rs
-        if not (same_rows or np.array_equal(source.row_set.a, rs.a)):
-            return False
-        if source.c is p.c or np.array_equal(source.c, p.c):
-            return bool((p.lo >= source.lo).all() and (p.hi <= source.hi).all())
-        return same_rows and np.array_equal(p.lo, source.lo) and np.array_equal(p.hi, source.hi)
+        return self._finish(cutoff, fresh)
 
     def _shaped(self, start):
         """A start's basic indices and statuses as fresh arrays, and its
@@ -569,13 +545,10 @@ class _Core:
         return True
 
     def _refit(self, start):
-        """Make a start that warm cannot take as it is dual feasible here:
-        its basic columns with binv refactorized from this problem's
-        a[:, basis], and every nonbasic at the bound its reduced cost
-        favors (the start's own bound where the cost favors neither).
-        False, and the core unusable, when the basis matrix is singular,
-        the fresh binv fails _invert's identity test, or some nonbasic
-        slack's reduced cost favors its infinite upper bound."""
+        """Copy a start's basis and statuses into the core with binv
+        refactorized from this problem's a[:, basis]; False, and the core
+        unusable, when that matrix is singular or the fresh binv fails
+        _invert's identity test."""
         basis, stat, _ = self._shaped(start)
         bmat = self.a[:, basis]
         try:
@@ -584,17 +557,6 @@ class _Core:
             return False
         if not _inverts(binv, bmat):
             return False
-        d = self.c - (self.c[basis] @ binv) @ self.a
-        d[basis] = 0.0  # a basic variable rests at no bound
-        up = d > _OBJ_TOL
-        down = d < -_OBJ_TOL
-        no_hi = self.hi == np.inf  # the slacks
-        if (up & no_hi).any():
-            return False
-        # where d favors neither bound, the start's upper bound stands
-        at_up = up | ~down & ~no_hi & (stat == _AT_UP)
-        stat = np.where(at_up, _AT_UP, _AT_LO).astype(np.int8)
-        stat[basis] = _BASIC
         self.basis = basis
         self.stat = stat
         self.binv = binv
@@ -611,12 +573,17 @@ class _Core:
         zero at the basics."""
         return _matvec(self.binv, b - self.a @ self.x)
 
-    def _finish(self, cutoff, check_start):
-        """Solve from the basis and statuses set: the basic values, the
-        dual simplex (check_start as _dual's), then the primal simplex."""
+    def _place(self):
+        """x with each nonbasic at the bound its status names and the
+        basics at binv @ (b - a_N x_N)."""
         self._rest()
         self.x[self.basis] = self._basic_values(self.b)
-        status = self._dual(cutoff, check_start)
+
+    def _finish(self, cutoff, fresh):
+        """Solve from the basis and statuses set: the basic values, the
+        dual simplex (fresh as _dual's), then the primal simplex."""
+        self._place()
+        status = self._dual(cutoff, fresh)
         return self._run() if status is None else status
 
     # -- carried loop state --------------------------------------------------
@@ -668,23 +635,28 @@ class _Core:
 
     # -- dual simplex --------------------------------------------------------
 
-    def _dual(self, cutoff=None, check_start=False):
+    def _dual(self, cutoff=None, fresh=False):
         """Pivot out bound-violating basics.
 
-        Returns None once the basis is primal feasible, and INFEASIBLE
-        when a row of binv proves it never will be.  With a cutoff, each
-        iteration after a pivot first turns the current row duals into a
-        safe bound on the objective (safe_max, into self.bound) and
-        returns CUTOFF without pivoting again once that bound is at or
-        below the cutoff.  A taken start's own bound is not tested: it is
-        its earlier solve's optimum, up to rounding, whenever its bounds
-        only differ at basic variables, as a branch-and-bound child's do
-        (their reduced costs are zero).  A refit or slack-basis start's
-        is (check_start): it is no earlier optimum, and may already be
-        below the cutoff.  Assumes a dual feasible basis, so the leaving
-        row's ratio test keeps every reduced cost on its optimal side; a
-        start taken for its primal feasibility returns before its first
-        pivot.  The loop state it starts carrying on the objective
+        Returns None once the basis is primal feasible, at once for a
+        primal feasible start, and INFEASIBLE when a row of binv proves it
+        never will be.  Any other start is first made dual feasible: each
+        nonbasic whose reduced cost favors moving it (the fused pass that
+        _run prices with) flips to its other bound, and the basics move
+        with it.  A flip that needs a slack's infinite upper bound raises
+        NumericalBreakdown, which sends the solve to the slack basis.  The
+        leaving row's ratio test then keeps every reduced cost on its
+        optimal side.
+
+        With a cutoff, each iteration after a pivot first turns the
+        current row duals into a safe bound on the objective (safe_max,
+        into self.bound) and returns CUTOFF without pivoting again once
+        that bound is at or below the cutoff.  Before the first pivot the
+        bound is tested only when binv is fresh (the slack basis or
+        refactorized) or a status flipped: a carried start that flips
+        nothing is its earlier solve's optimum, up to rounding, whenever
+        its bounds only differ at basic variables, as a branch-and-bound
+        child's do.  The loop state it starts carrying on the objective
         (_track) is current when it returns, for the primal simplex that
         follows.
         """
@@ -694,6 +666,7 @@ class _Core:
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo_b, hi_b, up, dn = self.lo_b, self.hi_b, self.up, self.dn
         p = self.problem
+        priced = False  # whether the start's statuses were priced
         while True:
             xb = x[basis]
             below = lo_b - xb
@@ -702,7 +675,21 @@ class _Core:
             if excess[r] <= _FEAS_TOL:
                 return None
             y = self.c_b @ binv  # the row duals
-            if cutoff is not None and (self.iterations or check_start):
+            if not priced:
+                priced = True
+                d = self.cost - y @ a  # _reduced_costs
+                wrong = (np.maximum(d * up, d * dn) > _OBJ_TOL).nonzero()[0]
+                if wrong.size:
+                    if (self.hi[wrong] == np.inf).any():
+                        raise NumericalBreakdown(
+                            "a slack's reduced cost favors its infinite bound")
+                    for j in wrong:
+                        self._move(j, _AT_UP if up[j] else _AT_LO)
+                    self._place()
+                    x = self.x
+                    fresh = True
+                    continue
+            if cutoff is not None and (self.iterations or fresh):
                 self.bound = safe_max(y, p, 0.0, cutoff)
                 if self.bound <= cutoff:
                     return LpStatus.CUTOFF
@@ -722,7 +709,8 @@ class _Core:
                     return LpStatus.INFEASIBLE
                 raise NumericalBreakdown("dual ratio test disagrees with its row")
 
-            d = self.cost - y @ a  # _reduced_costs
+            if self.iterations > 1:  # the first pivot's were priced above
+                d = self.cost - y @ a
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run

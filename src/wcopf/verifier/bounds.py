@@ -121,10 +121,10 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
     starts maps (unit, "max" or "min") to the basis that LP starts from,
     as the same bound LP of an earlier verification of the net left it
     (rows of the same layout, moved by a few training steps).  Such a
-    start is taken or refit (simplex.solve_lp).  An LP without one
-    starts from the last optimal basis of this call's LPs of its sense,
-    which the simplex takes as it is (the same rows and bounds make it
-    primal feasible), and the first of a sense without one from the
+    start's inverse is carried, or refactorized where the rows moved
+    (simplex.solve_lp).  An LP without one starts from the last optimal
+    basis of this call's LPs of its sense, which the same rows and
+    bounds make primal feasible, so only the primal simplex runs; and the first of a sense without one from the
     slack basis.  Every LP reads only its basis, so it is solved with
     the cutoff -inf, which no bound reaches: no x.
 

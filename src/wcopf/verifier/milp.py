@@ -42,13 +42,13 @@ A root LP starts from its candidate's last optimal root basis when the
 search is given an earlier certificate (solve_worst_case's start) whose
 encoding has the same unstable units in every layer: a training loop
 verifies a net that has moved by a few steps since, and its LPs differ
-from the earlier ones only in their numbers.  The simplex refits such a
-start to the moved rows and objective, and a root that its cutoff
+from the earlier ones only in their numbers.  The simplex refactorizes
+such a start's inverse where the rows moved, and a root that its cutoff
 stops is a leaf as a child is.  Bound LPs are started the same way,
 layer by layer (bounds.lp_bounds).  A root without such a start starts
 from the last root solved in the search: the roots differ only in their
-objective, so that basis is primal feasible and the simplex takes it as
-it is.  Only the first root solved without one starts from the slack
+objective, so that basis is primal feasible and only the primal simplex
+runs.  Only the first root solved without one starts from the slack
 basis (simplex.solve_lp).  Incremental
 verification reuses more than the bases (Ugare et al., "Incremental
 Verification of Neural Networks", PLDI 2023), but trees here average a
@@ -381,11 +381,11 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
 
     Every node LP is solved with the cutoff at the time it is solved.
     roots maps a candidate's index to the basis its root LP starts from
-    (an earlier verification's, which the simplex refits); each root LP
-    that ends optimal replaces its entry.  A root without one starts
-    from the last optimal root basis of this search: roots differ only
-    in their objective, so the simplex takes that basis as it is, primal
-    feasible, and the cutoff stops nothing.  The first root without one
+    (an earlier verification's, refactorized where its rows moved); each
+    root LP that ends optimal replaces its entry.  A root without one
+    starts from the last optimal root basis of this search: roots differ
+    only in their objective, so that basis is primal feasible, only the
+    primal simplex runs, and the cutoff stops nothing.  The first root without one
     starts from the slack basis.  A child warm-starts from its parent's
     basis.  A started node that stops at the cutoff (LpStatus.CUTOFF)
     has no point, so it offers none, and it never branches.  An optimal

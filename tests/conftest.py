@@ -17,8 +17,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 @pytest.fixture
 def cold_cores(monkeypatch):
-    """List that grows by the simplex core of each cold-path solve: one
-    that starts from the slack basis (simplex._Core.cold)."""
+    """List that grows by the simplex core of each solve that starts from
+    the slack basis (simplex._Core.cold): one without a start, or whose
+    start's basis matrix is singular, fails the identity test, or needs
+    a slack at its infinite bound."""
     from wcopf import simplex
 
     cores = []
@@ -30,9 +32,9 @@ def cold_cores(monkeypatch):
 
 @pytest.fixture
 def refit_cores(monkeypatch):
-    """List that grows by the simplex core of each start taken through
-    refactorization (_Core._refit): a start whose rows, objective or
-    bounds are not its source's, or whose binv drifted."""
+    """List that grows by the simplex core of each start whose binv was
+    refactorized (_Core._refit): one whose rows are not its source's, or
+    whose binv drifted.  Such a start may still go to the slack basis."""
     from wcopf import simplex
 
     cores = []

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,7 +129,7 @@ def test_matches_vertex_enumeration(seed):
             assert np.max(np.abs(a_eq @ sol.x - b_eq)) <= 1e-7
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=1000, max_value=9999))
 def test_property_feasible_solutions_respect_constraints(seed):
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
@@ -494,33 +496,18 @@ def test_warm_start_from_a_basic_artificial_matches_cold(cold_cores):
 
 
 def _agrees_with_cold(got, problem):
-    """got has a cold solve's status and, when optimal, its objective and
-    the vertex oracle's within 1e-9 relative; returns the cold solve."""
+    """got has the status of a slack-basis solve and of the vertex oracle
+    and, when optimal, their objective within 1e-9 relative; returns the
+    slack-basis solve."""
     want = solve_lp(problem)
+    status, _, ref = lp_vertex_enumeration(problem.c, problem.a_eq, problem.b_eq,
+                                           problem.a_ub, problem.b_ub, problem.lo, problem.hi)
     assert got.status == want.status
+    assert (want.status == LpStatus.INFEASIBLE) == (status == "infeasible")
     if want.status == LpStatus.OPTIMAL:
-        ref = lp_vertex_enumeration(problem.c, problem.a_eq, problem.b_eq, problem.a_ub,
-                                    problem.b_ub, problem.lo, problem.hi)[2]
         for value in (want.objective_value, ref):
             assert abs(got.objective_value - value) <= 1e-9 * max(1.0, abs(value))
     return want
-
-
-def _repairable(start, problem):
-    """Whether the basis of start, refactorized for problem's rows, leaves
-    every nonbasic's favored bound finite: computed here from the
-    problem's data, apart from the simplex."""
-    m_eq, m_ub, n = len(problem.b_eq), len(problem.b_ub), len(problem.c)
-    m = m_eq + m_ub
-    # columns [structural | slacks | one artificial per equality row]
-    a = np.hstack([np.vstack([problem.a_eq, problem.a_ub]),
-                   np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)]), np.eye(m, m_eq)])
-    c = np.concatenate([problem.c, np.zeros(m_ub + m_eq)])
-    hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m_eq)])
-    basic = np.asarray(start[0])
-    d = c - c[basic] @ np.linalg.solve(a[:, basic], np.eye(m)) @ a
-    d[basic] = 0.0
-    return not ((d > 1e-9) & np.isinf(hi)).any()
 
 
 @pytest.mark.parametrize("seed", [0, 2, 7, 21])
@@ -541,11 +528,11 @@ def test_drifted_inverse_falls_back_to_cold(seed, cold_cores, refit_cores):
         return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo2, hi=hi)
 
     cold_cores.clear()
-    # undrifted, the start is taken as it is; drifted, only the identity test fails it
+    # undrifted, the start's inverse is carried; drifted, only the identity test fails it
     solve_lp(problem(), start=simplex._Basis(basis, stat, binv, parent.basis.problem))
     assert not cold_cores and not refit_cores
     start = simplex._Basis(basis, stat, drifted, parent.basis.problem)
-    # a failed test is not remembered: passed twice, the start is refit twice
+    # a failed test is not remembered: passed twice, the start is refactorized twice
     for k in (1, 2):
         got = solve_lp(problem(), start=start)
         assert not cold_cores
@@ -591,86 +578,125 @@ def test_identity_test_runs_once_per_start_and_row_set(monkeypatch, seed, cold_c
             assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("change", ["objective", "looser_bounds"])
-def test_start_for_another_problem_solves_cold(change, cold_cores, refit_cores):
-    # such a start is refit, and solves cold only where a slack's reduced
-    # cost favors its infinite upper bound; either way it matches a cold solve
-    def lp(seed, child):
-        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
-        if child:
-            c, lo = (c + 1.0, lo) if change == "objective" else (c, lo - 1.0)
-        return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
-
-    refit = cold = 0
-    for seed in range(40):
-        parent = solve_lp(lp(seed, False))
-        if parent.status != LpStatus.OPTIMAL:
-            continue
-        cold_cores.clear()
-        refit_cores.clear()
-        got = solve_lp(lp(seed, True), start=parent.basis)
-        if _repairable(parent.basis, lp(seed, True)):
-            assert len(refit_cores) == 1 and not cold_cores
-            refit += 1
+def _moved(rng, problem, parent):
+    """problem, solved optimal by parent, with its objective, its rows,
+    its right-hand sides and its bounds each moved or kept by draws of
+    rng.  The bounds tighten, loosen or stay, alike on both sides; then
+    half the time a basic variable's range is cut short of its value, as
+    a branch-and-bound child's is.  A problem with all rows and
+    right-hand sides kept is a sibling half the time, and otherwise has
+    equal rows of its own; one with new ones keeps its equality rows at
+    the bounds' midpoint, so they can be met."""
+    p = problem
+    c = p.c + rng.normal(size=p.c.shape) if rng.random() < 0.7 else p.c
+    step = rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 0.3, size=p.lo.shape) * (p.hi - p.lo)
+    lo, hi = p.lo + step, p.hi - step
+    basic = [j for j in parent.basis[0] if j < len(c)]
+    if basic and rng.random() < 0.5:
+        k = rng.choice(basic)
+        cut = np.clip(parent.x[k], lo[k], hi[k])
+        if rng.random() < 0.5:
+            hi[k] = cut - 0.5 * (cut - lo[k])
         else:
-            assert len(cold_cores) == 1 and not refit_cores
-            cold += 1
-        _agrees_with_cold(got, lp(seed, True))
-    assert refit >= 10
-    # a new objective can make a slack's reduced cost favor its infinite bound
-    assert (cold > 0) == (change == "objective")
-
-
-def _perturbed(rng, c, a_eq, b_eq, a_ub, b_ub, lo, hi):
-    """The LP moved a little: every row and c nudged, each bound tightened
-    or loosened, and b_eq kept at a point inside the new bounds."""
-    c = c + 0.3 * rng.normal(size=c.shape)
-    a_ub = a_ub + 0.05 * rng.normal(size=a_ub.shape)
-    b_ub = b_ub + 0.05 * rng.normal(size=b_ub.shape)
-    lo = lo + rng.uniform(-0.3, 0.3, size=lo.shape)
-    hi = np.maximum(hi + rng.uniform(-0.3, 0.3, size=hi.shape), lo + 0.1)
-    if len(b_eq):
+            lo[k] = cut + 0.5 * (hi[k] - cut)
+    new_rows, new_rhs = rng.random(2) < 0.5
+    if not (new_rows or new_rhs) and rng.random() < 0.5:
+        return p.sibling(c=c, lo=lo, hi=hi)
+    a_eq, b_eq, a_ub, b_ub = p.a_eq, p.b_eq, p.a_ub, p.b_ub
+    if new_rows:
         a_eq = a_eq + 0.05 * rng.normal(size=a_eq.shape)
+        a_ub = a_ub + 0.05 * rng.normal(size=a_ub.shape)
+    if new_rhs:
+        b_ub = b_ub + 0.3 * rng.normal(size=b_ub.shape)
+    if new_rows or new_rhs:
         b_eq = a_eq @ (0.5 * (lo + hi))
     return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
 
 
-def test_property_refit_start_solves_a_moved_lp(monkeypatch, cold_cores, refit_cores):
-    # the parent's basis starts the LP of a net a step later: rows, c and
-    # bounds have all moved.  A refit start, or the slack basis where the
-    # refit fails, enters the dual simplex dual feasible, and ends as a
-    # cold solve does
-    entered = []  # the worst reduced cost on its wrong side, per checked dual simplex
-    dual = simplex._Core._dual
+def _wrong_side(core):
+    """The largest reduced cost on its wrong side: how much moving some
+    nonbasic off its bound would raise c @ x per unit (at most 0 when
+    the basis is dual feasible), computed from the basis and statuses."""
+    d = core.c - (core.c[core.basis] @ core.binv) @ core.a
+    wrong = np.where(core.stat == simplex._AT_UP, -d, d)
+    wrong[(core.stat == simplex._BASIC) | (core.hi == core.lo)] = 0.0
+    return wrong.max(initial=0.0)
 
-    def checked(core, cutoff=None, check_start=False):
-        if check_start:
-            d = core.c - (core.c[core.basis] @ core.binv) @ core.a
-            wrong = np.where(core.stat == simplex._AT_UP, -d, d)
-            wrong[(core.stat == simplex._BASIC) | (core.hi == core.lo)] = 0.0
-            entered.append(wrong.max(initial=0.0))
-        return dual(core, cutoff, check_start)
 
-    monkeypatch.setattr(simplex._Core, "_dual", checked)
-    refit = cold = 0
-    for seed in range(200):
-        parent = solve_lp(LpProblem(*_random_problem(seed)))
+def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit_cores):
+    # an optimal basis starts a child LP whose objective, rows and
+    # right-hand sides moved and whose bounds tightened or loosened: each
+    # dual simplex makes its first pivot from a dual feasible basis, each
+    # primal simplex starts primal feasible, and every solve ends as a
+    # slack-basis solve and vertex enumeration do
+    seen = set()     # cores that made their first dual pivot or entered _run
+    flipped = set()  # cores whose dual simplex flipped a start's status
+    entered = []     # per _run: whether no dual pivot came before it
+    move, run = simplex._Core._move, simplex._Core._run
+
+    def checked_move(core, j, s, r=None, col=None):
+        if core not in seen:
+            if r is None:
+                flipped.add(core)
+            else:
+                assert _wrong_side(core) <= simplex._OBJ_TOL
+                seen.add(core)
+        return move(core, j, s, r, col)
+
+    def checked_run(core):
+        xb = core.x[core.basis]
+        assert (core.lo[core.basis] - xb <= simplex._FEAS_TOL).all()
+        assert (xb - core.hi[core.basis] <= simplex._FEAS_TOL).all()
+        entered.append(core not in seen)
+        seen.add(core)
+        return run(core)
+
+    monkeypatch.setattr(simplex._Core, "_move", checked_move)
+    monkeypatch.setattr(simplex._Core, "_run", checked_run)
+    paths = Counter()
+    for seed in range(60):
+        problem = LpProblem(*_random_problem(seed))
+        parent = solve_lp(problem)
         if parent.status != LpStatus.OPTIMAL:
             continue
-        child = _perturbed(np.random.default_rng((seed, 1)), *_random_problem(seed))
-        entered.clear()
-        cold_cores.clear()
-        refit_cores.clear()
-        got = solve_lp(child, start=parent.basis)
-        if _repairable(parent.basis, child):
-            assert len(refit_cores) == len(entered) == 1 and not cold_cores
-            refit += 1
-        else:
-            assert len(cold_cores) == len(entered) == 1 and not refit_cores
-            cold += 1
-        assert entered[0] <= simplex._OBJ_TOL
-        _agrees_with_cold(got, child)
-    assert refit >= 100 and cold > 0
+        rng = np.random.default_rng((seed, 3))
+        for _ in range(4):
+            child = _moved(rng, problem, parent)
+            seen.clear()
+            flipped.clear()
+            cold_cores.clear()
+            refit_cores.clear()
+            entered.clear()
+            got = solve_lp(child, start=parent.basis)
+            paths["slack basis"] += bool(cold_cores)
+            if not cold_cores:
+                paths["refactorized" if refit_cores else "carried"] += 1
+                paths["flipped"] += bool(flipped)
+                paths["primal feasible" if entered == [True] else "dual pivots"] += 1
+            _agrees_with_cold(got, child)
+            paths[got.status] += 1
+    # every path of the rule was taken
+    assert paths["carried"] >= 40 and paths["refactorized"] >= 40, paths
+    assert paths["primal feasible"] >= 40 and paths["dual pivots"] >= 20, paths
+    assert paths["flipped"] >= 10 and paths["slack basis"] > 0, paths
+    assert paths[LpStatus.INFEASIBLE] > 0, paths
+
+
+def test_primal_feasible_start_runs_the_primal_simplex(cold_cores, refit_cores):
+    # the rows of the parent, passed again, under another objective: the
+    # start is primal feasible as it stands, although the slack of the
+    # tight row x0 + x1 <= 1 now has a reduced cost that favors its
+    # infinite upper bound, so no flip could make it dual feasible.  The
+    # primal simplex finishes from it, with no slack-basis solve
+    rows, b_ub, lo, hi = np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.5], np.zeros(2), np.full(2, 2.0)
+    parent = solve_lp(LpProblem(c=[1.0, 2.0], a_ub=rows, b_ub=b_ub, lo=lo, hi=hi))
+    assert parent.x.tolist() == [0.0, 1.0] and simplex.row_duals(parent.basis)[0] > 0.0
+    child = LpProblem(c=[-1.0, -1.0], a_ub=rows, b_ub=b_ub, lo=lo, hi=hi)
+    cold_cores.clear()
+    got = solve_lp(child, start=parent.basis)
+    assert not cold_cores and not refit_cores
+    assert got.status == LpStatus.OPTIMAL and got.x.tolist() == [0.0, 0.0]
+    _agrees_with_cold(got, child)
 
 
 def test_start_that_is_no_basis_is_rejected():
@@ -807,31 +833,6 @@ def test_sibling_starts_under_equal_bounds_are_taken_primal_feasible(monkeypatch
             assert k == 0  # the row set is infeasible
             return
         start = got.basis
-
-
-def test_sibling_start_under_tighter_bounds_is_not_taken(cold_cores, refit_cores):
-    # another objective under tighter bounds: the start is neither dual nor
-    # primal feasible as it is, so it is refit (or, where a slack's reduced
-    # cost favors its infinite bound, solved from the slack basis), and
-    # ends as a slack-basis solve does
-    refit = 0
-    for seed in range(20):
-        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
-        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
-        parent = solve_lp(problem)
-        if parent.status != LpStatus.OPTIMAL:
-            continue
-        tighter = lo + 0.25 * (hi - lo)
-        sibling = problem.sibling(c=-c, lo=tighter)
-        cold_cores.clear()
-        refit_cores.clear()
-        got = solve_lp(sibling, start=parent.basis)
-        repairable = _repairable(parent.basis, sibling)
-        assert (len(refit_cores), len(cold_cores)) == ((1, 0) if repairable else (0, 1))
-        refit += repairable
-        _agrees_with_cold(got, LpProblem(c=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                                         lo=tighter, hi=hi))
-    assert refit >= 5
 
 
 @pytest.mark.xfail(strict=True, reason="the cold path calls this feasible ill-conditioned LP "

@@ -391,7 +391,7 @@ def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
     for kind in set(kinds):
         of_kind = [entry for entry in solved if entry[0] == kind]
         # the first of each kind from the slack basis, and only the first
-        # root or bound LP of it; no LP refit
+        # root or bound LP of it; no inverse refactorized
         assert [entry[3] for entry in of_kind] == [1] + [0] * (len(of_kind) - 1)
         assert not any(entry[4] for entry in of_kind)
     for _, problem, sol, _, _ in solved:
@@ -582,20 +582,23 @@ def _moved_past_first_layer(params, seed):
 @pytest.mark.parametrize("arch,seed", [n[:2] for n in _CASE9_NETS], ids=_CASE9_IDS)
 def test_started_search_agrees_with_a_start_free_one(case9_fixture, case9_nets, refit_cores,
                                                      arch, seed):
-    # a start from the same net takes every root and bound LP basis as it
-    # is; one from the net a step back refits the roots, whose objective
-    # moved.  Either way the certificate is as rigorous as a fresh one
+    # a start from the same net, or from the net with its output layer
+    # nudged, which moves only objectives, carries every basis inverse;
+    # one from the net with its later layers nudged moves the node LPs'
+    # rows of a two-layer net, whose roots then refactorize.  Either way
+    # the certificate is as rigorous as a fresh one
     _, gen, box = case9_fixture
     params, fresh = case9_nets[arch, seed]
-    moved = solve_worst_case(_moved_last_layer(params, seed), box, gen)
-    for start in (fresh, moved):
+    last = solve_worst_case(_moved_last_layer(params, seed), box, gen)
+    later = solve_worst_case(_moved_past_first_layer(params, seed), box, gen)
+    for start in (fresh, last, later):
         refit_cores.clear()
         got = solve_worst_case(params, box, gen, start=start)
         assert got.status == CERTIFIED
         assert abs(got.value - fresh.value) <= GAP_TOL
         assert got.value <= got.bound and fresh.value <= got.bound and got.value <= fresh.bound
         assert got.lp_pivots < fresh.lp_pivots
-        assert bool(refit_cores) == (start is moved)
+        assert bool(refit_cores) == (start is later and params.n_hidden_layers == 2)
 
 
 def _held_arrays(obj, seen=None):
@@ -690,8 +693,8 @@ def test_search_never_refactorizes(monkeypatch, refactorizations, case9_fixture,
     params, pinned = case9_nets[key]
     assert _cert_bytes(solve_worst_case(params, box, gen)) == _cert_bytes(pinned)
     assert not refactorizations
-    # started from its own certificate (every basis taken as it is) and from
-    # that of the net with its later layers moved (bound LP bases refit)
+    # started from its own certificate and from that of the net with its
+    # later layers moved (bound LP objectives moved)
     started = []  # whether each bound LP had a start
     lp = bounds.solve_lp
     monkeypatch.setattr(bounds, "solve_lp", lambda problem, start=None, cutoff=None: (
