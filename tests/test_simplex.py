@@ -623,23 +623,25 @@ def _wrong_side(core):
     return wrong.max(initial=0.0)
 
 
-def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit_cores):
-    # an optimal basis starts a child LP whose objective, rows and
-    # right-hand sides moved and whose bounds tightened or loosened: each
-    # dual simplex makes its first pivot from a dual feasible basis, each
-    # primal simplex starts primal feasible, and every solve ends as a
-    # slack-basis solve and vertex enumeration do
-    seen = set()     # cores that made their first dual pivot or entered _run
-    flipped = set()  # cores whose dual simplex flipped a start's status
-    entered = []     # per _run: whether no dual pivot came before it
+def _watched_starts(monkeypatch):
+    """Wrap _Core._move and _Core._run to watch how each solve leaves its
+    start.  Returns a dict of sets of cores, which the caller empties
+    between solves: 'flipped', whose dual simplex flipped a status before
+    its first pivot; 'pivoted', that made a dual pivot, each first from
+    a dual feasible basis (asserted); 'primal', that entered the primal
+    simplex with no dual pivot before; and 'seen', the union of the last
+    two.  Every entry to the primal simplex is asserted primal feasible."""
+    watched = {"flipped": set(), "pivoted": set(), "primal": set(), "seen": set()}
+    seen = watched["seen"]
     move, run = simplex._Core._move, simplex._Core._run
 
     def checked_move(core, j, s, r=None, col=None):
         if core not in seen:
             if r is None:
-                flipped.add(core)
+                watched["flipped"].add(core)
             else:
                 assert _wrong_side(core) <= simplex._OBJ_TOL
+                watched["pivoted"].add(core)
                 seen.add(core)
         return move(core, j, s, r, col)
 
@@ -647,12 +649,135 @@ def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit
         xb = core.x[core.basis]
         assert (core.lo[core.basis] - xb <= simplex._FEAS_TOL).all()
         assert (xb - core.hi[core.basis] <= simplex._FEAS_TOL).all()
-        entered.append(core not in seen)
+        if core not in seen:
+            watched["primal"].add(core)
         seen.add(core)
         return run(core)
 
     monkeypatch.setattr(simplex._Core, "_move", checked_move)
     monkeypatch.setattr(simplex._Core, "_run", checked_run)
+    return watched
+
+
+def _measured(start, problem):
+    """(primal feasible, repairable) for the basis and statuses of start
+    under problem, computed from problem's data apart from the simplex:
+    whether, with each nonbasic at the bound its status names, every
+    basic lies within _FEAS_TOL of its bounds, and whether every
+    nonbasic's favored bound is finite, so that the dual simplex's flips
+    need no slack at its infinite bound."""
+    m_eq, m_ub = len(problem.b_eq), len(problem.b_ub)
+    m = m_eq + m_ub
+    # columns [structural | slacks | one artificial per equality row]
+    a = np.hstack([np.vstack([problem.a_eq, problem.a_ub]),
+                   np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)]), np.eye(m, m_eq)])
+    b = np.concatenate([problem.b_eq, problem.b_ub])
+    c = np.concatenate([problem.c, np.zeros(m_ub + m_eq)])
+    lo = np.concatenate([problem.lo, np.zeros(m_ub + m_eq)])
+    hi = np.concatenate([problem.hi, np.full(m_ub, np.inf), np.zeros(m_eq)])
+    basic, stat = np.asarray(start[0]), np.asarray(start[1])
+    binv = np.linalg.solve(a[:, basic], np.eye(m))
+    x = np.where(stat == simplex._AT_UP, hi, lo)
+    x[basic] = 0.0
+    xb = binv @ (b - a @ x)
+    feasible = bool((lo[basic] - xb <= simplex._FEAS_TOL).all()
+                    and (xb - hi[basic] <= simplex._FEAS_TOL).all())
+    d = c - c[basic] @ binv @ a
+    d[basic] = 0.0
+    return feasible, not ((d > simplex._OBJ_TOL) & np.isinf(hi)).any()
+
+
+@pytest.mark.parametrize("change", ["objective", "looser_bounds"])
+def test_start_for_another_problem_solves_cold(monkeypatch, change, cold_cores, refit_cores):
+    # a start for a problem with equal rows and another objective, or
+    # looser bounds, keeps its inverse.  Under another objective it is
+    # primal feasible as it stands and runs the primal simplex; under
+    # looser bounds it is dual feasible as it stands and flips nothing.
+    # Neither goes to the slack basis, and each ends as a cold solve does
+    watched = _watched_starts(monkeypatch)
+
+    def lp(seed, child):
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+        if child:
+            c, lo = (c + 1.0, lo) if change == "objective" else (c, lo - 1.0)
+        return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+
+    solved = pivoted = 0
+    for seed in range(40):
+        parent = solve_lp(lp(seed, False))
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        for seen in watched.values():
+            seen.clear()
+        cold_cores.clear()
+        refit_cores.clear()
+        got = solve_lp(lp(seed, True), start=parent.basis)
+        assert not cold_cores and not refit_cores and not watched["flipped"]
+        if change == "objective":
+            assert watched["primal"] and not watched["pivoted"]
+        solved += 1
+        pivoted += bool(watched["pivoted"])
+        _agrees_with_cold(got, lp(seed, True))
+    assert solved >= 10
+    # looser bounds move the basics of some starts out of their bounds
+    assert (pivoted > 0) == (change == "looser_bounds")
+
+
+def _perturbed(rng, c, a_eq, b_eq, a_ub, b_ub, lo, hi):
+    """The LP moved a little: every row and c nudged, each bound tightened
+    or loosened, and b_eq kept at a point inside the new bounds."""
+    c = c + 0.3 * rng.normal(size=c.shape)
+    a_ub = a_ub + 0.05 * rng.normal(size=a_ub.shape)
+    b_ub = b_ub + 0.05 * rng.normal(size=b_ub.shape)
+    lo = lo + rng.uniform(-0.3, 0.3, size=lo.shape)
+    hi = np.maximum(hi + rng.uniform(-0.3, 0.3, size=hi.shape), lo + 0.1)
+    if len(b_eq):
+        a_eq = a_eq + 0.05 * rng.normal(size=a_eq.shape)
+        b_eq = a_eq @ (0.5 * (lo + hi))
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+
+
+def test_property_refit_start_solves_a_moved_lp(monkeypatch, cold_cores, refit_cores):
+    # the parent's basis starts the LP of a net a step later: rows, c and
+    # bounds have all moved, so binv, where there are rows, is refactorized.
+    # The start goes to the slack basis exactly when it is neither primal
+    # feasible nor repairable by flips; every other one runs the primal
+    # simplex, or makes its first dual pivot dual feasible, and ends as a
+    # cold solve does
+    watched = _watched_starts(monkeypatch)
+    kept = cold = primal = flipped = 0
+    for seed in range(200):
+        parent = solve_lp(LpProblem(*_random_problem(seed)))
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        child = _perturbed(np.random.default_rng((seed, 1)), *_random_problem(seed))
+        for seen in watched.values():
+            seen.clear()
+        cold_cores.clear()
+        refit_cores.clear()
+        got = solve_lp(child, start=parent.basis)
+        feasible, repairable = _measured(parent.basis, child)
+        assert len(refit_cores) == (len(child.b_eq) + len(child.b_ub) > 0)
+        assert bool(cold_cores) == (not feasible and not repairable)
+        if cold_cores:
+            cold += 1
+        else:
+            kept += 1
+            primal += feasible
+            flipped += bool(watched["flipped"])
+            if feasible:  # taken as it stands
+                assert watched["primal"] and not watched["flipped"]
+        _agrees_with_cold(got, child)
+    assert kept >= 100 and cold > 0 and primal > 0 and flipped > 0
+
+
+def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit_cores):
+    # an optimal basis starts a child LP whose objective, rows and
+    # right-hand sides moved and whose bounds tightened or loosened: each
+    # dual simplex makes its first pivot from a dual feasible basis, each
+    # primal simplex starts primal feasible, and every solve ends as a
+    # slack-basis solve and vertex enumeration do
+    watched = _watched_starts(monkeypatch)
     paths = Counter()
     for seed in range(60):
         problem = LpProblem(*_random_problem(seed))
@@ -662,17 +787,16 @@ def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit
         rng = np.random.default_rng((seed, 3))
         for _ in range(4):
             child = _moved(rng, problem, parent)
-            seen.clear()
-            flipped.clear()
+            for seen in watched.values():
+                seen.clear()
             cold_cores.clear()
             refit_cores.clear()
-            entered.clear()
             got = solve_lp(child, start=parent.basis)
             paths["slack basis"] += bool(cold_cores)
             if not cold_cores:
                 paths["refactorized" if refit_cores else "carried"] += 1
-                paths["flipped"] += bool(flipped)
-                paths["primal feasible" if entered == [True] else "dual pivots"] += 1
+                paths["flipped"] += bool(watched["flipped"])
+                paths["primal feasible" if watched["primal"] else "dual pivots"] += 1
             _agrees_with_cold(got, child)
             paths[got.status] += 1
     # every path of the rule was taken
@@ -833,6 +957,48 @@ def test_sibling_starts_under_equal_bounds_are_taken_primal_feasible(monkeypatch
             assert k == 0  # the row set is infeasible
             return
         start = got.basis
+
+
+def test_sibling_start_under_tighter_bounds_is_not_taken(monkeypatch, cold_cores,
+                                                        refit_cores):
+    # another objective under tighter bounds, with every basic structural
+    # variable's parent value cut out of its range: the start keeps its
+    # inverse, and where a structural variable is basic it is primal
+    # infeasible.  Its statuses then flip to the bounds their reduced
+    # costs favor before the dual simplex pivots, or, where that needs a
+    # slack's infinite bound, it goes to the slack basis; a start with
+    # only slacks basic stays primal feasible and runs the primal simplex.
+    # Each ends as a cold solve does
+    watched = _watched_starts(monkeypatch)
+    flipped = cold = 0
+    for seed in range(60):
+        c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
+        problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+        parent = solve_lp(problem)
+        if parent.status != LpStatus.OPTIMAL:
+            continue
+        tighter = lo + 0.25 * (hi - lo)
+        basic = parent.basis[0][parent.basis[0] < len(c)]
+        x = parent.x[basic]
+        tighter[basic] = np.maximum(tighter[basic], x + 0.5 * (hi[basic] - x))
+        sibling = problem.sibling(c=-c, lo=tighter)
+        for seen in watched.values():
+            seen.clear()
+        cold_cores.clear()
+        refit_cores.clear()
+        got = solve_lp(sibling, start=parent.basis)
+        feasible, repairable = _measured(parent.basis, sibling)
+        assert not refit_cores
+        assert bool(cold_cores) == (not feasible and not repairable)
+        if feasible:
+            assert watched["primal"] and not watched["flipped"]
+        elif not cold_cores:
+            assert watched["flipped"]
+        cold += bool(cold_cores)
+        flipped += bool(watched["flipped"])
+        _agrees_with_cold(got, LpProblem(c=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                                         lo=tighter, hi=hi))
+    assert flipped >= 5 and cold > 0, (flipped, cold)
 
 
 @pytest.mark.xfail(strict=True, reason="the cold path calls this feasible ill-conditioned LP "
