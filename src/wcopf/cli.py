@@ -26,8 +26,9 @@ import numpy as np
 from . import __version__
 from .errors import SchemaError, TooManyInfeasible, TrainingDiverged, WcopfError
 from .grid import (BUILTIN_CASES, generate_dataset, grid_from_dict,
-                   load_dataset, load_grid, rescale_with_grid, save_dataset)
-from .grid.dataset import DATA_BOX, split_sizes
+                   load_dataset, load_grid, save_dataset)
+from .grid.dataset import split_sizes
+from .grid.sampling import DATA_BOX
 from .grid.model import builtin_case_text
 from .mlp import file_checksum, load_model, save_model
 from .train import (config_from_dict, final_verification, finetune_sequential,
@@ -95,8 +96,8 @@ def _bool_flag(value):
 
 
 def _dataset_and_config(args, grid):
-    """The dataset rescaled to the grid, and the config with flag overrides."""
-    dataset = rescale_with_grid(load_dataset(args.dataset), grid)
+    """The dataset in the grid's units, and the config with flag overrides."""
+    dataset = load_dataset(args.dataset, grid)
     overrides = {name: getattr(args, name, None)
                  for name in ("seed", "wc_every", "last_layer_only")}
     if args.config:
@@ -360,7 +361,8 @@ _SHARED_OPTIONS = {
     "--grid": dict(required=True, help="grid JSON path or bundled case name"),
     "--dataset": dict(required=True),
     "--model": dict(required=True),
-    "--box": dict(default="0.6:1.0", help="demand box as fractions of nominal, lo:hi"),
+    "--box": dict(default="{}:{}".format(*DATA_BOX),
+                  help="demand box as fractions of nominal, lo:hi"),
     "--config": dict(help="flat JSON file of training settings"),
     "--seed": dict(type=int),
     "--last-layer-only": dict(type=_bool_flag, metavar="true|false"),

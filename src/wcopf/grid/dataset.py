@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,14 +10,12 @@ from ..errors import SchemaError, TooManyInfeasible
 from ..simplex import LpStatus
 from .dcopf import basis_dispatch, dispatch_rows, solve_dcopf
 from .ptdf import compute_ptdf
-from .sampling import sample_demands_lhs
+from .sampling import DATA_BOX, sample_demands_lhs
 
 SPLITS = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 RESAMPLE_FACTOR = 10
 COVER_BLOCK = 128  # samples a basis covers at once; bounds the stacked arrays
-
-DATA_BOX = (0.6, 1.0)  # demand range as a fraction of nominal
 
 
 @dataclass(frozen=True)
@@ -30,9 +28,6 @@ class Scaler:
     def transform(self, raw):
         return (np.asarray(raw, dtype=float) - self.offset) / self.scale
 
-    def inverse(self, scaled):
-        return np.asarray(scaled, dtype=float) * self.scale + self.offset
-
 
 def _guard_scale(scale):
     scale = np.asarray(scale, dtype=float).copy()
@@ -40,17 +35,20 @@ def _guard_scale(scale):
     return scale
 
 
-def box_input_scaler(grid, box=DATA_BOX):
-    """Scaler mapping the demand sampling box onto the unit hypercube."""
+def box_input_scaler(grid):
+    """Scaler mapping the demand sampling box DATA_BOX onto the unit hypercube."""
     nominal = grid.nominal_demand()
-    lo, hi = box
+    lo, hi = DATA_BOX
     return Scaler(offset=lo * nominal, scale=_guard_scale((hi - lo) * nominal))
 
 
 def gen_output_scaler(grid):
-    """Scaler dividing each dispatch target by its generator's p_max."""
-    p_max = np.array([g.p_max for g in grid.generators])
-    return Scaler(offset=np.zeros(len(p_max)), scale=_guard_scale(p_max))
+    """Scaler mapping each generator's [p_min, p_max] onto [0, 1]: a scaled
+    dispatch is a fraction of the generator's range p_max - p_min above
+    p_min (of p_max, where p_min is 0)."""
+    p_min = np.array([g.p_min for g in grid.generators], dtype=float)
+    p_max = np.array([g.p_max for g in grid.generators], dtype=float)
+    return Scaler(offset=p_min, scale=_guard_scale(p_max - p_min))
 
 
 @dataclass
@@ -165,25 +163,6 @@ def _cover(rows, basis, batch, p, served, start):
         served[block[ok]] = True
 
 
-def _fit_scalers_from_train(inputs, targets, split):
-    train = split == "train"
-    if not train.any():
-        raise SchemaError("dataset has no train rows to fit scalers on")
-    x = inputs[train]
-    y = targets[train]
-    in_scaler = Scaler(offset=x.min(axis=0), scale=_guard_scale(x.max(axis=0) - x.min(axis=0)))
-    out_scaler = Scaler(offset=y.min(axis=0), scale=_guard_scale(y.max(axis=0) - y.min(axis=0)))
-    return in_scaler, out_scaler
-
-
-def rescale_with_grid(dataset, grid) -> Dataset:
-    """Replace data-fitted scalers with the grid-derived box / p_max scalers."""
-    if dataset.n_inputs != grid.n_load or dataset.n_outputs != grid.n_gen:
-        raise SchemaError("dataset dimensions do not match the grid")
-    return replace(dataset, input_scaler=box_input_scaler(grid),
-                   output_scaler=gen_output_scaler(grid))
-
-
 def save_dataset(dataset, path):
     """Write the dataset as CSV: d_0.., g_0.., split; floats round-trip exactly."""
     header = ([f"d_{i}" for i in range(dataset.n_inputs)]
@@ -196,8 +175,14 @@ def save_dataset(dataset, path):
             fh.write(",".join(map(repr, d + g)) + f",{split}\n")
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset CSV; scalers are fitted on the train split."""
+def load_dataset(path, grid) -> Dataset:
+    """Read a dataset CSV written by save_dataset for grid.
+
+    The scalers are grid's own, box_input_scaler and gen_output_scaler,
+    as generate_dataset gives them, whatever the rows hold.  Raises
+    SchemaError for a malformed file, one without train rows, or one
+    whose columns do not match grid's loads and generators.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -229,9 +214,13 @@ def load_dataset(path) -> Dataset:
             split.append(row[-1])
     if not inputs:
         raise SchemaError(f"{path}: no data rows")
-    inputs = np.array(inputs)
-    targets = np.array(targets)
-    split = np.array(split, dtype=object)
-    in_scaler, out_scaler = _fit_scalers_from_train(inputs, targets, split)
-    return Dataset(inputs=inputs, targets=targets, split=split,
-                   input_scaler=in_scaler, output_scaler=out_scaler)
+    if "train" not in split:
+        raise SchemaError(f"{path}: dataset has no train rows")
+    if n_in != grid.n_load or n_out != grid.n_gen:
+        raise SchemaError(
+            f"{path}: dataset dimensions {n_in} -> {n_out} do not match the grid's "
+            f"{grid.n_load} loads and {grid.n_gen} generators")
+    return Dataset(inputs=np.array(inputs), targets=np.array(targets),
+                   split=np.array(split, dtype=object),
+                   input_scaler=box_input_scaler(grid),
+                   output_scaler=gen_output_scaler(grid))

@@ -2,8 +2,10 @@
 
 import numpy as np
 
+DATA_BOX = (0.6, 1.0)  # demand range as a fraction of nominal
 
-def sample_demands_lhs(grid, n, seed, box=(0.6, 1.0)):
+
+def sample_demands_lhs(grid, n, seed, box=DATA_BOX):
     """Draw n demand vectors with one sample per stratum per dimension.
 
     Each load d ranges over [box[0], box[1]) times its nominal value.

@@ -69,16 +69,16 @@ class TrainReport:
 
 
 def unit_box(dim):
-    """Scaled input region: the bounds the sampler fills."""
+    """Scaled input region: the demand box DATA_BOX that the sampler
+    fills, under a dataset's grid scalers."""
     return Box(np.zeros(dim), np.ones(dim))
 
 
 def scaled_gen_box(dataset):
-    """Generator bounds in the dataset's scaled output units.
+    """Generator limits in the dataset's scaled output units.
 
-    With grid-derived scalers the outputs are fractions of capacity and
-    with fitted scalers they are min-max normalized; either way [0, 1]
-    is the feasible band the targets live in.
+    A dataset's output scaler (gen_output_scaler) maps each generator's
+    [p_min, p_max] onto [0, 1], so the limits are the unit box.
     """
     n = dataset.n_outputs
     return Box(np.zeros(n), np.ones(n))

@@ -41,7 +41,7 @@ def _train(tmp_path, data, name="model.json", mode="nn", extra=()):
 
 def test_gen_data_split_counts(tmp_path):
     data = _gen_data(tmp_path)
-    dataset = load_dataset(data)
+    dataset = load_dataset(data, builtin_grid("case3"))
     labels, counts = np.unique(dataset.split, return_counts=True)
     assert dict(zip(labels.tolist(), counts.tolist())) == \
         {"train": 70, "val": 10, "test": 20}
@@ -155,6 +155,15 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     rc = cli.main(["train", "--dataset", data, "--grid", "case3",
                    "--config", cfg, "--out", str(tmp_path / "m.json")])
     assert rc == 2
+
+
+def test_train_dataset_grid_mismatch_exits_2(tmp_path, capsys):
+    data = _gen_data(tmp_path, n=20)
+    rc = cli.main(["train", "--dataset", data, "--grid", "case9",
+                   "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "do not match the grid" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_verify_reports_mw_consistently(tmp_path, capsys):

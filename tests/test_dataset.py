@@ -4,13 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wcopf import cli
 from wcopf.errors import SchemaError, TooManyInfeasible
-from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
-                        grid_from_dict, load_dataset, rescale_with_grid,
-                        sample_demands_lhs, save_dataset, solve_dcopf)
+from wcopf.grid import (box_input_scaler, builtin_grid, compute_ptdf,
+                        gen_output_scaler, generate_dataset, grid_from_dict,
+                        load_dataset, sample_demands_lhs, save_dataset,
+                        solve_dcopf)
 from wcopf.grid import dataset, dcopf
 from wcopf.grid.dataset import split_sizes
 from wcopf.simplex import LpStatus
+from wcopf.train import scaled_gen_box
 
 
 @pytest.fixture(scope="module")
@@ -101,15 +104,19 @@ def test_chained_dataset_matches_per_sample_cold_solves(case, monkeypatch):
     assert len(lps) <= len(bases) + infeasible
 
 
-def test_line_free_grid_matches_cold_solves():
+def _line_free_grid():
     # one bus and two generators: the dispatch LPs have no <= rows
-    g = grid_from_dict({
+    return grid_from_dict({
         "buses": [1], "slack": 1,
         "generators": [{"bus": 1, "p_min": 10.0, "p_max": 80.0, "cost": 1.0},
                        {"bus": 1, "p_min": 0.0, "p_max": 80.0, "cost": 2.0}],
         "loads": [{"bus": 1, "nominal": 100.0}],
         "lines": [],
     })
+
+
+def test_line_free_grid_matches_cold_solves():
+    g = _line_free_grid()
     ds = generate_dataset(g, 50, seed=2)
     inputs, want, infeasible = _cold_walk(
         g, [sample_demands_lhs(g, 50, 2, box=dataset.DATA_BOX)], 50)
@@ -118,6 +125,22 @@ def test_line_free_grid_matches_cold_solves():
     assert ds.targets.tobytes() == want.tobytes()
     # the cheap unit alone covers demand up to 80, the second one beyond
     assert len(np.unique(ds.targets[:, 1] > 0.0)) == 2
+
+
+def _scaler_bytes(*scalers):
+    return [a.tobytes() for s in scalers for a in (s.offset, s.scale)]
+
+
+def test_scaled_gen_box_is_the_generator_limits():
+    # generator 0 has p_min 10: the library's unit box and the CLI's scaled
+    # [p_min, p_max] must be the same box, bit for bit
+    g = _line_free_grid()
+    data = generate_dataset(g, 50, seed=2)
+    _, want = cli._boxes(g, data.input_scaler, data.output_scaler, dataset.DATA_BOX)
+    got = scaled_gen_box(data)
+    assert got.lo.tobytes() == want.lo.tobytes()
+    assert got.hi.tobytes() == want.hi.tobytes()
+    assert np.array_equal(data.output_scaler.transform([10.0, 0.0]), [0.0, 0.0])
 
 
 # sha256 of save_dataset(generate_dataset(builtin_grid(case), 1500, 0)),
@@ -160,41 +183,66 @@ def test_generation_needs_a_sample(n):
 
 
 def test_csv_roundtrip_bit_exact(ds100, tmp_path):
+    # loading what save_dataset wrote gives back the generated dataset
     p = tmp_path / "data.csv"
     save_dataset(ds100, p)
-    loaded = load_dataset(p)
-    assert np.array_equal(loaded.inputs, ds100.inputs)
-    assert np.array_equal(loaded.targets, ds100.targets)
+    loaded = load_dataset(p, builtin_grid("case3"))
+    assert loaded.inputs.tobytes() == ds100.inputs.tobytes()
+    assert loaded.targets.tobytes() == ds100.targets.tobytes()
     assert np.array_equal(loaded.split, ds100.split)
+    assert (_scaler_bytes(loaded.input_scaler, loaded.output_scaler)
+            == _scaler_bytes(ds100.input_scaler, ds100.output_scaler))
 
 
 def test_loaded_scalers_fit_on_train_only(ds100, tmp_path):
+    """The loaded scalers are the grid's, whatever the train rows hold:
+    shrinking the train rows toward the box's lower edge moves no scaler."""
+    g = builtin_grid("case3")
+    train = ds100.split == "train"
+    inputs, targets = ds100.inputs.copy(), ds100.targets.copy()
+    inputs[train] = 0.6 * g.nominal_demand() + 0.5 * (inputs[train] - 0.6 * g.nominal_demand())
+    targets[train] *= 0.5
+    p = tmp_path / "data.csv"
+    save_dataset(replace(ds100, inputs=inputs, targets=targets), p)
+    loaded = load_dataset(p, g)
+    assert (_scaler_bytes(loaded.input_scaler, loaded.output_scaler)
+            == _scaler_bytes(box_input_scaler(g), gen_output_scaler(g)))
+    x_train, _ = loaded.scaled("train")
+    assert x_train.min() >= 0.0 and x_train.max() < 0.5 + 1e-12
+
+
+def test_load_rejects_a_dataset_of_another_grid(ds100, tmp_path):
     p = tmp_path / "data.csv"
     save_dataset(ds100, p)
-    loaded = load_dataset(p)
-    train = loaded.split == "train"
-    assert np.allclose(loaded.input_scaler.offset, loaded.inputs[train].min(axis=0))
-    x_train, _ = loaded.scaled("train")
-    assert x_train.min() == pytest.approx(0.0, abs=1e-12)
-    assert x_train.max() == pytest.approx(1.0, abs=1e-12)
-    # grid rescale restores the box-derived scalers
-    g = builtin_grid("case3")
-    rescaled = rescale_with_grid(loaded, g)
-    assert np.allclose(rescaled.input_scaler.offset, 0.6 * g.nominal_demand())
+    with pytest.raises(SchemaError, match=r"dimensions 2 -> 2 do not match the grid's "
+                                          r"3 loads and 3 generators"):
+        load_dataset(p, builtin_grid("case9"))
+
+
+def test_load_rejects_no_train_rows(ds100, tmp_path):
+    p = tmp_path / "data.csv"
+    save_dataset(replace(ds100, split=np.full(len(ds100.split), "val", dtype=object)), p)
+    with pytest.raises(SchemaError, match="no train rows"):
+        load_dataset(p, builtin_grid("case3"))
+
+
+# the rejected files below have one load and one generator: their format
+# errors are reported before a dimension mismatch with this grid
+_CASE3 = builtin_grid("case3")
 
 
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("d_0,g_0,banana\n1.0,2.0,train\n")
     with pytest.raises(SchemaError, match="header"):
-        load_dataset(p)
+        load_dataset(p, _CASE3)
 
 
 def test_load_rejects_bad_float(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("d_0,g_0,split\n1.0,abc,train\n")
     with pytest.raises(SchemaError, match="line 2"):
-        load_dataset(p)
+        load_dataset(p, _CASE3)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -204,21 +252,21 @@ def test_load_rejects_nonfinite_value(tmp_path, value):
     p.write_text(f"d_0,g_0,split\n1.0,2.0,train\n0.5,1e308,val\n3.0,{value},holdout\n"
                  f"{value},1.0,train\n")
     with pytest.raises(SchemaError, match=r"bad\.csv: line 4: nonfinite value$"):
-        load_dataset(p)
+        load_dataset(p, _CASE3)
 
 
 def test_load_rejects_bad_split_label(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("d_0,g_0,split\n1.0,2.0,holdout\n")
     with pytest.raises(SchemaError, match="split"):
-        load_dataset(p)
+        load_dataset(p, _CASE3)
 
 
 def test_load_rejects_missing_field(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("d_0,g_0,split\n1.0,train\n")
     with pytest.raises(SchemaError, match="fields"):
-        load_dataset(p)
+        load_dataset(p, _CASE3)
 
 
 def test_too_many_infeasible():
