@@ -9,6 +9,7 @@ held fixed; nothing is differentiated through the inner argmax.
 import numpy as np
 
 from ..mlp.losses import Gradients
+from .patterns import margin_form
 
 
 def margin_param_gradient(params, witness, pattern, constraint_id,
@@ -22,9 +23,9 @@ def margin_param_gradient(params, witness, pattern, constraint_id,
         z = np.where(pattern[k], s, 0.0)
         acts.append(z)
 
-    g, side = constraint_id
+    g, sign, _ = margin_form(None, constraint_id)
     delta = np.zeros(params.n_outputs)
-    delta[g] = 1.0 if side == "upper" else -1.0
+    delta[g] = sign
 
     # with last_layer_only the hidden layers keep their zeros
     first = params.n_layers - 1 if last_layer_only else 0

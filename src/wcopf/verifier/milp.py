@@ -17,8 +17,8 @@ LP.
 Every (generator, side) candidate is maximized in one best-first tree
 over the disjunction of their subproblems, as in Bunel et al. (JMLR
 2020): the node with the largest bound of any candidate is expanded
-next, and every point evaluated in the box raises the
-incumbent of every candidate, so a loser is fathomed against the
+next, and one incumbent holds the best margin of any candidate at any
+point evaluated in the box, so a loser is fathomed against the
 winner's margin however early it is searched.  A node branches on the
 free fractional unit with the largest weighted big-M range times
 fractionality, nu+ * (zhi - zlo) * min(y, 1 - y), after their BaBSR
@@ -74,7 +74,7 @@ import numpy as np
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, row_duals, safe_add, safe_max, solve_lp
 from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
-from .patterns import candidate_constraints, margin_of_output
+from .patterns import candidate_constraints, margin_form
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
 from .patterns import worst_case_fixed_pattern
 
@@ -281,20 +281,16 @@ class _Encoding:
         return rows, rhs, lo, hi, y_range, act, off
 
     def objective(self, constraint_id):
-        g, side = constraint_id
+        """(c, const): the candidate's margin is c @ x + const."""
+        g, sign, offset = margin_form(self.gen_bounds, constraint_id)
         w_out = self.params.weights[-1][g]
         out_off = float(w_out @ self.out_off + self.params.biases[-1][g])
-        c = w_out @ self.out_act
-        if side == "upper":
-            return c, out_off - float(self.gen_bounds.hi[g])
-        return -c, float(self.gen_bounds.lo[g]) - out_off
+        return sign * (w_out @ self.out_act), sign * out_off + offset
 
     def interval_margin_bound(self, constraint_id):
         """Cheap upper bound on the candidate's margin over the box."""
-        g, side = constraint_id
-        if side == "upper":
-            return float(self.out_up[g] - self.gen_bounds.hi[g])
-        return float(self.gen_bounds.lo[g] - self.out_dn[g])
+        g, sign, offset = margin_form(self.gen_bounds, constraint_id)
+        return float(sign * (self.out_up if sign > 0 else self.out_dn)[g] + offset)
 
     def solve_node(self, c, y_fix, start=None, cutoff=None):
         lo = self.var_lo.copy()
@@ -313,28 +309,26 @@ class _Encoding:
         """
         return np.maximum(u[0::3] - u[1::3] + u[2::3], 0.0)
 
-    def margins_at(self, d, cids):
-        """Exact forward-pass margin of each candidate; any point in the
-        box is a valid witness for all of them."""
-        out = forward(self.params, d).output
-        return [margin_of_output(out, self.gen_bounds, cid) for cid in cids]
-
 
 class _Incumbent:
-    """Best exactly-achieved margin so far; value ties keep the
-    lexicographically smaller witness."""
+    """Best exactly-attained margin of any candidate so far: its value,
+    its candidate's index and a witness point.  It keeps the first
+    candidate with the largest value, that candidate's value bits as
+    first seen, and the lexicographically smallest point attaining it."""
 
     def __init__(self):
         self.value = -np.inf
+        self.index = np.inf
         self.witness = None
 
-    def offer(self, value, witness):
-        if value > self.value:
+    def offer(self, value, index, point):
+        if value > self.value or (value == self.value and index < self.index):
             self.value = value
-            self.witness = np.array(witness, dtype=float)
-        elif value == self.value and self.witness is not None and witness is not None:
-            if tuple(witness) < tuple(self.witness):
-                self.witness = np.array(witness, dtype=float)
+            self.index = index
+            self.witness = np.array(point, dtype=float)
+        elif (value == self.value and index == self.index
+              and tuple(point) < tuple(self.witness)):
+            self.witness = np.array(point, dtype=float)
 
 
 def _branch_unit(y_rel, y_fix, y_range, weight):
@@ -367,12 +361,12 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     whose interval bound is already beaten is never solved.  Every point
     the search evaluates (the box midpoint and each clipped node-LP
     point) lies in the box and so attains its margin for every
-    candidate; each is offered to every candidate's incumbent, and a
-    node is fathomed once it cannot beat the cutoff, max(best margin of
-    any candidate, 0) + FATHOM_PAD.  A surviving node branches on the
-    unit _branch_unit picks.  A node popped after its candidate has
+    candidate; each of these margins is offered to the one incumbent,
+    and a node is fathomed once it cannot beat the cutoff,
+    max(incumbent value, 0) + FATHOM_PAD.  A surviving node branches on
+    the unit _branch_unit picks.  A node popped after its candidate has
     solved node_limit node LPs is set aside unexplored.  Returns
-    (incumbents, nodes, leaf_bound, pivots): an _Incumbent and a node
+    (incumbent, nodes, leaf_bound, pivots): the _Incumbent, a node
     count per candidate, the largest bound on any leaf of the tree, so
     on any margin in the box (the safe bound of each fathomed or
     integral node, and of each node whose LP stopped at the cutoff, and
@@ -396,14 +390,16 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     LpSolution.point.
     """
     objectives = [enc.objective(cid) for cid in cids]
-    incs = [_Incumbent() for _ in cids]
+    forms = [margin_form(enc.gen_bounds, cid) for cid in cids]
+    inc = _Incumbent()
 
     def offer(d):
-        for inc, margin in zip(incs, enc.margins_at(d, cids)):
-            inc.offer(margin, d)
+        out = forward(enc.params, d).output
+        for k, (g, sign, offset) in enumerate(forms):
+            inc.offer(float(sign * out[g] + offset), k, d)
 
     def cutoff():
-        return max(max(inc.value for inc in incs), 0.0) + FATHOM_PAD
+        return max(inc.value, 0.0) + FATHOM_PAD
 
     offer(enc.box.midpoint())
     free = np.full(enc.n_unstable, -1, dtype=np.int8)
@@ -464,7 +460,7 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     if heap:
         # every node still queued is keyed at most the heap's top
         leaf_bound = max(leaf_bound, -heap[0][0])
-    return incs, nodes, leaf_bound, pivots
+    return inc, nodes, leaf_bound, pivots
 
 
 def solve_worst_case(params, box: Box, gen_bounds: Box,
@@ -497,18 +493,15 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
     roots = {}
     if earlier is not None and earlier.fits(enc.layout, params.n_hidden_layers):
         roots = dict(earlier.roots)
-    incs, nodes, leaf_bound, pivots = _branch_and_bound(enc, cids, node_limit, roots)
-    # max keeps the first of equal values
-    win = max(range(len(cids)), key=lambda k: incs[k].value)
-    best_value = incs[win].value
+    inc, nodes, leaf_bound, pivots = _branch_and_bound(enc, cids, node_limit, roots)
 
-    value = max(best_value, 0.0)
+    value = max(inc.value, 0.0)
     bound = max(value, leaf_bound)
     gap = bound - value
     status = CERTIFIED if gap <= GAP_TOL else GAP_REMAINING
-    if best_value > 0.0:
-        witness = incs[win].witness
-        cid = cids[win]
+    if inc.value > 0.0:
+        witness = inc.witness
+        cid = cids[inc.index]
         pattern = [p.copy() for p in forward(params, witness).pattern]
     else:
         witness = None

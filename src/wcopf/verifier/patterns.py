@@ -69,29 +69,32 @@ def consistency_rows(pre_forms, pattern):
     return np.array(rows), np.array(rhs)
 
 
-def margin_objective(out_form, gen_bounds, constraint_id):
-    """(c, const) so that the violation margin equals c @ d + const."""
-    a_out, c_out = out_form
+def margin_form(gen_bounds, constraint_id):
+    """(g, sign, offset) such that a candidate's margin at an output out
+    is sign * out[g] + offset: out[g] - hi[g] on the upper side and
+    lo[g] - out[g] on the lower, bit for bit in IEEE arithmetic.
+
+    Every margin, LP objective and gradient seed of the verifier comes
+    from this rule.  offset is None when gen_bounds is None, for a reader
+    that needs only the sign.  A side not in SIDES raises ValueError.
+    """
     g, side = constraint_id
+    if side not in SIDES:
+        raise ValueError(f"unknown constraint side {side!r}")
     if side == "upper":
-        return a_out[g], float(c_out[g] - gen_bounds.hi[g])
-    if side == "lower":
-        return -a_out[g], float(gen_bounds.lo[g] - c_out[g])
-    raise ValueError(f"unknown constraint side {side!r}")
+        return g, 1.0, None if gen_bounds is None else -float(gen_bounds.hi[g])
+    return g, -1.0, None if gen_bounds is None else float(gen_bounds.lo[g])
 
 
 def margin_of_output(output, gen_bounds, constraint_id):
-    g, side = constraint_id
-    if side == "upper":
-        return float(output[g] - gen_bounds.hi[g])
-    return float(gen_bounds.lo[g] - output[g])
+    g, sign, offset = margin_form(gen_bounds, constraint_id)
+    return float(sign * output[g] + offset)
 
 
 def violation_of_output(output, gen_bounds):
-    """max(out - hi, lo - out, 0) over all outputs."""
-    over = np.max(output - gen_bounds.hi)
-    under = np.max(gen_bounds.lo - output)
-    return float(max(over, under, 0.0))
+    """The largest margin_of_output over all candidates, clipped at 0."""
+    return max([0.0] + [margin_of_output(output, gen_bounds, cid)
+                        for cid in candidate_constraints(len(output))])
 
 
 def worst_case_fixed_pattern(params, pattern, box: Box, gen_bounds: Box,
@@ -102,7 +105,9 @@ def worst_case_fixed_pattern(params, pattern, box: Box, gen_bounds: Box,
     """
     pre_forms, out_form = masked_affine_forms(params, pattern)
     rows, rhs = consistency_rows(pre_forms, pattern)
-    c, const = margin_objective(out_form, gen_bounds, constraint_id)
+    g, sign, offset = margin_form(gen_bounds, constraint_id)
+    c = sign * out_form[0][g]
+    const = float(sign * out_form[1][g] + offset)
     if not np.isfinite(const):
         return -np.inf, None
     sol = solve_lp(LpProblem(c=c, a_ub=rows, b_ub=rhs, lo=box.lo, hi=box.hi))

@@ -13,7 +13,7 @@ from wcopf.grid import (box_input_scaler, builtin_grid, compute_ptdf,
 from wcopf.grid import dataset, dcopf
 from wcopf.grid.dataset import split_sizes
 from wcopf.simplex import LpStatus
-from wcopf.train import scaled_gen_box
+from wcopf.train import scaled_gen_box, unit_box
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,26 @@ def test_scaled_gen_box_is_the_generator_limits():
     assert got.lo.tobytes() == want.lo.tobytes()
     assert got.hi.tobytes() == want.hi.tobytes()
     assert np.array_equal(data.output_scaler.transform([10.0, 0.0]), [0.0, 0.0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a fixed generator or a zero-nominal load gets scale 1, so the "
+                          "library's unit boxes are wider than the CLI's (ROADMAP item 19)")
+def test_library_boxes_are_the_cli_boxes_with_a_fixed_generator():
+    # generator 0 is fixed at 20 MW and load 1 has nominal 0: the CLI's boxes
+    # give each a zero-width side, the library's unit boxes do not
+    g = grid_from_dict({
+        "buses": [1], "slack": 1,
+        "generators": [{"bus": 1, "p_min": 20.0, "p_max": 20.0, "cost": 1.0},
+                       {"bus": 1, "p_min": 0.0, "p_max": 150.0, "cost": 2.0}],
+        "loads": [{"bus": 1, "nominal": 100.0}, {"bus": 1, "nominal": 0.0}],
+        "lines": [],
+    })
+    data = generate_dataset(g, 20, seed=0)
+    want_in, want_gen = cli._boxes(g, data.input_scaler, data.output_scaler, dataset.DATA_BOX)
+    got_in, got_gen = unit_box(data.n_inputs), scaled_gen_box(data)
+    assert [a.tobytes() for a in (got_in.lo, got_in.hi, got_gen.lo, got_gen.hi)] == \
+        [a.tobytes() for a in (want_in.lo, want_in.hi, want_gen.lo, want_gen.hi)]
 
 
 # sha256 of save_dataset(generate_dataset(builtin_grid(case), 1500, 0)),

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import heapq
+import itertools
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from wcopf.mlp import MlpParams, forward
 from wcopf.simplex import LpProblem, LpStatus, row_duals, solve_lp
 from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
-                            margin_of_output, solve_worst_case,
+                            margin_of_output, margin_param_gradient, solve_worst_case,
                             violation_of_output, worst_case_fixed_pattern)
 from wcopf.verifier import bounds, milp, patterns
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
@@ -197,6 +198,76 @@ def test_tied_candidates_name_the_earlier_one():
     assert cert.constraint_id[0] == 0
     out = forward(params, cert.witness).output
     assert margin_of_output(out, gen, cert.constraint_id) == cert.value
+
+
+_UNKNOWN_SIDE_CALLS = {
+    "margin_of_output": lambda params, cid: margin_of_output(
+        np.zeros(2), Box(-np.ones(2), np.ones(2)), cid),
+    "margin_param_gradient": lambda params, cid: margin_param_gradient(
+        params, np.zeros(1), [np.array([True])], cid),
+    "worst_case_fixed_pattern": lambda params, cid: worst_case_fixed_pattern(
+        params, [np.array([True])], Box([0.0], [1.0]), Box(-np.ones(2), np.ones(2)), cid),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNKNOWN_SIDE_CALLS))
+def test_unknown_side_raises(entry):
+    params = MlpParams((1, 1, 2),
+                       [np.array([[1.0]]), np.array([[1.0], [1.0]])],
+                       [np.array([0.0]), np.array([0.0, 0.0])])
+    with pytest.raises(ValueError, match="unknown constraint side 'up'"):
+        _UNKNOWN_SIDE_CALLS[entry](params, (0, "up"))
+
+
+def _per_candidate_winner(offers, n_candidates):
+    """(value, candidate, witness) by the per-candidate rule: each
+    candidate keeps its first value bits and, among the points attaining
+    its largest value, the lexicographically smallest; the winner is the
+    first candidate with the largest value."""
+    best = [(-np.inf, None)] * n_candidates
+    for value, k, point in offers:
+        v, w = best[k]
+        if value > v:
+            best[k] = (value, point)
+        elif value == v and tuple(point) < tuple(w):
+            best[k] = (v, point)
+    win = max(range(n_candidates), key=lambda k: best[k][0])
+    return best[win][0], win, best[win][1]
+
+
+# (generator bounds, [(point, output)]): designed ties at the largest margin
+_TIE_CASES = {
+    # (0, upper) reaches 0.5 at two points with one output; (1, upper) and
+    # (1, lower) tie it at later candidates, one at the smallest point
+    "across_and_within": (Box([0.0, 0.0], [1.0, 1.0]), [
+        ((0.5, 0.5), (1.5, 0.5)), ((0.2, 0.9), (1.5, 0.5)), ((0.1, 0.3), (0.5, 1.5)),
+        ((0.7, 0.1), (0.5, -0.5)), ((0.9, 0.9), (1.2, 0.5))]),
+    # hi = 0.0: out -0.0 gives (0, upper) the margin -0.0 and out 0.0 the
+    # margin 0.0; at the smallest point (0, lower) and (1, upper) tie at 0.0
+    "signed_zero": (Box([-1.0, -1.0], [0.0, 0.0]), [
+        ((0.5, 0.5), (-0.0, -0.5)), ((0.25, 0.75), (0.0, -0.5)),
+        ((0.75, 0.0), (-0.0, -0.5)), ((0.0, 0.0), (-1.0, 0.0))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_one_incumbent_keeps_the_per_candidate_winner(case):
+    gen, points = _TIE_CASES[case]
+    cids = candidate_constraints(2)
+    seen = set()
+    for order in itertools.permutations(points):
+        # the search offers each point's margins in candidate order
+        offers = [(margin_of_output(np.array(out), gen, cid), k, np.array(point))
+                  for point, out in order for k, cid in enumerate(cids)]
+        inc = milp._Incumbent()
+        for offer in offers:
+            inc.offer(*offer)
+        value, k, witness = _per_candidate_winner(offers, len(cids))
+        got = (np.float64(inc.value).tobytes(), inc.index, inc.witness.tobytes())
+        assert got == (np.float64(value).tobytes(), k, witness.tobytes()), order
+        seen.add(got)
+    # the winner's value bits are those of the zero it sees first
+    assert len(seen) == (2 if case == "signed_zero" else 1)
 
 
 def test_brute_force_size_guard():
