@@ -25,17 +25,18 @@ import numpy as np
 
 from . import __version__
 from .errors import SchemaError, TooManyInfeasible, TrainingDiverged, WcopfError
-from .grid import (BUILTIN_CASES, generate_dataset, grid_from_dict,
-                   load_dataset, load_grid, save_dataset)
+from .grid import (BUILTIN_CASES, box_input_scaler, gen_output_scaler,
+                   generate_dataset, grid_from_dict, load_dataset, load_grid,
+                   save_dataset)
 from .grid.dataset import split_sizes
 from .grid.sampling import DATA_BOX
 from .grid.model import builtin_case_text
 from .mlp import file_checksum, load_model, save_model
 from .train import (config_from_dict, final_verification, finetune_sequential,
                     layer_sensitivity, load_config, load_summary, raw_violation,
-                    save_report, summary_path_for, train_gennn, train_standard,
-                    train_wcnn, write_json)
-from .verifier import (DEFAULT_NODE_LIMIT, GAP_REMAINING, Box, save_certificate,
+                    save_report, scaled_boxes, summary_path_for, train_gennn,
+                    train_standard, train_wcnn, write_json)
+from .verifier import (DEFAULT_NODE_LIMIT, GAP_REMAINING, save_certificate,
                        solve_worst_case)
 
 # (exception type, exit code); the first match wins, so subclasses of
@@ -106,32 +107,23 @@ def _dataset_and_config(args, grid):
 
 
 def _load_model_for(grid, path):
-    """load_model(path), once the model's shape matches the grid."""
+    """load_model(path)'s parameters, once its shape and scalers (bit for bit) are grid's."""
     params, in_scaler, out_scaler, _meta = load_model(path)
     if params.n_inputs != grid.n_load or params.n_outputs != grid.n_gen:
         raise SchemaError(
             f"{path}: model maps {params.n_inputs} -> {params.n_outputs} but the "
             f"grid has {grid.n_load} loads and {grid.n_gen} generators")
-    return params, in_scaler, out_scaler
+    pairs = ((in_scaler, box_input_scaler(grid)), (out_scaler, gen_output_scaler(grid)))
+    if any(a.offset.tobytes() != b.offset.tobytes() or a.scale.tobytes() != b.scale.tobytes()
+           for a, b in pairs):
+        raise SchemaError(f"{path}: the model's scalers are not the grid's")
+    return params
 
 
 def _run_outputs(args):
     """Model, report and summary paths of train and finetune."""
     report_path = args.report or os.path.splitext(args.out)[0] + ".report.jsonl"
     return [args.out, report_path, summary_path_for(report_path)]
-
-
-# -- scaled-space geometry ---------------------------------------------------
-
-def _boxes(grid, input_scaler, output_scaler, fractions):
-    """Scaled boxes of demand [lo, hi] * nominal and of generator limits."""
-    lo_f, hi_f = fractions
-    nominal = grid.nominal_demand()
-    p_min = np.array([g.p_min for g in grid.generators], dtype=float)
-    p_max = np.array([g.p_max for g in grid.generators], dtype=float)
-    return (Box(input_scaler.transform(lo_f * nominal),
-                input_scaler.transform(hi_f * nominal)),
-            Box(output_scaler.transform(p_min), output_scaler.transform(p_max)))
 
 
 def _v_g_text(report):
@@ -196,8 +188,7 @@ def cmd_train(args):
     outputs = _run_outputs(args)
     inputs = _input_digests(args, grid_entry)
 
-    demand_box, gen_box = _boxes(grid, dataset.input_scaler,
-                                 dataset.output_scaler, DATA_BOX)
+    demand_box, gen_box = scaled_boxes(grid)
     if args.mode == "nn":
         params, report = train_standard(dataset, arch, config)
     elif args.mode == "gennn":
@@ -228,13 +219,13 @@ def cmd_verify(args):
     if args.node_limit < 1:
         raise SchemaError(f"bad --node-limit {args.node_limit}; must be at least 1")
     grid, grid_entry = _resolve_grid(args.grid)
-    params, in_scaler, out_scaler = _load_model_for(grid, args.model)
+    params = _load_model_for(grid, args.model)
     fractions = _parse_box(args.box)
     inputs = _input_digests(args, grid_entry)
 
-    box, gen_box = _boxes(grid, in_scaler, out_scaler, fractions)
+    box, gen_box = scaled_boxes(grid, fractions)
     cert = solve_worst_case(params, box, gen_box, node_limit=args.node_limit)
-    v_mw = raw_violation(cert, out_scaler)
+    v_mw = raw_violation(cert, gen_output_scaler(grid))
     max_load = float(np.sum(grid.nominal_demand()))
     pct = 100.0 * v_mw / max_load
     save_certificate(args.out, cert,
@@ -253,14 +244,13 @@ def cmd_verify(args):
 
 def cmd_finetune(args):
     grid, grid_entry = _resolve_grid(args.grid)
-    params = _load_model_for(grid, args.model)[0]
+    params = _load_model_for(grid, args.model)
     dataset, config = _dataset_and_config(args, grid)
     fractions = _parse_box(args.box)
     outputs = _run_outputs(args)
     inputs = _input_digests(args, grid_entry)
 
-    box, gen_box = _boxes(grid, dataset.input_scaler, dataset.output_scaler,
-                          fractions)
+    box, gen_box = scaled_boxes(grid, fractions)
     tuned, report = finetune_sequential(params, dataset, gen_box, config,
                                         box=box)
     report = _save_run(outputs, tuned, dataset, report,
@@ -286,10 +276,7 @@ def cmd_sensitivity(args):
     if any(seed < 0 for seed in seeds):
         raise SchemaError(f"bad seed list {args.seeds!r}; seeds must be nonnegative")
     inputs = _input_digests(args, grid_entry)
-    box, gen_box = _boxes(grid, dataset.input_scaler, dataset.output_scaler,
-                          DATA_BOX)
-    report = layer_sensitivity(arch, dataset, gen_box, seeds, config=config,
-                               box=box)
+    report = layer_sensitivity(arch, dataset, None, seeds, config=config)
     write_json(args.out, report.to_dict())
     _write_manifest("sensitivity", inputs, [args.out],
                     config={"arch": list(arch), "seeds": list(seeds),

@@ -58,6 +58,7 @@ class Dataset:
     split: np.ndarray         # (N,) entries from SPLITS
     input_scaler: Scaler
     output_scaler: Scaler
+    grid: object = None       # the GridModel of the scalers; None if hand-built
 
     @property
     def n_inputs(self):
@@ -149,7 +150,7 @@ def generate_dataset(grid, n, seed) -> Dataset:
 
     return Dataset(inputs=inputs, targets=targets, split=split,
                    input_scaler=box_input_scaler(grid),
-                   output_scaler=gen_output_scaler(grid))
+                   output_scaler=gen_output_scaler(grid), grid=grid)
 
 
 def _cover(rows, basis, batch, p, served, start):
@@ -223,4 +224,4 @@ def load_dataset(path, grid) -> Dataset:
     return Dataset(inputs=np.array(inputs), targets=np.array(targets),
                    split=np.array(split, dtype=object),
                    input_scaler=box_input_scaler(grid),
-                   output_scaler=gen_output_scaler(grid))
+                   output_scaler=gen_output_scaler(grid), grid=grid)

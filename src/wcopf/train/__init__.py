@@ -2,8 +2,8 @@
 
 from .config import TrainConfig, config_from_dict, load_config
 from .loops import (MODES, EpochRecord, TrainReport, final_verification,
-                    raw_violation, scaled_gen_box, train_gennn,
-                    train_standard, train_wcnn, unit_box)
+                    raw_violation, scaled_boxes, scaled_gen_box,
+                    train_gennn, train_standard, train_wcnn)
 from .report_io import (load_report_records, load_summary, render_json,
                         save_report, summary_document, summary_path_for,
                         write_json)
@@ -15,8 +15,8 @@ from .sequential import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
 __all__ = [
     "TrainConfig", "config_from_dict", "load_config",
     "MODES", "EpochRecord", "TrainReport", "final_verification",
-    "raw_violation", "scaled_gen_box",
-    "train_gennn", "train_standard", "train_wcnn", "unit_box",
+    "raw_violation", "scaled_boxes", "scaled_gen_box",
+    "train_gennn", "train_standard", "train_wcnn",
     "load_report_records", "load_summary", "render_json", "save_report",
     "summary_document", "summary_path_for", "write_json",
     "SensitivityReport", "layer_sensitivity",

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalBreakdown, TrainingDiverged
+from ..grid.dataset import box_input_scaler, gen_output_scaler
+from ..grid.sampling import DATA_BOX
 from ..mlp.checkpoint import params_checksum
 from ..mlp.losses import Gradients, LossSpec, gradient, loss_mae
 from ..mlp.network import init_params
@@ -68,20 +70,35 @@ class TrainReport:
         return [r.epoch for r in self.records if r.v_g is not None]
 
 
-def unit_box(dim):
-    """Scaled input region: the demand box DATA_BOX that the sampler
-    fills, under a dataset's grid scalers."""
-    return Box(np.zeros(dim), np.ones(dim))
+def scaled_boxes(grid, fractions=DATA_BOX):
+    """(demand box, generator box): the images of [lo, hi] * nominal for
+    fractions (lo, hi) under box_input_scaler(grid) and of [p_min, p_max]
+    under gen_output_scaler(grid).  A fixed generator (p_min == p_max) or
+    a load of nominal 0 gets scale 1, so its side has width 0."""
+    lo, hi = fractions
+    nominal = grid.nominal_demand()
+    p_min = np.array([g.p_min for g in grid.generators], dtype=float)
+    p_max = np.array([g.p_max for g in grid.generators], dtype=float)
+    inputs, outputs = box_input_scaler(grid), gen_output_scaler(grid)
+    return (Box(inputs.transform(lo * nominal), inputs.transform(hi * nominal)),
+            Box(outputs.transform(p_min), outputs.transform(p_max)))
+
+
+def _boxes_of(dataset, box, gen_bounds):
+    """(box, gen_bounds), each one given as None taken from
+    scaled_boxes(dataset.grid); ValueError if it is None and there is no grid."""
+    if box is not None and gen_bounds is not None:
+        return box, gen_bounds
+    if dataset.grid is None:
+        raise ValueError("a dataset without a grid needs explicit boxes")
+    grid_box, grid_gen_box = scaled_boxes(dataset.grid)
+    return (grid_box if box is None else box,
+            grid_gen_box if gen_bounds is None else gen_bounds)
 
 
 def scaled_gen_box(dataset):
-    """Generator limits in the dataset's scaled output units.
-
-    A dataset's output scaler (gen_output_scaler) maps each generator's
-    [p_min, p_max] onto [0, 1], so the limits are the unit box.
-    """
-    n = dataset.n_outputs
-    return Box(np.zeros(n), np.ones(n))
+    """The generator box of scaled_boxes(dataset.grid)."""
+    return _boxes_of(dataset, None, None)[1]
 
 
 def raw_violation(cert, output_scaler):
@@ -151,10 +168,8 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
     dims = (xs.shape[1], *tuple(int(h) for h in arch), ys.shape[1])
 
     use_wc = mode == "wcnn" and config.lambda_wc > 0
-    if gen_bounds is None and mode in ("gennn", "wcnn"):
-        gen_bounds = scaled_gen_box(dataset)
-    if box is None and mode == "wcnn":
-        box = unit_box(dims[0])
+    if mode == "wcnn" or (mode == "gennn" and gen_bounds is None):
+        box, gen_bounds = _boxes_of(dataset, box, gen_bounds)
     spec = LossSpec(mae_weight=config.lambda0,
                     gen_weight=config.lambda_g if mode == "gennn" else 0.0,
                     gen_lo=gen_bounds.lo if mode == "gennn" else None,
@@ -241,7 +256,7 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     loss.  A breakdown in the final certificate leaves final_v_g None
     and sets the report's warning; so does a final certificate that
     stops at the node limit, whose final_v_g is then a lower bound
-    (final_verification).
+    (final_verification).  Boxes given as None are scaled_boxes(dataset.grid).
     """
     return _run_training(dataset, arch, config, "wcnn",
                          gen_bounds=gen_bounds, box=box)

@@ -13,7 +13,7 @@ from ..errors import NumericalBreakdown
 from ..verifier.gradient import worst_case_gradient
 from ..verifier.milp import solve_worst_case
 from .config import TrainConfig
-from .loops import scaled_gen_box, train_standard, unit_box
+from .loops import _boxes_of, train_standard
 
 
 @dataclass
@@ -48,16 +48,14 @@ def layer_sensitivity(arch, dataset, gen_bounds, seeds,
     Seeds whose trained network has nothing to violate contribute no
     gradient and are skipped; at least one seed must violate.  A seed
     whose verification breaks down numerically is skipped too and
-    listed in the report's skipped entries.
+    listed in the report's skipped entries.  Boxes given as None are
+    scaled_boxes(dataset.grid).
     """
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
     if config is None:
         config = TrainConfig()
-    if gen_bounds is None:
-        gen_bounds = scaled_gen_box(dataset)
-    if box is None:
-        box = unit_box(dataset.n_inputs)
+    box, gen_bounds = _boxes_of(dataset, box, gen_bounds)
 
     per_seed = []
     skipped = []

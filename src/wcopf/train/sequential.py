@@ -24,8 +24,8 @@ from ..mlp.network import MlpParams
 from ..verifier.gradient import worst_case_gradient
 from ..verifier.milp import solve_worst_case
 from .config import TrainConfig
-from .loops import (EpochRecord, TrainReport, _test_mae, final_verification,
-                    scaled_gen_box, unit_box)
+from .loops import (EpochRecord, TrainReport, _boxes_of, _test_mae,
+                    final_verification)
 from ..mlp.checkpoint import params_checksum
 
 STOP_NO_VIOLATION = "no violation"
@@ -66,14 +66,12 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     Records v_g and validation MAE at the top of every iteration.  Each
     iteration's verification starts from the certificate of the one
     before (solve_worst_case's start), whose LP bases serve the moved
-    parameters' root and bound LPs.
+    parameters' root and bound LPs.  Boxes given as None are
+    scaled_boxes(dataset.grid).
     """
     xs, ys = dataset.scaled("train")
     xv, yv = dataset.scaled("val")
-    if gen_bounds is None:
-        gen_bounds = scaled_gen_box(dataset)
-    if box is None:
-        box = unit_box(params.n_inputs)
+    box, gen_bounds = _boxes_of(dataset, box, gen_bounds)
     fisher = fisher_diag(params, xs, ys)
     params = params.copy()
     mae_start = loss_mae(params, xv, yv)

@@ -177,7 +177,8 @@ def toy_dataset(seed, n=120, n_in=2, n_out=2, response=None):
     """Small dataset with affine targets and identity scalers.
 
     Inputs are uniform on the unit box; targets are response @ d rows
-    (a map a trained net can realize exactly).
+    (a map a trained net can realize exactly).  It has no grid, so a
+    call that verifies needs its boxes given (unit_box).
     """
     from wcopf.grid.dataset import Dataset, Scaler
 
@@ -196,18 +197,28 @@ def toy_dataset(seed, n=120, n_in=2, n_out=2, response=None):
                    output_scaler=Scaler(np.zeros(n_out), np.ones(n_out)))
 
 
+def unit_box(dim):
+    """[0, 1]^dim: the demand box and the generator limits of a
+    hand-built dataset, whose identity scalers put both there."""
+    from wcopf.verifier import Box
+
+    return Box(np.zeros(dim), np.ones(dim))
+
+
 def grid_fixture(case, n=200, seed=0):
     """Dataset plus scaled input/output boxes for a builtin grid."""
     from wcopf.grid import builtin_grid, generate_dataset
-    from wcopf.train import scaled_gen_box, unit_box
+    from wcopf.train import scaled_boxes
 
     data = generate_dataset(builtin_grid(case), n, seed=seed)
-    return data, scaled_gen_box(data), unit_box(data.n_inputs)
+    box, gen_box = scaled_boxes(data.grid)
+    return data, gen_box, box
 
 
 def midband_dataset(seed=11, n=120):
     """Targets confined to [0.3, 0.7]: trained nets stay inside the unit
-    output bounds over the whole input box, so v_g = 0."""
+    output bounds over the whole input box, so v_g = 0.  It has no grid,
+    like toy_dataset."""
     from wcopf.grid.dataset import Dataset, Scaler
 
     rng = np.random.default_rng((seed, 29))

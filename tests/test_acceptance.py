@@ -25,7 +25,7 @@ from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
 from wcopf.mlp import LossSpec, forward, gradient, total_loss
 from wcopf.simplex import LpStatus
 from wcopf.train import (TrainConfig, finetune_sequential, layer_sensitivity,
-                         scaled_gen_box, train_standard, train_wcnn, unit_box)
+                         scaled_boxes, train_standard, train_wcnn)
 from wcopf.verifier import (Box, margin_of_output, solve_worst_case,
                             worst_case_gradient)
 
@@ -36,7 +36,8 @@ def _case_fixture(case):
     """200-sample dataset for a builtin grid plus its scaled boxes."""
     if case not in _DATASETS:
         data = generate_dataset(builtin_grid(case), 200, seed=0)
-        _DATASETS[case] = (data, scaled_gen_box(data), unit_box(data.n_inputs))
+        box, gen_box = scaled_boxes(data.grid)
+        _DATASETS[case] = (data, gen_box, box)
     return _DATASETS[case]
 
 

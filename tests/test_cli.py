@@ -9,8 +9,8 @@ import wcopf.train.sensitivity as sensitivity_module
 from oracles import seeded_net
 from wcopf import cli
 from wcopf.errors import NumericalBreakdown, TooManyInfeasible, TrainingDiverged
-from wcopf.grid import (box_input_scaler, builtin_grid, gen_output_scaler,
-                        load_dataset)
+from wcopf.grid import (Scaler, box_input_scaler, builtin_grid,
+                        gen_output_scaler, load_dataset)
 from wcopf.mlp import MlpParams, load_model, save_model
 from wcopf.verifier import Box, solve_worst_case
 
@@ -108,6 +108,11 @@ PIPELINE_PARAMS_SHA256 = {
 # workflow checks the installed wcopf verify against it.
 PIPELINE_CERT_SHA256 = "5448dadce7537d3c88e0881bf7945b157f79bd4f6f35465dac44ad4ab369a305"
 
+# the same for the demand box PIPELINE_CERT_BOX, which pins the scaled box
+# of a --box other than the default; the CI workflow checks it too
+PIPELINE_CERT_BOX = "0.7:0.95"
+PIPELINE_BOX_CERT_SHA256 = "93711898bff000eaad4bd3ab4c3b861c7642f383efbe4cae8edda852b11783b7"
+
 
 def _pipeline_train(tmp_path, modes):
     data = str(tmp_path / "data.csv")
@@ -135,6 +140,17 @@ def test_pipeline_recipe_certificate_is_pinned(tmp_path):
     doc = json.load(open(cert))
     assert (doc["lp_pivots"], doc["nodes_explored"]) == (40, 14)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_CERT_SHA256
+
+
+def test_pipeline_recipe_certificate_at_another_box_is_pinned(tmp_path):
+    _pipeline_train(tmp_path, ["nn"])
+    cert = tmp_path / "cert.json"
+    assert cli.main(["verify", "--model", str(tmp_path / "nn.json"), "--grid", "case9",
+                     "--box", PIPELINE_CERT_BOX, "--out", str(cert)]) == 0
+    doc = json.load(open(cert))
+    assert doc["box"] == [0.7, 0.95]
+    assert (doc["lp_pivots"], doc["nodes_explored"]) == (23, 7)
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_BOX_CERT_SHA256
 
 
 def test_train_flag_overrides_config_seed(tmp_path):
@@ -264,6 +280,39 @@ def test_verify_model_grid_mismatch_exits_2(tmp_path):
     rc = cli.main(["verify", "--model", str(model), "--grid", "case3",
                    "--out", str(tmp_path / "c.json")])
     assert rc == 2
+
+
+def _identity_scalers(grid):
+    return Scaler(np.zeros(grid.n_load), np.ones(grid.n_load)), \
+        Scaler(np.zeros(grid.n_gen), np.ones(grid.n_gen))
+
+
+def _scalers_one_ulp_off(grid):
+    out = gen_output_scaler(grid)
+    return box_input_scaler(grid), Scaler(out.offset, np.nextafter(out.scale, np.inf))
+
+
+@pytest.mark.parametrize("command", ["verify", "finetune"])
+@pytest.mark.parametrize("scalers", [_identity_scalers, _scalers_one_ulp_off])
+def test_model_under_other_scalers_exits_2(tmp_path, capsys, command, scalers):
+    # the grid's boxes are in the grid's units, so a model saved under any
+    # other scalers, even one bit away, is rejected before anything is written
+    grid = builtin_grid("case9")
+    model = tmp_path / "other.json"
+    save_model(model, seeded_net(0, (3, 4, 3)), *scalers(grid))
+    extra = []
+    if command == "finetune":
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--grid", "case9", "--n", "20",
+                         "--out", str(data)]) == 0
+        extra = ["--dataset", str(data)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    rc = cli.main([command, "--model", str(model), "--grid", "case9", *extra,
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "scalers are not the grid's" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_finetune_writes_tuned_model(tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wcopf import cli
+from oracles import unit_box
 from wcopf.errors import SchemaError, TooManyInfeasible
 from wcopf.grid import (box_input_scaler, builtin_grid, compute_ptdf,
                         gen_output_scaler, generate_dataset, grid_from_dict,
@@ -12,8 +12,12 @@ from wcopf.grid import (box_input_scaler, builtin_grid, compute_ptdf,
                         solve_dcopf)
 from wcopf.grid import dataset, dcopf
 from wcopf.grid.dataset import split_sizes
+from wcopf.mlp import MlpParams
 from wcopf.simplex import LpStatus
-from wcopf.train import scaled_gen_box, unit_box
+from wcopf.train import (TrainConfig, finetune_sequential, layer_sensitivity,
+                         loops, scaled_boxes, scaled_gen_box, train_gennn,
+                         train_standard, train_wcnn)
+from wcopf.verifier import solve_worst_case
 
 
 @pytest.fixture(scope="module")
@@ -132,23 +136,23 @@ def _scaler_bytes(*scalers):
 
 
 def test_scaled_gen_box_is_the_generator_limits():
-    # generator 0 has p_min 10: the library's unit box and the CLI's scaled
-    # [p_min, p_max] must be the same box, bit for bit
+    # generator 0 has p_min 10: the library's generator box is the output
+    # scaler's image of [p_min, p_max], bit for bit
     g = _line_free_grid()
     data = generate_dataset(g, 50, seed=2)
-    _, want = cli._boxes(g, data.input_scaler, data.output_scaler, dataset.DATA_BOX)
+    p_min = np.array([gen.p_min for gen in g.generators])
+    p_max = np.array([gen.p_max for gen in g.generators])
     got = scaled_gen_box(data)
-    assert got.lo.tobytes() == want.lo.tobytes()
-    assert got.hi.tobytes() == want.hi.tobytes()
+    assert got.lo.tobytes() == data.output_scaler.transform(p_min).tobytes()
+    assert got.hi.tobytes() == data.output_scaler.transform(p_max).tobytes()
+    assert got.hi.tobytes() == scaled_boxes(g)[1].hi.tobytes()
     assert np.array_equal(data.output_scaler.transform([10.0, 0.0]), [0.0, 0.0])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a fixed generator or a zero-nominal load gets scale 1, so the "
-                          "library's unit boxes are wider than the CLI's (ROADMAP item 19)")
-def test_library_boxes_are_the_cli_boxes_with_a_fixed_generator():
-    # generator 0 is fixed at 20 MW and load 1 has nominal 0: the CLI's boxes
-    # give each a zero-width side, the library's unit boxes do not
+def test_library_boxes_are_the_cli_boxes_with_a_fixed_generator(monkeypatch):
+    # generator 0 is fixed at 20 MW and load 1 has nominal 0: each gets
+    # scale 1, so its side has width 0 in scaled_boxes, which the CLI uses
+    # and train_wcnn takes for a box given as None
     g = grid_from_dict({
         "buses": [1], "slack": 1,
         "generators": [{"bus": 1, "p_min": 20.0, "p_max": 20.0, "cost": 1.0},
@@ -157,10 +161,49 @@ def test_library_boxes_are_the_cli_boxes_with_a_fixed_generator():
         "lines": [],
     })
     data = generate_dataset(g, 20, seed=0)
-    want_in, want_gen = cli._boxes(g, data.input_scaler, data.output_scaler, dataset.DATA_BOX)
-    got_in, got_gen = unit_box(data.n_inputs), scaled_gen_box(data)
-    assert [a.tobytes() for a in (got_in.lo, got_in.hi, got_gen.lo, got_gen.hi)] == \
-        [a.tobytes() for a in (want_in.lo, want_in.hi, want_gen.lo, want_gen.hi)]
+    box, gen_box = scaled_boxes(g)
+    want = [np.array(v, dtype=float).tobytes()
+            for v in ([0, 0], [1, 0], [0, 0], [0, 1])]
+    assert [a.tobytes() for a in (box.lo, box.hi, gen_box.lo, gen_box.hi)] == want
+    assert scaled_gen_box(data).hi.tobytes() == gen_box.hi.tobytes()
+
+    seen = []
+
+    def spy(params, box, gen_bounds, **kwargs):
+        seen.append((box, gen_bounds))
+        return solve_worst_case(params, box, gen_bounds, **kwargs)
+
+    monkeypatch.setattr(loops, "solve_worst_case", spy)
+    train_wcnn(data, None, (2,), TrainConfig(epochs=1, warmup=1, lambda_wc=1.0))
+    used_box, used_gen_box = seen[-1]
+    assert [a.tobytes() for a in (used_box.lo, used_box.hi,
+                                  used_gen_box.lo, used_gen_box.hi)] == want
+
+    # the fixed unit's output is 0.5 d0 and the other's 0.5: the one rule
+    # certifies the fixed unit's 0.5 overshoot, unit boxes certify none
+    net = MlpParams((2, 1, 2), [np.array([[1.0, 0.0]]), np.array([[0.5], [0.0]])],
+                    [np.zeros(1), np.array([0.0, 0.5])])
+    cert = solve_worst_case(net, box, gen_box)
+    assert cert.certified and cert.value == 0.5 and cert.constraint_id == (0, "upper")
+    assert solve_worst_case(net, unit_box(2), unit_box(2)).value == 0.0
+
+
+def test_dataset_without_a_grid_needs_explicit_boxes():
+    # one load and two generators; the boxes the grid would give are unit boxes
+    data = replace(generate_dataset(_line_free_grid(), 50, seed=2), grid=None)
+    box, gen_box = unit_box(1), unit_box(2)
+    config = TrainConfig(epochs=1, warmup=0, lambda_wc=1.0)
+    start = train_standard(data, (2,), config)[0]   # plain training needs no box
+    for run in (lambda: scaled_gen_box(data),
+                lambda: train_gennn(data, (2,), config),
+                lambda: train_wcnn(data, gen_box, (2,), config),
+                lambda: train_wcnn(data, None, (2,), config, box=box),
+                lambda: layer_sensitivity((2,), data, gen_box, [0], config=config),
+                lambda: finetune_sequential(start, data, gen_box, config)):
+        with pytest.raises(ValueError, match="without a grid"):
+            run()
+    # with both boxes given it trains and certifies
+    assert train_wcnn(data, gen_box, (2,), config, box=box)[1].final_v_g is not None
 
 
 # sha256 of save_dataset(generate_dataset(builtin_grid(case), 1500, 0)),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import wcopf.train.sensitivity as sensitivity_module
-from oracles import grid_fixture, midband_dataset, toy_dataset
+from oracles import grid_fixture, midband_dataset, toy_dataset, unit_box
 from wcopf.errors import NumericalBreakdown
-from wcopf.train import TrainConfig, layer_sensitivity, scaled_gen_box
+from wcopf.train import TrainConfig, layer_sensitivity
 
 _CFG = TrainConfig(alpha=3e-3, epochs=400)
 
@@ -25,9 +25,9 @@ def test_two_hidden_layer_profile():
 def test_single_linear_layer_normalizes_to_one():
     # targets scaled far outside the unit bounds guarantee violations
     data = toy_dataset(5, response=2.5 * np.eye(2))
-    gen_box = scaled_gen_box(data)
-    report = layer_sensitivity((), data, gen_box, seeds=range(3),
-                               config=TrainConfig(alpha=3e-3, epochs=600))
+    report = layer_sensitivity((), data, unit_box(2), seeds=range(3),
+                               config=TrainConfig(alpha=3e-3, epochs=600),
+                               box=unit_box(2))
     assert report.layer_values == [1.0]
     assert report.n_seeds == 3
 
@@ -42,10 +42,9 @@ def test_nonviolating_seeds_are_skipped():
 
 def test_errors_when_no_seed_violates():
     data = midband_dataset()
-    gen_box = scaled_gen_box(data)
-    with pytest.raises(ValueError):
-        layer_sensitivity((8,), data, gen_box, seeds=range(3),
-                          config=TrainConfig(alpha=3e-3, epochs=800))
+    with pytest.raises(ValueError, match="no seed produced a violating network"):
+        layer_sensitivity((8,), data, unit_box(2), seeds=range(3),
+                          config=TrainConfig(alpha=3e-3, epochs=800), box=unit_box(2))
 
 
 def test_deterministic_across_runs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import grid_fixture, midband_dataset
+from oracles import grid_fixture, midband_dataset, unit_box
 from wcopf.errors import NumericalBreakdown, TrainingDiverged
 from wcopf.mlp import Gradients, fisher_diag, loss_mae, params_checksum
 from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
@@ -127,7 +127,8 @@ def test_stops_immediately_without_violation():
     params, _ = train_standard(data, (8,),
                                TrainConfig(alpha=3e-3, epochs=800, seed=0))
     config = TrainConfig(alpha=7e-4, lambda_wc=1.0, max_iters=25, seed=0)
-    tuned, report = finetune_sequential(params, data, None, config)
+    tuned, report = finetune_sequential(params, data, unit_box(2), config,
+                                        box=unit_box(2))
     assert report.stopped == STOP_NO_VIOLATION
     assert len(report.records) == 1
     assert report.final_v_g == 0.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import grid_fixture, toy_dataset
+from oracles import grid_fixture, toy_dataset, unit_box
 from wcopf.errors import NumericalBreakdown, SchemaError, TrainingDiverged
 from wcopf.mlp import MlpParams, init_params, loss_mae, params_checksum
 from wcopf.train import (TrainConfig, config_from_dict, load_config,
@@ -73,7 +73,7 @@ def test_gen_penalty_pulls_outputs_into_bounds():
     data = toy_dataset(5, response=2.5 * np.eye(2))
     config = TrainConfig(epochs=400, seed=2, lambda_g=5.0, alpha=3e-3)
     p_plain, _ = train_standard(data, (6,), config)
-    p_pen, _ = train_gennn(data, (6,), config)
+    p_pen, _ = train_gennn(data, (6,), config, gen_bounds=unit_box(2))
     from wcopf.mlp import forward_batch
     xs, _ = data.scaled("val")
     over_plain = np.maximum(forward_batch(p_plain, xs)[2] - 1.0, 0.0).max()
@@ -86,7 +86,7 @@ def test_wcnn_zero_weight_matches_standard_bit_for_bit():
     data = toy_dataset(4)
     config = TrainConfig(epochs=30, warmup=10, seed=9, lambda_wc=0.0)
     p_std, r_std = train_standard(data, (4,), config)
-    p_wc, r_wc = train_wcnn(data, None, (4,), config)
+    p_wc, r_wc = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
     assert r_wc.params_sha256 == r_std.params_sha256
     assert _records_equal(r_wc.records, r_std.records)
     assert all(r.v_g is None for r in r_wc.records)
@@ -96,7 +96,7 @@ def test_wcnn_warmup_prefix_matches_standard():
     data = toy_dataset(4)
     base = TrainConfig(epochs=12, warmup=12, seed=9, lambda_wc=0.5)
     p_std, _ = train_standard(data, (4,), base)
-    p_wc, r_wc = train_wcnn(data, None, (4,), base)
+    p_wc, r_wc = train_wcnn(data, unit_box(2), (4,), base, box=unit_box(2))
     assert params_checksum(p_wc) == params_checksum(p_std)
     assert all(r.v_g is None for r in r_wc.records)
 
@@ -104,7 +104,7 @@ def test_wcnn_warmup_prefix_matches_standard():
 def test_wcnn_verification_schedule():
     data = toy_dataset(6, response=2.0 * np.eye(2))  # targets overshoot: v_g > 0
     config = TrainConfig(epochs=9, warmup=3, wc_every=2, seed=1, lambda_wc=0.2)
-    params, report = train_wcnn(data, None, (4,), config)
+    params, report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
     assert report.v_g_epochs() == [3, 5, 7]
     assert all(r.v_g >= 0.0 for r in report.records if r.v_g is not None)
     assert report.final_v_g is not None and report.final_v_g >= 0.0
@@ -127,7 +127,7 @@ def test_wcnn_survives_solver_breakdown(monkeypatch):
         return solve_worst_case(*args, **kwargs)
 
     monkeypatch.setattr(loops, "solve_worst_case", flaky)
-    params, report = train_wcnn(data, None, (4,), config)
+    params, report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
     failed = report.records[3]
     assert failed.v_g is None
     assert "verifier failed" in failed.warning and "iteration cap" in failed.warning
@@ -135,7 +135,8 @@ def test_wcnn_survives_solver_breakdown(monkeypatch):
     assert report.final_v_g is not None
     # the failed epoch ran the plain update: through it, wcnn tracks nn exactly
     calls.clear()
-    early, _ = train_wcnn(data, None, (4,), config.replaced(epochs=4))
+    early, _ = train_wcnn(data, unit_box(2), (4,), config.replaced(epochs=4),
+                          box=unit_box(2))
     plain, _ = train_standard(data, (4,), config.replaced(epochs=4))
     assert params_checksum(early) == params_checksum(plain)
 
@@ -143,7 +144,7 @@ def test_wcnn_survives_solver_breakdown(monkeypatch):
 def test_wcnn_final_certificate_survives_solver_breakdown(monkeypatch):
     data = toy_dataset(6, response=2.0 * np.eye(2))
     config = TrainConfig(epochs=9, warmup=3, wc_every=2, seed=1, lambda_wc=0.2)
-    reference, ref_report = train_wcnn(data, None, (4,), config)
+    reference, ref_report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
     calls = []
 
     def flaky(*args, **kwargs):
@@ -153,7 +154,7 @@ def test_wcnn_final_certificate_survives_solver_breakdown(monkeypatch):
         return solve_worst_case(*args, **kwargs)
 
     monkeypatch.setattr(loops, "solve_worst_case", flaky)
-    params, report = train_wcnn(data, None, (4,), config)
+    params, report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
     assert len(calls) == 4
     assert report.final_v_g is None and report.final_v_g_raw is None
     assert "final verification failed" in report.warning
@@ -214,7 +215,8 @@ def test_final_certificate_bound_and_status_are_reported(node_limit, status):
     data = toy_dataset(31)
     config = TrainConfig(alpha=3e-3, epochs=12, warmup=4, wc_every=4, seed=0,
                          lambda_wc=1.0, node_limit=node_limit)
-    _, report = train_wcnn(data, Box(np.zeros(2), np.full(2, 0.5)), (6, 6), config)
+    _, report = train_wcnn(data, Box(np.zeros(2), np.full(2, 0.5)), (6, 6), config,
+                           box=unit_box(2))
     assert report.final_status == status
     assert report.final_bound >= report.final_v_g > 0.0
     if status == "certified":

@@ -12,7 +12,7 @@ import pytest
 
 import wcopf.train.loops as loops_module
 import wcopf.train.sequential as sequential_module
-from oracles import toy_dataset
+from oracles import toy_dataset, unit_box
 from wcopf.mlp import params_checksum
 from wcopf.train import (TrainConfig, finetune_sequential, train_gennn,
                          train_standard, train_wcnn)
@@ -45,27 +45,28 @@ def _gennn_batched(data):
 
 def _wcnn_one_layer(data):
     return train_wcnn(data, _gen_box(), (4,), TrainConfig(
-        alpha=3e-3, epochs=12, warmup=4, wc_every=2, seed=4, lambda_wc=1.0))
+        alpha=3e-3, epochs=12, warmup=4, wc_every=2, seed=4, lambda_wc=1.0),
+        box=unit_box(2))
 
 
 def _wcnn_two_layers(data):
     return train_wcnn(data, _gen_box(), (3, 3), TrainConfig(
         alpha=3e-3, epochs=10, warmup=4, wc_every=2, seed=5, lambda_wc=1.0,
-        last_layer_only=False, batch_size=32))
+        last_layer_only=False, batch_size=32), box=unit_box(2))
 
 
 def _finetune_all_layers(data):
     start, _ = _nn_full(data)
     return finetune_sequential(start, data, _gen_box(), TrainConfig(
         alpha=1e-2, max_iters=4, lambda_wc=1.0, lambda_ewc=1.0,
-        last_layer_only=False, early_stop_rel=10.0))
+        last_layer_only=False, early_stop_rel=10.0), box=unit_box(2))
 
 
 def _finetune_last_layer(data):
     start, _ = train_standard(data, (4, 3), TrainConfig(alpha=3e-3, epochs=20, seed=6))
     return finetune_sequential(start, data, _gen_box(), TrainConfig(
         alpha=1e-2, max_iters=3, lambda_wc=1.0, lambda_ewc=2.0,
-        early_stop_rel=10.0))
+        early_stop_rel=10.0), box=unit_box(2))
 
 
 @pytest.mark.parametrize("run,digest", [
