@@ -199,8 +199,7 @@ def cmd_train(args):
     if args.mode != "wcnn":
         # modes that never verify still get a final certificate in the report
         report = dataclasses.replace(report, **final_verification(
-            solve_worst_case, params, demand_box, gen_box, config.node_limit,
-            dataset.output_scaler))
+            params, demand_box, gen_box, config.node_limit, dataset.output_scaler))
 
     report = _save_run(outputs, params, dataset, report,
                        meta={"mode": args.mode, "seed": config.seed,

@@ -181,8 +181,8 @@ def load_dataset(path, grid) -> Dataset:
 
     The scalers are grid's own, box_input_scaler and gen_output_scaler,
     as generate_dataset gives them, whatever the rows hold.  Raises
-    SchemaError for a malformed file, one without train rows, or one
-    whose columns do not match grid's loads and generators.
+    SchemaError for a malformed file, one without train or val rows, or
+    one whose columns do not match grid's loads and generators.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -215,8 +215,9 @@ def load_dataset(path, grid) -> Dataset:
             split.append(row[-1])
     if not inputs:
         raise SchemaError(f"{path}: no data rows")
-    if "train" not in split:
-        raise SchemaError(f"{path}: dataset has no train rows")
+    for part in ("train", "val"):
+        if part not in split:
+            raise SchemaError(f"{path}: dataset has no {part} rows")
     if n_in != grid.n_load or n_out != grid.n_gen:
         raise SchemaError(
             f"{path}: dataset dimensions {n_in} -> {n_out} do not match the grid's "

@@ -4,6 +4,9 @@ A parameter-shaped stack (parameters, gradients, Fisher diagonals) is one
 contiguous float64 vector ``vec``: every weight matrix in layer order,
 row-major, then every bias.  ``weights[k]`` and ``biases[k]`` are views
 of it, so per-layer code sees layers and Adam sees one vector.
+
+forward_batch is the one loop over the layers that evaluates a net:
+forward, for one input vector, is its first row.
 """
 
 from dataclasses import dataclass
@@ -107,23 +110,14 @@ def init_params(layer_dims, seed) -> MlpParams:
 
 
 def forward(params, x) -> ForwardTrace:
-    """Evaluate one input vector, recording preactivations and the pattern."""
+    """Evaluate one input vector: row 0 of forward_batch, plus the pattern."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != params.n_inputs:
         raise ShapeMismatch(f"expected {params.n_inputs} inputs, got {x.shape[0]}")
-    z = x
-    preacts = []
-    acts = []
-    pattern = []
-    for k in range(params.n_hidden_layers):
-        s = params.weights[k] @ z + params.biases[k]
-        z = np.maximum(s, 0.0)
-        preacts.append(s)
-        acts.append(z)
-        pattern.append(s > 0.0)
-    out = params.weights[-1] @ z + params.biases[-1]
-    return ForwardTrace(preactivations=preacts, activations=acts,
-                        pattern=pattern, output=out)
+    preacts, acts, out = forward_batch(params, x[None])
+    preacts = [s[0] for s in preacts]
+    return ForwardTrace(preactivations=preacts, activations=[z[0] for z in acts],
+                        pattern=[s > 0.0 for s in preacts], output=out[0])
 
 
 def forward_batch(params, x):

@@ -109,13 +109,10 @@ def raw_violation(cert, output_scaler):
     return cert.value * float(output_scaler.scale[g])
 
 
-def final_verification(solve, params, box, gen_bounds, node_limit,
-                       output_scaler):
+def final_verification(params, box, gen_bounds, node_limit, output_scaler):
     """The TrainReport fields of a run's final certificate: final_v_g,
     final_v_g_raw, final_bound, final_status and warning.
 
-    solve is the caller's own binding of solve_worst_case, so a patch of
-    that module's name (a test's, or perfbench's tracer) sees the call.
     A solver breakdown gives only a warning, which leaves the other
     fields None.  A certificate that stopped at the node limit
     (final_status "gap_remaining") keeps its incumbent value, which is
@@ -126,7 +123,7 @@ def final_verification(solve, params, box, gen_bounds, node_limit,
     the one `wcopf verify` gives the returned parameters, bit for bit.
     """
     try:
-        cert = solve(params, box, gen_bounds, node_limit=node_limit)
+        cert = solve_worst_case(params, box, gen_bounds, node_limit=node_limit)
     except NumericalBreakdown as exc:
         return {"warning": f"final verification failed ({exc})"}
     warning = None
@@ -220,8 +217,8 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
 
     final = {}
     if mode == "wcnn":
-        final = final_verification(solve_worst_case, params, box, gen_bounds,
-                                   config.node_limit, dataset.output_scaler)
+        final = final_verification(params, box, gen_bounds, config.node_limit,
+                                   dataset.output_scaler)
     report = TrainReport(mode=mode, records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),

@@ -71,6 +71,8 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     """
     xs, ys = dataset.scaled("train")
     xv, yv = dataset.scaled("val")
+    if xs.shape[0] == 0 or xv.shape[0] == 0:
+        raise ValueError("dataset needs nonempty train and val splits")
     box, gen_bounds = _boxes_of(dataset, box, gen_bounds)
     fisher = fisher_diag(params, xs, ys)
     params = params.copy()
@@ -113,8 +115,8 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
 
     final = {}
     if stopped != STOP_SOLVER_FAILURE:
-        final = final_verification(solve_worst_case, params, box, gen_bounds,
-                                   config.node_limit, dataset.output_scaler)
+        final = final_verification(params, box, gen_bounds, config.node_limit,
+                                   dataset.output_scaler)
     report = TrainReport(mode="finetune", records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),

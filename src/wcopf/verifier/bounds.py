@@ -1,12 +1,14 @@
 """Axis-aligned boxes and preactivation bounds of ReLU layers.
 
-interval_bounds propagates the input box through the layers by interval
-arithmetic.  narrow_deeper re-propagates from one layer after its bounds
-have been tightened, and lp_bounds tightens a layer's bounds by linear
-programming over the big-M rows of the layers before it (Tjeng et al.,
-ICLR 2019).  Each LP value becomes a rigorous bound through its dual, as
-in Neumaier & Shcherbina (Math. Prog. 99, 2004), so the simplex's
-tolerances never make a bound too tight.
+narrow_deeper is the one loop that propagates intervals through the
+layers: it re-propagates from one layer after its bounds have been
+tightened, and interval_bounds is that pass from the first layer's
+interval over the input box, every deeper bound starting unbounded.
+lp_bounds tightens a layer's bounds by linear programming over the
+big-M rows of the layers before it (Tjeng et al., ICLR 2019).  Each LP
+value becomes a rigorous bound through its dual, as in Neumaier &
+Shcherbina (Math. Prog. 99, 2004), so the simplex's tolerances never
+make a bound too tight.
 """
 
 from dataclasses import dataclass
@@ -66,19 +68,15 @@ def interval_bounds(params, box):
     """
     if box.dim != params.n_inputs:
         raise ShapeMismatch(f"box dimension {box.dim} does not match inputs {params.n_inputs}")
-    lo = box.lo
-    hi = box.hi
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+    if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
         raise BoundsUnavailable("input box must be bounded")
-    lower = []
-    upper = []
-    for k in range(params.n_hidden_layers):
-        dn, up = _affine_interval(params.weights[k], params.biases[k], lo, hi)
-        lower.append(dn)
-        upper.append(up)
-        lo = np.maximum(dn, 0.0)
-        hi = np.maximum(up, 0.0)
-    out_dn, out_up = _affine_interval(params.weights[-1], params.biases[-1], lo, hi)
+    dn, up = _affine_interval(params.weights[0], params.biases[0], box.lo, box.hi)
+    # each deeper entry is the interval propagated to it, since
+    # max(-inf, x) and min(inf, x) are x
+    lower = [dn] + [np.full(d, -np.inf) for d in params.layer_dims[2:]]
+    upper = [up] + [np.full(d, np.inf) for d in params.layer_dims[2:]]
+    narrow_deeper(params, lower, upper, 0)
+    out_dn, out_up = lower.pop(), upper.pop()
     for arr in lower + upper + [out_dn, out_up]:
         if not np.all(np.isfinite(arr)):
             raise BoundsUnavailable("interval propagation produced nonfinite bounds")

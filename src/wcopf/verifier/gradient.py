@@ -3,38 +3,31 @@
 At a maximizer (witness input, activation pattern) the violation is
 locally one affine margin of the parameters, so its parameter gradient
 is an ordinary backward pass through that margin with the ReLU pattern
-held fixed; nothing is differentiated through the inner argmax.
+held fixed; nothing is differentiated through the inner argmax.  That
+pass is the network's own (mlp.losses.backprop_from_output_grad) seeded
+at the violated output, and the pattern it holds fixed is the witness's
+own, so this module has no loop over the layers.
 """
 
 import numpy as np
 
-from ..mlp.losses import Gradients
+from ..mlp.losses import Gradients, backprop_from_output_grad
 from .patterns import margin_form
 
 
-def margin_param_gradient(params, witness, pattern, constraint_id,
-                          last_layer_only=False):
-    """Gradient of one signed bound margin at a fixed input and pattern."""
-    x = np.asarray(witness, dtype=float)
-    acts = [x]
-    z = x
-    for k in range(params.n_hidden_layers):
-        s = params.weights[k] @ z + params.biases[k]
-        z = np.where(pattern[k], s, 0.0)
-        acts.append(z)
+def margin_param_gradient(params, witness, constraint_id, last_layer_only=False):
+    """Gradient of one signed bound margin at the input witness.
 
+    With last_layer_only the hidden layers' entries are +0.0.
+    """
     g, sign, _ = margin_form(None, constraint_id)
-    delta = np.zeros(params.n_outputs)
-    delta[g] = sign
-
-    # with last_layer_only the hidden layers keep their zeros
-    first = params.n_layers - 1 if last_layer_only else 0
-    grads = Gradients.zeros_like(params)
-    for k in range(params.n_layers - 1, first - 1, -1):
-        grads.weights[k][:] = np.outer(delta, acts[k])
-        grads.biases[k][:] = delta
-        if k > first:
-            delta = (params.weights[k].T @ delta) * pattern[k - 1]
+    seed = np.zeros((1, params.n_outputs))
+    seed[0, g] = sign
+    grads = backprop_from_output_grad(
+        params, np.asarray(witness, dtype=float).reshape(1, -1), seed)
+    if last_layer_only:
+        for hidden in (*grads.weights[:-1], *grads.biases[:-1]):
+            hidden[:] = 0.0
     return grads
 
 
@@ -46,5 +39,5 @@ def worst_case_gradient(params, cert, last_layer_only=False) -> Gradients:
     """
     if cert.value <= 0.0 or cert.witness is None:
         return Gradients.zeros_like(params)
-    return margin_param_gradient(params, cert.witness, cert.pattern,
-                                 cert.constraint_id, last_layer_only)
+    return margin_param_gradient(params, cert.witness, cert.constraint_id,
+                                 last_layer_only)

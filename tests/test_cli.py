@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import wcopf.train.loops as loops
 import wcopf.train.sensitivity as sensitivity_module
 from oracles import seeded_net
 from wcopf import cli
@@ -315,6 +316,27 @@ def test_model_under_other_scalers_exits_2(tmp_path, capsys, command, scalers):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_dataset_without_val_rows_exits_2(tmp_path, capsys, command):
+    # 5 samples split 4 / 0 / 1: no run can validate, so none starts
+    grid = builtin_grid("case9")
+    data = tmp_path / "data.csv"
+    assert cli.main(["gen-data", "--grid", "case9", "--n", "5", "--out", str(data)]) == 0
+    extra = []
+    if command == "finetune":
+        model = tmp_path / "model.json"
+        save_model(model, seeded_net(0, (3, 4, 3)), box_input_scaler(grid),
+                   gen_output_scaler(grid))
+        extra = ["--model", str(model)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    rc = cli.main([command, "--dataset", str(data), "--grid", "case9", *extra,
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "no val rows" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_finetune_writes_tuned_model(tmp_path, capsys):
     data = _gen_data(tmp_path)
     model = _train(tmp_path, data)
@@ -362,7 +384,7 @@ def test_train_saves_run_when_recertification_breaks_down(tmp_path, capsys,
     def broken(*args, **kwargs):
         raise NumericalBreakdown("simplex iteration cap 10 exceeded")
 
-    monkeypatch.setattr(cli, "solve_worst_case", broken)
+    monkeypatch.setattr(loops, "solve_worst_case", broken)
     model = _train(tmp_path, data)
     out = capsys.readouterr()
     assert "v_g unknown" in out.out

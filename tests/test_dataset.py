@@ -289,6 +289,14 @@ def test_load_rejects_no_train_rows(ds100, tmp_path):
         load_dataset(p, builtin_grid("case3"))
 
 
+def test_load_rejects_no_val_rows(ds100, tmp_path):
+    # a file that cannot train: every run needs validation rows
+    p = tmp_path / "data.csv"
+    save_dataset(replace(ds100, split=np.where(ds100.split == "val", "test", ds100.split)), p)
+    with pytest.raises(SchemaError, match="no val rows"):
+        load_dataset(p, builtin_grid("case3"))
+
+
 # the rejected files below have one load and one generator: their format
 # errors are reported before a dimension mismatch with this grid
 _CASE3 = builtin_grid("case3")

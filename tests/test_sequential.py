@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from wcopf.errors import NumericalBreakdown, TrainingDiverged
 from wcopf.mlp import Gradients, fisher_diag, loss_mae, params_checksum
 from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
                          STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
-                         TrainConfig, finetune_sequential, sequential,
+                         TrainConfig, finetune_sequential, loops, sequential,
                          train_standard)
 from wcopf.verifier import solve_worst_case, worst_case_gradient
 
@@ -224,6 +226,7 @@ def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
         return solve_worst_case(*args, **kwargs)
 
     monkeypatch.setattr(sequential, "solve_worst_case", flaky)
+    monkeypatch.setattr(loops, "solve_worst_case", flaky)  # the final certificate
     tuned, report = finetune_sequential(params, data, gen_box, config, box=box)
     assert len(calls) == 3
     assert report.stopped == STOP_MAX_ITERS
@@ -232,6 +235,16 @@ def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
     assert report.final_v_g is None and report.final_v_g_raw is None
     assert "final verification failed" in report.warning
     assert "feasibility recheck" in report.warning
+
+
+@pytest.mark.parametrize("emptied", ["train", "val"])
+def test_empty_split_raises(emptied):
+    # as training does, rather than fine-tuning against a NaN validation MAE
+    data, gen_box, box = _case3()
+    params, _ = _trained(0)
+    data = replace(data, split=np.where(data.split == emptied, "test", data.split))
+    with pytest.raises(ValueError, match="nonempty train and val splits"):
+        finetune_sequential(params, data, gen_box, TrainConfig(max_iters=1), box=box)
 
 
 def test_full_parameter_mode_touches_hidden_layers():

@@ -18,7 +18,8 @@ from wcopf.simplex import LpProblem, LpStatus, row_duals, solve_lp
 from wcopf.train import TrainConfig, train_standard
 from wcopf.verifier import (Box, candidate_constraints, interval_bounds,
                             margin_of_output, margin_param_gradient, solve_worst_case,
-                            violation_of_output, worst_case_fixed_pattern)
+                            violation_of_output, worst_case_fixed_pattern,
+                            worst_case_gradient)
 from wcopf.verifier import bounds, milp, patterns
 from wcopf.verifier.milp import CERTIFIED, GAP_REMAINING, GAP_TOL
 
@@ -84,6 +85,65 @@ def test_interval_bounds_require_bounded_box():
     params = seeded_net(0, (2, 3, 1))
     with pytest.raises(BoundsUnavailable):
         interval_bounds(params, Box([-np.inf, 0.0], [1.0, 1.0]))
+
+
+# nets with no hidden layer (--arch ""): out = w @ d + b, every pass has
+# zero layers to loop over, and each answer has a closed form
+_LINEAR_CASES = [(seed, frac_hi, frac_lo) for seed in range(3)
+                 for frac_hi, frac_lo in ((0.7, -10.0), (10.0, 0.3))]
+
+
+def _linear_case(seed, frac_hi, frac_lo):
+    params = seeded_net(seed, (3, 2))
+    rng = np.random.default_rng((seed, 41))
+    lo = rng.uniform(-1.0, 0.0, 3)
+    box = Box(lo, lo + rng.uniform(0.5, 1.5, 3))
+    return params, box, bounds_around_outputs(params, box, seed, frac_hi, frac_lo)
+
+
+@pytest.mark.parametrize("case", _LINEAR_CASES)
+def test_linear_net_certificate_is_the_closed_form_maximum(case):
+    params, box, gen = _linear_case(*case)
+    w, b = params.weights[0], params.biases[0]
+    top = b + np.maximum(w * box.lo, w * box.hi).sum(axis=1)
+    bottom = b + np.minimum(w * box.lo, w * box.hi).sum(axis=1)
+    worst = max(np.max(top - gen.hi), np.max(gen.lo - bottom))
+    assert worst > 0.0
+    cert = solve_worst_case(params, box, gen)
+    assert cert.status == CERTIFIED
+    assert cert.value == pytest.approx(worst, rel=0, abs=1e-12)
+    assert box.contains(cert.witness, tol=0.0)
+    assert margin_of_output(forward(params, cert.witness).output, gen,
+                            cert.constraint_id) == cert.value
+
+
+@pytest.mark.parametrize("case", _LINEAR_CASES)
+def test_linear_net_interval_bounds_are_exact(case):
+    params, box, _ = _linear_case(*case)
+    corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
+    outs = corners @ params.weights[0].T + params.biases[0]
+    pre, out_dn, out_up = interval_bounds(params, box)
+    assert pre.lower == [] and pre.upper == []
+    np.testing.assert_allclose(out_dn, outs.min(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out_up, outs.max(axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", _LINEAR_CASES)
+@pytest.mark.parametrize("last_layer_only", [False, True])
+def test_linear_net_worst_case_gradient_is_the_closed_form(case, last_layer_only):
+    # the margin sign * (w[g] @ d + b[g]) + offset has d/dw[g] = sign * d
+    # and d/db[g] = sign, and nothing else moves it
+    params, box, gen = _linear_case(*case)
+    cert = solve_worst_case(params, box, gen)
+    g, side = cert.constraint_id
+    sign = 1.0 if side == "upper" else -1.0
+    grads = worst_case_gradient(params, cert, last_layer_only)
+    want_w = np.zeros_like(params.weights[0])
+    want_w[g] = sign * cert.witness
+    want_b = np.zeros_like(params.biases[0])
+    want_b[g] = sign
+    assert np.array_equal(grads.weights[0], want_w)
+    assert np.array_equal(grads.biases[0], want_b)
 
 
 def test_fixed_pattern_lp_improves_on_interior_point():
@@ -204,7 +264,7 @@ _UNKNOWN_SIDE_CALLS = {
     "margin_of_output": lambda params, cid: margin_of_output(
         np.zeros(2), Box(-np.ones(2), np.ones(2)), cid),
     "margin_param_gradient": lambda params, cid: margin_param_gradient(
-        params, np.zeros(1), [np.array([True])], cid),
+        params, np.zeros(1), cid),
     "worst_case_fixed_pattern": lambda params, cid: worst_case_fixed_pattern(
         params, [np.array([True])], Box([0.0], [1.0]), Box(-np.ones(2), np.ones(2)), cid),
 }

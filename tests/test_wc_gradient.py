@@ -124,7 +124,6 @@ def test_gradient_direction_reduces_violation():
 def test_margin_param_gradient_signs():
     params = seeded_net(4, (1, 3, 1))
     witness = np.array([0.4])
-    pattern = forward(params, witness).pattern
-    up = margin_param_gradient(params, witness, pattern, (0, "upper"))
-    dn = margin_param_gradient(params, witness, pattern, (0, "lower"))
+    up = margin_param_gradient(params, witness, (0, "upper"))
+    dn = margin_param_gradient(params, witness, (0, "lower"))
     assert np.allclose(up.vec, -dn.vec)
