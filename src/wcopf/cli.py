@@ -135,6 +135,14 @@ def _v_g_text(report):
     return text + ")"
 
 
+def _pct_of_max_load(v_mw, max_load):
+    """v_mw as a percent of the grid's total nominal load; None when
+    v_mw is unknown or the grid has no load."""
+    if v_mw is None or max_load == 0.0:
+        return None
+    return 100.0 * v_mw / max_load
+
+
 def _input_digests(args, grid_entry):
     """Digests by path of the grid and of every --model, --dataset and
     --config the command received."""
@@ -225,15 +233,15 @@ def cmd_verify(args):
     box, gen_box = scaled_boxes(grid, fractions)
     cert = solve_worst_case(params, box, gen_box, node_limit=args.node_limit)
     v_mw = raw_violation(cert, gen_output_scaler(grid))
-    max_load = float(np.sum(grid.nominal_demand()))
-    pct = 100.0 * v_mw / max_load
+    pct = _pct_of_max_load(v_mw, float(np.sum(grid.nominal_demand())))
     save_certificate(args.out, cert,
                      model_sha256=inputs[args.model],
                      extras={"v_g_mw": v_mw, "pct_max_loading": pct,
                              "box": list(fractions)})
     _write_manifest("verify", inputs, [args.out],
                     config={"box": list(fractions), "node_limit": args.node_limit})
-    print(f"v_g = {v_mw:.6f} MW ({pct:.2f}% of max loading)")
+    pct_text = "n/a" if pct is None else f"{pct:.2f}%"
+    print(f"v_g = {v_mw:.6f} MW ({pct_text} of max loading)")
     if not cert.certified:
         print(f"verification incomplete: bound gap {cert.gap:.6e} after "
               f"{cert.nodes_explored} nodes", file=sys.stderr)
@@ -316,7 +324,7 @@ def _report_row(path, max_load):
     return {"name": name, "mode": mode,
             "mae_pct": None if mae is None else 100.0 * mae,
             "v_g_mw": v_mw,
-            "pct_max_loading": None if v_mw is None else 100.0 * v_mw / max_load}
+            "pct_max_loading": _pct_of_max_load(v_mw, max_load)}
 
 
 def cmd_report(args):

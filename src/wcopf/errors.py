@@ -6,7 +6,8 @@ class WcopfError(Exception):
 
 
 class SingularMatrix(WcopfError):
-    """Linear system has a pivot below the singularity threshold."""
+    """Linear system's smallest singular value is below the singularity
+    threshold."""
 
 
 class NumericalBreakdown(WcopfError):
@@ -18,7 +19,9 @@ class SchemaError(WcopfError):
 
 
 class SingularNetwork(WcopfError):
-    """Reduced susceptance matrix is singular (disconnected network)."""
+    """Reduced susceptance matrix is numerically singular: a tiny line
+    susceptance, not a disconnected network, which the grid schema
+    already rejects."""
 
 
 class TooManyInfeasible(WcopfError):

@@ -89,15 +89,6 @@ def save_report(report, jsonl_path):
     return summary_path
 
 
-def load_report_records(jsonl_path):
-    records = []
-    with open(jsonl_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
-
-
 def load_summary(summary_path):
     """A summary or certificate document; SchemaError unless it is a
     JSON object."""

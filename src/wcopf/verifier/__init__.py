@@ -6,7 +6,7 @@ from .gradient import margin_param_gradient, worst_case_gradient
 from .milp import (CERTIFIED, DEFAULT_NODE_LIMIT, GAP_REMAINING, GAP_TOL,
                    WorstCaseCert, solve_worst_case)
 from .patterns import (SIDES, candidate_constraints, margin_of_output,
-                       violation_of_output, worst_case_fixed_pattern)
+                       worst_case_fixed_pattern)
 
 __all__ = [
     "Box", "PreactBounds", "interval_bounds",
@@ -15,5 +15,5 @@ __all__ = [
     "CERTIFIED", "DEFAULT_NODE_LIMIT", "GAP_REMAINING", "GAP_TOL",
     "WorstCaseCert", "solve_worst_case",
     "SIDES", "candidate_constraints", "margin_of_output",
-    "violation_of_output", "worst_case_fixed_pattern",
+    "worst_case_fixed_pattern",
 ]

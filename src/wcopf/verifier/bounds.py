@@ -41,10 +41,6 @@ class Box:
     def midpoint(self):
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
 
 @dataclass
 class PreactBounds:

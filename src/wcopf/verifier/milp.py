@@ -74,7 +74,7 @@ import numpy as np
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, row_duals, safe_add, safe_max, solve_lp
 from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
-from .patterns import candidate_constraints, margin_form
+from .patterns import candidate_constraints, margin_form, margin_of_output
 # not called here; bound only for perfbench/tracing.py's verifier.polish site
 from .patterns import worst_case_fixed_pattern
 
@@ -288,9 +288,10 @@ class _Encoding:
         return sign * (w_out @ self.out_act), sign * out_off + offset
 
     def interval_margin_bound(self, constraint_id):
-        """Cheap upper bound on the candidate's margin over the box."""
-        g, sign, offset = margin_form(self.gen_bounds, constraint_id)
-        return float(sign * (self.out_up if sign > 0 else self.out_dn)[g] + offset)
+        """Cheap upper bound on the candidate's margin over the box: its
+        margin at the output interval's end on the candidate's side."""
+        end = self.out_up if constraint_id[1] == "upper" else self.out_dn
+        return margin_of_output(end, self.gen_bounds, constraint_id)
 
     def solve_node(self, c, y_fix, start=None, cutoff=None):
         lo = self.var_lo.copy()

@@ -91,12 +91,6 @@ def margin_of_output(output, gen_bounds, constraint_id):
     return float(sign * output[g] + offset)
 
 
-def violation_of_output(output, gen_bounds):
-    """The largest margin_of_output over all candidates, clipped at 0."""
-    return max([0.0] + [margin_of_output(output, gen_bounds, cid)
-                        for cid in candidate_constraints(len(output))])
-
-
 def worst_case_fixed_pattern(params, pattern, box: Box, gen_bounds: Box,
                              constraint_id):
     """Maximize one bound violation over the pattern's input region.

@@ -205,6 +205,12 @@ def unit_box(dim):
     return Box(np.zeros(dim), np.ones(dim))
 
 
+def in_box(box, x, tol):
+    """lo - tol <= x <= hi + tol in every coordinate."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(box.lo - tol <= x) and np.all(x <= box.hi + tol))
+
+
 def grid_fixture(case, n=200, seed=0):
     """Dataset plus scaled input/output boxes for a builtin grid."""
     from wcopf.grid import builtin_grid, generate_dataset

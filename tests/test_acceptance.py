@@ -16,8 +16,8 @@ from statistics import median
 import numpy as np
 import pytest
 
-from oracles import (bounds_around_outputs, brute_force_worst_case, lp_vertex_enumeration,
-                     seeded_net)
+from oracles import (bounds_around_outputs, brute_force_worst_case, in_box,
+                     lp_vertex_enumeration, seeded_net)
 from wcopf import cli
 from wcopf.grid import (builtin_grid, compute_ptdf, generate_dataset,
                         grid_from_dict, injection_matrices,
@@ -108,7 +108,7 @@ def test_verifier_matches_enumeration_on_twenty_nets():
             out = forward(params, cert.witness).output
             replayed = margin_of_output(out, gen, cert.constraint_id)
             assert abs(replayed - cert.value) <= 1e-6, (seed, dims)
-            assert box.contains(cert.witness, tol=1e-9)
+            assert in_box(box, cert.witness, tol=1e-9)
             replayed_bf = margin_of_output(forward(params, wit).output, gen, cid)
             assert abs(replayed_bf - raw) <= 1e-6, (seed, dims)
     assert violated >= 10

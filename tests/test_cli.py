@@ -228,6 +228,37 @@ def test_verify_zero_violation_model(tmp_path, capsys):
     assert cert["status"] == "certified"
 
 
+def test_grid_without_load_reports_no_percent(tmp_path, capsys):
+    # the schema accepts nominal loads that sum to 0; the percent of max
+    # loading is then undefined rather than a division by zero
+    grid = tmp_path / "noload.json"
+    grid.write_text(json.dumps({
+        "buses": [1, 2], "slack": 1,
+        "generators": [{"bus": 1, "p_min": 0.0, "p_max": 10.0, "cost": 1.0},
+                       {"bus": 2, "p_min": 0.0, "p_max": 10.0, "cost": 2.0}],
+        "loads": [{"bus": 2, "nominal": 0.0}],
+        "lines": [{"from": 1, "to": 2, "susceptance": 10.0, "limit": 5.0}]}))
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    cert, table = tmp_path / "c.json", tmp_path / "t.json"
+    assert cli.main(["gen-data", "--grid", str(grid), "--n", "50",
+                     "--seed", "0", "--out", str(data)]) == 0
+    assert cli.main(["train", "--dataset", str(data), "--grid", str(grid),
+                     "--mode", "nn", "--arch", "4", "--seed", "0",
+                     "--config", _write_config(tmp_path / "cfg.json", epochs=5),
+                     "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--model", str(model), "--grid", str(grid),
+                     "--out", str(cert)]) == 0
+    assert "MW (n/a of max loading)" in capsys.readouterr().out
+    assert json.load(open(cert))["pct_max_loading"] is None
+    assert cli.main(["report", str(cert), "--grid", str(grid),
+                     "--out", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "-"
+    doc = json.load(open(table))
+    assert doc["max_loading_mw"] == 0.0
+    assert doc["rows"][0]["pct_max_loading"] is None
+
+
 def test_verify_gap_exits_5(tmp_path, capsys):
     grid = builtin_grid("case3")
     model = tmp_path / "branchy.json"

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from oracles import MAX_HIDDEN_UNITS, bounds_around_outputs, naive_forward, seeded_net
+from oracles import (MAX_HIDDEN_UNITS, bounds_around_outputs, in_box, naive_forward,
+                     seeded_net)
 from wcopf.simplex import LpProblem, LpStatus, row_duals, solve_lp
 from wcopf.verifier import Box, solve_worst_case
 from wcopf.verifier.milp import CERTIFIED
@@ -122,7 +123,7 @@ def _check_against_highs(params, box, gen):
     # fall below it, by any rounding
     assert true_at_optimum <= cert.bound
     if cert.value > 0.0:
-        assert box.contains(cert.witness, tol=0.0)
+        assert in_box(box, cert.witness, tol=0.0)
         assert _margin(params, gen, cert.witness, cert.constraint_id) == \
             pytest.approx(cert.value, abs=1e-9)
 

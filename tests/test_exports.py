@@ -21,8 +21,7 @@ def test_all_names_resolve(name):
 
 _ROOT = Path(__file__).resolve().parents[1]
 # exported for tests and users, named nowhere in the package or benchmark
-_TEST_ONLY = {"wcopf.mlp": {"total_loss"}, "wcopf.train": {"load_report_records"},
-              "wcopf.verifier": {"violation_of_output"}}
+_TEST_ONLY = {"wcopf.mlp": {"total_loss"}}
 
 
 def _names_used():

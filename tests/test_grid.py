@@ -282,7 +282,8 @@ def test_dispatch_whose_recheck_fails_raises(monkeypatch):
 
 def test_singular_network_error():
     # vanishingly small susceptance passes the schema (positive) but the
-    # reduced matrix pivot falls below the singularity threshold
+    # reduced matrix's smallest singular value falls below the singularity
+    # threshold
     g = grid_from_dict({
         "buses": [1, 2], "slack": 1,
         "generators": [{"bus": 1, "p_min": 0.0, "p_max": 1.0, "cost": 1.0}],

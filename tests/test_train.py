@@ -6,9 +6,8 @@ import pytest
 from oracles import grid_fixture, toy_dataset, unit_box
 from wcopf.errors import NumericalBreakdown, SchemaError, TrainingDiverged
 from wcopf.mlp import MlpParams, init_params, loss_mae, params_checksum
-from wcopf.train import (TrainConfig, config_from_dict, load_config,
-                         load_report_records, load_summary, render_json,
-                         save_report, summary_document, summary_path_for,
+from wcopf.train import (TrainConfig, config_from_dict, load_config, load_summary,
+                         render_json, save_report, summary_document, summary_path_for,
                          train_gennn, train_standard, train_wcnn)
 from wcopf.train import loops
 from wcopf.verifier import GAP_TOL, Box, solve_worst_case
@@ -286,7 +285,7 @@ def test_report_files_roundtrip(tmp_path):
     jsonl = tmp_path / "run.jsonl"
     summary = save_report(report, jsonl)
     assert summary == str(tmp_path / "run.summary.json")
-    records = load_report_records(jsonl)
+    records = [json.loads(line) for line in jsonl.read_text().splitlines() if line.strip()]
     assert len(records) == 10
     assert records[3]["epoch"] == 3
     assert records[3]["train_l0"] == report.records[3].train_l0
