@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and read_json, the one
+reader of every JSON input file, which turns a syntax error into a
+SchemaError."""
+
+import json
 
 
 class WcopfError(Exception):
@@ -16,6 +20,17 @@ class NumericalBreakdown(WcopfError):
 
 class SchemaError(WcopfError):
     """Input file violates the expected schema."""
+
+
+def read_json(path):
+    """The JSON document in the file at path; SchemaError naming the path
+    and line of a syntax error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: "
+                              f"{exc.msg}") from exc
 
 
 class SingularNetwork(WcopfError):

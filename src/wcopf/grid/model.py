@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from ..errors import SchemaError
+from ..errors import SchemaError, read_json
 
 _TOP_KEYS = {"buses", "slack", "generators", "loads", "lines"}
 _GEN_KEYS = {"bus", "p_min", "p_max", "cost"}
@@ -162,6 +162,9 @@ def grid_from_dict(doc):
         raise SchemaError("grid.buses: expected a list of integers")
     buses = tuple(doc["buses"])
     slack = _integer(doc, "slack", "grid")
+    for section in ("generators", "loads", "lines"):
+        if not isinstance(doc[section], list):
+            raise SchemaError(f"grid.{section}: expected a list")
     gens = []
     for i, g in enumerate(doc["generators"]):
         where = f"generators[{i}]"
@@ -190,12 +193,7 @@ def grid_from_dict(doc):
 
 def load_grid(path):
     """Load and validate a grid JSON file; raises SchemaError on any defect."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return grid_from_dict(doc)
+    return grid_from_dict(read_json(path))
 
 
 def builtin_case_text(name):

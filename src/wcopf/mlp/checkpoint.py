@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from ..errors import SchemaError, ShapeMismatch
+from ..errors import SchemaError, ShapeMismatch, read_json
 from ..grid.dataset import Scaler
 from .network import MlpParams
 
@@ -40,11 +40,7 @@ def save_model(path, params, input_scaler, output_scaler, meta=None):
 
 def load_model(path):
     """Returns (params, input_scaler, output_scaler, meta)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) != _KEYS:
         raise SchemaError(f"{path}: malformed checkpoint keys")
     try:

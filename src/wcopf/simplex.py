@@ -588,13 +588,12 @@ class _Core:
 
     # -- carried loop state --------------------------------------------------
 
-    def _track(self, c):
-        """Start carrying the state of a loop on objective c."""
-        self.cost = c
+    def _track(self):
+        """Start carrying the state of a loop."""
         self.up, self.dn = self._directions()
         self.lo_b = self.lo[self.basis]
         self.hi_b = self.hi[self.basis]
-        self.c_b = c[self.basis]
+        self.c_b = self.c[self.basis]
 
     def _directions(self):
         """(up, dn): up_j is 1.0 where x_j may rise from its bound, else
@@ -622,7 +621,7 @@ class _Core:
             self.basis[r] = j
             self.lo_b[r] = self.lo[j]
             self.hi_b[r] = self.hi[j]
-            self.c_b[r] = self.cost[j]
+            self.c_b[r] = self.c[j]
             self._pivot(r, col)
             self.stat[j] = _BASIC
             self.up[j] = 0.0
@@ -656,11 +655,10 @@ class _Core:
         refactorized) or a status flipped: a carried start that flips
         nothing is its earlier solve's optimum, up to rounding, whenever
         its bounds only differ at basic variables, as a branch-and-bound
-        child's do.  The loop state it starts carrying on the objective
-        (_track) is current when it returns, for the primal simplex that
-        follows.
+        child's do.  The loop state it starts carrying (_track) is
+        current when it returns, for the primal simplex that follows.
         """
-        self._track(self.c)
+        self._track()
         if not self.m:
             return None
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
@@ -677,7 +675,7 @@ class _Core:
             y = self.c_b @ binv  # the row duals
             if not priced:
                 priced = True
-                d = self.cost - y @ a  # _reduced_costs
+                d = self.c - y @ a  # _reduced_costs
                 wrong = (np.maximum(d * up, d * dn) > _OBJ_TOL).nonzero()[0]
                 if wrong.size:
                     if (self.hi[wrong] == np.inf).any():
@@ -710,7 +708,7 @@ class _Core:
                 raise NumericalBreakdown("dual ratio test disagrees with its row")
 
             if self.iterations > 1:  # the first pivot's were priced above
-                d = self.cost - y @ a
+                d = self.c - y @ a
             aabs = np.abs(alpha)
             room = np.maximum(-np.sign(alpha) * d, 0.0)  # |d_j| when dual feasible
             # Harris two-pass ratio test, as in the primal _run
@@ -744,10 +742,10 @@ class _Core:
     # -- primal simplex ------------------------------------------------------
 
     def _run(self):
-        """Primal simplex on the tracked objective (_track) from a primal
-        feasible basis: OPTIMAL.  Every variable but the slacks is boxed,
-        so an entering variable that no bound limits is a numerical
-        breakdown."""
+        """Primal simplex from a primal feasible basis, on the loop state
+        that _dual leaves (_track): OPTIMAL.  Every variable but the
+        slacks is boxed, so an entering variable that no bound limits is
+        a numerical breakdown."""
         binv, a, x, basis = self.binv, self.a, self.x, self.basis
         lo, hi, m = self.lo, self.hi, self.m
         lo_b, hi_b, up, dn = self.lo_b, self.hi_b, self.up, self.dn
@@ -829,8 +827,8 @@ class _Core:
                 stalled = 0
 
     def _reduced_costs(self):
-        """Reduced costs of the tracked objective."""
-        return self.cost - (self.c_b @ self.binv) @ self.a
+        """Reduced costs c - (c_B @ binv) @ a."""
+        return self.c - (self.c_b @ self.binv) @ self.a
 
     def _pivot(self, r, col):
         """Enter the column that binv maps to col at row r: update binv."""

@@ -1,11 +1,10 @@
 """Training configuration shared by every training mode."""
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
-from ..errors import SchemaError
+from ..errors import SchemaError, read_json
 from ..verifier.milp import DEFAULT_NODE_LIMIT
 
 _REALS = ("alpha", "lambda0", "lambda_wc", "lambda_g", "lambda_ewc", "early_stop_rel")
@@ -43,6 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in _REALS:
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         for name, least in _COUNTS.items():
@@ -82,9 +83,4 @@ def config_from_dict(doc, overrides=None):
 
 
 def load_config(path, overrides=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(doc, overrides)
+    return config_from_dict(read_json(path), overrides)

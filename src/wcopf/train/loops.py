@@ -8,7 +8,7 @@ training bit for bit.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,13 +37,9 @@ class EpochRecord:
     wall_time: float = 0.0     # seconds; excluded from determinism checks
 
     def to_dict(self):
-        doc = {"epoch": self.epoch, "train_l0": self.train_l0,
-               "val_mae": self.val_mae, "wall_time": self.wall_time}
-        if self.v_g is not None:
-            doc["v_g"] = self.v_g
-        if self.warning is not None:
-            doc["warning"] = self.warning
-        return doc
+        """Every field that is not None."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: value for name, value in doc.items() if value is not None}
 
 
 @dataclass

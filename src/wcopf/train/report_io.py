@@ -1,17 +1,21 @@
 """Report files: JSON lines per epoch plus a one-document summary.
 
-Floats are rendered with 17 significant digits so every value
-round-trips exactly and identical runs produce identical bytes; the
-per-epoch wall_time field is the one intentionally nondeterministic
-value and comparisons must ignore it.
+Each line is an EpochRecord's fields and the summary is a TrainReport's
+(summary_document), so a new field of either lands in the files with no
+second edit.  Floats are rendered with 17 significant digits so every
+value round-trips exactly and identical runs produce identical bytes.
+The per-epoch wall_time field is the one nondeterministic value, and
+cli._save_run zeroes it before a run's files are written; a new timing
+field must be zeroed there too.
 """
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import SchemaError, read_json
 
 
 def _render_float(v):
@@ -53,22 +57,12 @@ def write_json(path, doc):
 
 
 def summary_document(report):
-    doc = {"mode": report.mode,
-           "layer_dims": list(report.layer_dims),
-           "n_epochs": len(report.records),
-           "final_train_l0": report.final_train_l0,
-           "final_val_mae": report.final_val_mae,
-           "final_test_mae": report.final_test_mae,
-           "final_v_g": report.final_v_g,
-           "final_v_g_raw": report.final_v_g_raw,
-           "final_bound": report.final_bound,
-           "final_status": report.final_status,
-           "params_sha256": report.params_sha256,
-           "stopped": report.stopped,
-           "v_g_epochs": report.v_g_epochs(),
-           "config": report.config}
-    if report.warning is not None:
-        doc["warning"] = report.warning
+    """Every TrainReport field but records, plus n_epochs and v_g_epochs;
+    warning only when it is set."""
+    doc = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "records"}
+    if doc["warning"] is None:
+        del doc["warning"]
+    doc.update(n_epochs=len(report.records), v_g_epochs=report.v_g_epochs())
     return doc
 
 
@@ -92,12 +86,7 @@ def save_report(report, jsonl_path):
 def load_summary(summary_path):
     """A summary or certificate document; SchemaError unless it is a
     JSON object."""
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{summary_path}: invalid JSON at line {exc.lineno}: "
-                              f"{exc.msg}") from exc
+    doc = read_json(summary_path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{summary_path}: expected a JSON object")
     return doc

@@ -154,6 +154,33 @@ def test_pipeline_recipe_certificate_at_another_box_is_pinned(tmp_path):
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_BOX_CERT_SHA256
 
 
+# sha256 of the .report.jsonl and .report.summary.json files of the
+# recipe's nn and gennn runs and of a finetune of its nn model with
+# PIPELINE_FINETUNE_CONFIG; the CI workflow checks the installed wcopf
+# train against the nn and gennn digests.
+PIPELINE_FINETUNE_CONFIG = {"alpha": 0.003, "max_iters": 10}
+PIPELINE_REPORT_SHA256 = {
+    "nn": ("7f97bc5b4446cb259d22f3264dc444793adb22bd71f569102a6ffd9b9ef96dc0",
+           "a91abc0566015eb11218073182e6359342bcc7107fba80f6fa669478fe42f365"),
+    "gennn": ("4bcc84c9db074df50cd4396712c1e71df2db142588f3273f7ba44328ca5febcc",
+              "da23d916083284e5735a985888136cf8b3d08d36b388e79a341178fb6347bced"),
+    "finetune": ("1b658147fc889ee31d6b201934977289d5fe6f63f9adc516f9d3d7742da7b2a9",
+                 "caa463393dbac726d6ca60301601c29d636c05a33f8ef84657918292e085036f"),
+}
+
+
+def test_pipeline_recipe_reports_are_pinned(tmp_path):
+    _pipeline_train(tmp_path, ["nn", "gennn"])
+    cfg = _write_config(tmp_path / "ft.json", **PIPELINE_FINETUNE_CONFIG)
+    assert cli.main(["finetune", "--model", str(tmp_path / "nn.json"),
+                     "--dataset", str(tmp_path / "data.csv"), "--grid", "case9",
+                     "--config", cfg, "--out", str(tmp_path / "finetune.json")]) == 0
+    for run, digests in PIPELINE_REPORT_SHA256.items():
+        got = tuple(hashlib.sha256((tmp_path / f"{run}{suffix}").read_bytes()).hexdigest()
+                    for suffix in (".report.jsonl", ".report.summary.json"))
+        assert got == digests, run
+
+
 def test_train_flag_overrides_config_seed(tmp_path):
     data = _gen_data(tmp_path)
     cfg = _write_config(tmp_path / "cfg7.json", epochs=10, seed=3)

@@ -110,6 +110,17 @@ def test_nonfinite_number_rejected(tmp_path, section, key, text):
         load_grid(p)
 
 
+@pytest.mark.parametrize("value", [5, None, "ab", {}])
+@pytest.mark.parametrize("section", ["generators", "loads", "lines"])
+def test_record_section_that_is_not_a_list_rejected(section, value):
+    # an int or null is not iterable, and a string or an object would be
+    # walked by character or by key
+    doc = json.loads((resources.files("wcopf.grid") / "cases/case3.json").read_text())
+    doc[section] = value
+    with pytest.raises(SchemaError, match=rf"^grid\.{section}: expected a list$"):
+        grid_from_dict(doc)
+
+
 def test_load_grid_roundtrip(tmp_path):
     g = builtin_grid("case3")
     doc = {

@@ -850,7 +850,7 @@ def _checked_moves(monkeypatch):
         assert core.dn.tobytes() == dn.tobytes()
         assert core.lo_b.tobytes() == core.lo[core.basis].tobytes()
         assert core.hi_b.tobytes() == core.hi[core.basis].tobytes()
-        assert core.c_b.tobytes() == core.cost[core.basis].tobytes()
+        assert core.c_b.tobytes() == core.c[core.basis].tobytes()
         key = (loop[0], "flip" if r is None else "pivot")
         moves[key] = moves.get(key, 0) + 1
         if r is not None:

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import grid_fixture, toy_dataset, unit_box
 from wcopf.errors import NumericalBreakdown, SchemaError, TrainingDiverged
-from wcopf.mlp import MlpParams, init_params, loss_mae, params_checksum
+from wcopf.grid import load_grid
+from wcopf.mlp import MlpParams, init_params, load_model, loss_mae, params_checksum
 from wcopf.train import (TrainConfig, config_from_dict, load_config, load_summary,
                          render_json, save_report, summary_document, summary_path_for,
                          train_gennn, train_standard, train_wcnn)
@@ -252,6 +253,8 @@ def test_minibatch_divergence_raises_naming_the_epoch():
     # "false" is truthy: taken as it was, it trained the last layer only
     ("last_layer_only", "false"), ("last_layer_only", None), ("last_layer_only", 0.5),
     ("last_layer_only", 1),
+    # a bool is no real number, though Python's arithmetic takes it as one
+    ("alpha", True), ("lambda_wc", False), ("alpha", "0.1"),
 ])
 def test_config_rejects_bad_counts_and_nonfinite_reals(field, value):
     with pytest.raises(ValueError, match=field):
@@ -276,6 +279,14 @@ def test_config_validation_and_file_roundtrip(tmp_path):
     assert config.seed == 11 and config.epochs == 7
     with pytest.raises(SchemaError):
         config_from_dict([1, 2])
+
+
+@pytest.mark.parametrize("loader", [load_grid, load_model, load_config, load_summary])
+def test_loaders_name_the_path_and_line_of_a_syntax_error(tmp_path, loader):
+    path = tmp_path / "bad.json"
+    path.write_text('{"a": 1,\n "b": oops}\n')
+    with pytest.raises(SchemaError, match=r"bad\.json: invalid JSON at line 2"):
+        loader(path)
 
 
 def test_report_files_roundtrip(tmp_path):
