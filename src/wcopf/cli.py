@@ -8,8 +8,8 @@ none.  Identical invocations produce byte-identical output files;
 wall-clock timings never enter the files.
 
 Exit codes: 0 success, 2 malformed input, 3 dataset generation ran out
-of feasible samples, 4 training diverged, 5 verification hit the node
-limit with a gap remaining, 1 any other library error.
+of feasible samples, 4 training diverged, 5 verification left a gap
+remaining (node limit or numerical trouble), 1 any other library error.
 """
 
 import argparse
@@ -127,8 +127,6 @@ def _run_outputs(args):
 
 
 def _v_g_text(report):
-    if report.final_v_g is None:
-        return "unknown"
     text = f"{report.final_v_g:.6f} ({report.final_v_g_raw:.3f} MW"
     if report.final_status == GAP_REMAINING:
         return f">= {text}, lower bound)"
@@ -268,9 +266,7 @@ def cmd_finetune(args):
                     config={"box": list(fractions), **config.to_dict()})
     if report.warning is not None:
         print(f"warning: {report.warning}", file=sys.stderr)
-    v_before = report.records[0].v_g if report.records else None
-    v_before = "unknown" if v_before is None else f"{v_before:.6f}"
-    print(f"finetune stopped on {report.stopped}: v_g {v_before} -> "
+    print(f"finetune stopped on {report.stopped}: v_g {report.records[0].v_g:.6f} -> "
           f"{_v_g_text(report)}, val MAE {report.final_val_mae:.6f}")
     return 0
 
@@ -288,8 +284,6 @@ def cmd_sensitivity(args):
     _write_manifest("sensitivity", inputs, [args.out],
                     config={"arch": list(arch), "seeds": list(seeds),
                             **config.to_dict()})
-    for seed, warning in report.skipped:
-        print(f"warning: seed {seed} skipped: {warning}", file=sys.stderr)
     values = ", ".join(f"{v:.4f}" for v in report.layer_values)
     print(f"layer sensitivities [{values}] over {report.n_seeds} seeds")
     return 0

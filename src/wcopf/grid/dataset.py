@@ -92,7 +92,8 @@ def generate_dataset(grid, n, seed) -> Dataset:
     Infeasible samples are discarded and replaced with fresh LHS batches
     drawn from follow-up seeds (seed + 1, seed + 2, ...).  Raises
     TooManyInfeasible once 10 n candidate samples have been tried.  Raises
-    ValueError for n < 1.
+    ValueError for n < 1, and SchemaError for a grid without loads, whose
+    samples would have no inputs.
 
     The dispatch rows are built once, and a pool keeps every optimal
     basis found so far: an optimal basis stays optimal for every demand
@@ -105,6 +106,8 @@ def generate_dataset(grid, n, seed) -> Dataset:
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if grid.n_load == 0:
+        raise SchemaError("grid has no loads; a dataset needs at least one demand input")
     ptdf = compute_ptdf(grid)
     rows = dispatch_rows(grid, ptdf)
     inputs = []

@@ -8,8 +8,7 @@ from .report_io import (load_summary, render_json, save_report,
                         summary_document, summary_path_for, write_json)
 from .sensitivity import SensitivityReport, layer_sensitivity
 from .sequential import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
-                         STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
-                         finetune_sequential)
+                         STOP_VALIDATION_GUARD, finetune_sequential)
 
 __all__ = [
     "TrainConfig", "config_from_dict", "load_config",
@@ -19,7 +18,6 @@ __all__ = [
     "load_summary", "render_json", "save_report",
     "summary_document", "summary_path_for", "write_json",
     "SensitivityReport", "layer_sensitivity",
-    "STOP_MAX_ITERS", "STOP_NO_VIOLATION", "STOP_SOLVER_FAILURE",
-    "STOP_VALIDATION_GUARD",
+    "STOP_MAX_ITERS", "STOP_NO_VIOLATION", "STOP_VALIDATION_GUARD",
     "finetune_sequential",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import NumericalBreakdown, TrainingDiverged
+from ..errors import TrainingDiverged
 from ..grid.dataset import box_input_scaler, gen_output_scaler
 from ..grid.sampling import DATA_BOX
 from ..mlp.checkpoint import params_checksum
@@ -54,13 +54,12 @@ class TrainReport:
     stopped: str = None        # sequential phase stop reason
     final_test_mae: float = None   # None when the test split is empty
     # the final certificate (final_verification); all None when the mode
-    # never verifies or the verification broke down
+    # never verifies
     final_v_g: float = None
     final_v_g_raw: float = None    # final_v_g in raw output units
     final_bound: float = None      # certified upper bound on the violation
     final_status: str = None       # "certified" or "gap_remaining"
-    warning: str = None        # why final_v_g is None although verified, or
-                               # why it is only a lower bound
+    warning: str = None        # why final_v_g is only a lower bound
 
     def v_g_epochs(self):
         return [r.epoch for r in self.records if r.v_g is not None]
@@ -109,24 +108,20 @@ def final_verification(params, box, gen_bounds, node_limit, output_scaler):
     """The TrainReport fields of a run's final certificate: final_v_g,
     final_v_g_raw, final_bound, final_status and warning.
 
-    A solver breakdown gives only a warning, which leaves the other
-    fields None.  A certificate that stopped at the node limit
-    (final_status "gap_remaining") keeps its incumbent value, which is
-    only a lower bound on the worst violation, and its warning says so; a
-    certified one has no warning.  It solves without a start, unlike the
-    verifications inside a run: a started solve may end at another of
+    A certificate with a gap left (final_status "gap_remaining": the
+    node limit or a node LP that broke down) keeps its incumbent value,
+    which is only a lower bound on the worst violation, and its warning
+    says so; a certified one has no warning.  It solves without a start,
+    unlike the verifications inside a run: a started solve may end at another of
     the LPs' equal-valued vertices, and the report's certificate must be
     the one `wcopf verify` gives the returned parameters, bit for bit.
     """
-    try:
-        cert = solve_worst_case(params, box, gen_bounds, node_limit=node_limit)
-    except NumericalBreakdown as exc:
-        return {"warning": f"final verification failed ({exc})"}
+    cert = solve_worst_case(params, box, gen_bounds, node_limit=node_limit)
     warning = None
     if not cert.certified:
-        warning = (f"final verification stopped at the node limit: v_g "
-                   f"{cert.value:.6g} is a lower bound; the worst violation "
-                   f"is at most bound {cert.bound:.6g}")
+        warning = (f"final verification left a gap (node limit or numerical "
+                   f"trouble): v_g {cert.value:.6g} is a lower bound; the worst "
+                   f"violation is at most bound {cert.bound:.6g}")
     return {"final_v_g": cert.value, "final_v_g_raw": raw_violation(cert, output_scaler),
             "final_bound": cert.bound, "final_status": cert.status, "warning": warning}
 
@@ -181,19 +176,13 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
         wc_grads = None
         if use_wc and epoch >= config.warmup \
                 and (epoch - config.warmup) % config.wc_every == 0:
-            try:
-                cert = solve_worst_case(params, box, gen_bounds,
-                                        node_limit=config.node_limit, start=cert)
-            except NumericalBreakdown as exc:
-                warning = (f"verifier failed ({exc}); "
-                           "no worst-case gradient this epoch")
-            else:
-                v_g = cert.value
-                if not cert.certified:
-                    warning = ("verifier stopped at the node limit with gap "
-                               f"{cert.gap:.3e}; using the incumbent witness")
-                wc_grads = worst_case_gradient(params, cert,
-                                               config.last_layer_only)
+            cert = solve_worst_case(params, box, gen_bounds,
+                                    node_limit=config.node_limit, start=cert)
+            v_g = cert.value
+            if not cert.certified:
+                warning = (f"verifier left gap {cert.gap:.3e} (node limit or "
+                           "numerical trouble); using the incumbent witness")
+            wc_grads = worst_case_gradient(params, cert, config.last_layer_only)
         for i, (xb, yb) in enumerate(_epoch_batches(xs, ys, config.batch_size,
                                                     config.seed, epoch)):
             gradient(params, xb, yb, spec, out=grads)
@@ -243,12 +232,10 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     update.  Each verification starts from the last one's certificate
     (solve_worst_case's start): the net has moved by a few Adam steps
     since, so its root and bound LPs reuse that run's optimal bases.
-    An uncertified solve (node limit) is recorded as a warning
-    on that epoch and its incumbent gradient is still used; a solver
-    breakdown is recorded as a warning and that epoch runs the plain
-    loss.  A breakdown in the final certificate leaves final_v_g None
-    and sets the report's warning; so does a final certificate that
-    stops at the node limit, whose final_v_g is then a lower bound
+    An uncertified solve (the node limit, or a node LP that broke down
+    and was set aside) is recorded as a warning on that epoch and its
+    incumbent gradient is still used.  An uncertified final certificate
+    sets the report's warning, and its final_v_g is then a lower bound
     (final_verification).  Boxes given as None are scaled_boxes(dataset.grid).
     """
     return _run_training(dataset, arch, config, "wcnn",

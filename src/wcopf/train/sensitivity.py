@@ -5,11 +5,10 @@ case with respect to every parameter, and averages the absolute
 derivatives per layer; values are reported relative to the last layer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalBreakdown
 from ..verifier.gradient import worst_case_gradient
 from ..verifier.milp import solve_worst_case
 from .config import TrainConfig
@@ -21,16 +20,11 @@ class SensitivityReport:
     layer_values: list    # per layer, normalized so the last entry is 1.0
     n_seeds: int          # seeds that produced a violation to differentiate
     layer_dims: tuple
-    skipped: list = field(default_factory=list)  # (seed, warning) per solver failure
 
     def to_dict(self):
-        doc = {"layer_values": [float(v) for v in self.layer_values],
-               "n_seeds": int(self.n_seeds),
-               "layer_dims": [int(d) for d in self.layer_dims]}
-        if self.skipped:
-            doc["skipped"] = [{"seed": int(seed), "warning": warning}
-                              for seed, warning in self.skipped]
-        return doc
+        return {"layer_values": [float(v) for v in self.layer_values],
+                "n_seeds": int(self.n_seeds),
+                "layer_dims": [int(d) for d in self.layer_dims]}
 
 
 def _layer_means(grads):
@@ -47,9 +41,9 @@ def layer_sensitivity(arch, dataset, gen_bounds, seeds,
 
     Seeds whose trained network has nothing to violate contribute no
     gradient and are skipped; at least one seed must violate.  A seed
-    whose verification breaks down numerically is skipped too and
-    listed in the report's skipped entries.  Boxes given as None are
-    scaled_boxes(dataset.grid).
+    whose certificate has a gap left (the node limit, or a node LP that
+    broke down) is differentiated at its incumbent witness.  Boxes
+    given as None are scaled_boxes(dataset.grid).
     """
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
@@ -58,27 +52,19 @@ def layer_sensitivity(arch, dataset, gen_bounds, seeds,
     box, gen_bounds = _boxes_of(dataset, box, gen_bounds)
 
     per_seed = []
-    skipped = []
     dims = None
     for seed in seeds:
         params, _ = train_standard(dataset, arch, config.replaced(seed=seed))
         dims = tuple(params.layer_dims)
-        try:
-            cert = solve_worst_case(params, box, gen_bounds,
-                                    node_limit=config.node_limit)
-        except NumericalBreakdown as exc:
-            skipped.append((seed, f"verification failed ({exc})"))
-            continue
+        cert = solve_worst_case(params, box, gen_bounds,
+                                node_limit=config.node_limit)
         if cert.value <= 0.0:
             continue
         grads = worst_case_gradient(params, cert, last_layer_only=False)
         per_seed.append(_layer_means(grads))
     if not per_seed:
-        reason = (f"{len(skipped)} of {len(seeds)} seeds failed verification"
-                  if skipped else "no seed produced a violating network")
-        raise ValueError(f"{reason}; nothing to differentiate")
+        raise ValueError("no seed produced a violating network; nothing to differentiate")
     mean_vals = np.mean(np.asarray(per_seed, dtype=float), axis=0)
     normalized = mean_vals / mean_vals[-1]
     return SensitivityReport(layer_values=[float(v) for v in normalized],
-                             n_seeds=len(per_seed), layer_dims=dims,
-                             skipped=skipped)
+                             n_seeds=len(per_seed), layer_dims=dims)

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from ..errors import NumericalBreakdown, TrainingDiverged
+from ..errors import TrainingDiverged
 from ..mlp.fisher import fisher_diag
 from ..mlp.losses import loss_mae
 from ..mlp.network import MlpParams
@@ -31,7 +31,6 @@ from ..mlp.checkpoint import params_checksum
 STOP_NO_VIOLATION = "no violation"
 STOP_VALIDATION_GUARD = "validation guard"
 STOP_MAX_ITERS = "max iterations"
-STOP_SOLVER_FAILURE = "solver failure"
 
 
 def _anchor_step(params, wc_grads, fisher, config: TrainConfig):
@@ -57,12 +56,11 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
 
     Stops when the violation hits zero, when validation MAE rises more
     than early_stop_rel above its starting value (that update is
-    discarded), when the verifier breaks down (the current parameters
-    are kept and the final violation is left unknown, None), or after
-    max_iters updates.  A breakdown in the final certificate also
-    leaves the final violation None and sets the report's warning, and a
-    final certificate stopped at the node limit sets it too
-    (final_verification).
+    discarded), or after max_iters updates.  An uncertified
+    verification (the node limit, or a node LP that broke down and was
+    set aside) is recorded as a warning and its incumbent gradient is
+    still used; an uncertified final certificate sets the report's
+    warning (final_verification).
     Records v_g and validation MAE at the top of every iteration.  Each
     iteration's verification starts from the certificate of the one
     before (solve_worst_case's start), whose LP bases serve the moved
@@ -85,20 +83,12 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     for it in range(config.max_iters):
         started = time.perf_counter()
         val_mae = loss_mae(params, xv, yv)
-        try:
-            cert = solve_worst_case(params, box, gen_bounds,
-                                    node_limit=config.node_limit, start=cert)
-        except NumericalBreakdown as exc:
-            records.append(EpochRecord(
-                epoch=it, train_l0=loss_mae(params, xs, ys), val_mae=val_mae,
-                warning=f"verifier failed ({exc}); stopping",
-                wall_time=time.perf_counter() - started))
-            stopped = STOP_SOLVER_FAILURE
-            break
+        cert = solve_worst_case(params, box, gen_bounds,
+                                node_limit=config.node_limit, start=cert)
         warning = None
         if not cert.certified:
-            warning = ("verifier stopped at the node limit with gap "
-                       f"{cert.gap:.3e}; using the incumbent witness")
+            warning = (f"verifier left gap {cert.gap:.3e} (node limit or "
+                       "numerical trouble); using the incumbent witness")
         records.append(EpochRecord(epoch=it, train_l0=loss_mae(params, xs, ys),
                                    val_mae=val_mae, v_g=cert.value,
                                    warning=warning,
@@ -113,10 +103,8 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
             break
         params = candidate
 
-    final = {}
-    if stopped != STOP_SOLVER_FAILURE:
-        final = final_verification(params, box, gen_bounds, config.node_limit,
-                                   dataset.output_scaler)
+    final = final_verification(params, box, gen_bounds, config.node_limit,
+                               dataset.output_scaler)
     report = TrainReport(mode="finetune", records=records,
                          final_train_l0=loss_mae(params, xs, ys),
                          final_val_mae=loss_mae(params, xv, yv),

@@ -64,6 +64,13 @@ values the simplex carried (LpSolution.point), and the point is clipped
 into the box and evaluated by forward, so a point off by the simplex's
 tolerances weakens the incumbent at worst.  No node LP re-solves its
 basis for an exact x, and every leaf's bound comes from a dual vector.
+
+A search gives up on a node one way: it sets the node aside, and the
+node's key (a child's is its parent's safe bound, a root's its interval
+margin bound) still bounds the certificate.  That happens past
+node_limit and when the node LP raises NumericalBreakdown, so no
+breakdown escapes the search.  A root's key is rounded to nearest, not
+padded, as for a root the search never solves.
 """
 
 import heapq
@@ -71,6 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import NumericalBreakdown
 from ..mlp.network import forward
 from ..simplex import LpProblem, LpStatus, row_duals, safe_add, safe_max, solve_lp
 from .bounds import Box, PreactBounds, interval_bounds, lp_bounds, narrow_deeper
@@ -121,8 +129,11 @@ class WorstCaseCert:
     value is the worst violation over the box clipped at zero; witness,
     constraint_id and pattern describe where it is attained (all None
     when no constraint can be violated).  bound is a certified upper
-    bound on the violation; gap = bound - value.  lp_pivots is the total
-    simplex iterations of the run's bound, root and child LPs.
+    bound on the violation; gap = bound - value.  status is "certified"
+    when the gap is within GAP_TOL, else "gap_remaining": bound holds
+    the key of each node set aside (past node_limit, or whose node LP
+    broke down).  lp_pivots is the total simplex iterations of the run's
+    bound, root and child LPs that did not break down.
 
     bases holds the run's optimal LP bases (_Bases), the start of a later
     verification of the net a few training steps on (solve_worst_case's
@@ -366,13 +377,16 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     and a node is fathomed once it cannot beat the cutoff,
     max(incumbent value, 0) + FATHOM_PAD.  A surviving node branches on
     the unit _branch_unit picks.  A node popped after its candidate has
-    solved node_limit node LPs is set aside unexplored.  Returns
+    solved node_limit node LPs, or whose node LP raises
+    NumericalBreakdown, is set aside unexplored: it still counts in its
+    candidate's nodes, records no root basis and offers no point.  Returns
     (incumbent, nodes, leaf_bound, pivots): the _Incumbent, a node
     count per candidate, the largest bound on any leaf of the tree, so
     on any margin in the box (the safe bound of each fathomed or
     integral node, and of each node whose LP stopped at the cutoff, and
     the key of each node set aside or left in the heap; -inf if there is
-    none), and the simplex iterations of every node LP.
+    none), and the simplex iterations of every node LP that did not
+    break down.
 
     Every node LP is solved with the cutoff at the time it is solved.
     roots maps a candidate's index to the basis its root LP starts from
@@ -427,7 +441,12 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
         # a child differs from its parent only in y bounds, so the parent's
         # basis stays dual feasible and warm-starts it, and its dual
         # simplex stops once it proves the child fathomed
-        sol = enc.solve_node(c, y_fix, start, cutoff() - const)
+        try:
+            sol = enc.solve_node(c, y_fix, start, cutoff() - const)
+        except NumericalBreakdown:
+            # set aside as a node past node_limit is: its key bounds its region
+            leaf_bound = max(leaf_bound, -neg_bound)
+            continue
         pivots += sol.iteration_count
         if sol.status == LpStatus.INFEASIBLE:
             continue
@@ -472,8 +491,10 @@ def solve_worst_case(params, box: Box, gen_bounds: Box,
     branch-and-bound tree (_branch_and_bound); candidates whose interval
     bound already rules them out are never solved.  The winner is the
     first candidate, in candidate_constraints order, with the largest
-    margin.  node_limit caps the nodes per candidate; when it is hit
-    the certificate reports the remaining gap instead of raising.
+    margin.  node_limit caps the nodes per candidate.  A node past it,
+    or one whose node LP breaks down numerically, is set aside and its
+    key bounds the certificate, which then reports the remaining gap:
+    this never raises NumericalBreakdown.
 
     start, if given, is the certificate of an earlier verification, as
     a training loop has from a few steps back.  Its LP bases (the

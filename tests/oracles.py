@@ -352,3 +352,26 @@ def adam_per_array(weights, biases, grad_w, grad_b, moments, step, alpha,
         new.append(theta - alpha * (m / bc1) / (np.sqrt(v / bc2) + eps))
         new_moments.append((m, v))
     return new[:len(weights)], new[len(weights):], new_moments
+
+
+class NodeLpBreaker:
+    """Stand-in for the verifier's solve_lp (``milp.solve_lp``) that
+    numbers every node LP it is handed, from 1 over its whole life, and
+    raises NumericalBreakdown for each number that broken(number) accepts,
+    as the simplex does when it hits its iteration cap.  calls counts the
+    node LPs and raised the ones it broke."""
+
+    def __init__(self, broken):
+        self.broken = broken
+        self.calls = 0
+        self.raised = 0
+
+    def __call__(self, problem, start=None, cutoff=None):
+        from wcopf.errors import NumericalBreakdown
+        from wcopf.simplex import solve_lp
+
+        self.calls += 1
+        if self.broken(self.calls):
+            self.raised += 1
+            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
+        return solve_lp(problem, start=start, cutoff=cutoff)

@@ -5,15 +5,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import wcopf.train.loops as loops
-import wcopf.train.sensitivity as sensitivity_module
-from oracles import seeded_net
+from oracles import NodeLpBreaker, seeded_net
 from wcopf import cli
 from wcopf.errors import NumericalBreakdown, TooManyInfeasible, TrainingDiverged
 from wcopf.grid import (Scaler, box_input_scaler, builtin_grid,
                         gen_output_scaler, load_dataset)
 from wcopf.mlp import MlpParams, load_model, save_model
-from wcopf.verifier import Box, solve_worst_case
+from wcopf.verifier import Box, milp, solve_worst_case
 
 
 def _write_config(path, **fields):
@@ -322,6 +320,20 @@ def test_gen_data_n_below_one_exits_2(tmp_path, capsys, n):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_data_grid_without_loads_exits_2(tmp_path, capsys):
+    # such a grid passes the grid schema; its dataset had no demand
+    # columns, which every later command read as a malformed header
+    doc = json.loads(resources.files("wcopf.grid").joinpath("cases/case3.json").read_text())
+    doc["loads"] = []
+    grid_file = tmp_path / "no-loads.json"
+    grid_file.write_text(json.dumps(doc))
+    rc = cli.main(["gen-data", "--grid", str(grid_file), "--n", "10",
+                   "--out", str(tmp_path / "data.csv")])
+    assert rc == 2
+    assert "grid has no loads" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["no-loads.json"]
+
+
 def test_verify_bad_box_exits_2(tmp_path):
     data = _gen_data(tmp_path, n=20)
     model = _train(tmp_path, data)
@@ -438,19 +450,20 @@ def test_uncertified_final_certificates_are_reported_as_lower_bounds(tmp_path, c
 def test_train_saves_run_when_recertification_breaks_down(tmp_path, capsys,
                                                          monkeypatch):
     data = _gen_data(tmp_path)
-
-    def broken(*args, **kwargs):
-        raise NumericalBreakdown("simplex iteration cap 10 exceeded")
-
-    monkeypatch.setattr(loops, "solve_worst_case", broken)
+    breaker = NodeLpBreaker(lambda n: True)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
     model = _train(tmp_path, data)
+    assert breaker.raised == breaker.calls > 0
     out = capsys.readouterr()
-    assert "v_g unknown" in out.out
-    assert "final verification failed" in out.err
     load_model(model)
     summary = json.load(open(model.replace(".json", ".report.summary.json")))
-    assert summary["final_v_g"] is None and summary["final_v_g_raw"] is None
-    assert "iteration cap" in summary["warning"]
+    assert summary["final_status"] == "gap_remaining"
+    assert summary["final_v_g"] is not None and summary["final_v_g_raw"] is not None
+    assert summary["final_v_g"] <= summary["final_bound"]
+    assert "numerical trouble" in summary["warning"]
+    assert out.err == f"warning: {summary['warning']}\n"
+    assert f"v_g >= {summary['final_v_g']:.6f} ({summary['final_v_g_raw']:.3f} MW, " \
+        "lower bound)" in out.out
 
 
 def test_sensitivity_writes_normalized_profile(tmp_path):
@@ -467,28 +480,25 @@ def test_sensitivity_writes_normalized_profile(tmp_path):
     assert doc["n_seeds"] >= 1
 
 
-def test_sensitivity_warns_about_a_skipped_seed(tmp_path, capsys, monkeypatch):
-    real = sensitivity_module.solve_worst_case
-    calls = []
-
-    def first_breaks(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
-        return real(*args, **kwargs)
-
+def test_sensitivity_keeps_a_seed_whose_node_lp_breaks_down(tmp_path, capsys,
+                                                            monkeypatch):
     data = _gen_data(tmp_path)
     cfg = _write_config(tmp_path / "s.json", epochs=60, alpha=3e-3)
     out = tmp_path / "sens.json"
-    monkeypatch.setattr(sensitivity_module, "solve_worst_case", first_breaks)
-    rc = cli.main(["sensitivity", "--dataset", data, "--grid", "case3",
-                   "--arch", "6,6", "--seeds", "0,1,2", "--config", cfg,
-                   "--out", str(out)])
-    assert rc == 0
-    assert capsys.readouterr().err == (
-        "warning: seed 0 skipped: verification failed "
-        "(simplex iteration cap 10 exceeded)\n")
-    assert [s["seed"] for s in json.load(open(out))["skipped"]] == [0]
+    args = ["sensitivity", "--dataset", data, "--grid", "case3", "--arch", "6,6",
+            "--seeds", "0,1,2", "--config", cfg, "--out", str(out)]
+    assert cli.main(args) == 0
+    reference = json.load(open(out))
+    capsys.readouterr()
+    # seed 0's first node LP breaks down and is set aside
+    breaker = NodeLpBreaker(lambda n: n == 1)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
+    assert cli.main(args) == 0
+    assert breaker.raised == 1
+    assert capsys.readouterr().err == ""
+    doc = json.load(open(out))
+    assert sorted(doc) == sorted(reference)
+    assert doc["n_seeds"] == reference["n_seeds"] == 3
 
 
 def test_report_tabulates_summaries_and_certificates(tmp_path, capsys):
@@ -684,6 +694,27 @@ def test_train_bad_config_value_exits_2(tmp_path, capsys, fields):
     assert rc == 2
     assert "bad config value" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_verify_node_lp_breakdown_writes_a_gap_certificate_and_exits_5(tmp_path, capsys,
+                                                                      monkeypatch):
+    grid = builtin_grid("case3")
+    model = tmp_path / "net.json"
+    save_model(model, seeded_net(0, (2, 4, 2)),
+               box_input_scaler(grid), gen_output_scaler(grid))
+    breaker = NodeLpBreaker(lambda n: True)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
+    cert = tmp_path / "c.json"
+    rc = cli.main(["verify", "--model", str(model), "--grid", "case3",
+                   "--out", str(cert)])
+    assert rc == 5
+    assert breaker.raised == breaker.calls > 0
+    doc = json.load(open(cert))
+    assert doc["status"] == "gap_remaining"
+    assert doc["v_g"] <= doc["bound"] and doc["gap"] > 0.0
+    assert doc["nodes_explored"] == breaker.calls
+    assert _manifest_inputs(cert) == sorted([str(model), "builtin:case3"])
+    assert "verification incomplete" in capsys.readouterr().err
 
 
 def test_verify_solver_breakdown_exits_1(tmp_path, capsys, monkeypatch):

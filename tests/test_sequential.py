@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import grid_fixture, midband_dataset, unit_box
-from wcopf.errors import NumericalBreakdown, TrainingDiverged
+from oracles import NodeLpBreaker, grid_fixture, midband_dataset, unit_box
+from wcopf.errors import TrainingDiverged
 from wcopf.mlp import Gradients, fisher_diag, loss_mae, params_checksum
-from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION,
-                         STOP_SOLVER_FAILURE, STOP_VALIDATION_GUARD,
-                         TrainConfig, finetune_sequential, loops, sequential,
-                         train_standard)
-from wcopf.verifier import solve_worst_case, worst_case_gradient
+from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION, STOP_VALIDATION_GUARD,
+                         TrainConfig, finetune_sequential, sequential, train_standard)
+from wcopf.verifier import (CERTIFIED, GAP_REMAINING, milp, solve_worst_case,
+                            worst_case_gradient)
 
 _CACHE = {}
 
@@ -182,32 +181,29 @@ def test_report_shape_and_reproducibility():
     assert report.params_sha256 == params_checksum(tuned)
 
 
-def test_solver_breakdown_stops_and_keeps_parameters(monkeypatch):
+def test_solver_breakdown_leaves_a_gap_and_fine_tuning_goes_on(monkeypatch):
     data, gen_box, box = _case3()
     params, _ = _trained(0, epochs=200)
     config = TrainConfig(alpha=7e-4, lambda_wc=1.0, max_iters=5, seed=0)
-    one_step, _ = finetune_sequential(params, data, gen_box,
-                                      config.replaced(max_iters=1), box=box)
-    calls = []
-
-    def flaky(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise NumericalBreakdown("solution fails feasibility recheck")
-        return solve_worst_case(*args, **kwargs)
-
-    monkeypatch.setattr(sequential, "solve_worst_case", flaky)
+    _, reference = finetune_sequential(params, data, gen_box, config, box=box)
+    assert reference.stopped == STOP_MAX_ITERS
+    # the first verification solves two node LPs, so the third is the
+    # second verification's first; it breaks down and is set aside
+    breaker = NodeLpBreaker(lambda n: n == 3)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
     tuned, report = finetune_sequential(params, data, gen_box, config, box=box)
-    assert report.stopped == STOP_SOLVER_FAILURE
-    assert len(report.records) == 2
-    assert report.records[0].v_g is not None
-    assert report.records[1].v_g is None
-    assert "feasibility recheck" in report.records[1].warning
-    # the parameters after the one accepted update are kept
-    assert params_checksum(tuned) == params_checksum(one_step)
+    assert breaker.raised == 1
+    assert report.stopped == STOP_MAX_ITERS
+    assert len(report.records) == len(reference.records) == 5
+    assert report.records[0].v_g == reference.records[0].v_g
+    assert report.records[0].warning is None
+    broken = report.records[1]
+    assert broken.v_g is not None
+    assert "verifier left gap" in broken.warning and "numerical trouble" in broken.warning
+    assert all(r.v_g is not None for r in report.records)
+    assert all(r.warning is None for r in report.records[2:])
     assert report.params_sha256 == params_checksum(tuned)
-    assert report.final_v_g is None and report.final_v_g_raw is None
-    assert len(calls) == 2
+    assert report.final_status == CERTIFIED and report.final_v_g is not None
 
 
 def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
@@ -217,24 +213,20 @@ def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
     reference, ref_report = finetune_sequential(params, data, gen_box, config,
                                                 box=box)
     assert ref_report.stopped == STOP_MAX_ITERS
-    calls = []
-
-    def flaky(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 3:   # the final certificate after two iterations
-            raise NumericalBreakdown("solution fails feasibility recheck")
-        return solve_worst_case(*args, **kwargs)
-
-    monkeypatch.setattr(sequential, "solve_worst_case", flaky)
-    monkeypatch.setattr(loops, "solve_worst_case", flaky)  # the final certificate
+    # the two iterations' verifications solve two node LPs each; every
+    # later one belongs to the final certificate and breaks down
+    breaker = NodeLpBreaker(lambda n: n > 4)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
     tuned, report = finetune_sequential(params, data, gen_box, config, box=box)
-    assert len(calls) == 3
+    assert breaker.raised >= 1
     assert report.stopped == STOP_MAX_ITERS
     assert [r.v_g for r in report.records] == [r.v_g for r in ref_report.records]
     assert params_checksum(tuned) == params_checksum(reference)
-    assert report.final_v_g is None and report.final_v_g_raw is None
-    assert "final verification failed" in report.warning
-    assert "feasibility recheck" in report.warning
+    assert report.final_status == GAP_REMAINING
+    assert report.final_v_g is not None and report.final_v_g_raw is not None
+    assert report.final_v_g <= ref_report.final_v_g <= report.final_bound
+    assert "numerical trouble" in report.warning
+    assert "lower bound" in report.warning and "at most bound" in report.warning
 
 
 @pytest.mark.parametrize("emptied", ["train", "val"])

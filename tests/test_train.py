@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from oracles import grid_fixture, toy_dataset, unit_box
-from wcopf.errors import NumericalBreakdown, SchemaError, TrainingDiverged
+from oracles import NodeLpBreaker, grid_fixture, toy_dataset, unit_box
+from wcopf.errors import SchemaError, TrainingDiverged
 from wcopf.grid import load_grid
 from wcopf.mlp import MlpParams, init_params, load_model, loss_mae, params_checksum
 from wcopf.train import (TrainConfig, config_from_dict, load_config, load_summary,
                          render_json, save_report, summary_document, summary_path_for,
                          train_gennn, train_standard, train_wcnn)
 from wcopf.train import loops
-from wcopf.verifier import GAP_TOL, Box, solve_worst_case
+from wcopf.verifier import CERTIFIED, GAP_REMAINING, GAP_TOL, Box, milp, solve_worst_case
 
 
 def _records_equal(a, b):
@@ -116,49 +116,59 @@ def test_wcnn_verification_schedule():
 
 
 def test_wcnn_survives_solver_breakdown(monkeypatch):
+    # without a fault each verification of this run solves one node LP;
+    # the first one, epoch 3's root, breaks down and is set aside, so that
+    # epoch's certificate keeps a gap and its incumbent still moves the net
     data = toy_dataset(6, response=2.0 * np.eye(2))
     config = TrainConfig(epochs=9, warmup=3, wc_every=2, seed=1, lambda_wc=0.2)
-    calls = []
+    breaker = NodeLpBreaker(lambda n: n == 1)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
+    differentiated = []
+    real_gradient = loops.worst_case_gradient
 
-    def flaky(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
-        return solve_worst_case(*args, **kwargs)
+    def recording(params, cert, last_layer_only):
+        differentiated.append(cert)
+        return real_gradient(params, cert, last_layer_only)
 
-    monkeypatch.setattr(loops, "solve_worst_case", flaky)
+    monkeypatch.setattr(loops, "worst_case_gradient", recording)
     params, report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
-    failed = report.records[3]
-    assert failed.v_g is None
-    assert "verifier failed" in failed.warning and "iteration cap" in failed.warning
-    assert report.v_g_epochs() == [5, 7]
-    assert report.final_v_g is not None
-    # the failed epoch ran the plain update: through it, wcnn tracks nn exactly
-    calls.clear()
-    early, _ = train_wcnn(data, unit_box(2), (4,), config.replaced(epochs=4),
-                          box=unit_box(2))
+    assert breaker.raised == 1
+    broken = report.records[3]
+    assert broken.v_g is not None and broken.v_g > 0.0
+    assert "verifier left gap" in broken.warning
+    assert "numerical trouble" in broken.warning
+    assert "using the incumbent witness" in broken.warning
+    assert report.v_g_epochs() == [3, 5, 7]
+    assert [cert.value for cert in differentiated] == [r.v_g for r in report.records
+                                                       if r.v_g is not None]
+    first = differentiated[0]
+    assert first.status == GAP_REMAINING and first.bound > first.value
+    assert report.final_status == CERTIFIED
+    # the epoch used the incumbent's gradient: through it, wcnn leaves nn
+    monkeypatch.setattr(milp, "solve_lp", NodeLpBreaker(lambda n: n == 1))
+    early, early_report = train_wcnn(data, unit_box(2), (4,), config.replaced(epochs=4),
+                                     box=unit_box(2))
+    assert early_report.records[3].warning == broken.warning
     plain, _ = train_standard(data, (4,), config.replaced(epochs=4))
-    assert params_checksum(early) == params_checksum(plain)
+    assert params_checksum(early) != params_checksum(plain)
 
 
 def test_wcnn_final_certificate_survives_solver_breakdown(monkeypatch):
     data = toy_dataset(6, response=2.0 * np.eye(2))
     config = TrainConfig(epochs=9, warmup=3, wc_every=2, seed=1, lambda_wc=0.2)
     reference, ref_report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
-    calls = []
-
-    def flaky(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 4:   # after the verified epochs 3, 5 and 7
-            raise NumericalBreakdown("simplex iteration cap 10 exceeded")
-        return solve_worst_case(*args, **kwargs)
-
-    monkeypatch.setattr(loops, "solve_worst_case", flaky)
+    # the verified epochs 3, 5 and 7 solve a node LP each; every later
+    # one belongs to the final certificate and breaks down
+    breaker = NodeLpBreaker(lambda n: n > 3)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
     params, report = train_wcnn(data, unit_box(2), (4,), config, box=unit_box(2))
-    assert len(calls) == 4
-    assert report.final_v_g is None and report.final_v_g_raw is None
-    assert "final verification failed" in report.warning
-    assert "iteration cap" in report.warning
+    assert breaker.raised >= 1
+    assert report.final_status == GAP_REMAINING
+    assert report.final_v_g is not None and report.final_v_g_raw is not None
+    assert report.final_v_g <= ref_report.final_v_g <= report.final_bound
+    assert "numerical trouble" in report.warning
+    assert f"v_g {report.final_v_g:.6g} is a lower bound" in report.warning
+    assert f"at most bound {report.final_bound:.6g}" in report.warning
     # the finished run is kept: same parameters and epochs as without the fault
     assert params_checksum(params) == params_checksum(reference)
     assert _records_equal(report.records, ref_report.records)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from oracles import (TooLarge, bounds_around_outputs, brute_force_worst_case, grid_fixture,
-                     in_box, seeded_net)
+from oracles import (NodeLpBreaker, TooLarge, bounds_around_outputs, brute_force_worst_case,
+                     grid_fixture, in_box, seeded_net)
 from wcopf import simplex
 from wcopf.errors import BoundsUnavailable, NumericalBreakdown
 from wcopf.mlp import MlpParams, forward
@@ -689,6 +689,44 @@ def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, n
         (nodes, CERTIFIED, constraint_id)
     # and what the whole set's certificates and bound LPs say, to the bit
     assert case9_digests == (_CASE9_CERT_SHA256, _CASE9_PRE_SHA256)
+
+
+@pytest.mark.parametrize("net", ["8-16-16-3_s1", "case9_16-16_s0"])
+def test_node_lps_that_break_down_are_set_aside_soundly(monkeypatch, case9_fixture,
+                                                        case9_nets, net):
+    if net == "8-16-16-3_s1":
+        params = seeded_net(1, (8, 16, 16, 3))
+        box = Box(-np.ones(8), np.ones(8))
+        gen = bounds_around_outputs(params, box, seed=1, frac_hi=0.6)
+    else:
+        _, gen, box = case9_fixture
+        params = case9_nets[(16, 16), 0][0]
+    unbroken = solve_worst_case(params, box, gen)
+    assert unbroken.status == CERTIFIED
+    enc = milp._Encoding(params, box, gen)
+    for k in (1, 2, 5, 20, 60):
+        breaker = NodeLpBreaker(lambda n: n == k)
+        monkeypatch.setattr(milp, "solve_lp", breaker)
+        cert = solve_worst_case(params, box, gen)
+        assert breaker.raised == 1
+        assert cert.nodes_explored == breaker.calls
+        # each value is attained in the box and each bound holds; a witness
+        # found on another path may evaluate a last bit above the unbroken
+        # value (case9 at k = 1), never above its bound
+        assert cert.value <= unbroken.bound and unbroken.value <= cert.bound
+    # with every node LP set aside, only the box midpoint is evaluated, and
+    # each root popped keeps its interval key
+    breaker = NodeLpBreaker(lambda n: True)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
+    cert = solve_worst_case(params, box, gen)
+    cids = candidate_constraints(params.n_outputs)
+    out = forward(params, box.midpoint()).output
+    midpoint = max([margin_of_output(out, gen, cid) for cid in cids] + [0.0])
+    assert cert.value == midpoint
+    assert cert.bound == max(midpoint, max(enc.interval_margin_bound(cid) for cid in cids))
+    assert cert.status == GAP_REMAINING
+    assert cert.nodes_explored == breaker.calls == breaker.raised > 0
+    assert cert.lp_pivots == enc.pivots  # a broken LP's pivots are not counted
 
 
 def _moved_last_layer(params, seed):
