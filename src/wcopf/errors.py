@@ -15,7 +15,10 @@ class SingularMatrix(WcopfError):
 
 
 class NumericalBreakdown(WcopfError):
-    """LP solver exceeded its iteration cap or lost feasibility."""
+    """LP solver exceeded its iteration cap or lost feasibility; iterations
+    counts the simplex iterations it spent (set by solve_lp)."""
+
+    iterations = 0
 
 
 class SchemaError(WcopfError):

@@ -12,7 +12,7 @@ _GEN_KEYS = {"bus", "p_min", "p_max", "cost"}
 _LOAD_KEYS = {"bus", "nominal"}
 _LINE_KEYS = {"from", "to", "susceptance", "limit"}
 
-BUILTIN_CASES = ("case3", "case5", "case9")
+BUILTIN_CASES = ("case3", "case5", "case9", "syn39")
 
 
 @dataclass(frozen=True)
@@ -197,13 +197,14 @@ def load_grid(path):
 
 
 def builtin_case_text(name):
-    """The packaged JSON text of a bundled example grid (case3, case5,
-    case9): what builtin_grid parses, and what a manifest digests."""
+    """The packaged JSON text of a bundled example grid (BUILTIN_CASES):
+    what builtin_grid parses, and what a manifest digests."""
     if name not in BUILTIN_CASES:
         raise SchemaError(f"unknown builtin grid {name!r}; choices: {BUILTIN_CASES}")
     return resources.files("wcopf.grid").joinpath(f"cases/{name}.json").read_text("utf-8")
 
 
 def builtin_grid(name):
-    """Return one of the bundled example grids (case3, case5, case9)."""
+    """Return one of the bundled example grids: case3, case5, case9, or
+    syn39, a synthetic 39-bus grid (not IEEE 39) built by a seeded rule."""
     return grid_from_dict(json.loads(builtin_case_text(name)))

@@ -314,7 +314,8 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     it would without a cutoff.  An optimal solve has x exactly when it
     has no cutoff; a failed feasibility recheck of that x sends a
     started solve to the slack basis and raises NumericalBreakdown from
-    a slack-basis one.
+    a slack-basis one.  A NumericalBreakdown raised here carries the
+    iterations of every attempt in its iterations.
     """
     spent = 0
     if start is not None:
@@ -327,7 +328,11 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
             pass
         spent = core.iterations
     core = _Core(problem)
-    return _solution(core, core.cold(cutoff), spent, cutoff)
+    try:
+        return _solution(core, core.cold(cutoff), spent, cutoff)
+    except NumericalBreakdown as exc:
+        exc.iterations = spent + core.iterations
+        raise
 
 
 def basis_solutions(basis, b_eq, b_ub):

@@ -97,8 +97,8 @@ def scaled_gen_box(dataset):
 
 
 def raw_violation(cert, output_scaler):
-    """Certified violation in raw output units (MW with grid scalers)."""
-    if cert.value <= 0.0 or cert.constraint_id is None:
+    """A certificate's value in raw output units (MW with grid scalers)."""
+    if cert.constraint_id is None:
         return 0.0
     g, _ = cert.constraint_id
     return cert.value * float(output_scaler.scale[g])
@@ -110,20 +110,15 @@ def final_verification(params, box, gen_bounds, node_limit, output_scaler):
 
     A certificate with a gap left (final_status "gap_remaining": the
     node limit or a node LP that broke down) keeps its incumbent value,
-    which is only a lower bound on the worst violation, and its warning
-    says so; a certified one has no warning.  It solves without a start,
+    which is only a lower bound on the worst violation, and warning is
+    its WorstCaseCert.warning (None when certified).  It solves without a start,
     unlike the verifications inside a run: a started solve may end at another of
     the LPs' equal-valued vertices, and the report's certificate must be
     the one `wcopf verify` gives the returned parameters, bit for bit.
     """
     cert = solve_worst_case(params, box, gen_bounds, node_limit=node_limit)
-    warning = None
-    if not cert.certified:
-        warning = (f"final verification left a gap (node limit or numerical "
-                   f"trouble): v_g {cert.value:.6g} is a lower bound; the worst "
-                   f"violation is at most bound {cert.bound:.6g}")
     return {"final_v_g": cert.value, "final_v_g_raw": raw_violation(cert, output_scaler),
-            "final_bound": cert.bound, "final_status": cert.status, "warning": warning}
+            "final_bound": cert.bound, "final_status": cert.status, "warning": cert.warning}
 
 
 def _test_mae(params, dataset):
@@ -178,10 +173,7 @@ def _run_training(dataset, arch, config: TrainConfig, mode,
                 and (epoch - config.warmup) % config.wc_every == 0:
             cert = solve_worst_case(params, box, gen_bounds,
                                     node_limit=config.node_limit, start=cert)
-            v_g = cert.value
-            if not cert.certified:
-                warning = (f"verifier left gap {cert.gap:.3e} (node limit or "
-                           "numerical trouble); using the incumbent witness")
+            v_g, warning = cert.value, cert.warning
             wc_grads = worst_case_gradient(params, cert, config.last_layer_only)
         for i, (xb, yb) in enumerate(_epoch_batches(xs, ys, config.batch_size,
                                                     config.seed, epoch)):
@@ -233,10 +225,10 @@ def train_wcnn(dataset, gen_bounds, arch, config: TrainConfig, box=None):
     (solve_worst_case's start): the net has moved by a few Adam steps
     since, so its root and bound LPs reuse that run's optimal bases.
     An uncertified solve (the node limit, or a node LP that broke down
-    and was set aside) is recorded as a warning on that epoch and its
-    incumbent gradient is still used.  An uncertified final certificate
-    sets the report's warning, and its final_v_g is then a lower bound
-    (final_verification).  Boxes given as None are scaled_boxes(dataset.grid).
+    and was set aside) records its WorstCaseCert.warning on that epoch,
+    and its incumbent gradient is still used; an uncertified final one
+    sets the report's (final_verification), whose final_v_g is then a
+    lower bound.  Boxes given as None are scaled_boxes(dataset.grid).
     """
     return _run_training(dataset, arch, config, "wcnn",
                          gen_bounds=gen_bounds, box=box)

@@ -39,11 +39,11 @@ def layer_sensitivity(arch, dataset, gen_bounds, seeds,
                       config: TrainConfig = None, box=None):
     """Mean |d v_g / d theta| per layer, averaged over seeds.
 
-    Seeds whose trained network has nothing to violate contribute no
-    gradient and are skipped; at least one seed must violate.  A seed
-    whose certificate has a gap left (the node limit, or a node LP that
-    broke down) is differentiated at its incumbent witness.  Boxes
-    given as None are scaled_boxes(dataset.grid).
+    A seed whose certificate has no witness (v_g 0) has nothing to
+    differentiate and is skipped; one with a gap left (the node limit, or
+    a node LP that broke down) is differentiated at its incumbent witness.
+    When no seed is kept, the error counts the skipped seeds whose gap may
+    hide a violation.  Boxes given as None are scaled_boxes(dataset.grid).
     """
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
@@ -52,18 +52,22 @@ def layer_sensitivity(arch, dataset, gen_bounds, seeds,
     box, gen_bounds = _boxes_of(dataset, box, gen_bounds)
 
     per_seed = []
+    gaps = 0  # skipped seeds whose verification left a gap
     dims = None
     for seed in seeds:
         params, _ = train_standard(dataset, arch, config.replaced(seed=seed))
         dims = tuple(params.layer_dims)
         cert = solve_worst_case(params, box, gen_bounds,
                                 node_limit=config.node_limit)
-        if cert.value <= 0.0:
+        if cert.witness is None:
+            gaps += not cert.certified
             continue
         grads = worst_case_gradient(params, cert, last_layer_only=False)
         per_seed.append(_layer_means(grads))
     if not per_seed:
-        raise ValueError("no seed produced a violating network; nothing to differentiate")
+        reason = ("no seed produced a violating network" if not gaps else
+                  f"no verification found a violation, but {gaps} left a gap")
+        raise ValueError(f"{reason}; nothing to differentiate")
     mean_vals = np.mean(np.asarray(per_seed, dtype=float), axis=0)
     normalized = mean_vals / mean_vals[-1]
     return SensitivityReport(layer_values=[float(v) for v in normalized],

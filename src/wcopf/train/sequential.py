@@ -54,13 +54,14 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
                         box=None):
     """Iteratively reduce the certified violation of trained parameters.
 
-    Stops when the violation hits zero, when validation MAE rises more
-    than early_stop_rel above its starting value (that update is
-    discarded), or after max_iters updates.  An uncertified
-    verification (the node limit, or a node LP that broke down and was
-    set aside) is recorded as a warning and its incumbent gradient is
-    still used; an uncertified final certificate sets the report's
-    warning (final_verification).
+    Stops on "no violation" at a certified verification without a
+    witness, when validation MAE rises more than early_stop_rel above
+    its starting value (that update is discarded), or after max_iters
+    updates.  An uncertified verification (the node limit, or a node LP
+    that broke down), whose v_g is only a lower bound even at 0, never
+    stops the run: its record carries its WorstCaseCert.warning and its
+    incumbent gradient is still used; an uncertified final certificate
+    sets the report's warning (final_verification).
     Records v_g and validation MAE at the top of every iteration.  Each
     iteration's verification starts from the certificate of the one
     before (solve_worst_case's start), whose LP bases serve the moved
@@ -85,15 +86,10 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
         val_mae = loss_mae(params, xv, yv)
         cert = solve_worst_case(params, box, gen_bounds,
                                 node_limit=config.node_limit, start=cert)
-        warning = None
-        if not cert.certified:
-            warning = (f"verifier left gap {cert.gap:.3e} (node limit or "
-                       "numerical trouble); using the incumbent witness")
         records.append(EpochRecord(epoch=it, train_l0=loss_mae(params, xs, ys),
-                                   val_mae=val_mae, v_g=cert.value,
-                                   warning=warning,
+                                   val_mae=val_mae, v_g=cert.value, warning=cert.warning,
                                    wall_time=time.perf_counter() - started))
-        if cert.value == 0.0:
+        if cert.certified and cert.witness is None:
             stopped = STOP_NO_VIOLATION
             break
         wc_grads = worst_case_gradient(params, cert, config.last_layer_only)

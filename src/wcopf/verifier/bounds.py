@@ -129,7 +129,8 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
     down (the iteration cap), leaves its bound as it was.  Returns
     (lower, upper, bases, pivots): new arrays never looser than the ones
     given, a copy of starts in which each LP that ended optimal has left
-    its basis, and the simplex iterations of every LP solved.
+    its basis, and the simplex iterations of every LP solved, a broken
+    one's (NumericalBreakdown.iterations) included.
     """
     a, b = forms
     lower = np.array(lower, dtype=float)
@@ -145,7 +146,8 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
         start = bases[key] if key in bases else last.get(key[1])
         try:
             sol = solve_lp(problem, start=start, cutoff=-np.inf)
-        except NumericalBreakdown:
+        except NumericalBreakdown as exc:
+            pivots += exc.iterations
             return np.inf
         pivots += sol.iteration_count
         if sol.status != LpStatus.OPTIMAL:

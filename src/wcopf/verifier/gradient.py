@@ -34,10 +34,10 @@ def margin_param_gradient(params, witness, constraint_id, last_layer_only=False)
 def worst_case_gradient(params, cert, last_layer_only=False) -> Gradients:
     """Envelope gradient of a certificate's violation value.
 
-    Zero everywhere when the certificate reports no violation (the
-    worst case sits in the clipped flat region).
+    Zero everywhere when the certificate has no witness (value 0: the
+    worst case found sits in the clipped flat region).
     """
-    if cert.value <= 0.0 or cert.witness is None:
+    if cert.witness is None:
         return Gradients.zeros_like(params)
     return margin_param_gradient(params, cert.witness, cert.constraint_id,
                                  last_layer_only)

@@ -126,14 +126,15 @@ class _Bases:
 class WorstCaseCert:
     """Outcome of a verification run.
 
-    value is the worst violation over the box clipped at zero; witness,
-    constraint_id and pattern describe where it is attained (all None
-    when no constraint can be violated).  bound is a certified upper
-    bound on the violation; gap = bound - value.  status is "certified"
-    when the gap is within GAP_TOL, else "gap_remaining": bound holds
-    the key of each node set aside (past node_limit, or whose node LP
-    broke down).  lp_pivots is the total simplex iterations of the run's
-    bound, root and child LPs that did not break down.
+    value is the largest violation found at a point of the box, clipped
+    at zero; witness, constraint_id and pattern say where (all None
+    exactly when value is 0).  bound is a rigorous upper bound on the
+    violation; gap = bound - value.  status is "certified" when the gap
+    is within GAP_TOL, else "gap_remaining": bound holds the key of each
+    node set aside (past node_limit, or whose node LP broke down), and
+    value is only a lower bound, as the one sentence warning says.  So
+    only a certified certificate without a witness shows no violation.
+    lp_pivots counts the simplex iterations of all the run's LPs.
 
     bases holds the run's optimal LP bases (_Bases), the start of a later
     verification of the net a few training steps on (solve_worst_case's
@@ -155,6 +156,13 @@ class WorstCaseCert:
     @property
     def certified(self):
         return self.status == CERTIFIED
+
+    @property
+    def warning(self):
+        return None if self.certified else (
+            f"verification left a gap of {self.gap:.3e} (node limit or numerical trouble): "
+            f"v_g {self.value:.6g} is a lower bound; the worst violation is at most bound "
+            f"{self.bound:.6g}")
 
 
 class _Encoding:
@@ -385,8 +393,8 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     on any margin in the box (the safe bound of each fathomed or
     integral node, and of each node whose LP stopped at the cutoff, and
     the key of each node set aside or left in the heap; -inf if there is
-    none), and the simplex iterations of every node LP that did not
-    break down.
+    none), and the simplex iterations of every node LP, a broken one's
+    (NumericalBreakdown.iterations) included.
 
     Every node LP is solved with the cutoff at the time it is solved.
     roots maps a candidate's index to the basis its root LP starts from
@@ -443,9 +451,10 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
         # simplex stops once it proves the child fathomed
         try:
             sol = enc.solve_node(c, y_fix, start, cutoff() - const)
-        except NumericalBreakdown:
+        except NumericalBreakdown as exc:
             # set aside as a node past node_limit is: its key bounds its region
             leaf_bound = max(leaf_bound, -neg_bound)
+            pivots += exc.iterations
             continue
         pivots += sol.iteration_count
         if sol.status == LpStatus.INFEASIBLE:

@@ -714,7 +714,11 @@ def test_verify_node_lp_breakdown_writes_a_gap_certificate_and_exits_5(tmp_path,
     assert doc["v_g"] <= doc["bound"] and doc["gap"] > 0.0
     assert doc["nodes_explored"] == breaker.calls
     assert _manifest_inputs(cert) == sorted([str(model), "builtin:case3"])
-    assert "verification incomplete" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "numerical trouble" in err
+    assert f"v_g {doc['v_g']:.6g} is a lower bound" in err
+    assert f"at most bound {doc['bound']:.6g}" in err
 
 
 def test_verify_solver_breakdown_exits_1(tmp_path, capsys, monkeypatch):

@@ -213,6 +213,7 @@ DATASET_SHA256 = {
     "case3": "ba9e5b9bd09fb9c4355d2cb5e9c8277a3041cf2a93c69c847c7d70bb083a3ae5",
     "case5": "41e75f67d55de232290e97812e697f518a7f3e53c8b8e9c98bc719a4087bb9c0",
     "case9": "fc446afe9ebf0be0526e5c3269adafef240612b9a2ae230f91b0559a681a831e",
+    "syn39": "2d94c058d886f2b02789993c92f3b511011ef6ba3ab3b6dbc80a4fdff968ef36",
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -7,9 +8,10 @@ import pytest
 from oracles import lp_vertex_enumeration, ptdf_reference
 from wcopf import simplex
 from wcopf.errors import NumericalBreakdown, SchemaError, SingularNetwork
-from wcopf.grid import (GridModel, Generator, Line, Load, builtin_grid,
+from wcopf.grid import (BUILTIN_CASES, GridModel, Generator, Line, Load, builtin_grid,
                         compute_ptdf, grid_from_dict, injection_matrices,
                         load_grid, solve_dcopf)
+from wcopf.grid.model import builtin_case_text
 from wcopf.simplex import LpStatus
 
 
@@ -34,9 +36,53 @@ def ring3(limit12=120.0, p_max1=120.0):
 
 
 def test_builtin_grids_load():
-    for name in ("case3", "case5", "case9"):
+    for name in BUILTIN_CASES:
         g = builtin_grid(name)
         assert g.n_bus >= 3 and g.n_gen >= 2 and g.n_load >= 2
+
+
+def _syn39_doc():
+    """The synthetic 39-bus grid, built from numpy's default_rng(0): a
+    ring of 39 buses plus 7 random chords, 20 loads and 10 generators on
+    random buses (the first generator's bus is the slack), then nominal
+    loads, capacities, costs and susceptances, every line limited to 400 MW."""
+    rng = np.random.default_rng(0)
+    pairs = [(i, (i + 1) % 39) for i in range(39)]
+    while len(pairs) < 46:
+        a, b = (int(v) for v in sorted(rng.choice(39, 2, replace=False)))
+        if {a, b} not in [set(p) for p in pairs]:
+            pairs.append((a, b))
+    loads = sorted(rng.choice(39, 20, replace=False))
+    gens = sorted(rng.choice(39, 10, replace=False))
+    nominal = rng.uniform(50, 150, 20)
+    p_max = 1.6 * nominal.sum() / 10 * rng.uniform(0.7, 1.3, 10)
+    cost = rng.uniform(10, 40, 10)
+    susceptance = rng.uniform(5, 25, 46)
+    return {
+        "buses": list(range(1, 40)),
+        "slack": int(gens[0]) + 1,
+        "generators": [{"bus": int(g) + 1, "p_min": 0.0, "p_max": float(p), "cost": float(c)}
+                       for g, p, c in zip(gens, p_max, cost)],
+        "loads": [{"bus": int(d) + 1, "nominal": float(n)} for d, n in zip(loads, nominal)],
+        "lines": [{"from": a + 1, "to": b + 1, "susceptance": float(s), "limit": 400.0}
+                  for (a, b), s in zip(pairs, susceptance)],
+    }
+
+
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_syn39_is_its_seeded_build():
+    built = _syn39_doc()
+    assert _canonical(json.loads(builtin_case_text("syn39"))) == _canonical(built)
+    assert hashlib.sha256(_canonical(built).encode()).hexdigest() == \
+        "7bfb0c563b9aa7eead718905e6461988d609d6b40470fb66e3b18b9f73218595"
+    chords = [(ln["from"], ln["to"]) for ln in built["lines"][39:]]
+    assert chords == [(25, 33), (11, 13), (1, 3), (26, 31), (20, 24), (25, 28), (22, 37)]
+    grid = builtin_grid("syn39")
+    assert (grid.n_bus, grid.n_gen, grid.n_load, len(grid.lines)) == (39, 10, 20, 46)
+    assert grid.slack == 5 and round(float(grid.nominal_demand().sum()), 3) == 1885.175
 
 
 def test_unknown_top_level_key_rejected():

@@ -46,6 +46,18 @@ def test_errors_when_no_seed_violates():
                           config=TrainConfig(alpha=3e-3, epochs=800), box=unit_box(2))
 
 
+def test_error_does_not_claim_no_violation_after_a_gap(monkeypatch):
+    # with every node LP broken, seed 0's certificate is v_g 0 with a gap
+    # left: skipped, with nothing to differentiate, but not shown violation free
+    data, gen_box, _ = grid_fixture("case3")
+    monkeypatch.setattr(milp, "solve_lp", NodeLpBreaker(lambda n: True))
+    with pytest.raises(ValueError) as info:
+        layer_sensitivity((8,), data, gen_box, seeds=[0],
+                          config=TrainConfig(alpha=3e-3, epochs=200))
+    assert "no seed produced a violating network" not in str(info.value)
+    assert "but 1 left a gap" in str(info.value)
+
+
 def test_deterministic_across_runs():
     data, gen_box, _ = grid_fixture("case3")
     a = layer_sensitivity((6,), data, gen_box, seeds=range(2), config=_CFG)

@@ -199,7 +199,8 @@ def test_solver_breakdown_leaves_a_gap_and_fine_tuning_goes_on(monkeypatch):
     assert report.records[0].warning is None
     broken = report.records[1]
     assert broken.v_g is not None
-    assert "verifier left gap" in broken.warning and "numerical trouble" in broken.warning
+    assert "numerical trouble" in broken.warning
+    assert f"v_g {broken.v_g:.6g} is a lower bound" in broken.warning
     assert all(r.v_g is not None for r in report.records)
     assert all(r.warning is None for r in report.records[2:])
     assert report.params_sha256 == params_checksum(tuned)
@@ -227,6 +228,22 @@ def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
     assert report.final_v_g <= ref_report.final_v_g <= report.final_bound
     assert "numerical trouble" in report.warning
     assert "lower bound" in report.warning and "at most bound" in report.warning
+
+
+def test_uncertified_zero_does_not_stop_on_no_violation(monkeypatch):
+    # with every node LP broken, each verification of this net finds v_g 0
+    # at the box midpoint with a gap left: a lower bound, not "no violation"
+    data, gen_box, box = _case3()
+    params, _ = _trained(0, epochs=200)
+    breaker = NodeLpBreaker(lambda n: True)
+    monkeypatch.setattr(milp, "solve_lp", breaker)
+    config = TrainConfig(alpha=7e-4, lambda_wc=1.0, max_iters=3, seed=0)
+    _, report = finetune_sequential(params, data, gen_box, config, box=box)
+    assert breaker.raised == breaker.calls > 0
+    assert report.stopped == STOP_MAX_ITERS
+    assert [r.v_g for r in report.records] == [0.0, 0.0, 0.0]
+    assert all("v_g 0 is a lower bound" in r.warning for r in report.records)
+    assert report.final_status == GAP_REMAINING and report.final_bound > 0.0
 
 
 @pytest.mark.parametrize("emptied", ["train", "val"])

@@ -135,14 +135,16 @@ def test_wcnn_survives_solver_breakdown(monkeypatch):
     assert breaker.raised == 1
     broken = report.records[3]
     assert broken.v_g is not None and broken.v_g > 0.0
-    assert "verifier left gap" in broken.warning
-    assert "numerical trouble" in broken.warning
-    assert "using the incumbent witness" in broken.warning
     assert report.v_g_epochs() == [3, 5, 7]
     assert [cert.value for cert in differentiated] == [r.v_g for r in report.records
                                                        if r.v_g is not None]
     first = differentiated[0]
     assert first.status == GAP_REMAINING and first.bound > first.value
+    # the epoch records its certificate's one gap sentence
+    assert broken.warning == first.warning
+    assert "numerical trouble" in broken.warning
+    assert f"v_g {first.value:.6g} is a lower bound" in broken.warning
+    assert f"at most bound {first.bound:.6g}" in broken.warning
     assert report.final_status == CERTIFIED
     # the epoch used the incumbent's gradient: through it, wcnn leaves nn
     monkeypatch.setattr(milp, "solve_lp", NodeLpBreaker(lambda n: n == 1))

@@ -691,6 +691,46 @@ def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, n
     assert case9_digests == (_CASE9_CERT_SHA256, _CASE9_PRE_SHA256)
 
 
+# The syn39 fixture set: nn-trained nets on the synthetic 39-bus grid
+# (1000 samples, data seed 0, 400 epochs, alpha 3e-3, seed 0), certified
+# over scaled_boxes(grid): (arch, nodes, lp_pivots, unstable units,
+# winning candidate).  (16, 16) takes 1685 nodes and is left out.
+_SYN39_NETS = [
+    ((16,), 238, 1336, 15, (1, "lower")),
+    ((8, 8), 141, 988, 14, (4, "upper")),
+    ((12, 12), 557, 4016, 24, (2, "upper")),
+]
+# sha256 over the value, bound and witness bytes of the three
+# certificates, in _SYN39_NETS order
+_SYN39_CERT_SHA256 = "c081b39bf506ac25ec25687e777b38e82e97708c623ce58adebd0c486f2b4ef0"
+
+
+@pytest.fixture(scope="module")
+def syn39_certs():
+    """(certificate, unstable units) of every syn39 fixture net, keyed arch."""
+    data, gen, box = grid_fixture("syn39", n=1000, seed=0)
+    certs = {}
+    for arch, *_ in _SYN39_NETS:
+        params, _ = train_standard(data, arch, TrainConfig(alpha=3e-3, epochs=400, seed=0))
+        certs[arch] = (solve_worst_case(params, box, gen),
+                       milp._Encoding(params, box, gen).n_unstable)
+    return certs
+
+
+@pytest.mark.parametrize("arch,nodes,pivots,unstable,constraint_id", _SYN39_NETS,
+                         ids=["16_s0", "8-8_s0", "12-12_s0"])
+def test_syn39_fixture_trees_are_pinned(syn39_certs, arch, nodes, pivots, unstable,
+                                        constraint_id):
+    cert, n_unstable = syn39_certs[arch]
+    assert (cert.nodes_explored, cert.lp_pivots, n_unstable, cert.status,
+            cert.constraint_id) == (nodes, pivots, unstable, CERTIFIED, constraint_id)
+    digest = hashlib.sha256()
+    for cert, _ in syn39_certs.values():
+        digest.update(np.float64(cert.value).tobytes() + np.float64(cert.bound).tobytes()
+                      + cert.witness.tobytes())
+    assert digest.hexdigest() == _SYN39_CERT_SHA256
+
+
 @pytest.mark.parametrize("net", ["8-16-16-3_s1", "case9_16-16_s0"])
 def test_node_lps_that_break_down_are_set_aside_soundly(monkeypatch, case9_fixture,
                                                         case9_nets, net):
@@ -726,7 +766,44 @@ def test_node_lps_that_break_down_are_set_aside_soundly(monkeypatch, case9_fixtu
     assert cert.bound == max(midpoint, max(enc.interval_margin_bound(cid) for cid in cids))
     assert cert.status == GAP_REMAINING
     assert cert.nodes_explored == breaker.calls == breaker.raised > 0
-    assert cert.lp_pivots == enc.pivots  # a broken LP's pivots are not counted
+    assert cert.lp_pivots == enc.pivots  # NodeLpBreaker's breakdowns spend no pivots
+
+
+@pytest.mark.parametrize("arch", [(8,), (16, 16)], ids=["8_s0", "16-16_s0"])
+def test_pivots_of_lps_that_break_down_count_in_lp_pivots(monkeypatch, case9_fixture,
+                                                         case9_nets, arch):
+    # a simplex capped at 6 iterations breaks down on every LP that needs
+    # more, node and bound LPs alike; lp_pivots still counts every
+    # iteration of every simplex core the verification ran
+    cap = 6
+    cores = []
+    init = simplex._Core.__init__
+
+    def capped(self, problem):
+        init(self, problem)
+        self.max_iterations = cap
+        cores.append(self)
+
+    monkeypatch.setattr(simplex._Core, "__init__", capped)
+    broken = Counter()  # module -> LPs that broke down there
+
+    def recording(module):
+        def solve(*args, **kwargs):
+            try:
+                return simplex.solve_lp(*args, **kwargs)
+            except NumericalBreakdown:
+                broken[module] += 1
+                raise
+        return solve
+
+    for module in (milp, bounds):
+        monkeypatch.setattr(module, "solve_lp", recording(module))
+    _, gen, box = case9_fixture
+    params = case9_nets[arch, 0][0]
+    cert = solve_worst_case(params, box, gen)
+    assert broken[milp] > 0 and cert.status == GAP_REMAINING
+    assert (broken[bounds] > 0) == (params.n_hidden_layers == 2)
+    assert cert.lp_pivots == sum(core.iterations for core in cores)
 
 
 def _moved_last_layer(params, seed):
