@@ -405,7 +405,8 @@ def safe_max(y, problem, off=0.0, cutoff=np.inf):
     with r = c - rows.T @ y, so the bound holds whatever the simplex's
     tolerances, and is tight when y are an optimal basis's row duals
     (row_duals).  A pad relative to the magnitudes summed covers the
-    rounding of its own arithmetic, the addition of off included
+    rounding of its own arithmetic, the addition of off included; it
+    reads |y|, since an equality row's multiplier may have either sign
     (Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer
     linear programming", Math. Prog. 99, 2004).  The rows, the
     right-hand sides and their magnitudes come from problem.row_set.
@@ -417,8 +418,9 @@ def safe_max(y, problem, off=0.0, cutoff=np.inf):
     bound = y @ rs.b + np.maximum(r * lo, r * hi).sum() + off
     if bound > cutoff:
         return np.inf  # the pad would only raise it
-    scale = (y @ rs.abs_b
-             + (np.abs(c) + rs.abs_rows.T @ y) @ np.maximum(np.abs(lo), np.abs(hi))
+    y_abs = np.abs(y)
+    scale = (y_abs @ rs.abs_b
+             + (np.abs(c) + rs.abs_rows.T @ y_abs) @ np.maximum(np.abs(lo), np.abs(hi))
              + abs(off))
     return bound + _SAFE_PAD * scale
 

@@ -4,11 +4,14 @@ narrow_deeper is the one loop that propagates intervals through the
 layers: it re-propagates from one layer after its bounds have been
 tightened, and interval_bounds is that pass from the first layer's
 interval over the input box, every deeper bound starting unbounded.
-lp_bounds tightens a layer's bounds by linear programming over the
-big-M rows of the layers before it (Tjeng et al., ICLR 2019).  Each LP
-value becomes a rigorous bound through its dual, as in Neumaier &
-Shcherbina (Math. Prog. 99, 2004), so the simplex's tolerances never
-make a bound too tight.
+Every interval is padded outward by a bound on the rounding of its
+arithmetic (_affine_interval), so no unit is misfiled as stable and no
+bound is too tight by rounding.  lp_bounds tightens a layer's bounds by
+linear programming over the triangle relaxation of the layers before
+it: two rows per unstable unit, an equality and a chord (milp's
+_Encoding; Tjeng et al., ICLR 2019).  Each LP value becomes a rigorous
+bound through its dual, as in Neumaier & Shcherbina (Math. Prog. 99,
+2004), so the simplex's tolerances never make a bound too tight.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundsUnavailable, NumericalBreakdown, ShapeMismatch
-from ..simplex import LpProblem, LpStatus, row_duals, safe_max, solve_lp
+from ..simplex import LpStatus, row_duals, safe_max, solve_lp
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53  # of float64, rounding to nearest
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,27 @@ def interval_bounds(params, box):
 
 
 def _affine_interval(w, b, lo, hi):
-    """Interval (lower, upper) of w @ x + b over the box lo <= x <= hi."""
+    """Interval (lower, upper) of w @ x + b over the box lo <= x <= hi,
+    padded outward so that it holds whatever the rounding.
+
+    Each end, and each forward pass's w @ x + b, sums n + 1 terms (n
+    inputs), each through at most n + 2 roundings, in any order.  An
+    end's pad is gamma_N times the sum of its own terms' magnitudes, with
+    gamma_N = N u / (1 - N u), u the unit roundoff and N = 3 (n + 2):
+    that covers the end's rounding, a forward pass's at any x in the box
+    (so the interval holds computed preactivations too) and the pad's
+    own arithmetic (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, section 3.1).  An end whose terms are all zero
+    is exact and gets no pad.
+    """
     wp = np.maximum(w, 0.0)
     wn = np.minimum(w, 0.0)
-    return wp @ lo + wn @ hi + b, wp @ hi + wn @ lo + b
+    n = 3 * (w.shape[1] + 2)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    abs_lo, abs_hi, abs_b = np.abs(lo), np.abs(hi), np.abs(b)
+    pad_dn = gamma * (wp @ abs_lo - wn @ abs_hi + abs_b)
+    pad_up = gamma * (wp @ abs_hi - wn @ abs_lo + abs_b)
+    return wp @ lo + wn @ hi + b - pad_dn, wp @ hi + wn @ lo + b + pad_up
 
 
 def narrow_deeper(params, lower, upper, k):
@@ -102,15 +125,16 @@ def narrow_deeper(params, lower, upper, k):
         upper[i] = np.minimum(upper[i], up)
 
 
-def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
+def lp_bounds(problem, forms, lower, upper, starts=None):
     """Tighten lower <= a @ x + b <= upper, for (a, b) = forms, by LP.
 
-    Each unit is the affine form a[j] @ x + b[j] of x in the polytope
-    rows @ x <= rhs, lo <= x <= hi (every bound finite).  Only units with
+    Each unit is the affine form a[j] @ x + b[j] of x in the polytope of
+    problem, an LpProblem (its equality and <= rows, and its bounds,
+    every one finite; its objective is not read).  Only units with
     lower < 0 < upper are solved: first their maximum, then their minimum
     unless the maximum already proves them inactive.  All LPs are
-    siblings of one LpProblem under equal bounds, and safe_max takes the
-    rows' magnitudes from that one row set.
+    siblings of problem, and safe_max takes the rows' magnitudes from
+    that one row set.
 
     starts maps (unit, "max" or "min") to the basis that LP starts from,
     as the same bound LP of an earlier verification of the net left it
@@ -135,17 +159,16 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
     a, b = forms
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
-    lp = LpProblem(c=np.zeros(rows.shape[1]), a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
     bases = dict(starts or {})
     last = {}  # sense -> the last optimal basis of that sense
     pivots = 0
 
     def upper_bound(key, c, off):
         nonlocal pivots
-        problem = lp.sibling(c=c)
+        lp = problem.sibling(c=c)
         start = bases[key] if key in bases else last.get(key[1])
         try:
-            sol = solve_lp(problem, start=start, cutoff=-np.inf)
+            sol = solve_lp(lp, start=start, cutoff=-np.inf)
         except NumericalBreakdown as exc:
             pivots += exc.iterations
             return np.inf
@@ -153,7 +176,7 @@ def lp_bounds(rows, rhs, lo, hi, forms, lower, upper, starts=None):
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
         bases[key] = last[key[1]] = sol.basis
-        return safe_max(row_duals(sol.basis), problem, off)
+        return safe_max(row_duals(sol.basis), lp, off)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):
         upper[j] = min(upper[j], upper_bound((int(j), "max"), a[j], b[j]))

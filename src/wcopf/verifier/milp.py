@@ -1,16 +1,23 @@
 """Branch-and-bound search for the worst generator-bound violation.
 
-Each ReLU unit that its preactivation bounds cannot prove stable gets
-an activation variable z and an on/off variable y; three big-M rows per
-such unit (with those bounds as the constants) make the LP relaxation
-exact once every y is integral.  Stable units enter the rows as affine
-forms of the encoded variables and are never branched on.
+Each ReLU unit that its preactivation bounds zlo < 0 < zhi cannot prove
+stable gets an activation z in [0, zhi] and its gap sigma = z - s in
+[0, -zlo] from the preactivation s, and two rows: the equality
+z - sigma - s = 0 and the chord z <= zhi (s - zlo) / (zhi - zlo).  With
+those bounds they are the triangle relaxation of the unit (Ehlers, ATVA
+2017), which is what the classic three big-M rows with a continuous
+on/off variable y project onto (Anderson et al., Math. Prog. 2020), in
+a third fewer rows.  A branch fixes a unit to one of its linear pieces
+by a bound: inactive sets z's upper bound to 0 and active sets sigma's,
+and the relaxation is exact once every unit's LP point lies on one of
+its pieces.  Stable units enter the rows as affine forms of the encoded
+variables and are never branched on.
 
 The bounds are interval bounds, tightened before the search in every
-hidden layer past the first by bound LPs over the big-M rows of the
-layers before it (bounds.lp_bounds, after Tjeng et al., ICLR 2019):
-fewer unstable units and narrower big-M ranges make a smaller tree of
-smaller node LPs.  A one-hidden-layer net solves no bound LP.  Bound LPs
+hidden layer past the first by bound LPs over the rows of the layers
+before it (bounds.lp_bounds, after Tjeng et al., ICLR 2019): fewer
+unstable units and narrower ranges make a smaller tree of smaller node
+LPs.  A one-hidden-layer net solves no bound LP.  Bound LPs
 are solved in bounds.py, never in the search, whose every LP is a node
 LP.
 
@@ -20,17 +27,19 @@ over the disjunction of their subproblems, as in Bunel et al. (JMLR
 next, and one incumbent holds the best margin of any candidate at any
 point evaluated in the box, so a loser is fathomed against the
 winner's margin however early it is searched.  A node branches on the
-free fractional unit with the largest weighted big-M range times
-fractionality, nu+ * (zhi - zlo) * min(y, 1 - y), after their BaBSR
-score: nu+ is the objective's marginal value on the unit's activation,
-read from the node LP's row duals on the unit's three rows (falling back
-to the unweighted score when no candidate unit has a positive weight).
+free unit with the largest weighted range times distance from its
+pieces, nu+ * (zhi - zlo) * min(z / zhi, sigma / -zlo), after their
+BaBSR score: nu+ is the objective's marginal value on the unit's
+activation, read from the node LP's row duals on the unit's two rows
+(falling back to the unweighted score when no candidate unit has a
+positive weight).  The distance is the big-M min(y, 1 - y) at the y
+nearest to 0 or 1 that the point admits.
 The rule only picks which tree proves the bound, never what it proves.
 Every tie-break is by index, so repeated runs explore identical trees
 and return identical witnesses.
 
 Every node LP is a sibling of one LpProblem per encoding (the same
-rows, its own objective and y bounds), and every one is solved through
+rows, its own objective and z and sigma bounds), and every one is solved through
 one call with the incumbent's cutoff.  A child's LP starts from its
 parent's optimal basis with that cutoff: its dual simplex stops as soon
 as the row duals prove that the child cannot beat the cutoff
@@ -59,7 +68,7 @@ A node LP that ends optimal is valued by safe_max over its row duals
 too, with its candidate's constant folded in: a rigorous upper bound on
 the candidate's margin over the node, a little above the LP optimum,
 that fathoms the node or keys its children.  The same row duals weigh
-its branching scores.  Its candidate point and its relaxed y are the
+its branching scores.  Its candidate point and its z and sigma are the
 values the simplex carried (LpSolution.point), and the point is clipped
 into the box and evaluated by forward, so a point off by the simplex's
 tolerances weakens the incumbent at worst.  No node LP re-solves its
@@ -69,8 +78,9 @@ A search gives up on a node one way: it sets the node aside, and the
 node's key (a child's is its parent's safe bound, a root's its interval
 margin bound) still bounds the certificate.  That happens past
 node_limit and when the node LP raises NumericalBreakdown, so no
-breakdown escapes the search.  A root's key is rounded to nearest, not
-padded, as for a root the search never solves.
+breakdown escapes the search.  A root's key rests on interval bounds
+padded outward for rounding (bounds.interval_bounds), as for a root the
+search never solves.
 """
 
 import heapq
@@ -90,7 +100,8 @@ from .patterns import worst_case_fixed_pattern
 FATHOM_PAD = 1e-7
 # certificate is exact up to this gap
 GAP_TOL = 1e-6
-# a relaxed y this close to 0/1 counts as integral
+# a unit this close to one of its linear pieces (_Encoding.piece_distance)
+# counts as on it
 INT_TOL = 1e-7
 
 DEFAULT_NODE_LIMIT = 200_000
@@ -180,22 +191,25 @@ class _Encoding:
     (upper bound <= 0; this test wins when both apply), stable-active
     (lower bound >= 0) and unstable units, and only the unstable ones
     are encoded.  Variable layout: [d (inputs) | z (one per unstable
-    unit) | y (one per unstable unit)].  Each layer's activation is an
-    affine form act @ x + off in these variables: an unstable unit's is
-    its own z, a stable-active unit's is its preactivation and a
-    stable-inactive unit's is 0.  Rows, listed per unstable unit with
-    preactivation s = w@act_prev + b and bounds zlo < s < zhi:
+    unit) | sigma (one per unstable unit)], with sigma_off the index of
+    the first sigma.  Each layer's activation is an affine form
+    act @ x + off in these variables: an unstable unit's is its own z, a
+    stable-active unit's is its preactivation and a stable-inactive
+    unit's is 0.  Rows, one equality row and one <= row per unstable
+    unit, with preactivation s = w@act_prev + b, bounds zlo < s < zhi
+    and k = zhi / (zhi - zlo):
 
-        z - s - zlo*y <= -zlo      (z <= s - zlo*(1-y))
-        s - z         <= 0         (z >= s)
-        z - zhi*y     <= 0         (z <= zhi*y)
+        z - sigma - s = 0          (sigma = z - s)
+        z - k*s      <= -k*zlo     (z <= k*(s - zlo))
 
-    with z in [0, zhi].  y = 1 forces z = s >= 0, y = 0 forces z = 0
-    and s <= 0.  The bounds hold for any relaxed activations that satisfy
-    the rows of the layers before, so a stable unit's rows are implied
-    and dropping them leaves every node LP's optimum unchanged.  y_range
-    holds each unstable unit's big-M range zhi - zlo, in the order of
-    the y variables.
+    with z in [0, zhi] and sigma in [0, -zlo] (z_hi and sigma_hi).  So
+    z >= 0, z >= s and z lies under the chord from (zlo, 0) to
+    (zhi, zhi): the unit's triangle.  sigma <= 0 (active) forces
+    z = s >= 0, z <= 0 (inactive) forces z = 0 and s <= 0.  The bounds
+    hold for any relaxed activations that satisfy the rows of the
+    layers before, so a stable unit's rows are implied and dropping
+    them leaves every node LP's optimum unchanged.  unit_range holds
+    each unstable unit's zhi - zlo, in the order of the units.
 
     start, if given, is an earlier verification's _Bases: layer k's
     bound LPs start from its bases for layer k when it fits the unstable
@@ -222,27 +236,26 @@ class _Encoding:
         self.pivots = 0
         for k in range(1, n_layers):
             bounds = PreactBounds(lower, upper)
-            rows, rhs, lo, hi, _, act, off = self._build(bounds, k)
+            problem, act, off = self._build(bounds, k)
             w, b = params.weights[k], params.biases[k]
             earlier = None
             if start is not None and start.fits(self._layout(bounds), k):
                 earlier = start.bounds.get(k)
             lower[k], upper[k], self.bound_bases[k], pivots = lp_bounds(
-                rows, rhs, lo, hi, (w @ act, w @ off + b), lower[k], upper[k], earlier)
+                problem, (w @ act, w @ off + b), lower[k], upper[k], earlier)
             self.pivots += pivots
             narrow_deeper(params, lower, upper, k)
         self.pre = PreactBounds(lower[:n_layers], upper[:n_layers])
         self.layout = self._layout(self.pre)
         self.out_dn = lower[-1]
         self.out_up = upper[-1]
-        (self.rows, self.rhs, self.var_lo, self.var_hi, self.y_range,
-         self.out_act, self.out_off) = self._build(self.pre, n_layers)
-        self.n_unstable = self.y_range.shape[0]
-        self.y_off = self.n_in + self.n_unstable
-        self.n_vars = self.rows.shape[1]
-        # every node LP is a sibling of this one: same rows, own c and bounds
-        self.node_lp = LpProblem(c=np.zeros(self.n_vars), a_ub=self.rows, b_ub=self.rhs,
-                                 lo=self.var_lo, hi=self.var_hi)
+        # every node LP is a sibling of node_lp: same rows, own c and bounds
+        self.node_lp, self.out_act, self.out_off = self._build(self.pre, n_layers)
+        self.n_unstable = self.node_lp.a_eq.shape[0]
+        self.sigma_off = self.n_in + self.n_unstable
+        self.z_hi = self.node_lp.hi[self.n_in : self.sigma_off]
+        self.sigma_hi = self.node_lp.hi[self.sigma_off :]
+        self.unit_range = self.z_hi + self.sigma_hi  # zhi - zlo
 
     def _layout(self, pre):
         """(n_inputs, n_outputs, unstable-unit mask of each hidden layer)
@@ -253,21 +266,22 @@ class _Encoding:
     def _build(self, pre, depth):
         """Rows of the hidden layers before depth, from the bounds pre.
 
-        Returns (rows, rhs, var_lo, var_hi, y_range, act, off), where
-        act @ x + off is the activation of layer depth - 1 (the input at
-        depth 0).
+        Returns (problem, act, off): the LpProblem of those rows and
+        variable bounds with objective 0, and act @ x + off, the
+        activation of layer depth - 1 (the input at depth 0).
         """
         unstable = [pre.unstable(k) for k in range(depth)]
         active = [~(u | pre.stable_inactive(k)) for k, u in enumerate(unstable)]
         n_in = self.n_in
         n_unstable = int(sum(np.sum(u) for u in unstable))
-        y_off = n_in + n_unstable
+        sigma_off = n_in + n_unstable
         n_vars = n_in + 2 * n_unstable
-        rows = np.zeros((3 * n_unstable, n_vars))
-        rhs = np.zeros(3 * n_unstable)
-        y_range = np.zeros(n_unstable)
+        a_eq = np.zeros((n_unstable, n_vars))
+        b_eq = np.zeros(n_unstable)
+        a_ub = np.zeros((n_unstable, n_vars))
+        b_ub = np.zeros(n_unstable)
         lo = np.zeros(n_vars)
-        hi = np.ones(n_vars)
+        hi = np.zeros(n_vars)
         lo[:n_in] = self.box.lo
         hi[:n_in] = self.box.hi
         act = np.eye(n_in, n_vars)
@@ -282,22 +296,22 @@ class _Encoding:
             off = np.where(active[k], s_off, 0.0)
             for j in np.flatnonzero(unstable[k]):
                 zv = n_in + u
-                yv = y_off + u
-                r = 3 * u
-                rows[r] = -s_act[j]
-                rows[r, zv] = 1.0
-                rows[r, yv] = -zlo[j]
-                rhs[r] = s_off[j] - zlo[j]
-                rows[r + 1] = s_act[j]
-                rows[r + 1, zv] = -1.0
-                rhs[r + 1] = -s_off[j]
-                rows[r + 2, zv] = 1.0
-                rows[r + 2, yv] = -zhi[j]
+                sv = sigma_off + u
+                slope = zhi[j] / (zhi[j] - zlo[j])
+                a_eq[u] = -s_act[j]
+                a_eq[u, zv] = 1.0
+                a_eq[u, sv] = -1.0
+                b_eq[u] = s_off[j]
+                a_ub[u] = -slope * s_act[j]
+                a_ub[u, zv] = 1.0
+                b_ub[u] = slope * (s_off[j] - zlo[j])
                 hi[zv] = zhi[j]
-                y_range[u] = zhi[j] - zlo[j]
+                hi[sv] = -zlo[j]
                 act[j, zv] = 1.0
                 u += 1
-        return rows, rhs, lo, hi, y_range, act, off
+        problem = LpProblem(c=np.zeros(n_vars), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                            lo=lo, hi=hi)
+        return problem, act, off
 
     def objective(self, constraint_id):
         """(c, const): the candidate's margin is c @ x + const."""
@@ -312,22 +326,36 @@ class _Encoding:
         end = self.out_up if constraint_id[1] == "upper" else self.out_dn
         return margin_of_output(end, self.gen_bounds, constraint_id)
 
-    def solve_node(self, c, y_fix, start=None, cutoff=None):
-        lo = self.var_lo.copy()
-        hi = self.var_hi.copy()
-        lo[self.y_off :] = y_fix == 1
-        hi[self.y_off :] = y_fix != 0
-        return solve_lp(self.node_lp.sibling(c=c, lo=lo, hi=hi), start=start, cutoff=cutoff)
+    def solve_node(self, c, fix, start=None, cutoff=None):
+        """The node LP of objective c under the unit fixes fix (one per
+        unstable unit: -1 free, 0 inactive, 1 active).  Inactive sets z's
+        upper bound to 0, so s = -sigma <= 0; active sets sigma's, so
+        z = s >= 0.  The rows never change."""
+        hi = self.node_lp.hi.copy()
+        hi[self.n_in : self.sigma_off][fix == 0] = 0.0
+        hi[self.sigma_off :][fix == 1] = 0.0
+        return solve_lp(self.node_lp.sibling(c=c, hi=hi), start=start, cutoff=cutoff)
+
+    def piece_distance(self, point):
+        """Each unstable unit's min(z / zhi, sigma / -zlo) at an LP point:
+        0 on either of its linear pieces (z = 0 or z = s).  It is the
+        big-M encoding's min(y, 1 - y) at the y nearest to 0 or 1 that
+        the point admits, since y may be anything in
+        [z / zhi, 1 - sigma / -zlo]."""
+        return np.minimum(point[self.n_in : self.sigma_off] / self.z_hi,
+                          point[self.sigma_off :] / self.sigma_hi)
 
     def unit_weights(self, u):
         """Objective weight of each unstable unit at a node LP's basis.
 
-        With u the basis's row duals (simplex.row_duals), nu = u[3k] -
-        u[3k+1] + u[3k+2] is the price that unit k's three rows put on
-        its z: the objective's marginal value on z downstream.  Returns
-        max(nu, 0), in the order of the y variables.
+        With u the basis's row duals (simplex.row_duals: the equality
+        rows, then the <= rows), nu = u_eq[k] + u_ub[k] is the price that
+        unit k's two rows put on its z, which enters each with
+        coefficient 1: the objective's marginal value on z downstream.
+        Returns max(nu, 0), in the order of the units.
         """
-        return np.maximum(u[0::3] - u[1::3] + u[2::3], 0.0)
+        n = self.n_unstable
+        return np.maximum(u[:n] + u[n:], 0.0)
 
 
 class _Incumbent:
@@ -351,21 +379,21 @@ class _Incumbent:
             self.witness = np.array(point, dtype=float)
 
 
-def _branch_unit(y_rel, y_fix, y_range, weight):
+def _branch_unit(dist, fix, unit_range, weight):
     """Unit to branch on at a node, or None when the node is integral.
 
-    Among the free units (y_fix < 0) whose relaxed y is more than
-    INT_TOL from 0 and 1, picks the one with the largest
-    weight * y_range * min(y, 1 - y), where weight is each unit's
-    nonnegative objective weight (_Encoding.unit_weights); when no such
-    unit has a positive weight, the largest y_range * min(y, 1 - y).
-    Ties go to the lowest index.
+    dist is each unit's distance from its two linear pieces at the node
+    LP's point (_Encoding.piece_distance).  Among the free units
+    (fix < 0) whose dist exceeds INT_TOL, picks the one with the largest
+    weight * unit_range * dist, where weight is each unit's nonnegative
+    objective weight (_Encoding.unit_weights) and unit_range its
+    zhi - zlo; when no such unit has a positive weight, the largest
+    unit_range * dist.  Ties go to the lowest index.
     """
-    frac = np.abs(y_rel - np.round(y_rel))  # min(y, 1 - y) for y in [0, 1]
-    free_frac = (frac > INT_TOL) & (y_fix < 0)
+    free_frac = (dist > INT_TOL) & (fix < 0)
     if not np.any(free_frac):
         return None
-    score = y_range * frac
+    score = unit_range * dist
     if np.any(free_frac & (weight > 0.0)):
         score = weight * score
     return int(np.argmax(np.where(free_frac, score, -np.inf)))
@@ -374,7 +402,7 @@ def _branch_unit(y_rel, y_fix, y_range, weight):
 def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     """Maximize every candidate margin in one best-first tree.
 
-    Heap entries are (-bound, seq, candidate index, y_fix, parent's LP
+    Heap entries are (-bound, seq, candidate index, fix, parent's LP
     basis).  A root is keyed by its candidate's interval margin bound and
     every other node by its parent's LP value, so the node with the
     largest bound over all candidates is expanded first, and a root
@@ -436,21 +464,21 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     last_root = None  # the last optimal root basis
 
     while heap and -heap[0][0] > cutoff():
-        neg_bound, _, k, y_fix, start = heapq.heappop(heap)
+        neg_bound, _, k, fix, start = heapq.heappop(heap)
         if nodes[k] >= node_limit:
             leaf_bound = max(leaf_bound, -neg_bound)
             continue
         nodes[k] += 1
 
         c, const = objectives[k]
-        root = y_fix is free
+        root = fix is free
         if root and start is None:
             start = last_root
-        # a child differs from its parent only in y bounds, so the parent's
-        # basis stays dual feasible and warm-starts it, and its dual
-        # simplex stops once it proves the child fathomed
+        # a child differs from its parent only in one z or sigma bound, so
+        # the parent's basis stays dual feasible and warm-starts it, and
+        # its dual simplex stops once it proves the child fathomed
         try:
-            sol = enc.solve_node(c, y_fix, start, cutoff() - const)
+            sol = enc.solve_node(c, fix, start, cutoff() - const)
         except NumericalBreakdown as exc:
             # set aside as a node past node_limit is: its key bounds its region
             leaf_bound = max(leaf_bound, -neg_bound)
@@ -474,13 +502,14 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
             leaf_bound = max(leaf_bound, val)
             continue
 
-        j = _branch_unit(sol.point[enc.y_off :], y_fix, enc.y_range, enc.unit_weights(duals))
+        j = _branch_unit(enc.piece_distance(sol.point), fix, enc.unit_range,
+                         enc.unit_weights(duals))
         if j is None:
             # integral node: the LP already maximized over this region
             leaf_bound = max(leaf_bound, val)
             continue
         for bit in (0, 1):
-            child = y_fix.copy()
+            child = fix.copy()
             child[j] = bit
             seq += 1
             # both children share the parent's basis inverse

@@ -336,6 +336,70 @@ def brute_force_worst_case(params, box, gen_bounds):
     return best[0], best[1], best[2]
 
 
+def big_m_node_lp(params, box, lower, upper, fix):
+    """The three-row big-M node LP of a ReLU net, as textbooks write it.
+
+    lower and upper hold the preactivation bounds of each hidden layer.
+    A unit with lower < 0 < upper gets an activation z in [0, upper] and
+    an on/off y in [0, 1], pinned to fix[u] for a fixed unit (fix lists
+    one entry per such unit in layer order: -1 free, 0 off, 1 on), and
+    three rows over its preactivation s:
+
+        z >= s,    z <= s - lower (1 - y),    z <= upper y.
+
+    A unit with upper <= 0 is 0 and one with lower >= 0 is its
+    preactivation.  Variables are [d | z per unit | y per unit].
+    Returns (a_ub, b_ub, lo, hi, out), out[g] = (a, b) with the net's
+    output g equal to a @ x + b.
+    """
+    n_in = params.n_inputs
+    units = [(k, j) for k in range(params.n_hidden_layers)
+             for j in range(len(lower[k])) if lower[k][j] < 0.0 < upper[k][j]]
+    h = len(units)
+    n = n_in + 2 * h
+    lo = np.concatenate([box.lo, np.zeros(2 * h)])
+    hi = np.concatenate([box.hi, np.zeros(h), np.ones(h)])
+    rows, rhs = [], []
+    act = [(np.eye(n)[i], 0.0) for i in range(n_in)]
+    for k in range(params.n_hidden_layers):
+        w, b = params.weights[k], params.biases[k]
+        layer = []
+        for j in range(w.shape[0]):
+            a = sum(w[j, i] * act[i][0] for i in range(len(act)))
+            c = b[j] + sum(w[j, i] * act[i][1] for i in range(len(act)))
+            if upper[k][j] <= 0.0:
+                layer.append((np.zeros(n), 0.0))
+            elif lower[k][j] >= 0.0:
+                layer.append((a, c))
+            else:
+                u = units.index((k, j))
+                z, y = n_in + u, n_in + h + u
+                hi[z] = upper[k][j]
+                if fix[u] >= 0:
+                    lo[y] = hi[y] = fix[u]
+                row = a.copy()            # s - z <= 0
+                row[z] -= 1.0
+                rows.append(row)
+                rhs.append(-c)
+                row = -a                  # z - s - lower y <= -lower
+                row[z] += 1.0
+                row[y] -= lower[k][j]
+                rows.append(row)
+                rhs.append(c - lower[k][j])
+                row = np.zeros(n)         # z - upper y <= 0
+                row[z] = 1.0
+                row[y] = -upper[k][j]
+                rows.append(row)
+                rhs.append(0.0)
+                layer.append((np.eye(n)[z], 0.0))
+        act = layer
+    w, b = params.weights[-1], params.biases[-1]
+    out = [(sum(w[g, i] * act[i][0] for i in range(len(act))),
+            b[g] + sum(w[g, i] * act[i][1] for i in range(len(act))))
+           for g in range(w.shape[0])]
+    return np.array(rows).reshape(-1, n), np.array(rhs), lo, hi, out
+
+
 def adam_per_array(weights, biases, grad_w, grad_b, moments, step, alpha,
                    beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam step array by array, as the textbook writes it.

@@ -2,8 +2,8 @@
 
 _Encoding tightens the interval bounds of every hidden layer past the
 first by the LPs of bounds.lp_bounds.  A bound that is too tight would
-let the big-M rows cut off part of the network's graph, and with it the
-true worst case, so every tightened bound is checked against sampled
+let the encoding's rows cut off part of the network's graph, and with it
+the true worst case, so every tightened bound is checked against sampled
 forward passes and against HiGHS's optimum of the same LP.
 """
 
@@ -34,9 +34,12 @@ def _encoding(seed, dims, radius):
     return params, box, milp._Encoding(params, box, gen)
 
 
-def _highs_max(c, rows, rhs, lo, hi):
-    res = linprog(-c, A_ub=rows if rows.size else None, b_ub=rhs if rows.size else None,
-                  bounds=list(zip(lo, hi)), method="highs",
+def _highs_max(c, problem):
+    """HiGHS's maximum of c @ x over problem's rows and bounds."""
+    rows = problem.a_ub.size > 0
+    res = linprog(-c, A_eq=problem.a_eq if rows else None, b_eq=problem.b_eq if rows else None,
+                  A_ub=problem.a_ub if rows else None, b_ub=problem.b_ub if rows else None,
+                  bounds=list(zip(problem.lo, problem.hi)), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
@@ -94,7 +97,7 @@ def test_lp_bounds_are_safe_and_tight_against_highs(monkeypatch, seed, dims, rad
     monkeypatch.setattr(bounds, "solve_lp", counting)
     _encoding(seed, dims, radius)
     assert len(calls) == len(dims) - 3  # one call per hidden layer past the first
-    for (rows, rhs, lo, hi, (a, b), lower, upper, starts), result, n_lps in calls:
+    for (problem, (a, b), lower, upper, starts), result, n_lps in calls:
         new_lo, new_up, bases, pivots = result
         unstable = np.flatnonzero((lower < 0.0) & (upper > 0.0))
         assert unstable.size
@@ -106,10 +109,10 @@ def test_lp_bounds_are_safe_and_tight_against_highs(monkeypatch, seed, dims, rad
         # a maximum that proves a unit inactive skips its minimum
         assert n_lps == unstable.size + int(np.sum(new_up[unstable] > 0.0))
         for j in unstable:
-            top = _highs_max(a[j], rows, rhs, lo, hi) + b[j]
+            top = _highs_max(a[j], problem) + b[j]
             assert top - 1e-9 <= new_up[j] <= top + 1e-6
             if new_up[j] > 0.0:
-                bottom = -_highs_max(-a[j], rows, rhs, lo, hi) + b[j]
+                bottom = -_highs_max(-a[j], problem) + b[j]
                 assert bottom - 1e-6 <= new_lo[j] <= bottom + 1e-9
             else:
                 assert new_lo[j] == lower[j]
@@ -120,15 +123,14 @@ def test_safe_bound_holds_for_any_basis(seed):
     # the duals of a basis that is optimal for another objective are no
     # optimal duals, some of them negative; clipped at 0 they still bound
     _, _, enc = _encoding(1, (3, 8, 8, 2), 1.0)
-    rows, rhs, lo, hi = enc.rows, enc.rhs, enc.var_lo, enc.var_hi
     rng = np.random.default_rng((seed, 9))
-    other, c = rng.standard_normal((2, rows.shape[1]))
-    lp = LpProblem(c=other, a_ub=rows, b_ub=rhs, lo=lo, hi=hi)
+    other, c = rng.standard_normal((2, enc.node_lp.c.shape[0]))
+    lp = enc.node_lp.sibling(c=other)
     sol = solve_lp(lp)
     basic, _, binv = sol.basis
     c_b = np.append(c, 0.0)[np.minimum(basic, c.shape[0])]
     assert (c_b @ binv < -1e-3).any()
-    best = _highs_max(c, rows, rhs, lo, hi)
+    best = _highs_max(c, lp)
     assert safe_max(c_b @ binv, lp.sibling(c=c), 0.25) >= best + 0.25
 
 
@@ -140,48 +142,51 @@ def test_lp_bounds_keep_the_given_bound_when_an_lp_fails(monkeypatch, failure):
         return LpSolution(LpStatus.INFEASIBLE)
 
     monkeypatch.setattr(bounds, "solve_lp", failing)
-    rows = np.array([[1.0, 1.0]])
+    problem = LpProblem(c=np.zeros(2), a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+                        lo=np.zeros(2), hi=np.ones(2))
     lower = np.array([-1.0, -2.0])
     upper = np.array([1.0, 3.0])
     forms = (np.eye(2), np.zeros(2))
-    new_lo, new_up, bases, pivots = bounds.lp_bounds(rows, np.array([1.0]), np.zeros(2),
-                                                     np.ones(2), forms, lower, upper)
+    new_lo, new_up, bases, pivots = bounds.lp_bounds(problem, forms, lower, upper)
     assert new_lo.tobytes() == lower.tobytes() and new_up.tobytes() == upper.tobytes()
     assert bases == {} and pivots == 0
 
 
 def _one_layer_reference(params, box):
-    """The big-M rows of _Encoding's docstring from interval bounds alone."""
+    """The rows of _Encoding's docstring from interval bounds alone."""
     pre, out_dn, out_up = interval_bounds(params, box)
     lower, upper = pre.lower[0], pre.upper[0]
     w, b = params.weights[0], params.biases[0]
     n_in = params.n_inputs
     units = [j for j in range(w.shape[0]) if lower[j] < 0.0 < upper[j]]
     n_vars = n_in + 2 * len(units)
-    rows = np.zeros((3 * len(units), n_vars))
-    rhs = np.zeros(3 * len(units))
+    a_eq = np.zeros((len(units), n_vars))
+    b_eq = np.zeros(len(units))
+    a_ub = np.zeros((len(units), n_vars))
+    b_ub = np.zeros(len(units))
     var_lo = np.concatenate([box.lo, np.zeros(2 * len(units))])
-    var_hi = np.concatenate([box.hi, np.ones(2 * len(units))])
+    var_hi = np.concatenate([box.hi, np.zeros(2 * len(units))])
     out_act = np.zeros((w.shape[0], n_vars))
     for u, j in enumerate(units):
-        z, y = n_in + u, n_in + len(units) + u
+        z, sigma = n_in + u, n_in + len(units) + u
         s_j = np.zeros(n_vars)  # the preactivation's coefficients
         s_j[:n_in] = w[j]
-        rows[3 * u] = -s_j
-        rows[3 * u, z] = 1.0
-        rows[3 * u, y] = -lower[j]
-        rhs[3 * u] = b[j] - lower[j]
-        rows[3 * u + 1] = s_j
-        rows[3 * u + 1, z] = -1.0
-        rhs[3 * u + 1] = -b[j]
-        rows[3 * u + 2, z] = 1.0
-        rows[3 * u + 2, y] = -upper[j]
+        slope = upper[j] / (upper[j] - lower[j])
+        a_eq[u] = -s_j          # z - sigma - s = 0
+        a_eq[u, z] = 1.0
+        a_eq[u, sigma] = -1.0
+        b_eq[u] = b[j]
+        a_ub[u] = -slope * s_j  # z - slope (s - lower) <= 0
+        a_ub[u, z] = 1.0
+        b_ub[u] = slope * (b[j] - lower[j])
         var_hi[z] = upper[j]
+        var_hi[sigma] = -lower[j]
         out_act[j, z] = 1.0
     active = lower >= 0.0
     out_act[active, :n_in] = w[active]
     out_off = np.where(active, b, 0.0)
-    return rows, rhs, var_lo, var_hi, upper[units] - lower[units], out_act, out_off, out_dn, out_up
+    return (a_eq, b_eq, a_ub, b_ub, var_lo, var_hi, upper[units] - lower[units], out_act,
+            out_off, out_dn, out_up)
 
 
 @pytest.mark.parametrize("seed,dims", [(0, (3, 10, 2)), (5, (3, 24, 3)), (7, (2, 16, 1))])
@@ -191,8 +196,9 @@ def test_one_layer_encoding_is_the_interval_encoding(monkeypatch, seed, dims):
 
     monkeypatch.setattr(bounds, "solve_lp", no_lp)
     params, box, enc = _encoding(seed, dims, 1.0)
-    got = (enc.rows, enc.rhs, enc.var_lo, enc.var_hi, enc.y_range, enc.out_act, enc.out_off,
-           enc.out_dn, enc.out_up)
+    lp = enc.node_lp
+    got = (lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, lp.lo, lp.hi, enc.unit_range, enc.out_act,
+           enc.out_off, enc.out_dn, enc.out_up)
     want = _one_layer_reference(params, box)
     assert enc.n_unstable > 0
     for g, w in zip(got, want):

@@ -105,12 +105,12 @@ PIPELINE_PARAMS_SHA256 = {
 # recipe's nn model at the default box; its bytes hold lp_pivots and
 # nodes_explored, so a change to any LP's pivots moves it.  The CI
 # workflow checks the installed wcopf verify against it.
-PIPELINE_CERT_SHA256 = "5448dadce7537d3c88e0881bf7945b157f79bd4f6f35465dac44ad4ab369a305"
+PIPELINE_CERT_SHA256 = "3d985d4ae892acf4f0c7e55244cf1fc31d6c8b7f423a8be5490a1c4b874a4dda"
 
 # the same for the demand box PIPELINE_CERT_BOX, which pins the scaled box
 # of a --box other than the default; the CI workflow checks it too
 PIPELINE_CERT_BOX = "0.7:0.95"
-PIPELINE_BOX_CERT_SHA256 = "93711898bff000eaad4bd3ab4c3b861c7642f383efbe4cae8edda852b11783b7"
+PIPELINE_BOX_CERT_SHA256 = "700d3d5b30b8d130347ae4e7b879a9047466882f50880abf68452334ceb39af9"
 
 
 def _pipeline_train(tmp_path, modes):
@@ -137,7 +137,7 @@ def test_pipeline_recipe_certificate_is_pinned(tmp_path):
     assert cli.main(["verify", "--model", str(tmp_path / "nn.json"), "--grid", "case9",
                      "--out", str(cert)]) == 0
     doc = json.load(open(cert))
-    assert (doc["lp_pivots"], doc["nodes_explored"]) == (40, 14)
+    assert (doc["lp_pivots"], doc["nodes_explored"]) == (37, 14)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_CERT_SHA256
 
 
@@ -148,7 +148,7 @@ def test_pipeline_recipe_certificate_at_another_box_is_pinned(tmp_path):
                      "--box", PIPELINE_CERT_BOX, "--out", str(cert)]) == 0
     doc = json.load(open(cert))
     assert doc["box"] == [0.7, 0.95]
-    assert (doc["lp_pivots"], doc["nodes_explored"]) == (23, 7)
+    assert (doc["lp_pivots"], doc["nodes_explored"]) == (20, 7)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_BOX_CERT_SHA256
 
 
@@ -159,11 +159,11 @@ def test_pipeline_recipe_certificate_at_another_box_is_pinned(tmp_path):
 PIPELINE_FINETUNE_CONFIG = {"alpha": 0.003, "max_iters": 10}
 PIPELINE_REPORT_SHA256 = {
     "nn": ("7f97bc5b4446cb259d22f3264dc444793adb22bd71f569102a6ffd9b9ef96dc0",
-           "a91abc0566015eb11218073182e6359342bcc7107fba80f6fa669478fe42f365"),
+           "f7520208f52f5bc6228ab31f274ba3969bc78439847f5859e70f339558f63cab"),
     "gennn": ("4bcc84c9db074df50cd4396712c1e71df2db142588f3273f7ba44328ca5febcc",
-              "da23d916083284e5735a985888136cf8b3d08d36b388e79a341178fb6347bced"),
+              "bda5298839a19caae77018303e7b4828267a4c0b659b6d6666c6d01a6feba0cc"),
     "finetune": ("1b658147fc889ee31d6b201934977289d5fe6f63f9adc516f9d3d7742da7b2a9",
-                 "caa463393dbac726d6ca60301601c29d636c05a33f8ef84657918292e085036f"),
+                 "f23bd85ac2db8221a7ee3c749134fbadf3624b9872c36cbd91730d059e582a66"),
 }
 
 

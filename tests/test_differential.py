@@ -186,6 +186,17 @@ def test_milp_matches_highs_with_stable_units(seed, dims, radius, frac_hi,
     _check_against_highs(params, box, gen)
 
 
+def test_milp_bound_holds_where_interval_rounding_overclaimed():
+    # each candidate's interval margin bound is within FATHOM_PAD of 0, so
+    # no root LP is solved and the bound is the larger of them; rounded to
+    # nearest, it read 0.0, while HiGHS's point has a forward margin of
+    # 5.55e-17
+    params, box, gen = _seeded_case(0, (1, 3, 1), 0.2, 1.0, -10.0)
+    cert = solve_worst_case(params, box, gen)
+    assert cert.nodes_explored == 0 and cert.value == 0.0
+    _check_against_highs(params, box, gen)
+
+
 def test_narrow_cases_cover_the_substitutions():
     layers = {seed: _stability(*_seeded_case(seed, dims, radius, hi, lo)[:2])
               for seed, dims, radius, hi, lo in _NARROW_CASES}

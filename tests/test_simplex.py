@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import lp_vertex_enumeration
 from wcopf import simplex
 from wcopf.errors import NumericalBreakdown
-from wcopf.simplex import LpProblem, LpSolution, LpStatus, solve_lp
+from wcopf.simplex import LpProblem, LpSolution, LpStatus, row_duals, safe_max, solve_lp
 
 
 def _solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, lo=None, hi=None):
@@ -1040,6 +1040,18 @@ def test_cutoff_needs_boxed_variables():
     with pytest.raises(ValueError, match="boxed"):
         LpProblem(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                   lo=np.zeros(2), hi=np.array([1.0, np.inf]))
+
+
+def test_safe_max_pads_by_the_magnitude_of_equality_multipliers():
+    # max -x  s.t.  x = 5, 0 <= x <= 10: the optimum is -5, and its optimal
+    # equality multiplier is -1; a pad scaled by the signed multiplier
+    # would be negative and put the bound below the optimum
+    problem = LpProblem(c=np.array([-1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([5.0]),
+                        lo=np.zeros(1), hi=np.full(1, 10.0))
+    sol = solve_lp(problem)
+    assert sol.objective_value == -5.0
+    assert row_duals(sol.basis).tolist() == [-1.0]
+    assert -5.0 < safe_max(np.array([-1.0]), problem) < -5.0 + 1e-9
 
 
 def test_x_is_derived_exactly_when_there_is_no_cutoff(monkeypatch, refactorizations,

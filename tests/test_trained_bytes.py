@@ -99,12 +99,12 @@ def test_trained_bytes_are_pinned(run, digest):
 
 
 @pytest.mark.parametrize("run,counters", [
-    pytest.param(_wcnn_one_layer, [(13, 3), (4, 3), (8, 4), (6, 4), (21, 6)],
+    pytest.param(_wcnn_one_layer, [(13, 3), (4, 3), (7, 4), (5, 4), (18, 6)],
                  id="wcnn_one_layer"),
-    pytest.param(_wcnn_two_layers, [(11, 1), (3, 1), (3, 1), (11, 1)], id="wcnn_two_layers"),
-    pytest.param(_finetune_all_layers, [(6, 1), (11, 2), (2, 2), (2, 2), (25, 3)],
+    pytest.param(_wcnn_two_layers, [(15, 1), (3, 1), (3, 1), (14, 1)], id="wcnn_two_layers"),
+    pytest.param(_finetune_all_layers, [(8, 1), (10, 2), (2, 2), (2, 2), (22, 3)],
                  id="finetune_all_layers"),
-    pytest.param(_finetune_last_layer, [(53, 7), (17, 7), (17, 7), (53, 7)],
+    pytest.param(_finetune_last_layer, [(53, 7), (16, 7), (16, 7), (53, 7)],
                  id="finetune_last_layer"),
 ])
 def test_verification_counters_are_pinned(monkeypatch, run, counters):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from oracles import (NodeLpBreaker, TooLarge, bounds_around_outputs, brute_force_worst_case,
-                     grid_fixture, in_box, seeded_net)
+from oracles import (NodeLpBreaker, TooLarge, big_m_node_lp, bounds_around_outputs,
+                     brute_force_worst_case, grid_fixture, in_box, seeded_net)
 from wcopf import simplex
 from wcopf.errors import BoundsUnavailable, NumericalBreakdown
 from wcopf.mlp import MlpParams, forward
@@ -424,7 +424,7 @@ def test_node_lps_encode_only_unstable_units(monkeypatch, seed, dims, lo, hi):
     shapes = []
 
     def recording(problem, *args, **kwargs):
-        shapes.append(problem.a_ub.shape)
+        shapes.append((problem.a_eq.shape, problem.a_ub.shape))
         return solve_lp(problem, *args, **kwargs)
 
     def outside_the_tree(problem, *args, **kwargs):
@@ -435,7 +435,8 @@ def test_node_lps_encode_only_unstable_units(monkeypatch, seed, dims, lo, hi):
     cert = solve_worst_case(params, box, gen)
     assert cert.status == CERTIFIED
     assert len(shapes) == cert.nodes_explored > 0
-    assert set(shapes) == {(3 * unstable, dims[0] + 2 * unstable)}
+    # two rows per unstable unit: one equality row and one <= row
+    assert set(shapes) == {((unstable, dims[0] + 2 * unstable),) * 2}
 
 
 def _cert_bytes(cert):
@@ -498,14 +499,14 @@ def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
 
     solve_node = milp._Encoding.solve_node
 
-    def node(enc, c, y_fix, start=None, cutoff=None):
-        if (y_fix >= 0).any():
-            return solve_node(enc, c, y_fix, start, cutoff)
+    def node(enc, c, fix, start=None, cutoff=None):
+        if (fix >= 0).any():
+            return solve_node(enc, c, fix, start, cutoff)
         problem = enc.node_lp.sibling(c=c)
-        return tracked("root", problem, lambda: solve_node(enc, c, y_fix, start, cutoff))
+        return tracked("root", problem, lambda: solve_node(enc, c, fix, start, cutoff))
 
     def layer(*args):
-        forms.append(args[4][0])
+        forms.append(args[1][0])
         return bounds.lp_bounds(*args)
 
     def bound_lp(problem, start=None, cutoff=None):
@@ -528,10 +529,14 @@ def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
         assert not any(entry[4] for entry in of_kind)
     for _, problem, sol, _, _ in solved:
         assert sol.status == LpStatus.OPTIMAL
-        fresh = solve_lp(LpProblem(c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub,
+        fresh = solve_lp(LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=problem.b_eq,
+                                   a_ub=problem.a_ub, b_ub=problem.b_ub,
                                    lo=problem.lo, hi=problem.hi))
-        ref = linprog(-problem.c, A_ub=problem.a_ub if problem.a_ub.size else None,
-                      b_ub=problem.b_ub if problem.a_ub.size else None,
+        rows = problem.a_ub.size > 0
+        ref = linprog(-problem.c, A_eq=problem.a_eq if rows else None,
+                      b_eq=problem.b_eq if rows else None,
+                      A_ub=problem.a_ub if rows else None,
+                      b_ub=problem.b_ub if rows else None,
                       bounds=np.column_stack([problem.lo, problem.hi]), method="highs")
         value = problem.c @ sol.point
         for want in (fresh.objective_value, -ref.fun):
@@ -572,12 +577,15 @@ def test_node_limit_below_one_is_rejected(node_limit):
         "all-zero-everywhere"])
 def test_branch_unit_scores_range_times_fractionality(y_rel, y_fix, y_range, weight,
                                                       unit):
-    assert milp._branch_unit(np.array(y_rel), np.array(y_fix, dtype=np.int8),
+    # an LP point whose unit may take the big-M y = y_rel and no y nearer
+    # to 0 or 1 is min(y_rel, 1 - y_rel) from the unit's two pieces
+    y_rel = np.array(y_rel)
+    assert milp._branch_unit(np.minimum(y_rel, 1.0 - y_rel), np.array(y_fix, dtype=np.int8),
                              np.array(y_range), np.array(weight)) == unit
 
 
 def test_unit_weights_price_each_basic_z_at_its_objective_coefficient():
-    # one hidden layer: z_k enters only its own three rows, so where z_k
+    # one hidden layer: z_k enters only its own two rows, so where z_k
     # is basic its reduced cost c_z - nu_k is zero and nu_k = c_z
     params = seeded_net(2, (4, 20, 3))
     box = Box(-np.ones(4), np.ones(4))
@@ -597,15 +605,64 @@ def test_unit_weights_price_each_basic_z_at_its_objective_coefficient():
     assert seen > 0
 
 
-def test_encoding_ranges_follow_the_y_variables():
+def test_encoding_ranges_follow_the_unit_columns():
     params = seeded_net(0, (3, 8, 8, 2))
     box = Box(-np.ones(3), np.ones(3))
     enc = milp._Encoding(params, box, bounds_around_outputs(params, box, seed=0))
     pre = enc.pre
-    ranges = [(pre.upper[k] - pre.lower[k])[(pre.lower[k] < 0.0) & (pre.upper[k] > 0.0)]
-              for k in range(params.n_hidden_layers)]
-    assert enc.y_range.tobytes() == np.concatenate(ranges).tobytes()
-    assert enc.y_range.shape == (enc.n_unstable,)
+    unstable = [(pre.lower[k] < 0.0) & (pre.upper[k] > 0.0)
+                for k in range(params.n_hidden_layers)]
+    zhi = np.concatenate([pre.upper[k][u] for k, u in enumerate(unstable)])
+    zlo = np.concatenate([pre.lower[k][u] for k, u in enumerate(unstable)])
+    assert enc.unit_range.tobytes() == (zhi - zlo).tobytes()
+    assert enc.unit_range.shape == (enc.n_unstable,)
+    # the z columns, then the sigma columns, in the order of the units
+    hi = enc.node_lp.hi[enc.n_in:]
+    assert hi.tobytes() == np.concatenate([zhi, -zlo]).tobytes()
+
+
+def _node_problem(enc, c, fix):
+    """The LpProblem that enc.solve_node hands to solve_lp."""
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(milp, "solve_lp",
+                   lambda problem, start=None, cutoff=None: handed.append(problem))
+        enc.solve_node(c, fix)
+    return handed[0]
+
+
+@pytest.mark.parametrize("seed,dims", [(0, (4, 6, 5, 1)), (1, (4, 6, 5, 1)),
+                                       (2, (3, 8, 8, 2)), (3, (2, 5, 5, 5, 2))])
+def test_node_lps_equal_the_big_m_node_lps(seed, dims):
+    # with a continuous y, the three big-M rows of a unit project onto the
+    # triangle that its two rows describe, and a fixed y is a fixed unit
+    # in both: at every fix, the two node LPs have one optimum, or both
+    # are infeasible
+    params = seeded_net(seed, dims)
+    box = Box(-np.ones(dims[0]), np.ones(dims[0]))
+    gen = bounds_around_outputs(params, box, seed=seed)
+    enc = milp._Encoding(params, box, gen)
+    assert enc.n_unstable >= 8
+    rng = np.random.default_rng((seed, 31))
+    outcomes = Counter()
+    for _ in range(30):
+        fix = rng.choice(np.array([-1, 0, 1], dtype=np.int8), p=[0.5, 0.25, 0.25],
+                         size=enc.n_unstable)
+        a_ub, b_ub, lo, hi, out = big_m_node_lp(params, box, enc.pre.lower, enc.pre.upper,
+                                                fix)
+        for cid in candidate_constraints(params.n_outputs):
+            c, const = enc.objective(cid)
+            got = _highs(_node_problem(enc, c, fix))
+            g, sign, offset = patterns.margin_form(gen, cid)
+            a, b = out[g]
+            want = _highs(LpProblem(c=sign * a, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi))
+            assert got.status in (0, 2) and want.status in (0, 2)
+            assert got.status == want.status
+            outcomes[got.status] += 1
+            if want.status == 0:
+                want = -want.fun + sign * b + offset
+                assert abs(-got.fun + const - want) <= 1e-9 * max(1.0, abs(want))
+    assert outcomes[0] > 0 and outcomes[2] > 0  # optimal and infeasible
 
 
 # Counts of the dual-weighted branching rule (_branch_unit with
@@ -650,8 +707,8 @@ _CASE9_IDS = ["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4", "24_s4",
 # sha256 over the value, bound and witness bytes of the eight
 # certificates, and over the LP-tightened bounds (_Encoding.pre) of the
 # five two-layer nets, in _CASE9_NETS order
-_CASE9_CERT_SHA256 = "f3ef671ea0773a14e806f9270dc514bc09b9878c0bc94abdf66e02f32950b92f"
-_CASE9_PRE_SHA256 = "dd06c5611689f7b95917b53c13747b1932b75bc516d62b6cadd0e1f897a8d50a"
+_CASE9_CERT_SHA256 = "036453d9a6562644b579e077aba85ac545108f3ff40a81fa485e753f2c6a3edd"
+_CASE9_PRE_SHA256 = "918c9dc087c9f0f7542b4fd55d18751b5a533ad35a76ae3616325695938addec"
 
 
 @pytest.fixture(scope="module")
@@ -694,15 +751,16 @@ def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, n
 # The syn39 fixture set: nn-trained nets on the synthetic 39-bus grid
 # (1000 samples, data seed 0, 400 epochs, alpha 3e-3, seed 0), certified
 # over scaled_boxes(grid): (arch, nodes, lp_pivots, unstable units,
-# winning candidate).  (16, 16) takes 1685 nodes and is left out.
+# winning candidate)
 _SYN39_NETS = [
-    ((16,), 238, 1336, 15, (1, "lower")),
-    ((8, 8), 141, 988, 14, (4, "upper")),
-    ((12, 12), 557, 4016, 24, (2, "upper")),
+    ((16,), 238, 1345, 15, (1, "lower")),
+    ((8, 8), 141, 990, 14, (4, "upper")),
+    ((12, 12), 555, 3984, 24, (2, "upper")),
+    ((16, 16), 1685, 9618, 30, (2, "upper")),
 ]
-# sha256 over the value, bound and witness bytes of the three
+# sha256 over the value, bound and witness bytes of the four
 # certificates, in _SYN39_NETS order
-_SYN39_CERT_SHA256 = "c081b39bf506ac25ec25687e777b38e82e97708c623ce58adebd0c486f2b4ef0"
+_SYN39_CERT_SHA256 = "9ac3b10ac7690d4e705f6052926775904bc2cf331ebac8555531d617a8af78a1"
 
 
 @pytest.fixture(scope="module")
@@ -718,7 +776,7 @@ def syn39_certs():
 
 
 @pytest.mark.parametrize("arch,nodes,pivots,unstable,constraint_id", _SYN39_NETS,
-                         ids=["16_s0", "8-8_s0", "12-12_s0"])
+                         ids=["16_s0", "8-8_s0", "12-12_s0", "16-16_s0"])
 def test_syn39_fixture_trees_are_pinned(syn39_certs, arch, nodes, pivots, unstable,
                                         constraint_id):
     cert, n_unstable = syn39_certs[arch]
@@ -1012,7 +1070,8 @@ def _lp_bytes(sol):
 
 
 def _highs(problem):
-    return linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+    return linprog(-problem.c, A_eq=problem.a_eq, b_eq=problem.b_eq,
+                   A_ub=problem.a_ub, b_ub=problem.b_ub,
                    bounds=list(zip(problem.lo, problem.hi)), method="highs",
                    options={"primal_feasibility_tolerance": 1e-10,
                             "dual_feasibility_tolerance": 1e-10})
