@@ -22,9 +22,14 @@ restores primal feasibility, and the primal simplex finishes
 Implementation", PhD thesis, Paderborn, 2005).  Every variable is
 boxed, so no solve needs a phase 1: a basis is dual feasible once each
 nonbasic rests at the bound its reduced cost favors.  A solve without a
-usable start begins from the slack basis (_Core.cold): each <= row's
-slack and each equality row's artificial is basic, binv is the
-identity, and each structural rests at the bound its cost favors.
+usable start begins from a crash basis (_Core.cold; Bixby,
+"Implementing the simplex method: the initial basis", ORSA J.
+Computing 4, 1992): each <= row's slack is basic, and so is each
+equality row's artificial unless a structural of cost 0 that can move
+has its one nonzero in that row (_RowSet.singletons), which is basic
+in its place.  binv is diagonal, the row duals are 0, and each
+structural rests at the bound its cost favors, so the basis is dual
+feasible as it is.
 
 LPs that share their rows share one validated LpProblem: sibling
 derives one with a new objective or new bounds and validates only
@@ -57,12 +62,12 @@ it is; a start whose objective stays, under new right-hand sides or the
 tighter bounds of a branch-and-bound child, has its source's reduced
 costs and flips nothing.  A singular basis matrix, a failed identity
 test, or a flip that needs a slack's infinite upper bound (its row dual
-turned negative) sends the solve to the slack basis, and so does a dual
+turned negative) sends the solve to the crash basis, and so does a dual
 simplex that breaks down numerically.  An LP without rows takes the
 same paths with an empty basis.
 
 A solve may come with a cutoff, which its dual simplex tests.  After
-each dual pivot, and before the first when binv is fresh (the slack
+each dual pivot, and before the first when binv is fresh (the crash
 basis or refactorized) or a status flipped, the row duals c_B @ binv
 become a rigorous upper bound on the objective (safe_max, after
 Neumaier & Shcherbina, Math. Prog. 99, 2004; it is the only
@@ -78,7 +83,7 @@ the basics as the pivots left them, within _FEAS_TOL of feasible
 basics solved for exactly from the final basis (final_values), the one
 O(m^3) step of a solve: a solve without a cutoff does, and a solve with
 one does not.  A started solve whose x fails the feasibility recheck
-starts again from the slack basis.
+starts again from the crash basis.
 
 A warm start whose basis is already primal feasible for the new
 right-hand sides takes no pivot, and its x is that same refactorized
@@ -127,6 +132,7 @@ _FEAS_TOL = 1e-7     # slack allowed on constraints and bounds
 _PIVOT_TOL = 1e-12   # magnitude below which a pivot element counts as zero
 _OBJ_TOL = 1e-9      # reduced-cost threshold for optimality
 _SAFE_PAD = 1e-12    # relative pad on a safe bound: covers its own rounding
+_CRASH_MIN = 1e-3    # smallest |entry| of a column the crash basis takes
 
 
 class LpStatus(enum.Enum):
@@ -244,6 +250,20 @@ class _RowSet:
         self.hi_tail = np.concatenate([np.full(m_ub, np.inf), np.zeros(m_eq)])
 
     @functools.cached_property
+    def singletons(self):
+        """(cols, rows): each structural column whose one nonzero in the
+        rows is in an equality row and at least _CRASH_MIN in magnitude,
+        in increasing order, and that row (_Core.cold)."""
+        if not self.m_eq:
+            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        nonzero = self.rows != 0.0
+        rows = nonzero.argmax(axis=0)
+        entry = np.abs(self.rows[rows, np.arange(self.n)])
+        cols = np.flatnonzero((nonzero.sum(axis=0) == 1) & (rows < self.m_eq)
+                              & (entry >= _CRASH_MIN))
+        return cols, rows[cols]
+
+    @functools.cached_property
     def abs_rows(self):
         return np.abs(self.rows)
 
@@ -302,10 +322,12 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     passes the identity test, and refactorized otherwise (_Core._refit).
     A primal feasible start then runs the primal simplex; any other runs
     the dual simplex first, once each nonbasic whose reduced cost favors
-    its other bound has flipped there.  A solve without a
-    start, or whose start is singular, fails the identity test or needs
-    a slack at its infinite bound, starts from the slack basis
-    (_Core.cold).
+    its other bound has flipped there.  A solve without a start, or
+    whose start is singular, fails the identity test or needs a slack at
+    its infinite bound, starts from the crash basis (_Core.cold): the
+    slack basis with each equality row's artificial swapped for the
+    first structural of cost 0 that can move and has its one nonzero in
+    that row, where there is one.
 
     With a cutoff, the dual simplex gives up as soon as the row duals
     after one of its pivots (or, for a fresh binv or a flipped status,
@@ -313,8 +335,8 @@ def solve_lp(problem: LpProblem, start=None, cutoff=None) -> LpSolution:
     CUTOFF, its bound that proof's bound.  Every other result ends where
     it would without a cutoff.  An optimal solve has x exactly when it
     has no cutoff; a failed feasibility recheck of that x sends a
-    started solve to the slack basis and raises NumericalBreakdown from
-    a slack-basis one.  A NumericalBreakdown raised here carries the
+    started solve to the crash basis and raises NumericalBreakdown from
+    a crash-basis one.  A NumericalBreakdown raised here carries the
     iterations of every attempt in its iterations.
     """
     spent = 0
@@ -453,8 +475,9 @@ class _Core:
 
     Columns are [structural | one slack per <= row | one artificial per
     equality row], and row i's slack or artificial column is e_i.
-    Artificials are pinned at zero: one that leaves the basis never
-    returns, and one that stays basic marks a redundant row.
+    Artificials are pinned at zero: one that is nonbasic (from the
+    crash basis on, or once it leaves) never enters, and one that stays
+    basic marks a redundant row.
 
     Besides x and stat, the core's state is the basic indices and binv,
     the m x m inverse of a[:, basis]; no tableau is kept.  _pivot(r,
@@ -489,21 +512,35 @@ class _Core:
     # -- starting bases ------------------------------------------------------
 
     def cold(self, cutoff=None):
-        """Dual simplex from the slack basis, then the primal simplex.
+        """Dual simplex from the crash basis, then the primal simplex.
 
-        Each <= row's slack and each equality row's artificial is basic,
-        so binv is the identity, and each structural rests at the bound
-        its cost favors (its upper bound where c_j > _OBJ_TOL): every
-        reduced cost c_j is on its optimal side, so the basis is dual
-        feasible and the dual simplex flips nothing.  As for every fresh
-        binv, it tests the cutoff before its first pivot.
+        Each <= row's slack is basic, and so is each equality row's
+        artificial unless the row has a crash column: a structural whose
+        one nonzero in the rows is in that row, at least _CRASH_MIN in
+        magnitude, with cost 0 and hi > lo (the lowest-index one; Bixby,
+        "Implementing the simplex method: the initial basis", ORSA J.
+        Computing 4, 1992).  It takes the artificial's place, which rests
+        at its pinned zero.  The basis matrix is diagonal, so binv is too
+        (1 / a_ij at a crash column's row), and each structural rests at
+        the bound its cost favors (its upper bound where c_j > _OBJ_TOL).
+        Every basic cost is 0, so the row duals are 0 and every reduced
+        cost c_j is on its optimal side: the basis is dual feasible and
+        the dual simplex flips nothing.  As for every fresh binv, it
+        tests the cutoff before its first pivot.
         """
         m_eq = self.m_eq
         self.basis = np.concatenate([self.n_real + np.arange(m_eq),
                                      self.n + np.arange(self.m - m_eq)])
         self.stat = np.where(self.c > _OBJ_TOL, _AT_UP, _AT_LO).astype(np.int8)
+        diag = np.ones(self.m)
+        cols, rows = self.problem.row_set.singletons
+        keep = (self.c[cols] == 0.0) & (self.hi[cols] > self.lo[cols])
+        rows, first = np.unique(rows[keep], return_index=True)
+        cols = cols[keep][first]
+        self.basis[rows] = cols
+        diag[rows] = self.a[rows, cols]
         self.stat[self.basis] = _BASIC
-        self.binv = np.eye(self.m)
+        self.binv = np.diag(1.0 / diag)
         return self._finish(cutoff, True)
 
     def warm(self, start, cutoff=None):
@@ -513,7 +550,7 @@ class _Core:
         binv is carried when its rows are this problem's (the same row
         set, or an equal [a | slacks | artificials]) and it passes
         _invert's identity test, and is refactorized (_refit) otherwise.
-        None if that fails: the solve goes to the slack basis."""
+        None if that fails: the solve goes to the crash basis."""
         rows = _source(start).row_set
         same_rows = rows is self.problem.row_set or np.array_equal(rows.a, self.a)
         fresh = not (same_rows and self._invert(start))
@@ -650,7 +687,7 @@ class _Core:
         nonbasic whose reduced cost favors moving it (the fused pass that
         _run prices with) flips to its other bound, and the basics move
         with it.  A flip that needs a slack's infinite upper bound raises
-        NumericalBreakdown, which sends the solve to the slack basis.  The
+        NumericalBreakdown, which sends the solve to the crash basis.  The
         leaving row's ratio test then keeps every reduced cost on its
         optimal side.
 
@@ -658,7 +695,7 @@ class _Core:
         current row duals into a safe bound on the objective (safe_max,
         into self.bound) and returns CUTOFF without pivoting again once
         that bound is at or below the cutoff.  Before the first pivot the
-        bound is tested only when binv is fresh (the slack basis or
+        bound is tested only when binv is fresh (the crash basis or
         refactorized) or a status flipped: a carried start that flips
         nothing is its earlier solve's optimum, up to rounding, whenever
         its bounds only differ at basic variables, as a branch-and-bound

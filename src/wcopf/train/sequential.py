@@ -29,6 +29,7 @@ from .loops import (EpochRecord, TrainReport, _boxes_of, _test_mae,
 from ..mlp.checkpoint import params_checksum
 
 STOP_NO_VIOLATION = "no violation"
+STOP_NO_WITNESS = "gap without witness"
 STOP_VALIDATION_GUARD = "validation guard"
 STOP_MAX_ITERS = "max iterations"
 
@@ -55,13 +56,16 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
     """Iteratively reduce the certified violation of trained parameters.
 
     Stops on "no violation" at a certified verification without a
-    witness, when validation MAE rises more than early_stop_rel above
-    its starting value (that update is discarded), or after max_iters
-    updates.  An uncertified verification (the node limit, or a node LP
-    that broke down), whose v_g is only a lower bound even at 0, never
-    stops the run: its record carries its WorstCaseCert.warning and its
-    incumbent gradient is still used; an uncertified final certificate
-    sets the report's warning (final_verification).
+    witness, on "gap without witness" at an uncertified one (the node
+    limit, or a node LP that broke down): its v_g 0 is only a lower
+    bound, and with no witness there is no gradient to follow.  Also
+    stops when validation MAE rises more than early_stop_rel above its
+    starting value (that update is discarded), or after max_iters
+    updates.  Every record carries its verification's
+    WorstCaseCert.warning, and an uncertified verification with a
+    witness still moves the parameters along its incumbent gradient; an
+    uncertified final certificate sets the report's warning
+    (final_verification).
     Records v_g and validation MAE at the top of every iteration.  Each
     iteration's verification starts from the certificate of the one
     before (solve_worst_case's start), whose LP bases serve the moved
@@ -89,8 +93,8 @@ def finetune_sequential(params, dataset, gen_bounds, config: TrainConfig,
         records.append(EpochRecord(epoch=it, train_l0=loss_mae(params, xs, ys),
                                    val_mae=val_mae, v_g=cert.value, warning=cert.warning,
                                    wall_time=time.perf_counter() - started))
-        if cert.certified and cert.witness is None:
-            stopped = STOP_NO_VIOLATION
+        if cert.witness is None:
+            stopped = STOP_NO_VIOLATION if cert.certified else STOP_NO_WITNESS
             break
         wc_grads = worst_case_gradient(params, cert, config.last_layer_only)
         candidate = _anchor_step(params, wc_grads, fisher, config)

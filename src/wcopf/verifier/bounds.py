@@ -140,11 +140,17 @@ def lp_bounds(problem, forms, lower, upper, starts=None):
     as the same bound LP of an earlier verification of the net left it
     (rows of the same layout, moved by a few training steps).  Such a
     start's inverse is carried, or refactorized where the rows moved
-    (simplex.solve_lp).  An LP without one starts from the last optimal
-    basis of this call's LPs of its sense, which the same rows and
-    bounds make primal feasible, so only the primal simplex runs; and the first of a sense without one from the
-    slack basis.  Every LP reads only its basis, so it is solved with
-    the cutoff -inf, which no bound reaches: no x.
+    (simplex.solve_lp).  An LP without one starts from the optimal basis
+    of this call whose point (LpSolution.point) its objective scores
+    highest, ties going to the latest solved (after Gleixner et al.,
+    "Three enhancements for optimization-based bound tightening", J.
+    Global Optim. 67, 2017).  Every point lies in the one polytope of
+    this call's rows and bounds, so that basis is primal feasible, only
+    the primal simplex runs, and it climbs from the best vertex known.
+    One without either, before any LP of this call has ended optimal,
+    starts from the crash basis (simplex._Core.cold).  Every LP reads
+    only its basis, so it is solved with the cutoff -inf, which no bound
+    reaches: no x.
 
     Each optimal LP yields a safe bound from the row duals of its final
     basis (simplex.safe_max), which is rigorous for any multipliers, so
@@ -160,13 +166,18 @@ def lp_bounds(problem, forms, lower, upper, starts=None):
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
     bases = dict(starts or {})
-    last = {}  # sense -> the last optimal basis of that sense
+    pool = []    # every optimal basis of this call, in the order solved
+    points = []  # the point of each
     pivots = 0
 
     def upper_bound(key, c, off):
         nonlocal pivots
         lp = problem.sibling(c=c)
-        start = bases[key] if key in bases else last.get(key[1])
+        start = bases.get(key)
+        if start is None and pool:
+            # the latest of the points that score highest under c
+            score = np.array(points) @ c
+            start = pool[len(pool) - 1 - int(score[::-1].argmax())]
         try:
             sol = solve_lp(lp, start=start, cutoff=-np.inf)
         except NumericalBreakdown as exc:
@@ -175,7 +186,9 @@ def lp_bounds(problem, forms, lower, upper, starts=None):
         pivots += sol.iteration_count
         if sol.status != LpStatus.OPTIMAL:
             return np.inf
-        bases[key] = last[key[1]] = sol.basis
+        bases[key] = sol.basis
+        pool.append(sol.basis)
+        points.append(sol.point)
         return safe_max(row_duals(sol.basis), lp, off)
 
     for j in np.flatnonzero((lower < 0.0) & (upper > 0.0)):

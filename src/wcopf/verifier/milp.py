@@ -57,8 +57,12 @@ stops is a leaf as a child is.  Bound LPs are started the same way,
 layer by layer (bounds.lp_bounds).  A root without such a start starts
 from the last root solved in the search: the roots differ only in their
 objective, so that basis is primal feasible and only the primal simplex
-runs.  Only the first root solved without one starts from the slack
-basis (simplex.solve_lp).  Incremental
+runs.  A bound LP without one starts from the optimal basis of its
+layer whose point its objective scores highest, which is primal
+feasible for the same reason.  Only the first root, and each layer's
+first bound LP, solved without one starts from the crash basis
+(simplex.solve_lp), where each unit's sigma is basic in place of its
+equality row's artificial.  Incremental
 verification reuses more than the bases (Ugare et al., "Incremental
 Verification of Neural Networks", PLDI 2023), but trees here average a
 few nodes, and the bases are what carries over from one epoch to the
@@ -430,15 +434,15 @@ def _branch_and_bound(enc: _Encoding, cids, node_limit, roots):
     root LP that ends optimal replaces its entry.  A root without one
     starts from the last optimal root basis of this search: roots differ
     only in their objective, so that basis is primal feasible, only the
-    primal simplex runs, and the cutoff stops nothing.  The first root without one
-    starts from the slack basis.  A child warm-starts from its parent's
-    basis.  A started node that stops at the cutoff (LpStatus.CUTOFF)
-    has no point, so it offers none, and it never branches.  An optimal
-    node's value is safe_max over its row duals plus the candidate's
-    constant, and a CUTOFF node's is its bound plus that constant
-    (safe_add), so the pad covers the addition; the row duals also give
-    _Encoding.unit_weights, and the point offered and branched on is
-    LpSolution.point.
+    primal simplex runs, and the cutoff stops nothing.  The first root
+    without one starts from the crash basis (simplex._Core.cold).  A
+    child warm-starts from its parent's basis.  A started node that
+    stops at the cutoff (LpStatus.CUTOFF) has no point, so it offers
+    none, and it never branches.  An optimal node's value is safe_max
+    over its row duals plus the candidate's constant, and a CUTOFF
+    node's is its bound plus that constant (safe_add), so the pad covers
+    the addition; the row duals also give _Encoding.unit_weights, and
+    the point offered and branched on is LpSolution.point.
     """
     objectives = [enc.objective(cid) for cid in cids]
     forms = [margin_form(enc.gen_bounds, cid) for cid in cids]

@@ -152,6 +152,31 @@ def test_lp_bounds_keep_the_given_bound_when_an_lp_fails(monkeypatch, failure):
     assert bases == {} and pivots == 0
 
 
+def test_bound_lps_start_from_the_best_pooled_point_latest_on_ties(monkeypatch):
+    # over the square [-1, 1]^2 the bound LPs of x0, x0 and x1 end at the
+    # vertices (1, -1), (-1, -1), (1, -1), (-1, -1), (-1, 1), (-1, -1).
+    # Each after the first starts from the basis whose point its objective
+    # scores highest: max x1 scores the first four alike, so it takes the
+    # fourth, the latest of them, as min x1 does
+    starts, solved = [], []
+
+    def recording(problem, start=None, cutoff=None):
+        starts.append(start)
+        solved.append(solve_lp(problem, start=start, cutoff=cutoff))
+        return solved[-1]
+
+    monkeypatch.setattr(bounds, "solve_lp", recording)
+    problem = LpProblem(c=np.zeros(2), lo=-np.ones(2), hi=np.ones(2))
+    forms = (np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3))
+    lower, upper, _, _ = bounds.lp_bounds(problem, forms, np.full(3, -2.0), np.full(3, 2.0))
+    assert [sol.point.tolist() for sol in solved] == [[1, -1], [-1, -1], [1, -1], [-1, -1],
+                                                      [-1, 1], [-1, -1]]
+    assert starts[0] is None
+    assert all(start is solved[k].basis for start, k in zip(starts[1:], [0, 0, 1, 3, 3]))
+    np.testing.assert_allclose(lower, -1.0, rtol=1e-9)
+    np.testing.assert_allclose(upper, 1.0, rtol=1e-9)
+
+
 def _one_layer_reference(params, box):
     """The rows of _Encoding's docstring from interval bounds alone."""
     pre, out_dn, out_up = interval_bounds(params, box)

@@ -2,7 +2,7 @@
 
 An ``ast`` scan of every module under ``src/wcopf``: an ``except`` clause
 that names ``NumericalBreakdown`` may appear only in the simplex, which
-retries a started solve from the slack basis, in the bound LPs, which keep
+retries a started solve from the crash basis, in the bound LPs, which keep
 their interval bound, and in the search, which sets the node aside.  Every
 caller of solve_worst_case then gets a certificate, never the exception.
 """

@@ -105,12 +105,12 @@ PIPELINE_PARAMS_SHA256 = {
 # recipe's nn model at the default box; its bytes hold lp_pivots and
 # nodes_explored, so a change to any LP's pivots moves it.  The CI
 # workflow checks the installed wcopf verify against it.
-PIPELINE_CERT_SHA256 = "3d985d4ae892acf4f0c7e55244cf1fc31d6c8b7f423a8be5490a1c4b874a4dda"
+PIPELINE_CERT_SHA256 = "993a5cc9d26e6b51268e51e02559880f26a0f1a9accacd5d990d3c7c07f4dec0"
 
 # the same for the demand box PIPELINE_CERT_BOX, which pins the scaled box
 # of a --box other than the default; the CI workflow checks it too
 PIPELINE_CERT_BOX = "0.7:0.95"
-PIPELINE_BOX_CERT_SHA256 = "700d3d5b30b8d130347ae4e7b879a9047466882f50880abf68452334ceb39af9"
+PIPELINE_BOX_CERT_SHA256 = "1544cf0217d8f9277eac9a51b0469e26a078414b3520bb1e6dbec25e373bf511"
 
 
 def _pipeline_train(tmp_path, modes):
@@ -137,7 +137,7 @@ def test_pipeline_recipe_certificate_is_pinned(tmp_path):
     assert cli.main(["verify", "--model", str(tmp_path / "nn.json"), "--grid", "case9",
                      "--out", str(cert)]) == 0
     doc = json.load(open(cert))
-    assert (doc["lp_pivots"], doc["nodes_explored"]) == (37, 14)
+    assert (doc["lp_pivots"], doc["nodes_explored"]) == (32, 14)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_CERT_SHA256
 
 
@@ -148,7 +148,7 @@ def test_pipeline_recipe_certificate_at_another_box_is_pinned(tmp_path):
                      "--box", PIPELINE_CERT_BOX, "--out", str(cert)]) == 0
     doc = json.load(open(cert))
     assert doc["box"] == [0.7, 0.95]
-    assert (doc["lp_pivots"], doc["nodes_explored"]) == (20, 7)
+    assert (doc["lp_pivots"], doc["nodes_explored"]) == (19, 7)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PIPELINE_BOX_CERT_SHA256
 
 

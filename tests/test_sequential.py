@@ -6,8 +6,9 @@ import pytest
 from oracles import NodeLpBreaker, grid_fixture, midband_dataset, unit_box
 from wcopf.errors import TrainingDiverged
 from wcopf.mlp import Gradients, fisher_diag, loss_mae, params_checksum
-from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION, STOP_VALIDATION_GUARD,
-                         TrainConfig, finetune_sequential, sequential, train_standard)
+from wcopf.train import (STOP_MAX_ITERS, STOP_NO_VIOLATION, STOP_NO_WITNESS,
+                         STOP_VALIDATION_GUARD, TrainConfig, finetune_sequential,
+                         sequential, train_standard)
 from wcopf.verifier import (CERTIFIED, GAP_REMAINING, milp, solve_worst_case,
                             worst_case_gradient)
 
@@ -231,8 +232,9 @@ def test_final_certificate_breakdown_keeps_finished_run(monkeypatch):
 
 
 def test_uncertified_zero_does_not_stop_on_no_violation(monkeypatch):
-    # with every node LP broken, each verification of this net finds v_g 0
-    # at the box midpoint with a gap left: a lower bound, not "no violation"
+    # with every node LP broken, the verification of this net finds v_g 0
+    # at the box midpoint with a gap left: a lower bound, not "no violation",
+    # and without a witness no gradient to follow, so the run stops at once
     data, gen_box, box = _case3()
     params, _ = _trained(0, epochs=200)
     breaker = NodeLpBreaker(lambda n: True)
@@ -240,9 +242,9 @@ def test_uncertified_zero_does_not_stop_on_no_violation(monkeypatch):
     config = TrainConfig(alpha=7e-4, lambda_wc=1.0, max_iters=3, seed=0)
     _, report = finetune_sequential(params, data, gen_box, config, box=box)
     assert breaker.raised == breaker.calls > 0
-    assert report.stopped == STOP_MAX_ITERS
-    assert [r.v_g for r in report.records] == [0.0, 0.0, 0.0]
-    assert all("v_g 0 is a lower bound" in r.warning for r in report.records)
+    assert report.stopped == STOP_NO_WITNESS
+    assert [r.v_g for r in report.records] == [0.0]
+    assert "v_g 0 is a lower bound" in report.records[0].warning
     assert report.final_status == GAP_REMAINING and report.final_bound > 0.0
 
 

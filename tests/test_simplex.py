@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from oracles import lp_vertex_enumeration
 from wcopf import simplex
@@ -496,9 +497,9 @@ def test_warm_start_from_a_basic_artificial_matches_cold(cold_cores):
 
 
 def _agrees_with_cold(got, problem):
-    """got has the status of a slack-basis solve and of the vertex oracle
-    and, when optimal, their objective within 1e-9 relative; returns the
-    slack-basis solve."""
+    """got has the status of a cold solve and of the vertex oracle and,
+    when optimal, their objective within 1e-9 relative; returns the cold
+    solve."""
     want = solve_lp(problem)
     status, _, ref = lp_vertex_enumeration(problem.c, problem.a_eq, problem.b_eq,
                                            problem.a_ub, problem.b_ub, problem.lo, problem.hi)
@@ -511,7 +512,7 @@ def _agrees_with_cold(got, problem):
 
 
 @pytest.mark.parametrize("seed", [0, 2, 7, 21])
-def test_drifted_inverse_falls_back_to_cold(seed, cold_cores, refit_cores):
+def test_drifted_inverse_is_refactorized(seed, cold_cores, refit_cores):
     # a start whose binv fails the identity test is no longer thrown away:
     # its basis is refactorized, and the solve matches a cold one
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _random_problem(seed)
@@ -693,7 +694,7 @@ def test_start_for_another_problem_solves_cold(monkeypatch, change, cold_cores, 
     # looser bounds, keeps its inverse.  Under another objective it is
     # primal feasible as it stands and runs the primal simplex; under
     # looser bounds it is dual feasible as it stands and flips nothing.
-    # Neither goes to the slack basis, and each ends as a cold solve does
+    # Neither goes to the crash basis, and each ends as a cold solve does
     watched = _watched_starts(monkeypatch)
 
     def lp(seed, child):
@@ -740,7 +741,7 @@ def _perturbed(rng, c, a_eq, b_eq, a_ub, b_ub, lo, hi):
 def test_property_refit_start_solves_a_moved_lp(monkeypatch, cold_cores, refit_cores):
     # the parent's basis starts the LP of a net a step later: rows, c and
     # bounds have all moved, so binv, where there are rows, is refactorized.
-    # The start goes to the slack basis exactly when it is neither primal
+    # The start goes to the crash basis exactly when it is neither primal
     # feasible nor repairable by flips; every other one runs the primal
     # simplex, or makes its first dual pivot dual feasible, and ends as a
     # cold solve does
@@ -776,7 +777,7 @@ def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit
     # right-hand sides moved and whose bounds tightened or loosened: each
     # dual simplex makes its first pivot from a dual feasible basis, each
     # primal simplex starts primal feasible, and every solve ends as a
-    # slack-basis solve and vertex enumeration do
+    # cold solve and vertex enumeration do
     watched = _watched_starts(monkeypatch)
     paths = Counter()
     for seed in range(60):
@@ -792,7 +793,7 @@ def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit
             cold_cores.clear()
             refit_cores.clear()
             got = solve_lp(child, start=parent.basis)
-            paths["slack basis"] += bool(cold_cores)
+            paths["crash basis"] += bool(cold_cores)
             if not cold_cores:
                 paths["refactorized" if refit_cores else "carried"] += 1
                 paths["flipped"] += bool(watched["flipped"])
@@ -802,7 +803,7 @@ def test_property_one_start_rule_solves_moved_lps(monkeypatch, cold_cores, refit
     # every path of the rule was taken
     assert paths["carried"] >= 40 and paths["refactorized"] >= 40, paths
     assert paths["primal feasible"] >= 40 and paths["dual pivots"] >= 20, paths
-    assert paths["flipped"] >= 10 and paths["slack basis"] > 0, paths
+    assert paths["flipped"] >= 10 and paths["crash basis"] > 0, paths
     assert paths[LpStatus.INFEASIBLE] > 0, paths
 
 
@@ -811,7 +812,7 @@ def test_primal_feasible_start_runs_the_primal_simplex(cold_cores, refit_cores):
     # start is primal feasible as it stands, although the slack of the
     # tight row x0 + x1 <= 1 now has a reduced cost that favors its
     # infinite upper bound, so no flip could make it dual feasible.  The
-    # primal simplex finishes from it, with no slack-basis solve
+    # primal simplex finishes from it, with no cold solve
     rows, b_ub, lo, hi = np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.5], np.zeros(2), np.full(2, 2.0)
     parent = solve_lp(LpProblem(c=[1.0, 2.0], a_ub=rows, b_ub=b_ub, lo=lo, hi=hi))
     assert parent.x.tolist() == [0.0, 1.0] and simplex.row_duals(parent.basis)[0] > 0.0
@@ -888,7 +889,7 @@ def test_carried_loop_state_never_drifts(monkeypatch):
                                lo=lo2, hi=hi2), start=parent.basis)
         # a sibling with another objective takes the basis primal feasible
         solve_lp(problem.sibling(c=-c), start=parent.basis)
-    # slack-basis and warm starts pivoted in the dual loop, and the primal
+    # cold and warm starts pivoted in the dual loop, and the primal
     # loop of the siblings pivoted and flipped bounds
     for key in [("dual", "pivot"), ("primal", "pivot"), ("primal", "flip")]:
         assert moves.get(key, 0) >= 10, (key, moves)
@@ -928,8 +929,8 @@ def test_sibling_starts_under_equal_bounds_are_taken_primal_feasible(monkeypatch
                                                                      cold_cores,
                                                                      refit_cores):
     # siblings that differ only in c, each started from the last one's
-    # optimal basis: the first from the slack basis, every later one taken
-    # as it is, with no dual pivot, to a slack-basis solve's value
+    # optimal basis: the first from the crash basis, every later one taken
+    # as it is, with no dual pivot, to a cold solve's value
     dual_pivots = []
     dual = simplex._Core._dual
 
@@ -966,7 +967,7 @@ def test_sibling_start_under_tighter_bounds_is_not_taken(monkeypatch, cold_cores
     # inverse, and where a structural variable is basic it is primal
     # infeasible.  Its statuses then flip to the bounds their reduced
     # costs favor before the dual simplex pivots, or, where that needs a
-    # slack's infinite bound, it goes to the slack basis; a start with
+    # slack's infinite bound, it goes to the crash basis; a start with
     # only slacks basic stays primal feasible and runs the primal simplex.
     # Each ends as a cold solve does
     watched = _watched_starts(monkeypatch)
@@ -1013,6 +1014,86 @@ def test_cold_path_solves_a_feasible_ill_conditioned_lp(b_eq):
     problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -40]]),
                         b_eq=np.array(b_eq), lo=-box, hi=box)
     assert solve_lp(problem).status != LpStatus.INFEASIBLE
+
+
+def _crash_lp(seed, infeasible):
+    """(problem, crash): an LP of 1-3 dense columns and 1-3 columns with
+    one nonzero per equality row (up to 3 rows), in shuffled order, and
+    the column that the crash basis makes basic at each equality row (-1
+    for its artificial), found from the data: the lowest-index column of
+    cost 0 and hi > lo whose one nonzero in the rows is in that row and at
+    least 1e-3 in magnitude.  A singleton's cost is often 0, its bounds
+    sometimes equal and its entry sometimes 1e-5.  The rows hold at a
+    point of the box, unless infeasible: then the first equality row's
+    right-hand side lies past all that its columns reach in the box."""
+    rng = np.random.default_rng(seed)
+    n_dense, m_eq, m_ub = (int(k) for k in rng.integers(1, 4, size=3))
+    m_ub -= 1
+    n_single = m_eq + int(rng.integers(0, 2 * m_eq + 1))
+    rows = np.concatenate([np.arange(m_eq), rng.integers(0, m_eq, size=n_single - m_eq)])
+    single = np.zeros((m_eq, n_single))
+    single[rows, np.arange(n_single)] = (rng.choice([-1.0, 1.0], size=n_single)
+                                         * np.where(rng.random(n_single) < 0.2, 1e-5,
+                                                    rng.uniform(0.5, 2.0, size=n_single)))
+    n = n_dense + n_single
+    order = rng.permutation(n)
+    a_eq = np.hstack([rng.normal(size=(m_eq, n_dense)), single])[:, order]
+    a_ub = np.hstack([rng.normal(size=(m_ub, n_dense)), np.zeros((m_ub, n_single))])[:, order]
+    c = np.where(rng.random(n) < 0.6, 0.0, rng.normal(size=n))
+    lo = rng.uniform(-3.0, 0.0, size=n)
+    hi = np.where(rng.random(n) < 0.2, lo, lo + rng.uniform(0.5, 4.0, size=n))
+    point = rng.uniform(lo, hi)
+    b_eq = a_eq @ point
+    b_ub = a_ub @ point + rng.uniform(0.0, 1.0, size=m_ub)
+    if infeasible:
+        b_eq[0] = np.maximum(a_eq[0] * lo, a_eq[0] * hi).sum() + 1.0
+    crash = np.full(m_eq, -1)
+    for j in range(n):
+        nonzero = np.flatnonzero(np.concatenate([a_eq[:, j], a_ub[:, j]]))
+        i = nonzero[0]
+        if (len(nonzero) == 1 and i < m_eq and abs(a_eq[i, j]) >= 1e-3 and c[j] == 0.0
+                and hi[j] > lo[j] and crash[i] < 0):
+            crash[i] = j
+    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lo=lo, hi=hi)
+    return problem, crash
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_property_crashed_cold_solves_match_highs(seed, infeasible):
+    # a cold solve starts from the crash basis: each equality row's crash
+    # column basic in place of its artificial, binv the inverse of that
+    # diagonal basis matrix, and every reduced cost on its optimal side,
+    # so no status flips; it ends at HiGHS's status and value
+    problem, crash = _crash_lp(seed, infeasible)
+    n, m_eq, m_ub = len(problem.c), len(problem.b_eq), len(problem.b_ub)
+    starts = []
+    finish = simplex._Core._finish
+
+    def recording(core, cutoff, fresh):
+        starts.append((core.basis.copy(), core.binv.copy(), _wrong_side(core)))
+        return finish(core, cutoff, fresh)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex._Core, "_finish", recording)
+        watched = _watched_starts(mp)
+        got = solve_lp(problem)
+    [(basis, binv, wrong)] = starts
+    artificials = n + m_ub + np.arange(m_eq)
+    assert basis.tolist() == (np.where(crash >= 0, crash, artificials).tolist()
+                              + (n + np.arange(m_ub)).tolist())
+    rows = np.vstack([problem.a_eq, problem.a_ub])
+    bmat = np.hstack([rows, np.eye(m_eq + m_ub)[:, m_eq:], np.eye(m_eq + m_ub, m_eq)])[:, basis]
+    assert np.count_nonzero(binv - np.diag(np.diag(binv))) == 0
+    assert np.abs(binv @ bmat - np.eye(m_eq + m_ub)).max() <= 1e-15
+    assert wrong <= simplex._OBJ_TOL and not watched["flipped"]
+    ref = linprog(-problem.c, A_eq=problem.a_eq, b_eq=problem.b_eq,
+                  A_ub=problem.a_ub if m_ub else None, b_ub=problem.b_ub if m_ub else None,
+                  bounds=np.column_stack([problem.lo, problem.hi]), method="highs")
+    assert ref.status in (0, 2)
+    assert (got.status == LpStatus.INFEASIBLE) == (ref.status == 2) == infeasible
+    if not infeasible:
+        assert abs(got.objective_value + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
 
 
 def test_sibling_shares_the_rows_and_checks_what_is_new():

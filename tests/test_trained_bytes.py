@@ -99,17 +99,17 @@ def test_trained_bytes_are_pinned(run, digest):
 
 
 @pytest.mark.parametrize("run,counters", [
-    pytest.param(_wcnn_one_layer, [(13, 3), (4, 3), (7, 4), (5, 4), (18, 6)],
+    pytest.param(_wcnn_one_layer, [(10, 3), (4, 3), (7, 4), (5, 4), (16, 6)],
                  id="wcnn_one_layer"),
-    pytest.param(_wcnn_two_layers, [(15, 1), (3, 1), (3, 1), (14, 1)], id="wcnn_two_layers"),
-    pytest.param(_finetune_all_layers, [(8, 1), (10, 2), (2, 2), (2, 2), (22, 3)],
+    pytest.param(_wcnn_two_layers, [(14, 1), (3, 1), (3, 1), (13, 1)], id="wcnn_two_layers"),
+    pytest.param(_finetune_all_layers, [(5, 1), (10, 2), (2, 2), (2, 2), (19, 3)],
                  id="finetune_all_layers"),
-    pytest.param(_finetune_last_layer, [(53, 7), (16, 7), (16, 7), (53, 7)],
+    pytest.param(_finetune_last_layer, [(37, 7), (16, 7), (16, 7), (37, 7)],
                  id="finetune_last_layer"),
 ])
 def test_verification_counters_are_pinned(monkeypatch, run, counters):
     """(lp_pivots, nodes_explored) of each verification in the run, in
-    order: bound and root LPs from the slack basis, chained, and
+    order: bound and root LPs from the crash basis, chained, and
     started from the last certificate's bases, and the search.
     The two-layer runs solve bound LPs.  A change to any LP's pivots or
     to the tree moves these counts."""

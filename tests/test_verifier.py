@@ -480,15 +480,18 @@ _CHAIN_CASES = [(*_ENCODING_CASES[0], False), (4, (2, 6, 6, 3), -0.3, 0.3, True)
 def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
                                                         refit_cores, seed, dims, lo, hi,
                                                         bound_lps):
-    # a verification without a start: its first root, and its first bound
-    # LP of each layer and sense, start from the slack basis; every other
-    # one starts from the last of its kind, which the simplex takes as it
-    # is, and ends where HiGHS and a slack-basis solve of the same LP do
+    # a verification without a start: its first root, and the first bound
+    # LP of each lp_bounds call, start cold (simplex._Core.cold); every
+    # other root starts from the last root's basis, and every other bound
+    # LP from the basis, of those its call has solved, whose point its
+    # objective scores highest (the latest on ties).  The simplex takes
+    # each start as it is, and each LP ends where HiGHS and a fresh solve
+    # of the same LP do
     params = seeded_net(seed, dims)
     box = Box(np.full(dims[0], lo), np.full(dims[0], hi))
     gen = bounds_around_outputs(params, box, seed=seed, frac_hi=0.5)
     solved = []  # (kind, problem, solution, cold, refit) of each root and bound LP
-    forms = []   # the unit forms of each lp_bounds call
+    calls = []   # (objective, start, solution) of each bound LP, per lp_bounds call
 
     def tracked(kind, problem, solve):
         before = len(cold_cores), len(refit_cores)
@@ -506,13 +509,13 @@ def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
         return tracked("root", problem, lambda: solve_node(enc, c, fix, start, cutoff))
 
     def layer(*args):
-        forms.append(args[1][0])
+        calls.append([])
         return bounds.lp_bounds(*args)
 
     def bound_lp(problem, start=None, cutoff=None):
-        sense = "max" if any(np.array_equal(problem.c, a) for a in forms[-1]) else "min"
-        return tracked((len(forms), sense), problem,
-                       lambda: solve_lp(problem, start=start, cutoff=cutoff))
+        sol = tracked(len(calls), problem, lambda: solve_lp(problem, start=start, cutoff=cutoff))
+        calls[-1].append((problem.c, start, sol))
+        return sol
 
     monkeypatch.setattr(milp._Encoding, "solve_node", node)
     monkeypatch.setattr(milp, "lp_bounds", layer)
@@ -520,13 +523,20 @@ def test_lps_without_a_start_chain_from_one_slack_basis(monkeypatch, cold_cores,
     solve_worst_case(params, box, gen)
     kinds = [kind for kind, *_ in solved]
     assert kinds.count("root") >= 2
-    assert set(kinds) == ({"root", (1, "max"), (1, "min")} if bound_lps else {"root"})
+    assert set(kinds) == ({"root", 1} if bound_lps else {"root"})
     for kind in set(kinds):
         of_kind = [entry for entry in solved if entry[0] == kind]
-        # the first of each kind from the slack basis, and only the first
-        # root or bound LP of it; no inverse refactorized
+        # only the first root, and only the first bound LP of a call,
+        # starts cold; no inverse refactorized
         assert [entry[3] for entry in of_kind] == [1] + [0] * (len(of_kind) - 1)
         assert not any(entry[4] for entry in of_kind)
+    for lps in calls:
+        assert not lps or lps[0][1] is None
+        for k, (c, start, _) in enumerate(lps[1:], 1):
+            # every bound LP ends optimal (below), so the k before this are pooled
+            score = np.array([sol.point for _, _, sol in lps[:k]]) @ c
+            best = np.flatnonzero(score == score.max())[-1]
+            assert start is lps[best][2].basis
     for _, problem, sol, _, _ in solved:
         assert sol.status == LpStatus.OPTIMAL
         fresh = solve_lp(LpProblem(c=problem.c, a_eq=problem.a_eq, b_eq=problem.b_eq,
@@ -707,8 +717,8 @@ _CASE9_IDS = ["16-16_s0", "16-16_s1", "24-24_s0", "12-12_s2", "8-8_s4", "24_s4",
 # sha256 over the value, bound and witness bytes of the eight
 # certificates, and over the LP-tightened bounds (_Encoding.pre) of the
 # five two-layer nets, in _CASE9_NETS order
-_CASE9_CERT_SHA256 = "036453d9a6562644b579e077aba85ac545108f3ff40a81fa485e753f2c6a3edd"
-_CASE9_PRE_SHA256 = "918c9dc087c9f0f7542b4fd55d18751b5a533ad35a76ae3616325695938addec"
+_CASE9_CERT_SHA256 = "3c1b873ee3d3e42b90eacf9b9af86dc39697f7a912d680d6c713ea12f76d40ba"
+_CASE9_PRE_SHA256 = "3bc8a877f0c341f12c39e3a607efafa01602ec359c720fd51ee1aaaf0282bc3b"
 
 
 @pytest.fixture(scope="module")
@@ -753,14 +763,14 @@ def test_case9_fixture_trees_are_pinned(case9_nets, case9_digests, arch, seed, n
 # over scaled_boxes(grid): (arch, nodes, lp_pivots, unstable units,
 # winning candidate)
 _SYN39_NETS = [
-    ((16,), 238, 1345, 15, (1, "lower")),
-    ((8, 8), 141, 990, 14, (4, "upper")),
-    ((12, 12), 555, 3984, 24, (2, "upper")),
-    ((16, 16), 1685, 9618, 30, (2, "upper")),
+    ((16,), 238, 1334, 15, (1, "lower")),
+    ((8, 8), 141, 864, 14, (4, "upper")),
+    ((12, 12), 555, 3716, 24, (2, "upper")),
+    ((16, 16), 1685, 9317, 30, (2, "upper")),
 ]
 # sha256 over the value, bound and witness bytes of the four
 # certificates, in _SYN39_NETS order
-_SYN39_CERT_SHA256 = "9ac3b10ac7690d4e705f6052926775904bc2cf331ebac8555531d617a8af78a1"
+_SYN39_CERT_SHA256 = "0f386249323ac12484882b714649f22e712e3b9b147d1f726be47823653860dd"
 
 
 @pytest.fixture(scope="module")
